@@ -259,12 +259,11 @@ pub fn measure_task(
 ) -> Result<TaskCost, SimError> {
     let mut machine =
         Machine::with_config(program, config.dmem_words, config.cycle_model, config.energy_model)?;
-    let executed = machine.run(max_insts)?;
+    machine.run(max_insts)?;
     if !machine.halted() {
         return Err(SimError::PcOutOfRange { pc: machine.pc() });
     }
     let c = machine.counters();
-    let _ = executed;
     Ok(TaskCost { instructions: c.instructions, cycles: c.cycles, energy_j: c.energy_j })
 }
 

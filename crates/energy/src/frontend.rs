@@ -51,8 +51,14 @@ impl Rectifier {
         }
         // Saturating rise past the knee…
         let rise = input_w / (input_w + self.knee_w);
+        let droop_onset_w = self.knee_w * 10.0;
+        if input_w <= droop_onset_w {
+            // No droop below the onset: the general path computes
+            // `log10(1.0) == 0.0`, a droop factor of exactly 1.0.
+            return (self.peak_efficiency * rise).clamp(0.0, 1.0);
+        }
         // …with a gentle droop at high power.
-        let decades_above = (input_w / (self.knee_w * 10.0)).max(1.0).log10();
+        let decades_above = (input_w / droop_onset_w).max(1.0).log10();
         let droop = 1.0 - self.high_power_droop * decades_above;
         (self.peak_efficiency * rise * droop).clamp(0.0, 1.0)
     }
@@ -98,6 +104,32 @@ pub struct Capacitor {
     leak_tau: Seconds,
     energy: Joules,
     wasted: Joules,
+    leak_memo: LeakMemo,
+}
+
+/// The leaked fraction `1 - exp(-dt/τ)` for the last `dt` passed to
+/// [`Capacitor::leak`]: front ends tick at one fixed `dt`, so the
+/// exponential is computed once per distinct step, not once per tick.
+/// A pure cache of the capacitor's parameters, so it never takes part
+/// in equality.
+#[derive(Debug, Clone, Copy)]
+struct LeakMemo {
+    dt_bits: u64,
+    lost_frac: f64,
+}
+
+impl Default for LeakMemo {
+    fn default() -> Self {
+        // A NaN `dt` maps to a NaN fraction, as the uncached formula
+        // gives, so the empty memo is never wrong.
+        LeakMemo { dt_bits: f64::NAN.to_bits(), lost_frac: f64::NAN }
+    }
+}
+
+impl PartialEq for LeakMemo {
+    fn eq(&self, _: &LeakMemo) -> bool {
+        true
+    }
 }
 
 impl Capacitor {
@@ -131,6 +163,7 @@ impl Capacitor {
             leak_tau,
             energy: Joules::ZERO,
             wasted: Joules::ZERO,
+            leak_memo: LeakMemo::default(),
         }
     }
 
@@ -244,8 +277,12 @@ impl Capacitor {
 
     /// Applies self-discharge over a duration.
     pub fn leak(&mut self, dt: Seconds) {
-        let kept = (-(dt / self.leak_tau)).exp();
-        let lost = self.energy * (1.0 - kept);
+        let dt_bits = dt.get().to_bits();
+        if dt_bits != self.leak_memo.dt_bits {
+            let kept = (-(dt / self.leak_tau)).exp();
+            self.leak_memo = LeakMemo { dt_bits, lost_frac: 1.0 - kept };
+        }
+        let lost = self.energy * self.leak_memo.lost_frac;
         self.energy -= lost;
         self.wasted += lost;
     }

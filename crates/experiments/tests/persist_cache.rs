@@ -44,6 +44,10 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let cfg = ExpConfig::quick();
     let cache_dir = unique_dir("nvp_persist_cache_dir");
 
+    // Start from an empty index and zeroed counters: the tests in this
+    // file share the process-wide cache, and whichever ran first left
+    // its records and counts behind.
+    reset_sim_cache();
     // Cold run: every unique simulation computed and persisted.
     let loaded = set_cache_dir(Some(&cache_dir)).unwrap();
     assert_eq!(loaded, 0, "fresh cache directory has no records");

@@ -63,8 +63,8 @@ impl Inst {
 ///
 /// Addresses reachable only dynamically (through `jalr`, or by restoring
 /// a snapshot taken mid-block) are *not* leaders; an execution engine
-/// must fall back to single-stepping from such an address until it
-/// reaches a leader again.
+/// entering at such an address must run the rest of the enclosing block
+/// (or single-step) until it reaches a leader again.
 #[must_use]
 pub fn leaders(code: &[Inst], entry: u32) -> Vec<bool> {
     let mut is_leader = vec![false; code.len()];

@@ -341,18 +341,38 @@ pub(crate) struct BlockPlan {
 }
 
 /// The per-image block partition: one [`BlockPlan`] per leader plus the
-/// flattened body-op pool and the leader → plan index map.
+/// flattened body-op pool and the pc → owning plan index map.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockTable {
     pub(crate) plans: Vec<BlockPlan>,
     pub(crate) ops: Vec<MicroOp>,
-    /// `leader[pc]` is the plan index if `pc` is a leader, else
-    /// [`NO_PLAN`].
-    pub(crate) leader: Vec<u32>,
+    /// `owner[pc]` is the index of the plan whose body or terminator
+    /// holds `pc`, else [`NO_PLAN`].
+    owner: Vec<u32>,
 }
 
-/// Sentinel for "this address is not a block leader".
+/// Sentinel for "no block plan covers this address".
 pub(crate) const NO_PLAN: u32 = u32::MAX;
+
+impl BlockTable {
+    /// The plan whose body or terminator holds `pc` (entered mid-block
+    /// when `pc` is not its leader), or [`NO_PLAN`].
+    #[inline]
+    pub(crate) fn owner(&self, pc: u32) -> u32 {
+        self.owner.get(pc as usize).copied().unwrap_or(NO_PLAN)
+    }
+
+    /// The plan led by `pc`, or [`NO_PLAN`] if `pc` is not a leader.
+    #[inline]
+    pub(crate) fn leader(&self, pc: u32) -> u32 {
+        let p = self.owner(pc);
+        if p != NO_PLAN && self.plans[p as usize].start == pc {
+            p
+        } else {
+            NO_PLAN
+        }
+    }
+}
 
 fn make_term(d: &Decoded, pc: u32) -> Term {
     use Inst::*;
@@ -470,16 +490,19 @@ impl BlockTable {
         let insts: Vec<Inst> = code.iter().map(|d| d.inst).collect();
         let is_leader = nvp_isa::blocks::leaders(&insts, entry);
         let mut table =
-            BlockTable { plans: Vec::new(), ops: Vec::new(), leader: vec![NO_PLAN; code.len()] };
+            BlockTable { plans: Vec::new(), ops: Vec::new(), owner: vec![NO_PLAN; code.len()] };
         let mut pc = 0usize;
         while pc < code.len() {
             if !is_leader[pc] {
-                // Only reachable through a dynamic jump; the engine
-                // single-steps such addresses.
+                // No leader precedes this address in straight line
+                // (code ahead of a non-zero entry), so it belongs to no
+                // block: only a dynamic jump reaches it, and the engine
+                // single-steps it. Every address inside a block is
+                // covered by `owner`, so mid-block entries run as
+                // partial blocks instead.
                 pc += 1;
                 continue;
             }
-            table.leader[pc] = table.plans.len() as u32;
             let op_start = table.ops.len() as u32;
             let mut body_cycles = 0u64;
             let mut body_class_counts = [0u64; 9];
@@ -503,6 +526,9 @@ impl BlockTable {
                 Term::FallThrough { next } => (0u64, 0u8, next as usize),
                 _ => (1u64, code[cur].class.index() as u8, cur + 1),
             };
+            let plan_idx = table.plans.len() as u32;
+            let end = pc + op_len as usize + term_insts as usize;
+            table.owner[pc..end].fill(plan_idx);
             table.plans.push(BlockPlan {
                 start: pc as u32,
                 op_start,

@@ -29,8 +29,8 @@
 //!   and carry a sticky [`SimError`]; surviving lanes continue.
 //! - **No lockstep progress** — a non-leader pc (after `jalr`) or a
 //!   block that cannot fit the whole budget peels every lane (a
-//!   *scalar fallback*), mirroring the scalar engine's single-step
-//!   fallback.
+//!   *scalar fallback*), where the scalar engine's partial-block
+//!   slices take over.
 //!
 //! Peeled lanes keep running on their own machines on subsequent
 //! [`run`](LaneMachine::run) calls; [`extract`](LaneMachine::extract)
@@ -260,8 +260,7 @@ impl LaneMachine {
     fn run_lockstep(&mut self, max_insts: u64) {
         let mut executed = 0u64;
         while executed < max_insts && !self.halted && !self.active.is_empty() {
-            let plan_idx =
-                self.image.blocks.leader.get(self.pc as usize).copied().unwrap_or(NO_PLAN);
+            let plan_idx = self.image.blocks.leader(self.pc);
             let fits = plan_idx != NO_PLAN
                 && self.image.blocks.plans[plan_idx as usize].insts <= max_insts - executed;
             if !fits {

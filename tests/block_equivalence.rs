@@ -170,8 +170,8 @@ fn all_kernels_match_step_mode_under_chunked_budgets() {
         let mut by_lanes = LaneMachine::new(&image, 2);
         let mut target = 0u64;
         // Ragged chunks land budget boundaries mid-block, so the fused
-        // tiers must fall back to single steps and later re-enter at
-        // non-leader pcs (and the lane tier must take its scalar
+        // tiers must run block prefixes and later re-enter at non-leader
+        // pcs with suffixes (and the lane tier must take its scalar
         // fallback) — compare after every chunk, not just at the end.
         for round in 0..64 {
             target += 1 + u64::from(rng.next_u32() % 97);
