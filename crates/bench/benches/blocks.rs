@@ -1,12 +1,10 @@
 //! Execution-tier benchmark (`cargo bench --bench blocks`).
 //!
-//! Compares all four execution tiers — `Machine::run` (per-instruction
-//! dispatch), `Machine::run_blocks` (fused basic blocks),
-//! `Machine::run_superblocks` (profile-directed block chains), and the
-//! SoA `LaneMachine` (same-program lane groups) — on the tight ALU loop
-//! and the Sobel kernel, and cross-checks that every tier retires the
-//! same instruction count, identical architectural state, and
-//! bit-identical energy while timing.
+//! Compares both execution tiers — `Machine::run` (per-instruction
+//! dispatch) and `Machine::run_blocks` (fused basic blocks) — on the
+//! tight ALU loop and the Sobel kernel, and cross-checks that they
+//! retire the same instruction count, identical architectural state,
+//! and bit-identical energy while timing.
 //!
 //! Set `NVP_BENCH_SMOKE=1` to run a bounded iteration count with a
 //! single repetition — CI uses this to keep the bench built and
@@ -17,11 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nvp_isa::asm::assemble;
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
-
-/// Lane width used for the lane-tier throughput measurement.
-const LANE_WIDTH: usize = 64;
 
 fn smoke() -> bool {
     std::env::var_os("NVP_BENCH_SMOKE").is_some()
@@ -52,25 +47,7 @@ fn rate(
     best
 }
 
-/// Best-of-`reps` *effective* throughput of a lane group running the
-/// image to completion: total instructions retired across every lane,
-/// divided by wall time.
-fn lane_rate(image: &Arc<MachineImage>, width: usize, reps: usize) -> f64 {
-    let mut best = 0.0f64;
-    for _ in 0..reps {
-        let mut lm = LaneMachine::new(image, width);
-        let t0 = Instant::now();
-        while !lm.all_done() {
-            lm.run(1_000_000);
-        }
-        black_box(&lm);
-        let total: u64 = (0..width).map(|l| lm.lane_counters(l).instructions).sum();
-        best = best.max(total as f64 / t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Runs every tier to completion on small budgets and compares final
+/// Runs both tiers to completion on small budgets and compares final
 /// state — a correctness canary inside the bench binary.
 fn crosscheck(program: &nvp_isa::Program, budget: u64) {
     let image = Arc::new(
@@ -79,35 +56,19 @@ fn crosscheck(program: &nvp_isa::Program, budget: u64) {
     );
     let mut by_step = Machine::from_image(&image);
     let mut by_block = Machine::from_image(&image);
-    let mut by_super = Machine::from_image(&image);
-    let mut by_lanes = LaneMachine::new(&image, 4);
     by_step.run(budget).expect("step run");
     by_block.run_blocks(budget).expect("block run");
-    while by_super.counters().instructions < budget && !by_super.halted() {
-        let remaining = budget - by_super.counters().instructions;
-        let stats = by_super.run_superblocks(remaining).expect("superblock run");
-        if stats.executed == 0 && !stats.checkpoint {
-            break;
-        }
-    }
-    while by_lanes.lane_counters(0).instructions < budget && !by_lanes.all_done() {
-        by_lanes.run(budget - by_lanes.lane_counters(0).instructions);
-    }
-    for (name, other) in
-        [("block", &by_block), ("superblock", &by_super), ("lane", &by_lanes.extract(0))]
-    {
-        assert_eq!(by_step.snapshot(), other.snapshot(), "{name}: architectural state diverged");
-        assert_eq!(
-            by_step.counters().instructions,
-            other.counters().instructions,
-            "{name}: retired counts diverged"
-        );
-        assert_eq!(
-            by_step.counters().energy_j.to_bits(),
-            other.counters().energy_j.to_bits(),
-            "{name}: energy totals diverged"
-        );
-    }
+    assert_eq!(by_step.snapshot(), by_block.snapshot(), "architectural state diverged");
+    assert_eq!(
+        by_step.counters().instructions,
+        by_block.counters().instructions,
+        "retired counts diverged"
+    );
+    assert_eq!(
+        by_step.counters().energy_j.to_bits(),
+        by_block.counters().energy_j.to_bits(),
+        "energy totals diverged"
+    );
 }
 
 fn main() {
@@ -124,7 +85,6 @@ fn main() {
 
     let step_run = |m: &mut Machine, n: u64| m.run(n).expect("program runs");
     let block_run = |m: &mut Machine, n: u64| m.run_blocks(n).expect("program runs").executed;
-    let super_run = |m: &mut Machine, n: u64| m.run_superblocks(n).expect("program runs").executed;
 
     let tight_image = Arc::new(
         MachineImage::build(&tight, 64, CycleModel::default(), EnergyModel::default())
@@ -142,21 +102,14 @@ fn main() {
 
     let tight_step = rate(|| Machine::from_image(&tight_image), step_run, insts, reps);
     let tight_block = rate(|| Machine::from_image(&tight_image), block_run, insts, reps);
-    let tight_super = rate(|| Machine::from_image(&tight_image), super_run, insts, reps);
-    let tight_lanes = lane_rate(&tight_image, LANE_WIDTH, reps);
     let sobel_step = rate(|| Machine::from_image(&sobel_image), step_run, insts, reps);
     let sobel_block = rate(|| Machine::from_image(&sobel_image), block_run, insts, reps);
-    let sobel_super = rate(|| Machine::from_image(&sobel_image), super_run, insts, reps);
 
     println!("bench blocks/tight_loop_step_per_sec   {tight_step:>14.0}");
     println!("bench blocks/tight_loop_block_per_sec  {tight_block:>14.0}");
-    println!("bench blocks/tight_loop_super_per_sec  {tight_super:>14.0}");
-    println!("bench blocks/tight_loop_lane_per_sec   {tight_lanes:>14.0} ({LANE_WIDTH} lanes)");
     println!("bench blocks/tight_loop_speedup        {:>14.2} x", tight_block / tight_step);
-    println!("bench blocks/tight_loop_lane_speedup   {:>14.2} x", tight_lanes / tight_block);
     println!("bench blocks/sobel_step_per_sec        {sobel_step:>14.0}");
     println!("bench blocks/sobel_block_per_sec       {sobel_block:>14.0}");
-    println!("bench blocks/sobel_super_per_sec       {sobel_super:>14.0}");
     println!("bench blocks/sobel_speedup             {:>14.2} x", sobel_block / sobel_step);
     if smoke() {
         println!("bench blocks: smoke mode (bounded iterations, cross-tier digests asserted)");

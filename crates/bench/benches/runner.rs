@@ -6,7 +6,7 @@
 //! (override the location with `NVP_BENCH_RUNNER_JSON`). The checked-in
 //! copy is the baseline; rerun after perf-sensitive changes and compare.
 //!
-//! Measured quantities (schema `nvp-bench-runner/4`):
+//! Measured quantities (schema `nvp-bench-runner/5`):
 //!
 //! * `run_all_quick.parallel_s` / `sequential_s` — best-of-3 wall time
 //!   of `run_all(ExpConfig::quick())` on the work-stealing scheduler
@@ -28,10 +28,8 @@
 //!   fault campaign alone (`run_only(["f12"])`, cache reset per rep),
 //!   the workload the lane-group dispatch and shared program image
 //!   target, with the lane-group counters from one run.
-//! * `simulator.*_steps_per_sec` — `Machine::step` / `run_blocks` /
-//!   `run_superblocks` / `LaneMachine` throughput on a branchy ALU
-//!   loop and the Sobel kernel (lane throughput is effective: total
-//!   instructions across all lanes per second).
+//! * `simulator.*_steps_per_sec` — `Machine::step` / `run_blocks`
+//!   throughput on a branchy ALU loop and the Sobel kernel.
 //!
 //! A warm-up run first fills the process-wide frame/kernel/trace memo
 //! caches, and the simulation cache is reset before every timed
@@ -41,7 +39,6 @@
 use std::fs;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 use nvp_experiments::{
@@ -49,13 +46,10 @@ use nvp_experiments::{
     set_thread_override, thread_count, ExpConfig,
 };
 use nvp_isa::asm::assemble;
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::Machine;
 use nvp_workloads::{GrayImage, KernelKind};
 
 const REPS: usize = 3;
-
-/// Lane width for the lane-tier throughput measurement.
-const LANE_WIDTH: usize = 64;
 
 fn unique_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -209,28 +203,8 @@ fn main() {
         .expect("tight loop assembles");
     let step_run = |m: &mut Machine, n: u64| m.run(n).expect("program runs");
     let block_run = |m: &mut Machine, n: u64| m.run_blocks(n).expect("program runs").executed;
-    let super_run = |m: &mut Machine, n: u64| m.run_superblocks(n).expect("program runs").executed;
-    let tight_image = Arc::new(
-        MachineImage::build(&tight, 64, CycleModel::default(), EnergyModel::default())
-            .expect("tight image builds"),
-    );
     let tight_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), step_run, 2_000_000);
     let block_rate = steps_per_sec(|| Machine::new(&tight).expect("loads"), block_run, 2_000_000);
-    let super_rate = steps_per_sec(|| Machine::from_image(&tight_image), super_run, 2_000_000);
-    let lane_rate = {
-        let mut best = 0.0f64;
-        for _ in 0..REPS {
-            let mut lm = LaneMachine::new(&tight_image, LANE_WIDTH);
-            let t0 = Instant::now();
-            while !lm.all_done() {
-                lm.run(1_000_000);
-            }
-            black_box(&lm);
-            let total: u64 = (0..LANE_WIDTH).map(|l| lm.lane_counters(l).instructions).sum();
-            best = best.max(total as f64 / t0.elapsed().as_secs_f64());
-        }
-        best
-    };
 
     let frame = GrayImage::synthetic(7, 32, 32);
     let sobel = KernelKind::Sobel.build(&frame).expect("sobel builds");
@@ -253,8 +227,6 @@ fn main() {
     println!("bench runner/f12_campaign_cold           {f12_cold_s:>12.4} s (best of {REPS}, {f12_lane_groups} lane groups / {f12_lane_group_items} trials)");
     println!("bench runner/tight_loop_steps_per_sec    {tight_rate:>12.0}");
     println!("bench runner/block_steps_per_sec         {block_rate:>12.0}");
-    println!("bench runner/superblock_steps_per_sec    {super_rate:>12.0}");
-    println!("bench runner/lane_steps_per_sec          {lane_rate:>12.0} ({LANE_WIDTH} lanes)");
     println!("bench runner/sobel_steps_per_sec         {sobel_rate:>12.0}");
 
     let out = std::env::var("NVP_BENCH_RUNNER_JSON").map_or_else(
@@ -266,10 +238,9 @@ fn main() {
                    simulation cache reset per repetition; *_threads is the worker count used \
                    for that measurement; sim_cache_disk times a cold persistent-store write \
                    and a fresh-process reload served entirely from disk; f12_campaign is the \
-                   cold Monte-Carlo fault sweep alone; lane_steps_per_sec is effective \
-                   (instructions across all lanes per second)";
+                   cold Monte-Carlo fault sweep alone";
     let json = format!(
-        "{{\n  \"schema\": \"nvp-bench-runner/4\",\n  \"comment\": \"{comment}\",\n  \
+        "{{\n  \"schema\": \"nvp-bench-runner/5\",\n  \"comment\": \"{comment}\",\n  \
          \"host_cores\": {cores},\n  \
          \"run_all_quick\": {{\n    \"parallel_s\": {parallel_s:.4},\n    \
          \"parallel_threads\": {parallel_threads},\n    \
@@ -290,9 +261,6 @@ fn main() {
          \"lane_group_items\": {f12_lane_group_items}\n  }},\n  \
          \"simulator\": {{\n    \"tight_loop_steps_per_sec\": {tight_rate:.0},\n    \
          \"block_steps_per_sec\": {block_rate:.0},\n    \
-         \"superblock_steps_per_sec\": {super_rate:.0},\n    \
-         \"lane_steps_per_sec\": {lane_rate:.0},\n    \
-         \"lane_width\": {LANE_WIDTH},\n    \
          \"sobel_steps_per_sec\": {sobel_rate:.0}\n  }}\n}}\n"
     );
     fs::write(&out, json).expect("write BENCH_runner.json");

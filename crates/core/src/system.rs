@@ -674,7 +674,7 @@ impl IntermittentSystem {
                 block = block.min(safe_count(interval - self.since_ckpt_s, max_step_s));
             }
             if block >= 2 {
-                let stats = self.machine.run_superblocks(block)?;
+                let stats = self.machine.run_blocks(block)?;
                 let t = stats.cycles as f64 / clock;
                 budget -= t;
                 self.report.on_time_s += t;
@@ -774,12 +774,7 @@ impl IntermittentSystem {
         } else {
             // Volatile SRAM: rebuild the machine, losing data memory too,
             // and invalidate the checkpoints (they reference lost data).
-            // The superblock profile is execution metadata, not machine
-            // state, so the rebuilt machine adopts it rather than
-            // re-warming from scratch after every brown-out.
-            let mut fresh = Machine::from_image(&self.image);
-            fresh.adopt_profile_from(&mut self.machine);
-            self.machine = fresh;
+            self.machine = Machine::from_image(&self.image);
             self.slots = [None, None];
             self.write_idx = 0;
         }

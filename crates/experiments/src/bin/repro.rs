@@ -19,13 +19,8 @@ use nvp_experiments::{
 /// line by both the in-process and `--connect` paths.
 fn exec_summary(exec: &nvp_experiments::ExecStats) -> String {
     format!(
-        "exec tiers: {} superblock chain(s) formed, {} chain run(s), {} side exit(s), \
-         {} lane group(s) covering {} simulation(s)",
-        exec.chains_formed,
-        exec.chain_runs,
-        exec.side_exits,
-        exec.lane_groups,
-        exec.lane_group_items
+        "exec tiers: {} lane group(s) covering {} simulation(s)",
+        exec.lane_groups, exec.lane_group_items
     )
 }
 

@@ -175,9 +175,7 @@ pub(crate) fn run_nvp_with(
     simcache::cached_run(key.finish(), || {
         let mut system =
             IntermittentSystem::new(inst.program(), sys, backup, policy).expect("platform builds");
-        let report = system.run(trace).expect("workload does not fault");
-        crate::stats::record_superblocks(system.machine().superblock_stats());
-        report
+        system.run(trace).expect("workload does not fault")
     })
 }
 

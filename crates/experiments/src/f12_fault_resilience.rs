@@ -199,9 +199,7 @@ fn run_trial(
     );
     let mut log = EventLog::default();
     let report = system.run_observed(trace, &mut log).expect("workload does not fault");
-    let (report, latencies) = (report, recovery_latencies_ms(&log.events));
-    crate::stats::record_superblocks(system.machine().superblock_stats());
-    (report, latencies)
+    (report, recovery_latencies_ms(&log.events))
 }
 
 /// Runs the full campaign: every style × fault rate × trial.

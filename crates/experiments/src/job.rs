@@ -124,8 +124,8 @@ pub struct CampaignResult {
     pub cache: SimCacheStats,
     /// Work-stealing scheduler counters for this job.
     pub sched: SchedStats,
-    /// Execution-tier counters for this job: superblock chain activity
-    /// and lane-group dispatch ([`ExecStats::since`] delta).
+    /// Execution-tier counters for this job: lane-group dispatch
+    /// ([`ExecStats::since`] delta).
     pub exec: ExecStats,
 }
 

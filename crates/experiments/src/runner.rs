@@ -33,8 +33,8 @@ pub struct RunArtifacts {
     /// Simulation-cache hits/misses during this runner call
     /// (experiments replaying an identical simulation skip it).
     pub cache: SimCacheStats,
-    /// Execution-tier counters during this runner call: superblock
-    /// chain activity and lane-group dispatch.
+    /// Execution-tier counters during this runner call: lane-group
+    /// dispatch.
     pub exec: ExecStats,
 }
 

@@ -1,26 +1,22 @@
 //! Process-wide execution-tier counters.
 //!
-//! The simulator's superblock tier ([`nvp_sim::SuperblockStats`]) and
-//! the scheduler's lane-group dispatch both happen deep inside cached,
+//! The scheduler's lane-group dispatch happens deep inside cached,
 //! parallel experiment code; these monotone process-wide counters are
-//! how their activity surfaces in campaign summaries without touching
+//! how its activity surfaces in campaign summaries without touching
 //! any serialized result shape. Deltas are taken with
 //! [`ExecStats::since`], mirroring the sim-cache and scheduler counter
 //! pattern.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nvp_sim::SuperblockStats;
-
 /// Execution-tier counters since process start (monotone; see
 /// [`exec_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Superblock chains built from warm-up edge profiles.
-    pub chains_formed: u64,
-    /// Chain dispatches (each replaces a run of block dispatches).
+    /// Always 0: the superblock tier that dispatched block chains was
+    /// removed. Kept so existing readers of the field still build.
     pub chain_runs: u64,
-    /// Side exits: chain guards that fell back to the block tier.
+    /// Always 0, for the same reason as [`chain_runs`](Self::chain_runs).
     pub side_exits: u64,
     /// Lane groups dispatched as single scheduler tasks.
     pub lane_groups: u64,
@@ -34,18 +30,14 @@ impl ExecStats {
     #[must_use]
     pub fn since(self, earlier: ExecStats) -> ExecStats {
         ExecStats {
-            chains_formed: self.chains_formed.saturating_sub(earlier.chains_formed),
-            chain_runs: self.chain_runs.saturating_sub(earlier.chain_runs),
-            side_exits: self.side_exits.saturating_sub(earlier.side_exits),
+            chain_runs: 0,
+            side_exits: 0,
             lane_groups: self.lane_groups.saturating_sub(earlier.lane_groups),
             lane_group_items: self.lane_group_items.saturating_sub(earlier.lane_group_items),
         }
     }
 }
 
-static CHAINS_FORMED: AtomicU64 = AtomicU64::new(0);
-static CHAIN_RUNS: AtomicU64 = AtomicU64::new(0);
-static SIDE_EXITS: AtomicU64 = AtomicU64::new(0);
 static LANE_GROUPS: AtomicU64 = AtomicU64::new(0);
 static LANE_GROUP_ITEMS: AtomicU64 = AtomicU64::new(0);
 
@@ -53,27 +45,10 @@ static LANE_GROUP_ITEMS: AtomicU64 = AtomicU64::new(0);
 #[must_use]
 pub fn exec_stats() -> ExecStats {
     ExecStats {
-        chains_formed: CHAINS_FORMED.load(Ordering::Relaxed),
-        chain_runs: CHAIN_RUNS.load(Ordering::Relaxed),
-        side_exits: SIDE_EXITS.load(Ordering::Relaxed),
+        chain_runs: 0,
+        side_exits: 0,
         lane_groups: LANE_GROUPS.load(Ordering::Relaxed),
         lane_group_items: LANE_GROUP_ITEMS.load(Ordering::Relaxed),
-    }
-}
-
-/// Folds one machine's cumulative superblock counters into the
-/// process-wide totals. Call once per finished simulation (the stats
-/// are cumulative per machine, so recording mid-run would double
-/// count).
-pub(crate) fn record_superblocks(s: SuperblockStats) {
-    if s.chains_formed > 0 {
-        CHAINS_FORMED.fetch_add(s.chains_formed, Ordering::Relaxed);
-    }
-    if s.chain_runs > 0 {
-        CHAIN_RUNS.fetch_add(s.chain_runs, Ordering::Relaxed);
-    }
-    if s.side_exits > 0 {
-        SIDE_EXITS.fetch_add(s.side_exits, Ordering::Relaxed);
     }
 }
 
@@ -89,24 +64,9 @@ mod tests {
 
     #[test]
     fn since_is_saturating_and_counterwise() {
-        let a = ExecStats {
-            chains_formed: 5,
-            chain_runs: 10,
-            side_exits: 2,
-            lane_groups: 4,
-            lane_group_items: 17,
-        };
-        let b = ExecStats {
-            chains_formed: 3,
-            chain_runs: 4,
-            side_exits: 2,
-            lane_groups: 1,
-            lane_group_items: 5,
-        };
+        let a = ExecStats { lane_groups: 4, lane_group_items: 17, ..ExecStats::default() };
+        let b = ExecStats { lane_groups: 1, lane_group_items: 5, ..ExecStats::default() };
         let d = a.since(b);
-        assert_eq!(d.chains_formed, 2);
-        assert_eq!(d.chain_runs, 6);
-        assert_eq!(d.side_exits, 0);
         assert_eq!(d.lane_groups, 3);
         assert_eq!(d.lane_group_items, 12);
         assert_eq!(b.since(a), ExecStats::default(), "saturates at zero");
@@ -115,18 +75,10 @@ mod tests {
     #[test]
     fn recording_moves_the_global_counters() {
         let before = exec_stats();
-        record_superblocks(SuperblockStats {
-            chains_formed: 1,
-            chain_runs: 2,
-            chained_blocks: 9,
-            side_exits: 3,
-        });
         record_lane_group(8);
         let d = exec_stats().since(before);
-        assert!(d.chains_formed >= 1);
-        assert!(d.chain_runs >= 2);
-        assert!(d.side_exits >= 3);
         assert!(d.lane_groups >= 1);
         assert!(d.lane_group_items >= 8);
+        assert_eq!((d.chain_runs, d.side_exits), (0, 0), "no chain tier remains");
     }
 }

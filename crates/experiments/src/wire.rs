@@ -38,8 +38,9 @@ use crate::{ExpConfig, Table};
 /// the execution-tier counters (superblocks, lane groups) to results;
 /// `nvpd/3` added the cache quarantine counter, the `retryable` hint on
 /// `Reject` frames, and the `replayed` idempotency marker on `Result`
-/// frames (crash-durable server).
-pub const PROTOCOL: &str = "nvpd/3";
+/// frames (crash-durable server); `nvpd/4` dropped the three superblock
+/// chain counters from results with the tier that produced them.
+pub const PROTOCOL: &str = "nvpd/4";
 
 /// Upper bound a frame's length prefix may claim. Large enough for any
 /// full-evaluation result with headroom, small enough that a corrupt or
@@ -191,13 +192,7 @@ fn put_result(out: &mut Vec<u8>, result: &CampaignResult) {
     for v in [result.sched.tasks, result.sched.steals, result.sched.helpers] {
         put_u64(out, v);
     }
-    for v in [
-        result.exec.chains_formed,
-        result.exec.chain_runs,
-        result.exec.side_exits,
-        result.exec.lane_groups,
-        result.exec.lane_group_items,
-    ] {
+    for v in [result.exec.lane_groups, result.exec.lane_group_items] {
         put_u64(out, v);
     }
 }
@@ -397,13 +392,8 @@ fn get_result(r: &mut Reader<'_>) -> io::Result<CampaignResult> {
         quarantined: r.u64()?,
     };
     let sched = SchedStats { tasks: r.u64()?, steals: r.u64()?, helpers: r.u64()? };
-    let exec = ExecStats {
-        chains_formed: r.u64()?,
-        chain_runs: r.u64()?,
-        side_exits: r.u64()?,
-        lane_groups: r.u64()?,
-        lane_group_items: r.u64()?,
-    };
+    let exec =
+        ExecStats { lane_groups: r.u64()?, lane_group_items: r.u64()?, ..ExecStats::default() };
     Ok(CampaignResult { tables, profiles, cache, sched, exec })
 }
 
@@ -580,13 +570,7 @@ mod tests {
             profiles: vec![(1, "t_s,power_uW\n0.0,12.5\n".into())],
             cache: SimCacheStats { hits: 7, disk_hits: 2, misses: 3, persisted: 3, quarantined: 1 },
             sched: SchedStats { tasks: 10, steals: 4, helpers: 2 },
-            exec: ExecStats {
-                chains_formed: 5,
-                chain_runs: 80,
-                side_exits: 6,
-                lane_groups: 4,
-                lane_group_items: 30,
-            },
+            exec: ExecStats { lane_groups: 4, lane_group_items: 30, ..ExecStats::default() },
         }
     }
 

@@ -640,6 +640,41 @@ mod tests {
     }
 
     #[test]
+    fn admission_from_an_older_protocol_is_skipped_not_reenqueued() {
+        use nvp_experiments::wire::PROTOCOL;
+        let dir = unique_dir("nvpd_journal_old_protocol");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let (current, old) = (request(9), request(10));
+        journal.admitted(0, &request_key(&current), &current).unwrap();
+        // A CRC-valid `Admitted` record journalled before the `nvpd/4`
+        // bump: same framing, request bytes tagged with the old schema.
+        let mut old_bytes = encode_request_bytes(&old);
+        assert_eq!(PROTOCOL.len(), "nvpd/3".len(), "tag sits after its u32 length");
+        old_bytes[4..4 + PROTOCOL.len()].copy_from_slice(b"nvpd/3");
+        assert!(decode_request_bytes(&old_bytes).is_err(), "old schema must not decode");
+        let mut body = vec![TAG_ADMITTED];
+        body.extend_from_slice(&1u64.to_le_bytes());
+        body.extend_from_slice(&request_key(&old));
+        body.extend_from_slice(&(old_bytes.len() as u32).to_le_bytes());
+        body.extend_from_slice(&old_bytes);
+        journal.append_record(&mut journal.lock(), &body).unwrap();
+        drop(journal);
+
+        let (journal, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        assert_eq!(recovery.pending.len(), 1, "only the current-protocol job re-enqueues");
+        assert_eq!(recovery.pending[0].id, 0);
+        assert_eq!(recovery.skipped, 1, "the old-protocol admission is skipped");
+        assert_eq!(recovery.next_job, 2, "ids still count past the skipped job");
+        assert_eq!(recovery.quarantined, 1);
+        assert_eq!(journal.quarantined_total(), 1);
+        assert!(dir.join("journal.log.quarantine").exists());
+        drop(journal);
+        let (_, healed) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        assert_eq!((healed.skipped, healed.pending.len()), (0, 1), "rewrite dropped it");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn result_store_round_trips_and_quarantines_corruption() {
         let dir = unique_dir("nvpd_journal_results");
         let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();

@@ -13,12 +13,6 @@
 //! not associative, so the block engine performs exactly the same
 //! sequence of `+=` operations as [`Machine::step`](crate::Machine::step)
 //! to keep totals bit-identical.
-//!
-//! The superblock tier (`crate::Machine::run_superblocks`) stacks on
-//! top: [`BlockTable::build_chains`] fuses hot block *chains* across
-//! static branches and `jal` targets from warm-up profile counts, and
-//! the engine dispatches whole chains with per-link side-exit guards
-//! that fall back to the plain block tier.
 
 use nvp_isa::blocks::branch_target;
 use nvp_isa::{Inst, Reg};
@@ -361,17 +355,6 @@ impl BlockTable {
     pub(crate) fn owner(&self, pc: u32) -> u32 {
         self.owner.get(pc as usize).copied().unwrap_or(NO_PLAN)
     }
-
-    /// The plan led by `pc`, or [`NO_PLAN`] if `pc` is not a leader.
-    #[inline]
-    pub(crate) fn leader(&self, pc: u32) -> u32 {
-        let p = self.owner(pc);
-        if p != NO_PLAN && self.plans[p as usize].start == pc {
-            p
-        } else {
-            NO_PLAN
-        }
-    }
 }
 
 fn make_term(d: &Decoded, pc: u32) -> Term {
@@ -417,73 +400,7 @@ fn make_term(d: &Decoded, pc: u32) -> Term {
     }
 }
 
-/// Maximum number of blocks fused into one superblock chain.
-pub(crate) const MAX_CHAIN_LEN: usize = 16;
-
 impl BlockTable {
-    /// Builds profile-directed superblock chains from warm-up counts.
-    ///
-    /// `execs[p]` is how often plan `p` executed during warm-up and
-    /// `edges[p]` holds its two hottest observed successor edges. Chains
-    /// grow greedily from the hottest unchained block: a link is added
-    /// only when its hottest successor edge *dominates* (covers at least
-    /// half of the block's executions), the successor is not already on
-    /// a chain, and the chain stays acyclic — self-looping blocks are
-    /// left to the block tier's streak batching, and `halt`/`ckpt`
-    /// terminators never extend (they end the run). Blocks can only be
-    /// *entered* at a chain head; side entries dispatch as plain blocks.
-    ///
-    /// Returns the flattened chain elements plus a per-plan
-    /// `(start, len)` span into them (`len < 2` means "no chain here").
-    pub(crate) fn build_chains(
-        &self,
-        execs: &[u64],
-        edges: &[[(u32, u64); 2]],
-    ) -> (Vec<u32>, Vec<(u32, u32)>) {
-        let n = self.plans.len();
-        let mut elems = Vec::new();
-        let mut span = vec![(0u32, 0u32); n];
-        let mut in_chain = vec![false; n];
-        // Hottest heads first; index tiebreak keeps the build
-        // deterministic for equal counts.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&p| (std::cmp::Reverse(execs[p as usize]), p));
-        for &head in &order {
-            if execs[head as usize] == 0 || in_chain[head as usize] {
-                continue;
-            }
-            let mut chain = vec![head];
-            let mut cur = head;
-            loop {
-                if chain.len() >= MAX_CHAIN_LEN {
-                    break;
-                }
-                if matches!(self.plans[cur as usize].term, Term::Halt { .. } | Term::Ckpt { .. }) {
-                    break;
-                }
-                let e = &edges[cur as usize];
-                let (succ, cnt) = if e[0].1 >= e[1].1 { e[0] } else { e[1] };
-                if succ == NO_PLAN || cnt * 2 < execs[cur as usize] {
-                    break;
-                }
-                if in_chain[succ as usize] || chain.contains(&succ) {
-                    break;
-                }
-                chain.push(succ);
-                cur = succ;
-            }
-            if chain.len() >= 2 {
-                let start = elems.len() as u32;
-                span[head as usize] = (start, chain.len() as u32);
-                for &p in &chain {
-                    in_chain[p as usize] = true;
-                }
-                elems.extend_from_slice(&chain);
-            }
-        }
-        (elems, span)
-    }
-
     /// Partitions a predecoded image into basic blocks and lowers each
     /// block body to micro-ops.
     pub(crate) fn build(code: &[Decoded], entry: u32) -> BlockTable {

@@ -12,6 +12,16 @@
 //! reported for wearable NVP prototypes: **0.209 mW at 1 MHz** (≈209 pJ per
 //! cycle, averaged across the instruction mix).
 //!
+//! ## Execution
+//!
+//! [`Machine::step`] executes one instruction and is the reference
+//! semantics. [`Machine::run_blocks`] runs the same program through
+//! basic-block plans lowered once per [`MachineImage`]; its results are
+//! bit-identical to the equivalent sequence of `step` calls, down to
+//! counters and energy bit patterns. These are the simulator's only two
+//! execution tiers, and the platform models in `nvp-core` run on
+//! `run_blocks`.
+//!
 //! ## Example
 //!
 //! ```
@@ -37,15 +47,11 @@
 mod block;
 mod checkpoint;
 mod energy;
-mod lanes;
 mod machine;
 
 pub use checkpoint::{crc32_bytes, crc32_words, torn_prefix_words, Checkpoint, CHECKPOINT_WORDS};
 pub use energy::{CycleModel, EnergyModel, InstClass};
-pub use lanes::{LaneMachine, LaneStats, MAX_LANES};
-pub use machine::{
-    ArchState, BlockStats, Counters, Machine, MachineImage, SimError, Step, SuperblockStats,
-};
+pub use machine::{ArchState, BlockStats, Counters, Machine, MachineImage, SimError, Step};
 
 /// Default installed data-memory size in 16-bit words (8 Ki-words = 16 KiB).
 pub const DEFAULT_DMEM_WORDS: usize = 8192;

@@ -178,18 +178,18 @@ impl std::error::Error for SimError {
 ///
 /// Building an image does all the per-program work — decode, block
 /// partitioning, micro-op lowering — exactly once; any number of
-/// [`Machine`]s (or [`LaneMachine`](crate::LaneMachine) lanes) can then
-/// be instantiated from the same `Arc`'d image without re-decoding.
+/// [`Machine`]s can then be instantiated from the same `Arc`'d image
+/// without re-decoding.
 /// Monte-Carlo campaigns that run thousands of same-program trials share
 /// one image across every trial and every power-failure rebuild.
 #[derive(Debug)]
 pub struct MachineImage {
-    pub(crate) code: Vec<Decoded>,
-    pub(crate) blocks: BlockTable,
-    pub(crate) max_step_cycles: u32,
-    pub(crate) max_step_energy_j: f64,
-    pub(crate) entry: u32,
-    pub(crate) dmem_init: Vec<u16>,
+    code: Vec<Decoded>,
+    blocks: BlockTable,
+    max_step_cycles: u32,
+    max_step_energy_j: f64,
+    entry: u32,
+    dmem_init: Vec<u16>,
 }
 
 impl MachineImage {
@@ -261,104 +261,6 @@ impl MachineImage {
     }
 }
 
-/// Cumulative statistics for the superblock tier of one [`Machine`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuperblockStats {
-    /// Chains formed when the profiling warm-up completed (0 until then).
-    pub chains_formed: u64,
-    /// Dispatches that entered execution at a chain head.
-    pub chain_runs: u64,
-    /// Blocks retired through chain links (head included).
-    pub chained_blocks: u64,
-    /// Early exits out of a chain: a link's entry guard failed (control
-    /// left the hot trace) or the remaining budget could not fit the next
-    /// link, falling back to the block tier.
-    pub side_exits: u64,
-}
-
-/// Per-machine superblock state: warm-up profile, built chains, stats.
-///
-/// Profiling counts block executions and inter-block edges at streak
-/// granularity; once [`SB_WARMUP_EXECS`] block executions are observed
-/// the hot chains are built (once) and dispatch switches to them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SuperState {
-    execs: Vec<u64>,
-    edges: Vec<[(u32, u64); 2]>,
-    ticks: u64,
-    built: bool,
-    chain_elems: Vec<u32>,
-    chain_span: Vec<(u32, u32)>,
-    stats: SuperblockStats,
-}
-
-/// Block executions observed before hot chains are built.
-const SB_WARMUP_EXECS: u64 = 512;
-
-impl SuperState {
-    /// (Re)sizes the profile arrays for an image with `nplans` blocks.
-    fn ensure(&mut self, nplans: usize) {
-        if self.execs.len() != nplans {
-            self.execs = vec![0; nplans];
-            self.edges = vec![[(NO_PLAN, 0); 2]; nplans];
-            self.chain_span = vec![(0, 0); nplans];
-            self.chain_elems.clear();
-            self.ticks = 0;
-            self.built = false;
-        }
-    }
-
-    /// The chain rooted at `plan`, as a span into `chain_elems`, if one
-    /// was built.
-    #[inline]
-    fn chain_at(&self, plan: u32) -> Option<(u32, u32)> {
-        if !self.built {
-            return None;
-        }
-        let (start, len) = self.chain_span[plan as usize];
-        (len >= 2).then_some((start, len))
-    }
-
-    /// Records one streak: `repeats` back-to-back executions of `plan`
-    /// followed by an exit towards `succ` (or [`NO_PLAN`] when the run
-    /// stopped). Builds the chains once warm.
-    fn record(&mut self, plan: u32, repeats: u64, succ: u32, table: &BlockTable) {
-        self.execs[plan as usize] += repeats;
-        self.ticks += repeats;
-        if repeats > 1 {
-            self.record_edge(plan, plan, repeats - 1);
-        }
-        if succ != NO_PLAN {
-            self.record_edge(plan, succ, 1);
-        }
-        if !self.built && self.ticks >= SB_WARMUP_EXECS {
-            let (elems, span) = table.build_chains(&self.execs, &self.edges);
-            self.stats.chains_formed = span.iter().filter(|&&(_, len)| len >= 2).count() as u64;
-            self.chain_elems = elems;
-            self.chain_span = span;
-            self.built = true;
-        }
-    }
-
-    /// Two-way counters per source block: enough to find a dominant
-    /// successor without unbounded edge maps.
-    fn record_edge(&mut self, from: u32, to: u32, n: u64) {
-        let e = &mut self.edges[from as usize];
-        if e[0].0 == to {
-            e[0].1 += n;
-        } else if e[1].0 == to {
-            e[1].1 += n;
-            if e[1].1 > e[0].1 {
-                e.swap(0, 1);
-            }
-        } else if e[0].0 == NO_PLAN {
-            e[0] = (to, n);
-        } else if e[1].0 == NO_PLAN || n > e[1].1 {
-            e[1] = (to, n);
-        }
-    }
-}
-
 /// A deterministic NV16 machine instance.
 ///
 /// The machine separates *volatile* state (registers + PC, lost on a power
@@ -381,7 +283,6 @@ pub struct Machine {
     inputs: [u16; 16],
     out_log: Vec<(u8, u16)>,
     counters: Counters,
-    sb: SuperState,
 }
 
 impl Machine {
@@ -429,32 +330,6 @@ impl Machine {
             inputs: [0; 16],
             out_log: Vec::new(),
             counters: Counters::default(),
-            sb: SuperState::default(),
-        }
-    }
-
-    /// Assembles a machine from lane-extracted state (same image).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_lane_parts(
-        image: Arc<MachineImage>,
-        regs: [u16; 16],
-        pc: u32,
-        halted: bool,
-        dmem: Vec<u16>,
-        inputs: [u16; 16],
-        out_log: Vec<(u8, u16)>,
-        counters: Counters,
-    ) -> Machine {
-        Machine {
-            image,
-            regs,
-            pc,
-            halted,
-            dmem,
-            inputs,
-            out_log,
-            counters,
-            sb: SuperState::default(),
         }
     }
 
@@ -462,23 +337,6 @@ impl Machine {
     #[must_use]
     pub fn image(&self) -> &Arc<MachineImage> {
         &self.image
-    }
-
-    /// Moves the superblock warm-up profile, built chains, and stats from
-    /// `donor` into `self`, so a machine rebuilt after a power failure
-    /// (same image) keeps its learned hot traces instead of re-warming.
-    pub fn adopt_profile_from(&mut self, donor: &mut Machine) {
-        debug_assert!(
-            Arc::ptr_eq(&self.image, &donor.image),
-            "superblock profiles are only portable between machines sharing an image"
-        );
-        self.sb = std::mem::take(&mut donor.sb);
-    }
-
-    /// Cumulative superblock-tier statistics for this machine.
-    #[must_use]
-    pub fn superblock_stats(&self) -> SuperblockStats {
-        self.sb.stats
     }
 
     /// Executes one instruction.
@@ -673,6 +531,13 @@ impl Machine {
         Ok(stats)
     }
 
+    /// Former name of the removed superblock tier, kept for callers
+    /// written against it; runs [`run_blocks`](Machine::run_blocks).
+    #[doc(hidden)]
+    pub fn run_superblocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+        self.run_blocks(max_insts)
+    }
+
     /// Like [`run_block`](Machine::run_block), but executes whole basic
     /// blocks through the fused block plans built at load time instead
     /// of dispatching instruction by instruction.
@@ -693,8 +558,11 @@ impl Machine {
     /// exactly at the budget. Slices account cycles, class counts and
     /// taken branches per instruction, in program order. Only addresses
     /// that no block covers fall back to [`step`](Machine::step).
-    /// Execution stops early on `halt`, on `ckpt` (with `checkpoint`
-    /// set, matching `run_block`), or on a fault.
+    /// A block whose terminator jumps back to its own leader repeats
+    /// inside one dispatch (a *streak*), with its integer accounting
+    /// applied once per streak. Execution stops early on `halt`, on
+    /// `ckpt` (with `checkpoint` set, matching `run_block`), or on a
+    /// fault.
     ///
     /// # Errors
     ///
@@ -702,37 +570,6 @@ impl Machine {
     /// architectural state and counters reflect every instruction
     /// retired before the fault, exactly as in step mode.
     pub fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        self.run_fused::<false>(max_insts)
-    }
-
-    /// Like [`run_blocks`](Machine::run_blocks), plus a profile-directed
-    /// superblock tier stacked on top: during warm-up the engine counts
-    /// block executions and inter-block edges; once warm it fuses hot
-    /// block *chains* across static branches and `jal` targets and
-    /// dispatches whole chains without returning to the outer loop
-    /// between links. Every link carries a side-exit guard — if control
-    /// leaves the recorded trace or the budget cannot fit the next link,
-    /// the chain exits early and the block tier (with its streak
-    /// batching) resumes exactly where step mode would be.
-    ///
-    /// Results are bit-identical to [`run_blocks`](Machine::run_blocks)
-    /// and therefore to [`step`](Machine::step), including [`Counters`],
-    /// energy bit patterns, and fault accounting. See
-    /// [`superblock_stats`](Machine::superblock_stats) for chain/side-exit
-    /// counts and [`adopt_profile_from`](Machine::adopt_profile_from) for
-    /// carrying the learned profile across power-failure rebuilds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first execution fault (see [`Machine::step`]).
-    pub fn run_superblocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        self.run_fused::<true>(max_insts)
-    }
-
-    /// The fused execution engine behind both block-level tiers. `SB`
-    /// selects the superblock tier (profiling + chain dispatch) at
-    /// compile time so the plain block tier pays nothing for it.
-    fn run_fused<const SB: bool>(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
         let mut stats = BlockStats::default();
         // Local register file (slot 16 absorbs r0 writes) and energy
         // accumulators, synced back on every exit and around fallbacks.
@@ -740,9 +577,6 @@ impl Machine {
         lr[..16].copy_from_slice(&self.regs);
         let mut c_energy = self.counters.energy_j;
         let mut s_energy = 0.0f64;
-        if SB {
-            self.sb.ensure(self.image.blocks.plans.len());
-        }
 
         while stats.executed < max_insts && !self.halted {
             let plan_idx = self.image.blocks.owner(self.pc);
@@ -782,79 +616,6 @@ impl Machine {
                 continue;
             }
 
-            if SB {
-                if let Some((chain_start, chain_len)) = self.sb.chain_at(plan_idx) {
-                    self.sb.stats.chain_runs += 1;
-                    for k in 0..chain_len {
-                        let q = self.sb.chain_elems[(chain_start + k) as usize] as usize;
-                        let plan = self.image.blocks.plans[q];
-                        // Side-exit guard: control must still be on the
-                        // recorded trace and the whole link must fit the
-                        // remaining budget; otherwise fall back to the
-                        // block tier (the outer loop re-dispatches).
-                        if k > 0
-                            && (self.pc != plan.start || plan.insts > max_insts - stats.executed)
-                        {
-                            self.sb.stats.side_exits += 1;
-                            break;
-                        }
-                        let ops = &self.image.blocks.ops
-                            [plan.op_start as usize..(plan.op_start + plan.op_len) as usize];
-                        if let Some((done, addr)) = exec_body(
-                            ops,
-                            &mut lr,
-                            &mut self.dmem,
-                            &self.inputs,
-                            &mut self.out_log,
-                            &mut c_energy,
-                            &mut s_energy,
-                        ) {
-                            // Partial link: account the retired prefix
-                            // exactly as step mode would, then report the
-                            // fault at its pc.
-                            retire_ops(&mut self.counters, &ops[..done]);
-                            let pc = plan.start + done as u32;
-                            return Err(self.fault_at(&lr, c_energy, pc, addr));
-                        }
-                        let t = exec_term(
-                            &plan.term,
-                            &mut lr,
-                            plan.start + plan.op_len,
-                            &mut c_energy,
-                            &mut s_energy,
-                        );
-                        self.counters.instructions += plan.insts;
-                        self.counters.cycles += plan.body_cycles + u64::from(t.cycles);
-                        stats.executed += plan.insts;
-                        stats.cycles += plan.body_cycles + u64::from(t.cycles);
-                        for (count, add) in
-                            self.counters.class_counts.iter_mut().zip(&plan.body_class_counts)
-                        {
-                            *count += add;
-                        }
-                        if !matches!(plan.term, Term::FallThrough { .. }) {
-                            self.counters.class_counts[usize::from(plan.term_class)] += 1;
-                        }
-                        self.counters.branches_taken += u64::from(t.taken);
-                        self.sb.stats.chained_blocks += 1;
-                        if t.halted {
-                            self.halted = true;
-                        }
-                        if t.checkpoint {
-                            stats.checkpoint = true;
-                        }
-                        self.pc = t.next;
-                        if t.halted || t.checkpoint {
-                            break;
-                        }
-                    }
-                    if stats.checkpoint {
-                        break;
-                    }
-                    continue;
-                }
-            }
-
             let ops = &self.image.blocks.ops
                 [plan.op_start as usize..(plan.op_start + plan.op_len) as usize];
             // Streak loop: hot loops whose terminator jumps back to this
@@ -867,7 +628,6 @@ impl Machine {
             let mut term_cycles = 0u64;
             let mut taken_count = 0u64;
             let mut fault: Option<(usize, u16)> = None;
-            let mut stopped = false;
             'streak: loop {
                 if let Some(f) = exec_body(
                     ops,
@@ -900,10 +660,8 @@ impl Machine {
                 repeats += 1;
                 budget_left -= plan.insts;
                 // halt/ckpt ends not just the streak but the call.
-                let stop = t.halted || t.checkpoint;
-                if stop || t.next != plan.start || plan.insts > budget_left {
+                if t.halted || t.checkpoint || t.next != plan.start || plan.insts > budget_left {
                     self.pc = t.next;
-                    stopped = stop;
                     break 'streak;
                 }
             }
@@ -934,13 +692,6 @@ impl Machine {
                 return Err(self.fault_at(&lr, c_energy, pc, addr));
             }
 
-            if SB && !self.sb.built {
-                // Streak-granularity profiling: `repeats` executions of
-                // this block, `repeats - 1` self-edges, one exit edge.
-                let succ = if stopped { NO_PLAN } else { self.image.blocks.leader(self.pc) };
-                self.sb.record(plan_idx, repeats, succ, &self.image.blocks);
-            }
-
             if stats.checkpoint {
                 break;
             }
@@ -959,7 +710,7 @@ impl Machine {
     /// terminator through [`exec_term`] if it fits too. Every retired
     /// instruction is accounted in program order exactly as
     /// [`step`](Machine::step) would; a fault leaves the machine synced
-    /// at the faulting pc. Partial executions are not profiled.
+    /// at the faulting pc.
     fn run_slice(
         &mut self,
         plan_idx: u32,
@@ -1166,12 +917,12 @@ impl Machine {
 /// Outcome of executing a block terminator against the local register
 /// file: the successor pc plus the data-dependent accounting bits the
 /// caller folds into its own counters.
-pub(crate) struct TermOutcome {
-    pub(crate) next: u32,
-    pub(crate) cycles: u32,
-    pub(crate) taken: bool,
-    pub(crate) halted: bool,
-    pub(crate) checkpoint: bool,
+struct TermOutcome {
+    next: u32,
+    cycles: u32,
+    taken: bool,
+    halted: bool,
+    checkpoint: bool,
 }
 
 /// Charges the integer accounting of `ops`, retired one by one as step
@@ -1194,7 +945,7 @@ fn retire_ops(counters: &mut Counters, ops: &[MicroOp]) -> u64 {
 /// and uncharged — exactly the state `step()` leaves behind.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_body(
+fn exec_body(
     ops: &[MicroOp],
     lr: &mut [u16; NUM_SLOTS],
     dmem: &mut [u16],
@@ -1312,7 +1063,7 @@ pub(crate) fn exec_body(
 /// the caller to fold in. `halt_pc` is the terminator's own address —
 /// as in step mode, `halt` leaves the pc on itself.
 #[inline(always)]
-pub(crate) fn exec_term(
+fn exec_term(
     term: &Term,
     lr: &mut [u16; NUM_SLOTS],
     halt_pc: u32,
@@ -1625,37 +1376,30 @@ mod tests {
         assert_eq!(ca.branches_taken, cb.branches_taken, "{what}");
     }
 
-    /// Asserts that `run_blocks(budget)`, `run_superblocks(budget)`, and
-    /// a `run_block(budget)` step loop over the same program leave
-    /// bit-identical machines and return bit-identical stats.
+    /// Asserts that `run_blocks(budget)` and a `run_block(budget)` step
+    /// loop over the same program leave bit-identical machines and
+    /// return bit-identical stats.
     fn assert_block_equivalence(src: &str, budgets: &[u64]) {
         let p = assemble(src).expect("assembles");
         for &budget in budgets {
             let mut by_step = Machine::new(&p).expect("loads");
             let mut by_block = Machine::new(&p).expect("loads");
-            let mut by_super = Machine::new(&p).expect("loads");
-            let a = by_step.run_block(budget);
-            let b = by_block.run_blocks(budget);
-            let c = by_super.run_superblocks(budget);
-            for (name, r) in [("block", &b), ("superblock", &c)] {
-                match (&a, r) {
-                    (Ok(sa), Ok(sb)) => {
-                        assert_eq!(sa.executed, sb.executed, "{name}, budget {budget}");
-                        assert_eq!(sa.cycles, sb.cycles, "{name}, budget {budget}");
-                        assert_eq!(
-                            sa.energy_j.to_bits(),
-                            sb.energy_j.to_bits(),
-                            "stats energy, {name}, budget {budget}"
-                        );
-                        assert_eq!(sa.halted, sb.halted, "{name}, budget {budget}");
-                        assert_eq!(sa.checkpoint, sb.checkpoint, "{name}, budget {budget}");
-                    }
-                    (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{name}, budget {budget}"),
-                    (a, b) => panic!("budget {budget}: step {a:?} vs {name} {b:?}"),
+            match (by_step.run_block(budget), by_block.run_blocks(budget)) {
+                (Ok(sa), Ok(sb)) => {
+                    assert_eq!(sa.executed, sb.executed, "budget {budget}");
+                    assert_eq!(sa.cycles, sb.cycles, "budget {budget}");
+                    assert_eq!(
+                        sa.energy_j.to_bits(),
+                        sb.energy_j.to_bits(),
+                        "stats energy, budget {budget}"
+                    );
+                    assert_eq!(sa.halted, sb.halted, "budget {budget}");
+                    assert_eq!(sa.checkpoint, sb.checkpoint, "budget {budget}");
                 }
+                (Err(ea), Err(eb)) => assert_eq!(ea, eb, "budget {budget}"),
+                (a, b) => panic!("budget {budget}: step {a:?} vs block {b:?}"),
             }
-            assert_machines_match(&by_step, &by_block, &format!("block, budget {budget}"));
-            assert_machines_match(&by_step, &by_super, &format!("superblock, budget {budget}"));
+            assert_machines_match(&by_step, &by_block, &format!("budget {budget}"));
         }
     }
 
@@ -1714,7 +1458,7 @@ mod tests {
     fn restored_mid_block_snapshot_runs_suffix_exactly() {
         // A loop whose body is one long block. Snapshots taken after
         // every prefix of the run land at every offset inside it; each
-        // is restored into fresh machines, and the fused tiers must run
+        // is restored into fresh machines, and the block engine must run
         // the rest of the block as a suffix slice exactly as step mode,
         // whole and under tight budgets.
         let src = "li r1, 3\nli r5, 0x40\nx: addi r2, r2, 7\nxor r3, r3, r2\nsw r3, 0(r5)\n\
@@ -1725,7 +1469,8 @@ mod tests {
         let mut mid_block = 0;
         while !donor.halted() {
             let snap = donor.snapshot();
-            if donor.image.blocks.leader(snap.pc) == NO_PLAN {
+            let blocks = &donor.image.blocks;
+            if blocks.plans[blocks.owner(snap.pc) as usize].start != snap.pc {
                 mid_block += 1;
             }
             for budget in [1, 2, 3, 5, u64::MAX] {
@@ -1735,18 +1480,14 @@ mod tests {
                     m.restore(&snap);
                     m
                 };
-                let (mut by_step, mut by_block, mut by_super) = (resumed(), resumed(), resumed());
+                let (mut by_step, mut by_block) = (resumed(), resumed());
                 while !by_step.halted() {
                     let a = by_step.run_block(budget).unwrap();
                     let b = by_block.run_blocks(budget).unwrap();
-                    let c = by_super.run_superblocks(budget).unwrap();
                     let what = format!("snapshot at pc {}, budget {budget}", snap.pc);
-                    for (name, r) in [("block", b), ("superblock", c)] {
-                        assert_eq!(a.executed, r.executed, "{name}, {what}");
-                        assert_eq!(a.energy_j.to_bits(), r.energy_j.to_bits(), "{name}, {what}");
-                    }
-                    assert_machines_match(&by_step, &by_block, &format!("block, {what}"));
-                    assert_machines_match(&by_step, &by_super, &format!("superblock, {what}"));
+                    assert_eq!(a.executed, b.executed, "{what}");
+                    assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits(), "{what}");
+                    assert_machines_match(&by_step, &by_block, &what);
                 }
             }
             donor.step().unwrap();
@@ -1773,74 +1514,5 @@ mod tests {
         let m = Machine::new(&p).unwrap();
         // entry block [li], loop block [addi, bnez], halt block.
         assert_eq!(m.block_count(), 3);
-    }
-
-    /// A loop whose body spans three basic blocks, steered by input
-    /// port 0: input 1 takes the `addi r3` arm, input 0 the `addi r4`
-    /// arm. Six instructions per iteration either way.
-    const CHAIN_SRC: &str = "
-        li r1, 6000
-    loop:
-        in r2, 0
-        beqz r2, skip
-        addi r3, r3, 1
-        beq r0, r0, join
-    skip:
-        addi r4, r4, 1
-    join:
-        addi r1, r1, -1
-        bnez r1, loop
-        halt
-    ";
-
-    #[test]
-    fn superblocks_form_chains_and_side_exit_exactly() {
-        let p = assemble(CHAIN_SRC).unwrap();
-        let mut by_step = Machine::new(&p).unwrap();
-        let mut by_super = Machine::new(&p).unwrap();
-        by_step.set_input(0, 1);
-        by_super.set_input(0, 1);
-        by_step.run_block(6000).unwrap();
-        by_super.run_superblocks(6000).unwrap();
-        let stats = by_super.superblock_stats();
-        assert!(stats.chains_formed >= 1, "hot trace fused after warm-up: {stats:?}");
-        assert!(stats.chain_runs > 0, "{stats:?}");
-        assert!(stats.chained_blocks > 0, "{stats:?}");
-        assert_machines_match(&by_step, &by_super, "warm phase");
-        // Steer off the recorded trace: every remaining iteration must
-        // side-exit the chain and finish on the block tier, exactly.
-        by_step.set_input(0, 0);
-        by_super.set_input(0, 0);
-        by_step.run_block(u64::MAX).unwrap();
-        by_super.run_superblocks(u64::MAX).unwrap();
-        assert!(by_super.superblock_stats().side_exits > 0, "off-trace input side-exits");
-        assert!(by_super.halted());
-        assert_machines_match(&by_step, &by_super, "after side exits");
-    }
-
-    #[test]
-    fn adopted_profile_survives_machine_rebuild() {
-        let p = assemble(CHAIN_SRC).unwrap();
-        let mut warm = Machine::new(&p).unwrap();
-        warm.set_input(0, 1);
-        warm.run_superblocks(u64::MAX).unwrap();
-        let warmed = warm.superblock_stats();
-        assert!(warmed.chains_formed >= 1);
-        // Power-failure rebuild: fresh state, same image, learned chains
-        // carried over instead of re-warming.
-        let image = Arc::clone(warm.image());
-        let mut rebuilt = Machine::from_image(&image);
-        rebuilt.adopt_profile_from(&mut warm);
-        assert_eq!(rebuilt.superblock_stats(), warmed);
-        rebuilt.set_input(0, 1);
-        let mut by_step = Machine::new(&p).unwrap();
-        by_step.set_input(0, 1);
-        by_step.run_block(u64::MAX).unwrap();
-        rebuilt.run_superblocks(u64::MAX).unwrap();
-        assert!(
-            rebuilt.superblock_stats().chain_runs > warmed.chain_runs,
-            "chains reused immediately, not re-warmed"
-        );
-        assert_machines_match(&by_step, &rebuilt, "rebuilt machine");
     }
 }

@@ -1,15 +1,15 @@
 //! Seeded grammar-based NV16 program fuzzer.
 //!
 //! Generates random-but-structured assembly programs for differential
-//! testing of the simulator's execution tiers (step / block /
-//! superblock / lane). The grammar is chosen to exercise exactly the
-//! control shapes those tiers specialize on:
+//! testing of the simulator's execution tiers (step / block). The
+//! grammar is chosen to exercise exactly the control shapes the block
+//! engine specializes on:
 //!
 //! * straight-line ALU bursts (block fusion),
 //! * bounded down-counter loops, including tight self-loops (streak
-//!   batching) and multi-block bodies (superblock chaining),
+//!   batching) and multi-block bodies (block-to-block dispatch),
 //! * forward branch diamonds whose direction depends on fuzzed register
-//!   data (side exits, lane divergence),
+//!   data (data-dependent terminators),
 //! * `call`/`ret` subroutines (`jal`/`jalr` dispatch),
 //! * loads and stores confined to a window the program also sizes
 //!   (or, in [`FuzzClass::Wild`] mode, occasionally far outside it, to
@@ -109,8 +109,7 @@ fn emit_div(out: &mut String, rng: &mut StdRng) {
 }
 
 /// Emits a bounded down-counter loop. Tight single-block bodies hit
-/// streak batching; bodies with an inner branch span blocks and feed
-/// superblock chains.
+/// streak batching; bodies with an inner branch span blocks.
 fn emit_loop(out: &mut String, rng: &mut StdRng, label: &str) {
     let trips = 2 + rng.next_u32() % 24;
     let counter = format!("r{}", 8 + rng.next_u32() % 3);
@@ -162,8 +161,8 @@ pub fn generate(seed: u64, class: FuzzClass) -> FuzzedProgram {
     src.push_str(&format!("; fuzzed NV16 program, seed {seed:#x}\n.entry main\nmain:\n"));
     src.push_str(&format!("    li r11, {DATA_BASE:#06x}\n"));
     // Seed the data registers so branch directions and memory values
-    // vary per program, then mix in one input port (lane tests drive
-    // per-lane divergence through it).
+    // vary per program, then mix in one input port (the differential
+    // tests vary branch directions per run through it).
     for r in 1..=7 {
         src.push_str(&format!("    li r{r}, {:#06x}\n", rng.next_u32() % 0x10000));
     }

@@ -1,24 +1,21 @@
 //! Execution-tier equivalence over every registry workload kernel.
 //!
-//! All four execution tiers must be observationally identical: per
-//! instruction `step()` dispatch, the fused basic-block engine
-//! (`Machine::run_blocks`), the profile-directed superblock tier
-//! (`Machine::run_superblocks`), and the SoA lane engine
-//! ([`LaneMachine`]) — same final registers, same memory digest, same
-//! retired-instruction count, and bit-identical energy
+//! Both execution tiers must be observationally identical: per
+//! instruction `step()` dispatch and the fused basic-block engine
+//! (`Machine::run_blocks`) — same final registers, same memory digest,
+//! same retired-instruction count, and bit-identical energy
 //! (`f64::to_bits` — fused execution must preserve the exact
 //! per-instruction f64 accumulation order). Checked both for one
 //! uninterrupted run and under randomized chunked budgets, which
-//! exercises mid-block budget exhaustion, checkpoint early-returns,
-//! re-entry at non-leader program counters, superblock side exits, and
-//! the lane tier's scalar fallback.
+//! exercises mid-block budget exhaustion, checkpoint early-returns, and
+//! re-entry at non-leader program counters.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
 
 /// Per-kernel instruction budget: enough to finish the small frame or
@@ -90,17 +87,6 @@ fn blocks_to_target(m: &mut Machine, target: u64) {
     }
 }
 
-/// Same, through the profile-directed superblock tier.
-fn superblocks_to_target(m: &mut Machine, target: u64) {
-    while m.counters().instructions < target && !m.halted() {
-        let remaining = target - m.counters().instructions;
-        let stats = m.run_superblocks(remaining).expect("kernel does not fault");
-        if stats.executed == 0 && !stats.checkpoint {
-            break;
-        }
-    }
-}
-
 /// Same, with per-instruction `step()` dispatch.
 fn steps_to_target(m: &mut Machine, target: u64) {
     while m.counters().instructions < target && !m.halted() {
@@ -108,20 +94,7 @@ fn steps_to_target(m: &mut Machine, target: u64) {
     }
 }
 
-/// Advances every lane to `target` retired instructions (kernel lanes
-/// carry identical state, so they advance together; a stalled group
-/// would spin forever, which the round guard converts into a failure).
-fn lanes_to_target(lm: &mut LaneMachine, target: u64) {
-    let mut rounds = 0u32;
-    while lm.lane_counters(0).instructions < target && !lm.all_done() {
-        lm.run(target - lm.lane_counters(0).instructions);
-        rounds += 1;
-        assert!(rounds < 1_000_000, "lane tier stalled before {target} instructions");
-    }
-}
-
-/// The shared decoded image the block, superblock, and lane tiers all
-/// execute from.
+/// The shared decoded image both tiers execute from.
 fn image_for(kind: KernelKind, frame: &GrayImage) -> Arc<MachineImage> {
     let inst = kind.build(frame).expect("kernel builds");
     Arc::new(
@@ -142,19 +115,9 @@ fn all_kernels_match_step_mode_exactly() {
         let image = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_super = Machine::from_image(&image);
-        let mut by_lanes = LaneMachine::new(&image, 4);
         steps_to_target(&mut by_step, BUDGET);
         blocks_to_target(&mut by_block, BUDGET);
-        superblocks_to_target(&mut by_super, BUDGET);
-        lanes_to_target(&mut by_lanes, BUDGET);
-        assert_same_state(&by_step, &by_block, &format!("{kind:?} full run, block tier"));
-        assert_same_state(&by_step, &by_super, &format!("{kind:?} full run, superblock tier"));
-        for lane in 0..by_lanes.width() {
-            assert!(by_lanes.lane_error(lane).is_none(), "{kind:?} lane {lane} faulted");
-            let m = by_lanes.extract(lane);
-            assert_same_state(&by_step, &m, &format!("{kind:?} full run, lane {lane}"));
-        }
+        assert_same_state(&by_step, &by_block, &format!("{kind:?} full run"));
     }
 }
 
@@ -166,23 +129,16 @@ fn all_kernels_match_step_mode_under_chunked_budgets() {
         let image = image_for(kind, &frame);
         let mut by_step = Machine::from_image(&image);
         let mut by_block = Machine::from_image(&image);
-        let mut by_super = Machine::from_image(&image);
-        let mut by_lanes = LaneMachine::new(&image, 2);
         let mut target = 0u64;
-        // Ragged chunks land budget boundaries mid-block, so the fused
-        // tiers must run block prefixes and later re-enter at non-leader
-        // pcs with suffixes (and the lane tier must take its scalar
-        // fallback) — compare after every chunk, not just at the end.
+        // Ragged chunks land budget boundaries mid-block, so the block
+        // engine must run block prefixes and later re-enter at
+        // non-leader pcs with suffixes — compare after every chunk, not
+        // just at the end.
         for round in 0..64 {
             target += 1 + u64::from(rng.next_u32() % 97);
             steps_to_target(&mut by_step, target);
             blocks_to_target(&mut by_block, target);
-            superblocks_to_target(&mut by_super, target);
-            lanes_to_target(&mut by_lanes, target);
-            assert_same_state(&by_step, &by_block, &format!("{kind:?} chunk {round}, block"));
-            assert_same_state(&by_step, &by_super, &format!("{kind:?} chunk {round}, superblock"));
-            let lane0 = by_lanes.extract(0);
-            assert_same_state(&by_step, &lane0, &format!("{kind:?} chunk {round}, lane 0"));
+            assert_same_state(&by_step, &by_block, &format!("{kind:?} chunk {round}"));
             if by_step.halted() {
                 break;
             }

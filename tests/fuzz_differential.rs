@@ -1,25 +1,23 @@
 //! Differential testing of the execution tiers over fuzzed programs.
 //!
 //! The grammar fuzzer (`nvp_workloads::fuzz`) generates seeded NV16
-//! programs shaped to stress exactly what the fused tiers specialize
+//! programs shaped to stress exactly what the block engine specializes
 //! on — loops, branch diamonds, subroutines, divide-by-zero, memory
 //! traffic — and every program must execute identically under
-//! per-instruction `step()`, the block tier, the superblock tier, and
-//! the SoA lane tier. Lanes are driven with *distinct* input-port
-//! values so branch directions genuinely diverge across the group and
-//! the peel paths run, and each lane is checked against a scalar
-//! machine given the same input. Wild-mode programs may fault; every
-//! tier must then report the identical error with identical prior
-//! state. The fused tiers are also driven in ragged instruction
-//! chunks, as the intermittent platform drives them, so budget
-//! boundaries and faults land inside partially executed blocks.
+//! per-instruction `step()` and the block tier. Each program runs with
+//! several distinct input-port values so its data-dependent branches
+//! take both directions. Wild-mode programs may fault; both tiers must
+//! then report the identical error with identical prior state. The
+//! block tier is also driven in ragged instruction chunks, as the
+//! intermittent platform drives it, so budget boundaries and faults
+//! land inside partially executed blocks.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
-use nvp_sim::{CycleModel, EnergyModel, LaneMachine, Machine, MachineImage, SimError};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError};
 use nvp_workloads::fuzz::{generate, FuzzClass, FuzzedProgram};
 
 /// Ample headroom over the fuzzer's bounded loops.
@@ -29,8 +27,9 @@ const BUDGET: u64 = 200_000;
 const SEED_FAMILIES: [u64; 2] = [0x00A1_0000, 0x00B2_0000];
 const PROGRAMS_PER_FAMILY: u64 = 12;
 
-/// Lane width used for the divergence runs.
-const WIDTH: usize = 4;
+/// Port-0 inputs each program runs with: the fuzzed `in r7, 0` read
+/// makes downstream branch directions input-dependent.
+const INPUTS: [u16; 4] = [0x0000, 0x0001, 0x7FFF, 0xFFFE];
 
 fn image_of(f: &FuzzedProgram) -> Arc<MachineImage> {
     Arc::new(
@@ -76,57 +75,19 @@ fn assert_same(a: &Machine, b: &Machine, ctx: &str, src: &str) {
     );
 }
 
-/// Exercises one fuzzed program across all four tiers.
+/// Exercises one fuzzed program in step mode and the block tier, once
+/// per input.
 fn check_program(f: &FuzzedProgram, tag: &str) {
     let image = image_of(f);
-    // Distinct port-0 inputs per lane: the fuzzed `in r7, 0` read makes
-    // downstream branch directions lane-dependent.
-    let inputs: [u16; WIDTH] = [0x0000, 0x0001, 0x7FFF, 0xFFFE];
-
-    // Scalar reference per input, by single stepping.
-    let mut refs: Vec<(Machine, Option<SimError>)> = Vec::new();
-    for &input in &inputs {
-        let mut m = Machine::from_image(&image);
-        m.set_input(0, input);
-        let err = drive(&mut m, |m| m.step().map(|_| m.halted()));
-        refs.push((m, err));
-    }
-
-    // Block and superblock tiers against the same inputs.
-    for (name, fused) in [("block", false), ("superblock", true)] {
-        for (i, &input) in inputs.iter().enumerate() {
-            let mut m = Machine::from_image(&image);
-            m.set_input(0, input);
-            let err = drive(&mut m, |m| {
-                let stats = if fused { m.run_superblocks(BUDGET)? } else { m.run_blocks(BUDGET)? };
-                Ok(stats.halted)
-            });
-            let (reference, ref_err) = &refs[i];
-            assert_eq!(&err, ref_err, "{tag}: {name} fault disposition, input {input:#x}");
-            assert_same(reference, &m, &format!("{tag}: {name} tier, input {input:#x}"), &f.source);
-        }
-    }
-
-    // Lane tier: all four inputs in one group.
-    let mut lm = LaneMachine::new(&image, WIDTH);
-    for (lane, &input) in inputs.iter().enumerate() {
-        lm.set_input(lane, 0, input);
-    }
-    let mut rounds = 0u32;
-    while !lm.all_done() {
-        lm.run(BUDGET);
-        rounds += 1;
-        assert!(rounds < 1_000, "{tag}: lane group failed to converge\n{}", f.source);
-    }
-    for (lane, (reference, ref_err)) in refs.iter().enumerate() {
-        assert_eq!(
-            lm.lane_error(lane),
-            ref_err.as_ref(),
-            "{tag}: lane {lane} fault disposition\n{}",
-            f.source
-        );
-        let m = lm.extract(lane);
-        assert_same(reference, &m, &format!("{tag}: lane {lane}"), &f.source);
+    for input in INPUTS {
+        let mut by_step = Machine::from_image(&image);
+        by_step.set_input(0, input);
+        let ref_err = drive(&mut by_step, |m| m.step().map(|_| m.halted()));
+        let mut by_block = Machine::from_image(&image);
+        by_block.set_input(0, input);
+        let err = drive(&mut by_block, |m| Ok(m.run_blocks(BUDGET)?.halted));
+        assert_eq!(err, ref_err, "{tag}: fault disposition, input {input:#x}");
+        assert_same(&by_step, &by_block, &format!("{tag}: input {input:#x}"), &f.source);
     }
 }
 
@@ -159,39 +120,30 @@ fn steps_to_target(m: &mut Machine, target: u64) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Same through a fused tier, one call per remaining budget: calls
+/// Same through the block tier, one call per remaining budget: calls
 /// return early at `ckpt`, so a chunk may take several.
-fn fused_to_target(m: &mut Machine, target: u64, superblocks: bool) -> Result<(), SimError> {
+fn blocks_to_target(m: &mut Machine, target: u64) -> Result<(), SimError> {
     while m.counters().instructions < target && !m.halted() {
-        let remaining = target - m.counters().instructions;
-        if superblocks {
-            m.run_superblocks(remaining)?;
-        } else {
-            m.run_blocks(remaining)?;
-        }
+        m.run_blocks(target - m.counters().instructions)?;
     }
     Ok(())
 }
 
 /// Drives one fuzzed program in ragged chunks through step mode and
-/// both fused tiers, comparing after every chunk. Returns how many
+/// the block tier, comparing after every chunk. Returns how many
 /// instructions the step reference retired before faulting, or `None`
 /// if it halted.
 fn check_program_chunked(f: &FuzzedProgram, tag: &str, rng: &mut StdRng) -> Option<u64> {
     let image = image_of(f);
     let mut by_step = Machine::from_image(&image);
-    let mut fused = [Machine::from_image(&image), Machine::from_image(&image)];
+    let mut by_block = Machine::from_image(&image);
     let mut target = 0u64;
     for round in 0u32.. {
         target += 1 + u64::from(rng.next_u32() % 37);
         let err = steps_to_target(&mut by_step, target).err();
-        for (m, (name, superblocks)) in
-            fused.iter_mut().zip([("block", false), ("superblock", true)])
-        {
-            let ctx = format!("{tag}: {name} tier, chunk {round} (target {target})");
-            assert_eq!(fused_to_target(m, target, superblocks).err(), err, "{ctx}: fault");
-            assert_same(&by_step, m, &ctx, &f.source);
-        }
+        let ctx = format!("{tag}: chunk {round} (target {target})");
+        assert_eq!(blocks_to_target(&mut by_block, target).err(), err, "{ctx}: fault");
+        assert_same(&by_step, &by_block, &ctx, &f.source);
         if err.is_some() {
             return Some(by_step.counters().instructions);
         }
@@ -203,7 +155,7 @@ fn check_program_chunked(f: &FuzzedProgram, tag: &str, rng: &mut StdRng) -> Opti
     unreachable!("the round counter outlasts the budget")
 }
 
-/// Stops the fused tiers 1–3 instructions short of the fault point
+/// Stops the block tier 1–3 instructions short of the fault point
 /// `before_fault`, then lets one unbounded call run into the fault.
 /// Unless the faulting op leads its block, that call enters the block
 /// mid-way and the fault surfaces from a partial slice; either way it
@@ -213,13 +165,11 @@ fn check_fault_in_slice(f: &FuzzedProgram, tag: &str, before_fault: u64) {
     let mut by_step = Machine::from_image(&image);
     let err = steps_to_target(&mut by_step, u64::MAX).expect_err("reference faults");
     for short in 1..=before_fault.min(3) {
-        for (name, superblocks) in [("block", false), ("superblock", true)] {
-            let ctx = format!("{tag}: {name} tier, stopped {short} before the fault");
-            let mut m = Machine::from_image(&image);
-            fused_to_target(&mut m, before_fault - short, superblocks).expect("no early fault");
-            assert_eq!(fused_to_target(&mut m, u64::MAX, superblocks), Err(err.clone()), "{ctx}");
-            assert_same(&by_step, &m, &ctx, &f.source);
-        }
+        let ctx = format!("{tag}: stopped {short} before the fault");
+        let mut m = Machine::from_image(&image);
+        blocks_to_target(&mut m, before_fault - short).expect("no early fault");
+        assert_eq!(blocks_to_target(&mut m, u64::MAX), Err(err.clone()), "{ctx}");
+        assert_same(&by_step, &m, &ctx, &f.source);
     }
 }
 
