@@ -228,10 +228,10 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             }
         }
     }
-    // Monte-Carlo trials of the same kernel dispatch as lane groups:
-    // one scheduler task per group of consecutive trials, all sharing
-    // the hot image instead of travelling as independent tasks.
-    let results = sched::par_map_groups(&grid, sched::GROUP_WIDTH, |&(si, ri, trial)| {
+    // Monte-Carlo trials of the same kernel share the hot image and
+    // dispatch one scheduler task each (one-item lane groups), so slots
+    // freed mid-campaign are recruited at every trial boundary.
+    let results = sched::par_map_groups(&grid, |&(si, ri, trial)| {
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
         run_trial(&image, &trace, &styles[si], plan)
     });

@@ -39,7 +39,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     let cost = crate::common::task_cost(cfg, KernelKind::Sobel);
-    crate::sched::par_map_groups(&CAPACITANCES_F, crate::sched::GROUP_WIDTH / 2, |&c| {
+    crate::sched::par_map_groups(&CAPACITANCES_F, |&c| {
         let sys: SystemConfig = system_config_for(&inst).with_capacitance(c);
         let nvp =
             run_nvp_with(&inst, &trace, sys, standard_backup(), nvp_core::BackupPolicy::demand());

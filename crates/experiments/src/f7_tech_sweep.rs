@@ -41,7 +41,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .into_iter()
         .flat_map(|tech| SourceKind::ALL.into_iter().map(move |source| (tech, source)))
         .collect();
-    crate::sched::par_map_groups(&grid, crate::sched::GROUP_WIDTH / 2, |&(tech, source)| {
+    crate::sched::par_map_groups(&grid, |&(tech, source)| {
         // Both the backup path *and* the NVM data memory use `tech`.
         let sys = system_config_for_tech(&inst, tech);
         let backup = BackupModel::distributed(tech, STATE_BITS);

@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use nvp::experiments::{run_all, set_thread_override, ExpConfig};
+use nvp::experiments::{run_all, run_request, set_thread_override, CampaignRequest, ExpConfig};
 
 /// A temp dir unique to this process and call, so concurrent test
 /// invocations never race on `remove_dir_all`.
@@ -72,6 +72,25 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
             assert_same_artifacts(&format!("threads={threads} {temperature}"), &reference, &dir);
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    // The `nvpd` simulate-job shape: F3 beside F12's nested trial
+    // sweep, where an idle caller lends its slot to the sweep. Each run
+    // starts cold so F3 simulates while the sweep recruits.
+    let request = CampaignRequest::only(ExpConfig::quick(), &["f3", "f12"]);
+    let mut job_reference = None;
+    for threads in [1usize, 2, 8] {
+        set_thread_override(Some(threads));
+        nvp::experiments::reset_sim_cache();
+        let dir = unique_dir("nvp_sched_det_job");
+        run_request(&request).unwrap().write(&dir).unwrap();
+        match &job_reference {
+            None => job_reference = Some(artifact_bytes(&dir)),
+            Some(reference) => {
+                assert_same_artifacts(&format!("f3+f12 threads={threads}"), reference, &dir);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     set_thread_override(None);
