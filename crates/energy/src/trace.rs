@@ -41,6 +41,72 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
+/// `10^p` for every precision [`push_fixed`] writes exactly.
+const POW10: [u64; 10] =
+    [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
+
+/// Appends `x` with `prec` decimals, byte-identical to
+/// `format!("{x:.prec$}")`, without going through `core::fmt`.
+///
+/// On its exact domain (finite, sign bit clear, below 10⁹, `prec` ≤ 9)
+/// the value is `m · 2^e` for an integer mantissa `m`, so `x · 10^prec`
+/// is the integer `m · 10^prec` shifted by `e`. That product fits a
+/// `u128` (under 2⁸³), the shifted-out bits decide round-half-to-even
+/// exactly as std does, and the rounded result is below 10¹⁸, so its
+/// digits come off a `u64`. Anything else falls back to `format!`.
+fn push_fixed(out: &mut Vec<u8>, x: f64, prec: usize) {
+    if prec >= POW10.len() || !(x.is_sign_positive() && x < 1e9) {
+        use std::io::Write as _;
+        write!(out, "{x:.prec$}").expect("write to Vec");
+        return;
+    }
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, exp) =
+        if biased == 0 { (fraction, -1074) } else { (fraction | 1 << 52, biased - 1075) };
+    let scale = POW10[prec];
+    let scaled = if exp >= 0 {
+        // An integer below 10⁹: the product stays below 10¹⁸.
+        (mantissa << exp) * scale
+    } else {
+        let product = u128::from(mantissa) * u128::from(scale);
+        let shift = exp.unsigned_abs();
+        if shift >= 128 {
+            // product < 2⁸³ ≤ half an ulp of the shift: rounds to zero.
+            0
+        } else {
+            let q = product >> shift;
+            let rem = product & ((1u128 << shift) - 1);
+            let half = 1u128 << (shift - 1);
+            let up = rem > half || (rem == half && q & 1 == 1);
+            u64::try_from(q + u128::from(up)).expect("below 10^18")
+        }
+    };
+    // At most 9 integer digits, the point and 9 decimals.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut rest = scaled;
+    for _ in 0..prec {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    if prec > 0 {
+        at -= 1;
+        buf[at] = b'.';
+    }
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
 /// A harvested-power trace: input power in watts, sampled every `dt_s`.
 ///
 /// # Example
@@ -159,16 +225,21 @@ impl PowerTrace {
         self.samples.iter().sum::<f64>() * self.dt_s
     }
 
-    /// Serializes as two-column CSV (`time_s,power_w`) with a header row.
+    /// Serializes as two-column CSV (`time_s,power_w`) with a header row:
+    /// times to 6 decimals, powers to 9, byte-identical to
+    /// `format!("{:.6},{:.9}")` on every row.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(self.samples.len() * 16 + 16);
-        out.push_str("time_s,power_w\n");
-        for (i, p) in self.samples.iter().enumerate() {
-            use fmt::Write;
-            writeln!(out, "{:.6},{:.9}", i as f64 * self.dt_s, p).expect("write to String");
+        // "0.000100,0.000012345\n" is 21 bytes; longer rows only grow.
+        let mut out = Vec::with_capacity(self.samples.len() * 24 + 16);
+        out.extend_from_slice(b"time_s,power_w\n");
+        for (i, &p) in self.samples.iter().enumerate() {
+            push_fixed(&mut out, i as f64 * self.dt_s, 6);
+            out.push(b',');
+            push_fixed(&mut out, p, 9);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the CSV writer emits ASCII")
     }
 
     /// Parses the CSV produced by [`to_csv`](Self::to_csv).
@@ -297,6 +368,91 @@ mod tests {
         assert!((parsed.dt_s() - t.dt_s()).abs() < 1e-12);
         for (a, b) in parsed.samples().iter().zip(t.samples()) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+
+    fn fixed(x: f64, prec: usize) -> String {
+        let mut out = Vec::new();
+        push_fixed(&mut out, x, prec);
+        String::from_utf8(out).unwrap()
+    }
+
+    fn assert_matches_std(x: f64) {
+        assert_eq!(fixed(x, 6), format!("{x:.6}"), "{x:e} ({:#018x}) at 6", x.to_bits());
+        assert_eq!(fixed(x, 9), format!("{x:.9}"), "{x:e} ({:#018x}) at 9", x.to_bits());
+    }
+
+    #[test]
+    fn fixed_writer_rounds_exact_ties_to_even() {
+        assert_eq!(fixed(0.0078125, 6), "0.007812");
+        assert_eq!(fixed(3.0 / 128.0, 6), "0.023438");
+        assert_eq!(fixed(0.5, 0), "0");
+        assert_eq!(fixed(1.5, 0), "2");
+        assert_eq!(fixed(2.5, 0), "2");
+        // 2⁻¹⁰ = 0.0009765625 is an exact tie at 9 decimals.
+        assert_eq!(fixed(1.0 / 1024.0, 9), "0.000976562");
+        for k in 1..=40 {
+            for num in [1.0, 3.0, 5.0, 7.0, 123.0, 999_999.0] {
+                assert_matches_std(num / f64::from(2u32).powi(k));
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_writer_matches_std_at_the_edges() {
+        let cases = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-7,
+            4.999_999_999_999_999e-7,
+            5e-10,
+            0.999_999_5,
+            0.999_999_999_5,
+            1.0,
+            9.999_999_5,
+            123_456.789_012_345,
+            999_999_999.999_999_9,
+            // Large times: 10⁵ s at a 0.1 ms step, and 2⁵² + 1.
+            1e5 - 1e-4,
+            4_503_599_627_370_497.0 / 8_388_608.0,
+        ];
+        for x in cases {
+            assert_matches_std(x);
+        }
+        // Seeded bit patterns across the exact domain.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let x = f64::from_bits(state >> 1);
+            if x < 1e9 {
+                assert_matches_std(x);
+            }
+            assert_matches_std(f64::from_bits(state >> 1 >> 12 | 0x3f00_0000_0000_0000));
+        }
+    }
+
+    #[test]
+    fn fixed_writer_falls_back_outside_its_domain() {
+        for x in [-0.0, -1.5, 1e9, 2.5e15, f64::MAX, f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            assert_eq!(fixed(x, 6), format!("{x:.6}"));
+            assert_eq!(fixed(x, 9), format!("{x:.9}"));
+        }
+        assert_eq!(fixed(1.25, 12), format!("{:.12}", 1.25));
+    }
+
+    #[test]
+    fn csv_rows_match_std_formatting() {
+        let hand = PowerTrace::from_samples(1e-4, vec![0.0, 1e-6, 0.0078125, 2.0e-3, 1.234_5e-5]);
+        let generated = crate::harvester::SourceKind::WristWatch.generate(3, 1.0);
+        for t in [hand, generated] {
+            let mut expect = String::from("time_s,power_w\n");
+            for (i, p) in t.samples().iter().enumerate() {
+                use std::fmt::Write as _;
+                writeln!(expect, "{:.6},{:.9}", i as f64 * t.dt_s(), p).unwrap();
+            }
+            assert_eq!(t.to_csv(), expect);
         }
     }
 

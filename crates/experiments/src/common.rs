@@ -8,7 +8,7 @@
 //! influences the value, so results are unchanged.
 //!
 //! Simulation *runs* are deduplicated the same way: [`run_nvp_with`]
-//! and [`run_wait`] route through the content-addressed
+//! and [`run_wait_with`] route through the content-addressed
 //! [`crate::simcache`], so identical `(program, config, trace)` runs
 //! issued by different experiments simulate only once per process.
 
@@ -75,11 +75,16 @@ pub(crate) fn kernel(cfg: &ExpConfig, kind: KernelKind) -> Arc<KernelInstance> {
 /// A shared power trace paired with its content digest, so the digest
 /// is computed once per trace no matter how many cached runs use it.
 #[derive(Clone)]
-pub(crate) struct SimTrace(Arc<(PowerTrace, Digest)>);
+pub(crate) struct SimTrace(Arc<(Arc<PowerTrace>, Digest)>);
 
 impl SimTrace {
     pub(crate) fn digest(&self) -> &Digest {
         &self.0 .1
+    }
+
+    /// The memoized trace itself, shared rather than copied.
+    pub(crate) fn shared(&self) -> Arc<PowerTrace> {
+        Arc::clone(&self.0 .0)
     }
 }
 
@@ -95,11 +100,11 @@ impl Deref for SimTrace {
 /// harvester grid and F11's solar variant hit this instead of
 /// regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
-    static CACHE: Memo<(&'static str, u64, u64), (PowerTrace, Digest)> = OnceLock::new();
+    static CACHE: Memo<(&'static str, u64, u64), (Arc<PowerTrace>, Digest)> = OnceLock::new();
     SimTrace(memo(&CACHE, (kind.name(), seed, cfg.trace_duration_s.to_bits()), || {
         let trace = kind.generate(seed, cfg.trace_duration_s);
         let digest = simcache::trace_digest(&trace);
-        (trace, digest)
+        (Arc::new(trace), digest)
     }))
 }
 
@@ -180,13 +185,22 @@ pub(crate) fn run_nvp_with(
 }
 
 /// Runs the wait-then-compute baseline on the standard kernel for
-/// `kind`, ESD sized for the kernel's task. Cached like
-/// [`run_nvp_with`], under a distinct run-kind tag.
+/// `kind`, ESD sized for the kernel's task.
 pub(crate) fn run_wait(cfg: &ExpConfig, kind: KernelKind, trace: &SimTrace) -> RunReport {
     let inst = kernel(cfg, kind);
     let cost = task_cost(cfg, kind);
     let mut wcfg = WaitComputeConfig::default().sized_for(&cost, 1.3);
     wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
+    run_wait_with(&inst, trace, wcfg)
+}
+
+/// Runs a wait-then-compute variant with explicit configuration. Cached
+/// like [`run_nvp_with`], under a distinct run-kind tag.
+pub(crate) fn run_wait_with(
+    inst: &KernelInstance,
+    trace: &SimTrace,
+    wcfg: WaitComputeConfig,
+) -> RunReport {
     let mut key = KeyHasher::new("nvp-simcache/1:wait");
     key.program(inst.program());
     key.debug(&wcfg);

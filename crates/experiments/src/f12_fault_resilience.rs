@@ -12,16 +12,23 @@
 //! *Anchor: reconstructed — the survey has no published fault-injection
 //! figure; rates and retention profile are framework choices.*
 //!
-//! Unlike every other experiment this one does **not** route through
-//! the simulation cache: each trial needs the observer event stream
-//! (for recovery latencies), and per-trial fault seeds make every run
-//! unique anyway. Determinism is preserved the same way as everywhere
-//! else — each trial is a pure function of `(program, config, plan,
-//! trace)` and the internal `par_map` returns results in input order,
-//! so the table is bit-identical across reruns and thread counts
-//! (pinned by `tests/fault_resilience.rs`).
+//! Each trial is a pure function of `(program, config, backup model,
+//! policy, plan, trace)`, and the table needs only its `RunReport` and
+//! recovery latencies, so trials route through the simulation cache
+//! like every other run: keyed under their own run-kind tag with the
+//! `FaultPlan` in the key, valued as the report plus the latencies.
+//! Per-trial fault seeds make faulted trials unique within a campaign,
+//! so the cache pays on reruns: a warm rerun (or an `nvpd` job
+//! repeating a fault seed) simulates nothing, and the fault-free
+//! controls, whose plan carries no seed, dedupe across every campaign
+//! on the same kernel and trace. The trials' shared machine image is
+//! built only when a trial misses. Determinism is preserved the same
+//! way as everywhere else — the internal `par_map` returns results in
+//! input order, and a cached outcome is bit-identical to a computed
+//! one — so the table is bit-identical across reruns, cache states and
+//! thread counts (pinned by `tests/fault_resilience.rs`).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use nvp_core::{
     BackupModel, BackupPolicy, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver,
@@ -32,9 +39,10 @@ use nvp_sim::MachineImage;
 use nvp_workloads::{KernelInstance, KernelKind};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, system_config_for, watch_trace, STATE_BITS};
+use crate::common::{kernel, system_config_for, watch_trace, SimTrace, STATE_BITS};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
+use crate::simcache::{self, Digest, KeyHasher, SimOutcome};
 use crate::{ExpConfig, Table};
 
 /// Injected fault rates (tear probability per backup; restore failures
@@ -178,9 +186,21 @@ fn recovery_latencies_ms(events: &[(f64, SimEvent)]) -> Vec<f64> {
     out
 }
 
+/// The simulation-cache key of one trial: every input of
+/// [`run_trial`], under the `f12` run-kind tag.
+fn trial_key(inst: &KernelInstance, trace: &SimTrace, style: &Style, plan: &FaultPlan) -> Digest {
+    let mut key = KeyHasher::new("nvp-simcache/1:f12");
+    key.program(inst.program());
+    key.debug(&style.sys);
+    key.debug(&style.backup);
+    key.debug(&style.policy);
+    key.debug(plan);
+    key.digest(trace.digest());
+    key.finish()
+}
+
 /// Runs one seeded trial, returning the report and its recovery
-/// latencies. Deliberately bypasses the simulation cache (see module
-/// docs). Every trial shares one prebuilt machine image: all three
+/// latencies. Every trial shares one prebuilt machine image: all three
 /// styles run the same program under the same cycle/energy models, so
 /// decode and block partitioning happen once per campaign, not per
 /// trial.
@@ -189,7 +209,7 @@ fn run_trial(
     trace: &nvp_energy::PowerTrace,
     style: &Style,
     plan: FaultPlan,
-) -> (RunReport, Vec<f64>) {
+) -> SimOutcome {
     let mut system = IntermittentSystem::with_faults_on_image(
         image,
         style.sys,
@@ -199,7 +219,7 @@ fn run_trial(
     );
     let mut log = EventLog::default();
     let report = system.run_observed(trace, &mut log).expect("workload does not fault");
-    (report, recovery_latencies_ms(&log.events))
+    SimOutcome { report, latencies_ms: recovery_latencies_ms(&log.events) }
 }
 
 /// Runs the full campaign: every style × fault rate × trial.
@@ -208,14 +228,17 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     let styles = styles(&inst);
-    // One shared image for the whole campaign: the styles differ only
-    // in backup hardware and data-memory volatility, never in the
-    // image-relevant configuration (memory size, cycle/energy models).
-    let sys = styles[0].sys;
-    let image = Arc::new(
-        MachineImage::build(inst.program(), sys.dmem_words, sys.cycle_model, sys.energy_model)
-            .expect("kernel image builds"),
-    );
+    // One shared image for the whole campaign, built by the first trial
+    // that misses the cache: the styles differ only in backup hardware
+    // and data-memory volatility, never in the image-relevant
+    // configuration (memory size, cycle/energy models).
+    let image = OnceLock::new();
+    let build_image = || {
+        let sys = styles[0].sys;
+        let built =
+            MachineImage::build(inst.program(), sys.dmem_words, sys.cycle_model, sys.energy_model);
+        Arc::new(built.expect("kernel image builds"))
+    };
 
     // Flattened work grid; the fault-free control runs one trial (the
     // disabled plan is deterministic, so further trials are identical).
@@ -232,8 +255,11 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     // dispatch one scheduler task each (one-item lane groups), so slots
     // freed mid-campaign are recruited at every trial boundary.
     let results = sched::par_map_groups(&grid, |&(si, ri, trial)| {
+        let style = &styles[si];
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
-        run_trial(&image, &trace, &styles[si], plan)
+        simcache::cached_outcome(trial_key(&inst, &trace, style, &plan), || {
+            run_trial(image.get_or_init(build_image), &trace, style, plan)
+        })
     });
 
     let mut out = Vec::new();
@@ -244,22 +270,22 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             .iter()
             .zip(&results)
             .find(|((s, r, _), _)| *s == si && FAULT_RATES[*r] <= 0.0)
-            .map_or(0.0, |(_, (report, _))| report.committed as f64);
+            .map_or(0.0, |(_, outcome)| outcome.report.committed as f64);
         for (ri, &rate) in FAULT_RATES.iter().enumerate() {
-            let cell: Vec<&(RunReport, Vec<f64>)> = grid
+            let cell: Vec<&SimOutcome> = grid
                 .iter()
                 .zip(&results)
                 .filter(|((s, r, _), _)| *s == si && *r == ri)
-                .map(|(_, res)| res)
+                .map(|(_, outcome)| outcome)
                 .collect();
             let n = cell.len();
             let mean = |f: &dyn Fn(&RunReport) -> u64| {
-                cell.iter().map(|(rep, _)| f(rep) as f64).sum::<f64>() / n as f64
+                cell.iter().map(|o| f(&o.report) as f64).sum::<f64>() / n as f64
             };
             let mean_committed = mean(&|r| r.committed);
             let mean_surviving = mean(&|r| r.committed_surviving());
             let latencies: Vec<f64> =
-                cell.iter().flat_map(|(_, lat)| lat.iter().copied()).collect();
+                cell.iter().flat_map(|o| o.latencies_ms.iter().copied()).collect();
             out.push(Row {
                 style: style.name.to_owned(),
                 fault_rate: rate,
@@ -268,10 +294,10 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
                 mean_surviving,
                 fp_ratio: if baseline > 0.0 { mean_surviving / baseline } else { 0.0 },
                 mean_lost: mean(&|r| r.committed_lost),
-                torn: cell.iter().map(|(r, _)| r.backups_torn).sum(),
-                retries: cell.iter().map(|(r, _)| r.backup_retries).sum(),
-                corrupt: cell.iter().map(|(r, _)| r.restores_corrupt).sum(),
-                safe_modes: cell.iter().map(|(r, _)| r.safe_mode_entries).sum(),
+                torn: cell.iter().map(|o| o.report.backups_torn).sum(),
+                retries: cell.iter().map(|o| o.report.backup_retries).sum(),
+                corrupt: cell.iter().map(|o| o.report.restores_corrupt).sum(),
+                safe_modes: cell.iter().map(|o| o.report.safe_mode_entries).sum(),
                 recovery_ms_mean: if latencies.is_empty() {
                     0.0
                 } else {

@@ -4,6 +4,8 @@
 //! (published envelope: 10–40 µW averages, spikes to ~2000 µW). The raw
 //! sample series are exported as CSV by the runner for plotting.
 
+use std::sync::Arc;
+
 use nvp_energy::PowerTrace;
 use serde::{Deserialize, Serialize};
 
@@ -26,10 +28,11 @@ pub struct Row {
     pub duration_s: f64,
 }
 
-/// The raw trace for one profile (for CSV export / plotting).
+/// The raw trace for one profile (for CSV export / plotting): the
+/// memoized trace every experiment on this profile shares, not a copy.
 #[must_use]
-pub fn series(cfg: &ExpConfig, profile: u64) -> PowerTrace {
-    (*watch_trace(cfg, profile)).clone()
+pub fn series(cfg: &ExpConfig, profile: u64) -> Arc<PowerTrace> {
+    watch_trace(cfg, profile).shared()
 }
 
 /// Summary rows for all configured profiles.

@@ -7,11 +7,13 @@
 //! wait-compute platform needs orders of magnitude more storage before it
 //! works at all.
 
-use nvp_core::{SystemConfig, WaitComputeConfig, WaitComputeSystem};
+use nvp_core::{SystemConfig, WaitComputeConfig};
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, standard_backup, system_config_for, watch_trace};
+use crate::common::{
+    kernel, run_nvp_with, run_wait_with, standard_backup, system_config_for, watch_trace,
+};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -51,13 +53,8 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
         let capacity = 0.5 * c * wcfg.cap_voltage_v * wcfg.cap_voltage_v;
         wcfg.start_energy_j = wcfg.start_energy_j.min(0.9 * capacity);
-        let mut wait = WaitComputeSystem::new(inst.program(), wcfg).expect("platform builds");
-        let wait_report = wait.run(&trace).expect("workload does not fault");
-        Row {
-            cap_uf: c * 1e6,
-            nvp_fp: nvp.forward_progress(),
-            wait_fp: wait_report.forward_progress(),
-        }
+        let wait = run_wait_with(&inst, &trace, wcfg);
+        Row { cap_uf: c * 1e6, nvp_fp: nvp.forward_progress(), wait_fp: wait.forward_progress() }
     })
 }
 

@@ -135,10 +135,13 @@ pub(crate) fn test_override_lock() -> std::sync::MutexGuard<'static, ()> {
 
 #[cfg(test)]
 mod tests {
+    use super::test_override_lock as override_lock;
     use super::*;
 
     #[test]
     fn thread_count_is_bounded() {
+        // Sibling tests change the override between any two reads.
+        let _guard = override_lock();
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(1000) >= 1);
@@ -166,8 +169,6 @@ mod tests {
         assert_eq!(parse_nvp_threads(Some("!")), None);
         assert_eq!(parse_nvp_threads(Some("!4")), None);
     }
-
-    use super::test_override_lock as override_lock;
 
     #[test]
     fn override_beats_environment_and_clears() {

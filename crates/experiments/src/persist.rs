@@ -4,28 +4,34 @@
 //! a warm full-campaign rerun still pays for every unique simulation.
 //! This module makes the cache durable: an **append-only record log**
 //! under a cache directory (`NVP_CACHE_DIR`, or `<out_dir>/.simcache`
-//! for the `repro` binary), **sharded by the first byte** of the
-//! SHA-256 content key so concurrent writers rarely touch the same
-//! file and reloads stream a few small files instead of one huge one.
+//! for the `repro` binary), **sharded by the first hex digit** of the
+//! SHA-256 content key, so concurrent writers rarely touch the same
+//! file and a reload opens at most 16 small files. (A reload pays
+//! 5–10 µs per file it opens, more than it pays per record, so fewer,
+//! larger shards reload faster.)
 //!
 //! ## Record format
 //!
-//! Each shard file `<xx>.log` (`xx` = first key byte, hex) starts with
-//! the 8-byte magic `b"nvpsimc1"` — the `1` is the schema version,
-//! bumped whenever the `RunReport` layout changes so stale caches are
+//! Each shard file `<x>.log` (`x` = first key nibble, hex) starts with
+//! the 8-byte magic `b"nvpsimc2"` — the `2` is the schema version,
+//! bumped whenever the record layout changes so stale caches are
 //! skipped wholesale rather than misdecoded. After the header, records
 //! are length-prefixed and CRC-framed:
 //!
 //! ```text
 //! [len: u32 le] [crc32: u32 le] [payload: len bytes]
 //! payload = key (32 bytes) ++ RunReport (24 × 8-byte fields, le)
+//!           ++ n: u32 le ++ n recovery latencies (8-byte f64 bits, le)
 //! ```
+//!
+//! The latency list is empty for every run kind except an F12
+//! fault-campaign trial.
 //!
 //! The CRC-32 is the checkpoint subsystem's
 //! ([`nvp_sim::crc32_bytes`]) — cache integrity and checkpoint
 //! integrity share one checksum — and covers the whole payload.
 //! Floats are stored as IEEE-754 bit patterns, so a reloaded
-//! `RunReport` is bit-identical to the one computed, and artifacts
+//! [`SimOutcome`] is bit-identical to the one computed, and artifacts
 //! built from cache hits stay byte-identical to cold runs.
 //!
 //! ## Failure tolerance
@@ -67,26 +73,30 @@ use nvp_core::RunReport;
 use nvp_energy::units::Joules;
 use nvp_sim::crc32_bytes;
 
-use crate::simcache::Digest;
+use crate::simcache::{Digest, SimOutcome};
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
-const MAGIC: &[u8; 8] = b"nvpsimc1";
+const MAGIC: &[u8; 8] = b"nvpsimc2";
 
 /// Serialized `RunReport`: 2 + 13 + 9 eight-byte fields.
 const REPORT_BYTES: usize = 24 * 8;
 
-/// Payload length of a well-formed record: key + report.
-const PAYLOAD_BYTES: usize = 32 + REPORT_BYTES;
+/// Payload length of a record with no latencies: key + report + count.
+const FIXED_PAYLOAD_BYTES: usize = 32 + REPORT_BYTES + 4;
 
 /// Upper bound a length prefix may claim before the loader stops
-/// trusting the shard's framing entirely.
+/// trusting the shard's framing entirely; the writer refuses (does not
+/// persist) a longer record. The largest F12 trial logs 77 recovery
+/// latencies in the default campaign (an 844-byte payload) and 28 in
+/// the quick one, and 72–80 and 27–35 at fault seeds 1–8; the bound
+/// leaves room for 483.
 const MAX_RECORD_BYTES: u32 = 4096;
 
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub(crate) struct LoadOutcome {
-    /// Every valid `(key, report)` record, shard-major in key order.
-    pub records: Vec<(Digest, RunReport)>,
+    /// Every valid `(key, outcome)` record, shard-major in file order.
+    pub records: Vec<(Digest, SimOutcome)>,
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
@@ -137,10 +147,10 @@ impl PersistentStore {
                             local.skipped,
                             target.display()
                         );
-                        for (key, report) in &local.records {
+                        for (key, outcome) in &local.records {
                             // Healing is best-effort; the records are
                             // already in memory either way.
-                            let _ = store.append(key, report);
+                            let _ = store.append(key, outcome);
                         }
                     }
                     Err(e) => eprintln!(
@@ -157,14 +167,18 @@ impl PersistentStore {
 
     /// Appends one record to the key's shard. The header (for a fresh
     /// shard) and the record are each written with a single `O_APPEND`
-    /// write, so concurrent appenders interleave whole records.
-    pub(crate) fn append(&self, key: &Digest, report: &RunReport) -> io::Result<()> {
-        let shard = self.dir.join(format!("{:02x}.log", key[0]));
+    /// write, so concurrent appenders interleave whole records. A
+    /// record longer than the loader accepts is refused, not written.
+    pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<()> {
+        let payload = encode_payload(key, outcome);
+        let len = u32::try_from(payload.len())
+            .ok()
+            .filter(|&len| len <= MAX_RECORD_BYTES)
+            .ok_or_else(|| io::Error::other("sim cache record exceeds the shard record bound"))?;
+        let shard = self.dir.join(format!("{:x}.log", key[0] >> 4));
         let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
         let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
-        let payload = encode_payload(key, report);
         let crc = crc32_bytes(&payload);
-        let len = u32::try_from(payload.len()).expect("payload is far below u32::MAX");
         let mut record = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
         if fresh {
             // Two processes racing on a fresh shard can both prepend
@@ -242,10 +256,12 @@ fn scan_shard(bytes: &[u8], outcome: &mut LoadOutcome) {
     }
 }
 
-/// Serializes `key ++ report` with every numeric field little-endian
-/// and floats as IEEE-754 bit patterns.
-fn encode_payload(key: &Digest, report: &RunReport) -> Vec<u8> {
-    let mut out = Vec::with_capacity(PAYLOAD_BYTES);
+/// Serializes `key ++ report ++ latencies` with every numeric field
+/// little-endian and floats as IEEE-754 bit patterns.
+fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
+    let report = &outcome.report;
+    let latencies = &outcome.latencies_ms;
+    let mut out = Vec::with_capacity(FIXED_PAYLOAD_BYTES + 8 * latencies.len());
     out.extend_from_slice(key);
     let mut f = |v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
     f(report.duration_s);
@@ -278,14 +294,22 @@ fn encode_payload(key: &Digest, report: &RunReport) -> Vec<u8> {
     ] {
         out.extend_from_slice(&j.get().to_bits().to_le_bytes());
     }
-    debug_assert_eq!(out.len(), PAYLOAD_BYTES);
+    // A list too long for the count is far past `MAX_RECORD_BYTES`,
+    // so `append` refuses the record whatever count it carries.
+    let count = u32::try_from(latencies.len()).unwrap_or(u32::MAX);
+    out.extend_from_slice(&count.to_le_bytes());
+    for &ms in latencies {
+        out.extend_from_slice(&ms.to_bits().to_le_bytes());
+    }
     out
 }
 
-/// Inverse of [`encode_payload`]; `None` if the payload has the wrong
-/// size for schema `nvpsimc1`.
-fn decode_payload(payload: &[u8]) -> Option<(Digest, RunReport)> {
-    if payload.len() != PAYLOAD_BYTES {
+/// Inverse of [`encode_payload`]; `None` unless the payload is exactly
+/// as long as its latency count says (schema `nvpsimc2`).
+fn decode_payload(payload: &[u8]) -> Option<(Digest, SimOutcome)> {
+    let count_bytes = payload.get(FIXED_PAYLOAD_BYTES - 4..FIXED_PAYLOAD_BYTES)?;
+    let count = u32::from_le_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
+    if payload.len() - FIXED_PAYLOAD_BYTES != count.checked_mul(8)? {
         return None;
     }
     let mut key = [0u8; 32];
@@ -323,7 +347,11 @@ fn decode_payload(payload: &[u8]) -> Option<(Digest, RunReport)> {
     report.energy.regulator = Joules::new(f64::from_bits(next()));
     report.energy.stored_at_end = Joules::new(f64::from_bits(next()));
     report.energy.storage_wasted = Joules::new(f64::from_bits(next()));
-    Some((key, report))
+    let latencies_ms = payload[FIXED_PAYLOAD_BYTES..]
+        .chunks_exact(8)
+        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
+        .collect();
+    Some((key, SimOutcome { report, latencies_ms }))
 }
 
 #[cfg(test)]
@@ -353,6 +381,10 @@ mod tests {
         r
     }
 
+    fn plain(salt: u64) -> SimOutcome {
+        SimOutcome { report: sample_report(salt), latencies_ms: Vec::new() }
+    }
+
     fn key_of(b: u8) -> Digest {
         let mut k = [0u8; 32];
         k[0] = b;
@@ -362,12 +394,118 @@ mod tests {
 
     #[test]
     fn payload_round_trips_bit_exactly() {
-        let report = sample_report(9);
+        let outcome = plain(9);
         let key = key_of(0xAB);
-        let (k2, r2) = decode_payload(&encode_payload(&key, &report)).unwrap();
+        let (k2, o2) = decode_payload(&encode_payload(&key, &outcome)).unwrap();
         assert_eq!(k2, key);
-        assert_eq!(r2, report);
-        assert_eq!(r2.energy.compute.get().to_bits(), report.energy.compute.get().to_bits());
+        assert_eq!(o2, outcome);
+        assert_eq!(
+            o2.report.energy.compute.get().to_bits(),
+            outcome.report.energy.compute.get().to_bits()
+        );
+    }
+
+    /// A trial outcome: `n` recovery latencies cycling through extreme
+    /// (NaN-free) bit patterns, on a report with extreme fields.
+    fn trial(n: usize) -> SimOutcome {
+        const EXTREMES: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            1.234_567_890_123_456_7e-3,
+        ];
+        let mut report = sample_report(3);
+        report.duration_s = f64::MAX;
+        report.on_time_s = 5e-324;
+        report.committed = u64::MAX;
+        report.restores_corrupt = n as u64;
+        report.energy.storage_wasted = Joules::new(f64::NEG_INFINITY);
+        let latencies_ms = (0..n).map(|i| EXTREMES[i % EXTREMES.len()] * (i + 1) as f64).collect();
+        SimOutcome { report, latencies_ms }
+    }
+
+    #[test]
+    fn trial_records_round_trip_bit_exactly() {
+        let dir = unique_dir("nvp_persist_trials");
+        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let longest = (MAX_RECORD_BYTES as usize - FIXED_PAYLOAD_BYTES) / 8;
+        let cases =
+            [(key_of(0x50), trial(0)), (key_of(0x51), trial(37)), (key_of(0x52), trial(longest))];
+        for (key, outcome) in &cases {
+            let encoded = encode_payload(key, outcome);
+            let (k2, o2) = decode_payload(&encoded).unwrap();
+            assert_eq!(k2, *key);
+            assert_eq!(encode_payload(&k2, &o2), encoded, "bit-exact in memory");
+            store.append(key, outcome).unwrap();
+        }
+        // One latency past the bound is refused and leaves no trace.
+        assert!(store.append(&key_of(0x53), &trial(longest + 1)).is_err());
+        let (_, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((loaded.skipped, loaded.quarantined), (0, 0));
+        assert_eq!(loaded.records.len(), cases.len());
+        for ((key, outcome), (k2, o2)) in cases.iter().zip(&loaded.records) {
+            assert_eq!(encode_payload(k2, o2), encode_payload(key, outcome), "bit-exact on disk");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A small shard: one plain record and one trial record.
+    fn mixed_shard() -> (Vec<u8>, Vec<Vec<u8>>) {
+        let records = [(key_of(0x60), plain(1)), (key_of(0x61), trial(5))];
+        let mut bytes = MAGIC.to_vec();
+        let mut encoded = Vec::new();
+        for (key, outcome) in &records {
+            let payload = encode_payload(key, outcome);
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32_bytes(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            encoded.push(payload);
+        }
+        (bytes, encoded)
+    }
+
+    /// Scans `bytes` and checks every served record is one of
+    /// `originals`, bit for bit.
+    fn scan_serves_only_originals(bytes: &[u8], originals: &[Vec<u8>]) -> LoadOutcome {
+        let mut outcome = LoadOutcome::default();
+        scan_shard(bytes, &mut outcome);
+        for (key, served) in &outcome.records {
+            let encoded = encode_payload(key, served);
+            assert!(originals.contains(&encoded), "a damaged record was served");
+        }
+        outcome
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_serves_no_damaged_record() {
+        let (bytes, originals) = mixed_shard();
+        let first_end = MAGIC.len() + 8 + originals[0].len();
+        let whole = scan_serves_only_originals(&bytes, &originals);
+        assert_eq!((whole.records.len(), whole.skipped), (2, 0));
+        for cut in 0..bytes.len() {
+            let loaded = scan_serves_only_originals(&bytes[..cut], &originals);
+            let intact = usize::from(cut >= first_end);
+            assert_eq!(loaded.records.len(), intact, "cut at {cut}");
+            // Only a cut on a record boundary looks like a shorter clean
+            // shard; every other cut is seen as damage.
+            let clean = cut == MAGIC.len() || cut == first_end;
+            assert_eq!(loaded.skipped == 0, clean, "cut at {cut}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let loaded = scan_serves_only_originals(&flipped, &originals);
+            assert!(loaded.skipped > 0, "flip of bit {bit} went unnoticed");
+        }
+        // The previous schema's magic on otherwise valid records.
+        let mut stale = bytes.clone();
+        stale[..MAGIC.len()].copy_from_slice(b"nvpsimc1");
+        let loaded = scan_serves_only_originals(&stale, &originals);
+        assert_eq!((loaded.records.len(), loaded.skipped), (0, 1));
     }
 
     #[test]
@@ -376,13 +514,14 @@ mod tests {
         let (store, loaded) = PersistentStore::open(&dir).unwrap();
         assert!(loaded.records.is_empty());
         for i in 0..20u8 {
-            // Spread over a few shards (keys differing in byte 0).
-            store.append(&key_of(i % 4), &sample_report(u64::from(i))).unwrap();
+            // Spread over a few shards (keys differing in the first
+            // hex digit).
+            store.append(&key_of((i % 4) << 4), &plain(u64::from(i))).unwrap();
         }
         let (_, reloaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(reloaded.records.len(), 20);
         assert_eq!(reloaded.skipped, 0);
-        assert!(reloaded.records.iter().any(|(k, r)| k[0] == 2 && r.committed == 1002));
+        assert!(reloaded.records.iter().any(|(k, o)| k[0] == 0x20 && o.report.committed == 1002));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -391,18 +530,18 @@ mod tests {
         let dir = unique_dir("nvp_persist_trunc");
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x11);
-        store.append(&key, &sample_report(1)).unwrap();
-        store.append(&key, &sample_report(2)).unwrap();
-        let shard = dir.join("11.log");
+        store.append(&key, &plain(1)).unwrap();
+        store.append(&key, &plain(2)).unwrap();
+        let shard = dir.join("1.log");
         let bytes = fs::read(&shard).unwrap();
         // Chop the second record in half, as a crash mid-append would.
-        fs::write(&shard, &bytes[..bytes.len() - PAYLOAD_BYTES / 2]).unwrap();
+        fs::write(&shard, &bytes[..bytes.len() - FIXED_PAYLOAD_BYTES / 2]).unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.records.len(), 1, "intact prefix record must survive");
-        assert_eq!(loaded.records[0].1.committed, sample_report(1).committed);
+        assert_eq!(loaded.records[0].1.report.committed, sample_report(1).committed);
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
-        assert!(dir.join("11.log.quarantine").exists(), "damaged shard renamed aside");
+        assert!(dir.join("1.log.quarantine").exists(), "damaged shard renamed aside");
         // Healing: salvage was re-appended, so the next open is clean.
         let (_, healed) = PersistentStore::open(&dir).unwrap();
         assert_eq!(healed.records.len(), 1);
@@ -416,20 +555,20 @@ mod tests {
         let dir = unique_dir("nvp_persist_crc");
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x22);
-        store.append(&key, &sample_report(1)).unwrap();
-        store.append(&key, &sample_report(2)).unwrap();
-        store.append(&key, &sample_report(3)).unwrap();
-        let shard = dir.join("22.log");
+        store.append(&key, &plain(1)).unwrap();
+        store.append(&key, &plain(2)).unwrap();
+        store.append(&key, &plain(3)).unwrap();
+        let shard = dir.join("2.log");
         let mut bytes = fs::read(&shard).unwrap();
         // Flip one payload byte inside the *middle* record.
-        let middle_payload = MAGIC.len() + (8 + PAYLOAD_BYTES) + 8 + 40;
+        let middle_payload = MAGIC.len() + (8 + FIXED_PAYLOAD_BYTES) + 8 + 40;
         bytes[middle_payload] ^= 0xFF;
         fs::write(&shard, &bytes).unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.records.len(), 2, "records around the corrupt one must survive");
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
-        let committed: Vec<u64> = loaded.records.iter().map(|(_, r)| r.committed).collect();
+        let committed: Vec<u64> = loaded.records.iter().map(|(_, o)| o.report.committed).collect();
         assert_eq!(committed, vec![sample_report(1).committed, sample_report(3).committed]);
         // Both survivors were healed into a fresh shard.
         let (_, healed) = PersistentStore::open(&dir).unwrap();
@@ -444,8 +583,8 @@ mod tests {
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x44);
         for round in 1..=3u64 {
-            store.append(&key, &sample_report(round)).unwrap();
-            let shard = dir.join("44.log");
+            store.append(&key, &plain(round)).unwrap();
+            let shard = dir.join("4.log");
             let mut bytes = fs::read(&shard).unwrap();
             let last = bytes.len() - 1;
             bytes[last] ^= 0xFF;
@@ -453,9 +592,9 @@ mod tests {
             let (_, loaded) = PersistentStore::open(&dir).unwrap();
             assert_eq!(loaded.quarantined, 1, "round {round}");
         }
-        assert!(dir.join("44.log.quarantine").exists());
-        assert!(dir.join("44.log.quarantine.2").exists());
-        assert!(dir.join("44.log.quarantine.3").exists());
+        assert!(dir.join("4.log.quarantine").exists());
+        assert!(dir.join("4.log.quarantine.2").exists());
+        assert!(dir.join("4.log.quarantine.3").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -463,7 +602,7 @@ mod tests {
     fn foreign_and_stale_schema_files_are_skipped_wholesale() {
         let dir = unique_dir("nvp_persist_foreign");
         let (store, _) = PersistentStore::open(&dir).unwrap();
-        store.append(&key_of(0x33), &sample_report(1)).unwrap();
+        store.append(&key_of(0x33), &plain(1)).unwrap();
         fs::write(dir.join("zz.log"), b"nvpsimc0old-schema-bytes").unwrap();
         fs::write(dir.join("not-a-cache.log"), b"short").unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
@@ -472,7 +611,7 @@ mod tests {
         assert_eq!(loaded.quarantined, 2);
         assert!(dir.join("zz.log.quarantine").exists());
         assert!(dir.join("not-a-cache.log.quarantine").exists());
-        assert!(dir.join("33.log").exists(), "healthy shard untouched");
+        assert!(dir.join("3.log").exists(), "healthy shard untouched");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -488,12 +627,12 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..50u64 {
-                    a.append(&key_of((i % 3) as u8), &sample_report(i)).unwrap();
+                    a.append(&key_of((i % 3) as u8), &plain(i)).unwrap();
                 }
             });
             s.spawn(|| {
                 for i in 50..100u64 {
-                    b.append(&key_of((i % 3) as u8), &sample_report(i)).unwrap();
+                    b.append(&key_of((i % 3) as u8), &plain(i)).unwrap();
                 }
             });
         });
@@ -501,7 +640,8 @@ mod tests {
         assert_eq!(loaded.skipped, 0, "interleaved whole-record appends never corrupt");
         assert_eq!(loaded.quarantined, 0);
         assert_eq!(loaded.records.len(), 100);
-        let mut committed: Vec<u64> = loaded.records.iter().map(|(_, r)| r.committed).collect();
+        let mut committed: Vec<u64> =
+            loaded.records.iter().map(|(_, o)| o.report.committed).collect();
         committed.sort_unstable();
         let expect: Vec<u64> = (0..100).map(|i| 1000 + i).collect();
         assert_eq!(committed, expect);

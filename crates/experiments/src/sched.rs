@@ -94,10 +94,17 @@ static TASKS: AtomicU64 = AtomicU64::new(0);
 static STEALS: AtomicU64 = AtomicU64::new(0);
 static HELPERS: AtomicU64 = AtomicU64::new(0);
 
-/// Helper threads currently holding a budget token across every
-/// concurrent/nested [`par_map`] call — the enforcement point of the
-/// process-wide budget. Helpers on a lent slot do not count here.
-static HELPERS_LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Budget tokens: the helper threads holding one, across every
+/// concurrent and nested [`par_map`] call that draws on the pool — the
+/// enforcement point of the worker budget. Helpers on a lent slot do
+/// not count here.
+struct Pool {
+    live: AtomicUsize,
+}
+
+/// The process-wide pool. Every outermost call draws on it, and a
+/// nested call on its enclosing call's pool.
+static POOL: Pool = Pool { live: AtomicUsize::new(0) };
 
 /// Process-wide scheduler counters.
 #[must_use]
@@ -109,19 +116,25 @@ pub fn sched_stats() -> SchedStats {
     }
 }
 
-/// Claims one helper-thread token if the process-wide budget allows,
-/// i.e. fewer than `thread_budget() - 1` helpers are live.
-fn try_acquire_helper() -> bool {
-    let limit = thread_budget().saturating_sub(1);
-    let mut cur = HELPERS_LIVE.load(Ordering::Relaxed);
-    while cur < limit {
-        match HELPERS_LIVE.compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-        {
-            Ok(_) => return true,
-            Err(seen) => cur = seen,
+impl Pool {
+    /// Claims one helper-thread token if the budget allows, i.e. fewer
+    /// than `thread_budget() - 1` helpers are live.
+    fn try_acquire(&self) -> bool {
+        let limit = thread_budget().saturating_sub(1);
+        let mut cur = self.live.load(Ordering::Relaxed);
+        while cur < limit {
+            match self.live.compare_exchange_weak(
+                cur,
+                cur + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(seen) => cur = seen,
+            }
         }
+        false
     }
-    false
 }
 
 /// The slot a [`par_map`] caller lends while it waits at its join,
@@ -132,6 +145,9 @@ struct Lender {
     lent: AtomicBool,
     /// The enclosing call's lender, or `None` at the outermost call.
     parent: Option<Arc<Lender>>,
+    /// The pool this call and every call nested under it draw tokens
+    /// from.
+    pool: &'static Pool,
 }
 
 thread_local! {
@@ -160,16 +176,16 @@ impl Drop for Enclosing {
 /// The slot a helper thread runs on; returned when the helper exits —
 /// also on unwind, so a panicking worker can never leak budget.
 enum Slot {
-    /// A process-wide budget token.
-    Budget,
+    /// A budget token of the pool.
+    Budget(&'static Pool),
     /// A slot borrowed from an enclosing call's waiting caller.
     Lent(Arc<Lender>),
 }
 
 impl Slot {
     /// Borrows the nearest lent slot up the enclosing chain, else claims
-    /// a budget token.
-    fn acquire() -> Option<Slot> {
+    /// a token of `pool`.
+    fn acquire(pool: &'static Pool) -> Option<Slot> {
         let lent = ENCLOSING.with_borrow(|head| {
             let mut node = head.as_ref();
             while let Some(lender) = node {
@@ -182,15 +198,15 @@ impl Slot {
         });
         // Build `Slot::Budget` only once a token is claimed: dropping an
         // unclaimed one would hand back a token nobody took.
-        lent.or_else(|| if try_acquire_helper() { Some(Slot::Budget) } else { None })
+        lent.or_else(|| if pool.try_acquire() { Some(Slot::Budget(pool)) } else { None })
     }
 }
 
 impl Drop for Slot {
     fn drop(&mut self) {
         match self {
-            Slot::Budget => {
-                HELPERS_LIVE.fetch_sub(1, Ordering::Relaxed);
+            Slot::Budget(pool) => {
+                pool.live.fetch_sub(1, Ordering::Relaxed);
             }
             Slot::Lent(lender) => lender.lent.store(true, Ordering::Relaxed),
         }
@@ -313,7 +329,7 @@ where
         {
             return;
         }
-        let Some(slot) = Slot::acquire() else {
+        let Some(slot) = Slot::acquire(self.lender.pool) else {
             return;
         };
         let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
@@ -385,10 +401,9 @@ where
     }
     let slots: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
     {
-        let lender = Arc::new(Lender {
-            lent: AtomicBool::new(false),
-            parent: ENCLOSING.with_borrow(Clone::clone),
-        });
+        let parent = ENCLOSING.with_borrow(Clone::clone);
+        let pool = parent.as_ref().map_or(&POOL, |p| p.pool);
+        let lender = Arc::new(Lender { lent: AtomicBool::new(false), parent, pool });
         let _enclosing = Enclosing::enter(Arc::clone(&lender));
         let run = Run::new(items, &f, &slots, workers, lender);
         std::thread::scope(|s| {
@@ -440,6 +455,15 @@ mod tests {
     use crate::par::set_thread_override;
 
     use crate::par::test_override_lock as override_lock;
+
+    /// Until the guard drops, the calls this thread makes draw helper
+    /// tokens from a pool of their own: sibling tests' calls on the
+    /// process-wide pool cannot hold the tokens a test counts on. The
+    /// root lender never lends, so it only carries the pool.
+    fn private_pool() -> Enclosing {
+        let pool: &'static Pool = Box::leak(Box::new(Pool { live: AtomicUsize::new(0) }));
+        Enclosing::enter(Arc::new(Lender { lent: AtomicBool::new(false), parent: None, pool }))
+    }
 
     #[test]
     fn preserves_input_order() {
@@ -579,6 +603,7 @@ mod tests {
     #[test]
     fn idle_caller_lends_its_slot_to_the_nested_sweep() {
         let _guard = override_lock();
+        let _pool = private_pool();
         set_thread_override(Some(2));
         let short = Probe::default();
         let nested = Probe::default();
@@ -592,8 +617,30 @@ mod tests {
     }
 
     #[test]
+    fn a_private_pool_ignores_tokens_held_on_the_process_pool() {
+        let _guard = override_lock();
+        set_thread_override(Some(2));
+        // Stand in for a sibling test's helper: hold the process-wide
+        // pool's only token under budget 2. Without a pool of its own
+        // the sweep below could then recruit no helper at all.
+        while !POOL.try_acquire() {
+            std::thread::yield_now();
+        }
+        let held = Slot::Budget(&POOL);
+        let pool = private_pool();
+        let short = Probe::default();
+        let nested = Probe::default();
+        task_beside_nested_sweep(&short, 200_000, &nested);
+        drop(pool);
+        drop(held);
+        set_thread_override(None);
+        assert!(nested.threads_used() >= 2, "stayed on {} thread(s)", nested.threads_used());
+    }
+
+    #[test]
     fn lent_slot_never_exceeds_the_budget() {
         let _guard = override_lock();
+        let _pool = private_pool();
         set_thread_override(Some(2));
         // One counter across both levels: the short task and every
         // nested item.
@@ -612,6 +659,7 @@ mod tests {
     #[test]
     fn lending_leaks_no_slot_on_unwind() {
         let _guard = override_lock();
+        let _pool = private_pool();
         set_thread_override(Some(2));
         // The nested sweep borrows the caller's lent slot, then one of
         // its items panics.
@@ -632,9 +680,9 @@ mod tests {
         assert!(result.is_err(), "the nested panic must propagate");
         // Exactly one helper slot remains: two tasks run at once, never
         // three. A long first task keeps the caller from lending, so a
-        // stale lent slot would show as a third task. Sibling tests may
-        // hold the budget token for a moment, so look for the second
-        // task over a few rounds.
+        // stale lent slot would show as a third task. The caller may
+        // claim both outer items before its helper starts, so look for
+        // the second task over a few rounds.
         let probe = Probe::default();
         for _ in 0..10 {
             task_beside_nested_sweep(&probe, 8_000_000, &probe);
@@ -671,6 +719,7 @@ mod tests {
     #[test]
     fn nested_calls_share_one_budget() {
         let _guard = override_lock();
+        let _pool = private_pool();
         set_thread_override(Some(3));
         // 3 threads total => at most 2 helpers live across all nesting
         // levels, however deep the nested maps go.

@@ -19,14 +19,19 @@
 //!   render distinctly;
 //! * the power trace: dt, length, and every sample's bit pattern,
 //!   hashed **once per trace** (`trace_digest`) and reused across runs;
-//! * a schema tag + run-kind tag, so NVP and wait-compute runs of the
-//!   same inputs can never collide.
+//! * for an F12 fault-campaign trial, the `Debug` rendering of its
+//!   `FaultPlan` too (seed, rates, retention profile, retry bounds);
+//! * a schema tag + run-kind tag (`:nvp`, `:wait`, `:f12`), so NVP,
+//!   wait-compute and fault-trial runs of the same inputs can never
+//!   collide.
 //!
-//! Values are `RunReport` (plain `Copy` data). The cache map is a
-//! `BTreeMap` for deterministic internal order; the lock is *not* held
-//! while a missing value is computed, so concurrent experiments never
-//! serialize on a simulation — at worst two threads race to fill the
-//! same key with bit-identical reports.
+//! Values are [`SimOutcome`]s: the `RunReport`, plus the recovery
+//! latencies of an F12 trial (empty for every other run kind), so a
+//! trial's table contribution is served without its event stream. The
+//! cache map is a `BTreeMap` for deterministic internal order; the
+//! lock is *not* held while a missing value is computed, so concurrent
+//! experiments never serialize on a simulation — at worst two threads
+//! race to fill the same key with bit-identical outcomes.
 //!
 //! ## Persistence
 //!
@@ -59,6 +64,16 @@ use crate::persist::PersistentStore;
 
 /// A 256-bit content digest (cache key).
 pub(crate) type Digest = [u8; 32];
+
+/// What one cached simulation produced.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SimOutcome {
+    /// The run's report.
+    pub(crate) report: RunReport,
+    /// Recovery latencies of an F12 fault trial, in milliseconds, in
+    /// event order; empty for every other run kind.
+    pub(crate) latencies_ms: Vec<f64>,
+}
 
 /// Minimal incremental FIPS 180-4 SHA-256 (the workspace is offline and
 /// takes no hashing dependency); validated against the standard test
@@ -298,7 +313,7 @@ enum PersistState {
     Active(PersistentStore),
 }
 
-static CACHE: OnceLock<Mutex<BTreeMap<Digest, (RunReport, Origin)>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<BTreeMap<Digest, (SimOutcome, Origin)>>> = OnceLock::new();
 static PERSIST: Mutex<PersistState> = Mutex::new(PersistState::Unresolved);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
@@ -306,7 +321,7 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<BTreeMap<Digest, (RunReport, Origin)>> {
+fn cache() -> &'static Mutex<BTreeMap<Digest, (SimOutcome, Origin)>> {
     CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
@@ -332,10 +347,10 @@ fn activate(state: &mut PersistState, dir: &Path) -> std::io::Result<u64> {
     let mut map = cache().lock().expect("sim cache lock");
     map.retain(|_, (_, origin)| *origin != Origin::Disk);
     let mut merged = 0u64;
-    for (key, report) in loaded.records {
+    for (key, outcome) in loaded.records {
         map.entry(key).or_insert_with(|| {
             merged += 1;
-            (report, Origin::Disk)
+            (outcome, Origin::Disk)
         });
     }
     drop(map);
@@ -381,38 +396,47 @@ fn ensure_persist_resolved() {
     }
 }
 
-/// Best-effort append of a freshly computed report to the active store.
-fn persist_append(key: &Digest, report: &RunReport) {
+/// Best-effort append of a freshly computed outcome to the active store.
+fn persist_append(key: &Digest, outcome: &SimOutcome) {
     let state = persist_lock();
     if let PersistState::Active(store) = &*state {
-        if store.append(key, report).is_ok() {
+        if store.append(key, outcome).is_ok() {
             PERSISTED.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// Returns the cached report for `key`, or computes it with `run` and
+/// Returns the cached outcome for `key`, or computes it with `run` and
 /// caches it. The map lock is released while `run` executes, so
 /// concurrent distinct simulations proceed in parallel; two threads
-/// racing on the same key both compute the (bit-identical) report, one
-/// insert wins, and only that winner is persisted.
-pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunReport {
+/// racing on the same key both compute the (bit-identical) outcome,
+/// one insert wins, and only that winner is persisted.
+pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
     ensure_persist_resolved();
-    if let Some(&(report, origin)) = cache().lock().expect("sim cache lock").get(&key) {
+    let hit = cache().lock().expect("sim cache lock").get(&key).cloned();
+    if let Some((outcome, origin)) = hit {
         HITS.fetch_add(1, Ordering::Relaxed);
         if origin == Origin::Disk {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
         }
-        return report;
+        return outcome;
     }
-    let report = run();
+    let outcome = run();
     MISSES.fetch_add(1, Ordering::Relaxed);
-    let first =
-        cache().lock().expect("sim cache lock").insert(key, (report, Origin::Computed)).is_none();
+    let first = cache()
+        .lock()
+        .expect("sim cache lock")
+        .insert(key, (outcome.clone(), Origin::Computed))
+        .is_none();
     if first {
-        persist_append(&key, &report);
+        persist_append(&key, &outcome);
     }
-    report
+    outcome
+}
+
+/// [`cached_outcome`] for run kinds whose outcome is the report alone.
+pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunReport {
+    cached_outcome(key, || SimOutcome { report: run(), latencies_ms: Vec::new() }).report
 }
 
 /// Process-wide simulation-cache counters.

@@ -6,7 +6,10 @@
 
 use std::path::PathBuf;
 
-use nvp_experiments::{reset_sim_cache, run_all, set_cache_dir, sim_cache_stats, ExpConfig};
+use nvp_experiments::{
+    reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_stats, CampaignRequest,
+    CampaignResult, ExpConfig, Table,
+};
 
 /// Serializes the tests in this binary: the cache directory, index,
 /// and counters are process-global.
@@ -186,4 +189,39 @@ fn switching_cache_directories_does_not_leak_records() {
     for d in [&dir_a, &dir_b, &out_a, &out_b] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+/// F12's fault trials and F5's wait-compute runs go through the cache
+/// like every other simulation: rerunning both experiments in a fresh
+/// index over the directory the first run filled simulates nothing,
+/// serves every lookup from disk, and renders the same tables.
+#[test]
+fn warm_rerun_of_fault_trials_and_wait_sweep_simulates_nothing() {
+    let _guard = global_cache_lock();
+    let cache_dir = unique_dir("nvp_persist_f12_dir");
+    let request = CampaignRequest::only(ExpConfig::quick(), &["f12", "f5"]);
+
+    reset_sim_cache();
+    set_cache_dir(Some(&cache_dir)).unwrap();
+    let cold = run_request(&request).unwrap();
+    assert!(cold.cache.misses > 0, "cold run must simulate");
+    // No two runs of this request share a key, so no insert races.
+    assert_eq!(cold.cache.persisted, cold.cache.misses, "every simulation persisted");
+
+    reset_sim_cache();
+    let loaded = set_cache_dir(Some(&cache_dir)).unwrap();
+    assert_eq!(loaded, cold.cache.persisted, "reload recovers every record");
+    let warm = run_request(&request).unwrap();
+    assert_eq!(warm.cache.misses, 0, "warm rerun simulated: {:?}", warm.cache);
+    assert_eq!(warm.cache.hits, cold.cache.hits + cold.cache.misses, "{:?}", warm.cache);
+    assert_eq!(warm.cache.hits, warm.cache.disk_hits, "every hit served from disk");
+    assert_eq!(warm.cache.persisted, 0);
+
+    let csvs = |r: &CampaignResult| r.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
+    assert_eq!(csvs(&cold), csvs(&warm), "disk-served tables differ from computed ones");
+    assert_eq!(cold.results_markdown(), warm.results_markdown());
+
+    reset_sim_cache();
+    set_cache_dir(None).unwrap();
+    let _ = std::fs::remove_dir_all(&cache_dir);
 }
