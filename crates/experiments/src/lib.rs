@@ -45,6 +45,7 @@ pub mod feasibility;
 pub mod job;
 mod par;
 mod persist;
+pub mod record;
 mod registry;
 mod report;
 mod runner;

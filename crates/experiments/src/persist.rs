@@ -12,58 +12,47 @@
 //!
 //! ## Record format
 //!
-//! Each shard file `<x>.log` (`x` = first key nibble, hex) starts with
-//! the 8-byte magic `b"nvpsimc2"` — the `2` is the schema version,
-//! bumped whenever the record layout changes so stale caches are
-//! skipped wholesale rather than misdecoded. After the header, records
-//! are length-prefixed and CRC-framed:
+//! Each shard file `<x>.log` (`x` = first key nibble, hex) is a log in
+//! the shared frame format of [`crate::record`]: the 8-byte magic
+//! `b"nvpsimc2"` — the `2` is the schema version, bumped whenever the
+//! record layout changes so stale caches are skipped wholesale rather
+//! than misdecoded — then CRC-framed records of at most
+//! [`MAX_RECORD_BYTES`] whose payload is
 //!
 //! ```text
-//! [len: u32 le] [crc32: u32 le] [payload: len bytes]
-//! payload = key (32 bytes) ++ RunReport (24 × 8-byte fields, le)
-//!           ++ n: u32 le ++ n recovery latencies (8-byte f64 bits, le)
+//! key (32 bytes) ++ RunReport (24 × 8-byte fields, le)
+//!     ++ n: u32 le ++ n recovery latencies (8-byte f64 bits, le)
 //! ```
 //!
 //! The latency list is empty for every run kind except an F12
-//! fault-campaign trial.
-//!
-//! The CRC-32 is the checkpoint subsystem's
-//! ([`nvp_sim::crc32_bytes`]) — cache integrity and checkpoint
-//! integrity share one checksum — and covers the whole payload.
-//! Floats are stored as IEEE-754 bit patterns, so a reloaded
-//! [`SimOutcome`] is bit-identical to the one computed, and artifacts
-//! built from cache hits stay byte-identical to cold runs.
+//! fault-campaign trial. Floats are stored as IEEE-754 bit patterns, so
+//! a reloaded [`SimOutcome`] is bit-identical to the one computed, and
+//! artifacts built from cache hits stay byte-identical to cold runs.
 //!
 //! ## Failure tolerance
 //!
 //! Loading is strictly best-effort — a damaged cache can cost time,
-//! never correctness:
-//!
-//! * **Truncated tail** (a writer killed mid-append): the broken tail
-//!   record is dropped, every record before it loads.
-//! * **Corrupt record** (CRC mismatch, bad length, short payload): the
-//!   record is skipped and never served; framing resumes at the next
-//!   length prefix when it is trustworthy, otherwise the rest of the
-//!   shard is abandoned.
-//! * **Concurrent appenders**: records are written with a single
-//!   `O_APPEND` write each, so two processes filling the same cache
-//!   interleave whole records; a duplicated header (both processes
-//!   creating the same shard) is recognized and skipped. Duplicate
-//!   keys are benign — both writers computed bit-identical reports.
+//! never correctness. The shared scan drops a torn tail record, skips a
+//! CRC-bad one, and abandons the rest of a shard whose framing is no
+//! longer trustworthy; a CRC-valid record of the wrong shape is skipped
+//! too. Records are appended with a single `O_APPEND` write each, so two
+//! processes filling the same cache interleave whole records; a header
+//! both wrote to a fresh shard is tolerated, and duplicate keys are
+//! benign — both writers computed bit-identical reports. Appends are
+//! not fsynced: a record lost to a crash only costs its recomputation.
 //!
 //! ## Quarantine
 //!
 //! A shard that shows *any* damage on load — a torn tail, a CRC
-//! mismatch, a foreign or stale-schema file — is **quarantined**:
-//! renamed to `<name>.quarantine` (suffixed `.2`, `.3`, … if earlier
-//! quarantines exist) and counted in [`LoadOutcome::quarantined`], so
-//! operators can tell a *cold* cache from a *corrupted* one instead of
-//! records silently vanishing. Records salvaged from a damaged shard
-//! are still served, and are immediately re-appended to a fresh shard
-//! file so the on-disk state heals while the quarantined file preserves
-//! the evidence. The counter flows through
+//! mismatch, a foreign or stale-schema file — is **quarantined**: copied
+//! to `<name>.quarantine` (suffixed `.2`, `.3`, … if earlier quarantines
+//! exist) and rewritten in place with the records salvaged from it, so
+//! the next open is clean while the copy preserves the evidence. It is
+//! counted in [`LoadOutcome::quarantined`], so operators can tell a
+//! *cold* cache from a *corrupted* one instead of records silently
+//! vanishing. The counter flows through
 //! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
-//! and the `nvpd/3` wire stats.
+//! and the `nvpd` wire stats.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -71,18 +60,16 @@ use std::path::{Path, PathBuf};
 
 use nvp_core::RunReport;
 use nvp_energy::units::Joules;
-use nvp_sim::crc32_bytes;
 
+use crate::record::{self, put_f64, put_f64s, put_u64, Reader};
 use crate::simcache::{Digest, SimOutcome};
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
 const MAGIC: &[u8; 8] = b"nvpsimc2";
 
-/// Serialized `RunReport`: 2 + 13 + 9 eight-byte fields.
-const REPORT_BYTES: usize = 24 * 8;
-
-/// Payload length of a record with no latencies: key + report + count.
-const FIXED_PAYLOAD_BYTES: usize = 32 + REPORT_BYTES + 4;
+/// Payload length of a record with no latencies: key, 24 eight-byte
+/// report fields (2 + 13 + 9), latency count.
+const FIXED_PAYLOAD_BYTES: usize = 32 + 24 * 8 + 4;
 
 /// Upper bound a length prefix may claim before the loader stops
 /// trusting the shard's framing entirely; the writer refuses (does not
@@ -100,9 +87,9 @@ pub(crate) struct LoadOutcome {
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
-    /// Shard files renamed to `*.quarantine` because the scan found
-    /// damage in them. Salvaged records were re-appended to a fresh
-    /// shard, so a subsequent open reports the directory clean.
+    /// Shard files quarantined because the scan found damage in them.
+    /// Each was rewritten with its salvaged records, so a subsequent
+    /// open reports the directory clean.
     pub quarantined: u64,
 }
 
@@ -117,7 +104,6 @@ impl PersistentStore {
     /// shard for valid records.
     pub(crate) fn open(dir: &Path) -> io::Result<(PersistentStore, LoadOutcome)> {
         fs::create_dir_all(dir)?;
-        let store = PersistentStore { dir: dir.to_path_buf() };
         let mut outcome = LoadOutcome::default();
         // Deterministic scan order: sorted shard names.
         let mut shards: Vec<PathBuf> = fs::read_dir(dir)?
@@ -127,17 +113,14 @@ impl PersistentStore {
             .collect();
         shards.sort();
         for shard in shards {
+            // An unreadable shard scans as a foreign one.
+            let bytes = fs::read(&shard).unwrap_or_default();
             let mut local = LoadOutcome::default();
-            match fs::read(&shard) {
-                Ok(bytes) => scan_shard(&bytes, &mut local),
-                Err(_) => local.skipped += 1,
-            }
+            let salvaged = scan_shard(&bytes, &mut local);
             if local.skipped > 0 {
-                // Any damage quarantines the whole file: rename it
-                // aside as evidence, then heal by re-appending the
-                // salvaged records to a fresh shard. Operators see a
-                // counter instead of records silently vanishing.
-                match quarantine_file(&shard) {
+                let healed = record::log_image(MAGIC, salvaged, MAX_RECORD_BYTES)
+                    .and_then(|image| record::quarantine(&shard, Some(&image)));
+                match healed {
                     Ok(target) => {
                         outcome.quarantined += 1;
                         eprintln!(
@@ -147,11 +130,6 @@ impl PersistentStore {
                             local.skipped,
                             target.display()
                         );
-                        for (key, outcome) in &local.records {
-                            // Healing is best-effort; the records are
-                            // already in memory either way.
-                            let _ = store.append(key, outcome);
-                        }
                     }
                     Err(e) => eprintln!(
                         "warning: sim cache shard {} damaged but could not be quarantined ({e})",
@@ -162,125 +140,66 @@ impl PersistentStore {
             outcome.skipped += local.skipped;
             outcome.records.append(&mut local.records);
         }
-        Ok((store, outcome))
+        Ok((PersistentStore { dir: dir.to_path_buf() }, outcome))
     }
 
     /// Appends one record to the key's shard. The header (for a fresh
-    /// shard) and the record are each written with a single `O_APPEND`
-    /// write, so concurrent appenders interleave whole records. A
-    /// record longer than the loader accepts is refused, not written.
+    /// shard) and the record go out in a single `O_APPEND` write, so
+    /// concurrent appenders interleave whole records; two racing on a
+    /// fresh shard may both write the header, which the scan tolerates.
+    /// A record longer than the loader accepts is refused, not written.
     pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<()> {
-        let payload = encode_payload(key, outcome);
-        let len = u32::try_from(payload.len())
-            .ok()
-            .filter(|&len| len <= MAX_RECORD_BYTES)
-            .ok_or_else(|| io::Error::other("sim cache record exceeds the shard record bound"))?;
         let shard = self.dir.join(format!("{:x}.log", key[0] >> 4));
         let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
-        let crc = crc32_bytes(&payload);
-        let mut record = Vec::with_capacity(MAGIC.len() + 8 + payload.len());
-        if fresh {
-            // Two processes racing on a fresh shard can both prepend
-            // the magic; the loader tolerates a repeated header.
-            record.extend_from_slice(MAGIC);
-        }
-        record.extend_from_slice(&len.to_le_bytes());
-        record.extend_from_slice(&crc.to_le_bytes());
-        record.extend_from_slice(&payload);
-        file.write_all(&record)
+        let mut record = if fresh { MAGIC.to_vec() } else { Vec::new() };
+        record::put_frame(&mut record, &encode_payload(key, outcome), MAX_RECORD_BYTES)?;
+        fs::OpenOptions::new().create(true).append(true).open(&shard)?.write_all(&record)
     }
 }
 
-/// Renames a damaged shard to the first free `<name>.quarantine[.N]`
-/// sibling and returns the chosen path.
-fn quarantine_file(path: &Path) -> io::Result<PathBuf> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::other("shard path has no utf-8 file name"))?;
-    for n in 1..=1000u32 {
-        let candidate = if n == 1 {
-            dir.join(format!("{name}.quarantine"))
-        } else {
-            dir.join(format!("{name}.quarantine.{n}"))
-        };
-        if !candidate.exists() {
-            fs::rename(path, &candidate)?;
-            return Ok(candidate);
+/// Loads one shard image into `outcome` and returns the payloads it
+/// served, for a quarantine to salvage.
+fn scan_shard<'a>(bytes: &'a [u8], outcome: &mut LoadOutcome) -> Vec<&'a [u8]> {
+    let mut log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
+    outcome.skipped += log.damaged;
+    log.payloads.retain(|payload| match decode_payload(payload) {
+        Ok(rec) => {
+            outcome.records.push(rec);
+            true
         }
-    }
-    Err(io::Error::other("no free quarantine name after 1000 attempts"))
+        Err(_) => {
+            outcome.skipped += 1; // valid CRC but foreign shape
+            false
+        }
+    });
+    log.payloads
 }
 
-/// Walks one shard's bytes, pushing valid records and counting damage.
-fn scan_shard(bytes: &[u8], outcome: &mut LoadOutcome) {
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        // Foreign or stale-schema file: skip wholesale.
-        outcome.skipped += 1;
-        return;
-    }
-    let mut off = MAGIC.len();
-    while off < bytes.len() {
-        // A header written twice by racing shard creators.
-        if bytes[off..].starts_with(MAGIC) {
-            off += MAGIC.len();
-            continue;
-        }
-        let Some(header) = bytes.get(off..off + 8) else {
-            outcome.skipped += 1; // truncated length/CRC prefix
-            return;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            // The length prefix itself is implausible; framing is no
-            // longer trustworthy, abandon the rest of the shard.
-            outcome.skipped += 1;
-            return;
-        }
-        let Some(payload) = bytes.get(off + 8..off + 8 + len as usize) else {
-            outcome.skipped += 1; // truncated tail record
-            return;
-        };
-        off += 8 + len as usize;
-        if crc32_bytes(payload) != crc {
-            outcome.skipped += 1; // corrupt record: skip, never serve
-            continue;
-        }
-        match decode_payload(payload) {
-            Some(rec) => outcome.records.push(rec),
-            None => outcome.skipped += 1, // valid CRC but foreign shape
-        }
-    }
-}
-
-/// Serializes `key ++ report ++ latencies` with every numeric field
-/// little-endian and floats as IEEE-754 bit patterns.
+/// Serializes `key ++ report ++ latencies`.
 fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
-    let report = &outcome.report;
-    let latencies = &outcome.latencies_ms;
+    let (r, latencies) = (&outcome.report, &outcome.latencies_ms);
+    let e = &r.energy;
     let mut out = Vec::with_capacity(FIXED_PAYLOAD_BYTES + 8 * latencies.len());
     out.extend_from_slice(key);
-    let mut f = |v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-    f(report.duration_s);
-    f(report.on_time_s);
-    let mut u = |v: u64| out.extend_from_slice(&v.to_le_bytes());
-    u(report.committed);
-    u(report.executed);
-    u(report.lost);
-    u(report.uncommitted_at_end);
-    u(report.backups);
-    u(report.restores);
-    u(report.rollbacks);
-    u(report.tasks_completed);
-    u(report.backups_torn);
-    u(report.backup_retries);
-    u(report.restores_corrupt);
-    u(report.safe_mode_entries);
-    u(report.committed_lost);
-    let e = &report.energy;
+    put_f64(&mut out, r.duration_s);
+    put_f64(&mut out, r.on_time_s);
+    for v in [
+        r.committed,
+        r.executed,
+        r.lost,
+        r.uncommitted_at_end,
+        r.backups,
+        r.restores,
+        r.rollbacks,
+        r.tasks_completed,
+        r.backups_torn,
+        r.backup_retries,
+        r.restores_corrupt,
+        r.safe_mode_entries,
+        r.committed_lost,
+    ] {
+        put_u64(&mut out, v);
+    }
     for j in [
         e.harvested,
         e.converted,
@@ -292,70 +211,56 @@ fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
         e.stored_at_end,
         e.storage_wasted,
     ] {
-        out.extend_from_slice(&j.get().to_bits().to_le_bytes());
+        put_f64(&mut out, j.get());
     }
-    // A list too long for the count is far past `MAX_RECORD_BYTES`,
-    // so `append` refuses the record whatever count it carries.
-    let count = u32::try_from(latencies.len()).unwrap_or(u32::MAX);
-    out.extend_from_slice(&count.to_le_bytes());
-    for &ms in latencies {
-        out.extend_from_slice(&ms.to_bits().to_le_bytes());
-    }
+    put_f64s(&mut out, latencies);
     out
 }
 
-/// Inverse of [`encode_payload`]; `None` unless the payload is exactly
-/// as long as its latency count says (schema `nvpsimc2`).
-fn decode_payload(payload: &[u8]) -> Option<(Digest, SimOutcome)> {
-    let count_bytes = payload.get(FIXED_PAYLOAD_BYTES - 4..FIXED_PAYLOAD_BYTES)?;
-    let count = u32::from_le_bytes(count_bytes.try_into().expect("4 bytes")) as usize;
-    if payload.len() - FIXED_PAYLOAD_BYTES != count.checked_mul(8)? {
-        return None;
-    }
-    let mut key = [0u8; 32];
-    key.copy_from_slice(&payload[..32]);
-    let mut off = 32;
-    let mut next = || {
-        let v = u64::from_le_bytes(payload[off..off + 8].try_into().expect("8 bytes"));
-        off += 8;
-        v
-    };
+/// Inverse of [`encode_payload`]; an error unless the payload is
+/// exactly as long as its latency count says (schema `nvpsimc2`).
+fn decode_payload(payload: &[u8]) -> io::Result<(Digest, SimOutcome)> {
+    let mut r = Reader::new(payload);
+    let key = r.digest()?;
     let mut report = RunReport {
-        duration_s: f64::from_bits(next()),
-        on_time_s: f64::from_bits(next()),
-        committed: next(),
-        executed: next(),
-        lost: next(),
-        uncommitted_at_end: next(),
-        backups: next(),
-        restores: next(),
-        rollbacks: next(),
-        tasks_completed: next(),
-        backups_torn: next(),
-        backup_retries: next(),
-        restores_corrupt: next(),
-        safe_mode_entries: next(),
-        committed_lost: next(),
+        duration_s: r.f64()?,
+        on_time_s: r.f64()?,
+        committed: r.u64()?,
+        executed: r.u64()?,
+        lost: r.u64()?,
+        uncommitted_at_end: r.u64()?,
+        backups: r.u64()?,
+        restores: r.u64()?,
+        rollbacks: r.u64()?,
+        tasks_completed: r.u64()?,
+        backups_torn: r.u64()?,
+        backup_retries: r.u64()?,
+        restores_corrupt: r.u64()?,
+        safe_mode_entries: r.u64()?,
+        committed_lost: r.u64()?,
         ..RunReport::default()
     };
-    report.energy.harvested = Joules::new(f64::from_bits(next()));
-    report.energy.converted = Joules::new(f64::from_bits(next()));
-    report.energy.compute = Joules::new(f64::from_bits(next()));
-    report.energy.backup = Joules::new(f64::from_bits(next()));
-    report.energy.restore = Joules::new(f64::from_bits(next()));
-    report.energy.sleep = Joules::new(f64::from_bits(next()));
-    report.energy.regulator = Joules::new(f64::from_bits(next()));
-    report.energy.stored_at_end = Joules::new(f64::from_bits(next()));
-    report.energy.storage_wasted = Joules::new(f64::from_bits(next()));
-    let latencies_ms = payload[FIXED_PAYLOAD_BYTES..]
-        .chunks_exact(8)
-        .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8 bytes"))))
-        .collect();
-    Some((key, SimOutcome { report, latencies_ms }))
+    let e = &mut report.energy;
+    for j in [
+        &mut e.harvested,
+        &mut e.converted,
+        &mut e.compute,
+        &mut e.backup,
+        &mut e.restore,
+        &mut e.sleep,
+        &mut e.regulator,
+        &mut e.stored_at_end,
+        &mut e.storage_wasted,
+    ] {
+        *j = Joules::new(r.f64()?);
+    }
+    let latencies_ms = r.f64s()?;
+    r.done()?;
+    Ok((key, SimOutcome { report, latencies_ms }))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn unique_dir(tag: &str) -> PathBuf {
@@ -454,58 +359,59 @@ mod tests {
     }
 
     /// A small shard: one plain record and one trial record.
-    fn mixed_shard() -> (Vec<u8>, Vec<Vec<u8>>) {
+    pub(crate) fn mixed_shard() -> Vec<u8> {
         let records = [(key_of(0x60), plain(1)), (key_of(0x61), trial(5))];
-        let mut bytes = MAGIC.to_vec();
-        let mut encoded = Vec::new();
-        for (key, outcome) in &records {
-            let payload = encode_payload(key, outcome);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32_bytes(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            encoded.push(payload);
-        }
-        (bytes, encoded)
+        let payloads = records.iter().map(|(key, outcome)| encode_payload(key, outcome));
+        record::log_image(MAGIC, payloads, MAX_RECORD_BYTES).unwrap()
     }
 
-    /// Scans `bytes` and checks every served record is one of
-    /// `originals`, bit for bit.
-    fn scan_serves_only_originals(bytes: &[u8], originals: &[Vec<u8>]) -> LoadOutcome {
+    /// Loads a shard image through the real loader: every served record
+    /// re-encoded, and the damage counted.
+    pub(crate) fn load_shard(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
         let mut outcome = LoadOutcome::default();
         scan_shard(bytes, &mut outcome);
-        for (key, served) in &outcome.records {
-            let encoded = encode_payload(key, served);
-            assert!(originals.contains(&encoded), "a damaged record was served");
-        }
-        outcome
+        let served = outcome.records.iter().map(|(key, served)| encode_payload(key, served));
+        (served.collect(), outcome.skipped)
     }
 
+    /// Pinned bytes of a one-record shard: a change here changes the
+    /// on-disk format, which must bump the schema digit in [`MAGIC`].
+    const PINNED_SHARD: &str = concat!(
+        "6e767073696d6332f40000005fae8054606162636465666768696a6b6c6d6e6f7071727374757677",
+        "78797a7b7c7d7e7f0000000000000440000000000000f43fe903000000000000b104000000000000",
+        "070000000000000000000000000000002a0000000000000029000000000000000000000000000000",
+        "03000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "09000000000000008dedb5a0f7c6c03e000000000000000054e41071732ab93e0000000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000080",
+        "02000000000000000000e03f000000000000f07f",
+    );
+
     #[test]
-    fn every_truncation_and_bit_flip_serves_no_damaged_record() {
-        let (bytes, originals) = mixed_shard();
-        let first_end = MAGIC.len() + 8 + originals[0].len();
-        let whole = scan_serves_only_originals(&bytes, &originals);
-        assert_eq!((whole.records.len(), whole.skipped), (2, 0));
-        for cut in 0..bytes.len() {
-            let loaded = scan_serves_only_originals(&bytes[..cut], &originals);
-            let intact = usize::from(cut >= first_end);
-            assert_eq!(loaded.records.len(), intact, "cut at {cut}");
-            // Only a cut on a record boundary looks like a shorter clean
-            // shard; every other cut is seen as damage.
-            let clean = cut == MAGIC.len() || cut == first_end;
-            assert_eq!(loaded.skipped == 0, clean, "cut at {cut}");
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let loaded = scan_serves_only_originals(&flipped, &originals);
-            assert!(loaded.skipped > 0, "flip of bit {bit} went unnoticed");
-        }
-        // The previous schema's magic on otherwise valid records.
-        let mut stale = bytes.clone();
-        stale[..MAGIC.len()].copy_from_slice(b"nvpsimc1");
-        let loaded = scan_serves_only_originals(&stale, &originals);
-        assert_eq!((loaded.records.len(), loaded.skipped), (0, 1));
+    fn shard_record_format_is_pinned() {
+        let dir = unique_dir("nvp_persist_pin");
+        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let mut report = RunReport {
+            duration_s: 2.5,
+            on_time_s: 1.25,
+            committed: 1001,
+            executed: 1201,
+            lost: 7,
+            backups: 42,
+            restores: 41,
+            tasks_completed: 3,
+            committed_lost: 9,
+            ..RunReport::default()
+        };
+        report.energy.harvested = Joules::new(2e-6);
+        report.energy.compute = Joules::new(1.5e-6);
+        report.energy.storage_wasted = Joules::new(-0.0);
+        let outcome = SimOutcome { report, latencies_ms: vec![0.5, f64::INFINITY] };
+        let key: Digest = std::array::from_fn(|i| 0x60 + i as u8);
+        store.append(&key, &outcome).unwrap();
+        let bytes = fs::read(dir.join("6.log")).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_SHARD);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,33 +1,32 @@
 //! The `nvpd` wire protocol: length-prefixed, CRC-framed messages.
 //!
 //! The campaign server and its clients (`repro --connect`, `nvpd
-//! submit`) exchange [`Message`]s over a byte stream. Framing mirrors
-//! the persistent cache's record log (`persist.rs`):
+//! submit`) exchange [`Message`]s over a byte stream, one per frame of
+//! the shared record format ([`crate::record`]), which the simulation
+//! cache's shards and the `nvpd` journal use too:
 //!
 //! ```text
 //! [len: u32 le] [crc32: u32 le] [payload: len bytes]
 //! payload = tag (1 byte) ++ body
 //! ```
 //!
-//! The CRC-32 is the checkpoint subsystem's ([`nvp_sim::crc32_bytes`])
-//! — wire integrity, cache integrity, and checkpoint integrity share
-//! one checksum — and covers the whole payload. Bodies are built from
-//! length-prefixed fields with every integer little-endian and floats
-//! as IEEE-754 bit patterns, so a [`CampaignResult`] decoded on the
-//! client renders artifacts byte-identical to an in-process run.
+//! Bodies are built with the record module's field codec, so a
+//! [`CampaignResult`] decoded on the client renders artifacts
+//! byte-identical to an in-process run.
 //!
 //! Decoding is strictly total: a truncated frame, a flipped CRC byte,
 //! an implausible length prefix, an unknown message tag, or a malformed
 //! body all come back as [`io::ErrorKind::InvalidData`] /
 //! [`io::ErrorKind::UnexpectedEof`] errors — never a panic, and never a
-//! partially decoded message (mirroring the record-log loader's
-//! robustness posture).
+//! partially decoded message.
 
 use std::io::{self, Read, Write};
 
+#[cfg(test)]
 use nvp_sim::crc32_bytes;
 
 use crate::job::{CachePolicy, CampaignRequest, CampaignResult};
+use crate::record::{self, bad, put_f64, put_str, put_u32, put_u64, Reader};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
 use crate::stats::ExecStats;
@@ -90,31 +89,9 @@ const TAG_ACCEPTED: u8 = 2;
 const TAG_RESULT: u8 = 3;
 const TAG_REJECT: u8 = 4;
 
-/// Shorthand for the error every malformed input maps to.
-fn bad(what: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
-}
-
 // ---------------------------------------------------------------------
-// Body encoding: length-prefixed fields onto a byte vector.
+// Body encoding.
 // ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, u32::try_from(s.len()).expect("string below frame cap"));
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn put_config(out: &mut Vec<u8>, cfg: &ExpConfig) {
     put_f64(out, cfg.trace_duration_s);
@@ -131,28 +108,17 @@ fn put_config(out: &mut Vec<u8>, cfg: &ExpConfig) {
 
 fn put_request(out: &mut Vec<u8>, req: &CampaignRequest) {
     put_str(out, PROTOCOL);
-    match &req.only {
-        None => out.push(0),
-        Some(ids) => {
-            out.push(1);
-            put_u32(out, u32::try_from(ids.len()).expect("id list below frame cap"));
-            for id in ids {
-                put_str(out, id);
-            }
-        }
+    out.push(u8::from(req.only.is_some()));
+    if let Some(ids) = &req.only {
+        put_u32(out, u32::try_from(ids.len()).expect("id list below frame cap"));
+        ids.iter().for_each(|id| put_str(out, id));
     }
     put_config(out, &req.config);
-    match req.seed {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_u64(out, s);
-        }
+    out.push(u8::from(req.seed.is_some()));
+    if let Some(seed) = req.seed {
+        put_u64(out, seed);
     }
-    out.push(match req.cache {
-        CachePolicy::Shared => 0,
-        CachePolicy::MemoryOnly => 1,
-    });
+    out.push(u8::from(req.cache == CachePolicy::MemoryOnly));
 }
 
 fn put_table(out: &mut Vec<u8>, table: &Table) {
@@ -226,84 +192,13 @@ fn encode_payload(msg: &Message) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Body decoding: a bounds-checked reader over the payload slice.
+// Body decoding.
 // ---------------------------------------------------------------------
-
-/// Cursor over a payload; every read is bounds-checked and errors
-/// instead of panicking.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, off: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.off
-    }
-
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.off.checked_add(n).ok_or_else(|| bad("length overflow"))?;
-        let slice = self.bytes.get(self.off..end).ok_or_else(|| bad("truncated field"))?;
-        self.off = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize(&mut self) -> io::Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| bad("field exceeds usize"))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad("invalid UTF-8 in string field"))
-    }
-
-    /// A `u32` element count, sanity-bounded by the bytes still
-    /// available (each element costs at least `min_bytes`), so a
-    /// corrupt count cannot drive a huge allocation.
-    fn count(&mut self, min_bytes: usize) -> io::Result<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_bytes.max(1)) > self.remaining() {
-            return Err(bad("element count exceeds frame size"));
-        }
-        Ok(n)
-    }
-
-    fn done(&self) -> io::Result<()> {
-        if self.remaining() != 0 {
-            return Err(bad("trailing bytes after message body"));
-        }
-        Ok(())
-    }
-}
 
 fn get_config(r: &mut Reader<'_>) -> io::Result<ExpConfig> {
     let trace_duration_s = r.f64()?;
     let n = r.count(8)?;
-    let mut profile_seeds = Vec::with_capacity(n);
-    for _ in 0..n {
-        profile_seeds.push(r.u64()?);
-    }
+    let profile_seeds = (0..n).map(|_| r.u64()).collect::<io::Result<_>>()?;
     Ok(ExpConfig {
         trace_duration_s,
         profile_seeds,
@@ -320,29 +215,15 @@ fn get_request(r: &mut Reader<'_>) -> io::Result<CampaignRequest> {
     if proto != PROTOCOL {
         return Err(bad(&format!("protocol mismatch (expected {PROTOCOL}, got {proto})")));
     }
-    let only = match r.u8()? {
-        0 => None,
-        1 => {
-            let n = r.count(4)?;
-            let mut ids = Vec::with_capacity(n);
-            for _ in 0..n {
-                ids.push(r.str()?);
-            }
-            Some(ids)
-        }
-        _ => return Err(bad("invalid id-selection flag")),
+    let only = if r.flag("id-selection")? {
+        let n = r.count(4)?;
+        Some((0..n).map(|_| r.str()).collect::<io::Result<_>>()?)
+    } else {
+        None
     };
     let config = get_config(r)?;
-    let seed = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()?),
-        _ => return Err(bad("invalid seed flag")),
-    };
-    let cache = match r.u8()? {
-        0 => CachePolicy::Shared,
-        1 => CachePolicy::MemoryOnly,
-        _ => return Err(bad("unknown cache policy")),
-    };
+    let seed = if r.flag("seed")? { Some(r.u64()?) } else { None };
+    let cache = if r.flag("cache policy")? { CachePolicy::MemoryOnly } else { CachePolicy::Shared };
     Ok(CampaignRequest { only, config, seed, cache })
 }
 
@@ -374,16 +255,9 @@ fn get_table(r: &mut Reader<'_>) -> io::Result<Table> {
 
 fn get_result(r: &mut Reader<'_>) -> io::Result<CampaignResult> {
     let ntables = r.count(4)?;
-    let mut tables = Vec::with_capacity(ntables);
-    for _ in 0..ntables {
-        tables.push(get_table(r)?);
-    }
+    let tables = (0..ntables).map(|_| get_table(r)).collect::<io::Result<_>>()?;
     let nprofiles = r.count(12)?;
-    let mut profiles = Vec::with_capacity(nprofiles);
-    for _ in 0..nprofiles {
-        let seed = r.u64()?;
-        profiles.push((seed, r.str()?));
-    }
+    let profiles = (0..nprofiles).map(|_| Ok((r.u64()?, r.str()?))).collect::<io::Result<_>>()?;
     let cache = SimCacheStats {
         hits: r.u64()?,
         disk_hits: r.u64()?,
@@ -404,23 +278,10 @@ fn decode_payload(payload: &[u8]) -> io::Result<Message> {
         TAG_SUBMIT => Message::Submit(get_request(&mut r)?),
         TAG_ACCEPTED => Message::Accepted { job: r.u64()?, queued: r.u32()? },
         TAG_RESULT => {
-            let job = r.u64()?;
-            let replayed = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("invalid replay flag")),
-            };
+            let (job, replayed) = (r.u64()?, r.flag("replay")?);
             Message::Result { job, replayed, result: get_result(&mut r)? }
         }
-        TAG_REJECT => {
-            let reason = r.str()?;
-            let retryable = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("invalid retryable flag")),
-            };
-            Message::Reject { reason, retryable }
-        }
+        TAG_REJECT => Message::Reject { reason: r.str()?, retryable: r.flag("retryable")? },
         tag => return Err(bad(&format!("unknown message tag {tag}"))),
     };
     r.done()?;
@@ -506,21 +367,15 @@ pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
 // Framing.
 // ---------------------------------------------------------------------
 
-/// Writes one framed message: `[len][crc32][payload]`, then flushes.
+/// Writes one framed message, then flushes.
 ///
 /// # Errors
 ///
-/// Any I/O error from the underlying writer.
+/// Any I/O error from the underlying writer, or
+/// [`io::ErrorKind::InvalidData`] for a message past [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    let payload = encode_payload(msg);
-    let len = u32::try_from(payload.len()).map_err(|_| bad("message exceeds frame cap"))?;
-    if len > MAX_FRAME_BYTES {
-        return Err(bad("message exceeds frame cap"));
-    }
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&crc32_bytes(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    record::put_frame(&mut frame, &encode_payload(msg), MAX_FRAME_BYTES)?;
     w.write_all(&frame)?;
     w.flush()
 }
@@ -535,19 +390,7 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
 /// Any I/O error from the underlying reader, or the malformed-frame
 /// errors above.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Message> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-    if len == 0 || len > MAX_FRAME_BYTES {
-        return Err(bad(&format!("implausible frame length {len}")));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if crc32_bytes(&payload) != crc {
-        return Err(bad("frame CRC mismatch"));
-    }
-    decode_payload(&payload)
+    decode_payload(&record::read_frame(r, MAX_FRAME_BYTES)?)
 }
 
 #[cfg(test)]

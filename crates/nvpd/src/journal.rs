@@ -11,24 +11,25 @@
 //!
 //! ## Journal format
 //!
-//! One file, `journal.log`, using the exact record-framing idiom of
-//! the simulation cache's shard logs (`nvp_experiments::persist`) and
-//! the checkpoint subsystem's CRC ([`nvp_sim::crc32_bytes`]): an
-//! 8-byte magic `b"nvpjrnl1"`, then length-prefixed, CRC-framed
-//! records:
+//! One file, `journal.log`: the 8-byte magic `b"nvpjrnl1"`, then records
+//! in the frame the simulation cache's shards and the wire protocol
+//! share ([`nvp_experiments::record`]: length, CRC-32, payload), with
+//! payloads built by its field codec:
 //!
 //! ```text
-//! [len: u32 le] [crc32: u32 le] [payload: len bytes]
-//! payload = tag (1 byte) ++ body
-//!   tag 1 Admitted:  job u64 ++ key 32B ++ req_len u32 ++ request wire bytes
-//!   tag 2 Started:   job u64
-//!   tag 3 Completed: job u64 ++ result digest 32B
+//! payload = tag (1 byte) ++ job u64 ++ body
+//!   tag 1 Admitted:  key 32B ++ req_len u32 ++ request wire bytes
+//!   tag 2 Started:   (empty)
+//!   tag 3 Completed: result digest 32B
 //! ```
 //!
 //! `key` is the request's content-addressed idempotency key
 //! ([`nvp_experiments::wire::request_key`]); the `Completed` digest is
 //! the SHA-256 of the stored result encoding, tying the log to the
-//! store.
+//! store. An `Admitted` record is fsynced before [`Journal::admitted`]
+//! returns, so `Accepted` promises only what a crash cannot take back.
+//! `Started` and `Completed` are not: losing one re-runs a job, which
+//! the result store and the simulation cache make cheap.
 //!
 //! ## Recovery state machine
 //!
@@ -37,38 +38,41 @@
 //! never reached `Completed` is **pending** and gets re-enqueued
 //! (whether or not it `Started` — jobs are idempotent through the
 //! simulation cache, so restarting a half-run job is merely warm). The
-//! journal is then **compacted**: rewritten (tmp + atomic rename) to
-//! hold exactly the pending `Admitted` records. Compaction also runs
-//! at runtime whenever the live set empties.
+//! journal is then **compacted**: atomically rewritten to hold exactly
+//! the pending `Admitted` records. Compaction also runs at runtime
+//! whenever the live set empties.
 //!
-//! A torn tail record — the shape an injected or real crash leaves —
-//! is dropped and counted. Any damage beyond that (bad magic, corrupt
-//! interior record) additionally **quarantines** the journal: the file
-//! is copied aside as `journal.log.quarantine[.N]` before the rewrite,
-//! so the evidence survives while the server carries on with what it
-//! could salvage. The store never aborts the server over a bad file.
+//! Any damage — a torn tail record (the shape an injected or real crash
+//! leaves), a corrupt or undecodable record, an admission journalled by
+//! another protocol revision, a foreign file — is counted in
+//! [`Recovery::skipped`] and **quarantines** the journal: the file is
+//! copied aside as `journal.log.quarantine[.N]` before the rewrite, so
+//! the evidence survives while the server carries on with what it could
+//! salvage. A torn tail is quarantined too, not only dropped. The store
+//! never aborts the server over a bad file.
 //!
 //! ## Result store
 //!
 //! `results/<key-hex>.res` holds the canonical wire encoding
 //! ([`nvp_experiments::wire::encode_result_bytes`]) of each completed
-//! job's values, written tmp-then-rename so readers never observe a
+//! job's values, written tmp-fsync-rename so readers never observe a
 //! half file. Lookups verify decodability; a corrupt entry is
-//! quarantined (renamed) and reported as a miss, which simply re-runs
-//! the job against the warm simulation cache.
+//! quarantined (moved aside) and reported as a miss, which simply
+//! re-runs the job against the warm simulation cache.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use nvp_experiments::record::{self, put_bytes, put_u64, Reader};
 use nvp_experiments::wire::{
     content_digest, decode_request_bytes, decode_result_bytes, encode_request_bytes,
     encode_result_bytes,
 };
 use nvp_experiments::{CampaignRequest, CampaignResult};
-use nvp_sim::crc32_bytes;
 
 use crate::faultplan::{AppendAction, ServiceFaultPlan, CRASH_EXIT_CODE};
 
@@ -115,9 +119,9 @@ pub struct Recovery {
 
 /// Per-job fold state during the recovery scan.
 #[derive(Debug)]
-struct ScanEntry {
+struct ScanEntry<'a> {
     key: Digest,
-    request_bytes: Vec<u8>,
+    request_bytes: &'a [u8],
     completed: bool,
 }
 
@@ -156,66 +160,53 @@ impl Journal {
         let path = state_dir.join("journal.log");
 
         let mut recovery = Recovery::default();
-        let mut trustworthy = true;
         match fs::read(&path) {
-            Ok(bytes) => scan(&bytes, &mut recovery, &mut trustworthy),
+            Ok(bytes) => scan(&bytes, &mut recovery),
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(_) => {
-                recovery.skipped += 1;
-                trustworthy = false;
-            }
+            Err(_) => recovery.skipped += 1,
         }
-        if !trustworthy || recovery.skipped > 0 {
-            // Keep the evidence. `fs::copy` (not rename) so a crash
-            // during the rewrite below still leaves `journal.log` to
-            // rescan — recovery must never lose admitted jobs.
-            if path.exists() && quarantine_copy(&path).is_ok() {
-                recovery.quarantined += 1;
-                eprintln!(
-                    "nvpd: journal {} damaged ({} record(s) dropped); quarantined a copy",
-                    path.display(),
-                    recovery.skipped
-                );
-            }
+        // Startup compaction: the new journal holds exactly the pending
+        // admissions. A damaged one is copied aside first; either way the
+        // old file stays whole until the atomic rename, so a crash here
+        // never loses an admitted job.
+        let pending = recovery.pending.iter().map(|j| admitted_payload(j.id, &j.key, &j.request));
+        let image = record::log_image(MAGIC, pending, MAX_RECORD_BYTES)?;
+        if recovery.skipped > 0 && record::quarantine(&path, Some(&image)).is_ok() {
+            recovery.quarantined += 1;
+            eprintln!(
+                "nvpd: journal {} damaged ({} record(s) dropped); quarantined a copy",
+                path.display(),
+                recovery.skipped
+            );
+        } else {
+            record::replace(&path, &image)?;
         }
-
+        let file = fs::OpenOptions::new().append(true).open(&path)?;
         let journal = Journal {
             path,
             results_dir,
             faults,
-            // Placeholder handle; `rewrite` below installs the real one.
-            inner: Mutex::new(Inner {
-                file: fs::File::create(state_dir.join(".journal.init"))?,
-                live: 0,
-            }),
+            inner: Mutex::new(Inner { file, live: recovery.pending.len() as u64 }),
             quarantined: AtomicU64::new(recovery.quarantined),
             compactions: AtomicU64::new(0),
         };
-        let _ = fs::remove_file(state_dir.join(".journal.init"));
-        // Startup compaction: the new journal holds exactly the
-        // pending admissions (tmp + atomic rename, so a crash here
-        // leaves the old journal intact).
-        journal.rewrite(&recovery.pending)?;
         Ok((journal, recovery))
     }
 
-    /// Journals an admission — MUST be durable before the `Accepted`
-    /// frame is sent (write-ahead: promise only what is logged).
+    /// Journals an admission and fsyncs it: it is durable before the
+    /// `Accepted` frame is sent (write-ahead: promise only what is
+    /// logged).
     ///
     /// # Errors
     ///
-    /// Append I/O errors pass through (callers degrade gracefully).
+    /// Append and sync I/O errors pass through (callers degrade
+    /// gracefully).
     pub fn admitted(&self, job: u64, key: &Digest, request: &CampaignRequest) -> io::Result<()> {
-        let req_bytes = encode_request_bytes(request);
-        let mut body = Vec::with_capacity(1 + 8 + 32 + 4 + req_bytes.len());
-        body.push(TAG_ADMITTED);
-        body.extend_from_slice(&job.to_le_bytes());
-        body.extend_from_slice(key);
-        body.extend_from_slice(&(req_bytes.len() as u32).to_le_bytes());
-        body.extend_from_slice(&req_bytes);
+        let payload = admitted_payload(job, key, request);
         let mut inner = self.lock();
         inner.live += 1;
-        self.append_record(&mut inner, &body)
+        self.append_record(&mut inner, &payload)?;
+        inner.file.sync_data()
     }
 
     /// Journals the start-of-execution transition.
@@ -224,11 +215,9 @@ impl Journal {
     ///
     /// Append I/O errors pass through.
     pub fn started(&self, job: u64) -> io::Result<()> {
-        let mut body = Vec::with_capacity(9);
-        body.push(TAG_STARTED);
-        body.extend_from_slice(&job.to_le_bytes());
-        let mut inner = self.lock();
-        self.append_record(&mut inner, &body)
+        let mut payload = vec![TAG_STARTED];
+        put_u64(&mut payload, job);
+        self.append_record(&mut self.lock(), &payload)
     }
 
     /// Journals completion (with the stored result's digest) and
@@ -238,60 +227,50 @@ impl Journal {
     ///
     /// Append I/O errors pass through.
     pub fn completed(&self, job: u64, digest: &Digest) -> io::Result<()> {
-        let mut body = Vec::with_capacity(1 + 8 + 32);
-        body.push(TAG_COMPLETED);
-        body.extend_from_slice(&job.to_le_bytes());
-        body.extend_from_slice(digest);
+        let mut payload = vec![TAG_COMPLETED];
+        put_u64(&mut payload, job);
+        payload.extend_from_slice(digest);
         let mut inner = self.lock();
-        self.append_record(&mut inner, &body)?;
+        self.append_record(&mut inner, &payload)?;
         inner.live = inner.live.saturating_sub(1);
         if inner.live == 0 {
             // Everything journalled is done: shrink the log to its
             // header so restarts replay nothing.
-            self.compact(&mut inner)?;
+            record::replace(&self.path, MAGIC)?;
+            inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
+            self.compactions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
 
     /// Stores a completed result under its request's idempotency key
-    /// (tmp + atomic rename) and returns the content digest of the
-    /// stored bytes.
+    /// (tmp + fsync + atomic rename) and returns the content digest of
+    /// the stored bytes.
     ///
     /// # Errors
     ///
     /// Store I/O errors pass through.
     pub fn put_result(&self, key: &Digest, result: &CampaignResult) -> io::Result<Digest> {
         let bytes = encode_result_bytes(result);
-        let digest = content_digest(&bytes);
         let path = self.result_path(key);
         if !path.exists() {
-            let tmp = path.with_extension("res.tmp");
-            fs::write(&tmp, &bytes)?;
-            fs::rename(&tmp, &path)?;
+            record::replace(&path, &bytes)?;
         }
-        Ok(digest)
+        Ok(content_digest(&bytes))
     }
 
     /// Fetches a completed result by idempotency key, or `None` on a
-    /// miss. An undecodable entry is quarantined (renamed aside,
+    /// miss. An undecodable entry is quarantined (moved aside,
     /// counted) and reported as a miss — degradation, not an abort.
     #[must_use]
     pub fn lookup_result(&self, key: &Digest) -> Option<CampaignResult> {
         let path = self.result_path(key);
-        let bytes = fs::read(&path).ok()?;
-        match decode_result_bytes(&bytes) {
-            Ok(result) => Some(result),
-            Err(_) => {
-                if quarantine_rename(&path).is_ok() {
-                    self.quarantined.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "nvpd: result store entry {} undecodable; quarantined",
-                        path.display()
-                    );
-                }
-                None
-            }
+        let decoded = decode_result_bytes(&fs::read(&path).ok()?);
+        if decoded.is_err() && record::quarantine(&path, None).is_ok() {
+            self.quarantined.fetch_add(1, Ordering::Relaxed);
+            eprintln!("nvpd: result store entry {} undecodable; quarantined", path.display());
         }
+        decoded.ok()
     }
 
     /// Files this journal has quarantined so far (including at open).
@@ -314,14 +293,12 @@ impl Journal {
         self.results_dir.join(format!("{}.res", hex(key)))
     }
 
-    /// Frames `body` and appends it through the fault plan: a planned
+    /// Frames `payload` and appends it through the fault plan: a planned
     /// tear writes a prefix and aborts the process, leaving exactly the
     /// torn-tail shape recovery must tolerate.
-    fn append_record(&self, inner: &mut Inner, body: &[u8]) -> io::Result<()> {
-        let mut record = Vec::with_capacity(8 + body.len());
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        record.extend_from_slice(&crc32_bytes(body).to_le_bytes());
-        record.extend_from_slice(body);
+    fn append_record(&self, inner: &mut Inner, payload: &[u8]) -> io::Result<()> {
+        let mut record = Vec::new();
+        record::put_frame(&mut record, payload, MAX_RECORD_BYTES)?;
         match self.faults.journal_append_action(record.len()) {
             AppendAction::Full => inner.file.write_all(&record),
             AppendAction::TearAndCrash(bytes) => {
@@ -338,199 +315,71 @@ impl Journal {
             }
         }
     }
-
-    /// Rewrites the journal to `MAGIC` + one `Admitted` record per
-    /// pending job, atomically, and installs the fresh append handle.
-    fn rewrite(&self, pending: &[PendingJob]) -> io::Result<()> {
-        let mut inner = self.lock();
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut out = Vec::new();
-            out.extend_from_slice(MAGIC);
-            for job in pending {
-                let req_bytes = encode_request_bytes(&job.request);
-                let mut body = Vec::with_capacity(1 + 8 + 32 + 4 + req_bytes.len());
-                body.push(TAG_ADMITTED);
-                body.extend_from_slice(&job.id.to_le_bytes());
-                body.extend_from_slice(&job.key);
-                body.extend_from_slice(&(req_bytes.len() as u32).to_le_bytes());
-                body.extend_from_slice(&req_bytes);
-                out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                out.extend_from_slice(&crc32_bytes(&body).to_le_bytes());
-                out.extend_from_slice(&body);
-            }
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        inner.live = pending.len() as u64;
-        Ok(())
-    }
-
-    /// Runtime compaction: every journalled entry is completed, so the
-    /// log shrinks back to its header.
-    fn compact(&self, inner: &mut Inner) -> io::Result<()> {
-        let tmp = self.path.with_extension("log.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(MAGIC)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
-/// Folds journal bytes into a [`Recovery`]; `trustworthy` flips false
-/// when the damage goes beyond an ordinary torn tail.
-fn scan(bytes: &[u8], recovery: &mut Recovery, trustworthy: &mut bool) {
-    use std::collections::BTreeMap;
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        if !bytes.is_empty() {
+/// The payload of an `Admitted` record.
+fn admitted_payload(job: u64, key: &Digest, request: &CampaignRequest) -> Vec<u8> {
+    let mut payload = vec![TAG_ADMITTED];
+    put_u64(&mut payload, job);
+    payload.extend_from_slice(key);
+    put_bytes(&mut payload, &encode_request_bytes(request));
+    payload
+}
+
+/// Folds journal bytes into a [`Recovery`], counting every damaged or
+/// undecodable record in `skipped`.
+fn scan(bytes: &[u8], recovery: &mut Recovery) {
+    let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
+    recovery.skipped += log.damaged;
+    let mut entries = BTreeMap::new();
+    for payload in log.payloads {
+        if decode_record(payload, &mut entries).is_err() {
             recovery.skipped += 1;
-            *trustworthy = false;
-        }
-        return;
-    }
-    let mut entries: BTreeMap<u64, ScanEntry> = BTreeMap::new();
-    let mut off = MAGIC.len();
-    while off < bytes.len() {
-        let Some(header) = bytes.get(off..off + 8) else {
-            recovery.skipped += 1; // torn length/CRC prefix at the tail
-            break;
-        };
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            recovery.skipped += 1;
-            *trustworthy = false; // implausible framing: stop trusting
-            break;
-        }
-        let Some(body) = bytes.get(off + 8..off + 8 + len as usize) else {
-            recovery.skipped += 1; // torn tail record
-            break;
-        };
-        off += 8 + len as usize;
-        if crc32_bytes(body) != crc {
-            recovery.skipped += 1;
-            // Interior corruption (the tail would have been truncated):
-            // framing still resyncs on the next length prefix, but the
-            // file deserves quarantine.
-            *trustworthy = false;
-            continue;
-        }
-        if decode_record(body, &mut entries).is_none() {
-            recovery.skipped += 1;
-            *trustworthy = false;
         }
     }
     recovery.next_job = entries.keys().next_back().map_or(0, |max| max + 1);
-    for (id, entry) in entries {
-        if entry.completed {
-            continue;
-        }
-        match decode_request_bytes(&entry.request_bytes) {
-            Ok(request) => {
-                recovery.pending.push(PendingJob { id, key: entry.key, request });
-            }
-            Err(_) => {
-                // CRC-valid but undecodable request (e.g. journalled by
-                // a different protocol revision): drop it — the client
-                // will resubmit under the current protocol.
-                recovery.skipped += 1;
-                *trustworthy = false;
-            }
+    for (id, entry) in entries.into_iter().filter(|(_, entry)| !entry.completed) {
+        match decode_request_bytes(entry.request_bytes) {
+            Ok(request) => recovery.pending.push(PendingJob { id, key: entry.key, request }),
+            // CRC-valid but undecodable request (e.g. journalled by a
+            // different protocol revision): drop it — the client will
+            // resubmit under the current protocol.
+            Err(_) => recovery.skipped += 1,
         }
     }
 }
 
-/// Applies one CRC-valid record body to the fold state; `None` marks a
-/// malformed body.
-fn decode_record(
-    body: &[u8],
-    entries: &mut std::collections::BTreeMap<u64, ScanEntry>,
-) -> Option<()> {
-    let (&tag, rest) = body.split_first()?;
+/// Applies one CRC-valid record payload to the fold state; an error
+/// marks a malformed payload.
+fn decode_record<'a>(
+    payload: &'a [u8],
+    entries: &mut BTreeMap<u64, ScanEntry<'a>>,
+) -> io::Result<()> {
+    let mut r = Reader::new(payload);
+    let (tag, job) = (r.u8()?, r.u64()?);
     match tag {
         TAG_ADMITTED => {
-            if rest.len() < 8 + 32 + 4 {
-                return None;
-            }
-            let job = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-            let mut key = [0u8; 32];
-            key.copy_from_slice(&rest[8..40]);
-            let req_len = u32::from_le_bytes(rest[40..44].try_into().expect("4 bytes")) as usize;
-            let req = rest.get(44..44 + req_len)?;
-            if rest.len() != 44 + req_len {
-                return None; // trailing bytes
-            }
-            entries.insert(job, ScanEntry { key, request_bytes: req.to_vec(), completed: false });
-            Some(())
+            let (key, request_bytes) = (r.digest()?, r.bytes()?);
+            r.done()?;
+            entries.insert(job, ScanEntry { key, request_bytes, completed: false });
         }
-        TAG_STARTED => {
-            let _job: [u8; 8] = rest.try_into().ok()?;
-            // Started is informational; recovery re-runs regardless.
-            Some(())
-        }
+        // Started is informational; recovery re-runs regardless.
+        TAG_STARTED => r.done()?,
         TAG_COMPLETED => {
-            if rest.len() != 8 + 32 {
-                return None;
-            }
-            let job = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
+            r.digest()?;
+            r.done()?;
             if let Some(entry) = entries.get_mut(&job) {
                 entry.completed = true;
             }
-            Some(())
         }
-        _ => None,
+        _ => return Err(record::bad("unknown journal record tag")),
     }
+    Ok(())
 }
 
-/// Copies a damaged journal to the first free `.quarantine[.N]` name
-/// (copy, not rename — see [`Journal::open`]).
-fn quarantine_copy(path: &Path) -> io::Result<PathBuf> {
-    let target = free_quarantine_name(path)?;
-    fs::copy(path, &target)?;
-    Ok(target)
-}
-
-/// Renames a damaged result-store entry to its quarantine name.
-fn quarantine_rename(path: &Path) -> io::Result<PathBuf> {
-    let target = free_quarantine_name(path)?;
-    fs::rename(path, &target)?;
-    Ok(target)
-}
-
-fn free_quarantine_name(path: &Path) -> io::Result<PathBuf> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::other("path has no utf-8 file name"))?;
-    for n in 1..=1000u32 {
-        let candidate = if n == 1 {
-            dir.join(format!("{name}.quarantine"))
-        } else {
-            dir.join(format!("{name}.quarantine.{n}"))
-        };
-        if !candidate.exists() {
-            return Ok(candidate);
-        }
-    }
-    Err(io::Error::other("no free quarantine name after 1000 attempts"))
-}
-
-/// Lowercase hex of a digest (result-store file names).
-fn hex(digest: &Digest) -> String {
-    use std::fmt::Write as _;
-    digest.iter().fold(String::with_capacity(64), |mut s, b| {
-        write!(s, "{b:02x}").expect("write to String");
-        s
-    })
+/// Lowercase hex of a byte string (result-store file names).
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
@@ -712,6 +561,25 @@ mod tests {
         assert_eq!(recovery.pending[0].id, 1);
         let after = fs::metadata(dir.join("journal.log")).unwrap().len();
         assert!(after < before, "startup compaction shrank the journal ({before} -> {after})");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pinned bytes of a journal holding one `Admitted` record: a change
+    /// here changes the on-disk format, which must bump [`MAGIC`].
+    const PINNED_ADMITTED: &str = concat!(
+        "6e76706a726e6c31900000006e64b2730107000000000000008bda2511c5368c38f914d4013058e6",
+        "f9129327b3a985ab9316c7984b8cd45e3763000000060000006e7670642f34010100000002000000",
+        "74310000000000000040020000000100000000000000020000000000000007000000000000001000",
+        "00000000000010000000000000000300000000000000010000000000000001010000000000000000",
+    );
+
+    #[test]
+    fn admitted_record_format_is_pinned() {
+        let dir = unique_dir("nvpd_journal_pin");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let req = request(1);
+        journal.admitted(7, &request_key(&req), &req).unwrap();
+        assert_eq!(hex(&fs::read(dir.join("journal.log")).unwrap()), PINNED_ADMITTED);
         let _ = fs::remove_dir_all(&dir);
     }
 }
