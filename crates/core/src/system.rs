@@ -81,13 +81,6 @@ impl SystemConfig {
         self
     }
 
-    /// Returns a copy with volatile data memory (conventional MCU).
-    #[must_use]
-    pub fn with_volatile_dmem(mut self) -> Self {
-        self.dmem_nonvolatile = false;
-        self
-    }
-
     /// Returns a copy with a different clock-scaling policy.
     #[must_use]
     pub fn with_clock_policy(mut self, policy: ClockPolicy) -> Self {
@@ -455,17 +448,6 @@ impl IntermittentSystem {
     #[must_use]
     pub fn image(&self) -> &Arc<MachineImage> {
         &self.image
-    }
-
-    /// The fault-injection plan in effect.
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
-    /// Overrides the derived thresholds (policy studies).
-    pub fn set_thresholds(&mut self, thresholds: Thresholds) {
-        self.thresholds = thresholds;
     }
 
     /// The thresholds in effect.

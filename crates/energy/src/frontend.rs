@@ -209,12 +209,6 @@ impl Capacitor {
         self.energy.voltage_across(self.capacitance)
     }
 
-    /// Present terminal voltage in volts (untyped accessor).
-    #[must_use]
-    pub fn voltage_v(&self) -> f64 {
-        self.voltage().get()
-    }
-
     /// Energy lost so far to leakage and overcharge spill.
     #[must_use]
     pub fn wasted(&self) -> Joules {
@@ -268,11 +262,6 @@ impl Capacitor {
         let got = amount.min(self.energy);
         self.energy -= got;
         got
-    }
-
-    /// Untyped variant of [`draw_up_to`](Self::draw_up_to).
-    pub fn draw_up_to_j(&mut self, joules: f64) -> f64 {
-        self.draw_up_to(Joules::new(joules)).get()
     }
 
     /// Applies self-discharge over a duration.

@@ -332,19 +332,6 @@ impl PowerTrace {
         }
         PowerTrace { dt_s: self.dt_s, samples }
     }
-
-    /// Returns the trace with a constant power `offset_w` added to every
-    /// sample (e.g. modelling a secondary always-on source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offset would make any sample negative.
-    #[must_use]
-    pub fn with_offset(&self, offset_w: f64) -> PowerTrace {
-        let samples: Vec<f64> = self.samples.iter().map(|p| p + offset_w).collect();
-        assert!(samples.iter().all(|p| *p >= 0.0), "offset must not make power negative");
-        PowerTrace { dt_s: self.dt_s, samples }
-    }
 }
 
 #[cfg(test)]

@@ -55,12 +55,6 @@ impl Interval {
         (self.lo == self.hi).then_some(self.lo)
     }
 
-    /// `true` if this is the full 16-bit range.
-    #[must_use]
-    pub fn is_top(self) -> bool {
-        self.lo == 0 && self.hi == u16::MAX
-    }
-
     /// `true` if `v` may be a value of this interval.
     #[must_use]
     pub fn contains(self, v: u16) -> bool {

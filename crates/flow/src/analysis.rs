@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nvp_core::{BackupModel, SystemConfig};
+use nvp_core::SystemConfig;
 use nvp_isa::{Inst, Program};
 use nvp_sim::{ArchState, CycleModel, EnergyModel, InstClass};
 
@@ -118,21 +118,6 @@ pub struct AnalysisConfig {
     pub dmem_words: usize,
     /// State bits of one full checkpoint, the footprint baseline.
     pub backup_state_bits: u64,
-}
-
-impl AnalysisConfig {
-    /// Derives the analysis inputs from a platform configuration and
-    /// its backup model.
-    #[must_use]
-    pub fn from_platform(sys: &SystemConfig, backup: &BackupModel) -> AnalysisConfig {
-        AnalysisConfig {
-            cycle_model: sys.cycle_model,
-            energy_model: sys.energy_model,
-            max_stored_j: 0.5 * sys.capacitance_f * sys.cap_voltage_v * sys.cap_voltage_v,
-            dmem_words: sys.dmem_words,
-            backup_state_bits: backup.state_bits,
-        }
-    }
 }
 
 impl Default for AnalysisConfig {

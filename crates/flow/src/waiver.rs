@@ -19,11 +19,10 @@ use crate::analysis::Rule;
 /// Marker scanned for inside assembly comments.
 pub const MARKER: &str = "nvp-flow: allow(";
 
-/// A set of per-pc (and optional global) rule waivers.
+/// A set of per-pc rule waivers.
 #[derive(Debug, Clone, Default)]
 pub struct Waivers {
     sites: BTreeMap<u32, BTreeSet<Rule>>,
-    global: BTreeSet<Rule>,
 }
 
 impl Waivers {
@@ -38,22 +37,10 @@ impl Waivers {
         self.sites.entry(pc).or_default().insert(rule);
     }
 
-    /// Waives `rule` everywhere in the program.
-    pub fn allow_all(&mut self, rule: Rule) {
-        self.global.insert(rule);
-    }
-
     /// `true` if `rule` is waived at `pc`.
     #[must_use]
     pub fn allows(&self, pc: u32, rule: Rule) -> bool {
-        self.global.contains(&rule)
-            || self.sites.get(&pc).is_some_and(|rules| rules.contains(&rule))
-    }
-
-    /// Total number of waived sites (for reporting).
-    #[must_use]
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.sites.get(&pc).is_some_and(|rules| rules.contains(&rule))
     }
 
     /// Extracts waivers from `.nv16` assembly source by replaying the

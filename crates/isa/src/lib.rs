@@ -67,11 +67,5 @@ pub use inst::{DecodeError, Inst};
 pub use program::{DataSegment, Program};
 pub use reg::{Reg, RegParseError};
 
-/// Number of general-purpose registers in the NV16 architecture.
-pub const NUM_REGS: usize = 16;
-
 /// Register conventionally used as the link register by `call`/`ret`.
 pub const LINK_REG: Reg = Reg::R14;
-
-/// Number of distinct I/O ports addressable by `in`/`out`.
-pub const NUM_PORTS: usize = 16;

@@ -19,8 +19,8 @@
 //! 1. Fix the code (use `BTreeMap`, compare with a tolerance, …).
 //! 2. A per-site `// nvp-lint: allow(<rule>)` comment on the offending
 //!    line or the line directly above it, which documents intent.
-//! 3. The static [`EXEMPTIONS`] list for whole subtrees whose *job* is
-//!    the flagged construct (benchmark timing code).
+//! 3. The static [`EXEMPTIONS`] list for whole files whose *job* is
+//!    the flagged construct (the checkpoint CRC's quantizing casts).
 //!
 //! Run as `cargo run -p nvp-lint -- check` from the workspace root.
 
@@ -39,17 +39,12 @@ pub const RULES: [&str; 5] =
     ["nondet-iter", "wall-clock", "float-eq", "lossy-cast", "unsafe-block"];
 
 /// Path-prefix exemptions: `(prefix, rule)` pairs (workspace-relative,
-/// `/`-separated). Benchmark harnesses *measure* wall-clock time — that
-/// is their job, not a determinism hazard in artifact code. The
-/// checkpoint CRC module quantizes torn-write prefixes and indexes its
-/// lookup table with integer casts of fractional quantities — that
-/// truncation is the modeled physics, so the whole file is exempt from
-/// `lossy-cast` rather than sprinkled with per-site allows.
-pub const EXEMPTIONS: [(&str, &str); 3] = [
-    ("crates/bench", "wall-clock"),
-    ("compat/criterion", "wall-clock"),
-    ("crates/sim/src/checkpoint.rs", "lossy-cast"),
-];
+/// `/`-separated). The checkpoint CRC module quantizes torn-write
+/// prefixes and indexes its lookup table with integer casts of
+/// fractional quantities — that truncation is the modeled physics, so
+/// the whole file is exempt from `lossy-cast` rather than sprinkled
+/// with per-site allows.
+pub const EXEMPTIONS: [(&str, &str); 1] = [("crates/sim/src/checkpoint.rs", "lossy-cast")];
 
 /// One lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -323,16 +318,6 @@ mod tests {
         assert_eq!(rules_hit("/* Instant::now() */ fn f() {}"), [""; 0]);
         assert_eq!(rules_hit("fn f() -> &'static str { \"HashMap unsafe == 0.0\" }"), [""; 0]);
         assert_eq!(rules_hit("//! HashSet in module docs\nfn f() {}"), [""; 0]);
-    }
-
-    #[test]
-    fn bench_timing_is_exempt_from_wall_clock_only() {
-        let src = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(lint_source("crates/bench/benches/runner.rs", src), []);
-        assert_eq!(lint_source("compat/criterion/src/lib.rs", src), []);
-        // The exemption is rule-scoped: unsafe in bench still flags.
-        let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
-        assert_eq!(lint_source("crates/bench/src/lib.rs", bad).len(), 1);
     }
 
     #[test]

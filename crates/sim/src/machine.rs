@@ -95,8 +95,8 @@ impl Decoded {
     }
 }
 
-/// Aggregate outcome of a bounded run of consecutive steps (see
-/// [`Machine::run_block`]).
+/// Aggregate outcome of a bounded run of consecutive instructions (see
+/// [`Machine::run_blocks`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BlockStats {
     /// Instructions executed in the block.
@@ -504,6 +504,13 @@ impl Machine {
         Ok(executed)
     }
 
+    /// Former name of the removed superblock tier, kept for callers
+    /// written against it; runs [`run_blocks`](Machine::run_blocks).
+    #[doc(hidden)]
+    pub fn run_superblocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+        self.run_blocks(max_insts)
+    }
+
     /// Runs up to `max_insts` instructions, stopping early on `halt` or
     /// `ckpt`, and returns the block's aggregate cost instead of
     /// per-step values — platform models use this to consult their
@@ -512,35 +519,8 @@ impl Machine {
     /// [`max_step_energy_j`](Machine::max_step_energy_j) to keep
     /// threshold checks exact.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first execution fault (see [`Machine::step`]).
-    pub fn run_block(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        let mut stats = BlockStats::default();
-        while stats.executed < max_insts && !self.halted {
-            let step = self.step()?;
-            stats.executed += 1;
-            stats.cycles += u64::from(step.cycles);
-            stats.energy_j += step.energy_j;
-            if step.checkpoint {
-                stats.checkpoint = true;
-                break;
-            }
-        }
-        stats.halted = self.halted;
-        Ok(stats)
-    }
-
-    /// Former name of the removed superblock tier, kept for callers
-    /// written against it; runs [`run_blocks`](Machine::run_blocks).
-    #[doc(hidden)]
-    pub fn run_superblocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
-        self.run_blocks(max_insts)
-    }
-
-    /// Like [`run_block`](Machine::run_block), but executes whole basic
-    /// blocks through the fused block plans built at load time instead
-    /// of dispatching instruction by instruction.
+    /// Executes whole basic blocks through the fused block plans built
+    /// at load time instead of dispatching instruction by instruction.
     ///
     /// Straight-line block bodies run against a local register file with
     /// no per-step counter stores; integer accounting (instructions,
@@ -560,9 +540,8 @@ impl Machine {
     /// that no block covers fall back to [`step`](Machine::step).
     /// A block whose terminator jumps back to its own leader repeats
     /// inside one dispatch (a *streak*), with its integer accounting
-    /// applied once per streak. Execution stops early on `halt`, on
-    /// `ckpt` (with `checkpoint` set, matching `run_block`), or on a
-    /// fault.
+    /// applied once per streak. A `ckpt` ends the run with `checkpoint`
+    /// set; a fault ends it with an error.
     ///
     /// # Errors
     ///
@@ -830,17 +809,6 @@ impl Machine {
         self.dmem.get(usize::from(addr)).copied()
     }
 
-    /// Writes a data-memory word. Returns `false` if out of range.
-    pub fn write_word(&mut self, addr: u16, value: u16) -> bool {
-        match self.dmem.get_mut(usize::from(addr)) {
-            Some(slot) => {
-                *slot = value;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Full data memory contents.
     #[must_use]
     pub fn dmem(&self) -> &[u16] {
@@ -863,20 +831,10 @@ impl Machine {
         &self.out_log
     }
 
-    /// Clears the output log (e.g. between frames).
-    pub fn clear_out_log(&mut self) {
-        self.out_log.clear();
-    }
-
     /// The performance/energy counters.
     #[must_use]
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Resets the performance/energy counters to zero.
-    pub fn reset_counters(&mut self) {
-        self.counters = Counters::default();
     }
 
     /// Captures the volatile architectural state (registers + PC).
@@ -900,11 +858,6 @@ impl Machine {
         self.regs = [0; 16];
         self.pc = self.image.entry;
         self.halted = false;
-    }
-
-    /// Clears all of data memory (volatile-SRAM power loss).
-    pub fn clear_dmem(&mut self) {
-        self.dmem.fill(0);
     }
 
     /// Number of instructions in the loaded image.
@@ -1376,7 +1329,26 @@ mod tests {
         assert_eq!(ca.branches_taken, cb.branches_taken, "{what}");
     }
 
-    /// Asserts that `run_blocks(budget)` and a `run_block(budget)` step
+    /// Step-mode reference for [`Machine::run_blocks`]: calls `step()`
+    /// up to `max_insts` times, stopping after `halt` or `ckpt`, and
+    /// sums the per-step costs.
+    fn run_steps(m: &mut Machine, max_insts: u64) -> Result<BlockStats, SimError> {
+        let mut stats = BlockStats::default();
+        while stats.executed < max_insts && !m.halted() {
+            let step = m.step()?;
+            stats.executed += 1;
+            stats.cycles += u64::from(step.cycles);
+            stats.energy_j += step.energy_j;
+            if step.checkpoint {
+                stats.checkpoint = true;
+                break;
+            }
+        }
+        stats.halted = m.halted();
+        Ok(stats)
+    }
+
+    /// Asserts that `run_blocks(budget)` and a `run_steps(budget)` step
     /// loop over the same program leave bit-identical machines and
     /// return bit-identical stats.
     fn assert_block_equivalence(src: &str, budgets: &[u64]) {
@@ -1384,7 +1356,7 @@ mod tests {
         for &budget in budgets {
             let mut by_step = Machine::new(&p).expect("loads");
             let mut by_block = Machine::new(&p).expect("loads");
-            match (by_step.run_block(budget), by_block.run_blocks(budget)) {
+            match (run_steps(&mut by_step, budget), by_block.run_blocks(budget)) {
                 (Ok(sa), Ok(sb)) => {
                     assert_eq!(sa.executed, sb.executed, "budget {budget}");
                     assert_eq!(sa.cycles, sb.cycles, "budget {budget}");
@@ -1445,7 +1417,7 @@ mod tests {
         let mid = ArchState { regs: [0; 16], pc: 2 };
         by_step.restore(&mid);
         by_block.restore(&mid);
-        by_step.run_block(100).unwrap();
+        run_steps(&mut by_step, 100).unwrap();
         by_block.run_blocks(100).unwrap();
         assert_eq!(by_step.snapshot(), by_block.snapshot());
         assert_eq!(by_step.counters().energy_j.to_bits(), by_block.counters().energy_j.to_bits());
@@ -1482,7 +1454,7 @@ mod tests {
                 };
                 let (mut by_step, mut by_block) = (resumed(), resumed());
                 while !by_step.halted() {
-                    let a = by_step.run_block(budget).unwrap();
+                    let a = run_steps(&mut by_step, budget).unwrap();
                     let b = by_block.run_blocks(budget).unwrap();
                     let what = format!("snapshot at pc {}, budget {budget}", snap.pc);
                     assert_eq!(a.executed, b.executed, "{what}");

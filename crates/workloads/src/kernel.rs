@@ -138,20 +138,6 @@ impl KernelKind {
         }
     }
 
-    /// `true` if the output is a full image frame (PSNR-comparable).
-    #[must_use]
-    pub fn image_output(self) -> bool {
-        matches!(
-            self,
-            KernelKind::Sobel
-                | KernelKind::Median
-                | KernelKind::Smooth
-                | KernelKind::Edges
-                | KernelKind::Corners
-                | KernelKind::Integral
-        )
-    }
-
     /// Builds an executable instance of this kernel over a frame.
     ///
     /// # Errors
@@ -304,17 +290,5 @@ impl KernelInstance {
             return Err(WorkloadError::DidNotHalt { budget: BUDGET });
         }
         Ok(self.output_of(&machine))
-    }
-
-    /// PSNR of an output against the reference (image kernels).
-    #[must_use]
-    pub fn psnr_of(&self, output: &[u16]) -> f64 {
-        crate::metrics::psnr(&self.reference, output, 255.0)
-    }
-
-    /// MSE of an output against the reference.
-    #[must_use]
-    pub fn mse_of(&self, output: &[u16]) -> f64 {
-        crate::metrics::mse(&self.reference, output)
     }
 }
