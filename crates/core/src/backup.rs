@@ -1,7 +1,6 @@
 //! Backup/restore cost models for the three checkpointing styles.
 
-use nvp_device::sttram::SttModel;
-use nvp_device::{ChipProfile, NvffBank, NvmTechnology, RetentionShaper};
+use nvp_device::{NvffBank, NvmTechnology};
 use nvp_energy::units::{Joules, Seconds};
 use serde::{Deserialize, Serialize};
 
@@ -139,38 +138,6 @@ impl BackupModel {
         }
     }
 
-    /// Builds a model from a published chip operating point.
-    #[must_use]
-    pub fn from_chip(chip: &ChipProfile) -> Self {
-        BackupModel {
-            style: if chip.hardware_managed {
-                BackupStyle::Distributed
-            } else {
-                BackupStyle::Software
-            },
-            tech: chip.tech,
-            state_bits: chip.state_bits,
-            backup_energy: Joules::new(chip.backup_energy_j),
-            backup_time: Seconds::new(chip.backup_time_s),
-            restore_energy: Joules::new(chip.restore_energy_j),
-            restore_time: Seconds::new(chip.restore_time_s),
-        }
-    }
-
-    /// Applies a retention-relaxation policy: backup (write) energy is
-    /// scaled by the policy's savings factor under the given STT model;
-    /// restore cost is unchanged.
-    ///
-    /// Only the array component scales — the fixed controller overhead
-    /// does not shrink with relaxed retention.
-    #[must_use]
-    pub fn with_relaxation(mut self, shaper: &RetentionShaper, model: &SttModel) -> Self {
-        let scale = shaper.write_energy_scale(model);
-        let array = (self.backup_energy - HW_BACKUP_OVERHEAD).max(Joules::ZERO);
-        self.backup_energy = array * scale + HW_BACKUP_OVERHEAD;
-        self
-    }
-
     /// Returns a copy with backup and restore energy/time scaled by
     /// `factor` (for sensitivity sweeps).
     #[must_use]
@@ -189,18 +156,11 @@ impl BackupModel {
         self.restore_time = restore_time;
         self
     }
-
-    /// Combined energy of one backup + one restore pair.
-    #[must_use]
-    pub fn round_trip_energy(&self) -> Joules {
-        self.backup_energy + self.restore_energy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvp_device::RelaxPolicy;
 
     #[test]
     fn distributed_is_fastest() {
@@ -225,29 +185,8 @@ mod tests {
         // high-nanojoule range so 1400-1700 backups/min consume 20-33 %
         // of a ~25 µW income.
         let d = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let rt = d.round_trip_energy();
+        let rt = d.backup_energy + d.restore_energy;
         assert!(rt > Joules::new(150e-9) && rt < Joules::new(500e-9), "{rt}");
-    }
-
-    #[test]
-    fn relaxation_reduces_backup_only() {
-        let base = BackupModel::distributed(NvmTechnology::SttMram, 2048);
-        let shaper = RetentionShaper::new(RelaxPolicy::Log, 8, 0.01, 86_400.0);
-        let relaxed = base.with_relaxation(&shaper, &SttModel::default());
-        assert!(relaxed.backup_energy < base.backup_energy);
-        assert!(relaxed.backup_energy >= HW_BACKUP_OVERHEAD);
-        assert_eq!(relaxed.restore_energy, base.restore_energy);
-        assert_eq!(relaxed.backup_time, base.backup_time);
-    }
-
-    #[test]
-    fn from_chip_preserves_headline_numbers() {
-        let chips = nvp_device::published_chips();
-        for chip in &chips {
-            let m = BackupModel::from_chip(chip);
-            assert_eq!(m.backup_time.get(), chip.backup_time_s, "{}", chip.name);
-            assert_eq!(m.restore_time.get(), chip.restore_time_s, "{}", chip.name);
-        }
     }
 
     #[test]

@@ -39,15 +39,6 @@ impl ClockPolicy {
         ClockPolicy::Adaptive { levels: 3, margin: 0.9 }
     }
 
-    /// Highest clock multiplier this policy can select.
-    #[must_use]
-    pub fn max_multiplier(&self) -> u32 {
-        match *self {
-            ClockPolicy::Fixed => 1,
-            ClockPolicy::Adaptive { levels, .. } => 1 << levels.min(4),
-        }
-    }
-
     /// Chooses the clock for the next tick.
     ///
     /// * `base_hz` — the platform's base clock,
@@ -95,7 +86,6 @@ mod tests {
     fn fixed_never_moves() {
         let p = ClockPolicy::Fixed;
         assert_eq!(p.select_hz(BASE, P, 10.0, 1.0), BASE);
-        assert_eq!(p.max_multiplier(), 1);
     }
 
     #[test]
@@ -120,7 +110,6 @@ mod tests {
     #[test]
     fn levels_clamped() {
         let p = ClockPolicy::Adaptive { levels: 7, margin: 1.0 };
-        assert_eq!(p.max_multiplier(), 16);
         assert_eq!(p.select_hz(BASE, P, 1.0, 0.0), 16.0 * BASE);
     }
 }

@@ -100,13 +100,6 @@ impl Thresholds {
             backup_reserve: reserve,
         }
     }
-
-    /// Returns a copy with the start threshold raised to at least `min`.
-    #[must_use]
-    pub fn with_min_start(mut self, min: Joules) -> Self {
-        self.start = self.start.max(min);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -149,13 +142,5 @@ mod tests {
         // A sub-unity margin must still reserve at least one backup.
         let th = Thresholds::derive(&m, &BackupPolicy::OnDemand { margin: 0.1 }, Joules::ZERO);
         assert!(th.backup_reserve >= m.backup_energy);
-    }
-
-    #[test]
-    fn min_start_clamp() {
-        let m = model();
-        let th = Thresholds::derive(&m, &BackupPolicy::demand(), Joules::ZERO)
-            .with_min_start(Joules::new(1.0));
-        assert_eq!(th.start, Joules::new(1.0));
     }
 }

@@ -87,6 +87,26 @@ impl SystemConfig {
         self.clock_policy = policy;
         self
     }
+
+    /// The energy front end of a platform built from this configuration.
+    /// An NVP's buffer sits directly at the rectifier output: no trickle
+    /// penalty, no charger input clipping.
+    #[must_use]
+    pub fn front_end(&self) -> FrontEndConfig {
+        FrontEndConfig::direct(
+            self.rectifier,
+            Farads::new(self.capacitance_f),
+            Volts::new(self.cap_voltage_v),
+            Seconds::new(self.cap_leak_tau_s),
+        )
+    }
+
+    /// The start/reserve thresholds of a platform built from this
+    /// configuration with the given backup model and policy.
+    #[must_use]
+    pub fn thresholds(&self, backup: &BackupModel, policy: &BackupPolicy) -> Thresholds {
+        Thresholds::derive(backup, policy, Joules::new(self.work_headroom_j))
+    }
 }
 
 /// Where the platform's energy went over a run.
@@ -407,15 +427,8 @@ impl IntermittentSystem {
         fault: FaultPlan,
     ) -> Self {
         let machine = Machine::from_image(image);
-        let thresholds = Thresholds::derive(&backup, &policy, Joules::new(config.work_headroom_j));
-        // An NVP's buffer sits directly at the rectifier output: no
-        // trickle penalty, no charger input clipping.
-        let fe = EnergyFrontEnd::new(FrontEndConfig::direct(
-            config.rectifier,
-            Farads::new(config.capacitance_f),
-            Volts::new(config.cap_voltage_v),
-            Seconds::new(config.cap_leak_tau_s),
-        ));
+        let thresholds = config.thresholds(&backup, &policy);
+        let fe = EnergyFrontEnd::new(config.front_end());
         let rng = StdRng::seed_from_u64(fault.seed);
         IntermittentSystem {
             config,
@@ -912,12 +925,6 @@ impl IntermittentSystem {
     /// cycle times frequency (used only for clock-policy decisions).
     fn active_power_estimate_w(&self) -> f64 {
         (self.config.energy_model.base_per_cycle_j + 20e-12) * self.config.clock_hz
-    }
-
-    /// The clock the platform is currently running at.
-    #[must_use]
-    pub fn current_clock_hz(&self) -> f64 {
-        self.current_clock_hz
     }
 
     fn sleep(&mut self, duration_s: f64) {

@@ -107,6 +107,22 @@ impl WaitComputeConfig {
         }
         self
     }
+
+    /// The energy front end of a platform built from this configuration:
+    /// a supercapacitor ESD behind a charger IC, whose trickle and clip
+    /// quirks are front-end *options*, not a forked income loop.
+    #[must_use]
+    pub fn front_end(&self) -> FrontEndConfig {
+        FrontEndConfig {
+            rectifier: self.rectifier,
+            capacitance: Farads::new(self.capacitance_f),
+            cap_voltage: Volts::new(self.cap_voltage_v),
+            cap_leak_tau: Seconds::new(self.cap_leak_tau_s),
+            min_charge_power: Watts::new(self.min_charge_power_w),
+            trickle_efficiency: self.trickle_efficiency,
+            max_charge_power: Watts::new(self.max_charge_power_w),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,17 +161,7 @@ impl WaitComputeSystem {
             config.cycle_model,
             config.energy_model,
         )?;
-        // A supercapacitor ESD behind a charger IC: the trickle and clip
-        // quirks are front-end *options*, not a forked income loop.
-        let fe = EnergyFrontEnd::new(FrontEndConfig {
-            rectifier: config.rectifier,
-            capacitance: Farads::new(config.capacitance_f),
-            cap_voltage: Volts::new(config.cap_voltage_v),
-            cap_leak_tau: Seconds::new(config.cap_leak_tau_s),
-            min_charge_power: Watts::new(config.min_charge_power_w),
-            trickle_efficiency: config.trickle_efficiency,
-            max_charge_power: Watts::new(config.max_charge_power_w),
-        });
+        let fe = EnergyFrontEnd::new(config.front_end());
         Ok(WaitComputeSystem {
             config,
             program: program.clone(),

@@ -36,15 +36,6 @@ pub struct ChipProfile {
     pub hardware_managed: bool,
 }
 
-impl ChipProfile {
-    /// Instructions lost to one backup+restore pair at the chip's clock
-    /// (the dead time expressed in instruction slots).
-    #[must_use]
-    pub fn dead_slots_per_cycle(&self) -> f64 {
-        (self.backup_time_s + self.restore_time_s) * self.clock_hz
-    }
-}
-
 /// Returns the published-chip gallery, oldest first.
 ///
 /// # Example
@@ -161,14 +152,5 @@ mod tests {
         assert!((tcas.backup_time_s - 14e-6).abs() < 1e-9);
         let esscirc = chips.iter().find(|c| c.name.contains("ESSCIRC")).unwrap();
         assert!((esscirc.restore_time_s - 3e-6).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dead_slots_reflect_clock() {
-        let chips = published_chips();
-        for c in &chips {
-            let slots = c.dead_slots_per_cycle();
-            assert!(slots > 0.0 && slots < 10_000.0, "{}: {slots}", c.name);
-        }
     }
 }

@@ -56,12 +56,6 @@ impl EnduranceMeter {
         (1.0 - self.writes / self.params.endurance_cycles).clamp(0.0, 1.0)
     }
 
-    /// `true` once the recorded writes exceed the endurance budget.
-    #[must_use]
-    pub fn worn_out(&self) -> bool {
-        self.writes >= self.params.endurance_cycles
-    }
-
     /// Projected lifetime in years at a sustained backup rate.
     #[must_use]
     pub fn lifetime_years(&self, backups_per_second: f64) -> f64 {
@@ -113,7 +107,6 @@ mod tests {
         let rem = meter.remaining_fraction();
         assert!(rem < 1.0 && rem > 0.0);
         meter.record_backups(100_000_000);
-        assert!(meter.worn_out());
         assert_eq!(meter.remaining_fraction(), 0.0);
     }
 

@@ -59,25 +59,6 @@ impl NvffBank {
         }
     }
 
-    /// Returns a copy with a different peripheral-overhead factor.
-    #[must_use]
-    pub fn with_overhead(mut self, factor: f64) -> Self {
-        self.overhead_factor = factor;
-        self
-    }
-
-    /// Returns a copy with a different write-group count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups == 0`.
-    #[must_use]
-    pub fn with_write_groups(mut self, groups: u32) -> Self {
-        assert!(groups > 0, "write groups must be positive");
-        self.write_groups = groups;
-        self
-    }
-
     /// Number of covered state bits.
     #[must_use]
     pub fn bits(&self) -> u64 {
@@ -175,25 +156,10 @@ mod tests {
     }
 
     #[test]
-    fn overhead_and_groups_apply() {
-        let base = NvffBank::new(NvmTechnology::Reram, 256);
-        let heavy = base.with_overhead(4.0);
-        assert!((heavy.backup_energy_j() / base.backup_energy_j() - 2.0).abs() < 1e-9);
-        let serial = base.with_write_groups(8);
-        assert!((serial.backup_time_s() / base.backup_time_s() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn relaxed_energy_scaled() {
         let base = NvffBank::new(NvmTechnology::SttMram, 512);
         let relaxed = base.with_write_energy_scaled(0.25);
         assert!((relaxed.backup_energy_j() / base.backup_energy_j() - 0.25).abs() < 1e-9);
         assert_eq!(relaxed.restore_time_s(), base.restore_time_s());
-    }
-
-    #[test]
-    #[should_panic(expected = "write groups must be positive")]
-    fn zero_groups_rejected() {
-        let _ = NvffBank::new(NvmTechnology::Feram, 1).with_write_groups(0);
     }
 }

@@ -240,13 +240,6 @@ pub fn thermal_body(seed: u64, duration_s: f64) -> PowerTrace {
     PowerTrace::from_samples(dt, samples)
 }
 
-/// The five standard "watch in daily life" profiles (seeds 1–5) used
-/// throughout the evaluation, each 10 s long by default.
-#[must_use]
-pub fn watch_profiles(duration_s: f64) -> Vec<PowerTrace> {
-    (1..=5).map(|seed| wrist_watch(seed, duration_s)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,7 +315,7 @@ mod tests {
 
     #[test]
     fn five_profiles_differ() {
-        let profiles = watch_profiles(2.0);
+        let profiles: Vec<PowerTrace> = (1..=5).map(|seed| wrist_watch(seed, 2.0)).collect();
         assert_eq!(profiles.len(), 5);
         for i in 0..5 {
             for j in (i + 1)..5 {

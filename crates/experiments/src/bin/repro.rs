@@ -50,54 +50,13 @@ fn main() -> ExitCode {
                     "feasibility: all {} registered experiments declare feasible configurations",
                     nvp_experiments::registry().len()
                 );
-            } else {
-                for d in &diags {
-                    eprintln!("infeasible: {d}");
-                }
-                eprintln!("feasibility: {} violation(s) found", diags.len());
-                return ExitCode::FAILURE;
+                return ExitCode::SUCCESS;
             }
-            // Program-level intermittency safety: every registry kernel
-            // must pass the nvp-flow analyzer with zero diagnostics.
-            let image = nvp_workloads::GrayImage::synthetic(1, 16, 16);
-            let mut flow_bad = 0usize;
-            for kind in nvp_workloads::KernelKind::ALL {
-                let instance = match kind.build(&image) {
-                    Ok(i) => i,
-                    Err(e) => {
-                        eprintln!("flow: {}: {e}", kind.name());
-                        flow_bad += 1;
-                        continue;
-                    }
-                };
-                let flow_cfg = nvp_flow::AnalysisConfig {
-                    dmem_words: instance.min_dmem_words(),
-                    ..nvp_flow::AnalysisConfig::default()
-                };
-                match nvp_flow::analyze(instance.program(), &flow_cfg, &nvp_flow::Waivers::none()) {
-                    Ok(a) if a.is_clean() => {}
-                    Ok(a) => {
-                        for d in &a.diagnostics {
-                            eprintln!("flow: {}: {d}", kind.name());
-                        }
-                        flow_bad += 1;
-                    }
-                    Err(e) => {
-                        eprintln!("flow: {}: {e}", kind.name());
-                        flow_bad += 1;
-                    }
-                }
+            for d in &diags {
+                eprintln!("infeasible: {d}");
             }
-            if flow_bad > 0 {
-                eprintln!("flow: {flow_bad} kernel(s) failed intermittency-safety analysis");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "flow: all {} registry kernels analyze clean (war-hazard, dead-store, \
-                 unreachable-block, no-progress-loop)",
-                nvp_workloads::KernelKind::ALL.len()
-            );
-            return ExitCode::SUCCESS;
+            eprintln!("feasibility: {} violation(s) found", diags.len());
+            return ExitCode::FAILURE;
         }
         Command::Run { out_dir, only, quick, seed, no_cache, connect, timeout, retries } => {
             (out_dir, only, quick, seed, no_cache, connect, timeout, retries)

@@ -52,9 +52,10 @@ Options:
                      failure, with jittered exponential backoff
                      (default 2). Resubmission is safe — the server
                      deduplicates by idempotency key.
-  --check            validate every registered experiment's platform
-                     configurations for physical feasibility and exit
-                     (0 = all feasible, 1 = diagnostics printed)
+  --check            validate the platform setups every registered
+                     experiment simulates for physical feasibility and
+                     exit (0 = all feasible, 1 = diagnostics printed);
+                     kernel safety is `nvpa kernels --deny warnings`
   --list             list registered experiments and exit
   --help             show this help and exit";
 

@@ -7,18 +7,20 @@
 //! share one instance; the caches are keyed on every parameter that
 //! influences the value, so results are unchanged.
 //!
-//! Simulation *runs* are deduplicated the same way: [`run_nvp_with`]
-//! and [`run_wait_with`] route through the content-addressed
-//! [`crate::simcache`], so identical `(program, config, trace)` runs
-//! issued by different experiments simulate only once per process.
+//! Each simulated platform is one [`Setup`] value. Experiments list
+//! their setups once; `rows()` runs them and `plans()` hands the same
+//! values to the feasibility checker. [`Setup::run`] routes through
+//! the content-addressed [`crate::simcache`], so identical
+//! `(program, setup, trace)` runs issued by different experiments
+//! simulate only once per process.
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use nvp_core::{
-    measure_task, BackupModel, BackupPolicy, IntermittentSystem, RunReport, SystemConfig, TaskCost,
-    WaitComputeConfig, WaitComputeSystem,
+    measure_task, BackupModel, BackupPolicy, BackupStyle, IntermittentSystem, RunReport,
+    SystemConfig, TaskCost, WaitComputeConfig, WaitComputeSystem,
 };
 use nvp_device::NvmTechnology;
 use nvp_energy::harvester::SourceKind;
@@ -155,73 +157,141 @@ pub(crate) fn task_cost(cfg: &ExpConfig, kind: KernelKind) -> TaskCost {
     })
 }
 
-/// Runs the hardware NVP over a trace.
-pub(crate) fn run_nvp(inst: &KernelInstance, trace: &SimTrace) -> RunReport {
-    run_nvp_with(inst, trace, system_config_for(inst), standard_backup(), BackupPolicy::demand())
+/// One simulated platform: the value an experiment both runs (through
+/// the simulation cache) and declares to `repro --check`, so the
+/// feasibility checker judges exactly what the simulator is built from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Setup {
+    /// An intermittent platform: hardware NVP or software checkpointing.
+    Nvp {
+        /// Platform configuration.
+        sys: SystemConfig,
+        /// Backup/restore cost model.
+        backup: BackupModel,
+        /// When to back up.
+        policy: BackupPolicy,
+    },
+    /// The wait-then-compute baseline.
+    Wait(WaitComputeConfig),
 }
 
-/// Runs an NVP variant with explicit configuration, deduplicated
-/// through the simulation cache: the key covers the program image, the
-/// `Debug` renderings of the configuration triple, and the trace
-/// digest.
-pub(crate) fn run_nvp_with(
-    inst: &KernelInstance,
-    trace: &SimTrace,
-    sys: SystemConfig,
-    backup: BackupModel,
-    policy: BackupPolicy,
-) -> RunReport {
-    let mut key = KeyHasher::new("nvp-simcache/1:nvp");
-    key.program(inst.program());
-    key.debug(&sys);
-    key.debug(&backup);
-    key.debug(&policy);
-    key.digest(trace.digest());
-    simcache::cached_run(key.finish(), || {
-        let mut system =
-            IntermittentSystem::new(inst.program(), sys, backup, policy).expect("platform builds");
-        system.run(trace).expect("workload does not fault")
-    })
+impl Setup {
+    /// Runs this platform over a trace, deduplicated through the
+    /// simulation cache.
+    pub(crate) fn run(&self, inst: &KernelInstance, trace: &SimTrace) -> RunReport {
+        simcache::cached_run(self.key(inst, trace), || {
+            let report = match *self {
+                Setup::Nvp { sys, backup, policy } => {
+                    IntermittentSystem::new(inst.program(), sys, backup, policy)
+                        .expect("platform builds")
+                        .run(trace)
+                }
+                Setup::Wait(wcfg) => WaitComputeSystem::new(inst.program(), wcfg)
+                    .expect("platform builds")
+                    .run(trace),
+            };
+            report.expect("workload does not fault")
+        })
+    }
+
+    /// The simulation-cache key of [`run`](Self::run): a schema + run-kind
+    /// tag (`:nvp` or `:wait`), the program image, the `Debug`
+    /// rendering of each configuration value, and the trace digest.
+    fn key(&self, inst: &KernelInstance, trace: &SimTrace) -> Digest {
+        let mut key = match self {
+            Setup::Nvp { .. } => KeyHasher::new("nvp-simcache/1:nvp"),
+            Setup::Wait(_) => KeyHasher::new("nvp-simcache/1:wait"),
+        };
+        key.program(inst.program());
+        match self {
+            Setup::Nvp { sys, backup, policy } => {
+                key.debug(sys);
+                key.debug(backup);
+                key.debug(policy);
+            }
+            Setup::Wait(wcfg) => key.debug(wcfg),
+        }
+        key.digest(trace.digest());
+        key.finish()
+    }
 }
 
-/// Runs the wait-then-compute baseline on the standard kernel for
-/// `kind`, ESD sized for the kernel's task.
-pub(crate) fn run_wait(cfg: &ExpConfig, kind: KernelKind, trace: &SimTrace) -> RunReport {
-    let inst = kernel(cfg, kind);
-    let cost = task_cost(cfg, kind);
-    let mut wcfg = WaitComputeConfig::default().sized_for(&cost, 1.3);
-    wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
-    run_wait_with(&inst, trace, wcfg)
+/// The reference hardware NVP: distributed FeRAM NVFFs, demand backup.
+pub(crate) fn nvp_setup(inst: &KernelInstance) -> Setup {
+    style_setup(inst, BackupStyle::Distributed, NvmTechnology::Feram)
 }
 
-/// Runs a wait-then-compute variant with explicit configuration. Cached
-/// like [`run_nvp_with`], under a distinct run-kind tag.
-pub(crate) fn run_wait_with(
-    inst: &KernelInstance,
-    trace: &SimTrace,
-    wcfg: WaitComputeConfig,
-) -> RunReport {
-    let mut key = KeyHasher::new("nvp-simcache/1:wait");
-    key.program(inst.program());
-    key.debug(&wcfg);
-    key.digest(trace.digest());
-    simcache::cached_run(key.finish(), || {
-        let mut system = WaitComputeSystem::new(inst.program(), wcfg).expect("platform builds");
-        system.run(trace).expect("workload does not fault")
-    })
-}
-
-/// Runs the software-checkpointing baseline (Hibernus-class: volatile
-/// SRAM MCU, CPU-copied checkpoints into FeRAM at a voltage trigger).
-pub(crate) fn run_software_ckpt(inst: &KernelInstance, trace: &SimTrace) -> RunReport {
+/// The platform of one backup style on `tech`. Hardware styles back up
+/// on demand; software checkpointing (Hibernus-class: volatile SRAM
+/// MCU, CPU-copied checkpoints at a voltage trigger) also copies the
+/// kernel's live RAM and keeps a 1.3x reserve.
+pub(crate) fn style_setup(inst: &KernelInstance, style: BackupStyle, tech: NvmTechnology) -> Setup {
     let mut sys = system_config_for(inst);
-    sys.dmem_nonvolatile = false;
-    let ram_words = inst.min_dmem_words() as u64;
-    let backup = BackupModel::software(NvmTechnology::Feram, STATE_BITS, ram_words, sys.clock_hz);
-    run_nvp_with(inst, trace, sys, backup, BackupPolicy::OnDemand { margin: 1.3 })
+    let (backup, policy) = match style {
+        BackupStyle::Distributed => {
+            (BackupModel::distributed(tech, STATE_BITS), BackupPolicy::demand())
+        }
+        BackupStyle::Centralized => {
+            (BackupModel::centralized(tech, STATE_BITS), BackupPolicy::demand())
+        }
+        BackupStyle::Software => {
+            sys.dmem_nonvolatile = false;
+            let ram_words = inst.min_dmem_words() as u64;
+            let backup = BackupModel::software(tech, STATE_BITS, ram_words, sys.clock_hz);
+            (backup, BackupPolicy::OnDemand { margin: 1.3 })
+        }
+    };
+    Setup::Nvp { sys, backup, policy }
+}
+
+/// The software-checkpointing baseline on FeRAM.
+pub(crate) fn swckpt_setup(inst: &KernelInstance) -> Setup {
+    style_setup(inst, BackupStyle::Software, NvmTechnology::Feram)
+}
+
+/// The wait-then-compute baseline for the standard kernel of `kind`:
+/// ESD sized for the kernel's task with a 1.3x margin.
+pub(crate) fn wait_setup(cfg: &ExpConfig, kind: KernelKind) -> Setup {
+    Setup::Wait(wait_config(cfg, kind))
+}
+
+/// The configuration behind [`wait_setup`], for sweeps that vary it.
+pub(crate) fn wait_config(cfg: &ExpConfig, kind: KernelKind) -> WaitComputeConfig {
+    let mut wcfg = WaitComputeConfig::default().sized_for(&task_cost(cfg, kind), 1.3);
+    wcfg.dmem_words = wcfg.dmem_words.max(kernel(cfg, kind).min_dmem_words());
+    wcfg
 }
 
 /// Seconds per completed frame, or `None` if no frame completed.
 pub(crate) fn seconds_per_frame(report: &RunReport) -> Option<f64> {
     (report.tasks_completed > 0).then(|| report.duration_s / report.tasks_completed as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::simcache::hex;
+
+    /// A run's cache key is a pure function of its inputs, byte for byte
+    /// what earlier builds wrote: existing cache directories stay valid
+    /// only while these pinned keys hold.
+    #[test]
+    fn setup_keys_are_pinned() {
+        let cfg = ExpConfig::quick();
+        let inst = kernel(&cfg, KernelKind::Sobel);
+        let trace = watch_trace(&cfg, cfg.profile_seeds[0]);
+        let key = |setup: Setup| hex(setup.key(&inst, &trace));
+        assert_eq!(
+            key(nvp_setup(&inst)),
+            "8ff59a055bb92a7e2b84edb024258912669a46673df1c4a7d2b8b6f4e7dddeb8"
+        );
+        assert_eq!(
+            key(swckpt_setup(&inst)),
+            "7f99ecc53f425f0b7d5a9210c19fe51a26abf6d47185379dfe0deed78f528804"
+        );
+        assert_eq!(
+            key(wait_setup(&cfg, KernelKind::Sobel)),
+            "5b6ef2e4efd4dd30bafaddff1ec0da7834ebaae2840b0b07c13e1c1500b9daee"
+        );
+    }
 }

@@ -8,8 +8,8 @@ use nvp_core::BackupPolicy;
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, standard_backup, system_config_for, watch_trace};
-use crate::report::fmt;
+use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::{ExpConfig, Table};
 
 /// Swept demand-backup margins (× backup energy).
@@ -32,24 +32,34 @@ pub struct Row {
     pub rollbacks: u64,
 }
 
+/// The standard NVP under every swept policy, labelled as the table
+/// prints it: margins first, intervals after.
+fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    let sys = system_config_for(&kernel(cfg, KernelKind::Sobel));
+    let nvp = |policy| Setup::Nvp { sys, backup: standard_backup(), policy };
+    MARGINS
+        .into_iter()
+        .map(|margin| {
+            (format!("demand margin {margin:.1}"), nvp(BackupPolicy::OnDemand { margin }))
+        })
+        .chain(INTERVALS_S.into_iter().map(|interval_s| {
+            (
+                format!("periodic {} ms", interval_s * 1e3),
+                nvp(BackupPolicy::Periodic { interval_s }),
+            )
+        }))
+        .collect()
+}
+
 /// Sweeps demand margins and periodic intervals. Each policy point is
-/// an independent simulation; the combined policy list is evaluated on
-/// the shared thread pool with margins first, intervals after, as
-/// before.
+/// an independent simulation, evaluated on the shared thread pool with
+/// margins first, intervals after.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    let policies: Vec<(String, BackupPolicy)> = MARGINS
-        .into_iter()
-        .map(|margin| (format!("demand margin {margin:.1}"), BackupPolicy::OnDemand { margin }))
-        .chain(INTERVALS_S.into_iter().map(|interval_s| {
-            (format!("periodic {} ms", interval_s * 1e3), BackupPolicy::Periodic { interval_s })
-        }))
-        .collect();
-    crate::sched::par_map(&policies, |(label, policy)| {
-        let r = run_nvp_with(&inst, &trace, sys, standard_backup(), *policy);
+    crate::sched::par_map(&setups(cfg), |(label, setup)| {
+        let r = setup.run(&inst, &trace);
         Row {
             policy: label.clone(),
             fp: r.forward_progress(),
@@ -77,37 +87,17 @@ pub fn table(cfg: &ExpConfig) -> Table {
             r.rollbacks.to_string(),
         ]);
     }
-    let _ = fmt(0.0, 0); // keep helper linked for future columns
     t
 }
 
 /// Feasibility plans: the standard NVP under every swept backup policy.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![
         sweep("demand margins", MARGINS.len()),
         sweep("periodic intervals", INTERVALS_S.len()),
     ];
-    for &margin in &MARGINS {
-        out.push(nvp_plan(
-            format!("demand margin {margin:.1}"),
-            &sys,
-            standard_backup(),
-            &BackupPolicy::OnDemand { margin },
-        ));
-    }
-    for &interval_s in &INTERVALS_S {
-        out.push(nvp_plan(
-            format!("periodic {:.0} ms", interval_s * 1e3),
-            &sys,
-            standard_backup(),
-            &BackupPolicy::Periodic { interval_s },
-        ));
-    }
+    out.extend(setups(cfg).into_iter().map(|(label, setup)| platform(label, setup)));
     out
 }
 

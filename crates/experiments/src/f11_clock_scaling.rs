@@ -20,9 +20,8 @@ use nvp_energy::harvester::SourceKind;
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{
-    kernel, run_nvp_with, source_trace, standard_backup, system_config_for, watch_trace,
-};
+use crate::common::{kernel, source_trace, standard_backup, system_config_for, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -41,19 +40,18 @@ pub struct Row {
     pub combined_gain: f64,
 }
 
-fn measure(cfg: &ExpConfig, sys: SystemConfig, label: &str) -> Row {
+fn measure(cfg: &ExpConfig, setup: &Setup, label: &str) -> Row {
     let inst = kernel(cfg, KernelKind::Sobel);
     let n = cfg.profile_seeds.len() as f64;
     // Per-seed runs are independent; summing the ordered results keeps
     // the accumulation order (and thus the f64 value) identical to the
     // sequential loop.
     let fps = crate::sched::par_map(&cfg.profile_seeds, |&seed| {
-        run_nvp_with(&inst, &watch_trace(cfg, seed), sys, standard_backup(), BackupPolicy::demand())
-            .forward_progress() as f64
+        setup.run(&inst, &watch_trace(cfg, seed)).forward_progress() as f64
     });
     let fp_wrist: f64 = fps.iter().sum();
     let solar = source_trace(cfg, SourceKind::SolarIndoor, cfg.profile_seeds[0]);
-    let rs = run_nvp_with(&inst, &solar, sys, standard_backup(), BackupPolicy::demand());
+    let rs = setup.run(&inst, &solar);
     Row {
         policy: label.to_owned(),
         fp_wrist: fp_wrist / n,
@@ -63,25 +61,26 @@ fn measure(cfg: &ExpConfig, sys: SystemConfig, label: &str) -> Row {
     }
 }
 
+/// The standard NVP at every fixed clock multiplier, then under the
+/// income-adaptive policy.
+fn setups(cfg: &ExpConfig) -> Vec<(&'static str, Setup)> {
+    let base = system_config_for(&kernel(cfg, KernelKind::Sobel));
+    let nvp = |sys| Setup::Nvp { sys, backup: standard_backup(), policy: BackupPolicy::demand() };
+    [(1u32, "fixed 1 MHz"), (2, "fixed 2 MHz"), (4, "fixed 4 MHz"), (8, "fixed 8 MHz")]
+        .into_iter()
+        .map(|(mult, label)| (label, nvp(SystemConfig { clock_hz: 1e6 * f64::from(mult), ..base })))
+        .chain(std::iter::once((
+            "adaptive 1-8 MHz",
+            nvp(base.with_clock_policy(ClockPolicy::adaptive())),
+        )))
+        .collect()
+}
+
 /// Fixed 1/2/4/8 MHz cores versus the income-adaptive policy, on both
 /// the wearable and solar sources.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let variants: Vec<(SystemConfig, &str)> =
-        [(1u32, "fixed 1 MHz"), (2, "fixed 2 MHz"), (4, "fixed 4 MHz"), (8, "fixed 8 MHz")]
-            .into_iter()
-            .map(|(mult, label)| {
-                let mut sys = system_config_for(&inst);
-                sys.clock_hz = 1e6 * f64::from(mult);
-                (sys, label)
-            })
-            .chain(std::iter::once((
-                system_config_for(&inst).with_clock_policy(ClockPolicy::adaptive()),
-                "adaptive 1-8 MHz",
-            )))
-            .collect();
-    let mut out = crate::sched::par_map(&variants, |&(sys, label)| measure(cfg, sys, label));
+    let mut out = crate::sched::par_map(&setups(cfg), |(label, setup)| measure(cfg, setup, label));
     let base_combined = (out[0].fp_wrist + out[0].fp_solar).max(1.0);
     for r in &mut out {
         r.combined_gain = (r.fp_wrist + r.fp_solar) / base_combined;
@@ -109,30 +108,12 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the standard NVP at every fixed clock multiplier
-/// and under the income-adaptive policy.
+/// Feasibility plans: every clock variant F11 measures.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let mut out = vec![sweep("clock variants", 5)];
-    for mult in [1u32, 2, 4, 8] {
-        let mut sys = system_config_for(&inst);
-        sys.clock_hz = 1e6 * f64::from(mult);
-        out.push(nvp_plan(
-            format!("fixed {mult} MHz"),
-            &sys,
-            standard_backup(),
-            &BackupPolicy::demand(),
-        ));
-    }
-    out.push(nvp_plan(
-        "adaptive 1-8 MHz",
-        &system_config_for(&inst).with_clock_policy(ClockPolicy::adaptive()),
-        standard_backup(),
-        &BackupPolicy::demand(),
-    ));
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
+    let setups = setups(cfg);
+    let mut out = vec![sweep("clock variants", setups.len())];
+    out.extend(setups.into_iter().map(|(label, setup)| platform(label, setup)));
     out
 }
 

@@ -31,15 +31,16 @@
 use std::sync::{Arc, OnceLock};
 
 use nvp_core::{
-    BackupModel, BackupPolicy, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver,
-    SystemConfig,
+    BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem, RunReport, SimEvent,
+    SimObserver, SystemConfig,
 };
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
 use nvp_sim::MachineImage;
 use nvp_workloads::{KernelInstance, KernelKind};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, system_config_for, watch_trace, SimTrace, STATE_BITS};
+use crate::common::{kernel, style_setup, watch_trace, Setup, SimTrace};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
 use crate::simcache::{self, Digest, KeyHasher, SimOutcome};
@@ -103,37 +104,19 @@ struct Style {
     policy: BackupPolicy,
 }
 
-/// The three backup styles of T3, as fault-campaign platforms.
+/// The three backup styles of T3 on FeRAM, as fault-campaign platforms.
 fn styles(inst: &KernelInstance) -> Vec<Style> {
-    let sys = system_config_for(inst);
-    let mut sw_sys = sys;
-    sw_sys.dmem_nonvolatile = false;
-    let ram_words = inst.min_dmem_words() as u64;
-    vec![
-        Style {
-            name: "nvp-distributed",
-            sys,
-            backup: BackupModel::distributed(NvmTechnology::Feram, STATE_BITS),
-            policy: BackupPolicy::demand(),
-        },
-        Style {
-            name: "nvp-centralized",
-            sys,
-            backup: BackupModel::centralized(NvmTechnology::Feram, STATE_BITS),
-            policy: BackupPolicy::demand(),
-        },
-        Style {
-            name: "sw-checkpoint",
-            sys: sw_sys,
-            backup: BackupModel::software(
-                NvmTechnology::Feram,
-                STATE_BITS,
-                ram_words,
-                sys.clock_hz,
-            ),
-            policy: BackupPolicy::OnDemand { margin: 1.3 },
-        },
+    [
+        ("nvp-distributed", BackupStyle::Distributed),
+        ("nvp-centralized", BackupStyle::Centralized),
+        ("sw-checkpoint", BackupStyle::Software),
     ]
+    .into_iter()
+    .map(|(name, style)| match style_setup(inst, style, NvmTechnology::Feram) {
+        Setup::Nvp { sys, backup, policy } => Style { name, sys, backup, policy },
+        Setup::Wait(_) => unreachable!("backup styles are NVP setups"),
+    })
+    .collect()
 }
 
 /// The fault plan for one (rate, trial) cell. Rate zero is the genuine
@@ -355,22 +338,15 @@ pub fn table(cfg: &ExpConfig) -> Table {
 /// Feasibility plans: each backup style's platform, plus the campaign's
 /// sweep dimensions.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![
         sweep("fault rates", FAULT_RATES.len()),
         sweep("monte-carlo trials per faulted cell", cfg.fault_trials),
     ];
-    for style in styles(&inst) {
-        out.push(nvp_plan(
-            format!("{} under fault injection", style.name),
-            &style.sys,
-            style.backup,
-            &style.policy,
-        ));
-    }
+    out.extend(styles(&kernel(cfg, KernelKind::Sobel)).into_iter().map(|style| {
+        let Style { name, sys, backup, policy } = style;
+        platform(format!("{name} under fault injection"), Setup::Nvp { sys, backup, policy })
+    }));
     out
 }
 

@@ -8,7 +8,8 @@
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp, run_software_ckpt, run_wait, watch_trace};
+use crate::common::{kernel, nvp_setup, swckpt_setup, wait_setup, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt_ratio;
 use crate::{ExpConfig, Table};
 
@@ -46,20 +47,32 @@ impl Row {
     }
 }
 
+/// The three platforms F3 compares on one kernel, in column order:
+/// hardware NVP, wait-compute, software checkpointing.
+fn setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 3] {
+    let inst = kernel(cfg, kind);
+    [
+        (format!("hardware nvp {}", kind.name()), nvp_setup(&inst)),
+        (format!("wait-compute {}", kind.name()), wait_setup(cfg, kind)),
+        (format!("software checkpoint {}", kind.name()), swckpt_setup(&inst)),
+    ]
+}
+
 /// Runs the three platforms for every kernel × profile combination.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let mut out = Vec::new();
     for kind in KERNELS {
         let inst = kernel(cfg, kind);
+        let [nvp, wait, swckpt] = setups(cfg, kind).map(|(_, setup)| setup);
         for &seed in &cfg.profile_seeds {
             let trace = watch_trace(cfg, seed);
             out.push(Row {
                 kernel: kind.name().to_owned(),
                 profile: seed,
-                nvp_fp: run_nvp(&inst, &trace).forward_progress(),
-                wait_fp: run_wait(cfg, kind, &trace).forward_progress(),
-                swckpt_fp: run_software_ckpt(&inst, &trace).forward_progress(),
+                nvp_fp: nvp.run(&inst, &trace).forward_progress(),
+                wait_fp: wait.run(&inst, &trace).forward_progress(),
+                swckpt_fp: swckpt.run(&inst, &trace).forward_progress(),
             });
         }
     }
@@ -111,40 +124,12 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the three platform configurations F3 simulates
-/// for every kernel (hardware NVP, wait-compute, software checkpoint).
+/// Feasibility plans: the three platforms F3 simulates for every kernel.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::common::{standard_backup, system_config_for, task_cost, STATE_BITS};
-    use crate::feasibility::{nvp_plan, sweep, wait_plan};
-    use nvp_core::{BackupModel, BackupPolicy, WaitComputeConfig};
-
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![sweep("kernel x profile grid", KERNELS.len() * cfg.profile_seeds.len())];
     for kind in KERNELS {
-        let inst = kernel(cfg, kind);
-        out.push(nvp_plan(
-            format!("hardware nvp {}", kind.name()),
-            &system_config_for(&inst),
-            standard_backup(),
-            &BackupPolicy::demand(),
-        ));
-        let mut wcfg = WaitComputeConfig::default().sized_for(&task_cost(cfg, kind), 1.3);
-        wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
-        out.push(wait_plan(format!("wait-compute {}", kind.name()), &wcfg));
-        let mut sys = system_config_for(&inst);
-        sys.dmem_nonvolatile = false;
-        let backup = BackupModel::software(
-            nvp_device::NvmTechnology::Feram,
-            STATE_BITS,
-            inst.min_dmem_words() as u64,
-            sys.clock_hz,
-        );
-        out.push(nvp_plan(
-            format!("software checkpoint {}", kind.name()),
-            &sys,
-            backup,
-            &BackupPolicy::OnDemand { margin: 1.3 },
-        ));
+        out.extend(setups(cfg, kind).map(|(label, setup)| platform(label, setup)));
     }
     out
 }

@@ -7,7 +7,8 @@
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp, watch_trace};
+use crate::common::{kernel, nvp_setup, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -26,15 +27,21 @@ pub struct Row {
     pub rollbacks: u64,
 }
 
+/// The one platform F4 measures: the standard NVP.
+fn setup(cfg: &ExpConfig) -> (&'static str, Setup) {
+    ("standard hardware nvp", nvp_setup(&kernel(cfg, KernelKind::Sobel)))
+}
+
 /// Measures backup overheads with the sobel workload.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
+    let (_, nvp) = setup(cfg);
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
             let trace = watch_trace(cfg, seed);
-            let r = run_nvp(&inst, &trace);
+            let r = nvp.run(&inst, &trace);
             Row {
                 profile: seed,
                 backups_per_minute: r.backups_per_minute(),
@@ -68,20 +75,9 @@ pub fn table(cfg: &ExpConfig) -> Table {
 
 /// Feasibility plans: F4 runs the standard NVP over every profile.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::common::{standard_backup, system_config_for};
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    vec![
-        sweep("backup-overhead profiles", cfg.profile_seeds.len()),
-        nvp_plan(
-            "standard hardware nvp",
-            &system_config_for(&inst),
-            standard_backup(),
-            &nvp_core::BackupPolicy::demand(),
-        ),
-    ]
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
+    let (label, nvp) = setup(cfg);
+    vec![sweep("backup-overhead profiles", cfg.profile_seeds.len()), platform(label, nvp)]
 }
 
 #[cfg(test)]

@@ -7,13 +7,12 @@
 //! wait-compute platform needs orders of magnitude more storage before it
 //! works at all.
 
-use nvp_core::{SystemConfig, WaitComputeConfig};
+use nvp_core::BackupPolicy;
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{
-    kernel, run_nvp_with, run_wait_with, standard_backup, system_config_for, watch_trace,
-};
+use crate::common::{kernel, standard_backup, system_config_for, wait_config, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -32,6 +31,28 @@ pub struct Row {
     pub wait_fp: u64,
 }
 
+/// Both platforms at one swept capacitance `c`: the NVP with a `c`
+/// buffer and wait-compute with a `c` ESD. The smallest buffers
+/// legitimately cannot *start* — that is the measured result.
+fn setups(cfg: &ExpConfig, c: f64) -> [(String, Setup); 2] {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let sys = system_config_for(&inst).with_capacitance(c);
+    // The wait-compute start threshold stays task-sized but is capped at
+    // 90 % of the ESD capacity (an undersized ESD forces early, risky
+    // starts).
+    let mut wcfg = wait_config(cfg, KernelKind::Sobel);
+    wcfg.capacitance_f = c;
+    let capacity = 0.5 * c * wcfg.cap_voltage_v * wcfg.cap_voltage_v;
+    wcfg.start_energy_j = wcfg.start_energy_j.min(0.9 * capacity);
+    [
+        (
+            format!("nvp {:.0} nF buffer", c * 1e9),
+            Setup::Nvp { sys, backup: standard_backup(), policy: BackupPolicy::demand() },
+        ),
+        (format!("wait-compute {:.0} nF esd", c * 1e9), Setup::Wait(wcfg)),
+    ]
+}
+
 /// Sweeps storage size for both platforms on the first profile.
 /// Points are independent simulations of one shared kernel, so they
 /// dispatch as lane groups on the shared thread pool; result order
@@ -40,20 +61,8 @@ pub struct Row {
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    let cost = crate::common::task_cost(cfg, KernelKind::Sobel);
     crate::sched::par_map_groups(&CAPACITANCES_F, |&c| {
-        let sys: SystemConfig = system_config_for(&inst).with_capacitance(c);
-        let nvp =
-            run_nvp_with(&inst, &trace, sys, standard_backup(), nvp_core::BackupPolicy::demand());
-        // Wait-compute with the same storage size; the start threshold
-        // stays task-sized but is capped at 90 % of the ESD capacity
-        // (an undersized ESD forces early, risky starts).
-        let mut wcfg = WaitComputeConfig::default().sized_for(&cost, 1.3);
-        wcfg.capacitance_f = c;
-        wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
-        let capacity = 0.5 * c * wcfg.cap_voltage_v * wcfg.cap_voltage_v;
-        wcfg.start_energy_j = wcfg.start_energy_j.min(0.9 * capacity);
-        let wait = run_wait_with(&inst, &trace, wcfg);
+        let [nvp, wait] = setups(cfg, c).map(|(_, setup)| setup.run(&inst, &trace));
         Row { cap_uf: c * 1e6, nvp_fp: nvp.forward_progress(), wait_fp: wait.forward_progress() }
     })
 }
@@ -72,30 +81,13 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: both platforms at every swept capacitance. The
-/// smallest buffers legitimately cannot *start* — that is the measured
-/// result — but a single backup must always fit the store.
+/// Feasibility plans: both platforms at every swept capacitance; a
+/// single backup must always fit the store.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep, wait_plan};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let cost = crate::common::task_cost(cfg, KernelKind::Sobel);
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![sweep("capacitance sweep", CAPACITANCES_F.len())];
-    for &c in &CAPACITANCES_F {
-        let sys = system_config_for(&inst).with_capacitance(c);
-        out.push(nvp_plan(
-            format!("nvp {:.0} nF buffer", c * 1e9),
-            &sys,
-            standard_backup(),
-            &nvp_core::BackupPolicy::demand(),
-        ));
-        let mut wcfg = WaitComputeConfig::default().sized_for(&cost, 1.3);
-        wcfg.capacitance_f = c;
-        wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
-        let capacity = 0.5 * c * wcfg.cap_voltage_v * wcfg.cap_voltage_v;
-        wcfg.start_energy_j = wcfg.start_energy_j.min(0.9 * capacity);
-        out.push(wait_plan(format!("wait-compute {:.0} nF esd", c * 1e9), &wcfg));
+    for c in CAPACITANCES_F {
+        out.extend(setups(cfg, c).map(|(label, setup)| platform(label, setup)));
     }
     out
 }

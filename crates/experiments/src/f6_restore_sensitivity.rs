@@ -9,7 +9,8 @@ use nvp_energy::units::{Joules, Seconds};
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, standard_backup, system_config_for, watch_trace};
+use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -34,22 +35,27 @@ pub struct Row {
     pub relative: f64,
 }
 
+/// The NVP at one swept wake-up latency, with its wake-up energy
+/// surcharge folded into the backup model.
+fn setup(cfg: &ExpConfig, restore: f64) -> (String, Setup) {
+    let sys = system_config_for(&kernel(cfg, KernelKind::Sobel));
+    let mut backup = standard_backup().with_restore_time(Seconds::new(restore));
+    backup.restore_energy += Joules::new(restore * WAKEUP_POWER_W);
+    let label = format!("nvp restore {:.1} us", restore * 1e6);
+    (label, Setup::Nvp { sys, backup, policy: BackupPolicy::demand() })
+}
+
 /// Sweeps restore latency over the configured profiles.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
     let mut means = Vec::new();
-    for &restore in &RESTORE_TIMES_S {
-        let mut backup = standard_backup().with_restore_time(Seconds::new(restore));
-        backup.restore_energy += Joules::new(restore * WAKEUP_POWER_W);
+    for restore in RESTORE_TIMES_S {
+        let (_, nvp) = setup(cfg, restore);
         let total: u64 = cfg
             .profile_seeds
             .iter()
-            .map(|&seed| {
-                run_nvp_with(&inst, &watch_trace(cfg, seed), sys, backup, BackupPolicy::demand())
-                    .forward_progress()
-            })
+            .map(|&seed| nvp.run(&inst, &watch_trace(cfg, seed)).forward_progress())
             .sum();
         means.push(total as f64 / cfg.profile_seeds.len() as f64);
     }
@@ -75,25 +81,14 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the NVP with every swept wake-up latency (and its
-/// wake-up energy surcharge) folded into the backup model.
+/// Feasibility plans: the NVP at every swept wake-up latency.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![sweep("restore-latency sweep", RESTORE_TIMES_S.len())];
-    for &restore in &RESTORE_TIMES_S {
-        let mut backup = standard_backup().with_restore_time(Seconds::new(restore));
-        backup.restore_energy += Joules::new(restore * WAKEUP_POWER_W);
-        out.push(nvp_plan(
-            format!("nvp restore {:.1} us", restore * 1e6),
-            &sys,
-            backup,
-            &BackupPolicy::demand(),
-        ));
-    }
+    out.extend(RESTORE_TIMES_S.map(|restore| {
+        let (label, nvp) = setup(cfg, restore);
+        platform(label, nvp)
+    }));
     out
 }
 

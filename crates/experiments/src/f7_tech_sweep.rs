@@ -10,10 +10,11 @@ use nvp_device::{EnduranceMeter, NvmTechnology};
 use nvp_energy::harvester::SourceKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, source_trace, system_config_for_tech, STATE_BITS};
+use crate::common::{kernel, source_trace, system_config_for_tech, Setup, STATE_BITS};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
-use nvp_workloads::KernelKind;
+use nvp_workloads::{KernelInstance, KernelKind};
 
 /// One technology × source measurement.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,6 +31,16 @@ pub struct Row {
     pub lifetime_years: f64,
 }
 
+/// The NVP built from one technology: both the backup path *and* the
+/// NVM data memory use `tech`. The harvester sources vary only the
+/// trace, not the platform.
+fn setup(inst: &KernelInstance, tech: NvmTechnology) -> (String, Setup) {
+    let sys = system_config_for_tech(inst, tech);
+    let backup = BackupModel::distributed(tech, STATE_BITS);
+    let nvp = Setup::Nvp { sys, backup, policy: BackupPolicy::demand() };
+    (format!("nvp {tech} backup + data memory"), nvp)
+}
+
 /// Runs the full technology × source grid. Every cell is an
 /// independent simulation of the same kernel, so the flattened grid
 /// dispatches as lane groups on the shared thread pool; row order
@@ -42,11 +53,9 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .flat_map(|tech| SourceKind::ALL.into_iter().map(move |source| (tech, source)))
         .collect();
     crate::sched::par_map_groups(&grid, |&(tech, source)| {
-        // Both the backup path *and* the NVM data memory use `tech`.
-        let sys = system_config_for_tech(&inst, tech);
-        let backup = BackupModel::distributed(tech, STATE_BITS);
+        let (_, nvp) = setup(&inst, tech);
         let trace = source_trace(cfg, source, cfg.profile_seeds[0]);
-        let r = run_nvp_with(&inst, &trace, sys, backup, BackupPolicy::demand());
+        let r = nvp.run(&inst, &trace);
         let rate = r.backups as f64 / r.duration_s.max(1e-9);
         let meter = EnduranceMeter::new(tech.params());
         Row {
@@ -78,23 +87,17 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: one platform per NVM technology (the harvester
-/// sources vary only the trace, not the platform) plus the grid sweep.
+/// Feasibility plans: one platform per NVM technology plus the grid
+/// sweep.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let mut out =
         vec![sweep("technology x source grid", NvmTechnology::ALL.len() * SourceKind::ALL.len())];
-    for tech in NvmTechnology::ALL {
-        out.push(nvp_plan(
-            format!("nvp {tech} backup + data memory"),
-            &system_config_for_tech(&inst, tech),
-            BackupModel::distributed(tech, STATE_BITS),
-            &BackupPolicy::demand(),
-        ));
-    }
+    out.extend(NvmTechnology::ALL.map(|tech| {
+        let (label, nvp) = setup(&inst, tech);
+        platform(label, nvp)
+    }));
     out
 }
 

@@ -11,7 +11,10 @@
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp, run_wait, seconds_per_frame, task_cost, watch_trace};
+use crate::common::{
+    kernel, nvp_setup, seconds_per_frame, task_cost, wait_setup, watch_trace, Setup,
+};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -49,6 +52,15 @@ impl Row {
     }
 }
 
+/// The two platforms F8 compares on one kernel: hardware NVP, then
+/// wait-compute.
+fn setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 2] {
+    [
+        (format!("hardware nvp {}", kind.name()), nvp_setup(&kernel(cfg, kind))),
+        (format!("wait-compute {}", kind.name()), wait_setup(cfg, kind)),
+    ]
+}
+
 /// Measures frame latency for every kernel on the first profile.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
@@ -58,8 +70,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .map(|&kind| {
             let inst = kernel(cfg, kind);
             let cost = task_cost(cfg, kind);
-            let nvp = run_nvp(&inst, &trace);
-            let wait = run_wait(cfg, kind, &trace);
+            let [nvp, wait] = setups(cfg, kind).map(|(_, setup)| setup.run(&inst, &trace));
             Row {
                 kernel: kind.name().to_owned(),
                 unconstrained_s: cost.time_s(1e6),
@@ -95,26 +106,13 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the NVP and wait-compute configurations F8 runs
-/// for every kernel in the latency ladder.
+/// Feasibility plans: the NVP and wait-compute platforms F8 runs for
+/// every kernel in the latency ladder.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::common::{standard_backup, system_config_for};
-    use crate::feasibility::{nvp_plan, sweep, wait_plan};
-    use nvp_core::{BackupPolicy, WaitComputeConfig};
-
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![sweep("frame-latency kernels", KERNELS.len())];
     for kind in KERNELS {
-        let inst = kernel(cfg, kind);
-        out.push(nvp_plan(
-            format!("hardware nvp {}", kind.name()),
-            &system_config_for(&inst),
-            standard_backup(),
-            &BackupPolicy::demand(),
-        ));
-        let mut wcfg = WaitComputeConfig::default().sized_for(&task_cost(cfg, kind), 1.3);
-        wcfg.dmem_words = wcfg.dmem_words.max(inst.min_dmem_words());
-        out.push(wait_plan(format!("wait-compute {}", kind.name()), &wcfg));
+        out.extend(setups(cfg, kind).map(|(label, setup)| platform(label, setup)));
     }
     out
 }

@@ -23,7 +23,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, system_config_for, watch_trace, STATE_BITS};
+use crate::common::{kernel, system_config_for, watch_trace, Setup, STATE_BITS};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -69,6 +70,12 @@ fn relaxed_backup(policy: RelaxPolicy) -> (BackupModel, f64) {
     (model, scale)
 }
 
+/// The NVP with the relaxed STT-MRAM backup of one retention policy.
+fn setup(cfg: &ExpConfig, model: BackupModel) -> Setup {
+    let sys = system_config_for(&kernel(cfg, KernelKind::Sobel));
+    Setup::Nvp { sys, backup: model, policy: BackupPolicy::demand() }
+}
+
 fn degraded_psnr(cfg: &ExpConfig, policy: RelaxPolicy, outage_s: f64, seed: u64) -> f64 {
     let inst = kernel(cfg, KernelKind::Sobel);
     let shaper = RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S);
@@ -83,7 +90,6 @@ fn degraded_psnr(cfg: &ExpConfig, policy: RelaxPolicy, outage_s: f64, seed: u64)
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
     let trace0 = watch_trace(cfg, cfg.profile_seeds[0]);
     let outages = OutageStats::analyze(&trace0, OPERATING_THRESHOLD_W);
 
@@ -91,13 +97,11 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let mut out = Vec::new();
     for policy in RelaxPolicy::ALL {
         let (model, scale) = relaxed_backup(policy);
+        let nvp = setup(cfg, model);
         let total: u64 = cfg
             .profile_seeds
             .iter()
-            .map(|&seed| {
-                run_nvp_with(&inst, &watch_trace(cfg, seed), sys, model, BackupPolicy::demand())
-                    .forward_progress()
-            })
+            .map(|&seed| nvp.run(&inst, &watch_trace(cfg, seed)).forward_progress())
             .sum();
         let mean_fp = total as f64 / cfg.profile_seeds.len() as f64;
         if policy == RelaxPolicy::Uniform {
@@ -157,21 +161,12 @@ pub fn table(cfg: &ExpConfig) -> Table {
 /// Feasibility plans: the relaxed STT-MRAM backup model under every
 /// retention policy.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let sys = system_config_for(&inst);
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
     let mut out = vec![sweep("retention-relaxation policies", RelaxPolicy::ALL.len())];
-    for policy in RelaxPolicy::ALL {
+    out.extend(RelaxPolicy::ALL.map(|policy| {
         let (model, _) = relaxed_backup(policy);
-        out.push(nvp_plan(
-            format!("stt-mram {policy:?} relaxation"),
-            &sys,
-            model,
-            &BackupPolicy::demand(),
-        ));
-    }
+        platform(format!("stt-mram {policy:?} relaxation"), setup(cfg, model))
+    }));
     out
 }
 

@@ -1,11 +1,15 @@
 //! **Config feasibility validation** — the static checker behind
 //! `repro --check`.
 //!
-//! Every registered experiment declares the platform configurations and
-//! sweep ranges it is about to simulate ([`Experiment::plans`]); this
-//! module checks each declared plan against physical-feasibility rules
+//! Every registered experiment declares the platform [`Setup`]s and
+//! sweep ranges it is about to simulate ([`Experiment::plans`]) — the
+//! very values its table builder runs, not a restatement of them. This
+//! module checks each declared item against physical-feasibility rules
 //! *before* any simulation runs, so an infeasible reconstruction is a
-//! diagnostic instead of a silent zero-progress run:
+//! diagnostic instead of a silent zero-progress run. The front end and
+//! thresholds it inspects come from the same `nvp-core` derivations
+//! ([`nvp_core::SystemConfig::front_end`], [`nvp_core::SystemConfig::thresholds`],
+//! [`nvp_core::WaitComputeConfig::front_end`]) the platforms are built with:
 //!
 //! | rule | meaning |
 //! |------|---------|
@@ -23,9 +27,9 @@
 
 use std::fmt;
 
-use nvp_core::{BackupModel, BackupPolicy, SystemConfig, Thresholds, WaitComputeConfig};
-use nvp_energy::{Farads, FrontEndConfig, Joules, Seconds, Volts};
+use nvp_energy::Joules;
 
+pub use crate::common::Setup;
 use crate::registry::{registry, Experiment};
 use crate::ExpConfig;
 
@@ -46,31 +50,16 @@ pub const RULE_STORAGE: &str = "nonpositive-storage";
 /// an empty artifact.
 pub const RULE_EMPTY_SWEEP: &str = "empty-sweep";
 
-/// One platform configuration an experiment intends to run.
-///
-/// Collapses both platform kinds to the values the feasibility rules
-/// inspect: the energy front end, plus the backup model and derived
-/// thresholds (hardware/software NVP) or the start threshold
-/// (wait-then-compute).
-#[derive(Debug, Clone)]
-pub struct PlatformPlan {
-    /// Human-readable plan label, shown in diagnostics.
-    pub label: String,
-    /// The energy front end the platform would be built with.
-    pub fe: FrontEndConfig,
-    /// Backup model (NVP platforms).
-    pub backup: Option<BackupModel>,
-    /// Derived start/reserve thresholds (NVP platforms).
-    pub thresholds: Option<Thresholds>,
-    /// Stored energy required before execution begins (wait-compute).
-    pub start_energy: Option<Joules>,
-}
-
 /// One checkable unit of an experiment's declared intent.
 #[derive(Debug, Clone)]
 pub enum CheckItem {
-    /// A platform configuration that will be simulated.
-    Platform(Box<PlatformPlan>),
+    /// A platform setup that will be simulated.
+    Platform {
+        /// Human-readable platform label, shown in diagnostics.
+        label: String,
+        /// The setup exactly as the experiment runs it.
+        setup: Box<Setup>,
+    },
     /// A parameter sweep with a declared point count.
     Sweep {
         /// Human-readable sweep label, shown in diagnostics.
@@ -80,52 +69,10 @@ pub enum CheckItem {
     },
 }
 
-/// Declares an NVP platform plan exactly as [`nvp_core::IntermittentSystem::new`]
-/// would derive it: direct-charge front end from the [`SystemConfig`]
-/// storage fields, thresholds from the backup model and policy.
+/// Declares a platform setup under a diagnostic label.
 #[must_use]
-pub fn nvp_plan(
-    label: impl Into<String>,
-    sys: &SystemConfig,
-    backup: BackupModel,
-    policy: &BackupPolicy,
-) -> CheckItem {
-    let fe = FrontEndConfig::direct(
-        sys.rectifier,
-        Farads::new(sys.capacitance_f),
-        Volts::new(sys.cap_voltage_v),
-        Seconds::new(sys.cap_leak_tau_s),
-    );
-    let thresholds = Thresholds::derive(&backup, policy, Joules::new(sys.work_headroom_j));
-    CheckItem::Platform(Box::new(PlatformPlan {
-        label: label.into(),
-        fe,
-        backup: Some(backup),
-        thresholds: Some(thresholds),
-        start_energy: None,
-    }))
-}
-
-/// Declares a wait-then-compute platform plan with the front end
-/// [`nvp_core::WaitComputeSystem::new`] would build.
-#[must_use]
-pub fn wait_plan(label: impl Into<String>, w: &WaitComputeConfig) -> CheckItem {
-    let fe = FrontEndConfig {
-        rectifier: w.rectifier,
-        capacitance: Farads::new(w.capacitance_f),
-        cap_voltage: Volts::new(w.cap_voltage_v),
-        cap_leak_tau: Seconds::new(w.cap_leak_tau_s),
-        min_charge_power: nvp_energy::Watts::new(w.min_charge_power_w),
-        trickle_efficiency: w.trickle_efficiency,
-        max_charge_power: nvp_energy::Watts::new(w.max_charge_power_w),
-    };
-    CheckItem::Platform(Box::new(PlatformPlan {
-        label: label.into(),
-        fe,
-        backup: None,
-        thresholds: None,
-        start_energy: Some(Joules::new(w.start_energy_j)),
-    }))
+pub fn platform(label: impl Into<String>, setup: Setup) -> CheckItem {
+    CheckItem::Platform { label: label.into(), setup: Box::new(setup) }
 }
 
 /// Declares a parameter sweep of `points` points.
@@ -157,7 +104,7 @@ impl fmt::Display for Diagnostic {
 #[must_use]
 pub fn check_item(item: &CheckItem) -> Vec<(&'static str, String)> {
     match item {
-        CheckItem::Platform(plan) => check_platform(plan),
+        CheckItem::Platform { setup, .. } => check_setup(setup),
         CheckItem::Sweep { points, .. } => {
             if *points == 0 {
                 vec![(RULE_EMPTY_SWEEP, "sweep declares zero points".to_owned())]
@@ -168,9 +115,12 @@ pub fn check_item(item: &CheckItem) -> Vec<(&'static str, String)> {
     }
 }
 
-fn check_platform(plan: &PlatformPlan) -> Vec<(&'static str, String)> {
+fn check_setup(setup: &Setup) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
-    let fe = &plan.fe;
+    let fe = match setup {
+        Setup::Nvp { sys, .. } => sys.front_end(),
+        Setup::Wait(w) => w.front_end(),
+    };
 
     let c = fe.capacitance.get();
     let v = fe.cap_voltage.get();
@@ -199,35 +149,37 @@ fn check_platform(plan: &PlatformPlan) -> Vec<(&'static str, String)> {
         out.push((RULE_TRICKLE_CLIP, format!("trickle efficiency {eff} is outside (0, 1]")));
     }
 
-    let capacity = fe.max_storage_energy();
-    if let Some(backup) = &plan.backup {
-        if backup.backup_energy > capacity {
-            out.push((
-                RULE_BACKUP_CAPACITY,
-                format!(
-                    "backup needs {} but the storage holds at most {}",
-                    backup.backup_energy, capacity
-                ),
-            ));
+    match setup {
+        Setup::Nvp { sys, backup, policy } => {
+            let capacity = fe.max_storage_energy();
+            if backup.backup_energy > capacity {
+                out.push((
+                    RULE_BACKUP_CAPACITY,
+                    format!(
+                        "backup needs {} but the storage holds at most {}",
+                        backup.backup_energy, capacity
+                    ),
+                ));
+            }
+            let th = sys.thresholds(backup, policy);
+            if th.start <= th.backup_reserve {
+                out.push((
+                    RULE_THRESHOLD_ORDER,
+                    format!(
+                        "start threshold {} does not exceed the brown-out reserve {}",
+                        th.start, th.backup_reserve
+                    ),
+                ));
+            }
         }
-    }
-    if let Some(th) = &plan.thresholds {
-        if th.start <= th.backup_reserve {
-            out.push((
-                RULE_THRESHOLD_ORDER,
-                format!(
-                    "start threshold {} does not exceed the brown-out reserve {}",
-                    th.start, th.backup_reserve
-                ),
-            ));
-        }
-    }
-    if let Some(start) = plan.start_energy {
-        if start <= Joules::ZERO {
-            out.push((
-                RULE_THRESHOLD_ORDER,
-                format!("start threshold {start} does not exceed the zero brown-out floor"),
-            ));
+        Setup::Wait(w) => {
+            let start = Joules::new(w.start_energy_j);
+            if start <= Joules::ZERO {
+                out.push((
+                    RULE_THRESHOLD_ORDER,
+                    format!("start threshold {start} does not exceed the zero brown-out floor"),
+                ));
+            }
         }
     }
     out
@@ -235,8 +187,7 @@ fn check_platform(plan: &PlatformPlan) -> Vec<(&'static str, String)> {
 
 fn item_label(item: &CheckItem) -> &str {
     match item {
-        CheckItem::Platform(plan) => &plan.label,
-        CheckItem::Sweep { label, .. } => label,
+        CheckItem::Platform { label, .. } | CheckItem::Sweep { label, .. } => label,
     }
 }
 
@@ -267,11 +218,16 @@ pub fn check_registry(cfg: &ExpConfig) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvp_core::BackupPolicy;
+    use nvp_core::{BackupModel, BackupPolicy, SystemConfig, WaitComputeConfig};
     use nvp_device::NvmTechnology;
 
-    fn demand() -> BackupPolicy {
-        BackupPolicy::demand()
+    fn nvp(sys: SystemConfig) -> CheckItem {
+        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
+        platform("nvp", Setup::Nvp { sys, backup, policy: BackupPolicy::demand() })
+    }
+
+    fn wait(w: WaitComputeConfig) -> CheckItem {
+        platform("wait", Setup::Wait(w))
     }
 
     fn unwrap_violation(item: &CheckItem, rule: &str) -> String {
@@ -290,9 +246,7 @@ mod tests {
         // state needs ~150 nJ of overhead alone.
         let sys =
             SystemConfig { capacitance_f: 1e-9, cap_voltage_v: 1.0, ..SystemConfig::default() };
-        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let item = nvp_plan("tiny cap", &sys, backup, &demand());
-        let msg = unwrap_violation(&item, RULE_BACKUP_CAPACITY);
+        let msg = unwrap_violation(&nvp(sys), RULE_BACKUP_CAPACITY);
         assert!(msg.contains("backup needs"), "{msg}");
         assert!(msg.contains("holds at most"), "{msg}");
     }
@@ -300,28 +254,18 @@ mod tests {
     /// Rule 2: start threshold must strictly exceed the brown-out reserve.
     #[test]
     fn inverted_thresholds_are_diagnosed() {
-        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let item = CheckItem::Platform(Box::new(PlatformPlan {
-            label: "inverted".into(),
-            fe: FrontEndConfig::direct(
-                nvp_energy::Rectifier::default(),
-                Farads::new(2.2e-6),
-                Volts::new(3.3),
-                Seconds::new(3600.0),
-            ),
-            thresholds: Some(Thresholds {
-                start: backup.backup_energy,
-                backup_reserve: backup.backup_energy,
-            }),
-            backup: Some(backup),
-            start_energy: None,
-        }));
+        // With free restores and no work headroom the platform would
+        // start exactly at its brown-out reserve.
+        let mut backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
+        backup.restore_energy = Joules::ZERO;
+        let sys = SystemConfig { work_headroom_j: 0.0, ..SystemConfig::default() };
+        let item = platform("inverted", Setup::Nvp { sys, backup, policy: BackupPolicy::demand() });
         let msg = unwrap_violation(&item, RULE_THRESHOLD_ORDER);
         assert!(msg.contains("does not exceed the brown-out reserve"), "{msg}");
         // A wait-compute platform with a zero start threshold is the
         // same class of error.
         let w = WaitComputeConfig { start_energy_j: 0.0, ..WaitComputeConfig::default() };
-        let msg = unwrap_violation(&wait_plan("zero start", &w), RULE_THRESHOLD_ORDER);
+        let msg = unwrap_violation(&wait(w), RULE_THRESHOLD_ORDER);
         assert!(msg.contains("zero brown-out floor"), "{msg}");
     }
 
@@ -333,11 +277,11 @@ mod tests {
             max_charge_power_w: 1e-4,
             ..WaitComputeConfig::default()
         };
-        let msg = unwrap_violation(&wait_plan("inverted charger", &w), RULE_TRICKLE_CLIP);
+        let msg = unwrap_violation(&wait(w), RULE_TRICKLE_CLIP);
         assert!(msg.contains("exceeds charger clip"), "{msg}");
 
         let w = WaitComputeConfig { trickle_efficiency: 0.0, ..WaitComputeConfig::default() };
-        let msg = unwrap_violation(&wait_plan("dead trickle", &w), RULE_TRICKLE_CLIP);
+        let msg = unwrap_violation(&wait(w), RULE_TRICKLE_CLIP);
         assert!(msg.contains("outside (0, 1]"), "{msg}");
     }
 
@@ -345,15 +289,11 @@ mod tests {
     #[test]
     fn nonpositive_storage_is_diagnosed() {
         let sys = SystemConfig { capacitance_f: 0.0, ..SystemConfig::default() };
-        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let item = nvp_plan("no cap", &sys, backup, &demand());
-        let msg = unwrap_violation(&item, RULE_STORAGE);
+        let msg = unwrap_violation(&nvp(sys), RULE_STORAGE);
         assert!(msg.contains("capacitance"), "{msg}");
 
         let sys = SystemConfig { cap_leak_tau_s: -1.0, ..SystemConfig::default() };
-        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let item = nvp_plan("negative leak", &sys, backup, &demand());
-        let msg = unwrap_violation(&item, RULE_STORAGE);
+        let msg = unwrap_violation(&nvp(sys), RULE_STORAGE);
         assert!(msg.contains("leak time constant"), "{msg}");
     }
 
@@ -368,11 +308,8 @@ mod tests {
     /// The default platform configurations are feasible.
     #[test]
     fn default_platforms_are_feasible() {
-        let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        let item = nvp_plan("default nvp", &SystemConfig::default(), backup, &demand());
-        assert!(check_item(&item).is_empty());
-        let item = wait_plan("default wait", &WaitComputeConfig::default());
-        assert!(check_item(&item).is_empty());
+        assert!(check_item(&nvp(SystemConfig::default())).is_empty());
+        assert!(check_item(&wait(WaitComputeConfig::default())).is_empty());
     }
 
     /// Every registered experiment declares only feasible plans, in

@@ -72,7 +72,7 @@ pub mod t3_backup_strategies;
 
 pub use config::ExpConfig;
 pub use job::{run_request, CachePolicy, CampaignRequest, CampaignResult};
-pub use par::{set_thread_limit, set_thread_override, thread_count};
+pub use par::set_thread_override;
 pub use registry::{find, registry, Experiment};
 pub use report::Table;
 pub use runner::{run_all, run_all_sequential, run_only, RunArtifacts};

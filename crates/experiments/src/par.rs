@@ -69,7 +69,8 @@ pub fn set_thread_override(threads: Option<usize>) {
 /// Programmatically requests a worker-count cap that, like a plain
 /// `NVP_THREADS=n`, still clamps to the detected hardware parallelism
 /// (`None` clears back to the default).
-pub fn set_thread_limit(threads: Option<usize>) {
+#[cfg(test)]
+fn set_thread_limit(threads: Option<usize>) {
     let v = match threads {
         Some(n) if n >= 1 => encode(n, false),
         _ => NO_OVERRIDE,
@@ -121,7 +122,7 @@ pub(crate) fn thread_budget() -> usize {
 /// of those slots actually get a thread depends on how much of the
 /// budget is free at run time — see the `sched` module.
 #[must_use]
-pub fn thread_count(work: usize) -> usize {
+pub(crate) fn thread_count(work: usize) -> usize {
     thread_budget().min(work).max(1)
 }
 

@@ -464,16 +464,18 @@ pub fn reset_sim_cache() {
     QUARANTINED.store(0, Ordering::Relaxed);
 }
 
+/// Lower-case hex rendering of a digest, for tests that pin keys.
+#[cfg(test)]
+pub(crate) fn hex(d: Digest) -> String {
+    d.iter().fold(String::new(), |mut s, b| {
+        write!(s, "{b:02x}").expect("write to String");
+        s
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(d: Digest) -> String {
-        d.iter().fold(String::new(), |mut s, b| {
-            write!(s, "{b:02x}").expect("write to String");
-            s
-        })
-    }
 
     fn one_shot(data: &[u8]) -> Digest {
         let mut h = Sha256::new();

@@ -5,12 +5,13 @@
 //! array) vs. software checkpointing, per technology — op costs plus
 //! end-to-end forward progress on a wearable trace.
 
-use nvp_core::{BackupModel, BackupPolicy, BackupStyle};
+use nvp_core::BackupStyle;
 use nvp_device::NvmTechnology;
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, run_nvp_with, system_config_for, watch_trace, STATE_BITS};
+use crate::common::{kernel, style_setup, watch_trace, Setup};
+use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -31,45 +32,38 @@ pub struct Row {
     pub fp: u64,
 }
 
-fn model_for(style: BackupStyle, tech: NvmTechnology, ram_words: u64) -> BackupModel {
-    match style {
-        BackupStyle::Distributed => BackupModel::distributed(tech, STATE_BITS),
-        BackupStyle::Centralized => BackupModel::centralized(tech, STATE_BITS),
-        BackupStyle::Software => BackupModel::software(tech, STATE_BITS, ram_words, 1e6),
+/// The style × technology grid (FeRAM and STT-MRAM — the two
+/// technologies real NVPs and FRAM MCUs use), technology-major.
+fn setups(cfg: &ExpConfig) -> Vec<(NvmTechnology, BackupStyle, Setup)> {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let mut out = Vec::new();
+    for tech in [NvmTechnology::Feram, NvmTechnology::SttMram] {
+        for style in [BackupStyle::Distributed, BackupStyle::Centralized, BackupStyle::Software] {
+            out.push((tech, style, style_setup(&inst, style, tech)));
+        }
     }
+    out
 }
 
-/// Runs the style × technology grid (FeRAM and STT-MRAM — the two
-/// technologies real NVPs and FRAM MCUs use).
+/// Runs the style × technology grid.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    let ram_words = inst.min_dmem_words() as u64;
-    let mut out = Vec::new();
-    for tech in [NvmTechnology::Feram, NvmTechnology::SttMram] {
-        for style in [BackupStyle::Distributed, BackupStyle::Centralized, BackupStyle::Software] {
-            let model = model_for(style, tech, ram_words);
-            let mut sys = system_config_for(&inst);
-            if style == BackupStyle::Software {
-                sys.dmem_nonvolatile = false;
-            }
-            let policy = match style {
-                BackupStyle::Software => BackupPolicy::OnDemand { margin: 1.3 },
-                _ => BackupPolicy::demand(),
-            };
-            let r = run_nvp_with(&inst, &trace, sys, model, policy);
-            out.push(Row {
+    setups(cfg)
+        .into_iter()
+        .map(|(tech, style, setup)| {
+            let Setup::Nvp { backup, .. } = setup else { unreachable!("T3 runs NVP setups") };
+            Row {
                 tech: tech.to_string(),
                 style: style.to_string(),
-                backup_us: model.backup_time.get() * 1e6,
-                backup_nj: model.backup_energy.get() * 1e9,
-                restore_us: model.restore_time.get() * 1e6,
-                fp: r.forward_progress(),
-            });
-        }
-    }
-    out
+                backup_us: backup.backup_time.get() * 1e6,
+                backup_nj: backup.backup_energy.get() * 1e9,
+                restore_us: backup.restore_time.get() * 1e6,
+                fp: setup.run(&inst, &trace).forward_progress(),
+            }
+        })
+        .collect()
 }
 
 /// Renders the grid.
@@ -95,26 +89,12 @@ pub fn table(cfg: &ExpConfig) -> Table {
 
 /// Feasibility plans: every style × technology cell of the comparison.
 #[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    use crate::feasibility::{nvp_plan, sweep};
-
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let ram_words = inst.min_dmem_words() as u64;
-    let mut out = vec![sweep("technology x style grid", 2 * 3)];
-    for tech in [NvmTechnology::Feram, NvmTechnology::SttMram] {
-        for style in [BackupStyle::Distributed, BackupStyle::Centralized, BackupStyle::Software] {
-            let model = model_for(style, tech, ram_words);
-            let mut sys = system_config_for(&inst);
-            if style == BackupStyle::Software {
-                sys.dmem_nonvolatile = false;
-            }
-            let policy = match style {
-                BackupStyle::Software => BackupPolicy::OnDemand { margin: 1.3 },
-                _ => BackupPolicy::demand(),
-            };
-            out.push(nvp_plan(format!("{tech} {style:?}"), &sys, model, &policy));
-        }
-    }
+pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
+    let setups = setups(cfg);
+    let mut out = vec![sweep("technology x style grid", setups.len())];
+    out.extend(
+        setups.into_iter().map(|(tech, style, setup)| platform(format!("{tech} {style:?}"), setup)),
+    );
     out
 }
 

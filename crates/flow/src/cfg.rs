@@ -97,7 +97,6 @@ pub struct Cfg {
     preds: Vec<Vec<usize>>,
     block_of: Vec<usize>,
     entry_block: usize,
-    has_indirect: bool,
 }
 
 impl Cfg {
@@ -133,7 +132,6 @@ impl Cfg {
             block_of[pc] = last;
         }
 
-        let has_indirect = insts.iter().any(|i| matches!(i, Inst::Jalr { .. }));
         let n = blocks.len();
         let mut succs: Vec<Vec<Edge>> = vec![Vec::new(); n];
         for (b, block) in blocks.iter().enumerate() {
@@ -187,7 +185,7 @@ impl Cfg {
             }
         }
         let entry_block = block_of[entry as usize];
-        Ok(Cfg { insts, blocks, succs, preds, block_of, entry_block, has_indirect })
+        Ok(Cfg { insts, blocks, succs, preds, block_of, entry_block })
     }
 
     /// The decoded instruction stream, indexed by pc.
@@ -218,18 +216,6 @@ impl Cfg {
     #[must_use]
     pub fn succs(&self, b: usize) -> &[Edge] {
         &self.succs[b]
-    }
-
-    /// Predecessor block indices of block `b`.
-    #[must_use]
-    pub fn preds(&self, b: usize) -> &[usize] {
-        &self.preds[b]
-    }
-
-    /// `true` if the program contains a `jalr` (indirect edges present).
-    #[must_use]
-    pub fn has_indirect(&self) -> bool {
-        self.has_indirect
     }
 
     /// Per-block reachability from the entry block.
@@ -353,7 +339,7 @@ mod tests {
         assert_eq!(c.blocks().len(), 3);
         let kinds: Vec<EdgeKind> = c.succs(0).iter().map(|e| e.kind).collect();
         assert_eq!(kinds, vec![EdgeKind::Taken, EdgeKind::Fall]);
-        assert_eq!(c.preds(2), &[0, 1]);
+        assert_eq!(c.preds[2], [0, 1]);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Classic bit-vector dataflow: register liveness (backward) and
-//! reaching definitions (forward), both at basic-block granularity with
-//! per-pc expansion.
+//! Classic bit-vector dataflow: register liveness (backward) at
+//! basic-block granularity with per-pc expansion.
 //!
 //! Registers are tracked as 16-bit masks (bit *i* = `r<i>`); `r0` is
 //! hardwired zero, never needs preserving, and is masked out of every
 //! use/def set so it can never appear live.
-
-use std::collections::BTreeSet;
 
 use nvp_isa::{Inst, Reg};
 
@@ -162,89 +159,6 @@ pub fn liveness(cfg: &Cfg) -> Vec<u16> {
     per_pc
 }
 
-/// Reaching definitions: for each block, the set of definition sites
-/// (pcs) per register that may reach its entry.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    ins: Vec<[BTreeSet<u32>; 16]>,
-}
-
-impl ReachingDefs {
-    /// Computes reaching definitions over `cfg`. The pseudo-definition
-    /// pc `u32::MAX` stands for "uninitialized at entry" (the machine
-    /// zero-fills registers at reset).
-    #[must_use]
-    pub fn compute(cfg: &Cfg) -> ReachingDefs {
-        let insts = cfg.insts();
-        let n = cfg.blocks().len();
-        // Block summaries: last definition pc per register, if any.
-        let mut last_def: Vec<[Option<u32>; 16]> = vec![[None; 16]; n];
-        for (b, block) in cfg.blocks().iter().enumerate() {
-            for pc in block.start..=block.end {
-                let d = def_mask(insts[pc as usize]);
-                for (r, slot) in last_def[b].iter_mut().enumerate().skip(1) {
-                    if d & (1 << r) != 0 {
-                        *slot = Some(pc);
-                    }
-                }
-            }
-        }
-
-        let empty: [BTreeSet<u32>; 16] = Default::default();
-        let mut ins: Vec<[BTreeSet<u32>; 16]> = vec![empty.clone(); n];
-        for set in ins[cfg.entry_block()].iter_mut().skip(1) {
-            set.insert(u32::MAX);
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for b in 0..n {
-                // out[b] per register: the block's own last def if it
-                // defines the register, else whatever reached its entry.
-                for e in cfg.succs(b).to_vec() {
-                    for r in 1..16 {
-                        match last_def[b][r] {
-                            Some(pc) => {
-                                if ins[e.to][r].insert(pc) {
-                                    changed = true;
-                                }
-                            }
-                            None => {
-                                let incoming: Vec<u32> = ins[b][r].iter().copied().collect();
-                                for pc in incoming {
-                                    if ins[e.to][r].insert(pc) {
-                                        changed = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ReachingDefs { ins }
-    }
-
-    /// Definition sites of `reg` that may reach `pc` (walks the block
-    /// prefix). `u32::MAX` denotes the zeroed reset value.
-    #[must_use]
-    pub fn reaching_at(&self, cfg: &Cfg, pc: u32, reg: Reg) -> BTreeSet<u32> {
-        let Some(b) = cfg.block_of(pc) else { return BTreeSet::new() };
-        let block = cfg.blocks()[b];
-        let r = reg.index();
-        if reg.is_zero() {
-            return BTreeSet::new();
-        }
-        let mut defs = self.ins[b][r].clone();
-        for p in block.start..pc {
-            if def_mask(cfg.insts()[p as usize]) & (1 << r) != 0 {
-                defs = BTreeSet::from([p]);
-            }
-        }
-        defs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,16 +195,5 @@ mod tests {
         // The loop bound r1 is live throughout the loop body.
         assert_ne!(live[1] & (1 << 1), 0);
         assert_ne!(live[2] & (1 << 1), 0);
-    }
-
-    #[test]
-    fn reaching_defs_merge_at_join() {
-        // Two defs of r1 (pc 1 and pc 3) both reach the final store.
-        let src = "bne r2, r0, 2\nli r1, 1\nj store\nli r1, 2\nstore: sw r1, 0(r3)\nhalt";
-        let c = cfg_of(src);
-        let rd = ReachingDefs::compute(&c);
-        let defs = rd.reaching_at(&c, 4, Reg::R1);
-        assert!(defs.contains(&1), "defs = {defs:?}");
-        assert!(defs.contains(&3), "defs = {defs:?}");
     }
 }

@@ -13,7 +13,7 @@
 //!   dominators and natural-loop detection;
 //! - [`absint`] runs an interval abstract interpretation over register
 //!   values so memory accesses get constant or bounded addresses;
-//! - [`dataflow`] provides register liveness and reaching definitions;
+//! - [`dataflow`] provides register liveness;
 //! - [`analysis`] combines them into the four diagnostic rules
 //!   (`war-hazard`, `dead-store`, `unreachable-block`,
 //!   `no-progress-loop`) and the per-backup-point footprint table that

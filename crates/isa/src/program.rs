@@ -44,10 +44,9 @@ impl DataSegment {
 /// ```
 /// use nvp_isa::{Inst, Program, Reg};
 ///
-/// let mut p = Program::from_insts(vec![
-///     Inst::Li { rd: Reg::R1, imm: 42 },
-///     Inst::Halt,
-/// ]);
+/// let mut p = Program::new();
+/// p.push(Inst::Li { rd: Reg::R1, imm: 42 });
+/// p.push(Inst::Halt);
 /// p.add_data(0x100, &[1, 2, 3]);
 /// assert_eq!(p.code().len(), 2);
 /// assert_eq!(p.data_segments().len(), 1);
@@ -65,12 +64,6 @@ impl Program {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a program from a sequence of instructions, entry point 0.
-    #[must_use]
-    pub fn from_insts(insts: Vec<Inst>) -> Self {
-        Program { code: insts.into_iter().map(Inst::encode).collect(), ..Self::default() }
     }
 
     /// The encoded instruction words.
@@ -160,12 +153,6 @@ impl Program {
         out
     }
 
-    /// Total number of initialized data words across all segments.
-    #[must_use]
-    pub fn data_len(&self) -> usize {
-        self.data.iter().map(|s| s.words.len()).sum()
-    }
-
     /// Renders the whole image — symbols, entry point, code, and data
     /// segments — as assembly source that re-assembles to an identical
     /// [`Program`] (full structural equality, not just the code words).
@@ -207,6 +194,14 @@ mod tests {
     use super::*;
     use crate::Reg;
 
+    fn program(insts: &[Inst]) -> Program {
+        let mut p = Program::new();
+        for &inst in insts {
+            p.push(inst);
+        }
+        p
+    }
+
     #[test]
     fn push_and_decode() {
         let mut p = Program::new();
@@ -226,7 +221,7 @@ mod tests {
 
     #[test]
     fn disassemble_lists_all() {
-        let p = Program::from_insts(vec![
+        let p = program(&[
             Inst::Li { rd: Reg::R1, imm: 5 },
             Inst::Out { port: 0, rs1: Reg::R1 },
             Inst::Halt,
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn render_asm_round_trips_exactly() {
-        let mut p = Program::from_insts(vec![
+        let mut p = program(&[
             Inst::Li { rd: Reg::R1, imm: 0x80 },
             Inst::Lw { rd: Reg::R2, rs1: Reg::R1, offset: -1 },
             Inst::Beq { rs1: Reg::R2, rs2: Reg::R0, offset: 1 },
@@ -255,12 +250,12 @@ mod tests {
     }
 
     #[test]
-    fn symbols_and_data_len() {
+    fn symbols_and_data() {
         let mut p = Program::new();
         p.define_symbol("x", 9);
         p.add_data(0, &[1, 2]);
         p.add_data(10, &[3]);
         assert_eq!(p.symbol("x"), Some(9));
-        assert_eq!(p.data_len(), 3);
+        assert_eq!(p.data_segments().len(), 2);
     }
 }

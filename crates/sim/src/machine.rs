@@ -253,12 +253,6 @@ impl MachineImage {
     pub fn dmem_words(&self) -> usize {
         self.dmem_init.len()
     }
-
-    /// Number of instructions in the image.
-    #[must_use]
-    pub fn code_len(&self) -> usize {
-        self.code.len()
-    }
 }
 
 /// A deterministic NV16 machine instance.
@@ -815,11 +809,6 @@ impl Machine {
         &self.dmem
     }
 
-    /// Mutable data memory (for platform models and test harnesses).
-    pub fn dmem_mut(&mut self) -> &mut [u16] {
-        &mut self.dmem
-    }
-
     /// Latches an input-port value for subsequent `in` instructions.
     pub fn set_input(&mut self, port: u8, value: u16) {
         self.inputs[usize::from(port & 0xF)] = value;
@@ -858,12 +847,6 @@ impl Machine {
         self.regs = [0; 16];
         self.pc = self.image.entry;
         self.halted = false;
-    }
-
-    /// Number of instructions in the loaded image.
-    #[must_use]
-    pub fn code_len(&self) -> usize {
-        self.image.code.len()
     }
 }
 
@@ -1448,7 +1431,7 @@ mod tests {
             for budget in [1, 2, 3, 5, u64::MAX] {
                 let resumed = || {
                     let mut m = Machine::new(&p).unwrap();
-                    m.dmem_mut().copy_from_slice(donor.dmem());
+                    m.dmem.copy_from_slice(donor.dmem());
                     m.restore(&snap);
                     m
                 };

@@ -218,12 +218,6 @@ impl KernelInstance {
         &self.program
     }
 
-    /// Word address of the output region.
-    #[must_use]
-    pub fn out_addr(&self) -> u16 {
-        self.out_addr
-    }
-
     /// Output length in words.
     #[must_use]
     pub fn out_len(&self) -> usize {

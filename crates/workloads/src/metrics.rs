@@ -59,18 +59,6 @@ pub fn psnr(a: &[u16], b: &[u16], peak: f64) -> f64 {
     }
 }
 
-/// Fraction of exactly matching elements.
-///
-/// # Panics
-///
-/// Panics if lengths differ or both are empty.
-#[must_use]
-pub fn exact_match_fraction(a: &[u16], b: &[u16]) -> f64 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    assert!(!a.is_empty(), "empty inputs");
-    a.iter().zip(b).filter(|(x, y)| x == y).count() as f64 / a.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,11 +78,6 @@ mod tests {
         let bad = psnr(&base, &very_off, 255.0);
         assert!(good > 40.0, "{good}");
         assert!(bad < good);
-    }
-
-    #[test]
-    fn match_fraction() {
-        assert_eq!(exact_match_fraction(&[1, 2, 3, 4], &[1, 0, 3, 0]), 0.5);
     }
 
     #[test]
