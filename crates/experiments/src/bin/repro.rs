@@ -8,20 +8,47 @@
 //! resident `nvpd` campaign server and writes the returned values —
 //! byte-identical artifacts either way.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use nvp_experiments::cli::{self, Command};
 use nvp_experiments::{
-    client, feasibility, run_request, set_cache_dir, CachePolicy, CampaignRequest,
+    client, feasibility, run_request, set_cache_dir, CampaignRequest, CampaignResult,
 };
 
-/// One-line execution-tier summary, printed alongside the sim-cache
-/// line by both the in-process and `--connect` paths.
-fn exec_summary(exec: &nvp_experiments::ExecStats) -> String {
-    format!(
+/// Writes a finished campaign's artifacts and reports it, identically
+/// for both transports: tables on stdout; then on stderr the remote
+/// job line (when there is one), the sim-cache and execution-tier
+/// summaries, and the file count.
+fn render(result: &CampaignResult, job_line: Option<&str>, out_dir: &Path) -> ExitCode {
+    let files = match result.write(out_dir) {
+        Ok(files) => files,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for t in &result.tables {
+        println!("{}", t.to_markdown());
+    }
+    if let Some(line) = job_line {
+        eprintln!("{line}");
+    }
+    eprintln!(
+        "sim cache: {} unique simulations, {} duplicate run(s) deduplicated, \
+         {} served from disk, {} record(s) persisted, {} shard(s) quarantined",
+        result.cache.misses,
+        result.cache.hits,
+        result.cache.disk_hits,
+        result.cache.persisted,
+        result.cache.quarantined
+    );
+    eprintln!(
         "exec tiers: {} lane group(s) covering {} simulation(s)",
-        exec.lane_groups, exec.lane_group_items
-    )
+        result.exec.lane_groups, result.exec.lane_group_items
+    );
+    eprintln!("wrote {} files to {}", files.len(), out_dir.display());
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -68,14 +95,10 @@ fn main() -> ExitCode {
     let mut request = CampaignRequest::all(Command::config(quick));
     request.only = only;
     request.seed = seed;
-    if no_cache {
-        // The parser already rejects --no-cache with --connect, so a
-        // MemoryOnly request never reaches a server.
-        request.cache = CachePolicy::MemoryOnly;
-    }
 
     if let Some(addr) = connect {
-        // Thin-client mode: the server simulates, we render.
+        // Thin-client mode: the server simulates, we render. The parser
+        // already rejects --no-cache here: the server owns its store.
         let mut cfg = client::ClientConfig::default();
         if let Some(secs) = timeout {
             cfg.timeout = std::time::Duration::from_secs_f64(secs);
@@ -86,31 +109,13 @@ fn main() -> ExitCode {
         eprintln!("submitting campaign to nvpd at {addr} ...");
         return match client::submit_with(&addr, &request, &cfg) {
             Ok(outcome) => {
-                let files = match outcome.result.write(&out_dir) {
-                    Ok(files) => files,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                for t in &outcome.result.tables {
-                    println!("{}", t.to_markdown());
-                }
-                eprintln!(
-                    "nvpd job {} (queue depth {} at admission{}): {} unique simulations, \
-                     {} deduplicated, {} served from the server's disk store, \
-                     {} shard(s) quarantined",
+                let job_line = format!(
+                    "nvpd job {} (queue depth {}{})",
                     outcome.job,
                     outcome.queued,
-                    if outcome.replayed { "; replayed from journal" } else { "" },
-                    outcome.result.cache.misses,
-                    outcome.result.cache.hits,
-                    outcome.result.cache.disk_hits,
-                    outcome.result.cache.quarantined
+                    if outcome.replayed { "; replayed from journal" } else { "" }
                 );
-                eprintln!("{}", exec_summary(&outcome.result.exec));
-                eprintln!("wrote {} files to {}", files.len(), out_dir.display());
-                ExitCode::SUCCESS
+                render(&outcome.result, Some(&job_line), &out_dir)
             }
             Err(e @ client::ClientError::Unreachable { .. }) => {
                 // A dead address is a usage error, like a bad flag: the
@@ -149,27 +154,8 @@ fn main() -> ExitCode {
         cfg.frame_h,
         out_dir.display()
     );
-    match run_request(&request).and_then(|result| {
-        let files = result.write(&out_dir)?;
-        Ok((result, files))
-    }) {
-        Ok((result, files)) => {
-            for t in &result.tables {
-                println!("{}", t.to_markdown());
-            }
-            eprintln!(
-                "sim cache: {} unique simulations, {} duplicate run(s) deduplicated, \
-                 {} served from disk, {} record(s) persisted, {} shard(s) quarantined",
-                result.cache.misses,
-                result.cache.hits,
-                result.cache.disk_hits,
-                result.cache.persisted,
-                result.cache.quarantined
-            );
-            eprintln!("{}", exec_summary(&result.exec));
-            eprintln!("wrote {} files to {}", files.len(), out_dir.display());
-            ExitCode::SUCCESS
-        }
+    match run_request(&request) {
+        Ok(result) => render(&result, None, &out_dir),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -193,7 +193,7 @@ fn item_label(item: &CheckItem) -> &str {
 
 /// Checks every plan one experiment declares for `cfg`.
 #[must_use]
-pub fn check_experiment(exp: &dyn Experiment, cfg: &ExpConfig) -> Vec<Diagnostic> {
+pub fn check_experiment(exp: &Experiment, cfg: &ExpConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for item in exp.plans(cfg) {
         for (rule, message) in check_item(&item) {
@@ -212,7 +212,7 @@ pub fn check_experiment(exp: &dyn Experiment, cfg: &ExpConfig) -> Vec<Diagnostic
 /// declared configuration is feasible.
 #[must_use]
 pub fn check_registry(cfg: &ExpConfig) -> Vec<Diagnostic> {
-    registry().iter().flat_map(|e| check_experiment(*e, cfg)).collect()
+    registry().iter().flat_map(|e| check_experiment(e, cfg)).collect()
 }
 
 #[cfg(test)]
@@ -318,7 +318,7 @@ mod tests {
     fn all_registry_entries_pass() {
         for cfg in [ExpConfig::quick(), ExpConfig::default()] {
             for exp in registry() {
-                let diags = check_experiment(*exp, &cfg);
+                let diags = check_experiment(exp, &cfg);
                 assert!(!exp.plans(&cfg).is_empty(), "{} declares no plans", exp.id());
                 assert!(
                     diags.is_empty(),

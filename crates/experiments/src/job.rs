@@ -1,8 +1,8 @@
 //! The campaign job layer: experiments as values.
 //!
 //! [`CampaignRequest`] names *what* to run — an experiment selection,
-//! an [`ExpConfig`], a seed override, and a cache policy — and
-//! [`CampaignResult`] is *what came out* — tables, profile series, and
+//! an [`ExpConfig`] and a seed override — and [`CampaignResult`] is
+//! *what came out* — tables, profile series, and
 //! per-job cache/scheduler counters. Neither touches the filesystem:
 //! results are values first and files second
 //! ([`CampaignResult::write`] renders the exact artifact set the
@@ -22,22 +22,6 @@ use crate::simcache::{sim_cache_stats, SimCacheStats};
 use crate::stats::{exec_stats, ExecStats};
 use crate::{f1_power_profiles, ExpConfig, Table};
 
-/// How a job may use the simulation cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Consult and feed the configured store (in-memory index plus the
-    /// persistent log, when one is attached). The default, and the only
-    /// policy the `nvpd` server admits: its resident store doubles as
-    /// the response cache, so duplicate submissions are deduplicated.
-    #[default]
-    Shared,
-    /// In-memory dedup only: the transport endpoint must not attach a
-    /// persistent store for this run (`repro --no-cache`). Rejected at
-    /// admission by the server — the daemon's store is process-wide and
-    /// cannot be bypassed per job.
-    MemoryOnly,
-}
-
 /// A self-contained campaign job: everything the runner needs, nothing
 /// about where artifacts will land.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,15 +34,13 @@ pub struct CampaignRequest {
     /// Override for `config.fault_seed` (`repro --seed`, per-job seeds
     /// on the server), or `None` to keep the configured value.
     pub seed: Option<u64>,
-    /// How this job may use the simulation cache.
-    pub cache: CachePolicy,
 }
 
 impl CampaignRequest {
-    /// A full-evaluation request with the default cache policy.
+    /// A full-evaluation request.
     #[must_use]
     pub fn all(config: ExpConfig) -> CampaignRequest {
-        CampaignRequest { only: None, config, seed: None, cache: CachePolicy::Shared }
+        CampaignRequest { only: None, config, seed: None }
     }
 
     /// A request for a subset of experiment ids (validated at run time).
@@ -68,7 +50,6 @@ impl CampaignRequest {
             only: Some(ids.iter().map(|s| s.as_ref().to_string()).collect()),
             config,
             seed: None,
-            cache: CachePolicy::Shared,
         }
     }
 
@@ -89,11 +70,11 @@ impl CampaignRequest {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] for an unknown id.
-    pub fn resolve(&self) -> io::Result<Vec<&'static dyn Experiment>> {
+    pub fn resolve(&self) -> io::Result<Vec<&'static Experiment>> {
         let Some(ids) = &self.only else {
-            return Ok(registry().to_vec());
+            return Ok(registry().iter().collect());
         };
-        let mut selected: Vec<&'static dyn Experiment> = Vec::new();
+        let mut selected: Vec<&'static Experiment> = Vec::new();
         for id in ids {
             let exp = find(id).ok_or_else(|| {
                 io::Error::new(
@@ -174,7 +155,7 @@ impl CampaignResult {
 /// or a raw profile series. Keeping both in a single task list lets the
 /// scheduler overlap them freely.
 enum CampaignTask {
-    Build(&'static dyn Experiment),
+    Build(&'static Experiment),
     Profile(u64),
 }
 
@@ -189,7 +170,7 @@ enum CampaignOutput {
 /// in experiment order and profile CSVs in seed order.
 pub(crate) fn run_campaign(
     cfg: &ExpConfig,
-    experiments: &[&'static dyn Experiment],
+    experiments: &[&'static Experiment],
     profile_seeds: &[u64],
 ) -> (Vec<Table>, Vec<(u64, String)>) {
     let tasks: Vec<CampaignTask> = experiments
@@ -221,10 +202,9 @@ pub(crate) fn run_campaign(
 /// jobs run one at a time, as on the default single-worker server;
 /// approximate under concurrent jobs).
 ///
-/// The cache *policy* is applied by the transport endpoint (the `repro`
-/// binary attaches or skips the persistent store, the server rejects
-/// [`CachePolicy::MemoryOnly`] at admission); this function runs under
-/// whatever store is currently configured.
+/// The job runs under whatever simulation store the process has
+/// attached: `repro` picks its local store (or none, with
+/// `--no-cache`), and the server's resident store serves every job.
 ///
 /// # Errors
 ///

@@ -71,11 +71,11 @@ pub mod t2_energy_distribution;
 pub mod t3_backup_strategies;
 
 pub use config::ExpConfig;
-pub use job::{run_request, CachePolicy, CampaignRequest, CampaignResult};
+pub use job::{run_request, CampaignRequest, CampaignResult};
 pub use par::set_thread_override;
 pub use registry::{find, registry, Experiment};
 pub use report::Table;
-pub use runner::{run_all, run_all_sequential, run_only, RunArtifacts};
+pub use runner::{run_all, run_all_sequential, RunArtifacts};
 pub use sched::{sched_stats, SchedStats};
 pub use simcache::{reset_sim_cache, set_cache_dir, sim_cache_stats, SimCacheStats};
 pub use stats::{exec_stats, ExecStats};

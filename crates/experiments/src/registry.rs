@@ -16,50 +16,43 @@ use crate::{
 
 /// A table/figure builder registered with the evaluation harness.
 ///
-/// Implementations must be pure: [`build`](Self::build) is a
-/// deterministic function of the [`ExpConfig`], which is what lets the
-/// runner evaluate experiments concurrently yet write byte-identical
+/// Builders must be pure: [`build`](Self::build) is a deterministic
+/// function of the [`ExpConfig`], which is what lets the runner
+/// evaluate experiments concurrently yet write byte-identical
 /// artifacts.
-pub trait Experiment: Sync {
-    /// Stable lower-case identifier (e.g. `"f5"`) — also the artifact
-    /// file stem (`f5.csv`) and the handle `repro --only` accepts.
-    fn id(&self) -> &'static str;
-
-    /// One-line human-readable title (shown by `repro --list`).
-    fn title(&self) -> &'static str;
-
-    /// Builds the experiment's table for a configuration.
-    fn build(&self, cfg: &ExpConfig) -> Table;
-
-    /// Declares the platform configurations and sweep ranges
-    /// [`build`](Self::build) is about to simulate, for static
-    /// feasibility checking (`repro --check`). Required — every
-    /// experiment must be checkable before it runs.
-    fn plans(&self, cfg: &ExpConfig) -> Vec<CheckItem>;
-}
-
-/// An experiment backed by a plain builder function.
-struct FnExperiment {
+pub struct Experiment {
     id: &'static str,
     title: &'static str,
     build: fn(&ExpConfig) -> Table,
     plans: fn(&ExpConfig) -> Vec<CheckItem>,
 }
 
-impl Experiment for FnExperiment {
-    fn id(&self) -> &'static str {
+impl Experiment {
+    /// Stable lower-case identifier (e.g. `"f5"`) — also the artifact
+    /// file stem (`f5.csv`) and the handle `repro --only` accepts.
+    #[must_use]
+    pub fn id(&self) -> &'static str {
         self.id
     }
 
-    fn title(&self) -> &'static str {
+    /// One-line human-readable title (shown by `repro --list`).
+    #[must_use]
+    pub fn title(&self) -> &'static str {
         self.title
     }
 
-    fn build(&self, cfg: &ExpConfig) -> Table {
+    /// Builds the experiment's table for a configuration.
+    #[must_use]
+    pub fn build(&self, cfg: &ExpConfig) -> Table {
         (self.build)(cfg)
     }
 
-    fn plans(&self, cfg: &ExpConfig) -> Vec<CheckItem> {
+    /// Declares the platform configurations and sweep ranges
+    /// [`build`](Self::build) is about to simulate, for static
+    /// feasibility checking (`repro --check`). Every experiment must be
+    /// checkable before it runs.
+    #[must_use]
+    pub fn plans(&self, cfg: &ExpConfig) -> Vec<CheckItem> {
         (self.plans)(cfg)
     }
 }
@@ -76,98 +69,98 @@ fn f2_histogram_plans(cfg: &ExpConfig) -> Vec<CheckItem> {
 }
 
 /// Every registered experiment, in artifact order.
-static REGISTRY: [&dyn Experiment; 16] = [
-    &FnExperiment {
+static REGISTRY: [Experiment; 16] = [
+    Experiment {
         id: "t1",
         title: "NVP chip & technology gallery (published silicon vs framework models)",
         build: t1_chip_gallery::table,
         plans: t1_chip_gallery::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f1",
         title: "Wearable harvester power profiles (synthetic, seeded)",
         build: f1_power_profiles::table,
         plans: f1_power_profiles::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f2",
         title: "Power-emergency statistics at the 33 µW operating threshold",
         build: f2_outage_stats::table,
         plans: f2_outage_stats::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f2h",
         title: "Outage-duration histogram",
         build: f2_histogram,
         plans: f2_histogram_plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f3",
         title: "Forward progress: hardware NVP vs wait-compute vs software checkpointing",
         build: f3_forward_progress::table,
         plans: f3_forward_progress::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f4",
         title: "Backup overheads (published: 1400-1700 backups/min, 20-33% of income energy)",
         build: f4_backup_overhead::table,
         plans: f4_backup_overhead::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f5",
         title: "Forward progress vs storage capacitance (NVP buffer vs wait-compute ESD)",
         build: f5_capacitor_sweep::table,
         plans: f5_capacitor_sweep::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f6",
         title: "Forward progress vs restore (wake-up) latency",
         build: f6_restore_sensitivity::table,
         plans: f6_restore_sensitivity::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f7",
         title: "Forward progress and endurance by NVM technology and harvester class",
         build: f7_tech_sweep::table,
         plans: f7_tech_sweep::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "t2",
         title: "System energy distribution by application class",
         build: t2_energy_distribution::table,
         plans: t2_energy_distribution::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f8",
         title: "Seconds per processed frame on harvested power (NVP vs wait-compute)",
         build: f8_frame_latency::table,
         plans: f8_frame_latency::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "t3",
         title: "Backup strategies: distributed NVFF vs centralized copy vs software",
         build: t3_backup_strategies::table,
         plans: t3_backup_strategies::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f9",
         title: "Retention-relaxed backup: energy saved, forward-progress gain, decay risk",
         build: f9_retention_relaxation::table,
         plans: f9_retention_relaxation::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f10",
         title: "Backup-policy sweep: demand margins vs periodic checkpointing",
         build: f10_policy_sweep::table,
         plans: f10_policy_sweep::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f11",
         title: "Clock scaling: fixed frequencies vs income-adaptive",
         build: f11_clock_scaling::table,
         plans: f11_clock_scaling::plans,
     },
-    &FnExperiment {
+    Experiment {
         id: "f12",
         title: "Fault-injection resilience: torn backups, retention decay, restore failures",
         build: f12_fault_resilience::table,
@@ -177,14 +170,14 @@ static REGISTRY: [&dyn Experiment; 16] = [
 
 /// The registered experiments, in artifact order.
 #[must_use]
-pub fn registry() -> &'static [&'static dyn Experiment] {
+pub fn registry() -> &'static [Experiment] {
     &REGISTRY
 }
 
 /// Looks up an experiment by id, case-insensitively.
 #[must_use]
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    REGISTRY.iter().find(|e| e.id().eq_ignore_ascii_case(id)).copied()
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.id().eq_ignore_ascii_case(id))
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //! execution path and one artifact renderer — which is what pins them
 //! byte-identical under the golden digests. [`run_all_sequential`]
 //! produces the same bytes one builder at a time (enforced by
-//! `tests/determinism.rs`), and [`run_only`] regenerates any subset by
-//! id (`repro --only f5,t1`).
+//! `tests/determinism.rs`). A subset by id (`repro --only f5,t1`) is a
+//! [`CampaignRequest::only`] passed to [`job::run_request`].
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -86,25 +86,6 @@ pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArti
     into_artifacts(result, out_dir)
 }
 
-/// Regenerates only the experiments named by `ids` (case-insensitive
-/// registry ids, e.g. `["f5", "t1"]`), writing their CSVs and a
-/// `RESULTS.md` covering the selection. Artifact order follows the
-/// registry regardless of the order ids are given in; the raw `f1`
-/// profile series are written only when `f1` is selected.
-///
-/// # Errors
-///
-/// Returns [`io::ErrorKind::InvalidInput`] for an unknown id, or any
-/// filesystem error encountered while writing.
-pub fn run_only<S: AsRef<str>>(
-    cfg: &ExpConfig,
-    out_dir: &Path,
-    ids: &[S],
-) -> io::Result<RunArtifacts> {
-    let result = job::run_request(&CampaignRequest::only(cfg.clone(), ids))?;
-    into_artifacts(result, out_dir)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,28 +131,5 @@ mod tests {
         assert!(warm.cache.hits > 0, "repeat run_all produced no cache hits: {:?}", warm.cache);
         let _ = fs::remove_dir_all(&cold_dir);
         let _ = fs::remove_dir_all(&warm_dir);
-    }
-
-    #[test]
-    fn run_only_selects_and_orders_by_registry() {
-        let dir = unique_dir("nvp_exp_only_test");
-        // Ids out of order, mixed case, duplicated: output is still
-        // registry-ordered and deduplicated.
-        let artifacts = run_only(&ExpConfig::quick(), &dir, &["f2h", "T1", "f2h"]).unwrap();
-        assert_eq!(artifacts.tables.len(), 2);
-        assert_eq!(artifacts.tables[0].id(), "T1");
-        assert_eq!(artifacts.tables[1].id(), "F2h");
-        // 2 tables + RESULTS.md, no profile series without f1.
-        assert_eq!(artifacts.files.len(), 3);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_only_unknown_id_is_invalid_input() {
-        let dir = unique_dir("nvp_exp_only_bad");
-        let err = run_only(&ExpConfig::quick(), &dir, &["f99"]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains("f99"));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,9 @@
 //! The `nvpd` wire protocol: length-prefixed, CRC-framed messages.
 //!
-//! The campaign server and its clients (`repro --connect`, `nvpd
-//! submit`) exchange [`Message`]s over a byte stream, one per frame of
-//! the shared record format ([`crate::record`]), which the simulation
-//! cache's shards and the `nvpd` journal use too:
+//! The campaign server and its client ([`crate::client`], which `repro
+//! --connect` drives) exchange [`Message`]s over a byte stream, one per
+//! frame of the shared record format ([`crate::record`]), which the
+//! simulation cache's shards and the `nvpd` journal use too:
 //!
 //! ```text
 //! [len: u32 le] [crc32: u32 le] [payload: len bytes]
@@ -25,7 +25,7 @@ use std::io::{self, Read, Write};
 #[cfg(test)]
 use nvp_sim::crc32_bytes;
 
-use crate::job::{CachePolicy, CampaignRequest, CampaignResult};
+use crate::job::{CampaignRequest, CampaignResult};
 use crate::record::{self, bad, put_f64, put_str, put_u32, put_u64, Reader};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
@@ -38,8 +38,9 @@ use crate::{ExpConfig, Table};
 /// `nvpd/3` added the cache quarantine counter, the `retryable` hint on
 /// `Reject` frames, and the `replayed` idempotency marker on `Result`
 /// frames (crash-durable server); `nvpd/4` dropped the three superblock
-/// chain counters from results with the tier that produced them.
-pub const PROTOCOL: &str = "nvpd/4";
+/// chain counters from results with the tier that produced them;
+/// `nvpd/5` dropped the cache-policy byte from requests.
+pub const PROTOCOL: &str = "nvpd/5";
 
 /// Upper bound a frame's length prefix may claim. Large enough for any
 /// full-evaluation result with headroom, small enough that a corrupt or
@@ -73,7 +74,7 @@ pub enum Message {
         result: CampaignResult,
     },
     /// Server → client: the job was refused (admission control, unknown
-    /// id, unsupported cache policy, …).
+    /// id, protocol mismatch, …).
     Reject {
         /// Human-readable refusal reason.
         reason: String,
@@ -118,7 +119,6 @@ fn put_request(out: &mut Vec<u8>, req: &CampaignRequest) {
     if let Some(seed) = req.seed {
         put_u64(out, seed);
     }
-    out.push(u8::from(req.cache == CachePolicy::MemoryOnly));
 }
 
 fn put_table(out: &mut Vec<u8>, table: &Table) {
@@ -223,8 +223,7 @@ fn get_request(r: &mut Reader<'_>) -> io::Result<CampaignRequest> {
     };
     let config = get_config(r)?;
     let seed = if r.flag("seed")? { Some(r.u64()?) } else { None };
-    let cache = if r.flag("cache policy")? { CachePolicy::MemoryOnly } else { CachePolicy::Shared };
-    Ok(CampaignRequest { only, config, seed, cache })
+    Ok(CampaignRequest { only, config, seed })
 }
 
 fn get_table(r: &mut Reader<'_>) -> io::Result<Table> {

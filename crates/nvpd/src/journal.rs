@@ -495,11 +495,13 @@ mod tests {
         let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
         let (current, old) = (request(9), request(10));
         journal.admitted(0, &request_key(&current), &current).unwrap();
-        // A CRC-valid `Admitted` record journalled before the `nvpd/4`
-        // bump: same framing, request bytes tagged with the old schema.
+        // A CRC-valid `Admitted` record journalled before the `nvpd/5`
+        // bump: same framing, request bytes tagged with the old schema
+        // and ending in the cache-policy byte that bump dropped.
         let mut old_bytes = encode_request_bytes(&old);
-        assert_eq!(PROTOCOL.len(), "nvpd/3".len(), "tag sits after its u32 length");
-        old_bytes[4..4 + PROTOCOL.len()].copy_from_slice(b"nvpd/3");
+        assert_eq!(PROTOCOL.len(), "nvpd/4".len(), "tag sits after its u32 length");
+        old_bytes[4..4 + PROTOCOL.len()].copy_from_slice(b"nvpd/4");
+        old_bytes.push(0);
         assert!(decode_request_bytes(&old_bytes).is_err(), "old schema must not decode");
         let mut body = vec![TAG_ADMITTED];
         body.extend_from_slice(&1u64.to_le_bytes());
@@ -565,12 +567,14 @@ mod tests {
     }
 
     /// Pinned bytes of a journal holding one `Admitted` record: a change
-    /// here changes the on-disk format, which must bump [`MAGIC`].
+    /// here changes the on-disk format. A framing change must bump
+    /// [`MAGIC`]; a request-encoding change bumps the wire `PROTOCOL`,
+    /// whose stale records recovery skips and quarantines.
     const PINNED_ADMITTED: &str = concat!(
-        "6e76706a726e6c31900000006e64b2730107000000000000008bda2511c5368c38f914d4013058e6",
-        "f9129327b3a985ab9316c7984b8cd45e3763000000060000006e7670642f34010100000002000000",
+        "6e76706a726e6c318f000000ca5bdf590107000000000000003f7fc2551b3435f4064fe9674eab28",
+        "8e0d562f86c62080167535f9fd3ffca04462000000060000006e7670642f35010100000002000000",
         "74310000000000000040020000000100000000000000020000000000000007000000000000001000",
-        "00000000000010000000000000000300000000000000010000000000000001010000000000000000",
+        "000000000000100000000000000003000000000000000100000000000000010100000000000000",
     );
 
     #[test]

@@ -1,7 +1,7 @@
 //! # nvpd — the resident campaign server
 //!
 //! A small TCP daemon that keeps the simulation cache warm across
-//! campaigns. Clients (`repro --connect`, `nvpd submit`,
+//! campaigns. Clients (`repro --connect`,
 //! [`nvp_experiments::client::submit`]) ship a
 //! [`CampaignRequest`] over the [`nvp_experiments::wire`] protocol; the
 //! server admits it into a bounded queue, streams an `Accepted` status
@@ -15,10 +15,9 @@
 //! Admission control rejects, with a `Reject` frame and a reason:
 //!
 //! * a full queue (back-pressure instead of unbounded buffering),
-//! * [`CachePolicy::MemoryOnly`] requests (the daemon's store is
-//!   process-wide; it cannot be bypassed per job),
 //! * unknown experiment ids (caught before the job occupies a slot),
-//! * malformed or non-`Submit` opening frames.
+//! * malformed or non-`Submit` opening frames, including requests
+//!   encoded under another [`nvp_experiments::wire::PROTOCOL`].
 //!
 //! Duplicate submissions are deduplicated through the shared
 //! content-addressed cache: the second identical job reports zero new
@@ -52,10 +51,14 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use nvp_experiments::wire::{read_frame, request_key, write_frame, Message};
-use nvp_experiments::{run_request, CachePolicy, CampaignRequest};
+use nvp_experiments::{run_request, CampaignRequest};
 
 use faultplan::ServiceFaultPlan;
 use journal::{Digest, Journal, PendingJob};
+
+/// Bounded admission-queue capacity: a submit that finds the queue
+/// full is rejected (retryably) rather than buffered without limit.
+const QUEUE_CAPACITY: usize = 64;
 
 /// Default bound on how long the acceptor waits for a client's
 /// `Submit` frame ([`ServerConfig::submit_timeout`]), so one stalled
@@ -65,9 +68,6 @@ pub const DEFAULT_SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 /// Tuning knobs for [`Server::run`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bounded admission-queue capacity; a submit that finds the queue
-    /// full is rejected rather than buffered without limit.
-    pub queue_capacity: usize,
     /// Worker threads executing jobs. The default is 1, which keeps the
     /// per-job cache/scheduler counter deltas exact; each job's
     /// simulations still spread over the work-stealing pool via
@@ -81,7 +81,8 @@ pub struct ServerConfig {
     /// Accept this many jobs, then drain the queue and return — the
     /// clean-shutdown path used by tests, benches, and CI smoke runs.
     /// `None` serves forever. Recovered (journal-replayed) jobs do not
-    /// count against the budget.
+    /// count against the budget, so `Some(0)` drains the journal and
+    /// returns without accepting a connection.
     pub max_jobs: Option<u64>,
     /// Durable state directory for the write-ahead job journal and the
     /// content-addressed result store. `None` runs the server
@@ -97,7 +98,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            queue_capacity: 64,
             workers: 1,
             max_jobs: None,
             state_dir: None,
@@ -231,8 +231,9 @@ impl Server {
     }
 
     /// Serves connections until `cfg.max_jobs` jobs have been accepted
-    /// (forever when `None`), then drains the queue, joins the workers,
-    /// and returns the counters.
+    /// (forever when `None`; the budget is checked before each accept,
+    /// so `Some(0)` accepts nothing), then drains the queue, joins the
+    /// workers, and returns the counters.
     ///
     /// With [`ServerConfig::state_dir`] set, the write-ahead journal
     /// is opened (and replayed) first: recovered jobs are enqueued
@@ -246,7 +247,7 @@ impl Server {
     /// malformed frame) and damaged-but-quarantinable state files are
     /// absorbed into the counters.
     pub fn run(&self, cfg: &ServerConfig) -> io::Result<ServerStats> {
-        let queue = Queue::new(cfg.queue_capacity.max(1));
+        let queue = Queue::new(QUEUE_CAPACITY);
         let workers = cfg.workers.max(1);
         let mut stats = ServerStats::default();
         let counters = Counters::default();
@@ -284,9 +285,9 @@ impl Server {
             }
 
             let mut next_job: u64 = first_id;
-            for conn in self.listener.incoming() {
-                let stream = match conn {
-                    Ok(s) => s,
+            while cfg.max_jobs.is_none_or(|max| stats.accepted < max) {
+                let stream = match self.listener.accept() {
+                    Ok((s, _)) => s,
                     // Transient accept errors (e.g. a connection reset
                     // before accept) should not take the server down.
                     Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
@@ -302,9 +303,6 @@ impl Server {
                     }
                     Admission::Rejected => stats.rejected += 1,
                     Admission::Dropped => {}
-                }
-                if cfg.max_jobs.is_some_and(|max| stats.accepted >= max) {
-                    break;
                 }
             }
             queue.close();
@@ -363,14 +361,6 @@ fn admit(
         }
         Err(_) => return Admission::Dropped,
     };
-    if request.cache == CachePolicy::MemoryOnly {
-        return reject(
-            stream,
-            "MemoryOnly cache policy is not admissible: the server's resident store is \
-             process-wide (run locally with `repro --no-cache` instead)",
-            false,
-        );
-    }
     // Catch unknown experiment ids before the job occupies a queue slot.
     if let Err(e) = request.resolve() {
         return reject(stream, &e.to_string(), false);
@@ -526,7 +516,6 @@ mod tests {
     fn default_config_is_single_worker_for_exact_per_job_counters() {
         let cfg = ServerConfig::default();
         assert_eq!(cfg.workers, 1);
-        assert!(cfg.queue_capacity >= 1);
         assert_eq!(cfg.max_jobs, None);
     }
 }

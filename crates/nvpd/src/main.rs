@@ -1,14 +1,13 @@
-//! The `nvpd` command: serve campaigns, or submit one to a server.
+//! The `nvpd` command: serve campaigns.
 //!
 //! `nvpd serve` binds the daemon and runs jobs until stopped (or until
-//! `--max-jobs`); `nvpd submit` is the same thin client `repro
-//! --connect` uses, sharing the `repro` run grammar for its arguments.
+//! `--max-jobs`). Campaigns are submitted with `repro --connect ADDR`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nvp_experiments::cli::{self, Command};
-use nvp_experiments::{client, set_cache_dir};
+use nvp_experiments::set_cache_dir;
+use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
 
 /// Command-line reference, printed by `--help` and on usage errors.
@@ -17,31 +16,29 @@ nvpd — resident NVP campaign server
 
 USAGE:
     nvpd serve [ADDR] [OPTIONS]
-    nvpd submit ADDR [OUT_DIR] [--quick] [--only IDS] [--seed N]
     nvpd --help
+
+Submit campaigns with `repro [OUT_DIR] --connect ADDR [run options]`.
 
 serve options (ADDR defaults to 127.0.0.1:7117; use port 0 for an
 ephemeral port and read it back via --port-file):
     --state-dir DIR    durable server state at DIR: the write-ahead job
-                       journal plus a content-addressed result store.
-                       Admitted jobs survive a crash and resume on
-                       restart; completed resubmissions replay without
-                       re-simulation. Implies `--cache-dir DIR/simcache`
-                       unless --cache-dir is given explicitly.
-    --cache-dir DIR    attach the persistent simulation store at DIR
-                       (default: in-memory only, or NVP_CACHE_DIR)
-    --queue N          admission queue capacity (default 64)
+                       journal plus a content-addressed result store,
+                       and the persistent simulation store in
+                       DIR/simcache. Admitted jobs survive a crash and
+                       resume on restart; completed resubmissions replay
+                       without re-simulation.
     --workers N        concurrent jobs (default 1, which keeps each
                        job's cache/scheduler counter deltas exact)
-    --max-jobs N       accept N jobs, drain the queue, then exit
+    --max-jobs N       accept N jobs, drain the queue, then exit;
+                       0 drains the journal, then exits
     --port-file PATH   write the bound address to PATH once listening
-    --fault-spec SPEC  inject seeded service faults (testing only; also
-                       read from NVPD_FAULT_SPEC). Grammar:
-                       crash-append=N,tear=B,drop-result=B,delay-ms=N
 
-submit takes the `repro` run grammar after ADDR (plus --timeout SECS
-and --retries N) and writes the returned artifacts to OUT_DIR (default
-`out`): byte-identical to a local run.";
+environment:
+    NVP_CACHE_DIR      without --state-dir: persistent simulation store
+                       (default: in-memory only)
+    NVPD_FAULT_SPEC    inject seeded service faults (testing only).
+                       Grammar: crash-append=N,tear=B,drop-result=B,delay-ms=N";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,8 +48,8 @@ fn main() -> ExitCode {
     }
     let result = match args.first().map(String::as_str) {
         Some("serve") => serve(&args[1..]),
-        Some("submit") => submit(&args[1..]),
-        _ => Err("expected a subcommand: `serve` or `submit`".to_string()),
+        Some(other) => Err(format!("unknown subcommand `{other}` (expected `serve`)")),
+        None => Err("expected the subcommand `serve`".to_string()),
     };
     match result {
         Ok(code) => code,
@@ -66,7 +63,6 @@ fn main() -> ExitCode {
 /// Parsed `nvpd serve` options.
 struct ServeArgs {
     addr: String,
-    cache_dir: Option<PathBuf>,
     port_file: Option<PathBuf>,
     config: ServerConfig,
 }
@@ -74,7 +70,6 @@ struct ServeArgs {
 fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
     let mut out = ServeArgs {
         addr: "127.0.0.1:7117".to_string(),
-        cache_dir: None,
         port_file: None,
         config: ServerConfig::default(),
     };
@@ -84,14 +79,8 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
         match arg.as_str() {
-            "--cache-dir" => out.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--state-dir" => out.config.state_dir = Some(PathBuf::from(value("--state-dir")?)),
-            "--fault-spec" => {
-                out.config.faults =
-                    nvpd::faultplan::ServiceFaultPlan::parse(&value("--fault-spec")?)?;
-            }
             "--port-file" => out.port_file = Some(PathBuf::from(value("--port-file")?)),
-            "--queue" => out.config.queue_capacity = parse_num(&value("--queue")?, "--queue")?,
             "--workers" => out.config.workers = parse_num(&value("--workers")?, "--workers")?,
             "--max-jobs" => {
                 out.config.max_jobs = Some(parse_num(&value("--max-jobs")?, "--max-jobs")?);
@@ -107,9 +96,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
             extra => return Err(format!("unexpected argument `{extra}`")),
         }
     }
-    if out.config.queue_capacity == 0 {
-        return Err("--queue must be at least 1".to_string());
-    }
     if out.config.workers == 0 {
         return Err("--workers must be at least 1".to_string());
     }
@@ -122,23 +108,15 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
 
 fn serve(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = parse_serve(args)?;
-    // The crash-recovery suite steers child servers through the
-    // environment so the command line stays clean in process tables.
-    if !opts.config.faults.enabled() {
-        if let Ok(spec) = std::env::var("NVPD_FAULT_SPEC") {
-            opts.config.faults = nvpd::faultplan::ServiceFaultPlan::parse(&spec)?;
-        }
+    if let Ok(spec) = std::env::var("NVPD_FAULT_SPEC") {
+        opts.config.faults = ServiceFaultPlan::parse(&spec)?;
     }
-    // A stateful server without an explicit cache dir keeps its
-    // simulation store next to the journal, so one --state-dir makes
-    // the whole server durable.
-    if opts.cache_dir.is_none() {
-        if let Some(state) = &opts.config.state_dir {
-            opts.cache_dir = Some(state.join("simcache"));
-        }
-    }
-    if let Some(dir) = &opts.cache_dir {
-        set_cache_dir(Some(dir))
+    // A stateful server keeps its simulation store next to the journal,
+    // so one --state-dir makes the whole server durable. A stateless
+    // one leaves the store to NVP_CACHE_DIR, resolved by the library.
+    if let Some(state) = &opts.config.state_dir {
+        let dir = state.join("simcache");
+        set_cache_dir(Some(&dir))
             .map_err(|e| format!("cannot attach cache at {}: {e}", dir.display()))?;
     }
     let server = Server::bind(&opts.addr).map_err(|e| format!("bind {}: {e}", opts.addr))?;
@@ -159,57 +137,5 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         stats.replayed,
         stats.quarantined
     );
-    Ok(ExitCode::SUCCESS)
-}
-
-fn submit(args: &[String]) -> Result<ExitCode, String> {
-    let Some((addr, rest)) = args.split_first() else {
-        return Err("submit requires a server address".to_string());
-    };
-    if !addr.contains(':') {
-        return Err(format!("`{addr}` is not a server address (need host:port)"));
-    }
-    // Reuse the repro run grammar (and its validation) for what to run.
-    let cmd = cli::parse(rest)?;
-    let Command::Run { out_dir, only, quick, seed, no_cache, connect, timeout, retries } = cmd
-    else {
-        return Err(
-            "submit only takes run arguments (OUT_DIR, --quick, --only, --seed)".to_string()
-        );
-    };
-    if connect.is_some() {
-        return Err("--connect is implied by submit; pass the address positionally".to_string());
-    }
-    if no_cache {
-        return Err("--no-cache is not admissible remotely: the server owns its store".to_string());
-    }
-    let mut request = nvp_experiments::CampaignRequest::all(Command::config(quick));
-    request.only = only;
-    request.seed = seed;
-    let mut config = client::ClientConfig::default();
-    if let Some(secs) = timeout {
-        config.timeout = std::time::Duration::from_secs_f64(secs);
-    }
-    if let Some(n) = retries {
-        config.retries = n;
-    }
-    eprintln!("submitting campaign to nvpd at {addr} ...");
-    let outcome = client::submit_with(addr, &request, &config).map_err(|e| e.to_string())?;
-    let files = outcome.result.write(&out_dir).map_err(|e| e.to_string())?;
-    for t in &outcome.result.tables {
-        println!("{}", t.to_markdown());
-    }
-    eprintln!(
-        "nvpd job {} (queue depth {} at admission{}): {} unique simulations, {} deduplicated, \
-         {} served from the server's disk store, {} shard(s) quarantined",
-        outcome.job,
-        outcome.queued,
-        if outcome.replayed { "; replayed from journal" } else { "" },
-        outcome.result.cache.misses,
-        outcome.result.cache.hits,
-        outcome.result.cache.disk_hits,
-        outcome.result.cache.quarantined
-    );
-    eprintln!("wrote {} files to {}", files.len(), out_dir.display());
     Ok(ExitCode::SUCCESS)
 }

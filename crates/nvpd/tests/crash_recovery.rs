@@ -9,8 +9,7 @@
 //!
 //! The fault points come from [`nvpd::faultplan::derive`], the same
 //! seeded-plan discipline the simulator's own `FaultPlan` uses; specs
-//! travel to the child over `--fault-spec` (and, for one scenario, the
-//! `NVPD_FAULT_SPEC` environment variable).
+//! travel to the child in the `NVPD_FAULT_SPEC` environment variable.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -74,12 +73,7 @@ struct Server {
 impl Server {
     /// Spawns `nvpd serve` on an ephemeral port with the given state
     /// dir, fault spec, and job budget, and waits for its port file.
-    fn spawn(
-        state_dir: &Path,
-        fault_spec: Option<&str>,
-        max_jobs: u64,
-        spec_via_env: bool,
-    ) -> Server {
+    fn spawn(state_dir: &Path, fault_spec: Option<&str>, max_jobs: u64) -> Server {
         let port_file = state_dir.join("port.txt");
         let _ = fs::remove_file(&port_file);
         fs::create_dir_all(state_dir).expect("state dir");
@@ -97,11 +91,7 @@ impl Server {
             .stdout(Stdio::null())
             .stderr(Stdio::null());
         if let Some(spec) = fault_spec {
-            if spec_via_env {
-                cmd.env("NVPD_FAULT_SPEC", spec);
-            } else {
-                cmd.arg("--fault-spec").arg(spec);
-            }
+            cmd.env("NVPD_FAULT_SPEC", spec);
         }
         let child = cmd.spawn().expect("spawn nvpd");
         // Bounded wait for the port file — the child writes it only
@@ -173,19 +163,13 @@ fn raw_attempt(addr: &str, req: &CampaignRequest) -> Attempt {
 
 /// One full crash-and-recover round trip for a fault spec. Returns the
 /// final outcome plus what the first (faulted) attempt observed.
-fn round_trip(
-    tag: &str,
-    spec: &str,
-    spec_via_env: bool,
-    golden: &BTreeMap<String, Vec<u8>>,
-    golden_misses: u64,
-) {
+fn round_trip(tag: &str, spec: &str, golden: &BTreeMap<String, Vec<u8>>, golden_misses: u64) {
     let state_dir = scratch(tag);
     let req = request();
 
     // Server A runs with the fault armed. Budget 2 jobs: the faulted
     // attempt plus (if A survives, e.g. a mid-frame drop) the retry.
-    let mut a = Server::spawn(&state_dir, Some(spec), 2, spec_via_env);
+    let mut a = Server::spawn(&state_dir, Some(spec), 2);
     let attempt = raw_attempt(&a.addr, &req);
     assert!(!attempt.completed, "[{tag}] fault plan `{spec}` failed to disturb the first attempt");
 
@@ -199,7 +183,7 @@ fn round_trip(
             );
             // Restart on the same state dir, fault disarmed: the journal
             // replays, then the client resubmits.
-            let b = Server::spawn(&state_dir, None, 1, false);
+            let b = Server::spawn(&state_dir, None, 1);
             let out = client::submit(&b.addr, &req)
                 .unwrap_or_else(|e| panic!("[{tag}] resubmission after restart failed: {e}"));
             out
@@ -268,10 +252,10 @@ fn seeded_crash_points_all_recover_byte_identical() {
 
     // Two handcrafted specs pin the boundary cases regardless of what
     // the seed rotation lands on ...
-    round_trip("tear_admitted", "crash-append=1,tear=0", false, &golden, golden_misses);
-    round_trip("after_completed", "crash-append=3", false, &golden, golden_misses);
-    // ... one scenario exercises the NVPD_FAULT_SPEC transport ...
-    round_trip("env_spec", "crash-append=2", true, &golden, golden_misses);
+    round_trip("tear_admitted", "crash-append=1,tear=0", &golden, golden_misses);
+    round_trip("after_completed", "crash-append=3", &golden, golden_misses);
+    // ... one crashes at the `Started` transition, as the CI smoke does ...
+    round_trip("env_spec", "crash-append=2", &golden, golden_misses);
     // ... and the seeded rotation covers ≥20 derived crash points:
     // torn appends at varied offsets, aborts at each journal
     // transition, and mid-frame result drops.
@@ -279,7 +263,7 @@ fn seeded_crash_points_all_recover_byte_identical() {
     for seed in 0..20u64 {
         let spec = faultplan::derive(seed).format();
         specs.insert(spec.clone());
-        round_trip(&format!("seed{seed}"), &spec, false, &golden, golden_misses);
+        round_trip(&format!("seed{seed}"), &spec, &golden, golden_misses);
     }
     assert!(specs.len() >= 10, "seed rotation collapsed: {specs:?}");
 
@@ -307,7 +291,7 @@ fn external_sigkill_mid_job_recovers_byte_identical() {
         // The delay widens the admitted-but-running window the kill
         // lands in; the attempt runs on its own thread so the test can
         // pull the trigger while the client is still waiting.
-        let mut a = Server::spawn(&state_dir, Some("delay-ms=1500"), 1, false);
+        let mut a = Server::spawn(&state_dir, Some("delay-ms=1500"), 1);
         let addr = a.addr.clone();
         let req_clone = req.clone();
         let attempt = thread::spawn(move || raw_attempt(&addr, &req_clone));
@@ -321,7 +305,7 @@ fn external_sigkill_mid_job_recovers_byte_identical() {
 
         // Restart on the same state dir: the journal must replay the
         // admitted job, and the resubmission must be a replay.
-        let b = Server::spawn(&state_dir, None, 1, false);
+        let b = Server::spawn(&state_dir, None, 1);
         let outcome = client::submit(&b.addr, &req)
             .unwrap_or_else(|e| panic!("[{tag}] resubmission after SIGKILL failed: {e}"));
         assert!(

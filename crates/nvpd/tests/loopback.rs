@@ -13,9 +13,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
-use nvp_experiments::wire::{read_frame, write_frame, Message};
+use nvp_experiments::record::{put_frame, put_str};
+use nvp_experiments::wire::{
+    encode_request_bytes, read_frame, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
+};
 use nvp_experiments::{
-    client, reset_sim_cache, run_request, set_cache_dir, CachePolicy, CampaignRequest, ExpConfig,
+    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, ExpConfig,
 };
 use nvpd::{Server, ServerConfig, ServerStats};
 
@@ -150,12 +153,30 @@ fn admission_control_rejects_without_taking_the_server_down() {
         start_server(ServerConfig { max_jobs: Some(1), ..ServerConfig::default() });
     let addr = addr.to_string();
 
-    // A MemoryOnly job is refused at admission: the daemon's store is
-    // process-wide and cannot be bypassed per job.
-    let mut memory_only = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
-    memory_only.cache = CachePolicy::MemoryOnly;
-    let err = client::submit(&addr, &memory_only).expect_err("MemoryOnly must be rejected");
-    assert!(err.to_string().contains("MemoryOnly"), "{err}");
+    // A Submit frame from an `nvpd/4` client is refused at admission
+    // with a reason naming the protocol mismatch. That encoding is this
+    // protocol's request body under the old tag, plus the trailing
+    // cache-policy byte `nvpd/5` dropped.
+    let body = encode_request_bytes(&CampaignRequest::only(ExpConfig::quick(), &["t1"]));
+    let mut payload = vec![1]; // the Submit message tag
+    put_str(&mut payload, "nvpd/4");
+    payload.extend_from_slice(&body[4 + PROTOCOL.len()..]);
+    payload.push(0); // cache policy: shared
+    let mut frame = Vec::new();
+    put_frame(&mut frame, &payload, MAX_FRAME_BYTES).expect("frame the old request");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    {
+        use io::Write;
+        stream.write_all(&frame).expect("send nvpd/4 frame");
+    }
+    match read_frame(&mut stream).expect("reject frame") {
+        Message::Reject { reason, retryable } => {
+            assert!(reason.contains("protocol mismatch"), "{reason}");
+            assert!(reason.contains("nvpd/4"), "{reason}");
+            assert!(!retryable, "a protocol mismatch is not retryable");
+        }
+        other => panic!("expected Reject, got {other:?}"),
+    }
 
     // Unknown experiment ids are caught before the job takes a slot.
     let bogus = CampaignRequest::only(ExpConfig::quick(), &["f99"]);
@@ -332,6 +353,53 @@ fn identical_resubmission_replays_without_resimulation() {
 
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!((stats.accepted, stats.completed, stats.replayed), (2, 2, 1));
+
+    reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn zero_job_budget_drains_the_journal_and_returns() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("drain");
+
+    // One job admitted by a previous process and never completed.
+    let mut request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    request.seed = Some(5);
+    let key = nvp_experiments::wire::request_key(&request);
+    {
+        let (journal, _) =
+            nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
+                .expect("open journal");
+        journal.admitted(0, &key, &request).expect("journal the admission");
+    }
+
+    // A zero job budget runs the recovered job and returns without
+    // waiting for a client. Bounded wait, so a server that blocks in
+    // accept fails the test instead of hanging it.
+    let cfg = ServerConfig {
+        max_jobs: Some(0),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0").expect("bind loopback");
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(server.run(&cfg));
+    });
+    let stats = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a zero job budget must return without a client")
+        .expect("server run");
+    assert_eq!((stats.recovered, stats.accepted), (1, 0));
+
+    // The journal is drained: a reopen finds nothing left to run.
+    let (_, recovery) =
+        nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
+            .expect("reopen journal");
+    assert!(recovery.pending.is_empty(), "the recovered job completed");
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
