@@ -9,8 +9,8 @@
 //! configuration, so Monte-Carlo campaigns (experiment F12) stay
 //! bit-identical across reruns and thread counts.
 //!
-//! The plan is `Debug`-rendered into the simulation-cache key by the
-//! experiment layer, exactly like [`crate::SystemConfig`] and
+//! The experiment layer writes every field of the plan into the
+//! simulation-cache key, exactly like [`crate::SystemConfig`] and
 //! [`crate::BackupModel`], so cached faulted runs never alias fault-free
 //! ones.
 //!
@@ -110,16 +110,5 @@ mod tests {
         assert!(FaultPlan::with_rates(1, 0.0, 0.1).enabled());
         let ret = RetentionShaper::new(RelaxPolicy::Linear, 16, 0.01, 3600.0).bit_retention();
         assert!(FaultPlan::none().with_retention(ret).enabled());
-    }
-
-    #[test]
-    fn debug_rendering_distinguishes_plans() {
-        // The simcache keys on the Debug rendering: distinct plans must
-        // render distinctly.
-        let a = format!("{:?}", FaultPlan::with_rates(1, 0.1, 0.05));
-        let b = format!("{:?}", FaultPlan::with_rates(2, 0.1, 0.05));
-        let c = format!("{:?}", FaultPlan::with_rates(1, 0.2, 0.05));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -5,7 +5,8 @@
 //! parameters and were historically rebuilt by every experiment. They
 //! are now memoized in process-wide caches so concurrent experiments
 //! share one instance; the caches are keyed on every parameter that
-//! influences the value, so results are unchanged.
+//! influences the value, so results are unchanged. Each key has its own
+//! slot, so distinct inputs build in parallel and each is built once.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `plans()` hands the same
@@ -14,6 +15,7 @@
 //! `(program, setup, trace)` runs issued by different experiments
 //! simulate only once per process.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,7 +29,8 @@ use nvp_energy::harvester::SourceKind;
 use nvp_energy::PowerTrace;
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
-use crate::simcache::{self, Digest, KeyHasher};
+use crate::record::{put_str, put_u64};
+use crate::simcache::{self, Digest, KeyFields, KeyHasher};
 use crate::ExpConfig;
 
 /// Volatile state bits of the NV16 core (registers + PC + pipeline FFs),
@@ -41,23 +44,27 @@ fn frame_key(cfg: &ExpConfig) -> FrameKey {
     (cfg.frame_seed, cfg.frame_w, cfg.frame_h)
 }
 
-/// A lazily-initialized process-wide cache of shared values. A
-/// `BTreeMap` keeps the cache's internal order a pure function of the
-/// keys, so nothing downstream can ever observe insertion order.
-type Memo<K, V> = OnceLock<Mutex<BTreeMap<K, Arc<V>>>>;
+/// A lazily-initialized process-wide cache of shared values: one slot
+/// per key, each filled at most once. A `BTreeMap` keeps the cache's
+/// internal order a pure function of the keys, so nothing downstream
+/// can ever observe insertion order.
+type Memo<K, V> = OnceLock<Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>>;
 
 /// Looks up `key` in a lazily-initialized process-wide cache, building
-/// the value with `make` on first use.
+/// the value with `make` on first use. The map lock is held only to
+/// fetch or insert the key's slot; `make` runs outside it, so distinct
+/// keys build in parallel while callers of the same key wait for its
+/// one build. A panicking `make` leaves the slot empty, and the next
+/// lookup of that key builds again.
 fn memo<K, V>(cell: &'static Memo<K, V>, key: K, make: impl FnOnce() -> V) -> Arc<V>
 where
     K: Ord,
 {
-    let cache = cell.get_or_init(|| Mutex::new(BTreeMap::new()));
-    // Holding the lock across `make` keeps the code simple and means a
-    // value is only ever built once; entries are tiny and builds are
-    // fast relative to the simulations that consume them.
-    let mut map = cache.lock().unwrap();
-    Arc::clone(map.entry(key).or_insert_with(|| Arc::new(make())))
+    let slot = {
+        let mut map = cell.get_or_init(Mutex::default).lock().expect("memo map lock");
+        Arc::clone(map.entry(key).or_default())
+    };
+    Arc::clone(slot.get_or_init(|| Arc::new(make())))
 }
 
 /// The standard frame for image kernels.
@@ -74,8 +81,70 @@ pub(crate) fn kernel(cfg: &ExpConfig, kind: KernelKind) -> Arc<KernelInstance> {
     })
 }
 
-/// A shared power trace paired with its content digest, so the digest
-/// is computed once per trace no matter how many cached runs use it.
+/// Version of the trace generators behind [`SourceKind::generate`].
+/// A trace's cache key names its spec, not its samples, so any change
+/// to what a generator emits must bump this, or a persistent cache
+/// would serve runs over the old samples. `tests/golden_digest.rs`
+/// (`trace_generators_match_golden_digests`) pins every registry
+/// trace's samples to catch an edit that forgets.
+const TRACE_GEN_VERSION: u64 = 1;
+
+/// Everything a generated trace is a pure function of: the source kind,
+/// the seed and the duration (as its bit pattern). It keys both the
+/// trace memo and, through [`digest`](Self::digest), the sim-cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TraceSpec {
+    kind: SourceKind,
+    seed: u64,
+    duration_bits: u64,
+}
+
+impl TraceSpec {
+    fn new(kind: SourceKind, seed: u64, duration_s: f64) -> TraceSpec {
+        TraceSpec { kind, seed, duration_bits: duration_s.to_bits() }
+    }
+
+    /// The trace's sim-cache key material: a tag, the generator version
+    /// and the spec.
+    fn digest(&self) -> Digest {
+        let mut key = KeyHasher::new("nvp-simcache/2:trace");
+        key.u64(TRACE_GEN_VERSION);
+        key.field(self);
+        key.finish()
+    }
+
+    fn generate(&self) -> PowerTrace {
+        self.kind.generate(self.seed, f64::from_bits(self.duration_bits))
+    }
+
+    fn order(&self) -> (&'static str, u64, u64) {
+        (self.kind.name(), self.seed, self.duration_bits)
+    }
+}
+
+impl Ord for TraceSpec {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.order().cmp(&other.order())
+    }
+}
+
+impl PartialOrd for TraceSpec {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl KeyFields for TraceSpec {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let TraceSpec { kind, seed, duration_bits } = *self;
+        put_str(out, kind.name());
+        put_u64(out, seed);
+        put_u64(out, duration_bits);
+    }
+}
+
+/// A shared power trace paired with its spec digest, so runs over it
+/// are keyed without touching a sample.
 #[derive(Clone)]
 pub(crate) struct SimTrace(Arc<(Arc<PowerTrace>, Digest)>);
 
@@ -102,12 +171,9 @@ impl Deref for SimTrace {
 /// harvester grid and F11's solar variant hit this instead of
 /// regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
-    static CACHE: Memo<(&'static str, u64, u64), (Arc<PowerTrace>, Digest)> = OnceLock::new();
-    SimTrace(memo(&CACHE, (kind.name(), seed, cfg.trace_duration_s.to_bits()), || {
-        let trace = kind.generate(seed, cfg.trace_duration_s);
-        let digest = simcache::trace_digest(&trace);
-        (Arc::new(trace), digest)
-    }))
+    static CACHE: Memo<TraceSpec, (Arc<PowerTrace>, Digest)> = OnceLock::new();
+    let spec = TraceSpec::new(kind, seed, cfg.trace_duration_s);
+    SimTrace(memo(&CACHE, spec, || (Arc::new(spec.generate()), spec.digest())))
 }
 
 /// The standard wearable trace for a profile seed.
@@ -194,25 +260,38 @@ impl Setup {
         })
     }
 
-    /// The simulation-cache key of [`run`](Self::run): a schema + run-kind
-    /// tag (`:nvp` or `:wait`), the program image, the `Debug`
-    /// rendering of each configuration value, and the trace digest.
+    /// The simulation-cache key of [`run`](Self::run), under the
+    /// `:nvp` or `:wait` run-kind tag.
     fn key(&self, inst: &KernelInstance, trace: &SimTrace) -> Digest {
-        let mut key = match self {
-            Setup::Nvp { .. } => KeyHasher::new("nvp-simcache/1:nvp"),
-            Setup::Wait(_) => KeyHasher::new("nvp-simcache/1:wait"),
+        let tag = match self {
+            Setup::Nvp { .. } => "nvp-simcache/2:nvp",
+            Setup::Wait(_) => "nvp-simcache/2:wait",
         };
+        self.key_hasher(tag, inst, trace).finish()
+    }
+
+    /// A cache key under `tag` over everything a run of this platform
+    /// reads: the program image, each configuration value's canonical
+    /// encoding, and the trace's spec digest. Run kinds with more inputs
+    /// (F12's fault plan) add them before finishing.
+    pub(crate) fn key_hasher(
+        &self,
+        tag: &str,
+        inst: &KernelInstance,
+        trace: &SimTrace,
+    ) -> KeyHasher {
+        let mut key = KeyHasher::new(tag);
         key.program(inst.program());
         match self {
             Setup::Nvp { sys, backup, policy } => {
-                key.debug(sys);
-                key.debug(backup);
-                key.debug(policy);
+                key.field(sys);
+                key.field(backup);
+                key.field(policy);
             }
-            Setup::Wait(wcfg) => key.debug(wcfg),
+            Setup::Wait(wcfg) => key.field(wcfg),
         }
         key.digest(trace.digest());
-        key.finish()
+        key
     }
 }
 
@@ -269,6 +348,11 @@ pub(crate) fn seconds_per_frame(report: &RunReport) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
+
     use super::*;
     use crate::simcache::hex;
 
@@ -282,16 +366,112 @@ mod tests {
         let trace = watch_trace(&cfg, cfg.profile_seeds[0]);
         let key = |setup: Setup| hex(setup.key(&inst, &trace));
         assert_eq!(
+            hex(*trace.digest()),
+            "6274a47713c4265909f004e293e784c7245d4f2c27b6b286ebf196f378c2670a"
+        );
+        assert_eq!(
             key(nvp_setup(&inst)),
-            "8ff59a055bb92a7e2b84edb024258912669a46673df1c4a7d2b8b6f4e7dddeb8"
+            "de8d9b5bc17da1f0d03cf106037e08622bc69b76513fbc5faf004fb6d516cb4c"
         );
         assert_eq!(
             key(swckpt_setup(&inst)),
-            "7f99ecc53f425f0b7d5a9210c19fe51a26abf6d47185379dfe0deed78f528804"
+            "2532d744c028fdd159be320bae7cb5cf32ffccd23ee9929c2eeb0b853e4970d8"
         );
         assert_eq!(
             key(wait_setup(&cfg, KernelKind::Sobel)),
-            "5b6ef2e4efd4dd30bafaddff1ec0da7834ebaae2840b0b07c13e1c1500b9daee"
+            "9f62bee7a3afbbcfa22b7714a8488ff20854b3a54fc182bb9bd793a38a588d67"
         );
+    }
+
+    #[test]
+    fn trace_spec_keys_change_with_every_component() {
+        let base = TraceSpec::new(SourceKind::WristWatch, 1, 2.0);
+        let edits = [
+            TraceSpec { kind: SourceKind::SolarIndoor, ..base },
+            TraceSpec { seed: 2, ..base },
+            TraceSpec::new(SourceKind::WristWatch, 1, 10.0),
+        ];
+        let mut keys: Vec<Digest> = edits.iter().map(TraceSpec::digest).collect();
+        keys.push(base.digest());
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), edits.len() + 1, "every component moves the key");
+        assert_eq!(base.digest(), TraceSpec::new(SourceKind::WristWatch, 1, 2.0).digest());
+    }
+
+    #[test]
+    fn memoized_traces_are_the_generators_output() {
+        let cfg = ExpConfig::quick();
+        let trace = source_trace(&cfg, SourceKind::RfWifi, 3);
+        assert_eq!(*trace.shared(), SourceKind::RfWifi.generate(3, cfg.trace_duration_s));
+        assert_eq!(*trace.digest(), TraceSpec::new(SourceKind::RfWifi, 3, 2.0).digest());
+    }
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn distinct_memo_keys_build_concurrently() {
+        static CACHE: Memo<u32, bool> = OnceLock::new();
+        // Each build signals it started, then waits for the other's
+        // signal. Builds that serialize behind one lock time out.
+        let (started_a, seen_by_b) = mpsc::channel();
+        let (started_b, seen_by_a) = mpsc::channel();
+        let overlapped = thread::scope(|s| {
+            let a = s.spawn(move || {
+                *memo(&CACHE, 1, || {
+                    started_a.send(()).expect("peer alive");
+                    seen_by_a.recv_timeout(WAIT).is_ok()
+                })
+            });
+            let b = s.spawn(move || {
+                *memo(&CACHE, 2, || {
+                    started_b.send(()).expect("peer alive");
+                    seen_by_b.recv_timeout(WAIT).is_ok()
+                })
+            });
+            [a.join().expect("build a"), b.join().expect("build b")]
+        });
+        assert_eq!(overlapped, [true, true], "distinct keys must not build one after another");
+    }
+
+    #[test]
+    fn a_contended_memo_key_is_built_once() {
+        static CACHE: Memo<u32, u64> = OnceLock::new();
+        const THREADS: usize = 8;
+        let builds = AtomicUsize::new(0);
+        let entered = AtomicUsize::new(0);
+        let start = Barrier::new(THREADS);
+        let values: Vec<Arc<u64>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        entered.fetch_add(1, AtomicOrdering::SeqCst);
+                        memo(&CACHE, 7, || {
+                            // Hold the build open until every caller has
+                            // reached the lookup; nothing else blocks
+                            // them on the way there.
+                            while entered.load(AtomicOrdering::SeqCst) < THREADS {
+                                thread::yield_now();
+                            }
+                            builds.fetch_add(1, AtomicOrdering::SeqCst) as u64
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("caller")).collect()
+        });
+        assert_eq!(builds.load(AtomicOrdering::SeqCst), 1, "one build per key");
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])), "every caller shares it");
+    }
+
+    #[test]
+    fn a_panicking_memo_build_is_retried_and_spares_other_keys() {
+        static CACHE: Memo<u32, u32> = OnceLock::new();
+        let failed = std::panic::catch_unwind(|| memo(&CACHE, 1, || panic!("build fails")));
+        assert!(failed.is_err());
+        assert_eq!(*memo(&CACHE, 2, || 20), 20, "other keys stay usable");
+        assert_eq!(*memo(&CACHE, 1, || 10), 10, "the failed key builds again");
+        assert_eq!(*memo(&CACHE, 1, || 11), 10, "and then only once");
     }
 }

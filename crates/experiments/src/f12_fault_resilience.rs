@@ -43,7 +43,7 @@ use crate::common::{kernel, style_setup, watch_trace, Setup, SimTrace};
 use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
-use crate::simcache::{self, Digest, KeyHasher, SimOutcome};
+use crate::simcache::{self, Digest, SimOutcome};
 use crate::{ExpConfig, Table};
 
 /// Injected fault rates (tear probability per backup; restore failures
@@ -170,15 +170,12 @@ fn recovery_latencies_ms(events: &[(f64, SimEvent)]) -> Vec<f64> {
 }
 
 /// The simulation-cache key of one trial: every input of
-/// [`run_trial`], under the `f12` run-kind tag.
+/// [`run_trial`] — the style's platform, encoded as [`Setup::run`]'s
+/// key encodes it, plus the fault plan — under the `f12` run-kind tag.
 fn trial_key(inst: &KernelInstance, trace: &SimTrace, style: &Style, plan: &FaultPlan) -> Digest {
-    let mut key = KeyHasher::new("nvp-simcache/1:f12");
-    key.program(inst.program());
-    key.debug(&style.sys);
-    key.debug(&style.backup);
-    key.debug(&style.policy);
-    key.debug(plan);
-    key.digest(trace.digest());
+    let Style { sys, backup, policy, .. } = *style;
+    let mut key = Setup::Nvp { sys, backup, policy }.key_hasher("nvp-simcache/2:f12", inst, trace);
+    key.field(plan);
     key.finish()
 }
 
@@ -353,6 +350,19 @@ pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simcache::hex;
+
+    /// A trial's cache key, pinned like `Setup`'s: a change to the key
+    /// derivation must bump the shard schema.
+    #[test]
+    fn trial_key_is_pinned() {
+        let cfg = ExpConfig::quick();
+        let inst = kernel(&cfg, KernelKind::Sobel);
+        let trace = watch_trace(&cfg, cfg.profile_seeds[0]);
+        let style = &styles(&inst)[1];
+        let key = hex(trial_key(&inst, &trace, style, &plan_for(&cfg, 0.05, 1, 2)));
+        assert_eq!(key, "b4758fb2c542291bc5bd5ff524cbd1df0ef5b73e4b08286f8cbea1a7d61cda04");
+    }
 
     #[test]
     fn control_rows_are_exactly_fault_free() {

@@ -14,9 +14,11 @@
 //!
 //! Each shard file `<x>.log` (`x` = first key nibble, hex) is a log in
 //! the shared frame format of [`crate::record`]: the 8-byte magic
-//! `b"nvpsimc2"` — the `2` is the schema version, bumped whenever the
-//! record layout changes so stale caches are skipped wholesale rather
-//! than misdecoded — then CRC-framed records of at most
+//! `b"nvpsimc3"` — the digit is the schema version, bumped whenever the
+//! record layout or the key derivation changes so stale caches are
+//! skipped wholesale rather than misdecoded or kept as dead records
+//! (`3` moved keys to canonical field encodings and spec-keyed traces)
+//! — then CRC-framed records of at most
 //! [`MAX_RECORD_BYTES`] whose payload is
 //!
 //! ```text
@@ -65,7 +67,7 @@ use crate::record::{self, put_f64, put_f64s, put_u64, Reader};
 use crate::simcache::{Digest, SimOutcome};
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
-const MAGIC: &[u8; 8] = b"nvpsimc2";
+const MAGIC: &[u8; 8] = b"nvpsimc3";
 
 /// Payload length of a record with no latencies: key, 24 eight-byte
 /// report fields (2 + 13 + 9), latency count.
@@ -218,7 +220,7 @@ fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_payload`]; an error unless the payload is
-/// exactly as long as its latency count says (schema `nvpsimc2`).
+/// exactly as long as its latency count says (schema `nvpsimc3`).
 fn decode_payload(payload: &[u8]) -> io::Result<(Digest, SimOutcome)> {
     let mut r = Reader::new(payload);
     let key = r.digest()?;
@@ -377,7 +379,7 @@ pub(crate) mod tests {
     /// Pinned bytes of a one-record shard: a change here changes the
     /// on-disk format, which must bump the schema digit in [`MAGIC`].
     const PINNED_SHARD: &str = concat!(
-        "6e767073696d6332f40000005fae8054606162636465666768696a6b6c6d6e6f7071727374757677",
+        "6e767073696d6333f40000005fae8054606162636465666768696a6b6c6d6e6f7071727374757677",
         "78797a7b7c7d7e7f0000000000000440000000000000f43fe903000000000000b104000000000000",
         "070000000000000000000000000000002a0000000000000029000000000000000000000000000000",
         "03000000000000000000000000000000000000000000000000000000000000000000000000000000",

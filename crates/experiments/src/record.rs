@@ -448,7 +448,7 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_of_a_shard_serves_no_damaged_record() {
         let shard = crate::persist::tests::mixed_shard();
-        assert_log_damage_never_served(&shard, 2, b"nvpsimc1", crate::persist::tests::load_shard);
+        assert_log_damage_never_served(&shard, 2, b"nvpsimc2", crate::persist::tests::load_shard);
     }
 
     #[test]

@@ -8,22 +8,27 @@
 //! policy, power trace)`, so a process-wide cache keyed on a SHA-256
 //! digest of exactly those inputs deduplicates them.
 //!
-//! Key derivation (see `DESIGN.md` § Performance):
+//! Key derivation (see `DESIGN.md` § Performance): a [`KeyHasher`]
+//! writes every input through the [`crate::record`] field codec and
+//! hashes the bytes once.
 //!
+//! * a schema + run-kind tag (`nvp-simcache/2:nvp`, `:wait`, `:f12`),
+//!   so NVP, wait-compute and fault-trial runs of the same inputs can
+//!   never collide;
 //! * the program image: entry point, code words, initialized data
-//!   segments — hashed directly;
-//! * the platform configuration: the `Debug` rendering of
-//!   `SystemConfig`/`WaitComputeConfig`, `BackupModel`, and
-//!   `BackupPolicy`. Rust's `f64` `Debug` output is the shortest
-//!   round-trip representation, so distinct configurations always
-//!   render distinctly;
-//! * the power trace: dt, length, and every sample's bit pattern,
-//!   hashed **once per trace** (`trace_digest`) and reused across runs;
-//! * for an F12 fault-campaign trial, the `Debug` rendering of its
-//!   `FaultPlan` too (seed, rates, retention profile, retry bounds);
-//! * a schema tag + run-kind tag (`:nvp`, `:wait`, `:f12`), so NVP,
-//!   wait-compute and fault-trial runs of the same inputs can never
-//!   collide.
+//!   segments;
+//! * the platform configuration — `SystemConfig`/`WaitComputeConfig`,
+//!   `BackupModel` and `BackupPolicy` — as explicit canonical encodings
+//!   ([`KeyFields`]): every field in declaration order, floats as their
+//!   IEEE-754 bit patterns, enum variants by name. Each encoder
+//!   destructures its type without `..`, so a new field does not
+//!   compile until it is encoded;
+//! * the power trace, by its *spec*: the 32-byte digest of the source
+//!   kind, seed and duration it was generated from, plus a generator
+//!   version (`common::TraceSpec`). A trace is a pure function of its
+//!   spec, so no sample is ever hashed;
+//! * for an F12 fault-campaign trial, its `FaultPlan` too (seed, rates,
+//!   retention profile, retry bounds).
 //!
 //! Values are [`SimOutcome`]s: the `RunReport`, plus the recovery
 //! latencies of an F12 trial (empty for every other run kind), so a
@@ -51,16 +56,18 @@
 //! cold one.
 
 use std::collections::BTreeMap;
-use std::fmt::Debug;
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use nvp_core::RunReport;
-use nvp_energy::PowerTrace;
+use nvp_core::{
+    BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, WaitComputeConfig,
+};
+use nvp_energy::Rectifier;
+use nvp_sim::{CycleModel, EnergyModel};
 
 use crate::persist::PersistentStore;
+use crate::record::{put_f64, put_f64s, put_str, put_u32, put_u64};
 
 /// A 256-bit content digest (cache key).
 pub(crate) type Digest = [u8; 32];
@@ -188,67 +195,271 @@ impl Sha256 {
     }
 }
 
-/// Builds a cache key from length-prefixed, type-tagged fields.
-pub(crate) struct KeyHasher(Sha256);
+/// Builds a cache key: a tag, then fields through the [`crate::record`]
+/// codec (integers little-endian, floats as bit patterns, strings and
+/// lists behind their length), hashed once by [`finish`](Self::finish).
+pub(crate) struct KeyHasher(Vec<u8>);
 
 impl KeyHasher {
     /// Starts a key with a schema + run-kind tag (e.g.
-    /// `"nvp-simcache/1:nvp"`).
+    /// `"nvp-simcache/2:nvp"`).
     pub(crate) fn new(tag: &str) -> KeyHasher {
-        let mut h = KeyHasher(Sha256::new());
-        h.str(tag);
-        h
+        let mut out = Vec::with_capacity(4096);
+        put_str(&mut out, tag);
+        KeyHasher(out)
     }
 
-    fn len(&mut self, n: usize) {
-        self.0.update(&(n as u64).to_le_bytes());
+    /// A value through its canonical encoding.
+    pub(crate) fn field(&mut self, value: &impl KeyFields) {
+        value.put_key(&mut self.0);
     }
 
-    /// A length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.0.update(s.as_bytes());
-    }
-
-    /// A value through its `Debug` rendering (length-prefixed). `f64`
-    /// `Debug` is the shortest round-trip form, so distinct values
-    /// render distinctly.
-    pub(crate) fn debug<T: Debug>(&mut self, value: &T) {
-        let mut s = String::new();
-        write!(s, "{value:?}").expect("Debug formatting does not fail");
-        self.str(&s);
+    /// A `u64`.
+    pub(crate) fn u64(&mut self, v: u64) {
+        put_u64(&mut self.0, v);
     }
 
     /// A program image: entry, code words, initialized data segments.
     pub(crate) fn program(&mut self, program: &nvp_isa::Program) {
-        self.0.update(&program.entry().to_le_bytes());
-        self.len(program.code().len());
-        for &word in program.code() {
-            self.0.update(&word.to_le_bytes());
-        }
-        self.len(program.data_segments().len());
+        let out = &mut self.0;
+        put_u32(out, program.entry());
+        put_count(out, program.code().len());
+        program.code().iter().for_each(|&word| put_u32(out, word));
+        put_count(out, program.data_segments().len());
         for seg in program.data_segments() {
-            self.0.update(&seg.addr.to_le_bytes());
-            self.len(seg.words.len());
-            for &w in &seg.words {
-                self.0.update(&w.to_le_bytes());
-            }
+            put_u32(out, u32::from(seg.addr));
+            put_count(out, seg.words.len());
+            seg.words.iter().for_each(|&w| out.extend_from_slice(&w.to_le_bytes()));
         }
     }
 
-    /// A precomputed digest (e.g. a trace's).
+    /// A precomputed digest (e.g. a trace spec's).
     pub(crate) fn digest(&mut self, d: &Digest) {
-        self.0.update(d);
+        self.0.extend_from_slice(d);
     }
 
     pub(crate) fn finish(self) -> Digest {
-        self.0.finalize()
+        let mut h = Sha256::new();
+        h.update(&self.0);
+        h.finalize()
     }
 }
 
-/// Digest of a power trace: dt, length, and every sample's bit pattern.
-/// Computed once per trace and reused for every run over it.
-pub(crate) fn trace_digest(trace: &PowerTrace) -> Digest {
+/// A list length, as a `u64`.
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    put_u64(out, n as u64);
+}
+
+/// A flag byte.
+fn put_flag(out: &mut Vec<u8>, b: bool) {
+    out.push(u8::from(b));
+}
+
+/// A value's canonical cache-key encoding: every field, in declaration
+/// order, through the [`crate::record`] field codec. Floats are written
+/// as their bit patterns and enum variants by name, so two values
+/// encode equally exactly when their fields are bit-identical.
+pub(crate) trait KeyFields {
+    /// Appends the encoding to `out`.
+    fn put_key(&self, out: &mut Vec<u8>);
+}
+
+impl KeyFields for Rectifier {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let Rectifier { peak_efficiency, knee_w, high_power_droop } = *self;
+        [peak_efficiency, knee_w, high_power_droop].into_iter().for_each(|v| put_f64(out, v));
+    }
+}
+
+impl KeyFields for CycleModel {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let CycleModel {
+            alu,
+            mul,
+            div,
+            load,
+            store,
+            branch_not_taken,
+            branch_taken,
+            jump,
+            io,
+            system,
+        } = *self;
+        [alu, mul, div, load, store, branch_not_taken, branch_taken, jump, io, system]
+            .into_iter()
+            .for_each(|v| put_u32(out, v));
+    }
+}
+
+impl KeyFields for EnergyModel {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let EnergyModel {
+            base_per_cycle_j,
+            mem_read_extra_j,
+            mem_write_extra_j,
+            mul_extra_j,
+            div_extra_j,
+            io_extra_j,
+        } = *self;
+        [
+            base_per_cycle_j,
+            mem_read_extra_j,
+            mem_write_extra_j,
+            mul_extra_j,
+            div_extra_j,
+            io_extra_j,
+        ]
+        .into_iter()
+        .for_each(|v| put_f64(out, v));
+    }
+}
+
+impl KeyFields for ClockPolicy {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        match *self {
+            ClockPolicy::Fixed => put_str(out, "Fixed"),
+            ClockPolicy::Adaptive { levels, margin } => {
+                put_str(out, "Adaptive");
+                put_u32(out, u32::from(levels));
+                put_f64(out, margin);
+            }
+        }
+    }
+}
+
+impl KeyFields for SystemConfig {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let SystemConfig {
+            clock_hz,
+            capacitance_f,
+            cap_voltage_v,
+            cap_leak_tau_s,
+            rectifier,
+            sleep_power_w,
+            work_headroom_j,
+            dmem_words,
+            dmem_nonvolatile,
+            restart_on_halt,
+            cycle_model,
+            energy_model,
+            clock_policy,
+        } = *self;
+        [clock_hz, capacitance_f, cap_voltage_v, cap_leak_tau_s]
+            .into_iter()
+            .for_each(|v| put_f64(out, v));
+        rectifier.put_key(out);
+        put_f64(out, sleep_power_w);
+        put_f64(out, work_headroom_j);
+        put_count(out, dmem_words);
+        put_flag(out, dmem_nonvolatile);
+        put_flag(out, restart_on_halt);
+        cycle_model.put_key(out);
+        energy_model.put_key(out);
+        clock_policy.put_key(out);
+    }
+}
+
+impl KeyFields for WaitComputeConfig {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let WaitComputeConfig {
+            clock_hz,
+            capacitance_f,
+            cap_voltage_v,
+            cap_leak_tau_s,
+            rectifier,
+            sleep_power_w,
+            start_energy_j,
+            discharge_efficiency,
+            min_charge_power_w,
+            trickle_efficiency,
+            max_charge_power_w,
+            dmem_words,
+            cycle_model,
+            energy_model,
+        } = *self;
+        [clock_hz, capacitance_f, cap_voltage_v, cap_leak_tau_s]
+            .into_iter()
+            .for_each(|v| put_f64(out, v));
+        rectifier.put_key(out);
+        [
+            sleep_power_w,
+            start_energy_j,
+            discharge_efficiency,
+            min_charge_power_w,
+            trickle_efficiency,
+            max_charge_power_w,
+        ]
+        .into_iter()
+        .for_each(|v| put_f64(out, v));
+        put_count(out, dmem_words);
+        cycle_model.put_key(out);
+        energy_model.put_key(out);
+    }
+}
+
+impl KeyFields for BackupModel {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let BackupModel {
+            style,
+            tech,
+            state_bits,
+            backup_energy,
+            backup_time,
+            restore_energy,
+            restore_time,
+        } = *self;
+        put_str(out, style.name());
+        put_str(out, tech.name());
+        put_u64(out, state_bits);
+        [backup_energy.get(), backup_time.get(), restore_energy.get(), restore_time.get()]
+            .into_iter()
+            .for_each(|v| put_f64(out, v));
+    }
+}
+
+impl KeyFields for BackupPolicy {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        match *self {
+            BackupPolicy::OnDemand { margin } => {
+                put_str(out, "OnDemand");
+                put_f64(out, margin);
+            }
+            BackupPolicy::Periodic { interval_s } => {
+                put_str(out, "Periodic");
+                put_f64(out, interval_s);
+            }
+            BackupPolicy::Hybrid { interval_s, margin } => {
+                put_str(out, "Hybrid");
+                put_f64(out, interval_s);
+                put_f64(out, margin);
+            }
+        }
+    }
+}
+
+impl KeyFields for FaultPlan {
+    fn put_key(&self, out: &mut Vec<u8>) {
+        let FaultPlan { seed, tear_prob, restore_fail_prob, retention, max_retries, retry_backoff } =
+            self;
+        put_u64(out, *seed);
+        put_f64(out, *tear_prob);
+        put_f64(out, *restore_fail_prob);
+        put_flag(out, retention.is_some());
+        if let Some(retention) = retention {
+            put_f64s(out, retention.per_bit_s());
+        }
+        put_u32(out, *max_retries);
+        put_f64(out, *retry_backoff);
+    }
+}
+
+/// Digest of a power trace's samples: dt, length, and every sample's
+/// bit pattern — what cache keys hashed before traces were keyed by
+/// their spec. `tests/golden_digest.rs` pins every registry trace by
+/// these bytes, so a generator edit cannot leave
+/// `common::TRACE_GEN_VERSION` standing unnoticed.
+#[cfg(test)]
+pub(crate) fn trace_digest(trace: &nvp_energy::PowerTrace) -> Digest {
     let mut h = Sha256::new();
     h.update(b"nvp-simcache/1:trace");
     h.update(&trace.dt_s().to_bits().to_le_bytes());
@@ -467,6 +678,7 @@ pub fn reset_sim_cache() {
 /// Lower-case hex rendering of a digest, for tests that pin keys.
 #[cfg(test)]
 pub(crate) fn hex(d: Digest) -> String {
+    use std::fmt::Write as _;
     d.iter().fold(String::new(), |mut s, b| {
         write!(s, "{b:02x}").expect("write to String");
         s
@@ -509,20 +721,211 @@ mod tests {
         assert_eq!(h.finalize(), one_shot(&data));
     }
 
+    /// A string field, as the tag and enum variants are written.
+    struct Text(&'static str);
+
+    impl KeyFields for Text {
+        fn put_key(&self, out: &mut Vec<u8>) {
+            put_str(out, self.0);
+        }
+    }
+
     #[test]
     fn key_fields_are_length_prefixed() {
         // ("ab", "c") and ("a", "bc") must hash differently.
         let mut h1 = KeyHasher::new("t");
-        h1.str("ab");
-        h1.str("c");
+        h1.field(&Text("ab"));
+        h1.field(&Text("c"));
         let mut h2 = KeyHasher::new("t");
-        h2.str("a");
-        h2.str("bc");
+        h2.field(&Text("a"));
+        h2.field(&Text("bc"));
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    /// Encodes `base` and each edited copy, and asserts that every edit
+    /// moves the encoding and that no two edits collide: each edit
+    /// changes one field, so the encoder must write every field.
+    fn assert_each_field_is_keyed<T: KeyFields + Clone>(base: &T, edits: &[&dyn Fn(&mut T)]) {
+        let encode = |v: &T| {
+            let mut out = Vec::new();
+            v.put_key(&mut out);
+            out
+        };
+        let mut keys = vec![encode(base)];
+        for edit in edits {
+            let mut v = base.clone();
+            edit(&mut v);
+            keys.push(encode(&v));
+        }
+        for (i, key) in keys.iter().enumerate().skip(1) {
+            assert_ne!(*key, keys[0], "edit {} left the key unchanged", i - 1);
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), edits.len() + 1, "two edits encode alike");
+    }
+
+    type Edit<T> = Box<dyn Fn(&mut T)>;
+
+    fn twice(v: &mut f64) {
+        *v = *v * 2.0 + 1.0;
+    }
+
+    /// One edit per field of the rectifier, cycle and energy models,
+    /// reached through accessors so both platform configs share them.
+    fn model_edits<T: 'static>(
+        rect: fn(&mut T) -> &mut Rectifier,
+        cyc: fn(&mut T) -> &mut CycleModel,
+        en: fn(&mut T) -> &mut EnergyModel,
+    ) -> Vec<Edit<T>> {
+        vec![
+            Box::new(move |c| twice(&mut rect(c).peak_efficiency)),
+            Box::new(move |c| twice(&mut rect(c).knee_w)),
+            Box::new(move |c| twice(&mut rect(c).high_power_droop)),
+            Box::new(move |c| cyc(c).alu += 1),
+            Box::new(move |c| cyc(c).mul += 1),
+            Box::new(move |c| cyc(c).div += 1),
+            Box::new(move |c| cyc(c).load += 1),
+            Box::new(move |c| cyc(c).store += 1),
+            Box::new(move |c| cyc(c).branch_not_taken += 1),
+            Box::new(move |c| cyc(c).branch_taken += 1),
+            Box::new(move |c| cyc(c).jump += 1),
+            Box::new(move |c| cyc(c).io += 1),
+            Box::new(move |c| cyc(c).system += 1),
+            Box::new(move |c| twice(&mut en(c).base_per_cycle_j)),
+            Box::new(move |c| twice(&mut en(c).mem_read_extra_j)),
+            Box::new(move |c| twice(&mut en(c).mem_write_extra_j)),
+            Box::new(move |c| twice(&mut en(c).mul_extra_j)),
+            Box::new(move |c| twice(&mut en(c).div_extra_j)),
+            Box::new(move |c| twice(&mut en(c).io_extra_j)),
+        ]
+    }
+
+    #[test]
+    fn every_system_config_field_is_keyed() {
+        let mut edits: Vec<Edit<SystemConfig>> = vec![
+            Box::new(|c| twice(&mut c.clock_hz)),
+            Box::new(|c| twice(&mut c.capacitance_f)),
+            Box::new(|c| twice(&mut c.cap_voltage_v)),
+            Box::new(|c| twice(&mut c.cap_leak_tau_s)),
+            Box::new(|c| twice(&mut c.sleep_power_w)),
+            Box::new(|c| twice(&mut c.work_headroom_j)),
+            Box::new(|c| c.dmem_words += 1),
+            Box::new(|c| c.dmem_nonvolatile ^= true),
+            Box::new(|c| c.restart_on_halt ^= true),
+            Box::new(|c| c.clock_policy = ClockPolicy::adaptive()),
+        ];
+        edits.extend(model_edits(
+            |c: &mut SystemConfig| &mut c.rectifier,
+            |c| &mut c.cycle_model,
+            |c| &mut c.energy_model,
+        ));
+        let edits: Vec<&dyn Fn(&mut SystemConfig)> = edits.iter().map(|e| &**e).collect();
+        assert_each_field_is_keyed(&SystemConfig::default(), &edits);
+    }
+
+    #[test]
+    fn every_clock_policy_field_is_keyed() {
+        let base = ClockPolicy::adaptive();
+        let levels = |c: &mut ClockPolicy| {
+            if let ClockPolicy::Adaptive { levels, .. } = c {
+                *levels += 1;
+            }
+        };
+        let margin = |c: &mut ClockPolicy| {
+            if let ClockPolicy::Adaptive { margin, .. } = c {
+                twice(margin);
+            }
+        };
+        let fixed = |c: &mut ClockPolicy| *c = ClockPolicy::Fixed;
+        assert_each_field_is_keyed(&base, &[&levels, &margin, &fixed]);
+    }
+
+    #[test]
+    fn every_wait_compute_config_field_is_keyed() {
+        let mut edits: Vec<Edit<WaitComputeConfig>> = vec![
+            Box::new(|c| twice(&mut c.clock_hz)),
+            Box::new(|c| twice(&mut c.capacitance_f)),
+            Box::new(|c| twice(&mut c.cap_voltage_v)),
+            Box::new(|c| twice(&mut c.cap_leak_tau_s)),
+            Box::new(|c| twice(&mut c.sleep_power_w)),
+            Box::new(|c| twice(&mut c.start_energy_j)),
+            Box::new(|c| twice(&mut c.discharge_efficiency)),
+            Box::new(|c| twice(&mut c.min_charge_power_w)),
+            Box::new(|c| twice(&mut c.trickle_efficiency)),
+            Box::new(|c| twice(&mut c.max_charge_power_w)),
+            Box::new(|c| c.dmem_words += 1),
+        ];
+        edits.extend(model_edits(
+            |c: &mut WaitComputeConfig| &mut c.rectifier,
+            |c| &mut c.cycle_model,
+            |c| &mut c.energy_model,
+        ));
+        let edits: Vec<&dyn Fn(&mut WaitComputeConfig)> = edits.iter().map(|e| &**e).collect();
+        assert_each_field_is_keyed(&WaitComputeConfig::default(), &edits);
+    }
+
+    #[test]
+    fn every_backup_model_field_is_keyed() {
+        use nvp_core::BackupStyle;
+        use nvp_device::NvmTechnology;
+        use nvp_energy::units::{Joules, Seconds};
+        let base = BackupModel::distributed(NvmTechnology::Feram, 2048);
+        assert_each_field_is_keyed(
+            &base,
+            &[
+                &|b| b.style = BackupStyle::Centralized,
+                &|b| b.tech = NvmTechnology::Reram,
+                &|b| b.state_bits += 1,
+                &|b| b.backup_energy = Joules::new(b.backup_energy.get() * 2.0),
+                &|b| b.backup_time = Seconds::new(b.backup_time.get() * 2.0),
+                &|b| b.restore_energy = Joules::new(b.restore_energy.get() * 2.0),
+                &|b| b.restore_time = Seconds::new(b.restore_time.get() * 2.0),
+            ],
+        );
+    }
+
+    #[test]
+    fn every_backup_policy_field_is_keyed() {
+        let base = BackupPolicy::Hybrid { interval_s: 0.01, margin: 1.5 };
+        assert_each_field_is_keyed(
+            &base,
+            &[
+                &|p| *p = BackupPolicy::Hybrid { interval_s: 0.02, margin: 1.5 },
+                &|p| *p = BackupPolicy::Hybrid { interval_s: 0.01, margin: 1.6 },
+                &|p| *p = BackupPolicy::OnDemand { margin: 1.5 },
+                &|p| *p = BackupPolicy::Periodic { interval_s: 0.01 },
+                &|p| *p = BackupPolicy::OnDemand { margin: 0.01 },
+                &|p| *p = BackupPolicy::Periodic { interval_s: 1.5 },
+            ],
+        );
+    }
+
+    #[test]
+    fn every_fault_plan_field_is_keyed() {
+        use nvp_device::{RelaxPolicy, RetentionShaper};
+        let retention = |max_s: f64, bits: usize| {
+            RetentionShaper::new(RelaxPolicy::Linear, bits, 2.0, max_s).bit_retention()
+        };
+        let base = FaultPlan::with_rates(9, 0.05, 0.025).with_retention(retention(1e4, 16));
+        assert_each_field_is_keyed(
+            &base,
+            &[
+                &|p| p.seed += 1,
+                &|p| twice(&mut p.tear_prob),
+                &|p| twice(&mut p.restore_fail_prob),
+                &|p| p.retention = None,
+                &|p| p.retention = Some(retention(1e3, 16)),
+                &|p| p.retention = Some(retention(1e4, 8)),
+                &|p| p.max_retries += 1,
+                &|p| twice(&mut p.retry_backoff),
+            ],
+        );
     }
 
     #[test]
     fn trace_digest_distinguishes_traces() {
+        use nvp_energy::PowerTrace;
         let a = PowerTrace::from_samples(1e-4, vec![1.0e-6, 2.0e-6]);
         let b = PowerTrace::from_samples(1e-4, vec![1.0e-6, 2.0000001e-6]);
         let c = PowerTrace::from_samples(2e-4, vec![1.0e-6, 2.0e-6]);

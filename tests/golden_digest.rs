@@ -12,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use nvp::energy::harvester::SourceKind;
 use nvp::experiments::{run_all, ExpConfig};
 
 /// Hex SHA-256 through the workspace's one implementation.
@@ -132,4 +133,67 @@ fn shifted_seed_artifacts_match_golden_digests() {
     cfg.profile_seeds = vec![3, 4];
     cfg.frame_seed = 11;
     assert_digests("shifted", &cfg, GOLDEN_SHIFTED);
+}
+
+/// Sample digests of every trace the registry generates: each source
+/// kind at the first profile seed and every wrist-watch profile seed,
+/// at the default and quick durations. The sim-cache keys a trace by
+/// its spec — kind, seed, duration and a generator version — not by its
+/// samples, so a generator edit that changes samples must also bump
+/// `TRACE_GEN_VERSION` in `crates/experiments/src/common.rs`, or a
+/// persistent cache would serve runs over the old samples. Re-pin these
+/// in the same change.
+const GOLDEN_TRACES: &[(&str, u64, u64, &str)] = &[
+    // (kind, seed, duration_s, digest)
+    ("wrist-watch", 1, 10, "56cd89b6c3c6f5b55521762f5a7e386017ed4bfab498ebd2a7a63576dda81334"),
+    ("solar-indoor", 1, 10, "46487b58e6cb08e084c01ec6995cee5199f5feca8551be6e1bc1ffd6464cac4d"),
+    ("rf-wifi", 1, 10, "68cdc12098f8b3c30c54da3116d9367f040063d479d35f10f9153bdd5d86bae3"),
+    ("thermal-body", 1, 10, "0465e987e156d3ebfb10d8eb12802cba98ca56f2d406ee773033698c8d8bdd0f"),
+    ("wrist-watch", 2, 10, "5d7d0880dacb4a8e6cfd80cc5721360a1043f3d559f9721cd56a7f6a5eb8b224"),
+    ("wrist-watch", 3, 10, "798565f5d8051931de06d2fafc315e25a86f25e41330986d02bc53e66a2a83e8"),
+    ("wrist-watch", 4, 10, "5c09fb50939f36f1fefa10aa98ebcec51e5d6e72f7fb7fdfb7b4e187e53c0149"),
+    ("wrist-watch", 5, 10, "05dd5b89eaa0ea3e41507a5f625b2d0a3c881e16110b2b940f755e6fc1c02f47"),
+    ("wrist-watch", 1, 2, "bffe173f75442b872173635fdb40ac1acbf4db0957fff0da4650b2bc56d03e49"),
+    ("solar-indoor", 1, 2, "6a7e84001234c813be8f06aac9078a42811241eb6b11bf8cbbbbd7714005e2b8"),
+    ("rf-wifi", 1, 2, "d27ad9f16afe4f9f2af53df56b4b0a2282badeabec5c3e93206d7daa103e171f"),
+    ("thermal-body", 1, 2, "7b98c45997e4da36d4076edb2425189b8293b4246dfe4f1cdd9b366a6486df9a"),
+    ("wrist-watch", 2, 2, "2b88ce20cfc7baae10fb687cb7ae95b70cd5daaa54b6b811783d1b023e804af9"),
+];
+
+/// SHA-256 over `"nvp-simcache/1:trace"`, `dt` and the length (both
+/// little-endian `u64`), then every sample's bit pattern: the bytes the
+/// sim-cache's `trace_digest` hashes.
+fn sample_digest(kind: SourceKind, seed: u64, duration_s: f64) -> String {
+    let trace = kind.generate(seed, duration_s);
+    let mut bytes = b"nvp-simcache/1:trace".to_vec();
+    bytes.extend(trace.dt_s().to_bits().to_le_bytes());
+    bytes.extend((trace.len() as u64).to_le_bytes());
+    trace.samples().iter().for_each(|s| bytes.extend(s.to_bits().to_le_bytes()));
+    sha256::hex(&bytes)
+}
+
+#[test]
+fn trace_generators_match_golden_digests() {
+    let mut specs = Vec::new();
+    for cfg in [ExpConfig::default(), ExpConfig::quick()] {
+        let first = cfg.profile_seeds[0];
+        specs.extend(SourceKind::ALL.map(|kind| (kind, first, cfg.trace_duration_s)));
+        specs.extend(
+            cfg.profile_seeds[1..]
+                .iter()
+                .map(|&seed| (SourceKind::WristWatch, seed, cfg.trace_duration_s)),
+        );
+    }
+    let actual: Vec<(&str, u64, u64, String)> = specs
+        .iter()
+        .map(|&(kind, seed, duration_s)| {
+            (kind.name(), seed, duration_s as u64, sample_digest(kind, seed, duration_s))
+        })
+        .collect();
+    let golden: Vec<(&str, u64, u64, String)> =
+        GOLDEN_TRACES.iter().map(|&(k, s, d, h)| (k, s, d, h.to_owned())).collect();
+    assert_eq!(
+        actual, golden,
+        "a trace generator's output changed: bump TRACE_GEN_VERSION and re-pin"
+    );
 }
