@@ -5,8 +5,9 @@
 //! parameters and were historically rebuilt by every experiment. They
 //! are now memoized in process-wide caches so concurrent experiments
 //! share one instance; the caches are keyed on every parameter that
-//! influences the value, so results are unchanged. Each key has its own
-//! slot, so distinct inputs build in parallel and each is built once.
+//! influences the value, so results are unchanged. They fill through
+//! [`simcache::memo`], the same per-key slot as the simulation cache:
+//! distinct inputs build in parallel and each is built once.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `plans()` hands the same
@@ -16,9 +17,8 @@
 //! simulate only once per process.
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use nvp_core::{
     measure_task, BackupModel, BackupPolicy, BackupStyle, IntermittentSystem, RunReport,
@@ -30,7 +30,7 @@ use nvp_energy::PowerTrace;
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
 use crate::record::{put_str, put_u64};
-use crate::simcache::{self, Digest, KeyFields, KeyHasher};
+use crate::simcache::{self, memo, Digest, KeyFields, KeyHasher, Memo};
 use crate::ExpConfig;
 
 /// Volatile state bits of the NV16 core (registers + PC + pipeline FFs),
@@ -42,29 +42,6 @@ type FrameKey = (u64, usize, usize);
 
 fn frame_key(cfg: &ExpConfig) -> FrameKey {
     (cfg.frame_seed, cfg.frame_w, cfg.frame_h)
-}
-
-/// A lazily-initialized process-wide cache of shared values: one slot
-/// per key, each filled at most once. A `BTreeMap` keeps the cache's
-/// internal order a pure function of the keys, so nothing downstream
-/// can ever observe insertion order.
-type Memo<K, V> = OnceLock<Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>>;
-
-/// Looks up `key` in a lazily-initialized process-wide cache, building
-/// the value with `make` on first use. The map lock is held only to
-/// fetch or insert the key's slot; `make` runs outside it, so distinct
-/// keys build in parallel while callers of the same key wait for its
-/// one build. A panicking `make` leaves the slot empty, and the next
-/// lookup of that key builds again.
-fn memo<K, V>(cell: &'static Memo<K, V>, key: K, make: impl FnOnce() -> V) -> Arc<V>
-where
-    K: Ord,
-{
-    let slot = {
-        let mut map = cell.get_or_init(Mutex::default).lock().expect("memo map lock");
-        Arc::clone(map.entry(key).or_default())
-    };
-    Arc::clone(slot.get_or_init(|| Arc::new(make())))
 }
 
 /// The standard frame for image kernels.
@@ -348,11 +325,6 @@ pub(crate) fn seconds_per_frame(report: &RunReport) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-    use std::sync::{mpsc, Barrier};
-    use std::thread;
-    use std::time::Duration;
-
     use super::*;
     use crate::simcache::hex;
 
@@ -405,73 +377,5 @@ mod tests {
         let trace = source_trace(&cfg, SourceKind::RfWifi, 3);
         assert_eq!(*trace.shared(), SourceKind::RfWifi.generate(3, cfg.trace_duration_s));
         assert_eq!(*trace.digest(), TraceSpec::new(SourceKind::RfWifi, 3, 2.0).digest());
-    }
-
-    const WAIT: Duration = Duration::from_secs(10);
-
-    #[test]
-    fn distinct_memo_keys_build_concurrently() {
-        static CACHE: Memo<u32, bool> = OnceLock::new();
-        // Each build signals it started, then waits for the other's
-        // signal. Builds that serialize behind one lock time out.
-        let (started_a, seen_by_b) = mpsc::channel();
-        let (started_b, seen_by_a) = mpsc::channel();
-        let overlapped = thread::scope(|s| {
-            let a = s.spawn(move || {
-                *memo(&CACHE, 1, || {
-                    started_a.send(()).expect("peer alive");
-                    seen_by_a.recv_timeout(WAIT).is_ok()
-                })
-            });
-            let b = s.spawn(move || {
-                *memo(&CACHE, 2, || {
-                    started_b.send(()).expect("peer alive");
-                    seen_by_b.recv_timeout(WAIT).is_ok()
-                })
-            });
-            [a.join().expect("build a"), b.join().expect("build b")]
-        });
-        assert_eq!(overlapped, [true, true], "distinct keys must not build one after another");
-    }
-
-    #[test]
-    fn a_contended_memo_key_is_built_once() {
-        static CACHE: Memo<u32, u64> = OnceLock::new();
-        const THREADS: usize = 8;
-        let builds = AtomicUsize::new(0);
-        let entered = AtomicUsize::new(0);
-        let start = Barrier::new(THREADS);
-        let values: Vec<Arc<u64>> = thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        entered.fetch_add(1, AtomicOrdering::SeqCst);
-                        memo(&CACHE, 7, || {
-                            // Hold the build open until every caller has
-                            // reached the lookup; nothing else blocks
-                            // them on the way there.
-                            while entered.load(AtomicOrdering::SeqCst) < THREADS {
-                                thread::yield_now();
-                            }
-                            builds.fetch_add(1, AtomicOrdering::SeqCst) as u64
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("caller")).collect()
-        });
-        assert_eq!(builds.load(AtomicOrdering::SeqCst), 1, "one build per key");
-        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])), "every caller shares it");
-    }
-
-    #[test]
-    fn a_panicking_memo_build_is_retried_and_spares_other_keys() {
-        static CACHE: Memo<u32, u32> = OnceLock::new();
-        let failed = std::panic::catch_unwind(|| memo(&CACHE, 1, || panic!("build fails")));
-        assert!(failed.is_err());
-        assert_eq!(*memo(&CACHE, 2, || 20), 20, "other keys stay usable");
-        assert_eq!(*memo(&CACHE, 1, || 10), 10, "the failed key builds again");
-        assert_eq!(*memo(&CACHE, 1, || 11), 10, "and then only once");
     }
 }

@@ -32,11 +32,20 @@
 //!
 //! Values are [`SimOutcome`]s: the `RunReport`, plus the recovery
 //! latencies of an F12 trial (empty for every other run kind), so a
-//! trial's table contribution is served without its event stream. The
-//! cache map is a `BTreeMap` for deterministic internal order; the
-//! lock is *not* held while a missing value is computed, so concurrent
-//! experiments never serialize on a simulation — at worst two threads
-//! race to fill the same key with bit-identical outcomes.
+//! trial's table contribution is served without its event stream.
+//!
+//! ## One fill rule
+//!
+//! This module also owns [`Memo`] and [`memo`], the process-wide memo
+//! behind both the shared inputs of [`crate::common`] and the
+//! simulation cache. Each key owns one `OnceLock` slot; the map lock
+//! is held only to fetch or insert the slot, so distinct keys fill in
+//! parallel, and a caller that finds its key being filled waits for
+//! that one fill. Every key therefore simulates at most once per
+//! process, at any thread count. Blocking is safe because a fill never
+//! looks up another key of its own memo: a simulation reads only
+//! memoized *inputs*, whose builds never look up a sim-cache key, so
+//! no wait cycle can form.
 //!
 //! ## Persistence
 //!
@@ -58,7 +67,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use nvp_core::{
     BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, WaitComputeConfig,
@@ -474,12 +483,15 @@ pub(crate) fn trace_digest(trace: &nvp_energy::PowerTrace) -> Digest {
 /// process, via [`sim_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheStats {
-    /// Simulations answered from the cache (in-memory index).
+    /// Simulations answered from the cache (in-memory index). A caller
+    /// that waited for another thread's run of the same key counts
+    /// here too.
     pub hits: u64,
     /// The subset of [`hits`](Self::hits) whose report was loaded from
     /// the persistent store rather than computed by this process.
     pub disk_hits: u64,
-    /// Simulations actually executed (and then cached).
+    /// Simulations actually executed (and then cached): one per key
+    /// the cache did not hold, at any thread count.
     pub misses: u64,
     /// Reports this process appended to the persistent store.
     pub persisted: u64,
@@ -504,10 +516,34 @@ impl SimCacheStats {
     }
 }
 
+/// A lazily-initialized process-wide memo: one slot per key, each
+/// filled at most once. A `BTreeMap` keeps the internal order a pure
+/// function of the keys, so nothing downstream can ever observe
+/// insertion order.
+pub(crate) type Memo<K, V> = OnceLock<Mutex<BTreeMap<K, Arc<OnceLock<Arc<V>>>>>>;
+
+/// Looks up `key` in a lazily-initialized process-wide memo, building
+/// the value with `make` on first use. The map lock is held only to
+/// fetch or insert the key's slot; `make` runs outside it, so distinct
+/// keys build in parallel while callers of the same key wait for its
+/// one build. A panicking `make` leaves the slot empty, and the next
+/// lookup of that key builds again. `make` must not look up a key of
+/// the same memo that could be waiting on this one.
+pub(crate) fn memo<K, V>(cell: &'static Memo<K, V>, key: K, make: impl FnOnce() -> V) -> Arc<V>
+where
+    K: Ord,
+{
+    let slot = {
+        let mut map = cell.get_or_init(Mutex::default).lock().expect("memo map lock");
+        Arc::clone(map.entry(key).or_default())
+    };
+    Arc::clone(slot.get_or_init(|| Arc::new(make())))
+}
+
 /// Where a cached report came from, so disk-served hits are countable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
-    /// Computed (or being computed) by this process.
+    /// Computed by this process.
     Computed,
     /// Loaded from the persistent store at open time.
     Disk,
@@ -524,7 +560,7 @@ enum PersistState {
     Active(PersistentStore),
 }
 
-static CACHE: OnceLock<Mutex<BTreeMap<Digest, (SimOutcome, Origin)>>> = OnceLock::new();
+static CACHE: Memo<Digest, (SimOutcome, Origin)> = OnceLock::new();
 static PERSIST: Mutex<PersistState> = Mutex::new(PersistState::Unresolved);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
@@ -532,37 +568,40 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> &'static Mutex<BTreeMap<Digest, (SimOutcome, Origin)>> {
-    CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
 /// (never the reverse), shared by resolution, loading, and appending.
+/// A simulation appends from inside its slot's fill, holding no map
+/// lock, so nothing that holds [`PERSIST`] may wait on a slot.
 fn persist_lock() -> std::sync::MutexGuard<'static, PersistState> {
     PERSIST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Opens `dir` and merges its records into the in-memory index (never
-/// overwriting an entry this process already computed). Returns the
+/// overwriting an outcome this process already computed). Returns the
 /// number of records now serving from memory that came from disk.
 ///
 /// Entries loaded from a *previously* attached store are dropped first:
 /// re-pointing the cache at a new directory must not keep serving (or
-/// counting) another directory's records — the isolation the `nvpd`
-/// server relies on when jobs repoint the store. Reports this process
-/// computed itself stay, which is safe because keys are content
-/// addresses: a hit is bit-identical wherever it came from.
+/// counting) another directory's records. Only `tests/persist_cache.rs`
+/// and the benchmark's probes attach a second directory in one
+/// process. Outcomes this process computed itself stay, which is safe
+/// because keys are content addresses: a hit is bit-identical wherever
+/// it came from. An empty slot may be mid-simulation, so a disk record
+/// replaces it with a filled slot instead of waiting on it (see
+/// [`persist_lock`]); the simulation finishes into the slot its own
+/// waiters hold.
 fn activate(state: &mut PersistState, dir: &Path) -> std::io::Result<u64> {
     let (store, loaded) = PersistentStore::open(dir)?;
     QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
-    let mut map = cache().lock().expect("sim cache lock");
-    map.retain(|_, (_, origin)| *origin != Origin::Disk);
+    let mut map = CACHE.get_or_init(Mutex::default).lock().expect("sim cache lock");
+    map.retain(|_, slot| slot.get().is_none_or(|entry| entry.1 != Origin::Disk));
     let mut merged = 0u64;
     for (key, outcome) in loaded.records {
-        map.entry(key).or_insert_with(|| {
+        let slot = map.entry(key).or_default();
+        if slot.get().is_none() {
+            *slot = Arc::new(OnceLock::from(Arc::new((outcome, Origin::Disk))));
             merged += 1;
-            (outcome, Origin::Disk)
-        });
+        }
     }
     drop(map);
     *state = PersistState::Active(store);
@@ -617,32 +656,30 @@ fn persist_append(key: &Digest, outcome: &SimOutcome) {
     }
 }
 
-/// Returns the cached outcome for `key`, or computes it with `run` and
-/// caches it. The map lock is released while `run` executes, so
-/// concurrent distinct simulations proceed in parallel; two threads
-/// racing on the same key both compute the (bit-identical) outcome,
-/// one insert wins, and only that winner is persisted.
+/// Returns the cached outcome for `key`, or computes it with `run`,
+/// appends it to the persistent store and caches it, all through the
+/// key's one [`memo`] slot. Distinct keys simulate in parallel; a
+/// caller that arrives while its key is being simulated waits for that
+/// one run and counts a hit. A miss is counted exactly when `run` ran
+/// here. A panicking `run` leaves the key empty for the next caller.
 pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
     ensure_persist_resolved();
-    let hit = cache().lock().expect("sim cache lock").get(&key).cloned();
-    if let Some((outcome, origin)) = hit {
+    let mut ran = false;
+    let entry = memo(&CACHE, key, || {
+        ran = true;
+        let outcome = run();
+        persist_append(&key, &outcome);
+        (outcome, Origin::Computed)
+    });
+    if ran {
+        MISSES.fetch_add(1, Ordering::Relaxed);
+    } else {
         HITS.fetch_add(1, Ordering::Relaxed);
-        if origin == Origin::Disk {
+        if entry.1 == Origin::Disk {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
         }
-        return outcome;
     }
-    let outcome = run();
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    let first = cache()
-        .lock()
-        .expect("sim cache lock")
-        .insert(key, (outcome.clone(), Origin::Computed))
-        .is_none();
-    if first {
-        persist_append(&key, &outcome);
-    }
-    outcome
+    entry.0.clone()
 }
 
 /// [`cached_outcome`] for run kinds whose outcome is the report alone.
@@ -667,7 +704,7 @@ pub fn sim_cache_stats() -> SimCacheStats {
 /// configuration — and any on-disk records — are untouched; re-point
 /// [`set_cache_dir`] at the directory to reload them.
 pub fn reset_sim_cache() {
-    cache().lock().expect("sim cache lock").clear();
+    CACHE.get_or_init(Mutex::default).lock().expect("sim cache lock").clear();
     HITS.store(0, Ordering::Relaxed);
     DISK_HITS.store(0, Ordering::Relaxed);
     MISSES.store(0, Ordering::Relaxed);
@@ -687,6 +724,11 @@ pub(crate) fn hex(d: Digest) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+    use std::thread;
+    use std::time::Duration;
+
     use super::*;
 
     fn one_shot(data: &[u8]) -> Digest {
@@ -932,5 +974,125 @@ mod tests {
         assert_ne!(trace_digest(&a), trace_digest(&b));
         assert_ne!(trace_digest(&a), trace_digest(&c));
         assert_eq!(trace_digest(&a), trace_digest(&a));
+    }
+
+    const WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn distinct_memo_keys_build_concurrently() {
+        static CACHE: Memo<u32, bool> = OnceLock::new();
+        // Each build signals it started, then waits for the other's
+        // signal. Builds that serialize behind one lock time out.
+        let (started_a, seen_by_b) = mpsc::channel();
+        let (started_b, seen_by_a) = mpsc::channel();
+        let overlapped = thread::scope(|s| {
+            let a = s.spawn(move || {
+                *memo(&CACHE, 1, || {
+                    started_a.send(()).expect("peer alive");
+                    seen_by_a.recv_timeout(WAIT).is_ok()
+                })
+            });
+            let b = s.spawn(move || {
+                *memo(&CACHE, 2, || {
+                    started_b.send(()).expect("peer alive");
+                    seen_by_b.recv_timeout(WAIT).is_ok()
+                })
+            });
+            [a.join().expect("build a"), b.join().expect("build b")]
+        });
+        assert_eq!(overlapped, [true, true], "distinct keys must not build one after another");
+    }
+
+    #[test]
+    fn a_contended_memo_key_is_built_once() {
+        static CACHE: Memo<u32, u64> = OnceLock::new();
+        const THREADS: usize = 8;
+        let builds = AtomicUsize::new(0);
+        let entered = AtomicUsize::new(0);
+        let start = Barrier::new(THREADS);
+        let values: Vec<Arc<u64>> = thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        memo(&CACHE, 7, || {
+                            // Hold the build open until every caller has
+                            // reached the lookup; nothing else blocks
+                            // them on the way there.
+                            while entered.load(Ordering::SeqCst) < THREADS {
+                                thread::yield_now();
+                            }
+                            builds.fetch_add(1, Ordering::SeqCst) as u64
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("caller")).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])), "every caller shares it");
+    }
+
+    #[test]
+    fn a_panicking_memo_build_is_retried_and_spares_other_keys() {
+        static CACHE: Memo<u32, u32> = OnceLock::new();
+        let failed = std::panic::catch_unwind(|| memo(&CACHE, 1, || panic!("build fails")));
+        assert!(failed.is_err());
+        assert_eq!(*memo(&CACHE, 2, || 20), 20, "other keys stay usable");
+        assert_eq!(*memo(&CACHE, 1, || 10), 10, "the failed key builds again");
+        assert_eq!(*memo(&CACHE, 1, || 11), 10, "and then only once");
+    }
+
+    fn outcome(committed: u64) -> SimOutcome {
+        SimOutcome {
+            report: RunReport { committed, ..RunReport::default() },
+            latencies_ms: vec![1.5],
+        }
+    }
+
+    #[test]
+    fn a_contended_sim_key_simulates_once() {
+        const THREADS: usize = 8;
+        let key = KeyHasher::new("test:contended").finish();
+        let runs = AtomicUsize::new(0);
+        let entered = AtomicUsize::new(0);
+        let start = Barrier::new(THREADS);
+        let outcomes: Vec<SimOutcome> = thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        entered.fetch_add(1, Ordering::SeqCst);
+                        cached_outcome(key, || {
+                            // Keep the run open until every caller has
+                            // reached the lookup.
+                            while entered.load(Ordering::SeqCst) < THREADS {
+                                thread::yield_now();
+                            }
+                            outcome(runs.fetch_add(1, Ordering::SeqCst) as u64)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("caller")).collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "one simulation per key");
+        assert!(outcomes.iter().all(|o| *o == outcomes[0]), "every caller gets that run's outcome");
+    }
+
+    #[test]
+    fn a_panicking_simulation_leaves_its_key_empty() {
+        let key = KeyHasher::new("test:panicking").finish();
+        let failed = std::panic::catch_unwind(|| cached_outcome(key, || panic!("run fails")));
+        assert!(failed.is_err());
+        let runs = AtomicUsize::new(0);
+        let run = || {
+            runs.fetch_add(1, Ordering::SeqCst);
+            outcome(7)
+        };
+        assert_eq!(cached_outcome(key, run), outcome(7), "the next caller simulates");
+        assert_eq!(cached_outcome(key, run), outcome(7), "and later callers hit");
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "exactly once");
     }
 }

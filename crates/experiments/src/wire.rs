@@ -352,9 +352,11 @@ pub fn request_key(req: &CampaignRequest) -> [u8; 32] {
 }
 
 /// SHA-256 content digest of an arbitrary byte string (the same
-/// in-tree FIPS 180-4 core the simulation cache keys on). The journal
-/// records this digest for every completed result so recovery can
-/// verify the result store against the write-ahead log.
+/// in-tree FIPS 180-4 core the simulation cache keys on). The `nvpd`
+/// journal writes this digest of each stored result into its
+/// `Completed` record. Recovery reads past it and does not check the
+/// result store against it; a stored result that fails to decode is
+/// quarantined on lookup instead.
 #[must_use]
 pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();

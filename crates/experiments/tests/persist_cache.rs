@@ -59,10 +59,8 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let cold = sim_cache_stats();
     assert!(cold.misses > 0, "cold run must compute simulations");
     assert_eq!(cold.disk_hits, 0, "nothing on disk to hit yet");
-    // Two workers racing on one key both count a miss but only the
-    // winning insert persists, so persisted can trail misses slightly.
     assert!(cold.persisted > 0, "cold run persisted nothing");
-    assert!(cold.persisted <= cold.misses, "persisted more than was computed: {cold:?}");
+    assert_eq!(cold.persisted, cold.misses, "every computed run is persisted once: {cold:?}");
     assert!(std::fs::read_dir(&cache_dir).unwrap().count() > 0, "cold run wrote no shard files");
 
     // Simulate a fresh process: drop the in-memory index, re-open the

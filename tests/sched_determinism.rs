@@ -3,10 +3,14 @@
 //! matter whether the simulation cache is cold or warm. This is the
 //! contract that lets `NVP_THREADS` be a pure performance knob and the
 //! cache a pure time saver — neither may ever show up in the bytes.
+//! A cold run's sim-cache counts are equal at every width too: each key
+//! simulates once, however many workers miss it together.
 
 use std::path::{Path, PathBuf};
 
-use nvp::experiments::{run_all, run_request, set_thread_override, CampaignRequest, ExpConfig};
+use nvp::experiments::{
+    run_all, run_request, set_thread_override, CampaignRequest, ExpConfig, SimCacheStats,
+};
 
 /// A temp dir unique to this process and call, so concurrent test
 /// invocations never race on `remove_dir_all`.
@@ -39,9 +43,15 @@ fn assert_same_artifacts(tag: &str, reference: &[(String, Vec<u8>)], dir: &Path)
     }
 }
 
+fn assert_same_counts(tag: &str, reference: SimCacheStats, got: SimCacheStats) {
+    let counts = |s: SimCacheStats| (s.misses, s.hits, s.disk_hits);
+    assert_eq!(counts(reference), counts(got), "{tag}: (misses, hits, disk hits) differ");
+}
+
 /// One test driving every thread-count and cache-temperature variation:
 /// the thread override and the cache are process-global, so sequencing
-/// the runs inside a single test keeps them race-free.
+/// the runs inside a single test keeps them race-free, and it is the
+/// only test in this process, so the per-run cache deltas are exact.
 #[test]
 fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
     let cfg = ExpConfig::quick();
@@ -50,7 +60,8 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
     nvp::experiments::reset_sim_cache();
     set_thread_override(Some(1));
     let ref_dir = unique_dir("nvp_sched_det_ref");
-    run_all(&cfg, &ref_dir).unwrap();
+    let cold_counts = run_all(&cfg, &ref_dir).unwrap().cache;
+    assert!(cold_counts.misses > 0, "a cold run simulates");
     let reference = artifact_bytes(&ref_dir);
 
     // Warm rerun at the same width: the cache must not leak into bytes.
@@ -68,8 +79,12 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
                 nvp::experiments::reset_sim_cache();
             }
             let dir = unique_dir("nvp_sched_det_run");
-            run_all(&cfg, &dir).unwrap();
-            assert_same_artifacts(&format!("threads={threads} {temperature}"), &reference, &dir);
+            let counts = run_all(&cfg, &dir).unwrap().cache;
+            let tag = format!("threads={threads} {temperature}");
+            assert_same_artifacts(&tag, &reference, &dir);
+            if temperature == "cold" {
+                assert_same_counts(&tag, cold_counts, counts);
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -83,11 +98,14 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
         set_thread_override(Some(threads));
         nvp::experiments::reset_sim_cache();
         let dir = unique_dir("nvp_sched_det_job");
-        run_request(&request).unwrap().write(&dir).unwrap();
+        let result = run_request(&request).unwrap();
+        result.write(&dir).unwrap();
         match &job_reference {
-            None => job_reference = Some(artifact_bytes(&dir)),
-            Some(reference) => {
-                assert_same_artifacts(&format!("f3+f12 threads={threads}"), reference, &dir);
+            None => job_reference = Some((artifact_bytes(&dir), result.cache)),
+            Some((reference, counts)) => {
+                let tag = format!("f3+f12 threads={threads}");
+                assert_same_artifacts(&tag, reference, &dir);
+                assert_same_counts(&tag, *counts, result.cache);
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
