@@ -272,7 +272,12 @@ pub fn measure_task(
 ) -> Result<TaskCost, SimError> {
     let mut machine =
         Machine::with_config(program, config.dmem_words, config.cycle_model, config.energy_model)?;
-    machine.run(max_insts)?;
+    // The block engine is bit-equal to stepping, counters included; it
+    // returns early at each `ckpt`, so resume until halt or budget.
+    let mut executed = 0;
+    while executed < max_insts && !machine.halted() {
+        executed += machine.run_blocks(max_insts - executed)?.executed;
+    }
     if !machine.halted() {
         return Err(SimError::PcOutOfRange { pc: machine.pc() });
     }
@@ -1182,6 +1187,30 @@ mod tests {
         assert_eq!(cost.instructions, 22);
         assert!(cost.energy_j > 0.0);
         assert!(cost.time_s(1e6) > 0.0);
+    }
+
+    #[test]
+    fn measure_task_runs_past_checkpoints_like_step_mode() {
+        // The block engine stops at every `ckpt`; the cost must still
+        // cover the whole run, as `Machine::run` steps through it.
+        let program =
+            assemble("li r2, 10\nloop: addi r1, r1, 1\nckpt\nbne r1, r2, loop\nhalt").unwrap();
+        let config = SystemConfig::default();
+        let cost = measure_task(&program, &config, 1_000_000).unwrap();
+        let mut by_step = Machine::with_config(
+            &program,
+            config.dmem_words,
+            config.cycle_model,
+            config.energy_model,
+        )
+        .unwrap();
+        by_step.run(1_000_000).unwrap();
+        let c = by_step.counters();
+        assert_eq!(cost.instructions, 32);
+        assert_eq!(
+            (cost.instructions, cost.cycles, cost.energy_j.to_bits()),
+            (c.instructions, c.cycles, c.energy_j.to_bits())
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 use nvp_energy::units::{Farads, Joules, Seconds, Volts, Watts};
 use nvp_energy::{EnergyFrontEnd, FrontEndConfig, PowerTrace, Rectifier, TickIncome};
 use nvp_isa::Program;
-use nvp_sim::{CycleModel, EnergyModel, Machine, SimError, DEFAULT_DMEM_WORDS};
+use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError, DEFAULT_DMEM_WORDS};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
 use crate::{RunReport, TaskCost};
@@ -139,7 +140,8 @@ enum WaitPhase {
 #[derive(Debug, Clone)]
 pub struct WaitComputeSystem {
     config: WaitComputeConfig,
-    program: Program,
+    /// Decoded program and block plans, shared by every reload.
+    image: Arc<MachineImage>,
     machine: Machine,
     fe: EnergyFrontEnd,
     phase: WaitPhase,
@@ -155,17 +157,17 @@ impl WaitComputeSystem {
     ///
     /// Returns [`SimError`] if the program image fails to load.
     pub fn new(program: &Program, config: WaitComputeConfig) -> Result<Self, SimError> {
-        let machine = Machine::with_config(
+        let image = Arc::new(MachineImage::build(
             program,
             config.dmem_words,
             config.cycle_model,
             config.energy_model,
-        )?;
+        )?);
         let fe = EnergyFrontEnd::new(config.front_end());
         Ok(WaitComputeSystem {
             config,
-            program: program.clone(),
-            machine,
+            machine: Machine::from_image(&image),
+            image,
             fe,
             phase: WaitPhase::Charging,
             task_progress: 0,
@@ -245,7 +247,7 @@ impl WaitComputeSystem {
                 self.report.committed += self.task_progress;
                 self.task_progress = 0;
                 obs.on_event(self.report.duration_s, SimEvent::TaskCommit);
-                self.reload()?;
+                self.reload();
                 if self.fe.storage().energy() < Joules::new(self.config.start_energy_j) {
                     self.phase = WaitPhase::Charging;
                     return Ok(budget);
@@ -271,7 +273,7 @@ impl WaitComputeSystem {
                 self.task_progress = 0;
                 obs.on_event(self.report.duration_s, SimEvent::BrownOut);
                 obs.on_event(self.report.duration_s, SimEvent::Rollback);
-                self.reload()?;
+                self.reload();
                 self.phase = WaitPhase::Charging;
                 return Ok(budget);
             }
@@ -280,14 +282,8 @@ impl WaitComputeSystem {
     }
 
     /// Reinitializes the volatile machine (registers, PC, SRAM).
-    fn reload(&mut self) -> Result<(), SimError> {
-        self.machine = Machine::with_config(
-            &self.program,
-            self.config.dmem_words,
-            self.config.cycle_model,
-            self.config.energy_model,
-        )?;
-        Ok(())
+    fn reload(&mut self) {
+        self.machine = Machine::from_image(&self.image);
     }
 }
 

@@ -45,6 +45,18 @@ impl std::error::Error for TraceError {}
 const POW10: [u64; 10] =
     [1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000, 100_000_000, 1_000_000_000];
 
+/// `"00" "01" … "99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Scaled values at or above `2^51` skip the float fast path: there
+/// `ulp(y) ≥ ½` and the fraction can no longer tell a tie apart.
+const FAST_LIMIT: f64 = (1u64 << 51) as f64;
+
 /// Appends `x` with `prec` decimals, byte-identical to
 /// `format!("{x:.prec$}")`, without going through `core::fmt`.
 ///
@@ -54,40 +66,93 @@ const POW10: [u64; 10] =
 /// `u128` (under 2⁸³), the shifted-out bits decide round-half-to-even
 /// exactly as std does, and the rounded result is below 10¹⁸, so its
 /// digits come off a `u64`. Anything else falls back to `format!`.
+///
+/// Most values never reach the `u128` path. The float fast path
+/// computes `y = fl(x · 10^prec)`, one correctly rounded product (the
+/// power of ten is exact), so `|y − Y| ≤ ½ ulp(y)` for the exact
+/// product `Y`. Below 2⁵¹ every integer is an `f64`, `y as u64`
+/// truncates exactly and `f = y − trunc(y)` is exact (it is `y`'s low
+/// bits). Rounding is monotone and `n = trunc(y)` is representable,
+/// so `Y` and `y` lie on the same side of `n`, except that `y` may
+/// round up onto `n + 1`, which only happens when `Y`'s fraction is
+/// within half an ulp of 1 and `k = n + 1` is then the right answer.
+/// Otherwise `Y` has integer part `n` and fraction within ½ ulp(y) of
+/// `f`. When `|f − ½| > ulp(y)`, the fraction of `Y` is therefore
+/// strictly on the same side of ½ as `f` (and never exactly ½), so
+/// `k = n + (f > ½)` is `Y` rounded to nearest, ties being impossible.
+/// Within one ulp of ½ the exact path decides; `f − ½` is exact there
+/// (a multiple of ulp(y) below 1).
 fn push_fixed(out: &mut Vec<u8>, x: f64, prec: usize) {
     if prec >= POW10.len() || !(x.is_sign_positive() && x < 1e9) {
         use std::io::Write as _;
         write!(out, "{x:.prec$}").expect("write to Vec");
         return;
     }
+    let scaled = fast_scaled(x, prec).unwrap_or_else(|| exact_scaled(x, prec));
+    push_scaled(out, scaled, prec);
+}
+
+/// `round_half_even(x · 10^prec)` from one `f64` product, or `None`
+/// when the product is within one ulp of a tie or at least 2⁵¹ (see
+/// [`push_fixed`] for why the answer is exact otherwise). `x` and
+/// `prec` lie in [`push_fixed`]'s exact domain.
+fn fast_scaled(x: f64, prec: usize) -> Option<u64> {
+    // Every power of ten in `POW10` is below 2⁵³, so exact as an `f64`.
+    let y = x * POW10[prec] as f64;
+    if y >= FAST_LIMIT {
+        return None;
+    }
+    // Exact: 0 ≤ y < 2⁵¹.
+    let whole = y as u64;
+    let frac = y - whole as f64;
+    // ulp(y): y's exponent bits with a zero mantissa, times 2⁻⁵²
+    // (0 for subnormal y, which lie far below ½).
+    let ulp = f64::from_bits(y.to_bits() & 0x7ff0_0000_0000_0000) * f64::EPSILON;
+    ((frac - 0.5).abs() > ulp).then(|| whole + u64::from(frac > 0.5))
+}
+
+/// `round_half_even(x · 10^prec)` computed exactly from `x`'s mantissa
+/// and exponent; `x` and `prec` lie in [`push_fixed`]'s exact domain.
+fn exact_scaled(x: f64, prec: usize) -> u64 {
     let bits = x.to_bits();
     let biased = ((bits >> 52) & 0x7ff) as i32;
     let fraction = bits & ((1 << 52) - 1);
     let (mantissa, exp) =
         if biased == 0 { (fraction, -1074) } else { (fraction | 1 << 52, biased - 1075) };
     let scale = POW10[prec];
-    let scaled = if exp >= 0 {
+    if exp >= 0 {
         // An integer below 10⁹: the product stays below 10¹⁸.
-        (mantissa << exp) * scale
-    } else {
-        let product = u128::from(mantissa) * u128::from(scale);
-        let shift = exp.unsigned_abs();
-        if shift >= 128 {
-            // product < 2⁸³ ≤ half an ulp of the shift: rounds to zero.
-            0
-        } else {
-            let q = product >> shift;
-            let rem = product & ((1u128 << shift) - 1);
-            let half = 1u128 << (shift - 1);
-            let up = rem > half || (rem == half && q & 1 == 1);
-            u64::try_from(q + u128::from(up)).expect("below 10^18")
-        }
-    };
-    // At most 9 integer digits, the point and 9 decimals.
+        return (mantissa << exp) * scale;
+    }
+    let product = u128::from(mantissa) * u128::from(scale);
+    let shift = exp.unsigned_abs();
+    if shift >= 128 {
+        // product < 2⁸³ ≤ half an ulp of the shift: rounds to zero.
+        return 0;
+    }
+    let q = product >> shift;
+    let rem = product & ((1u128 << shift) - 1);
+    let half = 1u128 << (shift - 1);
+    let up = rem > half || (rem == half && q & 1 == 1);
+    u64::try_from(q + u128::from(up)).expect("below 10^18")
+}
+
+/// Appends `scaled / 10^prec` with exactly `prec` decimals, two digits
+/// per step. `scaled` is below 10¹⁸, so the text fits in 20 bytes.
+fn push_scaled(out: &mut Vec<u8>, scaled: u64, prec: usize) {
+    fn pair(buf: &mut [u8; 20], at: &mut usize, rest: &mut u64) {
+        let i = (*rest % 100) as usize * 2;
+        *rest /= 100;
+        *at -= 2;
+        buf[*at..*at + 2].copy_from_slice(&DIGIT_PAIRS[i..i + 2]);
+    }
     let mut buf = [0u8; 20];
     let mut at = buf.len();
     let mut rest = scaled;
-    for _ in 0..prec {
+    for _ in 0..prec / 2 {
+        pair(&mut buf, &mut at, &mut rest);
+    }
+    if prec % 2 == 1 {
         at -= 1;
         buf[at] = b'0' + (rest % 10) as u8;
         rest /= 10;
@@ -96,13 +161,14 @@ fn push_fixed(out: &mut Vec<u8>, x: f64, prec: usize) {
         at -= 1;
         buf[at] = b'.';
     }
-    loop {
+    while rest >= 100 {
+        pair(&mut buf, &mut at, &mut rest);
+    }
+    if rest >= 10 {
+        pair(&mut buf, &mut at, &mut rest);
+    } else {
         at -= 1;
-        buf[at] = b'0' + (rest % 10) as u8;
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
+        buf[at] = b'0' + rest as u8;
     }
     out.extend_from_slice(&buf[at..]);
 }
@@ -432,14 +498,83 @@ mod tests {
     #[test]
     fn csv_rows_match_std_formatting() {
         let hand = PowerTrace::from_samples(1e-4, vec![0.0, 1e-6, 0.0078125, 2.0e-3, 1.234_5e-5]);
-        let generated = crate::harvester::SourceKind::WristWatch.generate(3, 1.0);
-        for t in [hand, generated] {
-            let mut expect = String::from("time_s,power_w\n");
-            for (i, p) in t.samples().iter().enumerate() {
-                use std::fmt::Write as _;
-                writeln!(expect, "{:.6},{:.9}", i as f64 * t.dt_s(), p).unwrap();
+        assert_csv_matches_std(&hand);
+        assert_csv_matches_std(&crate::harvester::SourceKind::WristWatch.generate(3, 1.0));
+    }
+
+    fn assert_csv_matches_std(t: &PowerTrace) {
+        let mut expect = String::from("time_s,power_w\n");
+        for (i, p) in t.samples().iter().enumerate() {
+            use std::fmt::Write as _;
+            writeln!(expect, "{:.6},{:.9}", i as f64 * t.dt_s(), p).unwrap();
+        }
+        assert_eq!(t.to_csv(), expect);
+    }
+
+    /// Decimal ties such as `d.5e-6` are not `f64`s, so `x · 10^p`
+    /// lands within one ulp of the tie, and only the exact path knows
+    /// which side of it `x` lies on.
+    #[test]
+    fn near_ties_take_the_exact_path() {
+        for prec in [6, 9] {
+            for d in (0..2_000u32).chain([123_456, 999_999, 7_812]) {
+                let x = (f64::from(d) + 0.5) / POW10[prec] as f64;
+                assert_eq!(fast_scaled(x, prec), None, "{x:e} at {prec}");
+                assert_matches_std(x);
             }
-            assert_eq!(t.to_csv(), expect);
+        }
+        // Exact binary ties: 2⁻⁷ · 10⁶ = 7812.5, 2⁻¹⁰ · 10⁹ = 976562.5.
+        assert_eq!(fast_scaled(0.0078125, 6), None);
+        assert_eq!(fast_scaled(1.0 / 1024.0, 9), None);
+        // One ulp above 2⁻⁷ scales to two ulps above its tie: fast.
+        let above = f64::from_bits(0.0078125f64.to_bits() + 1);
+        assert_eq!(fast_scaled(above, 6), Some(7813));
+        assert_matches_std(above);
+    }
+
+    #[test]
+    fn fast_path_domain_edges() {
+        // At 9 decimals the fast path ends at x · 10⁹ = 2⁵¹, inside the
+        // exact domain; find the last `x` below it and the first at it.
+        let mut x = FAST_LIMIT / 1e9;
+        while x * 1e9 >= FAST_LIMIT {
+            x = f64::from_bits(x.to_bits() - 1);
+        }
+        let outside = f64::from_bits(x.to_bits() + 1);
+        assert_eq!(fast_scaled(outside, 9), None, "{outside:e}");
+        // Just below 2⁵¹ an ulp is ¼, so only whole products are fast.
+        let inside: Vec<f64> = (0..16).map(|back| f64::from_bits(x.to_bits() - back)).collect();
+        assert!(inside.iter().any(|&v| fast_scaled(v, 9).is_some()));
+        for v in inside.into_iter().chain([outside, f64::from_bits(outside.to_bits() + 1)]) {
+            assert_matches_std(v);
+        }
+        // At 6 decimals the whole exact domain is fast, up to 10⁹.
+        let below_1e9 = f64::from_bits(1e9f64.to_bits() - 1);
+        assert!(fast_scaled(below_1e9, 6).is_some());
+        for v in [below_1e9, 1e9] {
+            assert_matches_std(v);
+        }
+    }
+
+    #[test]
+    fn zeros_and_subnormals_match_std() {
+        assert_eq!(fast_scaled(0.0, 6), Some(0));
+        for x in [0.0, -0.0, f64::from_bits(1), f64::from_bits(0x000f_ffff_ffff_ffff)] {
+            assert_matches_std(x);
+        }
+        for bits in [2u64, 3, 1 << 20, 1 << 51, (1 << 52) - 2] {
+            assert_matches_std(f64::from_bits(bits));
+            assert_eq!(fast_scaled(f64::from_bits(bits), 9), Some(0));
+        }
+    }
+
+    #[test]
+    fn every_source_profile_csv_matches_std() {
+        use crate::harvester::SourceKind;
+        for kind in SourceKind::ALL {
+            for seed in 1..=5 {
+                assert_csv_matches_std(&kind.generate(seed, 10.0));
+            }
         }
     }
 

@@ -120,19 +120,39 @@ impl KeyFields for TraceSpec {
     }
 }
 
-/// A shared power trace paired with its spec digest, so runs over it
-/// are keyed without touching a sample.
+/// One memoized trace: its spec, the spec's digest, and the samples,
+/// generated on first use.
+struct TraceEntry {
+    spec: TraceSpec,
+    digest: Digest,
+    samples: OnceLock<Arc<PowerTrace>>,
+}
+
+/// A shared power trace keyed by its spec digest, so runs over it are
+/// keyed without touching a sample. The samples are generated the first
+/// time anything reads them, once per spec: a run whose sim-cache key
+/// hits never builds its trace.
 #[derive(Clone)]
-pub(crate) struct SimTrace(Arc<(Arc<PowerTrace>, Digest)>);
+pub(crate) struct SimTrace(Arc<TraceEntry>);
 
 impl SimTrace {
     pub(crate) fn digest(&self) -> &Digest {
-        &self.0 .1
+        &self.0.digest
     }
 
     /// The memoized trace itself, shared rather than copied.
     pub(crate) fn shared(&self) -> Arc<PowerTrace> {
-        Arc::clone(&self.0 .0)
+        Arc::clone(self.samples())
+    }
+
+    fn samples(&self) -> &Arc<PowerTrace> {
+        self.0.samples.get_or_init(|| Arc::new(self.0.spec.generate()))
+    }
+
+    /// Whether anything has read the samples yet.
+    #[cfg(test)]
+    fn is_generated(&self) -> bool {
+        self.0.samples.get().is_some()
     }
 }
 
@@ -140,7 +160,7 @@ impl Deref for SimTrace {
     type Target = PowerTrace;
 
     fn deref(&self) -> &PowerTrace {
-        &self.0 .0
+        self.samples()
     }
 }
 
@@ -148,9 +168,13 @@ impl Deref for SimTrace {
 /// harvester grid and F11's solar variant hit this instead of
 /// regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
-    static CACHE: Memo<TraceSpec, (Arc<PowerTrace>, Digest)> = OnceLock::new();
+    static CACHE: Memo<TraceSpec, TraceEntry> = OnceLock::new();
     let spec = TraceSpec::new(kind, seed, cfg.trace_duration_s);
-    SimTrace(memo(&CACHE, spec, || (Arc::new(spec.generate()), spec.digest())))
+    SimTrace(memo(&CACHE, spec, || TraceEntry {
+        spec,
+        digest: spec.digest(),
+        samples: OnceLock::new(),
+    }))
 }
 
 /// The standard wearable trace for a profile seed.
@@ -369,6 +393,29 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), edits.len() + 1, "every component moves the key");
         assert_eq!(base.digest(), TraceSpec::new(SourceKind::WristWatch, 1, 2.0).digest());
+    }
+
+    #[test]
+    fn cached_runs_never_generate_their_trace() {
+        // A duration no other test uses, so only this test reads these
+        // traces.
+        let cfg = ExpConfig { trace_duration_s: 0.375, ..ExpConfig::quick() };
+        let inst = kernel(&cfg, KernelKind::Sobel);
+        let trace = watch_trace(&cfg, 901);
+        let setup = nvp_setup(&inst);
+        let stored = RunReport { tasks_completed: 7, ..RunReport::default() };
+        simcache::cached_run(setup.key(&inst, &trace), || stored);
+        assert_eq!(setup.run(&inst, &trace), stored);
+        assert!(!trace.is_generated(), "a sim-cache hit reads no sample");
+
+        // F1 and F2 summarize the samples themselves.
+        let only = |seed| ExpConfig { profile_seeds: vec![seed], ..cfg.clone() };
+        assert_eq!(crate::f1_power_profiles::rows(&only(901)).len(), 1);
+        assert!(trace.is_generated());
+        let f2_trace = watch_trace(&cfg, 902);
+        assert!(!f2_trace.is_generated());
+        assert_eq!(crate::f2_outage_stats::rows(&only(902)).len(), 1);
+        assert!(f2_trace.is_generated());
     }
 
     #[test]

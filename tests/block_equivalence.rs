@@ -15,6 +15,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
+use nvp_core::{measure_task, SystemConfig};
 use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage};
 use nvp_workloads::{GrayImage, KernelKind};
 
@@ -142,6 +143,38 @@ fn all_kernels_match_step_mode_under_chunked_budgets() {
             if by_step.halted() {
                 break;
             }
+        }
+    }
+}
+
+/// `measure_task` runs on the block engine; its cost must be the
+/// step-mode (`Machine::run`) cost bit for bit, for every kernel at the
+/// default (32×32) and quick (16×16) frames.
+#[test]
+fn measure_task_matches_step_mode_cost() {
+    const MAX_INSTS: u64 = 500_000_000;
+    for (w, h) in [(32, 32), (16, 16)] {
+        let frame = GrayImage::synthetic(7, w, h);
+        for kind in KernelKind::ALL {
+            let inst = kind.build(&frame).expect("kernel builds");
+            let mut cfg = SystemConfig::default();
+            cfg.dmem_words = cfg.dmem_words.max(inst.min_dmem_words());
+            let cost = measure_task(inst.program(), &cfg, MAX_INSTS).expect("kernel terminates");
+            let mut by_step = Machine::with_config(
+                inst.program(),
+                cfg.dmem_words,
+                cfg.cycle_model,
+                cfg.energy_model,
+            )
+            .expect("machine builds");
+            by_step.run(MAX_INSTS).expect("kernel runs");
+            assert!(by_step.halted(), "{kind:?} at {w}x{h} halts");
+            let c = by_step.counters();
+            assert_eq!(
+                (cost.instructions, cost.cycles, cost.energy_j.to_bits()),
+                (c.instructions, c.cycles, c.energy_j.to_bits()),
+                "{kind:?} at {w}x{h}"
+            );
         }
     }
 }
