@@ -7,7 +7,11 @@
 //! share one instance; the caches are keyed on every parameter that
 //! influences the value, so results are unchanged. They fill through
 //! [`simcache::memo`], the same per-key slot as the simulation cache:
-//! distinct inputs build in parallel and each is built once.
+//! distinct inputs build in parallel and each is built once. Frames,
+//! kernels and task costs stay for the life of the process. A trace
+//! keeps only its spec and digest: its samples live while a job runs
+//! and are released when no job is left in flight (see [`JobScope`]),
+//! so a resident server holds just the traces of its running jobs.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `plans()` hands the same
@@ -18,7 +22,7 @@
 
 use std::cmp::Ordering;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use nvp_core::{
     measure_task, BackupModel, BackupPolicy, BackupStyle, IntermittentSystem, RunReport,
@@ -120,24 +124,55 @@ impl KeyFields for TraceSpec {
     }
 }
 
-/// One memoized trace: its spec, the spec's digest, and the samples,
-/// generated on first use.
+/// One memoized trace: its spec and the spec's digest, kept for the
+/// life of the process, and the samples, held only while a job runs.
 struct TraceEntry {
     spec: TraceSpec,
     digest: Digest,
-    samples: OnceLock<Arc<PowerTrace>>,
+    samples: Mutex<Samples>,
+}
+
+/// The samples a [`TraceEntry`] holds, and how often it generated them.
+#[derive(Default)]
+struct Samples {
+    held: Option<Arc<PowerTrace>>,
+    generations: u64,
+}
+
+impl TraceEntry {
+    fn samples(&self) -> MutexGuard<'_, Samples> {
+        // A panicking generator leaves `held` empty, so a poisoned lock
+        // holds nothing torn.
+        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The samples, generated if the entry holds none. The lock is held
+    /// across generation, so concurrent readers of one spec share one.
+    fn read(&self) -> Arc<PowerTrace> {
+        let mut samples = self.samples();
+        let Samples { held, generations } = &mut *samples;
+        Arc::clone(held.get_or_insert_with(|| {
+            *generations += 1;
+            Arc::new(self.spec.generate())
+        }))
+    }
 }
 
 /// A shared power trace keyed by its spec digest, so runs over it are
 /// keyed without touching a sample. The samples are generated the first
-/// time anything reads them, once per spec: a run whose sim-cache key
-/// hits never builds its trace.
+/// time anything reads them: a run whose sim-cache key hits never
+/// builds its trace. Within a job each spec is generated once; see
+/// [`JobScope`] for when the memo lets go of them. A handle keeps the
+/// samples it has read.
 #[derive(Clone)]
-pub(crate) struct SimTrace(Arc<TraceEntry>);
+pub(crate) struct SimTrace {
+    entry: Arc<TraceEntry>,
+    samples: OnceLock<Arc<PowerTrace>>,
+}
 
 impl SimTrace {
     pub(crate) fn digest(&self) -> &Digest {
-        &self.0.digest
+        &self.entry.digest
     }
 
     /// The memoized trace itself, shared rather than copied.
@@ -146,13 +181,13 @@ impl SimTrace {
     }
 
     fn samples(&self) -> &Arc<PowerTrace> {
-        self.0.samples.get_or_init(|| Arc::new(self.0.spec.generate()))
+        self.samples.get_or_init(|| self.entry.read())
     }
 
-    /// Whether anything has read the samples yet.
+    /// Whether anything has ever generated this trace's samples.
     #[cfg(test)]
     fn is_generated(&self) -> bool {
-        self.0.samples.get().is_some()
+        self.entry.samples().generations > 0
     }
 }
 
@@ -164,17 +199,92 @@ impl Deref for SimTrace {
     }
 }
 
+/// Every trace spec this process has named, with its samples if held.
+static TRACES: Memo<TraceSpec, TraceEntry> = OnceLock::new();
+
 /// A memoized harvester trace for any source kind. F7's technology ×
 /// harvester grid and F11's solar variant hit this instead of
 /// regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
-    static CACHE: Memo<TraceSpec, TraceEntry> = OnceLock::new();
     let spec = TraceSpec::new(kind, seed, cfg.trace_duration_s);
-    SimTrace(memo(&CACHE, spec, || TraceEntry {
+    let entry = memo(&TRACES, spec, || TraceEntry {
         spec,
         digest: spec.digest(),
-        samples: OnceLock::new(),
-    }))
+        samples: Mutex::default(),
+    });
+    SimTrace { entry, samples: OnceLock::new() }
+}
+
+/// Calls `f` on every trace entry the memo holds.
+fn each_trace(mut f: impl FnMut(&TraceEntry)) {
+    let Some(map) = TRACES.get() else { return };
+    let map = map.lock().unwrap_or_else(PoisonError::into_inner);
+    for entry in map.values().filter_map(|slot| slot.get()) {
+        f(entry);
+    }
+}
+
+/// Jobs in flight: the number of live [`JobScope`]s.
+static JOBS: Mutex<usize> = Mutex::new(0);
+
+/// One campaign job's hold on the trace memo. While any scope lives,
+/// generated samples stay in the memo, so every task of a job (F1's
+/// rows and series, F2, the simulations) shares one generation per
+/// spec. When the last scope drops, the memo lets go of every trace's
+/// samples; specs and digests stay, and a later job that reads a spec
+/// regenerates it, byte for byte the same samples. A resident server
+/// therefore holds only the traces of the jobs it is running. `nvpd`'s
+/// default single worker runs one job at a time, so every job's end
+/// releases; with more workers the samples are released at idle
+/// instants, not per job. The scope releases on unwind too, so a
+/// panicking job lets go as well.
+pub(crate) struct JobScope(());
+
+impl JobScope {
+    pub(crate) fn enter() -> JobScope {
+        *jobs() += 1;
+        JobScope(())
+    }
+}
+
+impl Drop for JobScope {
+    fn drop(&mut self) {
+        let mut jobs = jobs();
+        *jobs -= 1;
+        // Released under the counter lock, so no job starts mid-sweep.
+        if *jobs == 0 {
+            each_trace(|entry| entry.samples().held = None);
+        }
+    }
+}
+
+fn jobs() -> MutexGuard<'static, usize> {
+    JOBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Trace-memo counters (process-wide, via [`trace_memo_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceMemoStats {
+    /// Trace sample generations over the life of the process. Jobs in
+    /// flight generate each spec they read at most once; a spec is
+    /// generated again only after the memo released it.
+    pub generated: u64,
+    /// Sample bytes the memo holds right now; zero between jobs.
+    pub resident_bytes: u64,
+}
+
+/// Process-wide trace-memo counters.
+#[must_use]
+pub fn trace_memo_stats() -> TraceMemoStats {
+    let mut stats = TraceMemoStats::default();
+    each_trace(|entry| {
+        let samples = entry.samples();
+        stats.generated += samples.generations;
+        if let Some(held) = &samples.held {
+            stats.resident_bytes += std::mem::size_of_val(held.samples()) as u64;
+        }
+    });
+    stats
 }
 
 /// The standard wearable trace for a profile seed.

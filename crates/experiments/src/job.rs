@@ -16,6 +16,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::common::JobScope;
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
@@ -205,11 +206,15 @@ pub(crate) fn run_campaign(
 /// The job runs under whatever simulation store the process has
 /// attached: `repro` picks its local store (or none, with
 /// `--no-cache`), and the server's resident store serves every job.
+/// While it runs it holds the trace memo: each trace it reads is
+/// generated once, and released when no job is left in flight
+/// ([`crate::trace_memo_stats`] counts both).
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidInput`] for an unknown experiment id.
 pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
+    let _job = JobScope::enter();
     let cache_before = sim_cache_stats();
     let sched_before = sched_stats();
     let exec_before = exec_stats();

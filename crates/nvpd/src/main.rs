@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nvp_experiments::set_cache_dir;
+use nvp_experiments::{set_cache_dir, trace_memo_stats};
 use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
 
@@ -127,15 +127,19 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
     eprintln!("nvpd: listening on {bound}");
     let stats = server.run(&opts.config).map_err(|e| format!("server failed: {e}"))?;
+    let traces = trace_memo_stats();
     eprintln!(
         "nvpd: done — {} accepted, {} completed, {} rejected, {} recovered from journal, \
-         {} replayed from result store, {} file(s) quarantined",
+         {} replayed from result store, {} file(s) quarantined, {} trace(s) generated, \
+         {} trace byte(s) resident",
         stats.accepted,
         stats.completed,
         stats.rejected,
         stats.recovered,
         stats.replayed,
-        stats.quarantined
+        stats.quarantined,
+        traces.generated,
+        traces.resident_bytes
     );
     Ok(ExitCode::SUCCESS)
 }
