@@ -14,7 +14,7 @@
 //! so a resident server holds just the traces of its running jobs.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
-//! their setups once; `rows()` runs them and `plans()` hands the same
+//! their setups once; `rows()` runs them and `setups()` hands the same
 //! values to the feasibility checker. [`Setup::run`] routes through
 //! the content-addressed [`crate::simcache`], so identical
 //! `(program, setup, trace)` runs issued by different experiments

@@ -9,7 +9,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::{ExpConfig, Table};
 
 /// Swept demand-backup margins (× backup energy).
@@ -33,8 +32,9 @@ pub struct Row {
 }
 
 /// The standard NVP under every swept policy, labelled as the table
-/// prints it: margins first, intervals after.
-fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+/// prints it: margins first, intervals after. This is also F10's
+/// feasibility declaration.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let sys = system_config_for(&kernel(cfg, KernelKind::Sobel));
     let nvp = |policy| Setup::Nvp { sys, backup: standard_backup(), policy };
     MARGINS
@@ -88,17 +88,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility plans: the standard NVP under every swept backup policy.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![
-        sweep("demand margins", MARGINS.len()),
-        sweep("periodic intervals", INTERVALS_S.len()),
-    ];
-    out.extend(setups(cfg).into_iter().map(|(label, setup)| platform(label, setup)));
-    out
 }
 
 #[cfg(test)]

@@ -21,7 +21,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, source_trace, standard_backup, system_config_for, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -62,15 +61,20 @@ fn measure(cfg: &ExpConfig, setup: &Setup, label: &str) -> Row {
 }
 
 /// The standard NVP at every fixed clock multiplier, then under the
-/// income-adaptive policy.
-fn setups(cfg: &ExpConfig) -> Vec<(&'static str, Setup)> {
+/// income-adaptive policy. This is also F11's feasibility declaration.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let base = system_config_for(&kernel(cfg, KernelKind::Sobel));
     let nvp = |sys| Setup::Nvp { sys, backup: standard_backup(), policy: BackupPolicy::demand() };
-    [(1u32, "fixed 1 MHz"), (2, "fixed 2 MHz"), (4, "fixed 4 MHz"), (8, "fixed 8 MHz")]
+    [1u32, 2, 4, 8]
         .into_iter()
-        .map(|(mult, label)| (label, nvp(SystemConfig { clock_hz: 1e6 * f64::from(mult), ..base })))
+        .map(|mult| {
+            (
+                format!("fixed {mult} MHz"),
+                nvp(SystemConfig { clock_hz: 1e6 * f64::from(mult), ..base }),
+            )
+        })
         .chain(std::iter::once((
-            "adaptive 1-8 MHz",
+            "adaptive 1-8 MHz".to_owned(),
             nvp(base.with_clock_policy(ClockPolicy::adaptive())),
         )))
         .collect()
@@ -106,15 +110,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility plans: every clock variant F11 measures.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let setups = setups(cfg);
-    let mut out = vec![sweep("clock variants", setups.len())];
-    out.extend(setups.into_iter().map(|(label, setup)| platform(label, setup)));
-    out
 }
 
 #[cfg(test)]

@@ -30,17 +30,13 @@
 
 use std::sync::{Arc, OnceLock};
 
-use nvp_core::{
-    BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem, RunReport, SimEvent,
-    SimObserver, SystemConfig,
-};
+use nvp_core::{BackupStyle, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver};
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
 use nvp_sim::MachineImage;
 use nvp_workloads::{KernelInstance, KernelKind};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, style_setup, watch_trace, Setup, SimTrace};
-use crate::feasibility::{platform, sweep, CheckItem};
+use crate::common::{kernel, style_setup, system_config_for, watch_trace, Setup, SimTrace};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
 use crate::simcache::{self, Digest, SimOutcome};
@@ -96,27 +92,15 @@ pub struct Row {
     pub recovery_ms_max: f64,
 }
 
-/// One platform variant of the campaign.
-struct Style {
-    name: &'static str,
-    sys: SystemConfig,
-    backup: BackupModel,
-    policy: BackupPolicy,
-}
-
-/// The three backup styles of T3 on FeRAM, as fault-campaign platforms.
-fn styles(inst: &KernelInstance) -> Vec<Style> {
+/// The three backup styles of T3 on FeRAM, as named fault-campaign
+/// platforms.
+fn styles(inst: &KernelInstance) -> [(&'static str, Setup); 3] {
     [
         ("nvp-distributed", BackupStyle::Distributed),
         ("nvp-centralized", BackupStyle::Centralized),
         ("sw-checkpoint", BackupStyle::Software),
     ]
-    .into_iter()
-    .map(|(name, style)| match style_setup(inst, style, NvmTechnology::Feram) {
-        Setup::Nvp { sys, backup, policy } => Style { name, sys, backup, policy },
-        Setup::Wait(_) => unreachable!("backup styles are NVP setups"),
-    })
-    .collect()
+    .map(|(name, style)| (name, style_setup(inst, style, NvmTechnology::Feram)))
 }
 
 /// The fault plan for one (rate, trial) cell. Rate zero is the genuine
@@ -172,9 +156,8 @@ fn recovery_latencies_ms(events: &[(f64, SimEvent)]) -> Vec<f64> {
 /// The simulation-cache key of one trial: every input of
 /// [`run_trial`] — the style's platform, encoded as [`Setup::run`]'s
 /// key encodes it, plus the fault plan — under the `f12` run-kind tag.
-fn trial_key(inst: &KernelInstance, trace: &SimTrace, style: &Style, plan: &FaultPlan) -> Digest {
-    let Style { sys, backup, policy, .. } = *style;
-    let mut key = Setup::Nvp { sys, backup, policy }.key_hasher("nvp-simcache/2:f12", inst, trace);
+fn trial_key(inst: &KernelInstance, trace: &SimTrace, setup: &Setup, plan: &FaultPlan) -> Digest {
+    let mut key = setup.key_hasher("nvp-simcache/2:f12", inst, trace);
     key.field(plan);
     key.finish()
 }
@@ -187,16 +170,13 @@ fn trial_key(inst: &KernelInstance, trace: &SimTrace, style: &Style, plan: &Faul
 fn run_trial(
     image: &Arc<MachineImage>,
     trace: &nvp_energy::PowerTrace,
-    style: &Style,
+    setup: &Setup,
     plan: FaultPlan,
 ) -> SimOutcome {
-    let mut system = IntermittentSystem::with_faults_on_image(
-        image,
-        style.sys,
-        style.backup,
-        style.policy,
-        plan,
-    );
+    let Setup::Nvp { sys, backup, policy } = *setup else {
+        unreachable!("backup styles are NVP setups")
+    };
+    let mut system = IntermittentSystem::with_faults_on_image(image, sys, backup, policy, plan);
     let mut log = EventLog::default();
     let report = system.run_observed(trace, &mut log).expect("workload does not fault");
     SimOutcome { report, latencies_ms: recovery_latencies_ms(&log.events) }
@@ -209,12 +189,13 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     let styles = styles(&inst);
     // One shared image for the whole campaign, built by the first trial
-    // that misses the cache: the styles differ only in backup hardware
-    // and data-memory volatility, never in the image-relevant
-    // configuration (memory size, cycle/energy models).
+    // that misses the cache from the config every style starts from:
+    // the styles differ only in backup hardware and data-memory
+    // volatility, never in the image-relevant configuration (memory
+    // size, cycle/energy models).
     let image = OnceLock::new();
     let build_image = || {
-        let sys = styles[0].sys;
+        let sys = system_config_for(&inst);
         let built =
             MachineImage::build(inst.program(), sys.dmem_words, sys.cycle_model, sys.energy_model);
         Arc::new(built.expect("kernel image builds"))
@@ -235,15 +216,15 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     // dispatch one scheduler task each (one-item lane groups), so slots
     // freed mid-campaign are recruited at every trial boundary.
     let results = sched::par_map_groups(&grid, |&(si, ri, trial)| {
-        let style = &styles[si];
+        let (_, setup) = &styles[si];
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
-        simcache::cached_outcome(trial_key(&inst, &trace, style, &plan), || {
-            run_trial(image.get_or_init(build_image), &trace, style, plan)
+        simcache::cached_outcome(trial_key(&inst, &trace, setup, &plan), || {
+            run_trial(image.get_or_init(build_image), &trace, setup, plan)
         })
     });
 
     let mut out = Vec::new();
-    for (si, style) in styles.iter().enumerate() {
+    for (si, (name, _)) in styles.iter().enumerate() {
         // The rate-0 control is the baseline the faulted cells are
         // normalized against.
         let baseline: f64 = grid
@@ -267,7 +248,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             let latencies: Vec<f64> =
                 cell.iter().flat_map(|o| o.latencies_ms.iter().copied()).collect();
             out.push(Row {
-                style: style.name.to_owned(),
+                style: (*name).to_owned(),
                 fault_rate: rate,
                 trials: n,
                 mean_committed,
@@ -332,19 +313,12 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: each backup style's platform, plus the campaign's
-/// sweep dimensions.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![
-        sweep("fault rates", FAULT_RATES.len()),
-        sweep("monte-carlo trials per faulted cell", cfg.fault_trials),
-    ];
-    out.extend(styles(&kernel(cfg, KernelKind::Sobel)).into_iter().map(|style| {
-        let Style { name, sys, backup, policy } = style;
-        platform(format!("{name} under fault injection"), Setup::Nvp { sys, backup, policy })
-    }));
-    out
+/// Feasibility declaration: each backup style's platform.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    styles(&kernel(cfg, KernelKind::Sobel))
+        .into_iter()
+        .map(|(name, setup)| (format!("{name} under fault injection"), setup))
+        .collect()
 }
 
 #[cfg(test)]
@@ -359,8 +333,8 @@ mod tests {
         let cfg = ExpConfig::quick();
         let inst = kernel(&cfg, KernelKind::Sobel);
         let trace = watch_trace(&cfg, cfg.profile_seeds[0]);
-        let style = &styles(&inst)[1];
-        let key = hex(trial_key(&inst, &trace, style, &plan_for(&cfg, 0.05, 1, 2)));
+        let (_, setup) = &styles(&inst)[1];
+        let key = hex(trial_key(&inst, &trace, setup, &plan_for(&cfg, 0.05, 1, 2)));
         assert_eq!(key, "b4758fb2c542291bc5bd5ff524cbd1df0ef5b73e4b08286f8cbea1a7d61cda04");
     }
 

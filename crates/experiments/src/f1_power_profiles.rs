@@ -73,13 +73,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: F1 only summarizes traces; the profile list is
-/// the sweep.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    vec![crate::feasibility::sweep("wearable power profiles", cfg.profile_seeds.len())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -80,22 +80,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: F2 computes trace statistics; the profile list is
-/// the sweep.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    vec![crate::feasibility::sweep("outage-statistics profiles", cfg.profile_seeds.len())]
-}
-
-/// Feasibility plans for the histogram artifact (`f2h`).
-#[must_use]
-pub fn histogram_plans(cfg: &ExpConfig, bins: usize) -> Vec<crate::feasibility::CheckItem> {
-    vec![
-        crate::feasibility::sweep("outage-histogram profiles", cfg.profile_seeds.len().min(1)),
-        crate::feasibility::sweep("outage-duration histogram bins", bins),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

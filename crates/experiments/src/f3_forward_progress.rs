@@ -9,7 +9,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, nvp_setup, swckpt_setup, wait_setup, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt_ratio;
 use crate::{ExpConfig, Table};
 
@@ -49,7 +48,7 @@ impl Row {
 
 /// The three platforms F3 compares on one kernel, in column order:
 /// hardware NVP, wait-compute, software checkpointing.
-fn setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 3] {
+fn kernel_setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 3] {
     let inst = kernel(cfg, kind);
     [
         (format!("hardware nvp {}", kind.name()), nvp_setup(&inst)),
@@ -64,7 +63,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let mut out = Vec::new();
     for kind in KERNELS {
         let inst = kernel(cfg, kind);
-        let [nvp, wait, swckpt] = setups(cfg, kind).map(|(_, setup)| setup);
+        let [nvp, wait, swckpt] = kernel_setups(cfg, kind).map(|(_, setup)| setup);
         for &seed in &cfg.profile_seeds {
             let trace = watch_trace(cfg, seed);
             out.push(Row {
@@ -124,14 +123,10 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the three platforms F3 simulates for every kernel.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![sweep("kernel x profile grid", KERNELS.len() * cfg.profile_seeds.len())];
-    for kind in KERNELS {
-        out.extend(setups(cfg, kind).map(|(label, setup)| platform(label, setup)));
-    }
-    out
+/// Feasibility declaration: the three platforms F3 simulates for every
+/// kernel.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    KERNELS.into_iter().flat_map(|kind| kernel_setups(cfg, kind)).collect()
 }
 
 #[cfg(test)]

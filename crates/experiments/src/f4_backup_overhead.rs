@@ -8,7 +8,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, nvp_setup, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -73,11 +72,10 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: F4 runs the standard NVP over every profile.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
+/// Feasibility declaration: F4 runs the standard NVP over every profile.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let (label, nvp) = setup(cfg);
-    vec![sweep("backup-overhead profiles", cfg.profile_seeds.len()), platform(label, nvp)]
+    vec![(label.to_owned(), nvp)]
 }
 
 #[cfg(test)]

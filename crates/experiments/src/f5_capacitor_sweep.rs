@@ -12,7 +12,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, wait_config, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -34,7 +33,7 @@ pub struct Row {
 /// Both platforms at one swept capacitance `c`: the NVP with a `c`
 /// buffer and wait-compute with a `c` ESD. The smallest buffers
 /// legitimately cannot *start* — that is the measured result.
-fn setups(cfg: &ExpConfig, c: f64) -> [(String, Setup); 2] {
+fn point_setups(cfg: &ExpConfig, c: f64) -> [(String, Setup); 2] {
     let inst = kernel(cfg, KernelKind::Sobel);
     let sys = system_config_for(&inst).with_capacitance(c);
     // The wait-compute start threshold stays task-sized but is capped at
@@ -62,7 +61,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
     crate::sched::par_map_groups(&CAPACITANCES_F, |&c| {
-        let [nvp, wait] = setups(cfg, c).map(|(_, setup)| setup.run(&inst, &trace));
+        let [nvp, wait] = point_setups(cfg, c).map(|(_, setup)| setup.run(&inst, &trace));
         Row { cap_uf: c * 1e6, nvp_fp: nvp.forward_progress(), wait_fp: wait.forward_progress() }
     })
 }
@@ -81,15 +80,10 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: both platforms at every swept capacitance; a
-/// single backup must always fit the store.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![sweep("capacitance sweep", CAPACITANCES_F.len())];
-    for c in CAPACITANCES_F {
-        out.extend(setups(cfg, c).map(|(label, setup)| platform(label, setup)));
-    }
-    out
+/// Feasibility declaration: both platforms at every swept capacitance;
+/// a single backup must always fit the store.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    CAPACITANCES_F.into_iter().flat_map(|c| point_setups(cfg, c)).collect()
 }
 
 #[cfg(test)]

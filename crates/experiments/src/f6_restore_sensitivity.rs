@@ -10,7 +10,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -81,15 +80,9 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the NVP at every swept wake-up latency.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![sweep("restore-latency sweep", RESTORE_TIMES_S.len())];
-    out.extend(RESTORE_TIMES_S.map(|restore| {
-        let (label, nvp) = setup(cfg, restore);
-        platform(label, nvp)
-    }));
-    out
+/// Feasibility declaration: the NVP at every swept wake-up latency.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    RESTORE_TIMES_S.into_iter().map(|restore| setup(cfg, restore)).collect()
 }
 
 #[cfg(test)]

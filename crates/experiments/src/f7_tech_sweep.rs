@@ -11,7 +11,6 @@ use nvp_energy::harvester::SourceKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, source_trace, system_config_for_tech, Setup, STATE_BITS};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 use nvp_workloads::{KernelInstance, KernelKind};
@@ -87,18 +86,11 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: one platform per NVM technology plus the grid
-/// sweep.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
+/// Feasibility declaration: one platform per NVM technology; the
+/// harvester sources vary only the trace.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let mut out =
-        vec![sweep("technology x source grid", NvmTechnology::ALL.len() * SourceKind::ALL.len())];
-    out.extend(NvmTechnology::ALL.map(|tech| {
-        let (label, nvp) = setup(&inst, tech);
-        platform(label, nvp)
-    }));
-    out
+    NvmTechnology::ALL.into_iter().map(|tech| setup(&inst, tech)).collect()
 }
 
 #[cfg(test)]

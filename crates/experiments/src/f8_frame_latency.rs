@@ -14,7 +14,6 @@ use serde::{Deserialize, Serialize};
 use crate::common::{
     kernel, nvp_setup, seconds_per_frame, task_cost, wait_setup, watch_trace, Setup,
 };
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -54,7 +53,7 @@ impl Row {
 
 /// The two platforms F8 compares on one kernel: hardware NVP, then
 /// wait-compute.
-fn setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 2] {
+fn kernel_setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 2] {
     [
         (format!("hardware nvp {}", kind.name()), nvp_setup(&kernel(cfg, kind))),
         (format!("wait-compute {}", kind.name()), wait_setup(cfg, kind)),
@@ -70,7 +69,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .map(|&kind| {
             let inst = kernel(cfg, kind);
             let cost = task_cost(cfg, kind);
-            let [nvp, wait] = setups(cfg, kind).map(|(_, setup)| setup.run(&inst, &trace));
+            let [nvp, wait] = kernel_setups(cfg, kind).map(|(_, setup)| setup.run(&inst, &trace));
             Row {
                 kernel: kind.name().to_owned(),
                 unconstrained_s: cost.time_s(1e6),
@@ -106,15 +105,10 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the NVP and wait-compute platforms F8 runs for
-/// every kernel in the latency ladder.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![sweep("frame-latency kernels", KERNELS.len())];
-    for kind in KERNELS {
-        out.extend(setups(cfg, kind).map(|(label, setup)| platform(label, setup)));
-    }
-    out
+/// Feasibility declaration: the NVP and wait-compute platforms F8 runs
+/// for every kernel in the latency ladder.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    KERNELS.into_iter().flat_map(|kind| kernel_setups(cfg, kind)).collect()
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, system_config_for, watch_trace, Setup, STATE_BITS};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -158,16 +157,16 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: the relaxed STT-MRAM backup model under every
-/// retention policy.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let mut out = vec![sweep("retention-relaxation policies", RelaxPolicy::ALL.len())];
-    out.extend(RelaxPolicy::ALL.map(|policy| {
-        let (model, _) = relaxed_backup(policy);
-        platform(format!("stt-mram {policy:?} relaxation"), setup(cfg, model))
-    }));
-    out
+/// Feasibility declaration: the relaxed STT-MRAM backup model under
+/// every retention policy.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    RelaxPolicy::ALL
+        .into_iter()
+        .map(|policy| {
+            let (model, _) = relaxed_backup(policy);
+            (format!("stt-mram {policy:?} relaxation"), setup(cfg, model))
+        })
+        .collect()
 }
 
 #[cfg(test)]

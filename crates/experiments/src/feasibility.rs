@@ -1,10 +1,10 @@
 //! **Config feasibility validation** — the static checker behind
 //! `repro --check`.
 //!
-//! Every registered experiment declares the platform [`Setup`]s and
-//! sweep ranges it is about to simulate ([`Experiment::plans`]) — the
+//! Every registered experiment declares the labelled platform
+//! [`Setup`]s it is about to simulate ([`Experiment::setups`]) — the
 //! very values its table builder runs, not a restatement of them. This
-//! module checks each declared item against physical-feasibility rules
+//! module checks each declared setup against physical-feasibility rules
 //! *before* any simulation runs, so an infeasible reconstruction is a
 //! diagnostic instead of a silent zero-progress run. The front end and
 //! thresholds it inspects come from the same `nvp-core` derivations
@@ -17,7 +17,6 @@
 //! | [`RULE_THRESHOLD_ORDER`] | the restore/start threshold must exceed the brown-out reserve |
 //! | [`RULE_TRICKLE_CLIP`]    | trickle floor ≤ charger clip, efficiency in (0, 1] |
 //! | [`RULE_STORAGE`]         | capacitance, rated voltage, and leak τ must be positive and finite |
-//! | [`RULE_EMPTY_SWEEP`]     | sweep ranges must be nonempty |
 //!
 //! A *start threshold above the storage capacity* is deliberately **not**
 //! an error: capacitor sweeps (F5) include unviable points on purpose —
@@ -46,47 +45,13 @@ pub const RULE_TRICKLE_CLIP: &str = "trickle-above-clip";
 /// Rule id: nonphysical storage — capacitance, rated voltage, or leak
 /// time constant is zero, negative, or non-finite.
 pub const RULE_STORAGE: &str = "nonpositive-storage";
-/// Rule id: a sweep declared zero points, so the experiment would emit
-/// an empty artifact.
-pub const RULE_EMPTY_SWEEP: &str = "empty-sweep";
 
-/// One checkable unit of an experiment's declared intent.
-#[derive(Debug, Clone)]
-pub enum CheckItem {
-    /// A platform setup that will be simulated.
-    Platform {
-        /// Human-readable platform label, shown in diagnostics.
-        label: String,
-        /// The setup exactly as the experiment runs it.
-        setup: Box<Setup>,
-    },
-    /// A parameter sweep with a declared point count.
-    Sweep {
-        /// Human-readable sweep label, shown in diagnostics.
-        label: String,
-        /// Number of points the sweep will evaluate.
-        points: usize,
-    },
-}
-
-/// Declares a platform setup under a diagnostic label.
-#[must_use]
-pub fn platform(label: impl Into<String>, setup: Setup) -> CheckItem {
-    CheckItem::Platform { label: label.into(), setup: Box::new(setup) }
-}
-
-/// Declares a parameter sweep of `points` points.
-#[must_use]
-pub fn sweep(label: impl Into<String>, points: usize) -> CheckItem {
-    CheckItem::Sweep { label: label.into(), points }
-}
-
-/// One feasibility violation, attributed to an experiment and plan.
+/// One feasibility violation, attributed to an experiment and setup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Registry id of the offending experiment (e.g. `"f5"`).
     pub experiment: String,
-    /// Label of the offending plan or sweep.
+    /// Label of the offending setup.
     pub plan: String,
     /// Violated rule id (one of the `RULE_*` constants).
     pub rule: &'static str,
@@ -100,22 +65,10 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Checks one item; returns `(rule, message)` pairs for every violation.
+/// Checks one setup; returns `(rule, message)` pairs for every
+/// violation.
 #[must_use]
-pub fn check_item(item: &CheckItem) -> Vec<(&'static str, String)> {
-    match item {
-        CheckItem::Platform { setup, .. } => check_setup(setup),
-        CheckItem::Sweep { points, .. } => {
-            if *points == 0 {
-                vec![(RULE_EMPTY_SWEEP, "sweep declares zero points".to_owned())]
-            } else {
-                Vec::new()
-            }
-        }
-    }
-}
-
-fn check_setup(setup: &Setup) -> Vec<(&'static str, String)> {
+pub fn check_setup(setup: &Setup) -> Vec<(&'static str, String)> {
     let mut out = Vec::new();
     let fe = match setup {
         Setup::Nvp { sys, .. } => sys.front_end(),
@@ -185,21 +138,15 @@ fn check_setup(setup: &Setup) -> Vec<(&'static str, String)> {
     out
 }
 
-fn item_label(item: &CheckItem) -> &str {
-    match item {
-        CheckItem::Platform { label, .. } | CheckItem::Sweep { label, .. } => label,
-    }
-}
-
-/// Checks every plan one experiment declares for `cfg`.
+/// Checks every setup one experiment declares for `cfg`.
 #[must_use]
 pub fn check_experiment(exp: &Experiment, cfg: &ExpConfig) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for item in exp.plans(cfg) {
-        for (rule, message) in check_item(&item) {
+    for (label, setup) in exp.setups(cfg) {
+        for (rule, message) in check_setup(&setup) {
             out.push(Diagnostic {
                 experiment: exp.id().to_owned(),
-                plan: item_label(&item).to_owned(),
+                plan: label.clone(),
                 rule,
                 message,
             });
@@ -221,17 +168,13 @@ mod tests {
     use nvp_core::{BackupModel, BackupPolicy, SystemConfig, WaitComputeConfig};
     use nvp_device::NvmTechnology;
 
-    fn nvp(sys: SystemConfig) -> CheckItem {
+    fn nvp(sys: SystemConfig) -> Setup {
         let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-        platform("nvp", Setup::Nvp { sys, backup, policy: BackupPolicy::demand() })
+        Setup::Nvp { sys, backup, policy: BackupPolicy::demand() }
     }
 
-    fn wait(w: WaitComputeConfig) -> CheckItem {
-        platform("wait", Setup::Wait(w))
-    }
-
-    fn unwrap_violation(item: &CheckItem, rule: &str) -> String {
-        let violations = check_item(item);
+    fn unwrap_violation(setup: &Setup, rule: &str) -> String {
+        let violations = check_setup(setup);
         let hit = violations.iter().find(|(r, _)| *r == rule);
         let (_, message) = hit.unwrap_or_else(|| {
             panic!("expected a `{rule}` violation, got {violations:?}");
@@ -259,13 +202,13 @@ mod tests {
         let mut backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
         backup.restore_energy = Joules::ZERO;
         let sys = SystemConfig { work_headroom_j: 0.0, ..SystemConfig::default() };
-        let item = platform("inverted", Setup::Nvp { sys, backup, policy: BackupPolicy::demand() });
-        let msg = unwrap_violation(&item, RULE_THRESHOLD_ORDER);
+        let setup = Setup::Nvp { sys, backup, policy: BackupPolicy::demand() };
+        let msg = unwrap_violation(&setup, RULE_THRESHOLD_ORDER);
         assert!(msg.contains("does not exceed the brown-out reserve"), "{msg}");
         // A wait-compute platform with a zero start threshold is the
         // same class of error.
         let w = WaitComputeConfig { start_energy_j: 0.0, ..WaitComputeConfig::default() };
-        let msg = unwrap_violation(&wait(w), RULE_THRESHOLD_ORDER);
+        let msg = unwrap_violation(&Setup::Wait(w), RULE_THRESHOLD_ORDER);
         assert!(msg.contains("zero brown-out floor"), "{msg}");
     }
 
@@ -277,11 +220,11 @@ mod tests {
             max_charge_power_w: 1e-4,
             ..WaitComputeConfig::default()
         };
-        let msg = unwrap_violation(&wait(w), RULE_TRICKLE_CLIP);
+        let msg = unwrap_violation(&Setup::Wait(w), RULE_TRICKLE_CLIP);
         assert!(msg.contains("exceeds charger clip"), "{msg}");
 
         let w = WaitComputeConfig { trickle_efficiency: 0.0, ..WaitComputeConfig::default() };
-        let msg = unwrap_violation(&wait(w), RULE_TRICKLE_CLIP);
+        let msg = unwrap_violation(&Setup::Wait(w), RULE_TRICKLE_CLIP);
         assert!(msg.contains("outside (0, 1]"), "{msg}");
     }
 
@@ -297,32 +240,31 @@ mod tests {
         assert!(msg.contains("leak time constant"), "{msg}");
     }
 
-    /// Rule 5: empty sweeps are diagnosed.
-    #[test]
-    fn empty_sweep_is_diagnosed() {
-        let msg = unwrap_violation(&sweep("no points", 0), RULE_EMPTY_SWEEP);
-        assert!(msg.contains("zero points"), "{msg}");
-        assert!(check_item(&sweep("one point", 1)).is_empty());
-    }
-
     /// The default platform configurations are feasible.
     #[test]
     fn default_platforms_are_feasible() {
-        assert!(check_item(&nvp(SystemConfig::default())).is_empty());
-        assert!(check_item(&wait(WaitComputeConfig::default())).is_empty());
+        assert!(check_setup(&nvp(SystemConfig::default())).is_empty());
+        assert!(check_setup(&Setup::Wait(WaitComputeConfig::default())).is_empty());
     }
 
-    /// Every registered experiment declares only feasible plans, in
-    /// both the quick and the default configuration.
+    /// Every registered experiment declares only feasible setups, in
+    /// both the quick and the default configuration, and exactly the
+    /// experiments that simulate no platform declare none.
     #[test]
     fn all_registry_entries_pass() {
+        const NO_PLATFORM: [&str; 5] = ["t1", "f1", "f2", "f2h", "t2"];
         for cfg in [ExpConfig::quick(), ExpConfig::default()] {
             for exp in registry() {
                 let diags = check_experiment(exp, &cfg);
-                assert!(!exp.plans(&cfg).is_empty(), "{} declares no plans", exp.id());
+                assert_eq!(
+                    exp.setups(&cfg).is_empty(),
+                    NO_PLATFORM.contains(&exp.id()),
+                    "{}: unexpected setup declaration",
+                    exp.id()
+                );
                 assert!(
                     diags.is_empty(),
-                    "{}: infeasible plans: {}",
+                    "{}: infeasible setups: {}",
                     exp.id(),
                     diags.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
                 );

@@ -6,7 +6,7 @@
 //! Adding experiment 16 means writing its module and appending one
 //! entry — no runner, binary, or example changes.
 
-use crate::feasibility::CheckItem;
+use crate::common::Setup;
 use crate::{
     f10_policy_sweep, f11_clock_scaling, f12_fault_resilience, f1_power_profiles, f2_outage_stats,
     f3_forward_progress, f4_backup_overhead, f5_capacitor_sweep, f6_restore_sensitivity,
@@ -24,7 +24,7 @@ pub struct Experiment {
     id: &'static str,
     title: &'static str,
     build: fn(&ExpConfig) -> Table,
-    plans: fn(&ExpConfig) -> Vec<CheckItem>,
+    setups: fn(&ExpConfig) -> Vec<(String, Setup)>,
 }
 
 impl Experiment {
@@ -47,13 +47,12 @@ impl Experiment {
         (self.build)(cfg)
     }
 
-    /// Declares the platform configurations and sweep ranges
-    /// [`build`](Self::build) is about to simulate, for static
-    /// feasibility checking (`repro --check`). Every experiment must be
-    /// checkable before it runs.
+    /// The labelled platform setups [`build`](Self::build) is about
+    /// to simulate, for static feasibility checking (`repro --check`).
+    /// Empty for experiments that simulate no platform.
     #[must_use]
-    pub fn plans(&self, cfg: &ExpConfig) -> Vec<CheckItem> {
-        (self.plans)(cfg)
+    pub fn setups(&self, cfg: &ExpConfig) -> Vec<(String, Setup)> {
+        (self.setups)(cfg)
     }
 }
 
@@ -64,8 +63,10 @@ fn f2_histogram(cfg: &ExpConfig) -> Table {
     f2_outage_stats::histogram_table(cfg, cfg.profile_seeds[0], F2_HISTOGRAM_BINS)
 }
 
-fn f2_histogram_plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    f2_outage_stats::histogram_plans(cfg, F2_HISTOGRAM_BINS)
+/// The declaration of an experiment that tabulates without simulating
+/// a platform.
+fn no_setups(_cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    Vec::new()
 }
 
 /// Every registered experiment, in artifact order.
@@ -74,97 +75,97 @@ static REGISTRY: [Experiment; 16] = [
         id: "t1",
         title: "NVP chip & technology gallery (published silicon vs framework models)",
         build: t1_chip_gallery::table,
-        plans: t1_chip_gallery::plans,
+        setups: no_setups,
     },
     Experiment {
         id: "f1",
         title: "Wearable harvester power profiles (synthetic, seeded)",
         build: f1_power_profiles::table,
-        plans: f1_power_profiles::plans,
+        setups: no_setups,
     },
     Experiment {
         id: "f2",
         title: "Power-emergency statistics at the 33 µW operating threshold",
         build: f2_outage_stats::table,
-        plans: f2_outage_stats::plans,
+        setups: no_setups,
     },
     Experiment {
         id: "f2h",
         title: "Outage-duration histogram",
         build: f2_histogram,
-        plans: f2_histogram_plans,
+        setups: no_setups,
     },
     Experiment {
         id: "f3",
         title: "Forward progress: hardware NVP vs wait-compute vs software checkpointing",
         build: f3_forward_progress::table,
-        plans: f3_forward_progress::plans,
+        setups: f3_forward_progress::setups,
     },
     Experiment {
         id: "f4",
         title: "Backup overheads (published: 1400-1700 backups/min, 20-33% of income energy)",
         build: f4_backup_overhead::table,
-        plans: f4_backup_overhead::plans,
+        setups: f4_backup_overhead::setups,
     },
     Experiment {
         id: "f5",
         title: "Forward progress vs storage capacitance (NVP buffer vs wait-compute ESD)",
         build: f5_capacitor_sweep::table,
-        plans: f5_capacitor_sweep::plans,
+        setups: f5_capacitor_sweep::setups,
     },
     Experiment {
         id: "f6",
         title: "Forward progress vs restore (wake-up) latency",
         build: f6_restore_sensitivity::table,
-        plans: f6_restore_sensitivity::plans,
+        setups: f6_restore_sensitivity::setups,
     },
     Experiment {
         id: "f7",
         title: "Forward progress and endurance by NVM technology and harvester class",
         build: f7_tech_sweep::table,
-        plans: f7_tech_sweep::plans,
+        setups: f7_tech_sweep::setups,
     },
     Experiment {
         id: "t2",
         title: "System energy distribution by application class",
         build: t2_energy_distribution::table,
-        plans: t2_energy_distribution::plans,
+        setups: no_setups,
     },
     Experiment {
         id: "f8",
         title: "Seconds per processed frame on harvested power (NVP vs wait-compute)",
         build: f8_frame_latency::table,
-        plans: f8_frame_latency::plans,
+        setups: f8_frame_latency::setups,
     },
     Experiment {
         id: "t3",
         title: "Backup strategies: distributed NVFF vs centralized copy vs software",
         build: t3_backup_strategies::table,
-        plans: t3_backup_strategies::plans,
+        setups: t3_backup_strategies::setups,
     },
     Experiment {
         id: "f9",
         title: "Retention-relaxed backup: energy saved, forward-progress gain, decay risk",
         build: f9_retention_relaxation::table,
-        plans: f9_retention_relaxation::plans,
+        setups: f9_retention_relaxation::setups,
     },
     Experiment {
         id: "f10",
         title: "Backup-policy sweep: demand margins vs periodic checkpointing",
         build: f10_policy_sweep::table,
-        plans: f10_policy_sweep::plans,
+        setups: f10_policy_sweep::setups,
     },
     Experiment {
         id: "f11",
         title: "Clock scaling: fixed frequencies vs income-adaptive",
         build: f11_clock_scaling::table,
-        plans: f11_clock_scaling::plans,
+        setups: f11_clock_scaling::setups,
     },
     Experiment {
         id: "f12",
         title: "Fault-injection resilience: torn backups, retention decay, restore failures",
         build: f12_fault_resilience::table,
-        plans: f12_fault_resilience::plans,
+        setups: f12_fault_resilience::setups,
     },
 ];
 

@@ -110,16 +110,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: T1 is a pure tabulation (no platform simulation);
-/// the gallery itself is the sweep.
-#[must_use]
-pub fn plans(_cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    vec![crate::feasibility::sweep(
-        "published chip gallery",
-        published_chips().len() + NvmTechnology::ALL.len(),
-    )]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

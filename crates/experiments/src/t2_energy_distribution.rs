@@ -68,13 +68,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: T2 evaluates the analytic application models; the
-/// suite is the sweep.
-#[must_use]
-pub fn plans(_cfg: &ExpConfig) -> Vec<crate::feasibility::CheckItem> {
-    vec![crate::feasibility::sweep("application suite", AppProfile::standard_suite().len())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,6 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, style_setup, watch_trace, Setup};
-use crate::feasibility::{platform, sweep, CheckItem};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -34,7 +33,7 @@ pub struct Row {
 
 /// The style × technology grid (FeRAM and STT-MRAM — the two
 /// technologies real NVPs and FRAM MCUs use), technology-major.
-fn setups(cfg: &ExpConfig) -> Vec<(NvmTechnology, BackupStyle, Setup)> {
+fn grid(cfg: &ExpConfig) -> Vec<(NvmTechnology, BackupStyle, Setup)> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let mut out = Vec::new();
     for tech in [NvmTechnology::Feram, NvmTechnology::SttMram] {
@@ -50,7 +49,7 @@ fn setups(cfg: &ExpConfig) -> Vec<(NvmTechnology, BackupStyle, Setup)> {
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    setups(cfg)
+    grid(cfg)
         .into_iter()
         .map(|(tech, style, setup)| {
             let Setup::Nvp { backup, .. } = setup else { unreachable!("T3 runs NVP setups") };
@@ -87,15 +86,10 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility plans: every style × technology cell of the comparison.
-#[must_use]
-pub fn plans(cfg: &ExpConfig) -> Vec<CheckItem> {
-    let setups = setups(cfg);
-    let mut out = vec![sweep("technology x style grid", setups.len())];
-    out.extend(
-        setups.into_iter().map(|(tech, style, setup)| platform(format!("{tech} {style:?}"), setup)),
-    );
-    out
+/// Feasibility declaration: every style × technology cell of the
+/// comparison.
+pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+    grid(cfg).into_iter().map(|(tech, style, setup)| (format!("{tech} {style:?}"), setup)).collect()
 }
 
 #[cfg(test)]

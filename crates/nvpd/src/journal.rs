@@ -26,7 +26,9 @@
 //! `key` is the request's content-addressed idempotency key
 //! ([`nvp_experiments::wire::request_key`]); the `Completed` digest is
 //! the SHA-256 of the stored result encoding, tying the log to the
-//! store. An `Admitted` record is fsynced before [`Journal::admitted`]
+//! store. The all-zero digest means "failed, nothing stored": a job
+//! that errored or panicked is journalled as finished, so a restart
+//! does not replay it. An `Admitted` record is fsynced before [`Journal::admitted`]
 //! returns, so `Accepted` promises only what a crash cannot take back.
 //! `Started` and `Completed` are not: losing one re-runs a job, which
 //! the result store and the simulation cache make cheap.
@@ -55,10 +57,13 @@
 //!
 //! `results/<key-hex>.res` holds the canonical wire encoding
 //! ([`nvp_experiments::wire::encode_result_bytes`]) of each completed
-//! job's values, written tmp-fsync-rename so readers never observe a
-//! half file. Lookups verify decodability; a corrupt entry is
-//! quarantined (moved aside) and reported as a miss, which simply
-//! re-runs the job against the warm simulation cache.
+//! job's values as one record in the shared frame, behind the magic
+//! `b"nvprslt1"`, written tmp-fsync-rename so readers never observe a
+//! half file. A lookup serves only an entry that is exactly one intact
+//! record and decodes; anything else (a CRC mismatch, a missing or
+//! extra record, a raw entry from before the framing) is quarantined
+//! (moved aside) and reported as a miss, which simply re-runs the job
+//! against the warm simulation cache.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -70,7 +75,7 @@ use std::sync::Mutex;
 use nvp_experiments::record::{self, put_bytes, put_u64, Reader};
 use nvp_experiments::wire::{
     content_digest, decode_request_bytes, decode_result_bytes, encode_request_bytes,
-    encode_result_bytes,
+    encode_result_bytes, MAX_FRAME_BYTES,
 };
 use nvp_experiments::{CampaignRequest, CampaignResult};
 
@@ -78,6 +83,9 @@ use crate::faultplan::{AppendAction, ServiceFaultPlan, CRASH_EXIT_CODE};
 
 /// Journal-file magic: `nvpjrnl` + schema version digit.
 const MAGIC: &[u8; 8] = b"nvpjrnl1";
+
+/// Result-store entry magic: `nvprslt` + schema version digit.
+const RESULT_MAGIC: &[u8; 8] = b"nvprslt1";
 
 /// Record tags.
 const TAG_ADMITTED: u8 = 1;
@@ -254,21 +262,27 @@ impl Journal {
         let bytes = encode_result_bytes(result);
         let path = self.result_path(key);
         if !path.exists() {
-            record::replace(&path, &bytes)?;
+            record::replace(&path, &record::log_image(RESULT_MAGIC, [&bytes], MAX_FRAME_BYTES)?)?;
         }
         Ok(content_digest(&bytes))
     }
 
     /// Fetches a completed result by idempotency key, or `None` on a
-    /// miss. An undecodable entry is quarantined (moved aside,
-    /// counted) and reported as a miss — degradation, not an abort.
+    /// miss. An entry that is not exactly one intact record, or whose
+    /// record does not decode, is quarantined (moved aside, counted)
+    /// and reported as a miss — degradation, not an abort.
     #[must_use]
     pub fn lookup_result(&self, key: &Digest) -> Option<CampaignResult> {
         let path = self.result_path(key);
-        let decoded = decode_result_bytes(&fs::read(&path).ok()?);
+        let image = fs::read(&path).ok()?;
+        let entry = record::scan(&image, RESULT_MAGIC, MAX_FRAME_BYTES);
+        let decoded = match entry.payloads[..] {
+            [payload] if entry.damaged == 0 => decode_result_bytes(payload),
+            _ => Err(record::bad("result store entry is not one intact record")),
+        };
         if decoded.is_err() && record::quarantine(&path, None).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
-            eprintln!("nvpd: result store entry {} undecodable; quarantined", path.display());
+            eprintln!("nvpd: result store entry {} damaged; quarantined", path.display());
         }
         decoded.ok()
     }
@@ -543,6 +557,35 @@ mod tests {
         bytes.truncate(bytes.len() / 2);
         fs::write(&path, &bytes).unwrap();
         assert!(journal.lookup_result(&key).is_none());
+        assert_eq!(journal.quarantined_total(), 1);
+        assert!(path.with_extension("res.quarantine").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn result_store_quarantines_an_altered_table_cell() {
+        let dir = unique_dir("nvpd_journal_altered_cell");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let req = request(11);
+        let key = request_key(&req);
+        let result = nvp_experiments::run_request(&req).unwrap();
+        journal.put_result(&key, &result).unwrap();
+        // Change one digit of the longest numeric cell: the entry still
+        // decodes, so only the record's CRC can tell it was altered.
+        let cell = result.tables[0]
+            .rows()
+            .iter()
+            .flatten()
+            .filter(|c| c.bytes().any(|b| b.is_ascii_digit()))
+            .max_by_key(|c| c.len())
+            .expect("t1 has numeric cells");
+        let path = dir.join("results").join(format!("{}.res", hex(&key)));
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.windows(cell.len()).position(|w| w == cell.as_bytes()).expect("cell stored");
+        let digit = at + cell.bytes().position(|b| b.is_ascii_digit()).unwrap();
+        bytes[digit] = if bytes[digit] == b'9' { b'0' } else { bytes[digit] + 1 };
+        fs::write(&path, &bytes).unwrap();
+        assert!(journal.lookup_result(&key).is_none(), "an altered entry is never served");
         assert_eq!(journal.quarantined_total(), 1);
         assert!(path.with_extension("res.quarantine").exists());
         let _ = fs::remove_dir_all(&dir);

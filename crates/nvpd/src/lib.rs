@@ -19,6 +19,9 @@
 //! * malformed or non-`Submit` opening frames, including requests
 //!   encoded under another [`nvp_experiments::wire::PROTOCOL`].
 //!
+//! A job that fails or panics once admitted draws a non-retryable
+//! `Reject` naming it; the worker survives and takes the next job.
+//!
 //! Duplicate submissions are deduplicated through the shared
 //! content-addressed cache: the second identical job reports zero new
 //! simulations in its `Result` frame.
@@ -45,6 +48,7 @@ pub mod journal;
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -417,6 +421,12 @@ fn send_frame(stream: &mut TcpStream, msg: &Message, faults: &ServiceFaultPlan) 
 /// its result is stored content-addressed, and the `Completed`
 /// transition (with the stored digest) is journalled — compacting the
 /// log when it was the last live entry.
+///
+/// A job that fails or panics (a config its builders cannot run) draws
+/// a non-retryable `Reject` and is journalled as finished with the
+/// all-zero digest, so a restart does not replay it; the worker then
+/// takes the next job. Unwinding is safe here: memo slots, sim-cache
+/// keys and the job's trace scope all release on unwind.
 fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, counters: &Counters) {
     faults.delay_job();
     let Job { id, key, request, stream } = job;
@@ -444,7 +454,11 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
         }
     }
 
-    match run_request(&request) {
+    let outcome =
+        panic::catch_unwind(AssertUnwindSafe(|| run_request(&request))).unwrap_or_else(|payload| {
+            Err(io::Error::other(format!("panicked: {}", message(&*payload))))
+        });
+    match outcome {
         Ok(result) => {
             if let Some(j) = journal {
                 match j.put_result(&key, &result) {
@@ -466,6 +480,11 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
             }
         }
         Err(e) => {
+            if let Some(j) = journal {
+                if let Err(e) = j.completed(id, &[0; 32]) {
+                    eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
+                }
+            }
             if let Some(mut stream) = stream {
                 let msg =
                     Message::Reject { reason: format!("job {id} failed: {e}"), retryable: false };
@@ -473,6 +492,15 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
             }
         }
     }
+}
+
+/// The text a panic carried, when it carried text.
+fn message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-text panic payload")
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Loopback tests: a real `nvpd` server on 127.0.0.1 driven by the real
 //! client, pinning the acceptance criteria — over-the-wire artifacts
 //! byte-identical to in-process runs, duplicate submissions deduped
-//! through the shared cache, and admission control rejecting what it
-//! must without taking the server down.
+//! through the shared cache, and admission control and panicking jobs
+//! rejected without taking the server down.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
+use nvp_experiments::client::{ClientConfig, ClientError};
 use nvp_experiments::record::{put_frame, put_str};
 use nvp_experiments::wire::{
     encode_request_bytes, read_frame, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
@@ -400,6 +401,67 @@ fn zero_job_budget_drains_the_journal_and_returns() {
         nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
             .expect("reopen journal");
     assert!(recovery.pending.is_empty(), "the recovered job completed");
+
+    reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// Submits a job whose builder panics (F12 with no profile seeds reads
+/// the first one), then a healthy quick `f3` job, to a two-job server,
+/// and returns its counters. The panicking job must draw a
+/// non-retryable Reject naming it, and the healthy job its Result.
+fn serve_panicking_then_healthy_job(state_dir: Option<PathBuf>) -> ServerStats {
+    let (addr, handle) =
+        start_server(ServerConfig { max_jobs: Some(2), state_dir, ..ServerConfig::default() });
+    let addr = addr.to_string();
+
+    let mut config = ExpConfig::quick();
+    config.profile_seeds.clear();
+    let poison = CampaignRequest::only(config, &["f12"]);
+    let once = ClientConfig { retries: 0, ..ClientConfig::default() };
+    match client::submit_with(&addr, &poison, &once) {
+        Err(ClientError::Rejected { reason }) => {
+            assert!(reason.contains("job 0 failed: panicked"), "{reason}");
+        }
+        Err(e) => panic!("expected a non-retryable Reject, got: {e}"),
+        Ok(_) => panic!("a job with no profile seeds cannot produce F12"),
+    }
+
+    let healthy = CampaignRequest::only(ExpConfig::quick(), &["f3"]);
+    let outcome = client::submit(&addr, &healthy).expect("healthy job after a panicking one");
+    assert_eq!(outcome.result.tables.len(), 1);
+    handle.join().expect("server thread").expect("server run")
+}
+
+#[test]
+fn a_panicking_job_is_rejected_and_the_worker_serves_the_next() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+
+    let stats = serve_panicking_then_healthy_job(None);
+    assert_eq!((stats.accepted, stats.completed, stats.rejected), (2, 1, 0));
+    reset_sim_cache();
+}
+
+#[test]
+fn a_panicking_job_is_journalled_as_finished() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("panic");
+
+    let stats = serve_panicking_then_healthy_job(Some(state_dir.clone()));
+    assert_eq!((stats.accepted, stats.completed, stats.recovered), (2, 1, 0));
+
+    // Both jobs finished, so the live set emptied and the journal
+    // compacted to its 8-byte header; a restart replays nothing.
+    let log = fs::read(state_dir.join("journal.log")).expect("read journal");
+    assert_eq!(log, b"nvpjrnl1", "journal holds only its header");
+    let (_, recovery) =
+        nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
+            .expect("reopen journal");
+    assert!(recovery.pending.is_empty(), "the failed job is not replayed");
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
