@@ -8,7 +8,7 @@
 //! resident `nvpd` campaign server and writes the returned values —
 //! byte-identical artifacts either way.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use nvp_experiments::cli::{self, Command};
@@ -130,13 +130,13 @@ fn main() -> ExitCode {
         };
     }
 
-    // In-process mode. Persistent simulation cache: --no-cache pins it
-    // memory-only; NVP_CACHE_DIR (resolved lazily by the library) wins
-    // over the default <out_dir>/.simcache.
-    if no_cache {
-        let _ = set_cache_dir(None);
-    } else if std::env::var_os("NVP_CACHE_DIR").is_none_or(|v| v.is_empty()) {
-        let cache_dir = out_dir.join(".simcache");
+    // In-process mode. Persistent simulation cache: NVP_CACHE_DIR wins
+    // over the default <out_dir>/.simcache; --no-cache attaches none,
+    // which leaves the library's cache memory-only.
+    if !no_cache {
+        let cache_dir = std::env::var_os("NVP_CACHE_DIR")
+            .filter(|v| !v.is_empty())
+            .map_or_else(|| out_dir.join(".simcache"), PathBuf::from);
         if let Err(e) = set_cache_dir(Some(&cache_dir)) {
             eprintln!(
                 "warning: sim cache at {} unavailable ({e}); running without",

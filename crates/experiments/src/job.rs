@@ -104,7 +104,7 @@ pub struct CampaignResult {
     /// Simulation-cache counters for this job
     /// ([`SimCacheStats::since`] delta over the run).
     pub cache: SimCacheStats,
-    /// Work-stealing scheduler counters for this job.
+    /// Task-scheduler counters for this job.
     pub sched: SchedStats,
     /// Execution-tier counters for this job: lane-group dispatch
     /// ([`ExecStats::since`] delta).
@@ -167,7 +167,7 @@ enum CampaignOutput {
 }
 
 /// Runs `experiments` and the profile series for `profile_seeds` as one
-/// flattened task list on the work-stealing scheduler, returning tables
+/// flattened task list on the task scheduler, returning tables
 /// in experiment order and profile CSVs in seed order.
 pub(crate) fn run_campaign(
     cfg: &ExpConfig,

@@ -1,4 +1,4 @@
-//! Thread-count configuration for the work-stealing scheduler.
+//! Thread-count configuration for the task scheduler.
 //!
 //! The scheduler itself lives in [`crate::sched`]; this module owns the
 //! single process-wide answer to "how many workers may run at once".

@@ -3,7 +3,7 @@
 //! The in-memory cache in [`crate::simcache`] dies with the process, so
 //! a warm full-campaign rerun still pays for every unique simulation.
 //! This module makes the cache durable: an **append-only record log**
-//! under a cache directory (`NVP_CACHE_DIR`, or `<out_dir>/.simcache`
+//! under a cache directory a binary attaches (`NVP_CACHE_DIR`, or `<out_dir>/.simcache`
 //! for the `repro` binary), **sharded by the first hex digit** of the
 //! SHA-256 content key, so concurrent writers rarely touch the same
 //! file and a reload opens at most 16 small files. (A reload pays

@@ -3,7 +3,7 @@
 //! Since the `nvpd` refactor this module is a thin filesystem adapter
 //! over the [`crate::job`] layer: every entry point builds a
 //! [`CampaignRequest`], executes it with [`job::run_request`] (one
-//! flattened task list on the work-stealing scheduler — see
+//! flattened task list on the task scheduler — see
 //! [`crate::sched`]), and renders the returned [`CampaignResult`] with
 //! its `write` method. The same request/result pair travels over the
 //! wire to the campaign server, so in-process and remote runs share one
@@ -47,7 +47,7 @@ fn into_artifacts(result: CampaignResult, out_dir: &Path) -> io::Result<RunArtif
 /// Regenerates the full evaluation and writes one CSV per table, one
 /// CSV per raw power-profile series, and a combined `RESULTS.md`, into
 /// `out_dir` (created if missing). Builders and profile series run as
-/// one flattened task list on the work-stealing scheduler; set
+/// one flattened task list on the task scheduler; set
 /// `NVP_THREADS=1` to force a fully sequential run.
 ///
 /// # Errors

@@ -1,19 +1,18 @@
-//! Work-stealing task scheduler for the evaluation runner.
+//! Task scheduler for the evaluation runner.
 //!
 //! [`par_map`] maps a function over a slice on scoped worker threads
 //! and returns results in input order. Unlike the earlier fork-join
-//! helper it is built around three ideas:
+//! helper it is built around these ideas:
 //!
-//! * **Per-worker deques, stealing idle workers busy.** Each worker
-//!   owns a deque of task indices (Chase–Lev style discipline over
-//!   `std` primitives: LIFO `pop_back` on the owner's side for cache
-//!   locality, FIFO `pop_front` steals from victims so the oldest —
-//!   largest-remaining — work migrates first). A worker whose deque
-//!   runs dry sweeps the other deques in a deterministic order; the
-//!   sweep coming up empty means every task has been claimed and the
-//!   worker retires. Task *indices* are what move between threads, so
-//!   the deques carry no borrowed data and the whole scheduler is
-//!   `forbid(unsafe_code)`-clean.
+//! * **One claim cursor per call, last task first.** Every worker of a
+//!   call — the caller and each helper it recruits — claims the next
+//!   task index from one shared atomic cursor, and retires once the
+//!   cursor passes the end. Indices are handed out from the last to
+//!   the first: a campaign's task list ends with the F1 profile
+//!   series, about half of a warm campaign's work, so they start first
+//!   and the short builders fill in behind them. Task *indices* are
+//!   what move between threads, so the cursor carries no borrowed data
+//!   and the whole scheduler is `forbid(unsafe_code)`-clean.
 //!
 //! * **One process-wide worker budget instead of nested pools.** The
 //!   number of helper threads holding a budget token across *all*
@@ -46,19 +45,18 @@
 //!   result into its own pre-allocated slot — no shared `Mutex<Vec>`
 //!   on the hot path, no final sort. Input order falls out of the slot
 //!   indices, so parallel and sequential execution stay byte-identical
-//!   no matter how tasks were stolen.
+//!   no matter which worker claimed which task.
 //!
 //! A panic inside the mapped function propagates to the caller with
 //! its **original payload**: each worker catches the unwind, the first
 //! payload is parked, every worker stops claiming tasks, and after the
 //! scope joins the helpers the caller resumes the unwind. (Letting a
 //! helper's panic reach the scope instead would replace the payload
-//! with a generic "a scoped thread panicked".) Deque locks are
+//! with a generic "a scoped thread panicked".) Result-slot locks are
 //! recovered from poisoning for the same reason.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::Scope;
@@ -71,7 +69,9 @@ use crate::par::{thread_budget, thread_count};
 pub struct SchedStats {
     /// Tasks submitted through the scheduler (including inline runs).
     pub tasks: u64,
-    /// Tasks claimed from another worker's deque.
+    /// Always 0: every worker of a call claims from one shared cursor,
+    /// so no task is taken from another worker. Kept only because the
+    /// `Result` frame and the benchmark still carry it.
     pub steals: u64,
     /// Helper threads spawned.
     pub helpers: u64,
@@ -91,7 +91,6 @@ impl SchedStats {
 }
 
 static TASKS: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
 static HELPERS: AtomicU64 = AtomicU64::new(0);
 
 /// Budget tokens: the helper threads holding one, across every
@@ -111,7 +110,7 @@ static POOL: Pool = Pool { live: AtomicUsize::new(0) };
 pub fn sched_stats() -> SchedStats {
     SchedStats {
         tasks: TASKS.load(Ordering::Relaxed),
-        steals: STEALS.load(Ordering::Relaxed),
+        steals: 0,
         helpers: HELPERS.load(Ordering::Relaxed),
     }
 }
@@ -213,15 +212,8 @@ impl Drop for Slot {
     }
 }
 
-/// Locks a deque, recovering from poisoning: the deques hold plain
-/// indices (no invariants to protect), and surfacing the *original*
-/// worker panic beats replacing it with a `PoisonError`.
-fn lock_deque(deque: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-    deque.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// One `par_map` invocation: the task list, the per-worker deques, and
-/// the result slots. Shared by reference with every worker the call
+/// One `par_map` invocation: the task list, the claim cursor, and the
+/// result slots. Shared by reference with every worker the call
 /// recruits.
 struct Run<'env, T, R, F> {
     items: &'env [T],
@@ -229,16 +221,12 @@ struct Run<'env, T, R, F> {
     /// One slot per task index; each is locked at most twice (result
     /// store, final take), so there is no cross-task contention.
     slots: &'env [Mutex<Option<R>>],
-    /// Per-worker task-index deques; owner pops the back, thieves pop
-    /// the front.
-    deques: Vec<Mutex<VecDeque<usize>>>,
-    /// Indices still sitting in some deque (i.e. claimable). Recruiting
-    /// stops once this reaches zero — tasks already executing cannot be
-    /// helped.
-    unclaimed: AtomicUsize,
-    /// Next worker id to hand to a newly recruited helper (0 is the
-    /// caller).
-    next_worker: AtomicUsize,
+    /// Claims handed out so far; claim `i` is task `len - 1 - i`.
+    /// Recruiting stops once it reaches the task count — tasks already
+    /// executing cannot be helped.
+    next: AtomicUsize,
+    /// Workers started so far, the caller included.
+    started: AtomicUsize,
     /// Worker-slot cap for this call (`thread_count` of the task
     /// count).
     workers: usize,
@@ -264,23 +252,12 @@ where
         workers: usize,
         lender: Arc<Lender>,
     ) -> Self {
-        // Contiguous chunks: worker `w` seeds its deque with the w-th
-        // slice of the index space, so LIFO local pops stay dense while
-        // FIFO steals peel whole untouched prefixes from idle workers.
-        let mut deques: Vec<Mutex<VecDeque<usize>>> = Vec::with_capacity(workers);
-        let per = items.len().div_ceil(workers);
-        for w in 0..workers {
-            let lo = (w * per).min(items.len());
-            let hi = ((w + 1) * per).min(items.len());
-            deques.push(Mutex::new((lo..hi).collect()));
-        }
         Run {
             items,
             f,
             slots,
-            deques,
-            unclaimed: AtomicUsize::new(items.len()),
-            next_worker: AtomicUsize::new(1),
+            next: AtomicUsize::new(0),
+            started: AtomicUsize::new(1),
             workers,
             panic: Mutex::new(None),
             aborted: AtomicBool::new(false),
@@ -293,28 +270,12 @@ where
         self.panic.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// LIFO pop from the worker's own deque.
-    fn pop_local(&self, w: usize) -> Option<usize> {
-        let idx = lock_deque(&self.deques[w]).pop_back();
-        if idx.is_some() {
-            self.unclaimed.fetch_sub(1, Ordering::Relaxed);
-        }
-        idx
-    }
-
-    /// FIFO steal, sweeping victims in a deterministic order starting
-    /// after the thief. An empty sweep means every task is claimed.
-    fn steal(&self, w: usize) -> Option<usize> {
-        for off in 1..self.workers {
-            let victim = (w + off) % self.workers;
-            let idx = lock_deque(&self.deques[victim]).pop_front();
-            if idx.is_some() {
-                self.unclaimed.fetch_sub(1, Ordering::Relaxed);
-                STEALS.fetch_add(1, Ordering::Relaxed);
-                return idx;
-            }
-        }
-        None
+    /// Claims the next unclaimed task index, last index first; `None`
+    /// once every task is claimed.
+    fn claim(&self) -> Option<usize> {
+        let len = self.items.len();
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < len).then(|| len - 1 - i)
     }
 
     /// Spawns one more helper if claimable work remains, a worker slot
@@ -324,16 +285,15 @@ where
     /// experiment finishing) is recruited into whatever call still has
     /// queued tasks.
     fn maybe_recruit<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
-        if self.unclaimed.load(Ordering::Relaxed) == 0
-            || self.next_worker.load(Ordering::Relaxed) >= self.workers
+        if self.next.load(Ordering::Relaxed) >= self.items.len()
+            || self.started.load(Ordering::Relaxed) >= self.workers
         {
             return;
         }
         let Some(slot) = Slot::acquire(self.lender.pool) else {
             return;
         };
-        let id = self.next_worker.fetch_add(1, Ordering::Relaxed);
-        if id >= self.workers {
+        if self.started.fetch_add(1, Ordering::Relaxed) >= self.workers {
             // Lost the worker-slot race; dropping `slot` hands it back.
             return;
         }
@@ -341,16 +301,15 @@ where
         scope.spawn(move || {
             let _slot = slot;
             let _enclosing = Enclosing::enter(Arc::clone(&self.lender));
-            self.work(scope, id);
+            self.work(scope);
         });
     }
 
-    /// A worker's main loop: local pops, then steals, recruiting
-    /// between tasks; retires when a full steal sweep finds nothing or
-    /// a sibling panicked.
-    fn work<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>, w: usize) {
+    /// A worker's main loop: claim, recruit, run; retires once every
+    /// task is claimed or a sibling panicked.
+    fn work<'scope>(&'scope self, scope: &'scope Scope<'scope, '_>) {
         while !self.aborted.load(Ordering::Relaxed) {
-            let Some(i) = self.pop_local(w).or_else(|| self.steal(w)) else {
+            let Some(i) = self.claim() else {
                 return;
             };
             self.maybe_recruit(scope);
@@ -358,8 +317,8 @@ where
                 (self.f)(&self.items[i])
             })) {
                 Ok(r) => {
-                    // A slot is written exactly once: indices live in
-                    // exactly one deque and are claimed exactly once.
+                    // A slot is written exactly once: the cursor hands
+                    // out each index exactly once.
                     *self.slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
                         Some(r);
                 }
@@ -378,8 +337,8 @@ where
     }
 }
 
-/// Maps `f` over `items` on the work-stealing scheduler, preserving
-/// input order in the output. The caller always participates; helper
+/// Maps `f` over `items` on the scheduler, preserving input order in
+/// the output. The caller always participates; helper
 /// threads are recruited from the process-wide budget, or from a slot
 /// an enclosing call's idle caller lends, while spare capacity and
 /// claimable tasks both exist. Once the caller has nothing left to
@@ -407,7 +366,7 @@ where
         let _enclosing = Enclosing::enter(Arc::clone(&lender));
         let run = Run::new(items, &f, &slots, workers, lender);
         std::thread::scope(|s| {
-            run.work(s, 0);
+            run.work(s);
             // Nothing left to claim: lend this thread's slot while the
             // scope joins the helpers. Every borrower is a helper of a
             // call nested inside this scope, so it has handed the slot
@@ -514,6 +473,28 @@ mod tests {
         assert_eq!(par_map_groups(&[41u32], |&x| x + 1), vec![42]);
         let items: Vec<u32> = (0..5).collect();
         assert_eq!(par_map_groups(&items, |&x| x), items);
+    }
+
+    #[test]
+    fn a_caller_without_helpers_claims_the_last_task_first() {
+        let _guard = override_lock();
+        let _pool = private_pool();
+        set_thread_override(Some(2));
+        // Take the private pool's one helper token, so the caller runs
+        // every task itself and the claim order is exactly the cursor's.
+        let pool = ENCLOSING.with_borrow(|head| head.as_ref().expect("private pool").pool);
+        assert!(pool.try_acquire(), "the private pool starts with its token free");
+        let held = Slot::Budget(pool);
+        let claims = Mutex::new(Vec::new());
+        let items: Vec<usize> = (0..5).collect();
+        let out = par_map(&items, |&i| {
+            claims.lock().unwrap().push(i);
+            i * 10
+        });
+        drop(held);
+        set_thread_override(None);
+        assert_eq!(out, vec![0, 10, 20, 30, 40], "results stay in input order");
+        assert_eq!(claims.into_inner().unwrap(), vec![4, 3, 2, 1, 0]);
     }
 
     #[test]

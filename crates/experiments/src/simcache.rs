@@ -51,13 +51,12 @@
 //!
 //! The in-memory index can be backed by an on-disk record log (see
 //! [`crate::persist`] for the format), so a *fresh process* rerunning
-//! the campaign is served from cache instead of resimulating. The
-//! backing directory is resolved once, lazily, on the first cache
-//! access: [`set_cache_dir`] (what the `repro` binary calls, defaulting
-//! to `<out_dir>/.simcache` unless `--no-cache`) wins over the
-//! `NVP_CACHE_DIR` environment variable; with neither, the cache stays
-//! memory-only and behaves exactly as before. Library users and tests
-//! therefore never touch the filesystem unless they opt in. Every
+//! the campaign is served from cache instead of resimulating. Only
+//! [`set_cache_dir`] attaches a directory: the `repro` and `nvpd`
+//! binaries call it (each reads `NVP_CACHE_DIR` itself), and without
+//! that call the cache stays memory-only. Library users, tests and
+//! benchmarks therefore never touch the filesystem, and no
+//! environment variable changes what they do, unless they opt in. Every
 //! first-time insert is appended to the log; reports loaded from disk
 //! are bit-identical to recomputed ones (the key is a SHA-256 of every
 //! simulation input and the value encoding round-trips float bit
@@ -549,19 +548,10 @@ enum Origin {
     Disk,
 }
 
-/// The persistence backing, resolved at most once per process.
-#[derive(Debug)]
-enum PersistState {
-    /// Neither [`set_cache_dir`] nor `NVP_CACHE_DIR` consulted yet.
-    Unresolved,
-    /// Memory-only (no directory configured, or opening one failed).
-    Disabled,
-    /// Appending to (and loaded from) an open store.
-    Active(PersistentStore),
-}
-
 static CACHE: Memo<Digest, (SimOutcome, Origin)> = OnceLock::new();
-static PERSIST: Mutex<PersistState> = Mutex::new(PersistState::Unresolved);
+/// The attached store, appended to on every miss; `None` is
+/// memory-only.
+static PERSIST: Mutex<Option<PersistentStore>> = Mutex::new(None);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
@@ -569,10 +559,10 @@ static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
-/// (never the reverse), shared by resolution, loading, and appending.
+/// (never the reverse), shared by attaching, loading, and appending.
 /// A simulation appends from inside its slot's fill, holding no map
 /// lock, so nothing that holds [`PERSIST`] may wait on a slot.
-fn persist_lock() -> std::sync::MutexGuard<'static, PersistState> {
+fn persist_lock() -> std::sync::MutexGuard<'static, Option<PersistentStore>> {
     PERSIST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -590,7 +580,7 @@ fn persist_lock() -> std::sync::MutexGuard<'static, PersistState> {
 /// replaces it with a filled slot instead of waiting on it (see
 /// [`persist_lock`]); the simulation finishes into the slot its own
 /// waiters hold.
-fn activate(state: &mut PersistState, dir: &Path) -> std::io::Result<u64> {
+fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<u64> {
     let (store, loaded) = PersistentStore::open(dir)?;
     QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
     let mut map = CACHE.get_or_init(Mutex::default).lock().expect("sim cache lock");
@@ -604,52 +594,40 @@ fn activate(state: &mut PersistState, dir: &Path) -> std::io::Result<u64> {
         }
     }
     drop(map);
-    *state = PersistState::Active(store);
+    *state = Some(store);
     Ok(merged)
 }
 
 /// Points the simulation cache at a persistent directory (`Some`) or
-/// pins it memory-only (`None`), overriding `NVP_CACHE_DIR`. Opening a
+/// makes it memory-only (`None`, the state before any call). Opening a
 /// directory loads every valid record into the in-memory index
 /// immediately and returns how many were merged; subsequent first-time
 /// simulations are appended to it. On `Err` the cache falls back to
 /// memory-only — a broken cache directory costs time, never a run.
 ///
-/// The `repro` binary calls this with `<out_dir>/.simcache` (or `None`
-/// under `--no-cache`); benchmarks call it to measure cold/warm/reload
-/// behavior. Calling it again re-resolves: pointing at the same
-/// directory after [`reset_sim_cache`] reloads the log from disk, and
-/// pointing at a *different* directory first drops every entry the old
-/// store contributed, so records never leak between cache directories
-/// (see `tests/persist_cache.rs`).
+/// The `repro` binary calls this with `$NVP_CACHE_DIR` or
+/// `<out_dir>/.simcache` (not at all under `--no-cache`), `nvpd serve`
+/// with its state directory's store or `$NVP_CACHE_DIR`; benchmarks
+/// call it to measure cold/warm/reload behavior. Calling it again
+/// re-attaches: pointing at the same directory after
+/// [`reset_sim_cache`] reloads the log from disk, and pointing at a
+/// *different* directory first drops every entry the old store
+/// contributed, so records never leak between cache directories (see
+/// `tests/persist_cache.rs`).
 pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
     let mut state = persist_lock();
+    *state = None;
     match dir {
-        None => {
-            *state = PersistState::Disabled;
-            Ok(0)
-        }
-        Some(d) => activate(&mut state, d).inspect_err(|_| *state = PersistState::Disabled),
+        None => Ok(0),
+        Some(d) => activate(&mut state, d),
     }
 }
 
-/// Resolves `NVP_CACHE_DIR` on the first cache access if no explicit
-/// [`set_cache_dir`] call got there first. Unset or empty means
-/// memory-only, as does a directory that fails to open.
-fn ensure_persist_resolved() {
-    let mut state = persist_lock();
-    if matches!(*state, PersistState::Unresolved) {
-        *state = PersistState::Disabled;
-        if let Some(dir) = std::env::var_os("NVP_CACHE_DIR").filter(|v| !v.is_empty()) {
-            let _ = activate(&mut state, Path::new(&dir));
-        }
-    }
-}
-
-/// Best-effort append of a freshly computed outcome to the active store.
+/// Best-effort append of a freshly computed outcome to the attached
+/// store.
 fn persist_append(key: &Digest, outcome: &SimOutcome) {
     let state = persist_lock();
-    if let PersistState::Active(store) = &*state {
+    if let Some(store) = &*state {
         if store.append(key, outcome).is_ok() {
             PERSISTED.fetch_add(1, Ordering::Relaxed);
         }
@@ -663,7 +641,6 @@ fn persist_append(key: &Digest, outcome: &SimOutcome) {
 /// one run and counts a hit. A miss is counted exactly when `run` ran
 /// here. A panicking `run` leaves the key empty for the next caller.
 pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
-    ensure_persist_resolved();
     let mut ran = false;
     let entry = memo(&CACHE, key, || {
         ran = true;

@@ -74,7 +74,7 @@ pub const DEFAULT_SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct ServerConfig {
     /// Worker threads executing jobs. The default is 1, which keeps the
     /// per-job cache/scheduler counter deltas exact; each job's
-    /// simulations still spread over the work-stealing pool via
+    /// simulations still spread over the scheduler's worker budget via
     /// `NVP_THREADS`. A quick `f3`+`f12` simulate job at a budget of 2
     /// keeps 1.9 threads busy on average (measured in-process on a
     /// 2-core x86-64 VM: process CPU time over wall time across 60
@@ -422,11 +422,12 @@ fn send_frame(stream: &mut TcpStream, msg: &Message, faults: &ServiceFaultPlan) 
 /// transition (with the stored digest) is journalled — compacting the
 /// log when it was the last live entry.
 ///
-/// A job that fails or panics (a config its builders cannot run) draws
-/// a non-retryable `Reject` and is journalled as finished with the
-/// all-zero digest, so a restart does not replay it; the worker then
-/// takes the next job. Unwinding is safe here: memo slots, sim-cache
-/// keys and the job's trace scope all release on unwind.
+/// A job that fails or panics (a config its builders cannot run), or
+/// whose result is too big for one frame, draws a non-retryable
+/// `Reject` and is journalled as finished with the all-zero digest, so
+/// a restart does not replay it; the worker then takes the next job.
+/// Unwinding is safe here: memo slots, sim-cache keys and the job's
+/// trace scope all release on unwind.
 fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, counters: &Counters) {
     faults.delay_job();
     let Job { id, key, request, stream } = job;
@@ -461,22 +462,36 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
     match outcome {
         Ok(result) => {
             if let Some(j) = journal {
-                match j.put_result(&key, &result) {
-                    Ok(digest) => {
-                        if let Err(e) = j.completed(id, &digest) {
-                            eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
-                        }
-                    }
-                    Err(e) => eprintln!("nvpd: warning: result store put failed for job {id}: {e}"),
+                // A result the store refuses (one over the frame bound)
+                // is still a finished job: journal it with the all-zero
+                // digest, "nothing stored", so no restart reruns it.
+                let digest = j.put_result(&key, &result).unwrap_or_else(|e| {
+                    eprintln!("nvpd: warning: result store put failed for job {id}: {e}");
+                    [0; 32]
+                });
+                if let Err(e) = j.completed(id, &digest) {
+                    eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
                 }
             }
             if let Some(mut stream) = stream {
                 let msg = Message::Result { job: id, replayed: false, result };
-                if send_frame(&mut stream, &msg, faults).is_ok() {
-                    counters.completed.fetch_add(1, Ordering::Relaxed);
+                match send_frame(&mut stream, &msg, faults) {
+                    Ok(()) => {
+                        counters.completed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // The frame bound refused the result before a byte
+                    // went out: a retry would only rerun the job.
+                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                        let msg = Message::Reject {
+                            reason: format!("job {id} failed: {e}"),
+                            retryable: false,
+                        };
+                        let _ = send_frame(&mut stream, &msg, faults);
+                    }
+                    // Client gone: the work still warmed the cache and
+                    // the result store; the retry will be a replay.
+                    Err(_) => {}
                 }
-                // Client gone: the work still warmed the cache and the
-                // result store; the retry will be a replay.
             }
         }
         Err(e) => {

@@ -113,11 +113,20 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
     // A stateful server keeps its simulation store next to the journal,
     // so one --state-dir makes the whole server durable. A stateless
-    // one leaves the store to NVP_CACHE_DIR, resolved by the library.
+    // one attaches NVP_CACHE_DIR when set, and without it (or when it
+    // fails to open) simulates memory-only.
     if let Some(state) = &opts.config.state_dir {
         let dir = state.join("simcache");
         set_cache_dir(Some(&dir))
             .map_err(|e| format!("cannot attach cache at {}: {e}", dir.display()))?;
+    } else if let Some(dir) = std::env::var_os("NVP_CACHE_DIR").filter(|v| !v.is_empty()) {
+        let dir = PathBuf::from(dir);
+        if let Err(e) = set_cache_dir(Some(&dir)) {
+            eprintln!(
+                "nvpd: warning: sim cache at {} unavailable ({e}); running without",
+                dir.display()
+            );
+        }
     }
     let server = Server::bind(&opts.addr).map_err(|e| format!("bind {}: {e}", opts.addr))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;

@@ -466,3 +466,41 @@ fn a_panicking_job_is_journalled_as_finished() {
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
 }
+
+#[test]
+fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("oversize");
+    let (addr, handle) = start_server(ServerConfig {
+        max_jobs: Some(1),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    });
+
+    // Forty seconds of F1 profiles encode to about 17.4 MB, past the
+    // 16 MiB frame bound. With one job budgeted, a client retry would
+    // find the server gone.
+    let mut config = ExpConfig::quick();
+    config.trace_duration_s = 40.0;
+    let request = CampaignRequest::only(config, &["f1"]);
+    let cfg = ClientConfig { retries: 2, ..ClientConfig::default() };
+    match client::submit_with(&addr.to_string(), &request, &cfg) {
+        Err(ClientError::Rejected { reason }) => {
+            assert!(reason.contains("job 0 failed") && reason.contains("frame bound"), "{reason}");
+        }
+        Err(e) => panic!("expected a non-retryable Reject, got: {e}"),
+        Ok(_) => panic!("a result over the frame bound cannot be sent"),
+    }
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!((stats.accepted, stats.completed), (1, 0));
+
+    let (_, recovery) =
+        nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
+            .expect("reopen journal");
+    assert!(recovery.pending.is_empty(), "the oversized job is not replayed");
+
+    reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}

@@ -1,5 +1,5 @@
 //! Scheduler determinism: the campaign artifacts are byte-identical no
-//! matter how many workers the work-stealing scheduler runs, and no
+//! matter how many workers the scheduler runs, and no
 //! matter whether the simulation cache is cold or warm. This is the
 //! contract that lets `NVP_THREADS` be a pure performance knob and the
 //! cache a pure time saver — neither may ever show up in the bytes.
@@ -70,7 +70,7 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
     assert_same_artifacts("threads=1 warm", &reference, &warm_dir);
     let _ = std::fs::remove_dir_all(&warm_dir);
 
-    // Wider schedules, cold and warm each: stealing order, helper
+    // Wider schedules, cold and warm each: claim order, helper
     // recruitment, and cache temperature must all be invisible.
     for threads in [2usize, 8] {
         set_thread_override(Some(threads));
