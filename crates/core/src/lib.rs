@@ -83,9 +83,7 @@ pub use backup::{
 pub use clock::ClockPolicy;
 pub use fault::FaultPlan;
 pub use nvp_energy::{EnergyFrontEnd, FrontEndConfig, TickIncome};
-pub use platform::{
-    drive, drive_observed, NullObserver, Platform, SimEvent, SimObserver, TickOutcome,
-};
+pub use platform::{drive, drive_observed, NullObserver, Platform, SimEvent, SimObserver};
 pub use policy::{BackupPolicy, Thresholds};
 pub use system::{
     measure_task, EnergyBreakdown, IntermittentSystem, RunReport, SystemConfig, TaskCost,

@@ -14,7 +14,7 @@
 
 use nvp_energy::units::{Seconds, Watts};
 use nvp_energy::{EnergyFrontEnd, PowerTrace, TickIncome};
-use nvp_sim::{Machine, SimError};
+use nvp_sim::SimError;
 
 use crate::RunReport;
 
@@ -67,17 +67,6 @@ pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
 
-/// What a platform did with one trace tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TickOutcome {
-    /// Spent at least part of the tick executing instructions.
-    Ran,
-    /// Spent the whole tick off/charging/sleeping.
-    Idle,
-    /// The program has finished and the platform will not run again.
-    Done,
-}
-
 /// An intermittently powered platform that the shared [`drive`] loop can
 /// step over a power trace.
 ///
@@ -108,16 +97,10 @@ pub trait Platform {
         income: TickIncome,
         dt_s: f64,
         obs: &mut dyn SimObserver,
-    ) -> Result<TickOutcome, SimError>;
-
-    /// The accumulated report so far.
-    fn report(&self) -> &RunReport;
+    ) -> Result<(), SimError>;
 
     /// Mutable report access (the drive loop's shared bookkeeping).
     fn report_mut(&mut self) -> &mut RunReport;
-
-    /// The instruction-level machine (for output/quality inspection).
-    fn machine(&self) -> &Machine;
 
     /// Instructions executed since the last durable commit.
     fn uncommitted(&self) -> u64;

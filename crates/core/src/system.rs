@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
+use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver};
 use crate::{BackupModel, BackupPolicy, ClockPolicy, FaultPlan, Thresholds};
 
 /// Static platform configuration shared by the intermittent platforms.
@@ -460,12 +460,6 @@ impl IntermittentSystem {
             current_clock_hz: config.clock_hz,
             report: RunReport::default(),
         }
-    }
-
-    /// The shared program image this platform executes.
-    #[must_use]
-    pub fn image(&self) -> &Arc<MachineImage> {
-        &self.image
     }
 
     /// The thresholds in effect.
@@ -953,34 +947,18 @@ impl Platform for IntermittentSystem {
         income: TickIncome,
         dt_s: f64,
         obs: &mut dyn SimObserver,
-    ) -> Result<TickOutcome, SimError> {
+    ) -> Result<(), SimError> {
         self.current_clock_hz = self.config.clock_policy.select_hz(
             self.config.clock_hz,
             self.active_power_estimate_w(),
             (income.converted / Seconds::new(dt_s)).get(),
             self.fe.storage().fill_fraction(),
         );
-        let on_before = self.report.on_time_s;
-        self.advance(dt_s, obs)?;
-        Ok(if self.phase == Phase::Done {
-            TickOutcome::Done
-        } else if self.report.on_time_s > on_before {
-            TickOutcome::Ran
-        } else {
-            TickOutcome::Idle
-        })
-    }
-
-    fn report(&self) -> &RunReport {
-        &self.report
+        self.advance(dt_s, obs)
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
         &mut self.report
-    }
-
-    fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     fn uncommitted(&self) -> u64 {

@@ -15,7 +15,7 @@ use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError, DEFAULT_
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver, TickOutcome};
+use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver};
 use crate::{RunReport, TaskCost};
 
 /// Configuration for the wait-then-compute platform.
@@ -301,22 +301,12 @@ impl Platform for WaitComputeSystem {
         _income: TickIncome,
         dt_s: f64,
         obs: &mut dyn SimObserver,
-    ) -> Result<TickOutcome, SimError> {
-        let on_before = self.report.on_time_s;
-        self.advance(dt_s, obs)?;
-        Ok(if self.report.on_time_s > on_before { TickOutcome::Ran } else { TickOutcome::Idle })
-    }
-
-    fn report(&self) -> &RunReport {
-        &self.report
+    ) -> Result<(), SimError> {
+        self.advance(dt_s, obs)
     }
 
     fn report_mut(&mut self) -> &mut RunReport {
         &mut self.report
-    }
-
-    fn machine(&self) -> &Machine {
-        &self.machine
     }
 
     fn uncommitted(&self) -> u64 {

@@ -173,22 +173,10 @@ impl Capacitor {
         self.capacitance
     }
 
-    /// Capacitance in farads (untyped accessor).
-    #[must_use]
-    pub fn capacitance_f(&self) -> f64 {
-        self.capacitance.get()
-    }
-
     /// Maximum storable energy, `½CV²`.
     #[must_use]
     pub fn max_energy(&self) -> Joules {
         self.capacitance.energy_at(self.rated_voltage)
-    }
-
-    /// Maximum storable energy in joules (untyped accessor).
-    #[must_use]
-    pub fn max_energy_j(&self) -> f64 {
-        self.max_energy().get()
     }
 
     /// Currently stored energy.
@@ -215,12 +203,6 @@ impl Capacitor {
         self.wasted
     }
 
-    /// Energy lost so far in joules (untyped accessor).
-    #[must_use]
-    pub fn wasted_j(&self) -> f64 {
-        self.wasted.get()
-    }
-
     /// Adds harvested energy; overflow beyond capacity is spilled (and
     /// accounted as waste). Returns the energy actually stored.
     pub fn charge(&mut self, amount: Joules) -> Joules {
@@ -230,11 +212,6 @@ impl Capacitor {
         self.energy += stored;
         self.wasted += amount - stored;
         stored
-    }
-
-    /// Untyped variant of [`charge`](Self::charge).
-    pub fn charge_j(&mut self, joules: f64) -> f64 {
-        self.charge(Joules::new(joules)).get()
     }
 
     /// Draws `amount` if available; returns `false` (and leaves the
@@ -536,7 +513,7 @@ mod tests {
             assert_eq!(income.converted.get().to_bits(), converted.to_bits());
             assert_eq!(income.harvested.get().to_bits(), (p * dt).to_bits());
             assert_eq!(fe.storage().energy_j().to_bits(), cap.energy_j().to_bits());
-            assert_eq!(fe.storage().wasted_j().to_bits(), cap.wasted_j().to_bits());
+            assert_eq!(fe.storage().wasted().get().to_bits(), cap.wasted().get().to_bits());
         }
     }
 

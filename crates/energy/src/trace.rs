@@ -371,33 +371,6 @@ impl PowerTrace {
         assert!(factor >= 0.0, "scale factor must be non-negative");
         PowerTrace { dt_s: self.dt_s, samples: self.samples.iter().map(|p| p * factor).collect() }
     }
-
-    /// Returns this trace followed by `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sample periods differ.
-    #[must_use]
-    pub fn concat(&self, other: &PowerTrace) -> PowerTrace {
-        assert!(
-            (self.dt_s - other.dt_s).abs() < 1e-15,
-            "cannot concatenate traces with different sample periods"
-        );
-        let mut samples = self.samples.clone();
-        samples.extend_from_slice(&other.samples);
-        PowerTrace { dt_s: self.dt_s, samples }
-    }
-
-    /// Returns the trace repeated `n` times back to back (e.g. looping a
-    /// 10 s measurement into a minutes-long scenario).
-    #[must_use]
-    pub fn repeated(&self, n: usize) -> PowerTrace {
-        let mut samples = Vec::with_capacity(self.samples.len() * n);
-        for _ in 0..n {
-            samples.extend_from_slice(&self.samples);
-        }
-        PowerTrace { dt_s: self.dt_s, samples }
-    }
 }
 
 #[cfg(test)]

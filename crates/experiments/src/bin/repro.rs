@@ -13,7 +13,8 @@ use std::process::ExitCode;
 
 use nvp_experiments::cli::{self, Command};
 use nvp_experiments::{
-    client, feasibility, run_request, set_cache_dir, CampaignRequest, CampaignResult,
+    client, feasibility, run_request, set_cache_dir, set_thread_override, CampaignRequest,
+    CampaignResult,
 };
 
 /// Writes a finished campaign's artifacts and reports it, identically
@@ -130,9 +131,12 @@ fn main() -> ExitCode {
         };
     }
 
-    // In-process mode. Persistent simulation cache: NVP_CACHE_DIR wins
-    // over the default <out_dir>/.simcache; --no-cache attaches none,
-    // which leaves the library's cache memory-only.
+    // In-process mode. NVP_THREADS=N runs exactly N workers; unset, 0
+    // or garbage keeps the hardware default.
+    set_thread_override(cli::nvp_threads());
+    // Persistent simulation cache: NVP_CACHE_DIR wins over the default
+    // <out_dir>/.simcache; --no-cache attaches none, which leaves the
+    // library's cache memory-only.
     if !no_cache {
         let cache_dir = std::env::var_os("NVP_CACHE_DIR")
             .filter(|v| !v.is_empty())

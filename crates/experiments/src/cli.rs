@@ -161,36 +161,21 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Command, String> {
                 let ids = iter.next().ok_or("--only needs a comma-separated id list")?;
                 raw.only = Some(parse_only(ids)?);
             }
-            _ if arg.starts_with("--only=") => {
-                raw.only = Some(parse_only(&arg["--only=".len()..])?);
-            }
             "--seed" => {
                 let value = iter.next().ok_or("--seed needs an unsigned integer value")?;
                 raw.seed = Some(parse_seed(value)?);
-            }
-            _ if arg.starts_with("--seed=") => {
-                raw.seed = Some(parse_seed(&arg["--seed=".len()..])?);
             }
             "--connect" => {
                 let addr = iter.next().ok_or("--connect needs a server address (host:port)")?;
                 raw.connect = Some(parse_connect(addr)?);
             }
-            _ if arg.starts_with("--connect=") => {
-                raw.connect = Some(parse_connect(&arg["--connect=".len()..])?);
-            }
             "--timeout" => {
                 let value = iter.next().ok_or("--timeout needs a positive seconds value")?;
                 raw.timeout = Some(parse_timeout(value)?);
             }
-            _ if arg.starts_with("--timeout=") => {
-                raw.timeout = Some(parse_timeout(&arg["--timeout=".len()..])?);
-            }
             "--retries" => {
                 let value = iter.next().ok_or("--retries needs an unsigned integer value")?;
                 raw.retries = Some(parse_retries(value)?);
-            }
-            _ if arg.starts_with("--retries=") => {
-                raw.retries = Some(parse_retries(&arg["--retries=".len()..])?);
             }
             _ if arg.starts_with('-') && arg.len() > 1 => {
                 return Err(format!("unknown option `{arg}`"));
@@ -278,6 +263,23 @@ fn validate(raw: Raw) -> Result<Command, String> {
         timeout: raw.timeout,
         retries: raw.retries,
     })
+}
+
+/// Parses an `NVP_THREADS` value: a positive integer `N` means exactly
+/// `N` workers (`1` forces sequential execution); anything else —
+/// unset, empty, zero, garbage — means the hardware default (`None`).
+#[must_use]
+pub fn parse_nvp_threads(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse::<usize>().ok().filter(|&n| n >= 1)
+}
+
+/// The worker count `NVP_THREADS` asks for (see [`parse_nvp_threads`]).
+/// The `repro` and `nvpd` binaries pass it to
+/// [`set_thread_override`](crate::set_thread_override) at start-up;
+/// nothing else reads the variable.
+#[must_use]
+pub fn nvp_threads() -> Option<usize> {
+    parse_nvp_threads(std::env::var("NVP_THREADS").ok().as_deref())
 }
 
 /// Parses a `--seed` value.
@@ -382,17 +384,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn only_equals_form_works() {
-        let cmd = parse(&["--only=f2h"]).unwrap();
-        match cmd {
-            Command::Run { only, .. } => assert_eq!(only, Some(vec!["f2h".to_string()])),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
     /// `--only` ids are case-insensitive and fold to the canonical
-    /// lowercase registry id, in every spelling and both flag forms.
+    /// lowercase registry id, in every spelling.
     #[test]
     fn only_ids_fold_case_to_registry_form() {
         for spelling in ["f12", "F12", "f12 ", " F12"] {
@@ -403,7 +396,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        match parse(&["--only=F2H,T1,f5"]).unwrap() {
+        match parse(&["--only", "F2H,T1,f5"]).unwrap() {
             Command::Run { only, .. } => {
                 assert_eq!(only, Some(vec!["f2h".into(), "t1".into(), "f5".into()]));
             }
@@ -412,7 +405,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_flag_parses_both_forms() {
+    fn seed_flag_parses() {
         let cmd = parse(&["--only", "f12", "--seed", "42"]).unwrap();
         assert_eq!(
             cmd,
@@ -427,10 +420,6 @@ mod tests {
                 retries: None,
             }
         );
-        match parse(&["--seed=7"]).unwrap() {
-            Command::Run { seed, .. } => assert_eq!(seed, Some(7)),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]
@@ -439,9 +428,9 @@ mod tests {
         assert!(err.contains("--seed"), "{err}");
         let err = parse(&["--seed", "lots"]).unwrap_err();
         assert!(err.contains("lots"), "{err}");
-        let err = parse(&["--seed=-3"]).unwrap_err();
+        let err = parse(&["--seed", "-3"]).unwrap_err();
         assert!(err.contains("-3"), "{err}");
-        let err = parse(&["--seed=1.5"]).unwrap_err();
+        let err = parse(&["--seed", "1.5"]).unwrap_err();
         assert!(err.contains("1.5"), "{err}");
     }
 
@@ -500,15 +489,18 @@ mod tests {
         // Unknown flags after --list no longer slide through.
         let err = parse(&["--list", "--bogus"]).unwrap_err();
         assert!(err.contains("--bogus"), "{err}");
+        // Each flag has one spelling: its value is the next argument.
+        let err = parse(&["--seed=7"]).unwrap_err();
+        assert!(err.contains("unknown option `--seed=7`"), "{err}");
     }
 
     #[test]
-    fn connect_parses_both_forms_and_validates_shape() {
+    fn connect_parses_and_validates_shape() {
         match parse(&["--connect", "127.0.0.1:7117"]).unwrap() {
             Command::Run { connect, .. } => assert_eq!(connect.as_deref(), Some("127.0.0.1:7117")),
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&["out", "--quick", "--connect=localhost:9", "--only", "f2"]).unwrap() {
+        match parse(&["out", "--quick", "--connect", "localhost:9", "--only", "f2"]).unwrap() {
             Command::Run { connect, quick, only, .. } => {
                 assert_eq!(connect.as_deref(), Some("localhost:9"));
                 assert!(quick);
@@ -520,7 +512,7 @@ mod tests {
         assert!(err.contains("--connect"), "{err}");
         let err = parse(&["--connect", "noport"]).unwrap_err();
         assert!(err.contains("host:port"), "{err}");
-        let err = parse(&["--connect="]).unwrap_err();
+        let err = parse(&["--connect", ""]).unwrap_err();
         assert!(err.contains("host:port"), "{err}");
     }
 
@@ -534,7 +526,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse(&["--connect=h:1", "--timeout=0.25", "--retries=0"]).unwrap() {
+        match parse(&["--connect", "h:1", "--timeout", "0.25", "--retries", "0"]).unwrap() {
             Command::Run { timeout, retries, .. } => {
                 assert_eq!(timeout, Some(0.25));
                 assert_eq!(retries, Some(0));
@@ -548,7 +540,7 @@ mod tests {
         assert!(err.contains("--retries") && err.contains("--connect"), "{err}");
         // Value validation.
         for bad in ["0", "-1", "nan", "inf", ""] {
-            let err = parse(&["--connect", "h:1", &format!("--timeout={bad}")]).unwrap_err();
+            let err = parse(&["--connect", "h:1", "--timeout", bad]).unwrap_err();
             assert!(err.contains("--timeout"), "{bad}: {err}");
         }
         let err = parse(&["--connect", "h:1", "--retries", "-2"]).unwrap_err();
@@ -593,6 +585,20 @@ mod tests {
         assert_eq!(parse(&["--check"]).unwrap(), Command::Check { quick: false });
         assert_eq!(parse(&["--check", "--quick"]).unwrap(), Command::Check { quick: true });
         assert_eq!(parse(&["--quick", "--check"]).unwrap(), Command::Check { quick: true });
+    }
+
+    #[test]
+    fn parse_nvp_threads_accepts_positive_integers_only() {
+        assert_eq!(parse_nvp_threads(None), None);
+        assert_eq!(parse_nvp_threads(Some("")), None);
+        assert_eq!(parse_nvp_threads(Some("0")), None);
+        assert_eq!(parse_nvp_threads(Some("-3")), None);
+        assert_eq!(parse_nvp_threads(Some("lots")), None);
+        assert_eq!(parse_nvp_threads(Some("1.5")), None);
+        assert_eq!(parse_nvp_threads(Some("4!")), None);
+        assert_eq!(parse_nvp_threads(Some("1")), Some(1));
+        assert_eq!(parse_nvp_threads(Some(" 8 ")), Some(8));
+        assert_eq!(parse_nvp_threads(Some("64")), Some(64));
     }
 
     #[test]

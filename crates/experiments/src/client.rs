@@ -89,7 +89,7 @@ pub enum ClientError {
         detail: String,
     },
     /// A protocol violation (undecodable or out-of-order frame).
-    /// Never retried: the peer is not speaking `nvpd/3`.
+    /// Never retried: the peer is not speaking `nvpd/5`.
     Fatal {
         /// Underlying failure detail.
         detail: String,

@@ -380,11 +380,11 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
         assert_eq!(
-            p.decode_at(0).unwrap().unwrap(),
+            Inst::decode(p.code()[0]).unwrap(),
             Inst::Beq { rs1: Reg::R0, rs2: Reg::R0, offset: 1 }
         );
         assert_eq!(
-            p.decode_at(2).unwrap().unwrap(),
+            Inst::decode(p.code()[2]).unwrap(),
             Inst::Bne { rs1: Reg::R1, rs2: Reg::R0, offset: -1 }
         );
     }
@@ -431,9 +431,12 @@ mod tests {
         b.li(Reg::R3, 99);
         b.ret();
         let p = b.build().unwrap();
-        for addr in 0..p.code().len() as u32 {
-            assert!(p.decode_at(addr).unwrap().is_ok());
+        for &word in p.code() {
+            assert!(Inst::decode(word).is_ok());
         }
-        assert_eq!(p.decode_at(0).unwrap().unwrap(), Inst::Jal { rd: crate::LINK_REG, target: 2 });
+        assert_eq!(
+            Inst::decode(p.code()[0]).unwrap(),
+            Inst::Jal { rd: crate::LINK_REG, target: 2 }
+        );
     }
 }

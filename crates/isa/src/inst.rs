@@ -557,12 +557,6 @@ impl Inst {
         )
     }
 
-    /// Returns `true` for instructions that access data memory.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Lw { .. } | Inst::Sw { .. })
-    }
-
     /// Returns the mnemonic of this instruction (e.g. `"addi"`).
     #[must_use]
     pub fn mnemonic(&self) -> &'static str {
@@ -732,9 +726,6 @@ mod tests {
     fn classification() {
         assert!(Inst::Beq { rs1: Reg::R0, rs2: Reg::R0, offset: 0 }.is_branch());
         assert!(!Inst::Nop.is_branch());
-        assert!(Inst::Lw { rd: Reg::R1, rs1: Reg::R0, offset: 0 }.is_mem());
-        assert!(Inst::Sw { rs2: Reg::R1, rs1: Reg::R0, offset: 0 }.is_mem());
-        assert!(!Inst::Add { rd: Reg::R1, rs1: Reg::R0, rs2: Reg::R0 }.is_mem());
     }
 
     #[test]

@@ -129,16 +129,6 @@ impl Program {
         &self.symbols
     }
 
-    /// Decodes the instruction at `addr`, if in range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] if the stored word is not a valid
-    /// instruction (possible only for hand-built images).
-    pub fn decode_at(&self, addr: u32) -> Option<Result<Inst, DecodeError>> {
-        self.code.get(addr as usize).map(|&w| Inst::decode(w))
-    }
-
     /// Disassembles the whole code section, one instruction per line.
     #[must_use]
     pub fn disassemble(&self) -> String {
@@ -208,9 +198,9 @@ mod tests {
         let a0 = p.push(Inst::Nop);
         let a1 = p.push(Inst::Halt);
         assert_eq!((a0, a1), (0, 1));
-        assert_eq!(p.decode_at(0).unwrap().unwrap(), Inst::Nop);
-        assert_eq!(p.decode_at(1).unwrap().unwrap(), Inst::Halt);
-        assert!(p.decode_at(2).is_none());
+        assert_eq!(p.code().len(), 2);
+        assert_eq!(Inst::decode(p.code()[0]).unwrap(), Inst::Nop);
+        assert_eq!(Inst::decode(p.code()[1]).unwrap(), Inst::Halt);
     }
 
     #[test]

@@ -150,7 +150,6 @@ pub struct Journal {
     faults: ServiceFaultPlan,
     inner: Mutex<Inner>,
     quarantined: AtomicU64,
-    compactions: AtomicU64,
 }
 
 impl Journal {
@@ -196,7 +195,6 @@ impl Journal {
             faults,
             inner: Mutex::new(Inner { file, live: recovery.pending.len() as u64 }),
             quarantined: AtomicU64::new(recovery.quarantined),
-            compactions: AtomicU64::new(0),
         };
         Ok((journal, recovery))
     }
@@ -246,7 +244,6 @@ impl Journal {
             // header so restarts replay nothing.
             record::replace(&self.path, MAGIC)?;
             inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
-            self.compactions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -291,12 +288,6 @@ impl Journal {
     #[must_use]
     pub fn quarantined_total(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Completed-set compactions performed (startup rewrite excluded).
-    #[must_use]
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -456,8 +447,8 @@ mod tests {
         journal.admitted(0, &key, &req).unwrap();
         journal.started(0).unwrap();
         journal.completed(0, &[0u8; 32]).unwrap();
-        assert_eq!(journal.compactions(), 1, "live set emptied: journal compacts");
-        // Compaction shrank the log to its header.
+        // The live set emptied, so compaction shrank the log to its
+        // header.
         assert_eq!(fs::read(dir.join("journal.log")).unwrap(), MAGIC);
         drop(journal);
         let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();

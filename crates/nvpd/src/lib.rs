@@ -74,8 +74,8 @@ pub const DEFAULT_SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 pub struct ServerConfig {
     /// Worker threads executing jobs. The default is 1, which keeps the
     /// per-job cache/scheduler counter deltas exact; each job's
-    /// simulations still spread over the scheduler's worker budget via
-    /// `NVP_THREADS`. A quick `f3`+`f12` simulate job at a budget of 2
+    /// simulations still spread over the scheduler's worker budget
+    /// (`NVP_THREADS` for the `nvpd` binary). A quick `f3`+`f12` simulate job at a budget of 2
     /// keeps 1.9 threads busy on average (measured in-process on a
     /// 2-core x86-64 VM: process CPU time over wall time across 60
     /// jobs), with two helpers per job: F12's trial sweep borrows the

@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nvp_experiments::{set_cache_dir, trace_memo_stats};
+use nvp_experiments::{cli, set_cache_dir, set_thread_override, trace_memo_stats};
 use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
 
@@ -37,6 +37,8 @@ ephemeral port and read it back via --port-file):
 environment:
     NVP_CACHE_DIR      without --state-dir: persistent simulation store
                        (default: in-memory only)
+    NVP_THREADS        worker budget shared by every running job: N
+                       means exactly N (default: hardware parallelism)
     NVPD_FAULT_SPEC    inject seeded service faults (testing only).
                        Grammar: crash-append=N,tear=B,drop-result=B,delay-ms=N";
 
@@ -111,6 +113,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     if let Ok(spec) = std::env::var("NVPD_FAULT_SPEC") {
         opts.config.faults = ServiceFaultPlan::parse(&spec)?;
     }
+    set_thread_override(cli::nvp_threads());
     // A stateful server keeps its simulation store next to the journal,
     // so one --state-dir makes the whole server durable. A stateless
     // one attaches NVP_CACHE_DIR when set, and without it (or when it

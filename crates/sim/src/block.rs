@@ -190,7 +190,6 @@ pub(crate) struct MicroOp {
     pub(crate) kind: MicroKind,
     pub(crate) cycles: u32,
     pub(crate) energy_j: f64,
-    pub(crate) class_idx: u8,
 }
 
 impl MicroOp {
@@ -244,12 +243,7 @@ impl MicroOp {
             | Halt
             | Ckpt => return None,
         };
-        Some(MicroOp {
-            kind,
-            cycles: d.cycles_not_taken,
-            energy_j: d.energy_not_taken_j,
-            class_idx: d.class.index() as u8,
-        })
+        Some(MicroOp { kind, cycles: d.cycles_not_taken, energy_j: d.energy_not_taken_j })
     }
 }
 
@@ -325,35 +319,27 @@ pub(crate) struct BlockPlan {
     pub(crate) insts: u64,
     /// Total cycles of the body ops (terminator excluded).
     pub(crate) body_cycles: u64,
-    /// Per-[`InstClass`](crate::InstClass) body counts, fused-added on
-    /// block completion.
-    pub(crate) body_class_counts: [u64; 9],
-    /// Class index of the terminator instruction (unused for
-    /// fall-throughs).
-    pub(crate) term_class: u8,
     pub(crate) term: Term,
 }
 
-/// The per-image block partition: one [`BlockPlan`] per leader plus the
+/// The per-image block partition: one [`BlockPlan`] per block plus the
 /// flattened body-op pool and the pc → owning plan index map.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct BlockTable {
     pub(crate) plans: Vec<BlockPlan>,
     pub(crate) ops: Vec<MicroOp>,
     /// `owner[pc]` is the index of the plan whose body or terminator
-    /// holds `pc`, else [`NO_PLAN`].
+    /// holds `pc`; every address of the image has one.
     owner: Vec<u32>,
 }
 
-/// Sentinel for "no block plan covers this address".
-pub(crate) const NO_PLAN: u32 = u32::MAX;
-
 impl BlockTable {
     /// The plan whose body or terminator holds `pc` (entered mid-block
-    /// when `pc` is not its leader), or [`NO_PLAN`].
+    /// when `pc` is not its leader), or `None` for a pc outside the
+    /// image.
     #[inline]
-    pub(crate) fn owner(&self, pc: u32) -> u32 {
-        self.owner.get(pc as usize).copied().unwrap_or(NO_PLAN)
+    pub(crate) fn owner(&self, pc: u32) -> Option<u32> {
+        self.owner.get(pc as usize).copied()
     }
 }
 
@@ -403,26 +389,21 @@ fn make_term(d: &Decoded, pc: u32) -> Term {
 impl BlockTable {
     /// Partitions a predecoded image into basic blocks and lowers each
     /// block body to micro-ops.
+    ///
+    /// A block starts at every leader and at every address no earlier
+    /// block covers: code ahead of a non-zero entry has no leader before
+    /// it, and only a dynamic jump reaches it. Every address of the
+    /// image therefore belongs to exactly one block, and entries at a
+    /// non-leader run as partial blocks.
     pub(crate) fn build(code: &[Decoded], entry: u32) -> BlockTable {
         let insts: Vec<Inst> = code.iter().map(|d| d.inst).collect();
         let is_leader = nvp_isa::blocks::leaders(&insts, entry);
         let mut table =
-            BlockTable { plans: Vec::new(), ops: Vec::new(), owner: vec![NO_PLAN; code.len()] };
+            BlockTable { plans: Vec::new(), ops: Vec::new(), owner: vec![0; code.len()] };
         let mut pc = 0usize;
         while pc < code.len() {
-            if !is_leader[pc] {
-                // No leader precedes this address in straight line
-                // (code ahead of a non-zero entry), so it belongs to no
-                // block: only a dynamic jump reaches it, and the engine
-                // single-steps it. Every address inside a block is
-                // covered by `owner`, so mid-block entries run as
-                // partial blocks instead.
-                pc += 1;
-                continue;
-            }
             let op_start = table.ops.len() as u32;
             let mut body_cycles = 0u64;
-            let mut body_class_counts = [0u64; 9];
             let mut cur = pc;
             let term = loop {
                 let d = &code[cur];
@@ -431,7 +412,6 @@ impl BlockTable {
                 }
                 let op = MicroOp::lower(d).expect("non-terminators lower to micro-ops");
                 body_cycles += u64::from(op.cycles);
-                body_class_counts[usize::from(op.class_idx)] += 1;
                 table.ops.push(op);
                 cur += 1;
                 if cur >= code.len() || is_leader[cur] {
@@ -439,9 +419,9 @@ impl BlockTable {
                 }
             };
             let op_len = table.ops.len() as u32 - op_start;
-            let (term_insts, term_class, next_scan) = match term {
-                Term::FallThrough { next } => (0u64, 0u8, next as usize),
-                _ => (1u64, code[cur].class.index() as u8, cur + 1),
+            let (term_insts, next_scan) = match term {
+                Term::FallThrough { next } => (0u64, next as usize),
+                _ => (1u64, cur + 1),
             };
             let plan_idx = table.plans.len() as u32;
             let end = pc + op_len as usize + term_insts as usize;
@@ -452,8 +432,6 @@ impl BlockTable {
                 op_len,
                 insts: u64::from(op_len) + term_insts,
                 body_cycles,
-                body_class_counts,
-                term_class,
                 term,
             });
             pc = next_scan;

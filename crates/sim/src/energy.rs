@@ -3,8 +3,7 @@
 use nvp_isa::Inst;
 use serde::{Deserialize, Serialize};
 
-/// Coarse instruction classes used for cycle/energy accounting and for
-/// energy-breakdown reporting.
+/// Coarse instruction classes used for cycle/energy accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum InstClass {
     /// Register-register and register-immediate ALU operations.
@@ -28,19 +27,6 @@ pub enum InstClass {
 }
 
 impl InstClass {
-    /// All classes, in reporting order.
-    pub const ALL: [InstClass; 9] = [
-        InstClass::Alu,
-        InstClass::Mul,
-        InstClass::Div,
-        InstClass::Load,
-        InstClass::Store,
-        InstClass::Branch,
-        InstClass::Jump,
-        InstClass::Io,
-        InstClass::System,
-    ];
-
     /// Classifies an instruction.
     ///
     /// # Example
@@ -85,25 +71,6 @@ impl InstClass {
             Jal { .. } | Jalr { .. } => InstClass::Jump,
             Out { .. } | In { .. } => InstClass::Io,
             Nop | Halt | Ckpt => InstClass::System,
-        }
-    }
-
-    /// Index of the class within [`InstClass::ALL`].
-    ///
-    /// A direct match rather than a search of `ALL`: this sits on the
-    /// simulator's per-instruction accounting path.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        match self {
-            InstClass::Alu => 0,
-            InstClass::Mul => 1,
-            InstClass::Div => 2,
-            InstClass::Load => 3,
-            InstClass::Store => 4,
-            InstClass::Branch => 5,
-            InstClass::Jump => 6,
-            InstClass::Io => 7,
-            InstClass::System => 8,
         }
     }
 }
@@ -263,13 +230,6 @@ mod tests {
         assert_eq!(InstClass::of(&Jalr { rd: r, rs1: r, offset: 0 }), InstClass::Jump);
         assert_eq!(InstClass::of(&In { rd: r, port: 0 }), InstClass::Io);
         assert_eq!(InstClass::of(&Ckpt), InstClass::System);
-    }
-
-    #[test]
-    fn class_index_bijective() {
-        for (i, c) in InstClass::ALL.iter().enumerate() {
-            assert_eq!(c.index(), i);
-        }
     }
 
     #[test]

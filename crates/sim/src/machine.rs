@@ -7,7 +7,7 @@ use nvp_isa::blocks::branch_target;
 use nvp_isa::{DecodeError, Inst, Program, Reg};
 use serde::{Deserialize, Serialize};
 
-use crate::block::{BlockTable, Cond, MicroKind, MicroOp, Term, NO_PLAN, NUM_SLOTS};
+use crate::block::{BlockTable, Cond, MicroKind, MicroOp, Term, NUM_SLOTS};
 use crate::{CycleModel, EnergyModel, InstClass, DEFAULT_DMEM_WORDS};
 
 /// The volatile architectural state an NVP must back up: the register file
@@ -30,7 +30,7 @@ impl ArchState {
 }
 
 /// Per-run performance and energy counters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct Counters {
     /// Instructions executed.
     pub instructions: u64,
@@ -38,41 +38,15 @@ pub struct Counters {
     pub cycles: u64,
     /// Core energy consumed, in joules.
     pub energy_j: f64,
-    /// Executed-instruction counts per [`InstClass`] (indexed by
-    /// [`InstClass::index`]).
-    pub class_counts: [u64; 9],
-    /// Taken conditional branches.
-    pub branches_taken: u64,
 }
 
-impl Default for Counters {
-    fn default() -> Self {
-        Counters {
-            instructions: 0,
-            cycles: 0,
-            energy_j: 0.0,
-            class_counts: [0; 9],
-            branches_taken: 0,
-        }
-    }
-}
-
-impl Counters {
-    /// Count of executed instructions in the given class.
-    #[must_use]
-    pub fn count(&self, class: InstClass) -> u64 {
-        self.class_counts[class.index()]
-    }
-}
-
-/// A predecoded code word: the instruction plus everything the
-/// per-step hot path would otherwise recompute from it — its class and
-/// the cycle/energy cost of both branch outcomes (identical for
-/// non-branches). Built once per imem word at load time.
+/// A predecoded code word: the instruction plus the cycle/energy cost
+/// of both branch outcomes (identical for non-branches), which the
+/// per-step hot path would otherwise recompute from it. Built once per
+/// imem word at load time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Decoded {
     pub(crate) inst: Inst,
-    pub(crate) class: InstClass,
     pub(crate) cycles_not_taken: u32,
     pub(crate) cycles_taken: u32,
     pub(crate) energy_not_taken_j: f64,
@@ -86,7 +60,6 @@ impl Decoded {
         let cycles_taken = cycle_model.cycles(class, true);
         Decoded {
             inst,
-            class,
             cycles_not_taken,
             cycles_taken,
             energy_not_taken_j: energy_model.energy(class, cycles_not_taken),
@@ -105,8 +78,6 @@ pub struct BlockStats {
     pub cycles: u64,
     /// Total energy charged, joules.
     pub energy_j: f64,
-    /// `true` if the machine is halted after the block.
-    pub halted: bool,
     /// `true` if the block ended on a `ckpt` instruction.
     pub checkpoint: bool,
 }
@@ -123,8 +94,6 @@ pub struct Step {
     pub halted: bool,
     /// `true` if the instruction was `ckpt` (software checkpoint hint).
     pub checkpoint: bool,
-    /// Class of the executed instruction.
-    pub class: InstClass,
 }
 
 /// Errors raised by program loading or execution.
@@ -241,18 +210,6 @@ impl MachineImage {
             dmem_init,
         })
     }
-
-    /// Entry-point word address.
-    #[must_use]
-    pub fn entry(&self) -> u32 {
-        self.entry
-    }
-
-    /// Installed data-memory size, in words.
-    #[must_use]
-    pub fn dmem_words(&self) -> usize {
-        self.dmem_init.len()
-    }
 }
 
 /// A deterministic NV16 machine instance.
@@ -327,12 +284,6 @@ impl Machine {
         }
     }
 
-    /// The shared program image this machine executes.
-    #[must_use]
-    pub fn image(&self) -> &Arc<MachineImage> {
-        &self.image
-    }
-
     /// Executes one instruction.
     ///
     /// A halted machine returns a zero-cost [`Step`] with `halted == true`.
@@ -343,17 +294,10 @@ impl Machine {
     /// on wild control flow or memory accesses.
     pub fn step(&mut self) -> Result<Step, SimError> {
         if self.halted {
-            return Ok(Step {
-                cycles: 0,
-                energy_j: 0.0,
-                halted: true,
-                checkpoint: false,
-                class: InstClass::System,
-            });
+            return Ok(Step { cycles: 0, energy_j: 0.0, halted: true, checkpoint: false });
         }
         let pc = self.pc;
         let decoded = *self.image.code.get(pc as usize).ok_or(SimError::PcOutOfRange { pc })?;
-        let class = decoded.class;
         let mut taken = false;
         let mut checkpoint = false;
         let mut next_pc = pc + 1;
@@ -472,14 +416,10 @@ impl Machine {
         self.counters.instructions += 1;
         self.counters.cycles += u64::from(cycles);
         self.counters.energy_j += energy;
-        self.counters.class_counts[class.index()] += 1;
-        if taken {
-            self.counters.branches_taken += 1;
-        }
         if !self.halted {
             self.pc = next_pc;
         }
-        Ok(Step { cycles, energy_j: energy, halted: self.halted, checkpoint, class })
+        Ok(Step { cycles, energy_j: energy, halted: self.halted, checkpoint })
     }
 
     /// Runs up to `max_insts` instructions or until `halt`.
@@ -517,10 +457,10 @@ impl Machine {
     /// at load time instead of dispatching instruction by instruction.
     ///
     /// Straight-line block bodies run against a local register file with
-    /// no per-step counter stores; integer accounting (instructions,
-    /// cycles, class counts) is applied as fused adds per block. Energy
-    /// is still accumulated one addition per instruction in program
-    /// order, because f64 addition is not associative — results are
+    /// no per-step counter stores; integer accounting (instructions and
+    /// cycles) is applied as fused adds per block. Energy is still
+    /// accumulated one addition per instruction in program order,
+    /// because f64 addition is not associative — results are
     /// bit-identical to an equivalent sequence of [`step`](Machine::step)
     /// calls, including [`Counters`] and the returned [`BlockStats`].
     ///
@@ -529,12 +469,13 @@ impl Machine {
     /// [`restore`](Machine::restore)) the engine runs the block's
     /// remaining suffix, and when fewer than a full block's instructions
     /// remain in `max_insts` it runs the prefix that fits, stopping
-    /// exactly at the budget. Slices account cycles, class counts and
-    /// taken branches per instruction, in program order. Only addresses
-    /// that no block covers fall back to [`step`](Machine::step).
-    /// A block whose terminator jumps back to its own leader repeats
-    /// inside one dispatch (a *streak*), with its integer accounting
-    /// applied once per streak. A `ckpt` ends the run with `checkpoint`
+    /// exactly at the budget. Slices account cycles per instruction, in
+    /// program order. Every address in the image belongs to a block, so
+    /// the engine never calls [`step`](Machine::step): a pc outside the
+    /// image faults with [`SimError::PcOutOfRange`] here, independently
+    /// of the step interpreter. A block whose terminator jumps back to
+    /// its own leader repeats inside one dispatch (a *streak*), with its
+    /// integer accounting applied once per streak. A `ckpt` ends the run with `checkpoint`
     /// set; a fault ends it with an error.
     ///
     /// # Errors
@@ -545,31 +486,20 @@ impl Machine {
     pub fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
         let mut stats = BlockStats::default();
         // Local register file (slot 16 absorbs r0 writes) and energy
-        // accumulators, synced back on every exit and around fallbacks.
+        // accumulators, synced back on every exit.
         let mut lr = [0u16; NUM_SLOTS];
         lr[..16].copy_from_slice(&self.regs);
         let mut c_energy = self.counters.energy_j;
         let mut s_energy = 0.0f64;
 
         while stats.executed < max_insts && !self.halted {
-            let plan_idx = self.image.blocks.owner(self.pc);
-            if plan_idx == NO_PLAN {
-                // No block covers this pc: single-step with state synced
-                // to the machine.
+            let Some(plan_idx) = self.image.blocks.owner(self.pc) else {
+                // Every address in the image belongs to a block, so this
+                // pc lies outside it.
                 self.regs.copy_from_slice(&lr[..16]);
                 self.counters.energy_j = c_energy;
-                let step = self.step()?;
-                lr[..16].copy_from_slice(&self.regs);
-                c_energy = self.counters.energy_j;
-                stats.executed += 1;
-                stats.cycles += u64::from(step.cycles);
-                s_energy += step.energy_j;
-                if step.checkpoint {
-                    stats.checkpoint = true;
-                    break;
-                }
-                continue;
-            }
+                return Err(SimError::PcOutOfRange { pc: self.pc });
+            };
             let plan = &self.image.blocks.plans[plan_idx as usize];
             let budget = max_insts - stats.executed;
             if self.pc != plan.start || plan.insts > budget {
@@ -599,7 +529,6 @@ impl Machine {
             let mut budget_left = max_insts - stats.executed;
             let mut repeats = 0u64;
             let mut term_cycles = 0u64;
-            let mut taken_count = 0u64;
             let mut fault: Option<(usize, u16)> = None;
             'streak: loop {
                 if let Some(f) = exec_body(
@@ -623,7 +552,6 @@ impl Machine {
                     &mut s_energy,
                 );
                 term_cycles += u64::from(t.cycles);
-                taken_count += u64::from(t.taken);
                 if t.halted {
                     self.halted = true;
                 }
@@ -645,17 +573,6 @@ impl Machine {
             self.counters.cycles += plan.body_cycles * repeats + term_cycles;
             stats.executed += retired;
             stats.cycles += plan.body_cycles * repeats + term_cycles;
-            if repeats > 0 {
-                for (count, add) in
-                    self.counters.class_counts.iter_mut().zip(&plan.body_class_counts)
-                {
-                    *count += add * repeats;
-                }
-                if !matches!(plan.term, Term::FallThrough { .. }) {
-                    self.counters.class_counts[usize::from(plan.term_class)] += repeats;
-                }
-                self.counters.branches_taken += taken_count;
-            }
 
             if let Some((done, addr)) = fault {
                 // Partial block: account the retired prefix exactly as
@@ -673,7 +590,6 @@ impl Machine {
         self.regs.copy_from_slice(&lr[..16]);
         self.counters.energy_j = c_energy;
         stats.energy_j = s_energy;
-        stats.halted = self.halted;
         Ok(stats)
     }
 
@@ -718,10 +634,6 @@ impl Machine {
         self.counters.cycles += u64::from(t.cycles);
         stats.executed += term_insts;
         stats.cycles += u64::from(t.cycles);
-        if term_insts > 0 {
-            self.counters.class_counts[usize::from(plan.term_class)] += 1;
-        }
-        self.counters.branches_taken += u64::from(t.taken);
         self.halted = t.halted;
         stats.checkpoint = t.checkpoint;
         self.pc = t.next;
@@ -736,12 +648,6 @@ impl Machine {
         self.counters.energy_j = c_energy;
         self.pc = pc;
         SimError::MemOutOfRange { addr, pc }
-    }
-
-    /// Number of basic blocks in the loaded image's block plan.
-    #[must_use]
-    pub fn block_count(&self) -> usize {
-        self.image.blocks.plans.len()
     }
 
     /// Worst-case cycles any single instruction in the loaded image can
@@ -790,11 +696,6 @@ impl Machine {
     #[must_use]
     pub fn reg(&self, r: Reg) -> u16 {
         self.rd(r)
-    }
-
-    /// Writes a register (writes to r0 are discarded).
-    pub fn set_reg(&mut self, r: Reg, value: u16) {
-        self.wr(r, value);
     }
 
     /// Reads a data-memory word, if within installed memory.
@@ -856,7 +757,6 @@ impl Machine {
 struct TermOutcome {
     next: u32,
     cycles: u32,
-    taken: bool,
     halted: bool,
     checkpoint: bool,
 }
@@ -864,11 +764,7 @@ struct TermOutcome {
 /// Charges the integer accounting of `ops`, retired one by one as step
 /// mode would, to `counters`. Returns their total cycles.
 fn retire_ops(counters: &mut Counters, ops: &[MicroOp]) -> u64 {
-    let mut cycles = 0u64;
-    for op in ops {
-        cycles += u64::from(op.cycles);
-        counters.class_counts[usize::from(op.class_idx)] += 1;
-    }
+    let cycles = ops.iter().map(|op| u64::from(op.cycles)).sum();
     counters.instructions += ops.len() as u64;
     counters.cycles += cycles;
     cycles
@@ -1006,8 +902,7 @@ fn exec_term(
     c_energy: &mut f64,
     s_energy: &mut f64,
 ) -> TermOutcome {
-    let mut out =
-        TermOutcome { next: 0, cycles: 0, taken: false, halted: false, checkpoint: false };
+    let mut out = TermOutcome { next: 0, cycles: 0, halted: false, checkpoint: false };
     match *term {
         Term::FallThrough { next } => out.next = next,
         Term::Branch {
@@ -1034,7 +929,6 @@ fn exec_term(
             let (cycles, energy) =
                 if taken { (cycles_t, energy_t_j) } else { (cycles_nt, energy_nt_j) };
             out.cycles = cycles;
-            out.taken = taken;
             *c_energy += energy;
             *s_energy += energy;
             out.next = if taken { taken_pc } else { fall_pc };
@@ -1230,11 +1124,6 @@ mod tests {
         let m = run_src("li r1, 2\nli r2, 3\nmul r3, r1, r2\nlw r4, 0(r0)\nsw r4, 1(r0)\nhalt");
         let c = m.counters();
         assert_eq!(c.instructions, 6);
-        assert_eq!(c.count(InstClass::Alu), 2);
-        assert_eq!(c.count(InstClass::Mul), 1);
-        assert_eq!(c.count(InstClass::Load), 1);
-        assert_eq!(c.count(InstClass::Store), 1);
-        assert_eq!(c.count(InstClass::System), 1);
         assert!(c.cycles >= c.instructions);
         assert!(c.energy_j > 0.0);
     }
@@ -1277,7 +1166,6 @@ mod tests {
         let cm = CycleModel::default();
         assert_eq!(taken.cycles, cm.branch_taken);
         assert_eq!(m.pc(), 2);
-        assert_eq!(m.counters().branches_taken, 1);
     }
 
     #[test]
@@ -1308,8 +1196,6 @@ mod tests {
         assert_eq!(ca.instructions, cb.instructions, "{what}");
         assert_eq!(ca.cycles, cb.cycles, "{what}");
         assert_eq!(ca.energy_j.to_bits(), cb.energy_j.to_bits(), "counter energy, {what}");
-        assert_eq!(ca.class_counts, cb.class_counts, "{what}");
-        assert_eq!(ca.branches_taken, cb.branches_taken, "{what}");
     }
 
     /// Step-mode reference for [`Machine::run_blocks`]: calls `step()`
@@ -1327,7 +1213,6 @@ mod tests {
                 break;
             }
         }
-        stats.halted = m.halted();
         Ok(stats)
     }
 
@@ -1348,7 +1233,6 @@ mod tests {
                         sb.energy_j.to_bits(),
                         "stats energy, budget {budget}"
                     );
-                    assert_eq!(sa.halted, sb.halted, "budget {budget}");
                     assert_eq!(sa.checkpoint, sb.checkpoint, "budget {budget}");
                 }
                 (Err(ea), Err(eb)) => assert_eq!(ea, eb, "budget {budget}"),
@@ -1425,7 +1309,8 @@ mod tests {
         while !donor.halted() {
             let snap = donor.snapshot();
             let blocks = &donor.image.blocks;
-            if blocks.plans[blocks.owner(snap.pc) as usize].start != snap.pc {
+            let owner = blocks.owner(snap.pc).expect("pc inside the image");
+            if blocks.plans[owner as usize].start != snap.pc {
                 mid_block += 1;
             }
             for budget in [1, 2, 3, 5, u64::MAX] {
@@ -1468,6 +1353,44 @@ mod tests {
         let p = assemble("li r1, 4\nx: addi r1, r1, -1\nbnez r1, x\nhalt").unwrap();
         let m = Machine::new(&p).unwrap();
         // entry block [li], loop block [addi, bnez], halt block.
-        assert_eq!(m.block_count(), 3);
+        assert_eq!(m.image.blocks.plans.len(), 3);
+        // Code ahead of a non-zero entry has no leader, yet gets a block.
+        let p = assemble(".entry main\nnop\nnop\nmain: halt").unwrap();
+        let blocks = &Machine::new(&p).unwrap().image.blocks;
+        assert_eq!(blocks.plans.len(), 2);
+        assert_eq!([0, 1, 2].map(|pc| blocks.owner(pc)), [Some(0), Some(0), Some(1)]);
+        assert_eq!(blocks.owner(3), None);
+    }
+
+    #[test]
+    fn blocks_match_steps_on_code_ahead_of_entry() {
+        // Only `jalr` reaches the code ahead of `main`: alternately at
+        // its first word and mid-block at its second.
+        let src = ".entry main
+            ahead: addi r2, r2, 3
+                   out 1, r2
+                   sw r2, 64(r0)
+                   jalr r0, r5, 0
+            main:  li r4, 3
+            loop:  andi r6, r4, 1
+                   jalr r5, r6, 0
+                   addi r4, r4, -1
+                   bnez r4, loop
+                   halt";
+        let budgets: Vec<u64> = (1..=20).chain([1_000]).collect();
+        assert_block_equivalence(src, &budgets);
+        let mut m = Machine::new(&assemble(src).unwrap()).unwrap();
+        m.run_blocks(1_000).unwrap();
+        assert!(m.halted());
+        assert_eq!(m.out_log(), &[(1, 0), (1, 3), (1, 3)], "mid-block, whole, mid-block");
+    }
+
+    #[test]
+    fn blocks_match_steps_on_jalr_past_the_image() {
+        let src = "li r1, 40\nout 2, r1\njalr r3, r1, 0\nhalt";
+        assert_block_equivalence(src, &[1, 2, 3, 4, 5, 100]);
+        let mut m = Machine::new(&assemble(src).unwrap()).unwrap();
+        assert_eq!(m.run_blocks(100), Err(SimError::PcOutOfRange { pc: 40 }));
+        assert_eq!((m.pc(), m.reg(Reg::R3), m.counters().instructions), (40, 3, 3));
     }
 }

@@ -6,7 +6,7 @@
 
 use nvp_isa::asm::assemble;
 use nvp_isa::Program;
-use nvp_sim::Machine;
+use nvp_sim::{ArchState, Machine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -81,7 +81,7 @@ fn interrupted_equals_uninterrupted() {
             let snapshot = machine.snapshot();
             // Power failure: registers and PC are garbage afterwards.
             machine.reset_volatile();
-            machine.set_reg(nvp_isa::Reg::R7, 0xDEAD);
+            machine.restore(&ArchState { regs: [0xDEAD; 16], pc: 0 });
             // Hardware restore.
             machine.restore(&snapshot);
         }
