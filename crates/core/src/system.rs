@@ -462,12 +462,6 @@ impl IntermittentSystem {
         }
     }
 
-    /// The thresholds in effect.
-    #[must_use]
-    pub fn thresholds(&self) -> Thresholds {
-        self.thresholds
-    }
-
     /// Read access to the machine (for output/quality inspection).
     #[must_use]
     pub fn machine(&self) -> &Machine {

@@ -176,18 +176,6 @@ impl WaitComputeSystem {
         })
     }
 
-    /// Read access to the machine (for output inspection).
-    #[must_use]
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// The accumulated report so far.
-    #[must_use]
-    pub fn report(&self) -> &RunReport {
-        &self.report
-    }
-
     /// Simulates over a trace, accumulating into the report. This is
     /// the shared engine loop: see [`drive`].
     ///

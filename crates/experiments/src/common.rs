@@ -11,7 +11,9 @@
 //! kernels and task costs stay for the life of the process. A trace
 //! keeps only its spec and digest: its samples live while a job runs
 //! and are released when no job is left in flight (see [`JobScope`]),
-//! so a resident server holds just the traces of its running jobs.
+//! so a resident server holds just the traces of its running jobs. The
+//! same release demotes the sim-cache's stored outcomes to the location
+//! of their records.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `setups()` hands the same
@@ -227,17 +229,25 @@ fn each_trace(mut f: impl FnMut(&TraceEntry)) {
 /// Jobs in flight: the number of live [`JobScope`]s.
 static JOBS: Mutex<usize> = Mutex::new(0);
 
-/// One campaign job's hold on the trace memo. While any scope lives,
-/// generated samples stay in the memo, so every task of a job (F1's
-/// rows and series, F2, the simulations) shares one generation per
-/// spec. When the last scope drops, the memo lets go of every trace's
-/// samples; specs and digests stay, and a later job that reads a spec
-/// regenerates it, byte for byte the same samples. A resident server
-/// therefore holds only the traces of the jobs it is running. `nvpd`'s
-/// default single worker runs one job at a time, so every job's end
-/// releases; with more workers the samples are released at idle
-/// instants, not per job. The scope releases on unwind too, so a
-/// panicking job lets go as well.
+/// One campaign job's hold on the trace memo and the sim-cache. While
+/// any scope lives, generated samples stay in the memo, so every task
+/// of a job (F1's rows and series, F2, the simulations) shares one
+/// generation per spec, and decoded outcomes stay in the sim-cache.
+/// When the last scope drops, both let go:
+///
+/// * the memo empties every trace's samples; specs and digests stay,
+///   and a later job that reads a spec regenerates it, byte for byte
+///   the same samples;
+/// * the sim-cache demotes every outcome the attached store holds to
+///   the byte offset of its record ([`simcache::demote_stored`]), and a
+///   later job that looks one up re-reads that record. Without a store
+///   nothing is demoted.
+///
+/// A resident server therefore holds only the traces and outcomes of
+/// the jobs it is running. `nvpd`'s default single worker runs one job
+/// at a time, so every job's end releases; with more workers both are
+/// released at idle instants, not per job. The scope releases on
+/// unwind too, so a panicking job lets go as well.
 pub(crate) struct JobScope(());
 
 impl JobScope {
@@ -254,6 +264,7 @@ impl Drop for JobScope {
         // Released under the counter lock, so no job starts mid-sweep.
         if *jobs == 0 {
             each_trace(|entry| entry.samples().held = None);
+            simcache::demote_stored();
         }
     }
 }

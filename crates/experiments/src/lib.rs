@@ -78,5 +78,8 @@ pub use registry::{find, registry, Experiment};
 pub use report::Table;
 pub use runner::{run_all, run_all_sequential, RunArtifacts};
 pub use sched::{sched_stats, SchedStats};
-pub use simcache::{reset_sim_cache, set_cache_dir, sim_cache_stats, SimCacheStats};
+pub use simcache::{
+    reset_sim_cache, set_cache_dir, sim_cache_memo_stats, sim_cache_stats, SimCacheMemoStats,
+    SimCacheStats,
+};
 pub use stats::{exec_stats, ExecStats};

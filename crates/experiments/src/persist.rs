@@ -31,6 +31,12 @@
 //! a reloaded [`SimOutcome`] is bit-identical to the one computed, and
 //! artifacts built from cache hits stay byte-identical to cold runs.
 //!
+//! A record's location is the byte offset of its frame in its key's
+//! shard: the scan at open and [`PersistentStore::append`] both report
+//! it, and [`PersistentStore::read`] re-reads one record from it, so
+//! the in-memory index can let go of a decoded outcome and keep only
+//! where its record lies.
+//!
 //! ## Failure tolerance
 //!
 //! Loading is strictly best-effort — a damaged cache can cost time,
@@ -57,7 +63,7 @@
 //! and the `nvpd` wire stats.
 
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use nvp_core::RunReport;
@@ -84,8 +90,9 @@ const MAX_RECORD_BYTES: u32 = 4096;
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
 pub(crate) struct LoadOutcome {
-    /// Every valid `(key, outcome)` record, shard-major in file order.
-    pub records: Vec<(Digest, SimOutcome)>,
+    /// Every valid `(key, offset, outcome)` record, shard-major in file
+    /// order; `offset` locates the record's frame in its shard.
+    pub records: Vec<(Digest, u64, SimOutcome)>,
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
@@ -120,10 +127,17 @@ impl PersistentStore {
             let mut local = LoadOutcome::default();
             let salvaged = scan_shard(&bytes, &mut local);
             if local.skipped > 0 {
-                let healed = record::log_image(MAGIC, salvaged, MAX_RECORD_BYTES)
-                    .and_then(|image| record::quarantine(&shard, Some(&image)));
+                let healed =
+                    record::log_image(MAGIC, salvaged, MAX_RECORD_BYTES).and_then(|image| {
+                        let target = record::quarantine(&shard, Some(&image))?;
+                        Ok((target, record::scan(&image, MAGIC, MAX_RECORD_BYTES).offsets))
+                    });
                 match healed {
-                    Ok(target) => {
+                    Ok((target, offsets)) => {
+                        // The salvage moved: its records now lie back to back.
+                        for ((_, at, _), healed_at) in local.records.iter_mut().zip(offsets) {
+                            *at = healed_at;
+                        }
                         outcome.quarantined += 1;
                         eprintln!(
                             "warning: sim cache shard {} damaged ({} record(s) lost); \
@@ -150,31 +164,55 @@ impl PersistentStore {
     /// concurrent appenders interleave whole records; two racing on a
     /// fresh shard may both write the header, which the scan tolerates.
     /// A record longer than the loader accepts is refused, not written.
-    pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<()> {
-        let shard = self.dir.join(format!("{:x}.log", key[0] >> 4));
+    /// Returns the byte offset of the record's frame in the shard: an
+    /// `O_APPEND` write leaves the file position just past its own
+    /// bytes, wherever other appenders' records landed.
+    pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<u64> {
+        let shard = self.shard(key);
         let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
         let mut record = if fresh { MAGIC.to_vec() } else { Vec::new() };
+        let magic = record.len();
         record::put_frame(&mut record, &encode_payload(key, outcome), MAX_RECORD_BYTES)?;
-        fs::OpenOptions::new().create(true).append(true).open(&shard)?.write_all(&record)
+        let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
+        file.write_all(&record)?;
+        Ok(file.stream_position()? - (record.len() - magic) as u64)
+    }
+
+    /// Re-reads `key`'s record at `offset` in its shard, or `None`
+    /// unless one intact frame there holds an outcome under `key`: the
+    /// CRC and the key check mean a damaged, truncated or rewritten
+    /// shard is never served, only recomputed.
+    pub(crate) fn read(&self, key: &Digest, offset: u64) -> Option<SimOutcome> {
+        let mut file = fs::File::open(self.shard(key)).ok()?;
+        file.seek(SeekFrom::Start(offset)).ok()?;
+        let payload = record::read_frame(&mut file, MAX_RECORD_BYTES).ok()?;
+        let (found, outcome) = decode_payload(&payload).ok()?;
+        (found == *key).then_some(outcome)
+    }
+
+    /// The shard file of `key`: its first hex digit.
+    fn shard(&self, key: &Digest) -> PathBuf {
+        self.dir.join(format!("{:x}.log", key[0] >> 4))
     }
 }
 
-/// Loads one shard image into `outcome` and returns the payloads it
-/// served, for a quarantine to salvage.
+/// Loads one shard image into `outcome`, each record with its frame's
+/// offset in `bytes`, and returns the payloads it served, for a
+/// quarantine to salvage.
 fn scan_shard<'a>(bytes: &'a [u8], outcome: &mut LoadOutcome) -> Vec<&'a [u8]> {
-    let mut log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
+    let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
     outcome.skipped += log.damaged;
-    log.payloads.retain(|payload| match decode_payload(payload) {
-        Ok(rec) => {
-            outcome.records.push(rec);
-            true
+    let mut served = Vec::with_capacity(log.payloads.len());
+    for (payload, offset) in log.payloads.into_iter().zip(log.offsets) {
+        match decode_payload(payload) {
+            Ok((key, decoded)) => {
+                outcome.records.push((key, offset, decoded));
+                served.push(payload);
+            }
+            Err(_) => outcome.skipped += 1, // valid CRC but foreign shape
         }
-        Err(_) => {
-            outcome.skipped += 1; // valid CRC but foreign shape
-            false
-        }
-    });
-    log.payloads
+    }
+    served
 }
 
 /// Serializes `key ++ report ++ latencies`.
@@ -354,7 +392,7 @@ pub(crate) mod tests {
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!((loaded.skipped, loaded.quarantined), (0, 0));
         assert_eq!(loaded.records.len(), cases.len());
-        for ((key, outcome), (k2, o2)) in cases.iter().zip(&loaded.records) {
+        for ((key, outcome), (k2, _, o2)) in cases.iter().zip(&loaded.records) {
             assert_eq!(encode_payload(k2, o2), encode_payload(key, outcome), "bit-exact on disk");
         }
         let _ = fs::remove_dir_all(&dir);
@@ -372,7 +410,7 @@ pub(crate) mod tests {
     pub(crate) fn load_shard(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
         let mut outcome = LoadOutcome::default();
         scan_shard(bytes, &mut outcome);
-        let served = outcome.records.iter().map(|(key, served)| encode_payload(key, served));
+        let served = outcome.records.iter().map(|(key, _, served)| encode_payload(key, served));
         (served.collect(), outcome.skipped)
     }
 
@@ -429,7 +467,46 @@ pub(crate) mod tests {
         let (_, reloaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(reloaded.records.len(), 20);
         assert_eq!(reloaded.skipped, 0);
-        assert!(reloaded.records.iter().any(|(k, o)| k[0] == 0x20 && o.report.committed == 1002));
+        assert!(reloaded
+            .records
+            .iter()
+            .any(|(k, _, o)| k[0] == 0x20 && o.report.committed == 1002));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appended_and_scanned_offsets_reread_their_records() {
+        let dir = unique_dir("nvp_persist_offsets");
+        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let keys = [key_of(0x70), key_of(0x71), key_of(0x72), key_of(0x80)];
+        let appended: Vec<u64> = keys
+            .iter()
+            .zip(0..)
+            .map(|(key, salt)| store.append(key, &trial(salt)).unwrap())
+            .collect();
+        let (_, loaded) = PersistentStore::open(&dir).unwrap();
+        let scanned: Vec<u64> = loaded.records.iter().map(|&(_, offset, _)| offset).collect();
+        assert_eq!(scanned, appended, "append and scan agree on every offset");
+        for ((key, offset, outcome), salt) in loaded.records.iter().zip(0..) {
+            assert_eq!(store.read(key, *offset).as_ref(), Some(&trial(salt)));
+            assert_eq!(*outcome, trial(salt));
+            assert!(store.read(key, offset + 1).is_none(), "a misplaced offset serves nothing");
+        }
+        let (first, second) = (&loaded.records[0], &loaded.records[1]);
+        assert!(store.read(&first.0, second.1).is_none(), "another key's record is not served");
+
+        // Damage the middle record of shard 7: the healed shard moves
+        // the third record, and open reports where it now lies.
+        let shard = dir.join("7.log");
+        let mut bytes = fs::read(&shard).unwrap();
+        bytes[appended[1] as usize + 8 + 40] ^= 0xFF;
+        fs::write(&shard, &bytes).unwrap();
+        assert!(store.read(&keys[1], appended[1]).is_none(), "a CRC-bad record is not served");
+        let (_, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(healed.quarantined, 1);
+        let moved = healed.records.iter().find(|(key, ..)| *key == keys[2]).unwrap();
+        assert!(moved.1 < appended[2], "the healed shard closed the gap");
+        assert_eq!(store.read(&keys[2], moved.1), Some(trial(2)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -446,7 +523,7 @@ pub(crate) mod tests {
         fs::write(&shard, &bytes[..bytes.len() - FIXED_PAYLOAD_BYTES / 2]).unwrap();
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.records.len(), 1, "intact prefix record must survive");
-        assert_eq!(loaded.records[0].1.report.committed, sample_report(1).committed);
+        assert_eq!(loaded.records[0].2.report.committed, sample_report(1).committed);
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
         assert!(dir.join("1.log.quarantine").exists(), "damaged shard renamed aside");
@@ -476,7 +553,8 @@ pub(crate) mod tests {
         assert_eq!(loaded.records.len(), 2, "records around the corrupt one must survive");
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
-        let committed: Vec<u64> = loaded.records.iter().map(|(_, o)| o.report.committed).collect();
+        let committed: Vec<u64> =
+            loaded.records.iter().map(|(_, _, o)| o.report.committed).collect();
         assert_eq!(committed, vec![sample_report(1).committed, sample_report(3).committed]);
         // Both survivors were healed into a fresh shard.
         let (_, healed) = PersistentStore::open(&dir).unwrap();
@@ -549,7 +627,7 @@ pub(crate) mod tests {
         assert_eq!(loaded.quarantined, 0);
         assert_eq!(loaded.records.len(), 100);
         let mut committed: Vec<u64> =
-            loaded.records.iter().map(|(_, o)| o.report.committed).collect();
+            loaded.records.iter().map(|(_, _, o)| o.report.committed).collect();
         committed.sort_unstable();
         let expect: Vec<u64> = (0..100).map(|i| 1000 + i).collect();
         assert_eq!(committed, expect);

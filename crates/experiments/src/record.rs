@@ -96,6 +96,9 @@ pub fn log_image<P: AsRef<[u8]>>(
 pub struct Scan<'a> {
     /// The payload of every intact record, in file order.
     pub payloads: Vec<&'a [u8]>,
+    /// The byte offset in the image of each of those records' frames,
+    /// where [`read_frame`] can read it again.
+    pub offsets: Vec<u64>,
     /// Damage seen, one count each: a missing or foreign magic (the
     /// image is then skipped whole), a CRC-bad record, or a torn or
     /// implausibly long record that ended the scan.
@@ -121,6 +124,7 @@ pub fn scan<'a>(image: &'a [u8], magic: &[u8; MAGIC_BYTES], max: u32) -> Scan<'a
             scan.damaged += 1; // torn header
             break;
         };
+        let offset = (image.len() - rest.len()) as u64;
         let (len, crc) = parse_header(header);
         let Some((payload, after)) =
             after.split_at_checked(len as usize).filter(|_| plausible(len, max))
@@ -131,6 +135,7 @@ pub fn scan<'a>(image: &'a [u8], magic: &[u8; MAGIC_BYTES], max: u32) -> Scan<'a
         rest = after;
         if crc32_bytes(payload) == crc {
             scan.payloads.push(payload);
+            scan.offsets.push(offset);
         } else {
             scan.damaged += 1;
         }

@@ -37,13 +37,13 @@
 //! ## One fill rule
 //!
 //! This module also owns [`Memo`] and [`memo`], the process-wide memo
-//! behind both the shared inputs of [`crate::common`] and the
-//! simulation cache. Each key owns one `OnceLock` slot; the map lock
-//! is held only to fetch or insert the slot, so distinct keys fill in
-//! parallel, and a caller that finds its key being filled waits for
-//! that one fill. Every key therefore simulates at most once per
-//! process, at any thread count. Blocking is safe because a fill never
-//! looks up another key of its own memo: a simulation reads only
+//! behind the shared inputs of [`crate::common`]; the simulation cache
+//! fills its keys by the same rule. Each key owns one `OnceLock` slot;
+//! the map lock is held only to fetch or insert the slot, so distinct
+//! keys fill in parallel, and a caller that finds its key being filled
+//! waits for that one fill. Every key therefore simulates at most once
+//! per process, at any thread count. Blocking is safe because a fill
+//! never looks up another key of its own memo: a simulation reads only
 //! memoized *inputs*, whose builds never look up a sim-cache key, so
 //! no wait cycle can form.
 //!
@@ -62,11 +62,25 @@
 //! simulation input and the value encoding round-trips float bit
 //! patterns), so golden digests cannot tell a warm-disk run from a
 //! cold one.
+//!
+//! ## Lifetime
+//!
+//! With a store attached, the map keeps decoded outcomes only while a
+//! job runs. When the last job in flight ends
+//! ([`crate::common::JobScope`]), every outcome the store holds is
+//! demoted to the byte offset of its record ([`demote_stored`]): a
+//! demoted entry is its key and a 16-byte [`Entry`], about 75 bytes
+//! with the map's node overhead, against about 480 decoded. A later
+//! lookup re-reads that one record, checks its CRC and its key, and
+//! counts a disk hit; a record that fails either check is recomputed,
+//! never served. A memory-only cache demotes nothing.
+//! [`sim_cache_memo_stats`] counts resident and demoted entries and the
+//! records reloaded.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use nvp_core::{
     BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, WaitComputeConfig,
@@ -539,16 +553,41 @@ where
     Arc::clone(slot.get_or_init(|| Arc::new(make())))
 }
 
-/// Where a cached report came from, so disk-served hits are countable.
+/// Where a resident outcome came from, so disk-served hits are
+/// countable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Origin {
     /// Computed by this process.
     Computed,
-    /// Loaded from the persistent store at open time.
+    /// Read from the persistent store: loaded when it was attached, or
+    /// reloaded after a demotion.
     Disk,
 }
 
-static CACHE: Memo<Digest, (SimOutcome, Origin)> = OnceLock::new();
+/// A decoded outcome the map holds.
+struct Resident {
+    outcome: SimOutcome,
+    origin: Origin,
+    /// The byte offset of the outcome's record in its key's shard of the
+    /// attached store; `None` when no store took it.
+    offset: Option<u64>,
+}
+
+/// A key's one slot: empty while its outcome is being filled.
+type Slot = OnceLock<Resident>;
+
+/// What the sim-cache map holds for a key. The decoded outcome sits
+/// behind the `Live` pointer, so a demoted entry is its key and these
+/// 16 bytes.
+enum Entry {
+    /// The key's slot, being filled or holding its outcome.
+    Live(Arc<Slot>),
+    /// Demoted: only the attached store holds the outcome, in the
+    /// record at this byte offset of the key's shard.
+    Stored(u64),
+}
+
+static CACHE: Mutex<BTreeMap<Digest, Entry>> = Mutex::new(BTreeMap::new());
 /// The attached store, appended to on every miss; `None` is
 /// memory-only.
 static PERSIST: Mutex<Option<PersistentStore>> = Mutex::new(None);
@@ -557,39 +596,70 @@ static DISK_HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
+static RELOADED: AtomicU64 = AtomicU64::new(0);
+
+fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
+    CACHE.lock().expect("sim cache lock")
+}
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
-/// (never the reverse), shared by attaching, loading, and appending.
-/// A simulation appends from inside its slot's fill, holding no map
-/// lock, so nothing that holds [`PERSIST`] may wait on a slot.
-fn persist_lock() -> std::sync::MutexGuard<'static, Option<PersistentStore>> {
+/// (never the reverse), shared by attaching, loading, appending,
+/// reloading and demoting. A slot fills (appending or reloading)
+/// holding no map lock, so nothing that holds [`PERSIST`] may wait on
+/// a slot.
+fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
     PERSIST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A filled slot.
+fn filled(outcome: SimOutcome, origin: Origin, offset: Option<u64>) -> Entry {
+    Entry::Live(Arc::new(OnceLock::from(Resident { outcome, origin, offset })))
 }
 
 /// Opens `dir` and merges its records into the in-memory index (never
 /// overwriting an outcome this process already computed). Returns the
 /// number of records now serving from memory that came from disk.
 ///
-/// Entries loaded from a *previously* attached store are dropped first:
+/// Entries the *previously* attached store supplied are dropped first:
 /// re-pointing the cache at a new directory must not keep serving (or
-/// counting) another directory's records. Only `tests/persist_cache.rs`
-/// and the benchmark's probes attach a second directory in one
-/// process. Outcomes this process computed itself stay, which is safe
-/// because keys are content addresses: a hit is bit-identical wherever
-/// it came from. An empty slot may be mid-simulation, so a disk record
-/// replaces it with a filled slot instead of waiting on it (see
-/// [`persist_lock`]); the simulation finishes into the slot its own
-/// waiters hold.
+/// counting) another directory's records. A demoted entry stays, not
+/// counted, only if the new directory holds a record for its key, and
+/// then names that record. Only
+/// `tests/persist_cache.rs` and the benchmark's probes attach a second
+/// directory in one process. Outcomes this process computed itself
+/// stay, which is safe because keys are content addresses: a hit is
+/// bit-identical wherever it came from. Such an outcome keeps the
+/// offset it was appended at; should it be demoted and that offset not
+/// hold its key's record in the new directory, the reload fails its key
+/// check and the outcome is recomputed. An empty slot may be
+/// mid-simulation, so a disk record replaces it with a filled slot
+/// instead of waiting on it (see [`persist_lock`]); the simulation
+/// finishes into the slot its own waiters hold.
 fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<u64> {
     let (store, loaded) = PersistentStore::open(dir)?;
     QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
-    let mut map = CACHE.get_or_init(Mutex::default).lock().expect("sim cache lock");
-    map.retain(|_, slot| slot.get().is_none_or(|entry| entry.1 != Origin::Disk));
+    let mut map = cache();
+    let mut located = None;
+    map.retain(|key, entry| match entry {
+        Entry::Live(slot) => slot.get().is_none_or(|r| r.origin == Origin::Computed),
+        Entry::Stored(offset) => {
+            let located = located.get_or_insert_with(|| {
+                let mut first = BTreeMap::new();
+                for (key, offset, _) in &loaded.records {
+                    first.entry(*key).or_insert(*offset);
+                }
+                first
+            });
+            located.get(key).map(|&at| *offset = at).is_some()
+        }
+    });
     let mut merged = 0u64;
-    for (key, outcome) in loaded.records {
-        let slot = map.entry(key).or_default();
-        if slot.get().is_none() {
-            *slot = Arc::new(OnceLock::from(Arc::new((outcome, Origin::Disk))));
+    for (key, offset, outcome) in loaded.records {
+        let empty = map
+            .get(&key)
+            .is_none_or(|entry| matches!(entry, Entry::Live(slot) if slot.get().is_none()));
+        if empty {
+            map.insert(key, filled(outcome, Origin::Disk, Some(offset)));
             merged += 1;
         }
     }
@@ -624,44 +694,87 @@ pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
 }
 
 /// Best-effort append of a freshly computed outcome to the attached
-/// store.
-fn persist_append(key: &Digest, outcome: &SimOutcome) {
+/// store; returns where the record landed.
+fn persist_append(key: &Digest, outcome: &SimOutcome) -> Option<u64> {
     let state = persist_lock();
-    if let Some(store) = &*state {
-        if store.append(key, outcome).is_ok() {
-            PERSISTED.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+    let offset = state.as_ref()?.append(key, outcome).ok()?;
+    PERSISTED.fetch_add(1, Ordering::Relaxed);
+    Some(offset)
+}
+
+/// Re-reads a demoted outcome from the attached store: `None` when no
+/// store is attached or its record fails the store's checks.
+fn reload(key: &Digest, offset: u64) -> Option<SimOutcome> {
+    let outcome = persist_lock().as_ref()?.read(key, offset)?;
+    RELOADED.fetch_add(1, Ordering::Relaxed);
+    Some(outcome)
 }
 
 /// Returns the cached outcome for `key`, or computes it with `run`,
 /// appends it to the persistent store and caches it, all through the
-/// key's one [`memo`] slot. Distinct keys simulate in parallel; a
-/// caller that arrives while its key is being simulated waits for that
-/// one run and counts a hit. A miss is counted exactly when `run` ran
-/// here. A panicking `run` leaves the key empty for the next caller.
+/// key's one slot. Distinct keys simulate in parallel; a caller that
+/// arrives while its key is being filled waits for that one fill and
+/// counts a hit. A demoted key refills from its record and counts a
+/// disk hit; should the record fail its checks, `run` recomputes it. A
+/// miss is counted exactly when `run` ran here. A panicking `run`
+/// leaves the key empty for the next caller.
 pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
+    let (slot, stored) = {
+        let mut map = cache();
+        let entry = map.entry(key).or_insert_with(|| Entry::Live(Arc::default()));
+        match entry {
+            Entry::Live(slot) => (Arc::clone(slot), None),
+            Entry::Stored(offset) => {
+                let stored = Some(*offset);
+                let slot = Arc::<Slot>::default();
+                *entry = Entry::Live(Arc::clone(&slot));
+                (slot, stored)
+            }
+        }
+    };
     let mut ran = false;
-    let entry = memo(&CACHE, key, || {
+    let resident = slot.get_or_init(|| {
+        if let Some(outcome) = stored.and_then(|offset| reload(&key, offset)) {
+            return Resident { outcome, origin: Origin::Disk, offset: stored };
+        }
         ran = true;
         let outcome = run();
-        persist_append(&key, &outcome);
-        (outcome, Origin::Computed)
+        let offset = persist_append(&key, &outcome);
+        Resident { outcome, origin: Origin::Computed, offset }
     });
     if ran {
         MISSES.fetch_add(1, Ordering::Relaxed);
     } else {
         HITS.fetch_add(1, Ordering::Relaxed);
-        if entry.1 == Origin::Disk {
+        if resident.origin == Origin::Disk {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
         }
     }
-    entry.0.clone()
+    resident.outcome.clone()
 }
 
 /// [`cached_outcome`] for run kinds whose outcome is the report alone.
 pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunReport {
     cached_outcome(key, || SimOutcome { report: run(), latencies_ms: Vec::new() }).report
+}
+
+/// Demotes every resident outcome the attached store holds to the
+/// offset of its record (see the module's *Lifetime* section). Memory-only caches, and outcomes the store
+/// refused, stay resident. [`crate::common::JobScope`] calls this when
+/// the last job in flight ends; a caller still holding a slot keeps
+/// its outcome.
+pub(crate) fn demote_stored() {
+    let state = persist_lock();
+    if state.is_none() {
+        return;
+    }
+    for entry in cache().values_mut() {
+        if let Entry::Live(slot) = entry {
+            if let Some(offset) = slot.get().and_then(|r| r.offset) {
+                *entry = Entry::Stored(offset);
+            }
+        }
+    }
 }
 
 /// Process-wide simulation-cache counters.
@@ -676,17 +789,43 @@ pub fn sim_cache_stats() -> SimCacheStats {
     }
 }
 
+/// What the sim-cache map holds, and how often it re-read a record
+/// (process-wide, via [`sim_cache_memo_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimCacheMemoStats {
+    /// Outcomes held decoded right now.
+    pub resident: u64,
+    /// Outcomes held only as the location of their record in the
+    /// attached store; zero without one.
+    pub on_disk: u64,
+    /// Demoted outcomes re-read from their record since the process
+    /// started or the cache was last reset.
+    pub reloaded: u64,
+}
+
+/// Process-wide sim-cache memo counters.
+#[must_use]
+pub fn sim_cache_memo_stats() -> SimCacheMemoStats {
+    let mut stats =
+        SimCacheMemoStats { reloaded: RELOADED.load(Ordering::Relaxed), ..Default::default() };
+    for entry in cache().values() {
+        match entry {
+            Entry::Live(slot) => stats.resident += u64::from(slot.get().is_some()),
+            Entry::Stored(_) => stats.on_disk += 1,
+        }
+    }
+    stats
+}
+
 /// Clears the in-memory simulation cache and its counters (benchmarks
 /// use this to measure cold- vs warm-cache runs). The persistence
 /// configuration — and any on-disk records — are untouched; re-point
 /// [`set_cache_dir`] at the directory to reload them.
 pub fn reset_sim_cache() {
-    CACHE.get_or_init(Mutex::default).lock().expect("sim cache lock").clear();
-    HITS.store(0, Ordering::Relaxed);
-    DISK_HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-    PERSISTED.store(0, Ordering::Relaxed);
-    QUARANTINED.store(0, Ordering::Relaxed);
+    cache().clear();
+    for counter in [&HITS, &DISK_HITS, &MISSES, &PERSISTED, &QUARANTINED, &RELOADED] {
+        counter.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Lower-case hex rendering of a digest, for tests that pin keys.
@@ -940,6 +1079,14 @@ mod tests {
                 &|p| twice(&mut p.retry_backoff),
             ],
         );
+    }
+
+    #[test]
+    fn a_demoted_entry_is_its_key_and_an_offset() {
+        // The decoded outcome sits behind `Live`'s pointer, never inline:
+        // a B-tree node slot of a demoted key is 48 bytes.
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        assert_eq!(std::mem::size_of::<(Digest, Entry)>(), 48);
     }
 
     #[test]

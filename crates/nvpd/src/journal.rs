@@ -270,11 +270,22 @@ impl Journal {
     /// and reported as a miss — degradation, not an abort.
     #[must_use]
     pub fn lookup_result(&self, key: &Digest) -> Option<CampaignResult> {
+        self.lookup_stored(key).map(|(_, result)| result)
+    }
+
+    /// [`lookup_result`](Self::lookup_result), with the content digest
+    /// of the stored payload: the digest [`put_result`](Self::put_result)
+    /// returned for it, since the payload is the result's encoding. A
+    /// replay journals it without encoding the result again.
+    #[must_use]
+    pub fn lookup_stored(&self, key: &Digest) -> Option<(Digest, CampaignResult)> {
         let path = self.result_path(key);
         let image = fs::read(&path).ok()?;
         let entry = record::scan(&image, RESULT_MAGIC, MAX_FRAME_BYTES);
         let decoded = match entry.payloads[..] {
-            [payload] if entry.damaged == 0 => decode_result_bytes(payload),
+            [payload] if entry.damaged == 0 => {
+                decode_result_bytes(payload).map(|result| (content_digest(payload), result))
+            }
             _ => Err(record::bad("result store entry is not one intact record")),
         };
         if decoded.is_err() && record::quarantine(&path, None).is_ok() {
@@ -542,6 +553,8 @@ mod tests {
         let fetched = journal.lookup_result(&key).expect("hit after put");
         assert_eq!(fetched, result, "store round-trips the result bit-exactly");
         assert_eq!(digest, content_digest(&encode_result_bytes(&result)));
+        let stored = journal.lookup_stored(&key).expect("hit after put");
+        assert_eq!(stored, (digest, result), "a replay reads back the digest the put returned");
         // Corrupt the stored entry: lookup degrades to a quarantined miss.
         let path = dir.join("results").join(format!("{}.res", hex(&key)));
         let mut bytes = fs::read(&path).unwrap();

@@ -434,10 +434,7 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
 
     // Idempotent resubmission: answer from the durable result store.
     if let Some(j) = journal {
-        if let Some(result) = j.lookup_result(&key) {
-            let digest = nvp_experiments::wire::content_digest(
-                &nvp_experiments::wire::encode_result_bytes(&result),
-            );
+        if let Some((digest, result)) = j.lookup_stored(&key) {
             if let Err(e) = j.completed(id, &digest) {
                 eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
             }

@@ -6,7 +6,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use nvp_experiments::{cli, set_cache_dir, set_thread_override, trace_memo_stats};
+use nvp_experiments::{
+    cli, set_cache_dir, set_thread_override, sim_cache_memo_stats, trace_memo_stats,
+};
 use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
 
@@ -140,10 +142,12 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     eprintln!("nvpd: listening on {bound}");
     let stats = server.run(&opts.config).map_err(|e| format!("server failed: {e}"))?;
     let traces = trace_memo_stats();
+    let outcomes = sim_cache_memo_stats();
     eprintln!(
         "nvpd: done — {} accepted, {} completed, {} rejected, {} recovered from journal, \
          {} replayed from result store, {} file(s) quarantined, {} trace(s) generated, \
-         {} trace byte(s) resident",
+         {} trace byte(s) resident, {} outcome(s) resident, {} outcome(s) on disk only, \
+         {} record(s) reloaded",
         stats.accepted,
         stats.completed,
         stats.rejected,
@@ -151,7 +155,10 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         stats.replayed,
         stats.quarantined,
         traces.generated,
-        traces.resident_bytes
+        traces.resident_bytes,
+        outcomes.resident,
+        outcomes.on_disk,
+        outcomes.reloaded
     );
     Ok(ExitCode::SUCCESS)
 }
