@@ -1,6 +1,7 @@
 //! Sampled harvested-power traces.
 
 use std::fmt;
+use std::io;
 
 use serde::{Deserialize, Serialize};
 
@@ -293,19 +294,38 @@ impl PowerTrace {
 
     /// Serializes as two-column CSV (`time_s,power_w`) with a header row:
     /// times to 6 decimals, powers to 9, byte-identical to
-    /// `format!("{:.6},{:.9}")` on every row.
+    /// `format!("{:.6},{:.9}")` on every row. The text is
+    /// [`write_csv`](Self::write_csv)'s.
     #[must_use]
     pub fn to_csv(&self) -> String {
         // "0.000100,0.000012345\n" is 21 bytes; longer rows only grow.
         let mut out = Vec::with_capacity(self.samples.len() * 24 + 16);
-        out.extend_from_slice(b"time_s,power_w\n");
-        for (i, &p) in self.samples.iter().enumerate() {
-            push_fixed(&mut out, i as f64 * self.dt_s, 6);
-            out.push(b',');
-            push_fixed(&mut out, p, 9);
-            out.push(b'\n');
-        }
+        self.write_csv(&mut out).expect("writing to a Vec cannot fail");
         String::from_utf8(out).expect("the CSV writer emits ASCII")
+    }
+
+    /// Streams [`to_csv`](Self::to_csv)'s text into `out`, a block of
+    /// rows at a time, so a file costs one small buffer rather than the
+    /// whole text (about 21 bytes per sample).
+    ///
+    /// # Errors
+    ///
+    /// Any error `out` returns.
+    pub fn write_csv<W: io::Write>(&self, mut out: W) -> io::Result<()> {
+        const BLOCK_ROWS: usize = 4096;
+        let mut buf = Vec::with_capacity(BLOCK_ROWS * 24);
+        buf.extend_from_slice(b"time_s,power_w\n");
+        for (block, chunk) in self.samples.chunks(BLOCK_ROWS).enumerate() {
+            for (j, &p) in chunk.iter().enumerate() {
+                push_fixed(&mut buf, (block * BLOCK_ROWS + j) as f64 * self.dt_s, 6);
+                buf.push(b',');
+                push_fixed(&mut buf, p, 9);
+                buf.push(b'\n');
+            }
+            out.write_all(&buf)?;
+            buf.clear();
+        }
+        out.write_all(&buf)
     }
 
     /// Parses the CSV produced by [`to_csv`](Self::to_csv).

@@ -30,9 +30,35 @@ pub struct Row {
 
 /// The raw trace for one profile (for CSV export / plotting): the
 /// memoized trace every experiment on this profile shares, not a copy.
+/// A [`CampaignResult`](crate::CampaignResult) holds it as is and
+/// renders its CSV only when written.
 #[must_use]
-pub fn series(cfg: &ExpConfig, profile: u64) -> Arc<PowerTrace> {
+pub fn trace(cfg: &ExpConfig, profile: u64) -> Arc<PowerTrace> {
     watch_trace(cfg, profile).shared()
+}
+
+/// [`trace`] under its former name, for the benchmark client, whose
+/// `series(cfg, seed).to_csv()` must still yield a
+/// [`CampaignResult::profiles`](crate::CampaignResult::profiles)
+/// element.
+#[doc(hidden)]
+#[must_use]
+pub fn series(cfg: &ExpConfig, profile: u64) -> Series {
+    Series(trace(cfg, profile))
+}
+
+/// What [`series`] returns.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct Series(Arc<PowerTrace>);
+
+impl Series {
+    /// The trace itself, not its CSV: a result renders profiles only
+    /// when written.
+    #[must_use]
+    pub fn to_csv(&self) -> Arc<PowerTrace> {
+        Arc::clone(&self.0)
+    }
 }
 
 /// Summary rows for all configured profiles.
@@ -94,7 +120,7 @@ mod tests {
     #[test]
     fn series_is_full_length() {
         let cfg = ExpConfig::quick();
-        let s = series(&cfg, 1);
+        let s = trace(&cfg, 1);
         assert_eq!(s.duration_s(), cfg.trace_duration_s);
     }
 }

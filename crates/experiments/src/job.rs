@@ -2,7 +2,7 @@
 //!
 //! [`CampaignRequest`] names *what* to run — an experiment selection,
 //! an [`ExpConfig`] and a seed override — and [`CampaignResult`] is
-//! *what came out* — tables, profile series, and
+//! *what came out* — tables, profile traces, and
 //! per-job cache/scheduler counters. Neither touches the filesystem:
 //! results are values first and files second
 //! ([`CampaignResult::write`] renders the exact artifact set the
@@ -12,16 +12,26 @@
 //! byte-identical: the golden digests pin both transports because both
 //! are this one path.
 
-use std::fs;
+use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use nvp_energy::{PowerTrace, DEFAULT_DT_S};
 
 use crate::common::JobScope;
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
 use crate::stats::{exec_stats, ExecStats};
+use crate::wire::MAX_FRAME_BYTES;
 use crate::{f1_power_profiles, ExpConfig, Table};
+
+/// The most samples a trace may hold: as many as one profile's 8-byte
+/// samples fit one wire frame ([`MAX_FRAME_BYTES`]), about 209 s at
+/// [`DEFAULT_DT_S`]. [`CampaignRequest::resolve`] refuses a longer
+/// `trace_duration_s` before anything is generated.
+pub const MAX_TRACE_SAMPLES: u32 = MAX_FRAME_BYTES / 8;
 
 /// A self-contained campaign job: everything the runner needs, nothing
 /// about where artifacts will land.
@@ -65,13 +75,19 @@ impl CampaignRequest {
         cfg
     }
 
-    /// Resolves the id selection against the registry: case-insensitive
-    /// lookup, duplicates dropped, registry order restored.
+    /// Checks the configuration and resolves the id selection against
+    /// the registry: case-insensitive lookup, duplicates dropped,
+    /// registry order restored. The server runs this at admission, so a
+    /// request it refuses is never journalled.
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] for an unknown id.
+    /// [`io::ErrorKind::InvalidInput`] for an unknown id, a
+    /// `trace_duration_s` that is not finite and positive or is longer
+    /// than [`MAX_TRACE_SAMPLES`] samples, no profile seeds, or a zero
+    /// frame dimension.
     pub fn resolve(&self) -> io::Result<Vec<&'static Experiment>> {
+        check_config(&self.config)?;
         let Some(ids) = &self.only else {
             return Ok(registry().iter().collect());
         };
@@ -92,15 +108,40 @@ impl CampaignRequest {
     }
 }
 
+/// The configuration checks of [`CampaignRequest::resolve`]: each
+/// field that sizes what a job allocates must be one it can run.
+fn check_config(cfg: &ExpConfig) -> io::Result<()> {
+    let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    let d = cfg.trace_duration_s;
+    if !(d.is_finite() && d > 0.0) {
+        return invalid(format!("trace_duration_s must be finite and positive (got {d})"));
+    }
+    if (d / DEFAULT_DT_S).round() > f64::from(MAX_TRACE_SAMPLES) {
+        let max_s = f64::from(MAX_TRACE_SAMPLES) * DEFAULT_DT_S;
+        return invalid(format!(
+            "trace_duration_s {d} exceeds {max_s:.1} s ({MAX_TRACE_SAMPLES} samples, one frame)"
+        ));
+    }
+    if cfg.profile_seeds.is_empty() {
+        return invalid("profile_seeds must name at least one profile".to_string());
+    }
+    if cfg.frame_w == 0 || cfg.frame_h == 0 {
+        return invalid(format!("frame must be non-empty (got {}x{})", cfg.frame_w, cfg.frame_h));
+    }
+    Ok(())
+}
+
 /// What a campaign job produced: pure values plus per-job counters.
 /// Render to disk with [`write`](Self::write).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Every regenerated table, in registry order.
     pub tables: Vec<Table>,
-    /// Raw `f1` power-profile series as `(seed, csv)`, in seed order
-    /// (empty unless `f1` was selected).
-    pub profiles: Vec<(u64, String)>,
+    /// Raw `f1` power-profile traces as `(seed, trace)`, in seed order
+    /// (empty unless `f1` was selected): the trace memo's own samples,
+    /// kept after the memo lets go of them. Their CSV is rendered only
+    /// by [`write`](Self::write).
+    pub profiles: Vec<(u64, Arc<PowerTrace>)>,
     /// Simulation-cache counters for this job
     /// ([`SimCacheStats::since`] delta over the run).
     pub cache: SimCacheStats,
@@ -128,6 +169,8 @@ impl CampaignResult {
     /// `out_dir` (created if missing), returning the paths in write
     /// order. In-process and over-the-wire results render through this
     /// one function, which is what keeps both transports byte-identical.
+    /// Each profile streams into its own file, one scheduler task per
+    /// profile, so no profile's text is ever held whole.
     ///
     /// # Errors
     ///
@@ -140,10 +183,12 @@ impl CampaignResult {
             fs::write(&path, t.to_csv())?;
             files.push(path);
         }
-        for (seed, csv) in &self.profiles {
+        for path in sched::par_map(&self.profiles, |(seed, trace)| -> io::Result<PathBuf> {
             let path = out_dir.join(format!("f1_profile_{seed}.csv"));
-            fs::write(&path, csv)?;
-            files.push(path);
+            trace.write_csv(File::create(&path)?)?;
+            Ok(path)
+        }) {
+            files.push(path?);
         }
         let md_path = out_dir.join("RESULTS.md");
         fs::write(&md_path, self.results_markdown())?;
@@ -163,17 +208,17 @@ enum CampaignTask {
 /// What a [`CampaignTask`] produced (same variant, same order).
 enum CampaignOutput {
     Table(Table),
-    Profile(u64, String),
+    Profile(u64, Arc<PowerTrace>),
 }
 
 /// Runs `experiments` and the profile series for `profile_seeds` as one
 /// flattened task list on the task scheduler, returning tables
-/// in experiment order and profile CSVs in seed order.
+/// in experiment order and profile traces in seed order.
 pub(crate) fn run_campaign(
     cfg: &ExpConfig,
     experiments: &[&'static Experiment],
     profile_seeds: &[u64],
-) -> (Vec<Table>, Vec<(u64, String)>) {
+) -> (Vec<Table>, Vec<(u64, Arc<PowerTrace>)>) {
     let tasks: Vec<CampaignTask> = experiments
         .iter()
         .map(|&e| CampaignTask::Build(e))
@@ -182,7 +227,7 @@ pub(crate) fn run_campaign(
     let outputs = sched::par_map(&tasks, |task| match task {
         CampaignTask::Build(e) => CampaignOutput::Table(e.build(cfg)),
         CampaignTask::Profile(seed) => {
-            CampaignOutput::Profile(*seed, f1_power_profiles::series(cfg, *seed).to_csv())
+            CampaignOutput::Profile(*seed, f1_power_profiles::trace(cfg, *seed))
         }
     });
     let mut tables = Vec::with_capacity(experiments.len());
@@ -190,7 +235,7 @@ pub(crate) fn run_campaign(
     for out in outputs {
         match out {
             CampaignOutput::Table(t) => tables.push(t),
-            CampaignOutput::Profile(seed, csv) => profiles.push((seed, csv)),
+            CampaignOutput::Profile(seed, trace) => profiles.push((seed, trace)),
         }
     }
     (tables, profiles)
@@ -212,7 +257,8 @@ pub(crate) fn run_campaign(
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidInput`] for an unknown experiment id.
+/// Returns [`io::ErrorKind::InvalidInput`] for a request
+/// [`CampaignRequest::resolve`] refuses.
 pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
     let _job = JobScope::enter();
     let cache_before = sim_cache_stats();
@@ -250,6 +296,37 @@ mod tests {
         let err = req.resolve().map(|v| v.len()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("f99"));
+    }
+
+    #[test]
+    fn resolve_rejects_configs_no_job_can_run() {
+        for cfg in [ExpConfig::quick(), ExpConfig::default()] {
+            assert!(CampaignRequest::all(cfg).resolve().is_ok(), "shipped configs are admitted");
+        }
+        type Edit = fn(&mut ExpConfig);
+        let with = |edit: Edit| {
+            let mut cfg = ExpConfig::quick();
+            edit(&mut cfg);
+            CampaignRequest::only(cfg, &["f1"]).resolve().map(|v| v.len())
+        };
+        let longest: Edit = |c| c.trace_duration_s = f64::from(MAX_TRACE_SAMPLES) * DEFAULT_DT_S;
+        assert!(with(longest).is_ok(), "one frame's worth is runnable");
+        let cases: [(&str, Edit); 8] = [
+            ("NaN duration", |c| c.trace_duration_s = f64::NAN),
+            ("negative duration", |c| c.trace_duration_s = -1.0),
+            ("zero duration", |c| c.trace_duration_s = 0.0),
+            ("infinite duration", |c| c.trace_duration_s = f64::INFINITY),
+            ("one sample past a frame", |c| {
+                c.trace_duration_s = f64::from(MAX_TRACE_SAMPLES + 1) * DEFAULT_DT_S;
+            }),
+            ("no profile seeds", |c| c.profile_seeds.clear()),
+            ("zero frame width", |c| c.frame_w = 0),
+            ("zero frame height", |c| c.frame_h = 0),
+        ];
+        for (what, edit) in cases {
+            let err = with(edit).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{what}: {err}");
+        }
     }
 
     #[test]
@@ -292,6 +369,20 @@ mod tests {
         assert!(dir.join("t1.csv").exists());
         assert!(dir.join("f2h.csv").exists());
         assert!(dir.join("RESULTS.md").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_streams_each_profile_as_its_csv() {
+        let dir = std::env::temp_dir().join(format!("nvp_job_profiles_{}", std::process::id()));
+        let result = run_request(&CampaignRequest::only(ExpConfig::quick(), &["f1"])).unwrap();
+        let files = result.write(&dir).unwrap();
+        let names: Vec<_> = files.iter().map(|f| f.file_name().unwrap().to_owned()).collect();
+        assert_eq!(names, ["f1.csv", "f1_profile_1.csv", "f1_profile_2.csv", "RESULTS.md"]);
+        for (seed, trace) in &result.profiles {
+            let csv = fs::read_to_string(dir.join(format!("f1_profile_{seed}.csv"))).unwrap();
+            assert_eq!(csv, trace.to_csv(), "profile {seed}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -481,7 +481,11 @@ mod tests {
     fn every_cut_and_bit_flip_of_a_wire_stream_errors_and_decodes_nothing_damaged() {
         let mut request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
         request.seed = Some(3);
-        let messages = [Message::Submit(request), Message::Accepted { job: 5, queued: 2 }];
+        let messages = [
+            Message::Submit(request),
+            Message::Accepted { job: 5, queued: 2 },
+            Message::Result { job: 5, replayed: false, result: wire::tests::short_f1_result() },
+        ];
         let mut stream = Vec::new();
         let mut ends = Vec::new();
         for msg in &messages {

@@ -71,11 +71,8 @@ pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArti
     let sched_before = sched_stats();
     let exec_before = exec_stats();
     let tables: Vec<Table> = registry().iter().map(|e| e.build(cfg)).collect();
-    let profiles: Vec<(u64, String)> = cfg
-        .profile_seeds
-        .iter()
-        .map(|&seed| (seed, f1_power_profiles::series(cfg, seed).to_csv()))
-        .collect();
+    let profiles =
+        cfg.profile_seeds.iter().map(|&seed| (seed, f1_power_profiles::trace(cfg, seed))).collect();
     let result = CampaignResult {
         tables,
         profiles,

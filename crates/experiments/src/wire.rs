@@ -21,12 +21,15 @@
 //! partially decoded message.
 
 use std::io::{self, Read, Write};
+use std::sync::Arc;
+
+use nvp_energy::PowerTrace;
 
 #[cfg(test)]
 use nvp_sim::crc32_bytes;
 
 use crate::job::{CampaignRequest, CampaignResult};
-use crate::record::{self, bad, put_f64, put_str, put_u32, put_u64, Reader};
+use crate::record::{self, bad, put_f64, put_f64s, put_str, put_u32, put_u64, Reader};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
 use crate::stats::ExecStats;
@@ -39,8 +42,10 @@ use crate::{ExpConfig, Table};
 /// `Reject` frames, and the `replayed` idempotency marker on `Result`
 /// frames (crash-durable server); `nvpd/4` dropped the three superblock
 /// chain counters from results with the tier that produced them;
-/// `nvpd/5` dropped the cache-policy byte from requests.
-pub const PROTOCOL: &str = "nvpd/5";
+/// `nvpd/5` dropped the cache-policy byte from requests; `nvpd/6`
+/// carries each F1 profile as its sample period and raw `f64` samples
+/// (8 bytes each) instead of its CSV text (about 21).
+pub const PROTOCOL: &str = "nvpd/6";
 
 /// Upper bound a frame's length prefix may claim. Large enough for any
 /// full-evaluation result with headroom, small enough that a corrupt or
@@ -142,9 +147,10 @@ fn put_result(out: &mut Vec<u8>, result: &CampaignResult) {
         put_table(out, t);
     }
     put_u32(out, u32::try_from(result.profiles.len()).expect("profiles below frame cap"));
-    for (seed, csv) in &result.profiles {
+    for (seed, trace) in &result.profiles {
         put_u64(out, *seed);
-        put_str(out, csv);
+        put_f64(out, trace.dt_s());
+        put_f64s(out, trace.samples());
     }
     for v in [
         result.cache.hits,
@@ -252,11 +258,26 @@ fn get_table(r: &mut Reader<'_>) -> io::Result<Table> {
     Ok(table)
 }
 
+/// One `(seed, trace)` profile. Checked here, so that
+/// [`PowerTrace::from_samples`] cannot panic on what a peer sent.
+fn get_profile(r: &mut Reader<'_>) -> io::Result<(u64, Arc<PowerTrace>)> {
+    let seed = r.u64()?;
+    let dt_s = r.f64()?;
+    if !(dt_s.is_finite() && dt_s > 0.0) {
+        return Err(bad("profile sample period is not finite and positive"));
+    }
+    let samples = r.f64s()?;
+    if !samples.iter().all(|p| p.is_finite() && *p >= 0.0) {
+        return Err(bad("profile sample is not finite and non-negative"));
+    }
+    Ok((seed, Arc::new(PowerTrace::from_samples(dt_s, samples))))
+}
+
 fn get_result(r: &mut Reader<'_>) -> io::Result<CampaignResult> {
     let ntables = r.count(4)?;
     let tables = (0..ntables).map(|_| get_table(r)).collect::<io::Result<_>>()?;
-    let nprofiles = r.count(12)?;
-    let profiles = (0..nprofiles).map(|_| Ok((r.u64()?, r.str()?))).collect::<io::Result<_>>()?;
+    let nprofiles = r.count(20)?;
+    let profiles = (0..nprofiles).map(|_| get_profile(r)).collect::<io::Result<_>>()?;
     let cache = SimCacheStats {
         hits: r.u64()?,
         disk_hits: r.u64()?,
@@ -395,7 +416,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Message> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Cursor;
 
@@ -411,7 +432,10 @@ mod tests {
         t.push_row(vec!["mean_outage_ms".into(), "3.25".into()]);
         CampaignResult {
             tables: vec![t],
-            profiles: vec![(1, "t_s,power_uW\n0.0,12.5\n".into())],
+            profiles: vec![(
+                1,
+                Arc::new(PowerTrace::from_samples(1e-4, vec![12.5e-6, 0.0, 2.0e-3, 1.0e-9])),
+            )],
             cache: SimCacheStats { hits: 7, disk_hits: 2, misses: 3, persisted: 3, quarantined: 1 },
             sched: SchedStats { tasks: 10, steals: 4, helpers: 2 },
             exec: ExecStats { lane_groups: 4, lane_group_items: 30, ..ExecStats::default() },
@@ -453,6 +477,96 @@ mod tests {
         assert_eq!(decoded.tables[0].to_csv(), result.tables[0].to_csv());
         assert_eq!(decoded.tables[0].to_markdown(), result.tables[0].to_markdown());
         assert_eq!(decoded.results_markdown(), result.results_markdown());
+        assert_eq!(decoded.profiles[0].1.to_csv(), result.profiles[0].1.to_csv());
+    }
+
+    /// A quick `f1` job with two profiles, cut to a few dozen samples
+    /// each so that sweeps over its every byte and bit stay fast.
+    pub(crate) fn short_f1_result() -> CampaignResult {
+        let mut config = ExpConfig::quick();
+        config.trace_duration_s = 0.003;
+        let result = crate::run_request(&CampaignRequest::only(config, &["f1"])).unwrap();
+        assert_eq!(result.profiles.len(), 2);
+        assert!(result.profiles.iter().all(|(_, t)| t.len() == 30));
+        result
+    }
+
+    #[test]
+    fn profiles_travel_as_their_exact_samples() {
+        let result = short_f1_result();
+        let bytes = encode_result_bytes(&result);
+        let decoded = decode_result_bytes(&bytes).unwrap();
+        assert_eq!(decoded, result);
+        for ((seed, got), (want_seed, want)) in decoded.profiles.iter().zip(&result.profiles) {
+            assert_eq!(seed, want_seed);
+            assert_eq!(got.dt_s().to_bits(), want.dt_s().to_bits());
+            let bits = |t: &PowerTrace| t.samples().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "profile {seed}: samples are bit-identical");
+        }
+        assert_eq!(encode_result_bytes(&decoded), bytes, "re-encoding reproduces the bytes");
+        // Eight bytes a sample, behind a seed, a period and a count.
+        let samples: usize = result.profiles.iter().map(|(_, t)| t.len()).sum();
+        let mut no_profiles = result.clone();
+        no_profiles.profiles.clear();
+        assert_eq!(
+            bytes.len() - encode_result_bytes(&no_profiles).len(),
+            8 * samples + 20 * result.profiles.len()
+        );
+    }
+
+    /// Every strict prefix of a result body is an error, and every
+    /// flipped bit decodes to an error or to a result whose encoding is
+    /// the flipped bytes: never a panic, never a value the codec would
+    /// not write.
+    #[test]
+    fn every_cut_and_bit_flip_of_a_result_body_errors_or_decodes_canonically() {
+        let bytes = encode_result_bytes(&short_f1_result());
+        for cut in 0..bytes.len() {
+            let err = decode_result_bytes(&bytes[..cut]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            match decode_result_bytes(&flipped) {
+                Ok(result) => assert_eq!(encode_result_bytes(&result), flipped, "bit {bit}"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "bit {bit}"),
+            }
+        }
+    }
+
+    /// A result body with no tables, one profile of `dt_s` and
+    /// `samples` under a sample count of `count`, and zeroed counters.
+    fn profile_body(dt_s: f64, samples: &[f64], count: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, 0);
+        put_u32(&mut out, 1);
+        put_u64(&mut out, 1);
+        put_f64(&mut out, dt_s);
+        put_u32(&mut out, count);
+        samples.iter().for_each(|&p| put_f64(&mut out, p));
+        out.extend_from_slice(&[0; 10 * 8]);
+        out
+    }
+
+    #[test]
+    fn malformed_profiles_are_invalid_data() {
+        let ok = decode_result_bytes(&profile_body(1e-4, &[1e-6, 0.0], 2)).unwrap();
+        assert_eq!(ok.profiles[0].1.samples(), [1e-6, 0.0]);
+        let cases = [
+            ("NaN sample", profile_body(1e-4, &[1e-6, f64::NAN], 2)),
+            ("negative sample", profile_body(1e-4, &[-1e-6, 0.0], 2)),
+            ("infinite sample", profile_body(1e-4, &[f64::INFINITY, 0.0], 2)),
+            ("zero period", profile_body(0.0, &[1e-6, 0.0], 2)),
+            ("negative period", profile_body(-1e-4, &[1e-6, 0.0], 2)),
+            ("NaN period", profile_body(f64::NAN, &[1e-6, 0.0], 2)),
+            ("infinite period", profile_body(f64::INFINITY, &[1e-6, 0.0], 2)),
+            ("count past the bytes left", profile_body(1e-4, &[1e-6, 0.0], 1000)),
+        ];
+        for (what, body) in cases {
+            let err = decode_result_bytes(&body).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

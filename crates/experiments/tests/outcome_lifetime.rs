@@ -31,7 +31,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 /// `RESULTS.md`.
 fn artifacts(result: &CampaignResult) -> Vec<String> {
     let mut out: Vec<String> = result.tables.iter().map(|t| t.to_csv()).collect();
-    out.extend(result.profiles.iter().map(|(_, csv)| csv.clone()));
+    out.extend(result.profiles.iter().map(|(_, trace)| trace.to_csv()));
     out.push(result.results_markdown());
     out
 }

@@ -21,7 +21,7 @@ fn global_memo_lock() -> std::sync::MutexGuard<'static, ()> {
 /// `RESULTS.md`.
 fn artifacts(result: &CampaignResult) -> Vec<String> {
     let mut out: Vec<String> = result.tables.iter().map(|t| t.to_csv()).collect();
-    out.extend(result.profiles.iter().map(|(_, csv)| csv.clone()));
+    out.extend(result.profiles.iter().map(|(_, trace)| trace.to_csv()));
     out.push(result.results_markdown());
     out
 }

@@ -618,8 +618,8 @@ mod tests {
     /// [`MAGIC`]; a request-encoding change bumps the wire `PROTOCOL`,
     /// whose stale records recovery skips and quarantines.
     const PINNED_ADMITTED: &str = concat!(
-        "6e76706a726e6c318f000000ca5bdf590107000000000000003f7fc2551b3435f4064fe9674eab28",
-        "8e0d562f86c62080167535f9fd3ffca04462000000060000006e7670642f35010100000002000000",
+        "6e76706a726e6c318f000000618a885f01070000000000000040a3845bab3c0b003e8200e26c5b6e",
+        "8ffaa3700286a0bb35a020e92641bbe3e062000000060000006e7670642f36010100000002000000",
         "74310000000000000040020000000100000000000000020000000000000007000000000000001000",
         "000000000000100000000000000003000000000000000100000000000000010100000000000000",
     );

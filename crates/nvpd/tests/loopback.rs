@@ -406,9 +406,9 @@ fn zero_job_budget_drains_the_journal_and_returns() {
     let _ = fs::remove_dir_all(&state_dir);
 }
 
-/// Submits a job whose builder panics (F12 with no profile seeds reads
-/// the first one), then a healthy quick `f3` job, to a two-job server,
-/// and returns its counters. The panicking job must draw a
+/// Submits a job whose builder panics (F8's kernels run out of memory
+/// range on a 1×1 frame), then a healthy quick `f3` job, to a two-job
+/// server, and returns its counters. The panicking job must draw a
 /// non-retryable Reject naming it, and the healthy job its Result.
 fn serve_panicking_then_healthy_job(state_dir: Option<PathBuf>) -> ServerStats {
     let (addr, handle) =
@@ -416,15 +416,15 @@ fn serve_panicking_then_healthy_job(state_dir: Option<PathBuf>) -> ServerStats {
     let addr = addr.to_string();
 
     let mut config = ExpConfig::quick();
-    config.profile_seeds.clear();
-    let poison = CampaignRequest::only(config, &["f12"]);
+    (config.frame_w, config.frame_h) = (1, 1);
+    let poison = CampaignRequest::only(config, &["f8"]);
     let once = ClientConfig { retries: 0, ..ClientConfig::default() };
     match client::submit_with(&addr, &poison, &once) {
         Err(ClientError::Rejected { reason }) => {
             assert!(reason.contains("job 0 failed: panicked"), "{reason}");
         }
         Err(e) => panic!("expected a non-retryable Reject, got: {e}"),
-        Ok(_) => panic!("a job with no profile seeds cannot produce F12"),
+        Ok(_) => panic!("F8's kernels cannot run on a 1x1 frame"),
     }
 
     let healthy = CampaignRequest::only(ExpConfig::quick(), &["f3"]);
@@ -479,11 +479,11 @@ fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
         ..ServerConfig::default()
     });
 
-    // Forty seconds of F1 profiles encode to about 17.4 MB, past the
-    // 16 MiB frame bound. With one job budgeted, a client retry would
-    // find the server gone.
+    // Two 120 s F1 profiles encode to about 19.2 MB, past the 16 MiB
+    // frame bound, though each alone fits it. With one job budgeted, a
+    // client retry would find the server gone.
     let mut config = ExpConfig::quick();
-    config.trace_duration_s = 40.0;
+    config.trace_duration_s = 120.0;
     let request = CampaignRequest::only(config, &["f1"]);
     let cfg = ClientConfig { retries: 2, ..ClientConfig::default() };
     match client::submit_with(&addr.to_string(), &request, &cfg) {
@@ -500,6 +500,49 @@ fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
         nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
             .expect("reopen journal");
     assert!(recovery.pending.is_empty(), "the oversized job is not replayed");
+
+    reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// A config no job can run — a trace duration that is NaN, negative,
+/// infinite or longer than one frame holds — draws one non-retryable
+/// Reject at admission, before anything is journalled, and the server
+/// goes on to serve the next job.
+#[test]
+fn unrunnable_trace_durations_are_rejected_at_admission() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("unrunnable");
+    let (addr, handle) = start_server(ServerConfig {
+        max_jobs: Some(1),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = addr.to_string();
+
+    let retry = ClientConfig { retries: 2, ..ClientConfig::default() };
+    for duration in [f64::NAN, -1.0, f64::INFINITY, 1e9] {
+        let mut config = ExpConfig::quick();
+        config.trace_duration_s = duration;
+        let request = CampaignRequest::only(config, &["f1"]);
+        match client::submit_with(&addr, &request, &retry) {
+            Err(ClientError::Rejected { reason }) => {
+                assert!(reason.contains("trace_duration_s"), "{duration}: {reason}");
+            }
+            Err(e) => panic!("{duration}: expected a non-retryable Reject, got: {e}"),
+            Ok(_) => panic!("{duration}: an unrunnable duration was admitted"),
+        }
+    }
+    let log = fs::read(state_dir.join("journal.log")).expect("read journal");
+    assert_eq!(log, b"nvpjrnl1", "no refused request is journalled");
+
+    let ok = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    let outcome = client::submit(&addr, &ok).expect("valid job after rejects");
+    assert_eq!(outcome.result.tables.len(), 1);
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!((stats.accepted, stats.completed, stats.rejected), (1, 1, 4));
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
