@@ -834,13 +834,14 @@ impl IntermittentSystem {
     /// off-time accumulated since power-down. Any real flip breaks the
     /// image's CRC, which the restore path then detects.
     fn decay_checkpoints(&mut self) {
-        let Some(retention) = self.fault.retention.clone() else { return };
+        let Some(retention) = &self.fault.retention else { return };
         if self.off_since_s <= 0.0 {
             return;
         }
+        let odds = retention.decay_odds(self.off_since_s);
         for slot in self.slots.iter_mut().flatten() {
             for w in slot.ckpt.words_mut() {
-                let (decayed, _flips) = retention.degrade(*w, self.off_since_s, &mut self.rng);
+                let (decayed, _flips) = odds.degrade(*w, &mut self.rng);
                 *w = decayed;
             }
         }

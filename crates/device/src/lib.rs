@@ -46,5 +46,5 @@ mod tech;
 pub use chip::{published_chips, ChipProfile};
 pub use endurance::EnduranceMeter;
 pub use nvff::NvffBank;
-pub use retention::{BitRetention, RelaxPolicy, RetentionShaper};
+pub use retention::{BitRetention, DecayOdds, RelaxPolicy, RetentionShaper};
 pub use tech::{NvmParams, NvmTechnology};

@@ -75,26 +75,24 @@ impl BitRetention {
     }
 
     /// Samples retention decay of a stored field after an outage of
-    /// `outage_s` seconds.
-    ///
-    /// Each bit whose retention is shorter than geometric safety decays
-    /// with probability `0.5·(1 − exp(−t/τ))` (an exponential-loss model:
-    /// a fully decayed cell reads back a coin flip). Returns the possibly
-    /// corrupted field and the number of flipped bits. Only the low
-    /// [`bits`](Self::bits) bits of `field` participate.
+    /// `outage_s` seconds: [`decay_odds`](Self::decay_odds) for that
+    /// outage, then [`DecayOdds::degrade`]. Returns the possibly
+    /// corrupted field and the number of flipped bits.
     pub fn degrade<R: Rng + ?Sized>(&self, field: u16, outage_s: f64, rng: &mut R) -> (u16, u32) {
-        let mut out = field;
-        let mut flips = 0;
-        let width = self.bits();
-        for (i, &tau) in self.per_bit_s.iter().enumerate() {
-            let p_flip = 0.5 * (1.0 - (-outage_s / tau).exp());
-            if p_flip > 0.0 && rng.random::<f64>() < p_flip {
-                let bit_pos = (width - 1 - i) as u16;
-                out ^= 1 << bit_pos;
-                flips += 1;
-            }
-        }
-        (out, flips)
+        self.decay_odds(outage_s).degrade(field, rng)
+    }
+
+    /// Per-bit flip probabilities after an outage of `outage_s` seconds.
+    ///
+    /// Each bit decays with probability `0.5·(1 − exp(−t/τ))` (an
+    /// exponential-loss model: a fully decayed cell reads back a coin
+    /// flip). Every field stored through the same outage shares these
+    /// odds, so a caller decaying many words computes them once.
+    #[must_use]
+    pub fn decay_odds(&self, outage_s: f64) -> DecayOdds {
+        let p_flip =
+            self.per_bit_s.iter().map(|&tau| 0.5 * (1.0 - (-outage_s / tau).exp())).collect();
+        DecayOdds { p_flip }
     }
 
     /// Counts how many bit positions have retention shorter than the
@@ -102,6 +100,34 @@ impl BitRetention {
     #[must_use]
     pub fn at_risk_bits(&self, outage_s: f64) -> u32 {
         self.per_bit_s.iter().filter(|&&tau| tau < outage_s).count() as u32
+    }
+}
+
+/// The per-bit flip probabilities of one outage, MSB first
+/// ([`BitRetention::decay_odds`]).
+#[derive(Debug, Clone)]
+pub struct DecayOdds {
+    p_flip: Vec<f64>,
+}
+
+impl DecayOdds {
+    /// Samples the decay of one stored field: one uniform draw per bit
+    /// whose flip probability is positive, MSB first, and none for the
+    /// others (so a zero-length outage consumes no randomness). Returns
+    /// the possibly corrupted field and the number of flipped bits. Only
+    /// the low [`BitRetention::bits`] bits of `field` participate.
+    pub fn degrade<R: Rng + ?Sized>(&self, field: u16, rng: &mut R) -> (u16, u32) {
+        let mut out = field;
+        let mut flips = 0;
+        let width = self.p_flip.len();
+        for (i, &p_flip) in self.p_flip.iter().enumerate() {
+            if p_flip > 0.0 && rng.random::<f64>() < p_flip {
+                let bit_pos = (width - 1 - i) as u16;
+                out ^= 1 << bit_pos;
+                flips += 1;
+            }
+        }
+        (out, flips)
     }
 }
 
@@ -287,6 +313,30 @@ mod tests {
         let mut b = StdRng::seed_from_u64(1);
         for word in [0u16, 0xFF, 0xA5] {
             assert_eq!(r.degrade(word, 5.0, &mut a), r.degrade(word, 5.0, &mut b));
+        }
+    }
+
+    #[test]
+    fn shared_decay_odds_draw_exactly_as_per_word_degrade() {
+        // One set of odds per outage, reused for every word, must flip
+        // the same bits and consume the same draws as recomputing them
+        // for each word.
+        for policy in RelaxPolicy::ALL {
+            let r = shaper(policy).bit_retention();
+            for outage in [0.0, 0.005, 0.3, DAY] {
+                let odds = r.decay_odds(outage);
+                let mut shared = StdRng::seed_from_u64(5);
+                let mut per_word = StdRng::seed_from_u64(5);
+                for word in 0..64u16 {
+                    let field = word.wrapping_mul(0x9E37);
+                    assert_eq!(
+                        odds.degrade(field, &mut shared),
+                        r.degrade(field, outage, &mut per_word),
+                        "{policy} outage {outage} word {word}"
+                    );
+                }
+                assert_eq!(shared.random::<u64>(), per_word.random::<u64>(), "draws in step");
+            }
         }
     }
 

@@ -78,10 +78,10 @@ fn setup(cfg: &ExpConfig, model: BackupModel) -> Setup {
 fn degraded_psnr(cfg: &ExpConfig, policy: RelaxPolicy, outage_s: f64, seed: u64) -> f64 {
     let inst = kernel(cfg, KernelKind::Sobel);
     let shaper = RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S);
-    let retention = shaper.bit_retention();
+    let odds = shaper.bit_retention().decay_odds(outage_s);
     let mut rng = StdRng::seed_from_u64(seed);
     let degraded: Vec<u16> =
-        inst.reference().iter().map(|&w| retention.degrade(w, outage_s, &mut rng).0).collect();
+        inst.reference().iter().map(|&w| odds.degrade(w, &mut rng).0).collect();
     metrics::psnr(inst.reference(), &degraded, 255.0)
 }
 

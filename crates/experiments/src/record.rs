@@ -63,15 +63,50 @@ fn parse_header(header: &[u8; HEADER_BYTES]) -> (u32, u32) {
 /// [`io::ErrorKind::InvalidData`], with `out` untouched, when the
 /// payload is empty or longer than `max`.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8], max: u32) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
+    frame_len(payload.len(), max)?;
+    out.reserve(HEADER_BYTES + payload.len());
+    let start = begin_frame(out);
+    out.extend_from_slice(payload);
+    end_frame(out, start, max)
+}
+
+/// Opens a frame at the end of `out` whose payload the caller then
+/// appends in place, and returns where it starts: [`end_frame`] seals
+/// it. A payload built this way is never copied into a frame.
+pub fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_BYTES]);
+    start
+}
+
+/// Seals the frame [`begin_frame`] opened at `start`: everything after
+/// its header is the payload, and the header gets its length and CRC.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] when the payload is empty or longer
+/// than `max`; `out` is then cut back to `start`.
+pub fn end_frame(out: &mut Vec<u8>, start: usize, max: u32) -> io::Result<()> {
+    let payload = &out[start + HEADER_BYTES..];
+    let len = match frame_len(payload.len(), max) {
+        Ok(len) => len,
+        Err(e) => {
+            out.truncate(start);
+            return Err(e);
+        }
+    };
+    let crc = crc32_bytes(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// The length prefix of a `len`-byte payload, if it is within `max`.
+fn frame_len(len: usize, max: u32) -> io::Result<u32> {
+    u32::try_from(len)
         .ok()
         .filter(|&len| plausible(len, max))
-        .ok_or_else(|| bad("record exceeds its frame bound"))?;
-    out.reserve(HEADER_BYTES + payload.len());
-    put_u32(out, len);
-    put_u32(out, crc32_bytes(payload));
-    out.extend_from_slice(payload);
-    Ok(())
+        .ok_or_else(|| bad("record exceeds its frame bound"))
 }
 
 /// A whole log image: `magic`, then one frame per payload.

@@ -169,31 +169,42 @@ fn put_result(out: &mut Vec<u8>, result: &CampaignResult) {
     }
 }
 
-/// Serializes a message payload (tag + body), without framing.
-fn encode_payload(msg: &Message) -> Vec<u8> {
-    let mut out = Vec::new();
+/// The fields a `Result` payload carries before the result itself.
+fn put_result_header(out: &mut Vec<u8>, job: u64, replayed: bool) {
+    out.push(TAG_RESULT);
+    put_u64(out, job);
+    out.push(u8::from(replayed));
+}
+
+/// Appends a message payload (tag + body), without framing.
+fn put_payload(out: &mut Vec<u8>, msg: &Message) {
     match msg {
         Message::Submit(req) => {
             out.push(TAG_SUBMIT);
-            put_request(&mut out, req);
+            put_request(out, req);
         }
         Message::Accepted { job, queued } => {
             out.push(TAG_ACCEPTED);
-            put_u64(&mut out, *job);
-            put_u32(&mut out, *queued);
+            put_u64(out, *job);
+            put_u32(out, *queued);
         }
         Message::Result { job, replayed, result } => {
-            out.push(TAG_RESULT);
-            put_u64(&mut out, *job);
-            out.push(u8::from(*replayed));
-            put_result(&mut out, result);
+            put_result_header(out, *job, *replayed);
+            put_result(out, result);
         }
         Message::Reject { reason, retryable } => {
             out.push(TAG_REJECT);
-            put_str(&mut out, reason);
+            put_str(out, reason);
             out.push(u8::from(*retryable));
         }
     }
+}
+
+/// Serializes a message payload (tag + body), without framing.
+#[cfg(test)]
+fn encode_payload(msg: &Message) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_payload(&mut out, msg);
     out
 }
 
@@ -374,10 +385,11 @@ pub fn request_key(req: &CampaignRequest) -> [u8; 32] {
 
 /// SHA-256 content digest of an arbitrary byte string (the same
 /// in-tree FIPS 180-4 core the simulation cache keys on). The `nvpd`
-/// journal writes this digest of each stored result into its
-/// `Completed` record. Recovery reads past it and does not check the
-/// result store against it; a stored result that fails to decode is
-/// quarantined on lookup instead.
+/// result store computes this digest of each result's encoding once,
+/// when it stores the result, and keeps it beside the encoding; the
+/// job's `Completed` journal record carries it, and a replay reads it
+/// back instead of hashing again. Recovery reads past it and does not
+/// check the result store against it: the entry's CRC guards both.
 #[must_use]
 pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
@@ -389,6 +401,36 @@ pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
 // Framing.
 // ---------------------------------------------------------------------
 
+/// One framed message, as [`write_frame`] writes it.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a message past [`MAX_FRAME_BYTES`].
+pub fn frame_bytes(msg: &Message) -> io::Result<Vec<u8>> {
+    let mut frame = Vec::new();
+    let start = record::begin_frame(&mut frame);
+    put_payload(&mut frame, msg);
+    record::end_frame(&mut frame, start, MAX_FRAME_BYTES)?;
+    Ok(frame)
+}
+
+/// The framed `Message::Result { job, replayed, result }` built from
+/// `result_bytes`, the [`encode_result_bytes`] encoding of `result`,
+/// without decoding it: byte-identical to [`frame_bytes`] of that
+/// message. The `nvpd` result store sends a replay this way.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a frame past [`MAX_FRAME_BYTES`].
+pub fn result_frame_bytes(job: u64, replayed: bool, result_bytes: &[u8]) -> io::Result<Vec<u8>> {
+    let mut frame = Vec::new();
+    let start = record::begin_frame(&mut frame);
+    put_result_header(&mut frame, job, replayed);
+    frame.extend_from_slice(result_bytes);
+    record::end_frame(&mut frame, start, MAX_FRAME_BYTES)?;
+    Ok(frame)
+}
+
 /// Writes one framed message, then flushes.
 ///
 /// # Errors
@@ -396,9 +438,7 @@ pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
 /// Any I/O error from the underlying writer, or
 /// [`io::ErrorKind::InvalidData`] for a message past [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> io::Result<()> {
-    let mut frame = Vec::new();
-    record::put_frame(&mut frame, &encode_payload(msg), MAX_FRAME_BYTES)?;
-    w.write_all(&frame)?;
+    w.write_all(&frame_bytes(msg)?)?;
     w.flush()
 }
 

@@ -55,15 +55,25 @@
 //!
 //! ## Result store
 //!
-//! `results/<key-hex>.res` holds the canonical wire encoding
-//! ([`nvp_experiments::wire::encode_result_bytes`]) of each completed
-//! job's values as one record in the shared frame, behind the magic
-//! `b"nvprslt1"`, written tmp-fsync-rename so readers never observe a
-//! half file. A lookup serves only an entry that is exactly one intact
-//! record and decodes; anything else (a CRC mismatch, a missing or
-//! extra record, a raw entry from before the framing) is quarantined
-//! (moved aside) and reported as a miss, which simply re-runs the job
-//! against the warm simulation cache.
+//! `results/<key-hex>.res` holds one completed job's values as one
+//! record in the shared frame, behind the magic `b"nvprslt2"`:
+//!
+//! ```text
+//! entry  = b"nvprslt2" ++ [len u32] [crc32 u32] ++ digest 32B ++ result
+//! result = canonical wire encoding (nvp_experiments::wire::encode_result_bytes)
+//! digest = SHA-256 of result, the one the `Completed` record carries
+//! ```
+//!
+//! It is written tmp-fsync-rename so readers never observe a half
+//! file. The digest is computed once, when the result is stored: a
+//! replay reads it back and sends the stored result bytes as they are
+//! ([`Journal::lookup_encoded`]), so it hashes nothing and decodes
+//! nothing, and the record's CRC is its one integrity check. A lookup
+//! serves only an entry that is exactly one intact record; anything
+//! else (a CRC mismatch, a missing or extra record, an `nvprslt1` entry
+//! from before the digest, a raw entry from before the framing) is
+//! quarantined (moved aside) and reported as a miss, which simply
+//! re-runs the job against the warm simulation cache.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -85,7 +95,15 @@ use crate::faultplan::{AppendAction, ServiceFaultPlan, CRASH_EXIT_CODE};
 const MAGIC: &[u8; 8] = b"nvpjrnl1";
 
 /// Result-store entry magic: `nvprslt` + schema version digit.
-const RESULT_MAGIC: &[u8; 8] = b"nvprslt1";
+/// Version 2 put the result's content digest in front of its encoding.
+const RESULT_MAGIC: &[u8; 8] = b"nvprslt2";
+
+/// Bound on a result-store entry's one record: the digest plus a result
+/// encoding that fits one frame.
+const MAX_ENTRY_BYTES: u32 = MAX_FRAME_BYTES + DIGEST_BYTES as u32;
+
+/// Length of a [`Digest`].
+const DIGEST_BYTES: usize = 32;
 
 /// Record tags.
 const TAG_ADMITTED: u8 = 1;
@@ -97,7 +115,7 @@ const TAG_COMPLETED: u8 = 3;
 const MAX_RECORD_BYTES: u32 = 1 << 20;
 
 /// A 256-bit content digest (idempotency key or result digest).
-pub type Digest = [u8; 32];
+pub type Digest = [u8; DIGEST_BYTES];
 
 /// A journalled job that must be re-run (admitted, never completed).
 #[derive(Debug, Clone, PartialEq)]
@@ -249,19 +267,27 @@ impl Journal {
     }
 
     /// Stores a completed result under its request's idempotency key
-    /// (tmp + fsync + atomic rename) and returns the content digest of
-    /// the stored bytes.
+    /// (tmp + fsync + atomic rename), with the content digest of its
+    /// encoding, and returns that digest.
     ///
     /// # Errors
     ///
-    /// Store I/O errors pass through.
+    /// Store I/O errors pass through, and a result whose encoding is
+    /// over [`MAX_FRAME_BYTES`] is refused as
+    /// [`io::ErrorKind::InvalidData`].
     pub fn put_result(&self, key: &Digest, result: &CampaignResult) -> io::Result<Digest> {
         let bytes = encode_result_bytes(result);
+        let digest = content_digest(&bytes);
         let path = self.result_path(key);
         if !path.exists() {
-            record::replace(&path, &record::log_image(RESULT_MAGIC, [&bytes], MAX_FRAME_BYTES)?)?;
+            let mut image = RESULT_MAGIC.to_vec();
+            let start = record::begin_frame(&mut image);
+            image.extend_from_slice(&digest);
+            image.extend_from_slice(&bytes);
+            record::end_frame(&mut image, start, MAX_ENTRY_BYTES)?;
+            record::replace(&path, &image)?;
         }
-        Ok(content_digest(&bytes))
+        Ok(digest)
     }
 
     /// Fetches a completed result by idempotency key, or `None` on a
@@ -274,25 +300,49 @@ impl Journal {
     }
 
     /// [`lookup_result`](Self::lookup_result), with the content digest
-    /// of the stored payload: the digest [`put_result`](Self::put_result)
-    /// returned for it, since the payload is the result's encoding. A
-    /// replay journals it without encoding the result again.
+    /// [`put_result`](Self::put_result) stored beside the result. The
+    /// digest is read back, never recomputed.
     #[must_use]
     pub fn lookup_stored(&self, key: &Digest) -> Option<(Digest, CampaignResult)> {
+        let (digest, bytes) = self.lookup_encoded(key)?;
+        match decode_result_bytes(&bytes) {
+            Ok(result) => Some((digest, result)),
+            Err(_) => {
+                self.quarantine_entry(&self.result_path(key));
+                None
+            }
+        }
+    }
+
+    /// The stored content digest and [`encode_result_bytes`] encoding
+    /// of a completed result, checked by the entry's CRC alone: what a
+    /// replay sends, with no hash and no decode. An entry that is not
+    /// exactly one intact record is quarantined and reported as a miss.
+    /// Keys embed the wire protocol, so an intact entry holds an
+    /// encoding of the current protocol.
+    #[must_use]
+    pub fn lookup_encoded(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
         let path = self.result_path(key);
         let image = fs::read(&path).ok()?;
-        let entry = record::scan(&image, RESULT_MAGIC, MAX_FRAME_BYTES);
-        let decoded = match entry.payloads[..] {
-            [payload] if entry.damaged == 0 => {
-                decode_result_bytes(payload).map(|result| (content_digest(payload), result))
+        let entry = record::scan(&image, RESULT_MAGIC, MAX_ENTRY_BYTES);
+        match entry.payloads[..] {
+            [payload] if entry.damaged == 0 && payload.len() >= DIGEST_BYTES => {
+                let (digest, bytes) = payload.split_at(DIGEST_BYTES);
+                Some((digest.try_into().expect("digest-sized prefix"), bytes.to_vec()))
             }
-            _ => Err(record::bad("result store entry is not one intact record")),
-        };
-        if decoded.is_err() && record::quarantine(&path, None).is_ok() {
+            _ => {
+                self.quarantine_entry(&path);
+                None
+            }
+        }
+    }
+
+    /// Moves a damaged result-store entry aside and counts it.
+    fn quarantine_entry(&self, path: &Path) {
+        if record::quarantine(path, None).is_ok() {
             self.quarantined.fetch_add(1, Ordering::Relaxed);
             eprintln!("nvpd: result store entry {} damaged; quarantined", path.display());
         }
-        decoded.ok()
     }
 
     /// Files this journal has quarantined so far (including at open).
@@ -592,6 +642,61 @@ mod tests {
         assert!(journal.lookup_result(&key).is_none(), "an altered entry is never served");
         assert_eq!(journal.quarantined_total(), 1);
         assert!(path.with_extension("res.quarantine").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_truncated_or_bit_flipped_entry_is_a_quarantined_miss() {
+        let dir = unique_dir("nvpd_journal_entry_sweep");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let req = request(12);
+        let key = request_key(&req);
+        let result = nvp_experiments::run_request(&req).unwrap();
+        let digest = journal.put_result(&key, &result).unwrap();
+        let path = dir.join("results").join(format!("{}.res", hex(&key)));
+        let intact = fs::read(&path).unwrap();
+        let quarantined = path.with_extension("res.quarantine");
+        let expect_miss = |bytes: &[u8], what: &str| {
+            fs::write(&path, bytes).unwrap();
+            assert_eq!(journal.lookup_encoded(&key), None, "{what} was served");
+            assert!(!path.exists() && quarantined.exists(), "{what} was not quarantined");
+            fs::remove_file(&quarantined).unwrap();
+        };
+        for cut in 0..intact.len() {
+            expect_miss(&intact[..cut], &format!("entry cut at {cut}"));
+        }
+        for bit in 0..intact.len() * 8 {
+            let mut flipped = intact.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            expect_miss(&flipped, &format!("entry with bit {bit} flipped"));
+        }
+        // An entry from before the digest, `nvprslt1`: magic, then the
+        // bare result encoding in one intact record.
+        let bytes = encode_result_bytes(&result);
+        expect_miss(&record::log_image(b"nvprslt1", [&bytes], MAX_FRAME_BYTES).unwrap(), "v1");
+        // Restored whole, the entry replays its stored digest and bytes.
+        fs::write(&path, &intact).unwrap();
+        assert_eq!(journal.lookup_encoded(&key), Some((digest, bytes)));
+        let flips = intact.len() as u64 * 8;
+        assert_eq!(journal.quarantined_total(), intact.len() as u64 + flips + 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_replay_frame_is_the_frame_of_the_decoded_result() {
+        use nvp_experiments::wire::{frame_bytes, result_frame_bytes, Message};
+        let dir = unique_dir("nvpd_journal_replay_frame");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let req = request(13);
+        let key = request_key(&req);
+        let result = nvp_experiments::run_request(&req).unwrap();
+        let digest = journal.put_result(&key, &result).unwrap();
+        let (stored_digest, bytes) = journal.lookup_encoded(&key).expect("hit after put");
+        assert_eq!(stored_digest, digest);
+        assert_eq!(digest, content_digest(&bytes), "the stored digest is the bytes' SHA-256");
+        let decoded = decode_result_bytes(&bytes).unwrap();
+        let msg = Message::Result { job: 5, replayed: true, result: decoded };
+        assert_eq!(result_frame_bytes(5, true, &bytes).unwrap(), frame_bytes(&msg).unwrap());
         let _ = fs::remove_dir_all(&dir);
     }
 

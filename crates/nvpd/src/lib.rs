@@ -54,7 +54,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use nvp_experiments::wire::{read_frame, request_key, write_frame, Message};
+use nvp_experiments::wire::{
+    frame_bytes, read_frame, request_key, result_frame_bytes, write_frame, Message,
+};
 use nvp_experiments::{run_request, CampaignRequest};
 
 use faultplan::ServiceFaultPlan;
@@ -397,19 +399,45 @@ fn reject(mut stream: TcpStream, reason: &str, retryable: bool) -> Admission {
     Admission::Rejected
 }
 
-/// Writes a frame through the fault plan: an armed one-shot cut
-/// delivers only a prefix and severs the socket mid-frame.
-fn send_frame(stream: &mut TcpStream, msg: &Message, faults: &ServiceFaultPlan) -> io::Result<()> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, msg)?;
-    if let Some(cut) = faults.result_frame_cut(buf.len()) {
-        let _ = stream.write_all(&buf[..cut]);
+/// Writes a framed message through the fault plan: an armed one-shot
+/// cut delivers only a prefix and severs the socket mid-frame.
+fn send_frame(stream: &mut TcpStream, frame: &[u8], faults: &ServiceFaultPlan) -> io::Result<()> {
+    if let Some(cut) = faults.result_frame_cut(frame.len()) {
+        let _ = stream.write_all(&frame[..cut]);
         let _ = stream.flush();
         let _ = stream.shutdown(Shutdown::Both);
-        eprintln!("nvpd: injected mid-frame drop ({cut} of {} bytes delivered)", buf.len());
+        eprintln!("nvpd: injected mid-frame drop ({cut} of {} bytes delivered)", frame.len());
         return Err(io::Error::other("injected mid-frame connection drop"));
     }
-    stream.write_all(&buf)
+    stream.write_all(frame)
+}
+
+/// Sends a finished job's `Result` frame. A frame the bound refused
+/// draws a non-retryable `Reject` instead: a retry would only rerun
+/// the job. A client that has gone away gets nothing; the work still
+/// warmed the cache and the result store, so its retry is a replay.
+fn deliver(
+    mut stream: TcpStream,
+    id: u64,
+    frame: io::Result<Vec<u8>>,
+    faults: &ServiceFaultPlan,
+    counters: &Counters,
+) {
+    match frame.and_then(|frame| send_frame(&mut stream, &frame, faults)) {
+        Ok(()) => {
+            counters.completed.fetch_add(1, Ordering::Relaxed);
+        }
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => fail(stream, id, &e, faults),
+        Err(_) => {}
+    }
+}
+
+/// Sends the non-retryable `Reject` of a job that failed (best effort).
+fn fail(mut stream: TcpStream, id: u64, e: &io::Error, faults: &ServiceFaultPlan) {
+    let msg = Message::Reject { reason: format!("job {id} failed: {e}"), retryable: false };
+    if let Ok(frame) = frame_bytes(&msg) {
+        let _ = send_frame(&mut stream, &frame, faults);
+    }
 }
 
 /// Runs one admitted job and streams its `Result` (or failure
@@ -417,10 +445,11 @@ fn send_frame(stream: &mut TcpStream, msg: &Message, faults: &ServiceFaultPlan) 
 ///
 /// With a journal attached the job walks the recovery state machine:
 /// an idempotency-key hit in the result store answers immediately
-/// (`replayed: true`, zero new simulations); otherwise the job runs,
-/// its result is stored content-addressed, and the `Completed`
-/// transition (with the stored digest) is journalled — compacting the
-/// log when it was the last live entry.
+/// (`replayed: true`, zero new simulations) with the stored digest and
+/// the stored result bytes, neither hashed nor decoded; otherwise the
+/// job runs, its result is stored content-addressed, and the
+/// `Completed` transition (with the stored digest) is journalled —
+/// compacting the log when it was the last live entry.
 ///
 /// A job that fails or panics (a config its builders cannot run), or
 /// whose result is too big for one frame, draws a non-retryable
@@ -434,16 +463,13 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
 
     // Idempotent resubmission: answer from the durable result store.
     if let Some(j) = journal {
-        if let Some((digest, result)) = j.lookup_stored(&key) {
+        if let Some((digest, result_bytes)) = j.lookup_encoded(&key) {
             if let Err(e) = j.completed(id, &digest) {
                 eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
             }
             counters.replayed.fetch_add(1, Ordering::Relaxed);
-            if let Some(mut stream) = stream {
-                let msg = Message::Result { job: id, replayed: true, result };
-                if send_frame(&mut stream, &msg, faults).is_ok() {
-                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                }
+            if let Some(stream) = stream {
+                deliver(stream, id, result_frame_bytes(id, true, &result_bytes), faults, counters);
             }
             return;
         }
@@ -470,25 +496,9 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
                     eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
                 }
             }
-            if let Some(mut stream) = stream {
+            if let Some(stream) = stream {
                 let msg = Message::Result { job: id, replayed: false, result };
-                match send_frame(&mut stream, &msg, faults) {
-                    Ok(()) => {
-                        counters.completed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // The frame bound refused the result before a byte
-                    // went out: a retry would only rerun the job.
-                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                        let msg = Message::Reject {
-                            reason: format!("job {id} failed: {e}"),
-                            retryable: false,
-                        };
-                        let _ = send_frame(&mut stream, &msg, faults);
-                    }
-                    // Client gone: the work still warmed the cache and
-                    // the result store; the retry will be a replay.
-                    Err(_) => {}
-                }
+                deliver(stream, id, frame_bytes(&msg), faults, counters);
             }
         }
         Err(e) => {
@@ -497,10 +507,8 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
                     eprintln!("nvpd: warning: journal completion failed for job {id}: {e}");
                 }
             }
-            if let Some(mut stream) = stream {
-                let msg =
-                    Message::Reject { reason: format!("job {id} failed: {e}"), retryable: false };
-                let _ = send_frame(&mut stream, &msg, faults);
+            if let Some(stream) = stream {
+                fail(stream, id, &e, faults);
             }
         }
     }

@@ -16,7 +16,7 @@ use std::thread;
 use nvp_experiments::client::{ClientConfig, ClientError};
 use nvp_experiments::record::{put_frame, put_str};
 use nvp_experiments::wire::{
-    encode_request_bytes, read_frame, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
+    encode_request_bytes, frame_bytes, read_frame, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
 };
 use nvp_experiments::{
     client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, ExpConfig,
@@ -354,6 +354,73 @@ fn identical_resubmission_replays_without_resimulation() {
 
     let stats = handle.join().expect("server thread").expect("server run");
     assert_eq!((stats.accepted, stats.completed, stats.replayed), (2, 2, 1));
+
+    reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+#[test]
+fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
+    use std::io::{Cursor, Read as _};
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("store_entry");
+
+    let mut request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    request.seed = Some(17);
+    let cfg = ServerConfig {
+        max_jobs: Some(4),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start_server(cfg);
+    let addr = addr.to_string();
+    let first = client::submit(&addr, &request).expect("cold submission");
+    assert!(!first.replayed);
+
+    // A flipped bit, then a truncation: each entry is quarantined and
+    // the job re-runs, storing a fresh entry the next damage hits.
+    let entry = state_dir.join("results").join(format!(
+        "{}.res",
+        nvp_experiments::wire::request_key(&request)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect::<String>()
+    ));
+    for what in ["bit flip", "truncation"] {
+        let mut bytes = fs::read(&entry).expect("stored entry");
+        if what == "bit flip" {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x10;
+        } else {
+            bytes.pop();
+        }
+        fs::write(&entry, &bytes).expect("damage the entry");
+        let rerun = client::submit(&addr, &request).expect("submission over a damaged entry");
+        assert!(!rerun.replayed, "a {what} entry was replayed");
+        assert_eq!(rerun.result.tables, first.result.tables, "{what}: the re-run differs");
+    }
+
+    // The intact entry replays: its Result frame, read raw off the
+    // socket, is the frame of the message it decodes to.
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    write_frame(&mut stream, &Message::Submit(request.clone())).expect("submit");
+    let Message::Accepted { job, .. } = read_frame(&mut stream).expect("accepted") else {
+        panic!("expected an Accepted frame");
+    };
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("result frame");
+    let msg = read_frame(&mut Cursor::new(&raw)).expect("a decodable Result frame");
+    let Message::Result { job: answered, replayed: true, result } = &msg else {
+        panic!("expected a replayed Result frame, got {msg:?}");
+    };
+    assert_eq!((*answered, result), (job, &first.result));
+    assert_eq!(raw, frame_bytes(&msg).expect("reframe"), "the replay sent other bytes");
+
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!((stats.accepted, stats.completed, stats.replayed), (4, 4, 1));
+    assert_eq!(stats.quarantined, 2, "both damaged entries were quarantined");
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);

@@ -19,37 +19,70 @@ use crate::machine::ArchState;
 /// plus the 32-bit program counter split into two halves.
 pub const CHECKPOINT_WORDS: usize = 18;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) lookup table, generated at
-/// compile time so the checkpoint path stays dependency-free.
-const CRC32_TABLE: [u32; 256] = crc32_table();
+/// The reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xEDB8_8320;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slice-by-8 CRC-32 tables, generated at compile time so the checkpoint
+/// path stays dependency-free. `CRC32_TABLES[0]` is the classic bytewise
+/// table; `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight lookups fold eight input bytes at once.
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC32_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1usize;
+    while t < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-/// Folds `bytes` into a running (pre-inverted) CRC-32 accumulator.
-const fn crc32_accum(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut i = 0;
-    while i < bytes.len() {
-        c = CRC32_TABLE[((c ^ bytes[i] as u32) & 0xFF) as usize] ^ (c >> 8);
-        i += 1;
+/// Folds eight input bytes, packed little-endian into `chunk`, into a
+/// running (pre-inverted) CRC-32 accumulator.
+fn crc32_fold8(c: u32, chunk: u64) -> u32 {
+    let v = chunk ^ u64::from(c);
+    let byte = |k: u32| usize::from((v >> (8 * k)) as u8);
+    CRC32_TABLES[7][byte(0)]
+        ^ CRC32_TABLES[6][byte(1)]
+        ^ CRC32_TABLES[5][byte(2)]
+        ^ CRC32_TABLES[4][byte(3)]
+        ^ CRC32_TABLES[3][byte(4)]
+        ^ CRC32_TABLES[2][byte(5)]
+        ^ CRC32_TABLES[1][byte(6)]
+        ^ CRC32_TABLES[0][byte(7)]
+}
+
+/// Folds `bytes` into a running (pre-inverted) CRC-32 accumulator: eight
+/// bytes per step, then the last seven or fewer one at a time.
+fn crc32_accum(mut c: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        c = crc32_fold8(c, u64::from_le_bytes(chunk.try_into().expect("eight-byte chunk")));
+    }
+    for &b in chunks.remainder() {
+        c = CRC32_TABLES[0][usize::from(c as u8 ^ b)] ^ (c >> 8);
     }
     c
 }
 
-/// CRC-32 over a byte slice — the same polynomial and table as
+/// CRC-32 over a byte slice — the same polynomial and tables as
 /// [`crc32_words`]. The persistent simulation-result cache
 /// (`nvp-experiments`) frames its on-disk records with this, so cache
 /// integrity and checkpoint integrity share one checksum
@@ -63,7 +96,12 @@ pub fn crc32_bytes(bytes: &[u8]) -> u32 {
 #[must_use]
 pub fn crc32_words(words: &[u16]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &w in words {
+    let mut chunks = words.chunks_exact(4);
+    for chunk in &mut chunks {
+        let packed = chunk.iter().rev().fold(0u64, |acc, &w| (acc << 16) | u64::from(w));
+        c = crc32_fold8(c, packed);
+    }
+    for &w in chunks.remainder() {
         c = crc32_accum(c, &w.to_le_bytes());
     }
     !c
@@ -177,6 +215,40 @@ mod tests {
         assert_eq!(crc32_bytes(b"12345678"), 0x9AE0_DAAF);
         assert_eq!(crc32_bytes(b"123456789"), 0xCBF4_3926, "CRC-32 check value");
         assert_eq!(crc32_bytes(&[]), 0);
+    }
+
+    /// Table-free CRC-32: shift and xor the polynomial one bit at a time.
+    fn crc32_bitwise(bytes: impl IntoIterator<Item = u8>) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for b in bytes {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 { (c >> 1) ^ CRC32_POLY } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC0C0);
+        let bytes: Vec<u8> = (0..256 + 8).map(|_| rng.random::<u8>()).collect();
+        let words: Vec<u16> = (0..256 + 8).map(|_| rng.random::<u16>()).collect();
+        // Every length through two hundred and fifty-six, at every
+        // alignment: the eight-byte body, the bytewise tail and the
+        // chunk boundary between them all meet the reference.
+        for start in 0..8 {
+            for len in 0..=256 {
+                let b = &bytes[start..start + len];
+                assert_eq!(crc32_bytes(b), crc32_bitwise(b.iter().copied()), "bytes {start}+{len}");
+                let w = &words[start..start + len];
+                let expanded = w.iter().flat_map(|w| w.to_le_bytes());
+                assert_eq!(crc32_words(w), crc32_bitwise(expanded), "words {start}+{len}");
+            }
+        }
     }
 
     #[test]
