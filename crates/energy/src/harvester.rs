@@ -14,11 +14,14 @@
 //!
 //! All generators are deterministic functions of `(seed, duration)`.
 
+use std::io;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{PowerTrace, DEFAULT_DT_S};
+use crate::trace::CsvWriter;
+use crate::{PowerTrace, TraceSummary, DEFAULT_DT_S};
 
 /// The ambient energy-source classes evaluated by the framework.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -53,16 +56,62 @@ impl SourceKind {
         }
     }
 
-    /// Generates a trace of this source class.
+    /// The source kind named `name` (as [`name`](Self::name) spells
+    /// it), if any.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<SourceKind> {
+        SourceKind::ALL.into_iter().find(|k| k.name() == name)
+    }
+
+    /// Generates a trace of this source class: the samples its
+    /// generator streams, collected.
     #[must_use]
     pub fn generate(self, seed: u64, duration_s: f64) -> PowerTrace {
+        let mut samples = Vec::with_capacity(sample_count(duration_s));
+        self.stream(seed, duration_s, |p| samples.push(p));
+        PowerTrace::from_samples(DEFAULT_DT_S, samples)
+    }
+
+    /// Emits the samples of [`generate`](Self::generate)'s trace to
+    /// `sink`, in order, one [`DEFAULT_DT_S`] period each, without
+    /// holding them: the one generator body behind every consumer.
+    pub(crate) fn stream(self, seed: u64, duration_s: f64, sink: impl FnMut(f64)) {
         match self {
-            SourceKind::WristWatch => wrist_watch(seed, duration_s),
-            SourceKind::SolarIndoor => solar_indoor(seed, duration_s),
-            SourceKind::RfWifi => rf_wifi(seed, duration_s),
-            SourceKind::ThermalBody => thermal_body(seed, duration_s),
+            SourceKind::WristWatch => wrist_watch_into(seed, duration_s, sink),
+            SourceKind::SolarIndoor => solar_indoor_into(seed, duration_s, sink),
+            SourceKind::RfWifi => rf_wifi_into(seed, duration_s, sink),
+            SourceKind::ThermalBody => thermal_body_into(seed, duration_s, sink),
         }
     }
+
+    /// The [`TraceSummary`] of [`generate`](Self::generate)'s trace at
+    /// `threshold_w`, folded in one streamed pass: no sample array.
+    #[must_use]
+    pub fn summarize(self, seed: u64, duration_s: f64, threshold_w: f64) -> TraceSummary {
+        let mut summary = TraceSummary::builder(DEFAULT_DT_S, threshold_w);
+        self.stream(seed, duration_s, |p| summary.push(p));
+        summary.finish()
+    }
+
+    /// Writes [`PowerTrace::write_csv`]'s text of
+    /// [`generate`](Self::generate)'s trace, streamed from the
+    /// generator: no sample array, and one block of rows buffered.
+    ///
+    /// # Errors
+    ///
+    /// Any error `out` returns.
+    pub fn write_csv<W: io::Write>(self, seed: u64, duration_s: f64, out: W) -> io::Result<()> {
+        let mut csv = CsvWriter::new(out, DEFAULT_DT_S);
+        self.stream(seed, duration_s, |p| csv.push(p));
+        csv.finish()
+    }
+}
+
+/// Samples in a generated trace of `duration_s`: the duration in
+/// [`DEFAULT_DT_S`] periods, rounded to nearest.
+#[must_use]
+pub fn sample_count(duration_s: f64) -> usize {
+    (duration_s / DEFAULT_DT_S).round() as usize
 }
 
 impl std::fmt::Display for SourceKind {
@@ -100,13 +149,16 @@ fn lognormal_sample<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) -> f6
 /// ```
 #[must_use]
 pub fn wrist_watch(seed: u64, duration_s: f64) -> PowerTrace {
+    SourceKind::WristWatch.generate(seed, duration_s)
+}
+
+fn wrist_watch_into(seed: u64, duration_s: f64, mut sink: impl FnMut(f64)) {
     let dt = DEFAULT_DT_S;
-    let n = (duration_s / dt).round() as usize;
+    let n = sample_count(duration_s);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
     // Per-wearer activity scaling differentiates the five "profiles".
     let vigor = 0.7 + 0.6 * rng.random::<f64>();
 
-    let mut samples = Vec::with_capacity(n);
     let mut active = rng.random::<f64>() < 0.5;
     let mut epoch_left = exp_sample(&mut rng, if active { 0.6 } else { 0.9 });
     // Pulse state within an active epoch.
@@ -149,22 +201,24 @@ pub fn wrist_watch(seed: u64, duration_s: f64) -> PowerTrace {
         } else {
             rng.random::<f64>() * 6e-6
         };
-        samples.push(p);
+        sink(p);
     }
-    PowerTrace::from_samples(dt, samples)
 }
 
 /// Synthesizes an indoor-solar trace: a slowly wandering baseline of
 /// hundreds of µW with occasional second-scale shadow events.
 #[must_use]
 pub fn solar_indoor(seed: u64, duration_s: f64) -> PowerTrace {
+    SourceKind::SolarIndoor.generate(seed, duration_s)
+}
+
+fn solar_indoor_into(seed: u64, duration_s: f64, mut sink: impl FnMut(f64)) {
     let dt = DEFAULT_DT_S;
-    let n = (duration_s / dt).round() as usize;
+    let n = sample_count(duration_s);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xD134_2543_DE82_EF95).wrapping_add(2));
     let mut base = 150e-6 + 250e-6 * rng.random::<f64>();
     let mut shadow_left = 0.0_f64;
     let mut until_shadow = exp_sample(&mut rng, 4.0);
-    let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         // Ornstein-Uhlenbeck-style wander of the illumination baseline.
         let target = 300e-6;
@@ -172,30 +226,32 @@ pub fn solar_indoor(seed: u64, duration_s: f64) -> PowerTrace {
         base = base.clamp(40e-6, 800e-6);
         if shadow_left > 0.0 {
             shadow_left -= dt;
-            samples.push(base * 0.02 + rng.random::<f64>() * 2e-6);
+            sink(base * 0.02 + rng.random::<f64>() * 2e-6);
         } else {
             until_shadow -= dt;
             if until_shadow <= 0.0 {
                 shadow_left = exp_sample(&mut rng, 0.5).max(0.05);
                 until_shadow = exp_sample(&mut rng, 4.0);
             }
-            samples.push(base + rng.random::<f64>() * 10e-6);
+            sink(base + rng.random::<f64>() * 10e-6);
         }
     }
-    PowerTrace::from_samples(dt, samples)
 }
 
 /// Synthesizes an RF/WiFi scavenging trace: ms-scale packet bursts well
 /// above threshold separated by near-zero idle gaps.
 #[must_use]
 pub fn rf_wifi(seed: u64, duration_s: f64) -> PowerTrace {
+    SourceKind::RfWifi.generate(seed, duration_s)
+}
+
+fn rf_wifi_into(seed: u64, duration_s: f64, mut sink: impl FnMut(f64)) {
     let dt = DEFAULT_DT_S;
-    let n = (duration_s / dt).round() as usize;
+    let n = sample_count(duration_s);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA076_1D64_78BD_642F).wrapping_add(3));
     let mut in_burst = false;
     let mut left = exp_sample(&mut rng, 8e-3);
     let mut amp = 0.0;
-    let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         if left <= 0.0 {
             in_burst = !in_burst;
@@ -207,27 +263,29 @@ pub fn rf_wifi(seed: u64, duration_s: f64) -> PowerTrace {
             }
         }
         left -= dt;
-        samples.push(if in_burst {
+        sink(if in_burst {
             amp * (0.85 + 0.3 * rng.random::<f64>())
         } else {
             rng.random::<f64>() * 4e-6
         });
     }
-    PowerTrace::from_samples(dt, samples)
 }
 
 /// Synthesizes a body-heat thermoelectric trace: tens of µW with slow
 /// drift, crossing the operating threshold on second-to-minute scales.
 #[must_use]
 pub fn thermal_body(seed: u64, duration_s: f64) -> PowerTrace {
+    SourceKind::ThermalBody.generate(seed, duration_s)
+}
+
+fn thermal_body_into(seed: u64, duration_s: f64, mut sink: impl FnMut(f64)) {
     let dt = DEFAULT_DT_S;
-    let n = (duration_s / dt).round() as usize;
+    let n = sample_count(duration_s);
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(4));
     let period = 8.0 + 10.0 * rng.random::<f64>();
     let phase0 = rng.random::<f64>() * std::f64::consts::TAU;
     let mean = 30e-6 + 8e-6 * rng.random::<f64>();
     let swing = 14e-6 + 6e-6 * rng.random::<f64>();
-    let mut samples = Vec::with_capacity(n);
     // Slow (low-passed) noise so the trace crosses thresholds on the
     // sinusoid's timescale, not per-sample: TEG output has no fast jitter.
     let mut drift = 0.0_f64;
@@ -235,9 +293,8 @@ pub fn thermal_body(seed: u64, duration_s: f64) -> PowerTrace {
         let t = i as f64 * dt;
         drift += (-drift) * dt / 0.5 + 0.05e-6 * (rng.random::<f64>() - 0.5);
         let p = mean + swing * (std::f64::consts::TAU * t / period + phase0).sin() + drift;
-        samples.push(p.max(0.0));
+        sink(p.max(0.0));
     }
-    PowerTrace::from_samples(dt, samples)
 }
 
 #[cfg(test)]
@@ -254,6 +311,56 @@ mod tests {
             let c = kind.generate(8, 1.0);
             assert_ne!(a, c, "{kind} must vary with seed");
         }
+    }
+
+    /// Durations covering zero samples, one sample, sample counts that
+    /// round up or down from a half-period, and a full second.
+    const STREAM_DURATIONS: [f64; 8] = [0.0, 4e-5, 5e-5, 1e-4, 1.5e-4, 2.5e-4, 0.01234, 1.0];
+
+    #[test]
+    fn streamed_samples_are_the_generated_trace_bit_for_bit() {
+        for kind in SourceKind::ALL {
+            for seed in [0, 1, 7, 4_100, u64::MAX] {
+                for d in STREAM_DURATIONS {
+                    let mut streamed = Vec::new();
+                    kind.stream(seed, d, |p| streamed.push(p.to_bits()));
+                    let generated = kind.generate(seed, d);
+                    let bits: Vec<u64> = generated.samples().iter().map(|p| p.to_bits()).collect();
+                    assert_eq!(streamed, bits, "{kind} seed {seed} over {d} s");
+                    assert_eq!(streamed.len(), sample_count(d), "{kind} over {d} s");
+                }
+            }
+        }
+        assert_eq!(sample_count(0.0), 0);
+        assert_eq!(sample_count(4e-5), 0, "under half a period rounds to none");
+        assert_eq!(sample_count(5e-5), 1, "an exact half period rounds away from zero");
+        assert_eq!(sample_count(2.5e-4), 3, "an exact half period rounds away from zero");
+        assert_eq!(sample_count(1.5e-4), 1, "1.5e-4 / 1e-4 falls an ulp under 1.5");
+    }
+
+    #[test]
+    fn streamed_csv_and_summary_match_the_sample_array() {
+        for kind in SourceKind::ALL {
+            for seed in [1, 3] {
+                for d in STREAM_DURATIONS {
+                    let trace = kind.generate(seed, d);
+                    let mut csv = Vec::new();
+                    kind.write_csv(seed, d, &mut csv).unwrap();
+                    assert_eq!(csv, trace.to_csv().into_bytes(), "{kind} seed {seed} over {d} s");
+                    let streamed = kind.summarize(seed, d, OPERATING_THRESHOLD_W);
+                    let of_array = TraceSummary::of(&trace, OPERATING_THRESHOLD_W);
+                    assert_eq!(format!("{streamed:?}"), format!("{of_array:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn source_kinds_round_trip_their_names() {
+        for kind in SourceKind::ALL {
+            assert_eq!(SourceKind::from_name(kind.name()), Some(kind));
+        }
+        assert_eq!(SourceKind::from_name("wrist watch"), None);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   sub-threshold emergencies per 10 s window at a 33 µW operating
 //!   threshold,
 //! * [`OutageStats`] — outage-duration and power-emergency statistics
-//!   (figure F2 of the reconstructed evaluation),
+//!   (figure F2 of the reconstructed evaluation), and [`TraceSummary`],
+//!   the profile and outage statistics of a trace folded in one pass,
+//!   which [`harvester::SourceKind::summarize`] streams from a generator
+//!   without holding its samples,
 //! * [`Rectifier`] and [`Capacitor`] — the AC-DC conversion-efficiency
 //!   curve and the energy-storage device with leakage, whose sizing
 //!   trade-off is the heart of the NVP-vs-wait-compute comparison,
@@ -43,7 +46,7 @@ mod trace;
 pub mod units;
 
 pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, Rectifier, TickIncome};
-pub use stats::{Histogram, OutageStats};
+pub use stats::{Histogram, OutageStats, TraceSummary};
 pub use trace::{PowerTrace, TraceError};
 pub use units::{Farads, Joules, Seconds, Volts, Watts};
 

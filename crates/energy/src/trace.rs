@@ -174,6 +174,56 @@ fn push_scaled(out: &mut Vec<u8>, scaled: u64, prec: usize) {
     out.extend_from_slice(&buf[at..]);
 }
 
+/// Writes the two-column CSV of a trace (`time_s,power_w`, times to 6
+/// decimals and powers to 9) as its samples arrive, one block of rows
+/// buffered: the one row renderer behind [`PowerTrace::write_csv`] and
+/// [`SourceKind::write_csv`](crate::harvester::SourceKind::write_csv).
+/// A write error is kept and returned by [`finish`](Self::finish);
+/// nothing is written after it.
+pub(crate) struct CsvWriter<W: io::Write> {
+    out: W,
+    dt_s: f64,
+    rows: usize,
+    buf: Vec<u8>,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> CsvWriter<W> {
+    /// Rows rendered between writes to the sink.
+    const BLOCK_ROWS: usize = 4096;
+
+    pub(crate) fn new(out: W, dt_s: f64) -> Self {
+        let mut buf = Vec::with_capacity(Self::BLOCK_ROWS * 24);
+        buf.extend_from_slice(b"time_s,power_w\n");
+        CsvWriter { out, dt_s, rows: 0, buf, error: None }
+    }
+
+    /// Appends the next sample's row.
+    pub(crate) fn push(&mut self, p: f64) {
+        push_fixed(&mut self.buf, self.rows as f64 * self.dt_s, 6);
+        self.buf.push(b',');
+        push_fixed(&mut self.buf, p, 9);
+        self.buf.push(b'\n');
+        self.rows += 1;
+        if self.rows.is_multiple_of(Self::BLOCK_ROWS) {
+            self.flush_block();
+        }
+    }
+
+    fn flush_block(&mut self) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(&self.buf).err();
+        }
+        self.buf.clear();
+    }
+
+    /// Writes the rows still buffered, then reports the first error.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.flush_block();
+        self.error.map_or(Ok(()), Err)
+    }
+}
+
 /// A harvested-power trace: input power in watts, sampled every `dt_s`.
 ///
 /// # Example
@@ -276,7 +326,7 @@ impl PowerTrace {
         if self.samples.is_empty() {
             return 0.0;
         }
-        self.samples.iter().sum::<f64>() / self.samples.len() as f64
+        self.sum_w() / self.samples.len() as f64
     }
 
     /// Peak power, watts.
@@ -289,7 +339,13 @@ impl PowerTrace {
     /// losses).
     #[must_use]
     pub fn total_energy_j(&self) -> f64 {
-        self.samples.iter().sum::<f64>() * self.dt_s
+        self.sum_w() * self.dt_s
+    }
+
+    /// The samples' sum, added in order from `0.0`, as
+    /// `TraceSummary`'s builder adds them.
+    fn sum_w(&self) -> f64 {
+        self.samples.iter().fold(0.0, |sum, &p| sum + p)
     }
 
     /// Serializes as two-column CSV (`time_s,power_w`) with a header row:
@@ -311,21 +367,10 @@ impl PowerTrace {
     /// # Errors
     ///
     /// Any error `out` returns.
-    pub fn write_csv<W: io::Write>(&self, mut out: W) -> io::Result<()> {
-        const BLOCK_ROWS: usize = 4096;
-        let mut buf = Vec::with_capacity(BLOCK_ROWS * 24);
-        buf.extend_from_slice(b"time_s,power_w\n");
-        for (block, chunk) in self.samples.chunks(BLOCK_ROWS).enumerate() {
-            for (j, &p) in chunk.iter().enumerate() {
-                push_fixed(&mut buf, (block * BLOCK_ROWS + j) as f64 * self.dt_s, 6);
-                buf.push(b',');
-                push_fixed(&mut buf, p, 9);
-                buf.push(b'\n');
-            }
-            out.write_all(&buf)?;
-            buf.clear();
-        }
-        out.write_all(&buf)
+    pub fn write_csv<W: io::Write>(&self, out: W) -> io::Result<()> {
+        let mut csv = CsvWriter::new(out, self.dt_s);
+        self.samples.iter().for_each(|&p| csv.push(p));
+        csv.finish()
     }
 
     /// Parses the CSV produced by [`to_csv`](Self::to_csv).

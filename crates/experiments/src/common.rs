@@ -9,11 +9,13 @@
 //! [`simcache::memo`], the same per-key slot as the simulation cache:
 //! distinct inputs build in parallel and each is built once. Frames,
 //! kernels and task costs stay for the life of the process. A trace
-//! keeps only its spec and digest: its samples live while a job runs
-//! and are released when no job is left in flight (see [`JobScope`]),
-//! so a resident server holds just the traces of its running jobs. The
-//! same release demotes the sim-cache's stored outcomes to the location
-//! of their records.
+//! keeps only its spec and digest: its samples (read only by
+//! simulations) and its summary (read by the profile and outage
+//! figures, streamed from the generator without a sample array) live
+//! while a job runs and are released when no job is left in flight
+//! (see [`JobScope`]), so a resident server holds just the traces of
+//! its running jobs. The same release demotes the sim-cache's stored
+//! outcomes to the location of their records.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `setups()` hands the same
@@ -23,6 +25,7 @@
 //! simulate only once per process.
 
 use std::cmp::Ordering;
+use std::io;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -31,8 +34,8 @@ use nvp_core::{
     SystemConfig, TaskCost, WaitComputeConfig, WaitComputeSystem,
 };
 use nvp_device::NvmTechnology;
-use nvp_energy::harvester::SourceKind;
-use nvp_energy::PowerTrace;
+use nvp_energy::harvester::{self, SourceKind};
+use nvp_energy::{PowerTrace, TraceSummary, OPERATING_THRESHOLD_W};
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
 use crate::record::{put_str, put_u64};
@@ -69,22 +72,52 @@ pub(crate) fn kernel(cfg: &ExpConfig, kind: KernelKind) -> Arc<KernelInstance> {
 /// to what a generator emits must bump this, or a persistent cache
 /// would serve runs over the old samples. `tests/golden_digest.rs`
 /// (`trace_generators_match_golden_digests`) pins every registry
-/// trace's samples to catch an edit that forgets.
-const TRACE_GEN_VERSION: u64 = 1;
+/// trace's samples to catch an edit that forgets. A result carries
+/// its profiles as specs under this version too, and the wire decoder
+/// refuses a foreign one.
+pub(crate) const TRACE_GEN_VERSION: u64 = 1;
 
 /// Everything a generated trace is a pure function of: the source kind,
 /// the seed and the duration (as its bit pattern). It keys both the
-/// trace memo and, through [`digest`](Self::digest), the sim-cache.
+/// trace memo and, through its digest, the sim-cache, and it stands for
+/// an F1 profile in a [`CampaignResult`](crate::CampaignResult): the
+/// profile's CSV is rendered from the generator when written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct TraceSpec {
+pub struct TraceSpec {
     kind: SourceKind,
     seed: u64,
     duration_bits: u64,
 }
 
 impl TraceSpec {
-    fn new(kind: SourceKind, seed: u64, duration_s: f64) -> TraceSpec {
+    /// The spec of `kind`'s trace for `seed` over `duration_s`.
+    #[must_use]
+    pub(crate) fn new(kind: SourceKind, seed: u64, duration_s: f64) -> TraceSpec {
         TraceSpec { kind, seed, duration_bits: duration_s.to_bits() }
+    }
+
+    /// The source kind.
+    #[must_use]
+    pub(crate) fn kind(&self) -> SourceKind {
+        self.kind
+    }
+
+    /// The generator seed.
+    #[must_use]
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// The trace duration, seconds.
+    #[must_use]
+    pub(crate) fn duration_s(&self) -> f64 {
+        f64::from_bits(self.duration_bits)
+    }
+
+    /// Samples in the generated trace.
+    #[must_use]
+    pub(crate) fn sample_count(&self) -> usize {
+        harvester::sample_count(self.duration_s())
     }
 
     /// The trace's sim-cache key material: a tag, the generator version
@@ -96,8 +129,34 @@ impl TraceSpec {
         key.finish()
     }
 
-    fn generate(&self) -> PowerTrace {
-        self.kind.generate(self.seed, f64::from_bits(self.duration_bits))
+    /// The generated samples.
+    #[must_use]
+    pub(crate) fn generate(&self) -> PowerTrace {
+        self.kind.generate(self.seed, self.duration_s())
+    }
+
+    /// The trace's [`TraceSummary`] at [`OPERATING_THRESHOLD_W`],
+    /// streamed from the generator.
+    fn summarize(&self) -> TraceSummary {
+        self.kind.summarize(self.seed, self.duration_s(), OPERATING_THRESHOLD_W)
+    }
+
+    /// The generated trace's CSV ([`PowerTrace::to_csv`]'s text).
+    #[must_use]
+    pub fn to_csv(&self) -> String {
+        let mut out = Vec::with_capacity(self.sample_count() * 24 + 16);
+        self.write_csv(&mut out).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the CSV writer emits ASCII")
+    }
+
+    /// Streams [`to_csv`](Self::to_csv)'s text into `out` straight from
+    /// the generator: no sample array and no whole text is held.
+    ///
+    /// # Errors
+    ///
+    /// Any error `out` returns.
+    pub fn write_csv<W: io::Write>(&self, out: W) -> io::Result<()> {
+        self.kind.write_csv(self.seed, self.duration_s(), out)
     }
 
     fn order(&self) -> (&'static str, u64, u64) {
@@ -127,45 +186,61 @@ impl KeyFields for TraceSpec {
 }
 
 /// One memoized trace: its spec and the spec's digest, kept for the
-/// life of the process, and the samples, held only while a job runs.
+/// life of the process, and the samples and summary, held only while a
+/// job runs.
 struct TraceEntry {
     spec: TraceSpec,
     digest: Digest,
-    samples: Mutex<Samples>,
+    held: Mutex<Held>,
 }
 
-/// The samples a [`TraceEntry`] holds, and how often it generated them.
+/// What a [`TraceEntry`] holds, and how often it built each part.
 #[derive(Default)]
-struct Samples {
-    held: Option<Arc<PowerTrace>>,
+struct Held {
+    samples: Option<Arc<PowerTrace>>,
+    summary: Option<Arc<TraceSummary>>,
     generations: u64,
+    summaries: u64,
 }
 
 impl TraceEntry {
-    fn samples(&self) -> MutexGuard<'_, Samples> {
-        // A panicking generator leaves `held` empty, so a poisoned lock
-        // holds nothing torn.
-        self.samples.lock().unwrap_or_else(PoisonError::into_inner)
+    fn held(&self) -> MutexGuard<'_, Held> {
+        // A panicking generator leaves its slot empty, so a poisoned
+        // lock holds nothing torn.
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The samples, generated if the entry holds none. The lock is held
     /// across generation, so concurrent readers of one spec share one.
     fn read(&self) -> Arc<PowerTrace> {
-        let mut samples = self.samples();
-        let Samples { held, generations } = &mut *samples;
-        Arc::clone(held.get_or_insert_with(|| {
+        let mut held = self.held();
+        let Held { samples, generations, .. } = &mut *held;
+        Arc::clone(samples.get_or_insert_with(|| {
             *generations += 1;
             Arc::new(self.spec.generate())
+        }))
+    }
+
+    /// The summary, streamed from the generator if the entry holds
+    /// none: no sample array is allocated. The lock is held across the
+    /// stream, so concurrent readers of one spec share one.
+    fn summary(&self) -> Arc<TraceSummary> {
+        let mut held = self.held();
+        let Held { summary, summaries, .. } = &mut *held;
+        Arc::clone(summary.get_or_insert_with(|| {
+            *summaries += 1;
+            Arc::new(self.spec.summarize())
         }))
     }
 }
 
 /// A shared power trace keyed by its spec digest, so runs over it are
 /// keyed without touching a sample. The samples are generated the first
-/// time anything reads them: a run whose sim-cache key hits never
-/// builds its trace. Within a job each spec is generated once; see
-/// [`JobScope`] for when the memo lets go of them. A handle keeps the
-/// samples it has read.
+/// time a simulation reads them: a run whose sim-cache key hits never
+/// builds its trace, and the profile and outage figures read the
+/// trace's [`summary`](Self::summary) instead. Within a job each spec
+/// is generated and summarized at most once; see [`JobScope`] for when
+/// the memo lets go of both. A handle keeps the samples it has read.
 #[derive(Clone)]
 pub(crate) struct SimTrace {
     entry: Arc<TraceEntry>,
@@ -177,9 +252,15 @@ impl SimTrace {
         &self.entry.digest
     }
 
-    /// The memoized trace itself, shared rather than copied.
-    pub(crate) fn shared(&self) -> Arc<PowerTrace> {
-        Arc::clone(self.samples())
+    /// The trace's spec.
+    pub(crate) fn spec(&self) -> TraceSpec {
+        self.entry.spec
+    }
+
+    /// The trace's statistics at [`OPERATING_THRESHOLD_W`], shared by
+    /// every reader in the job. Reads no sample array.
+    pub(crate) fn summary(&self) -> Arc<TraceSummary> {
+        self.entry.summary()
     }
 
     fn samples(&self) -> &Arc<PowerTrace> {
@@ -189,7 +270,7 @@ impl SimTrace {
     /// Whether anything has ever generated this trace's samples.
     #[cfg(test)]
     fn is_generated(&self) -> bool {
-        self.entry.samples().generations > 0
+        self.entry.held().generations > 0
     }
 }
 
@@ -209,11 +290,8 @@ static TRACES: Memo<TraceSpec, TraceEntry> = OnceLock::new();
 /// regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
     let spec = TraceSpec::new(kind, seed, cfg.trace_duration_s);
-    let entry = memo(&TRACES, spec, || TraceEntry {
-        spec,
-        digest: spec.digest(),
-        samples: Mutex::default(),
-    });
+    let entry =
+        memo(&TRACES, spec, || TraceEntry { spec, digest: spec.digest(), held: Mutex::default() });
     SimTrace { entry, samples: OnceLock::new() }
 }
 
@@ -230,14 +308,15 @@ fn each_trace(mut f: impl FnMut(&TraceEntry)) {
 static JOBS: Mutex<usize> = Mutex::new(0);
 
 /// One campaign job's hold on the trace memo and the sim-cache. While
-/// any scope lives, generated samples stay in the memo, so every task
-/// of a job (F1's rows and series, F2, the simulations) shares one
-/// generation per spec, and decoded outcomes stay in the sim-cache.
-/// When the last scope drops, both let go:
+/// any scope lives, generated samples and summaries stay in the memo,
+/// so every task of a job (F1's rows and profiles, F2, F9, the
+/// simulations) shares one generation and one summary per spec, and
+/// decoded outcomes stay in the sim-cache. When the last scope drops,
+/// both let go:
 ///
-/// * the memo empties every trace's samples; specs and digests stay,
-///   and a later job that reads a spec regenerates it, byte for byte
-///   the same samples;
+/// * the memo empties every trace's samples and summary; specs and
+///   digests stay, and a later job that reads a spec regenerates it,
+///   byte for byte the same samples;
 /// * the sim-cache demotes every outcome the attached store holds to
 ///   the byte offset of its record ([`simcache::demote_stored`]), and a
 ///   later job that looks one up re-reads that record. Without a store
@@ -263,7 +342,11 @@ impl Drop for JobScope {
         *jobs -= 1;
         // Released under the counter lock, so no job starts mid-sweep.
         if *jobs == 0 {
-            each_trace(|entry| entry.samples().held = None);
+            each_trace(|entry| {
+                let mut held = entry.held();
+                held.samples = None;
+                held.summary = None;
+            });
             simcache::demote_stored();
         }
     }
@@ -278,8 +361,13 @@ fn jobs() -> MutexGuard<'static, usize> {
 pub struct TraceMemoStats {
     /// Trace sample generations over the life of the process. Jobs in
     /// flight generate each spec they read at most once; a spec is
-    /// generated again only after the memo released it.
+    /// generated again only after the memo released it. Only
+    /// simulations that miss the sim-cache read samples.
     pub generated: u64,
+    /// Trace summaries built over the life of the process, streamed from
+    /// the generator or folded over held samples: at most one per spec
+    /// per job, like [`generated`](Self::generated).
+    pub summarized: u64,
     /// Sample bytes the memo holds right now; zero between jobs.
     pub resident_bytes: u64,
 }
@@ -289,10 +377,11 @@ pub struct TraceMemoStats {
 pub fn trace_memo_stats() -> TraceMemoStats {
     let mut stats = TraceMemoStats::default();
     each_trace(|entry| {
-        let samples = entry.samples();
-        stats.generated += samples.generations;
-        if let Some(held) = &samples.held {
-            stats.resident_bytes += std::mem::size_of_val(held.samples()) as u64;
+        let held = entry.held();
+        stats.generated += held.generations;
+        stats.summarized += held.summaries;
+        if let Some(samples) = &held.samples {
+            stats.resident_bytes += std::mem::size_of_val(samples.samples()) as u64;
         }
     });
     stats
@@ -529,21 +618,72 @@ mod tests {
         assert_eq!(setup.run(&inst, &trace), stored);
         assert!(!trace.is_generated(), "a sim-cache hit reads no sample");
 
-        // F1 and F2 summarize the samples themselves.
+        // F1 and F2 read the trace's streamed summary, not its samples.
         let only = |seed| ExpConfig { profile_seeds: vec![seed], ..cfg.clone() };
         assert_eq!(crate::f1_power_profiles::rows(&only(901)).len(), 1);
-        assert!(trace.is_generated());
         let f2_trace = watch_trace(&cfg, 902);
-        assert!(!f2_trace.is_generated());
         assert_eq!(crate::f2_outage_stats::rows(&only(902)).len(), 1);
-        assert!(f2_trace.is_generated());
+        assert_eq!(crate::f2_outage_stats::histogram_table(&only(902), 902, 4).rows().len(), 4);
+        assert!(!trace.is_generated() && !f2_trace.is_generated(), "summaries read no array");
     }
 
     #[test]
     fn memoized_traces_are_the_generators_output() {
         let cfg = ExpConfig::quick();
         let trace = source_trace(&cfg, SourceKind::RfWifi, 3);
-        assert_eq!(*trace.shared(), SourceKind::RfWifi.generate(3, cfg.trace_duration_s));
+        assert_eq!(*trace, SourceKind::RfWifi.generate(3, cfg.trace_duration_s));
         assert_eq!(*trace.digest(), TraceSpec::new(SourceKind::RfWifi, 3, 2.0).digest());
+        assert_eq!(trace.spec().generate(), *trace);
+        assert_eq!(trace.spec().to_csv(), trace.to_csv());
+    }
+
+    /// Every trace the registry reads, at the quick and default
+    /// configs: the six wearable profiles' and F7's three other
+    /// sources at the first profile seed.
+    fn registry_specs() -> Vec<TraceSpec> {
+        let mut specs = Vec::new();
+        for cfg in [ExpConfig::quick(), ExpConfig::default()] {
+            let first = cfg.profile_seeds[0];
+            let d = cfg.trace_duration_s;
+            specs.extend(SourceKind::ALL.map(|kind| TraceSpec::new(kind, first, d)));
+            specs.extend(
+                cfg.profile_seeds[1..]
+                    .iter()
+                    .map(|&s| TraceSpec::new(SourceKind::WristWatch, s, d)),
+            );
+        }
+        specs
+    }
+
+    /// The streamed summary F1, F2 and F9 read is the array path's
+    /// statistics, field for field and bit for bit, outage list
+    /// included, on every registry trace.
+    #[test]
+    fn streamed_summaries_match_the_array_path_on_every_registry_trace() {
+        let bits = |x: f64| x.to_bits();
+        for spec in registry_specs() {
+            let s = spec.summarize();
+            let t = spec.generate();
+            let what = format!("{spec:?}");
+            assert_eq!(bits(s.average_w), bits(t.average_w()), "{what}");
+            assert_eq!(bits(s.peak_w), bits(t.peak_w()), "{what}");
+            assert_eq!(bits(s.total_energy_j), bits(t.total_energy_j()), "{what}");
+            assert_eq!(bits(s.duration_s), bits(t.duration_s()), "{what}");
+            let outages = nvp_energy::OutageStats::analyze(&t, OPERATING_THRESHOLD_W);
+            assert_eq!(s.outages.emergency_count, outages.emergency_count, "{what}");
+            let list = |o: &nvp_energy::OutageStats| {
+                let scalars = [o.threshold_w, o.longest_outage_s, o.mean_outage_s];
+                let fraction = o.above_threshold_fraction;
+                (
+                    o.outage_durations_s
+                        .iter()
+                        .chain(&scalars)
+                        .map(|&x| bits(x))
+                        .collect::<Vec<_>>(),
+                    bits(fraction),
+                )
+            };
+            assert_eq!(list(&s.outages), list(&outages), "{what}");
+        }
     }
 }

@@ -2,14 +2,12 @@
 //!
 //! Summary statistics for the synthetic "watch in daily life" traces
 //! (published envelope: 10–40 µW averages, spikes to ~2000 µW). The raw
-//! sample series are exported as CSV by the runner for plotting.
+//! sample series are exported as CSV by the runner for plotting,
+//! streamed from the generator when written.
 
-use std::sync::Arc;
-
-use nvp_energy::PowerTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::common::watch_trace;
+use crate::common::{watch_trace, TraceSpec};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -28,36 +26,38 @@ pub struct Row {
     pub duration_s: f64,
 }
 
-/// The raw trace for one profile (for CSV export / plotting): the
-/// memoized trace every experiment on this profile shares, not a copy.
-/// A [`CampaignResult`](crate::CampaignResult) holds it as is and
-/// renders its CSV only when written.
-#[must_use]
-pub fn trace(cfg: &ExpConfig, profile: u64) -> Arc<PowerTrace> {
-    watch_trace(cfg, profile).shared()
+/// The raw trace for one profile (for CSV export / plotting), as its
+/// spec: a [`CampaignResult`](crate::CampaignResult) holds it as is,
+/// and its CSV is streamed from the generator only when written. A
+/// campaign runs this as a task of its own, which also streams the
+/// profile's summary into the trace memo, where F1, F2 and F9 read it.
+pub(crate) fn profile(cfg: &ExpConfig, seed: u64) -> TraceSpec {
+    let trace = watch_trace(cfg, seed);
+    trace.summary();
+    trace.spec()
 }
 
-/// [`trace`] under its former name, for the benchmark client, whose
+/// A profile's spec under the benchmark client's older name, whose
 /// `series(cfg, seed).to_csv()` must still yield a
 /// [`CampaignResult::profiles`](crate::CampaignResult::profiles)
 /// element.
 #[doc(hidden)]
 #[must_use]
 pub fn series(cfg: &ExpConfig, profile: u64) -> Series {
-    Series(trace(cfg, profile))
+    Series(self::profile(cfg, profile))
 }
 
 /// What [`series`] returns.
 #[doc(hidden)]
 #[derive(Debug)]
-pub struct Series(Arc<PowerTrace>);
+pub struct Series(TraceSpec);
 
 impl Series {
-    /// The trace itself, not its CSV: a result renders profiles only
+    /// The trace's spec, not its CSV: a result renders profiles only
     /// when written.
     #[must_use]
-    pub fn to_csv(&self) -> Arc<PowerTrace> {
-        Arc::clone(&self.0)
+    pub fn to_csv(&self) -> TraceSpec {
+        self.0
     }
 }
 
@@ -67,13 +67,13 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
-            let t = watch_trace(cfg, seed);
+            let s = watch_trace(cfg, seed).summary();
             Row {
                 profile: seed,
-                average_uw: t.average_w() * 1e6,
-                peak_uw: t.peak_w() * 1e6,
-                energy_uj: t.total_energy_j() * 1e6,
-                duration_s: t.duration_s(),
+                average_uw: s.average_w * 1e6,
+                peak_uw: s.peak_w * 1e6,
+                energy_uj: s.total_energy_j * 1e6,
+                duration_s: s.duration_s,
             }
         })
         .collect()
@@ -120,7 +120,8 @@ mod tests {
     #[test]
     fn series_is_full_length() {
         let cfg = ExpConfig::quick();
-        let s = trace(&cfg, 1);
+        let s = profile(&cfg, 1);
         assert_eq!(s.duration_s(), cfg.trace_duration_s);
+        assert_eq!(s.generate().duration_s(), cfg.trace_duration_s);
     }
 }

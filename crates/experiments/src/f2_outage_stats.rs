@@ -6,7 +6,6 @@
 //! for charge-then-compute platforms, and far shorter than decade-class
 //! NVM retention.
 
-use nvp_energy::{OutageStats, OPERATING_THRESHOLD_W};
 use serde::{Deserialize, Serialize};
 
 use crate::common::watch_trace;
@@ -34,11 +33,11 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
-            let t = watch_trace(cfg, seed);
-            let s = OutageStats::analyze(&t, OPERATING_THRESHOLD_W);
+            let summary = watch_trace(cfg, seed).summary();
+            let s = &summary.outages;
             Row {
                 profile: seed,
-                emergencies_per_10s: s.emergencies_per_10s(t.duration_s()),
+                emergencies_per_10s: s.emergencies_per_10s(summary.duration_s),
                 mean_outage_ms: s.mean_outage_s * 1e3,
                 longest_outage_ms: s.longest_outage_s * 1e3,
                 above_threshold: s.above_threshold_fraction,
@@ -50,9 +49,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
 /// Outage-duration histogram for one profile (`bins` equal-width bins).
 #[must_use]
 pub fn histogram_table(cfg: &ExpConfig, profile: u64, bins: usize) -> Table {
-    let trace = watch_trace(cfg, profile);
-    let stats = OutageStats::analyze(&trace, OPERATING_THRESHOLD_W);
-    let hist = stats.histogram(bins);
+    let hist = watch_trace(cfg, profile).summary().outages.histogram(bins);
     let mut t = Table::new("F2h", "Outage-duration histogram", &["bin_start_ms", "count"]);
     for (edge, count) in hist.bin_edges_s.iter().zip(&hist.counts) {
         t.push_row(vec![fmt(edge * 1e3, 2), count.to_string()]);

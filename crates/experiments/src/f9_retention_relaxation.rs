@@ -17,7 +17,6 @@
 use nvp_core::{BackupModel, BackupPolicy};
 use nvp_device::sttram::SttModel;
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
-use nvp_energy::{OutageStats, OPERATING_THRESHOLD_W};
 use nvp_workloads::{metrics, KernelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,8 +88,8 @@ fn degraded_psnr(cfg: &ExpConfig, policy: RelaxPolicy, outage_s: f64, seed: u64)
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let trace0 = watch_trace(cfg, cfg.profile_seeds[0]);
-    let outages = OutageStats::analyze(&trace0, OPERATING_THRESHOLD_W);
+    let summary = watch_trace(cfg, cfg.profile_seeds[0]).summary();
+    let outages = &summary.outages;
 
     let mut baseline_fp = 0.0_f64;
     let mut out = Vec::new();

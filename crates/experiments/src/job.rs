@@ -2,7 +2,7 @@
 //!
 //! [`CampaignRequest`] names *what* to run — an experiment selection,
 //! an [`ExpConfig`] and a seed override — and [`CampaignResult`] is
-//! *what came out* — tables, profile traces, and
+//! *what came out* — tables, profile trace specs, and
 //! per-job cache/scheduler counters. Neither touches the filesystem:
 //! results are values first and files second
 //! ([`CampaignResult::write`] renders the exact artifact set the
@@ -15,23 +15,24 @@
 use std::fs::{self, File};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-use nvp_energy::{PowerTrace, DEFAULT_DT_S};
+use nvp_energy::DEFAULT_DT_S;
 
-use crate::common::JobScope;
+use crate::common::{JobScope, TraceSpec};
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
 use crate::stats::{exec_stats, ExecStats};
-use crate::wire::MAX_FRAME_BYTES;
 use crate::{f1_power_profiles, ExpConfig, Table};
 
-/// The most samples a trace may hold: as many as one profile's 8-byte
-/// samples fit one wire frame ([`MAX_FRAME_BYTES`]), about 209 s at
-/// [`DEFAULT_DT_S`]. [`CampaignRequest::resolve`] refuses a longer
-/// `trace_duration_s` before anything is generated.
-pub const MAX_TRACE_SAMPLES: u32 = MAX_FRAME_BYTES / 8;
+/// The most samples a trace may hold, 2²¹: about 209 s at
+/// [`DEFAULT_DT_S`], a 16 MiB sample array. It caps the work one job
+/// does and the memory its simulations hold per trace (a result
+/// carries its profiles as specs, so no frame bounds it any more).
+/// [`CampaignRequest::resolve`] refuses a longer `trace_duration_s`
+/// before anything is generated, and the wire decoder a profile spec
+/// over it.
+pub const MAX_TRACE_SAMPLES: u32 = 1 << 21;
 
 /// A self-contained campaign job: everything the runner needs, nothing
 /// about where artifacts will land.
@@ -112,15 +113,8 @@ impl CampaignRequest {
 /// field that sizes what a job allocates must be one it can run.
 fn check_config(cfg: &ExpConfig) -> io::Result<()> {
     let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
-    let d = cfg.trace_duration_s;
-    if !(d.is_finite() && d > 0.0) {
-        return invalid(format!("trace_duration_s must be finite and positive (got {d})"));
-    }
-    if (d / DEFAULT_DT_S).round() > f64::from(MAX_TRACE_SAMPLES) {
-        let max_s = f64::from(MAX_TRACE_SAMPLES) * DEFAULT_DT_S;
-        return invalid(format!(
-            "trace_duration_s {d} exceeds {max_s:.1} s ({MAX_TRACE_SAMPLES} samples, one frame)"
-        ));
+    if let Err(msg) = check_trace_duration(cfg.trace_duration_s) {
+        return invalid(format!("trace_duration_s {msg}"));
     }
     if cfg.profile_seeds.is_empty() {
         return invalid("profile_seeds must name at least one profile".to_string());
@@ -131,17 +125,31 @@ fn check_config(cfg: &ExpConfig) -> io::Result<()> {
     Ok(())
 }
 
+/// Why a job cannot generate a trace of `d` seconds, if it cannot: it
+/// is not finite and positive, or it is longer than
+/// [`MAX_TRACE_SAMPLES`] samples.
+pub(crate) fn check_trace_duration(d: f64) -> Result<(), String> {
+    if !(d.is_finite() && d > 0.0) {
+        return Err(format!("must be finite and positive (got {d})"));
+    }
+    if (d / DEFAULT_DT_S).round() > f64::from(MAX_TRACE_SAMPLES) {
+        let max_s = f64::from(MAX_TRACE_SAMPLES) * DEFAULT_DT_S;
+        return Err(format!("{d} exceeds {max_s:.1} s ({MAX_TRACE_SAMPLES} samples)"));
+    }
+    Ok(())
+}
+
 /// What a campaign job produced: pure values plus per-job counters.
 /// Render to disk with [`write`](Self::write).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     /// Every regenerated table, in registry order.
     pub tables: Vec<Table>,
-    /// Raw `f1` power-profile traces as `(seed, trace)`, in seed order
-    /// (empty unless `f1` was selected): the trace memo's own samples,
-    /// kept after the memo lets go of them. Their CSV is rendered only
-    /// by [`write`](Self::write).
-    pub profiles: Vec<(u64, Arc<PowerTrace>)>,
+    /// Raw `f1` power-profile traces as `(seed, spec)`, in seed order
+    /// (empty unless `f1` was selected). A spec names its trace; no
+    /// sample is held. [`write`](Self::write) streams each CSV from the
+    /// generator.
+    pub profiles: Vec<(u64, TraceSpec)>,
     /// Simulation-cache counters for this job
     /// ([`SimCacheStats::since`] delta over the run).
     pub cache: SimCacheStats,
@@ -169,8 +177,9 @@ impl CampaignResult {
     /// `out_dir` (created if missing), returning the paths in write
     /// order. In-process and over-the-wire results render through this
     /// one function, which is what keeps both transports byte-identical.
-    /// Each profile streams into its own file, one scheduler task per
-    /// profile, so no profile's text is ever held whole.
+    /// Each profile streams from its generator into its own file, one
+    /// scheduler task per profile, so neither a profile's samples nor
+    /// its text is ever held whole.
     ///
     /// # Errors
     ///
@@ -183,9 +192,9 @@ impl CampaignResult {
             fs::write(&path, t.to_csv())?;
             files.push(path);
         }
-        for path in sched::par_map(&self.profiles, |(seed, trace)| -> io::Result<PathBuf> {
+        for path in sched::par_map(&self.profiles, |(seed, spec)| -> io::Result<PathBuf> {
             let path = out_dir.join(format!("f1_profile_{seed}.csv"));
-            trace.write_csv(File::create(&path)?)?;
+            spec.write_csv(File::create(&path)?)?;
             Ok(path)
         }) {
             files.push(path?);
@@ -198,8 +207,9 @@ impl CampaignResult {
 }
 
 /// One schedulable unit of a flattened campaign: an experiment builder
-/// or a raw profile series. Keeping both in a single task list lets the
-/// scheduler overlap them freely.
+/// or a raw profile series, which names the profile's spec and streams
+/// its summary into the trace memo for F1, F2 and F9 to share. Keeping
+/// both in a single task list lets the scheduler overlap them freely.
 enum CampaignTask {
     Build(&'static Experiment),
     Profile(u64),
@@ -208,17 +218,17 @@ enum CampaignTask {
 /// What a [`CampaignTask`] produced (same variant, same order).
 enum CampaignOutput {
     Table(Table),
-    Profile(u64, Arc<PowerTrace>),
+    Profile(u64, TraceSpec),
 }
 
 /// Runs `experiments` and the profile series for `profile_seeds` as one
 /// flattened task list on the task scheduler, returning tables
-/// in experiment order and profile traces in seed order.
+/// in experiment order and profile specs in seed order.
 pub(crate) fn run_campaign(
     cfg: &ExpConfig,
     experiments: &[&'static Experiment],
     profile_seeds: &[u64],
-) -> (Vec<Table>, Vec<(u64, Arc<PowerTrace>)>) {
+) -> (Vec<Table>, Vec<(u64, TraceSpec)>) {
     let tasks: Vec<CampaignTask> = experiments
         .iter()
         .map(|&e| CampaignTask::Build(e))
@@ -227,7 +237,7 @@ pub(crate) fn run_campaign(
     let outputs = sched::par_map(&tasks, |task| match task {
         CampaignTask::Build(e) => CampaignOutput::Table(e.build(cfg)),
         CampaignTask::Profile(seed) => {
-            CampaignOutput::Profile(*seed, f1_power_profiles::trace(cfg, *seed))
+            CampaignOutput::Profile(*seed, f1_power_profiles::profile(cfg, *seed))
         }
     });
     let mut tables = Vec::with_capacity(experiments.len());
@@ -235,7 +245,7 @@ pub(crate) fn run_campaign(
     for out in outputs {
         match out {
             CampaignOutput::Table(t) => tables.push(t),
-            CampaignOutput::Profile(seed, trace) => profiles.push((seed, trace)),
+            CampaignOutput::Profile(seed, spec) => profiles.push((seed, spec)),
         }
     }
     (tables, profiles)
@@ -252,8 +262,8 @@ pub(crate) fn run_campaign(
 /// attached: `repro` picks its local store (or none, with
 /// `--no-cache`), and the server's resident store serves every job.
 /// While it runs it holds the trace memo: each trace it reads is
-/// generated once, and released when no job is left in flight
-/// ([`crate::trace_memo_stats`] counts both).
+/// generated and summarized at most once, and both are released when
+/// no job is left in flight ([`crate::trace_memo_stats`] counts them).
 ///
 /// # Errors
 ///
@@ -310,13 +320,13 @@ mod tests {
             CampaignRequest::only(cfg, &["f1"]).resolve().map(|v| v.len())
         };
         let longest: Edit = |c| c.trace_duration_s = f64::from(MAX_TRACE_SAMPLES) * DEFAULT_DT_S;
-        assert!(with(longest).is_ok(), "one frame's worth is runnable");
+        assert!(with(longest).is_ok(), "the longest trace is runnable");
         let cases: [(&str, Edit); 8] = [
             ("NaN duration", |c| c.trace_duration_s = f64::NAN),
             ("negative duration", |c| c.trace_duration_s = -1.0),
             ("zero duration", |c| c.trace_duration_s = 0.0),
             ("infinite duration", |c| c.trace_duration_s = f64::INFINITY),
-            ("one sample past a frame", |c| {
+            ("one sample past the cap", |c| {
                 c.trace_duration_s = f64::from(MAX_TRACE_SAMPLES + 1) * DEFAULT_DT_S;
             }),
             ("no profile seeds", |c| c.profile_seeds.clear()),
@@ -379,9 +389,10 @@ mod tests {
         let files = result.write(&dir).unwrap();
         let names: Vec<_> = files.iter().map(|f| f.file_name().unwrap().to_owned()).collect();
         assert_eq!(names, ["f1.csv", "f1_profile_1.csv", "f1_profile_2.csv", "RESULTS.md"]);
-        for (seed, trace) in &result.profiles {
+        for (seed, spec) in &result.profiles {
             let csv = fs::read_to_string(dir.join(format!("f1_profile_{seed}.csv"))).unwrap();
-            assert_eq!(csv, trace.to_csv(), "profile {seed}");
+            assert_eq!(csv, spec.to_csv(), "profile {seed}");
+            assert_eq!(csv, spec.generate().to_csv(), "profile {seed}: the sample array's text");
         }
         let _ = fs::remove_dir_all(&dir);
     }

@@ -71,8 +71,11 @@ pub fn run_all_sequential(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArti
     let sched_before = sched_stats();
     let exec_before = exec_stats();
     let tables: Vec<Table> = registry().iter().map(|e| e.build(cfg)).collect();
-    let profiles =
-        cfg.profile_seeds.iter().map(|&seed| (seed, f1_power_profiles::trace(cfg, seed))).collect();
+    let profiles = cfg
+        .profile_seeds
+        .iter()
+        .map(|&seed| (seed, f1_power_profiles::profile(cfg, seed)))
+        .collect();
     let result = CampaignResult {
         tables,
         profiles,

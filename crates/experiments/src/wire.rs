@@ -21,15 +21,14 @@
 //! partially decoded message.
 
 use std::io::{self, Read, Write};
-use std::sync::Arc;
 
-use nvp_energy::PowerTrace;
-
+use nvp_energy::harvester::SourceKind;
 #[cfg(test)]
 use nvp_sim::crc32_bytes;
 
-use crate::job::{CampaignRequest, CampaignResult};
-use crate::record::{self, bad, put_f64, put_f64s, put_str, put_u32, put_u64, Reader};
+use crate::common::{TraceSpec, TRACE_GEN_VERSION};
+use crate::job::{check_trace_duration, CampaignRequest, CampaignResult};
+use crate::record::{self, bad, put_f64, put_str, put_u32, put_u64, Reader};
 use crate::sched::SchedStats;
 use crate::simcache::{Sha256, SimCacheStats};
 use crate::stats::ExecStats;
@@ -43,9 +42,12 @@ use crate::{ExpConfig, Table};
 /// frames (crash-durable server); `nvpd/4` dropped the three superblock
 /// chain counters from results with the tier that produced them;
 /// `nvpd/5` dropped the cache-policy byte from requests; `nvpd/6`
-/// carries each F1 profile as its sample period and raw `f64` samples
-/// (8 bytes each) instead of its CSV text (about 21).
-pub const PROTOCOL: &str = "nvpd/6";
+/// carried each F1 profile as its sample period and raw `f64` samples
+/// (8 bytes each) instead of its CSV text (about 21); `nvpd/7` carries
+/// each profile as its trace spec (generator version, source kind,
+/// seed, duration), a few dozen bytes whatever its length, and the
+/// client streams the CSV from the generator.
+pub const PROTOCOL: &str = "nvpd/7";
 
 /// Upper bound a frame's length prefix may claim. Large enough for any
 /// full-evaluation result with headroom, small enough that a corrupt or
@@ -141,16 +143,22 @@ fn put_table(out: &mut Vec<u8>, table: &Table) {
     }
 }
 
+fn put_trace_spec(out: &mut Vec<u8>, spec: &TraceSpec) {
+    put_u64(out, TRACE_GEN_VERSION);
+    put_str(out, spec.kind().name());
+    put_u64(out, spec.seed());
+    put_f64(out, spec.duration_s());
+}
+
 fn put_result(out: &mut Vec<u8>, result: &CampaignResult) {
     put_u32(out, u32::try_from(result.tables.len()).expect("tables below frame cap"));
     for t in &result.tables {
         put_table(out, t);
     }
     put_u32(out, u32::try_from(result.profiles.len()).expect("profiles below frame cap"));
-    for (seed, trace) in &result.profiles {
+    for (seed, spec) in &result.profiles {
         put_u64(out, *seed);
-        put_f64(out, trace.dt_s());
-        put_f64s(out, trace.samples());
+        put_trace_spec(out, spec);
     }
     for v in [
         result.cache.hits,
@@ -269,25 +277,35 @@ fn get_table(r: &mut Reader<'_>) -> io::Result<Table> {
     Ok(table)
 }
 
-/// One `(seed, trace)` profile. Checked here, so that
-/// [`PowerTrace::from_samples`] cannot panic on what a peer sent.
-fn get_profile(r: &mut Reader<'_>) -> io::Result<(u64, Arc<PowerTrace>)> {
+/// One `(seed, spec)` profile. The spec is checked here, so that a
+/// client generates only a trace its own generators would: the same
+/// generator version, a known source kind, and a duration a job may
+/// run. Nothing is generated to check it.
+fn get_profile(r: &mut Reader<'_>) -> io::Result<(u64, TraceSpec)> {
     let seed = r.u64()?;
-    let dt_s = r.f64()?;
-    if !(dt_s.is_finite() && dt_s > 0.0) {
-        return Err(bad("profile sample period is not finite and positive"));
+    let version = r.u64()?;
+    if version != TRACE_GEN_VERSION {
+        return Err(bad(&format!(
+            "profile trace generator version {version} (expected {TRACE_GEN_VERSION})"
+        )));
     }
-    let samples = r.f64s()?;
-    if !samples.iter().all(|p| p.is_finite() && *p >= 0.0) {
-        return Err(bad("profile sample is not finite and non-negative"));
-    }
-    Ok((seed, Arc::new(PowerTrace::from_samples(dt_s, samples))))
+    let name = r.str()?;
+    let kind = SourceKind::from_name(&name)
+        .ok_or_else(|| bad(&format!("profile of unknown source kind `{name}`")))?;
+    let spec_seed = r.u64()?;
+    let duration_s = r.f64()?;
+    check_trace_duration(duration_s).map_err(|msg| bad(&format!("profile duration {msg}")))?;
+    Ok((seed, TraceSpec::new(kind, spec_seed, duration_s)))
 }
+
+/// The fewest bytes one encoded profile takes: its seed, the generator
+/// version, an empty kind name's length, the spec's seed and duration.
+const PROFILE_MIN_BYTES: usize = 8 + 8 + 4 + 8 + 8;
 
 fn get_result(r: &mut Reader<'_>) -> io::Result<CampaignResult> {
     let ntables = r.count(4)?;
     let tables = (0..ntables).map(|_| get_table(r)).collect::<io::Result<_>>()?;
-    let nprofiles = r.count(20)?;
+    let nprofiles = r.count(PROFILE_MIN_BYTES)?;
     let profiles = (0..nprofiles).map(|_| get_profile(r)).collect::<io::Result<_>>()?;
     let cache = SimCacheStats {
         hits: r.u64()?,
@@ -385,11 +403,10 @@ pub fn request_key(req: &CampaignRequest) -> [u8; 32] {
 
 /// SHA-256 content digest of an arbitrary byte string (the same
 /// in-tree FIPS 180-4 core the simulation cache keys on). The `nvpd`
-/// result store computes this digest of each result's encoding once,
-/// when it stores the result, and keeps it beside the encoding; the
-/// job's `Completed` journal record carries it, and a replay reads it
-/// back instead of hashing again. Recovery reads past it and does not
-/// check the result store against it: the entry's CRC guards both.
+/// result store computes this digest of each result's encoding when it
+/// stores the result and keeps it beside the encoding; the job's
+/// `Completed` journal record carries it, and a replay hashes the
+/// stored encoding again and serves it only if the two match.
 #[must_use]
 pub fn content_digest(bytes: &[u8]) -> [u8; 32] {
     let mut h = Sha256::new();
@@ -472,10 +489,7 @@ pub(crate) mod tests {
         t.push_row(vec!["mean_outage_ms".into(), "3.25".into()]);
         CampaignResult {
             tables: vec![t],
-            profiles: vec![(
-                1,
-                Arc::new(PowerTrace::from_samples(1e-4, vec![12.5e-6, 0.0, 2.0e-3, 1.0e-9])),
-            )],
+            profiles: vec![(1, TraceSpec::new(SourceKind::WristWatch, 1, 0.0004))],
             cache: SimCacheStats { hits: 7, disk_hits: 2, misses: 3, persisted: 3, quarantined: 1 },
             sched: SchedStats { tasks: 10, steals: 4, helpers: 2 },
             exec: ExecStats { lane_groups: 4, lane_group_items: 30, ..ExecStats::default() },
@@ -521,46 +535,61 @@ pub(crate) mod tests {
     }
 
     /// A quick `f1` job with two profiles, cut to a few dozen samples
-    /// each so that sweeps over its every byte and bit stay fast.
+    /// each so that the profiles' CSV stays small.
     pub(crate) fn short_f1_result() -> CampaignResult {
         let mut config = ExpConfig::quick();
         config.trace_duration_s = 0.003;
         let result = crate::run_request(&CampaignRequest::only(config, &["f1"])).unwrap();
         assert_eq!(result.profiles.len(), 2);
-        assert!(result.profiles.iter().all(|(_, t)| t.len() == 30));
+        assert!(result.profiles.iter().all(|(_, spec)| spec.sample_count() == 30));
         result
     }
 
+    /// The encoded bytes of one profile: its seed, the generator
+    /// version, the kind's name behind its length, the spec's seed and
+    /// duration.
+    fn profile_bytes(kind: SourceKind) -> usize {
+        8 + 8 + 4 + kind.name().len() + 8 + 8
+    }
+
     #[test]
-    fn profiles_travel_as_their_exact_samples() {
+    fn profiles_travel_as_their_specs() {
         let result = short_f1_result();
         let bytes = encode_result_bytes(&result);
         let decoded = decode_result_bytes(&bytes).unwrap();
         assert_eq!(decoded, result);
         for ((seed, got), (want_seed, want)) in decoded.profiles.iter().zip(&result.profiles) {
             assert_eq!(seed, want_seed);
-            assert_eq!(got.dt_s().to_bits(), want.dt_s().to_bits());
-            let bits = |t: &PowerTrace| t.samples().iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(got), bits(want), "profile {seed}: samples are bit-identical");
+            assert_eq!(got.duration_s().to_bits(), want.duration_s().to_bits());
+            assert_eq!(got.to_csv(), want.generate().to_csv(), "profile {seed} renders the same");
         }
         assert_eq!(encode_result_bytes(&decoded), bytes, "re-encoding reproduces the bytes");
-        // Eight bytes a sample, behind a seed, a period and a count.
-        let samples: usize = result.profiles.iter().map(|(_, t)| t.len()).sum();
+        // A few dozen bytes a profile, whatever its length.
         let mut no_profiles = result.clone();
         no_profiles.profiles.clear();
         assert_eq!(
             bytes.len() - encode_result_bytes(&no_profiles).len(),
-            8 * samples + 20 * result.profiles.len()
+            result.profiles.len() * profile_bytes(SourceKind::WristWatch)
         );
+        let mut longest = result.clone();
+        let max_s = f64::from(crate::job::MAX_TRACE_SAMPLES) * nvp_energy::DEFAULT_DT_S;
+        for (seed, spec) in &mut longest.profiles {
+            *spec = TraceSpec::new(SourceKind::WristWatch, *seed, max_s);
+        }
+        assert_eq!(encode_result_bytes(&longest).len(), bytes.len());
+        assert_eq!(decode_result_bytes(&encode_result_bytes(&longest)).unwrap(), longest);
     }
 
     /// Every strict prefix of a result body is an error, and every
     /// flipped bit decodes to an error or to a result whose encoding is
     /// the flipped bytes: never a panic, never a value the codec would
-    /// not write.
+    /// not write. The sweep covers every byte of the profile specs.
     #[test]
     fn every_cut_and_bit_flip_of_a_result_body_errors_or_decodes_canonically() {
-        let bytes = encode_result_bytes(&short_f1_result());
+        let result = short_f1_result();
+        let bytes = encode_result_bytes(&result);
+        let specs_at = bytes.len() - 10 * 8 - 2 * profile_bytes(SourceKind::WristWatch);
+        let mut flipped_specs = 0;
         for cut in 0..bytes.len() {
             let err = decode_result_bytes(&bytes[..cut]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}");
@@ -569,39 +598,61 @@ pub(crate) mod tests {
             let mut flipped = bytes.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
             match decode_result_bytes(&flipped) {
-                Ok(result) => assert_eq!(encode_result_bytes(&result), flipped, "bit {bit}"),
+                Ok(decoded) => {
+                    assert_eq!(encode_result_bytes(&decoded), flipped, "bit {bit}");
+                    if decoded.profiles != result.profiles {
+                        flipped_specs += 1;
+                        assert!(bit / 8 >= specs_at, "bit {bit} moved a profile");
+                        for (_, spec) in &decoded.profiles {
+                            assert!(check_trace_duration(spec.duration_s()).is_ok(), "bit {bit}");
+                        }
+                    }
+                }
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "bit {bit}"),
             }
         }
+        assert!(flipped_specs > 0, "some flips (seeds, durations) still name runnable traces");
     }
 
-    /// A result body with no tables, one profile of `dt_s` and
-    /// `samples` under a sample count of `count`, and zeroed counters.
-    fn profile_body(dt_s: f64, samples: &[f64], count: u32) -> Vec<u8> {
+    /// A result body with no tables, one profile (seed 1) of `kind_name`
+    /// at generator `version`, spec seed 3 and `duration_s`, under a
+    /// profile count of `count`, and zeroed counters.
+    fn profile_body(version: u64, kind_name: &str, duration_s: f64, count: u32) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, 0);
-        put_u32(&mut out, 1);
-        put_u64(&mut out, 1);
-        put_f64(&mut out, dt_s);
         put_u32(&mut out, count);
-        samples.iter().for_each(|&p| put_f64(&mut out, p));
+        put_u64(&mut out, 1);
+        put_u64(&mut out, version);
+        put_str(&mut out, kind_name);
+        put_u64(&mut out, 3);
+        put_f64(&mut out, duration_s);
         out.extend_from_slice(&[0; 10 * 8]);
         out
     }
 
     #[test]
     fn malformed_profiles_are_invalid_data() {
-        let ok = decode_result_bytes(&profile_body(1e-4, &[1e-6, 0.0], 2)).unwrap();
-        assert_eq!(ok.profiles[0].1.samples(), [1e-6, 0.0]);
+        let v = TRACE_GEN_VERSION;
+        for kind in SourceKind::ALL {
+            let ok = decode_result_bytes(&profile_body(v, kind.name(), 0.5, 1)).unwrap();
+            assert_eq!(ok.profiles, [(1, TraceSpec::new(kind, 3, 0.5))]);
+        }
+        let max_s = f64::from(crate::job::MAX_TRACE_SAMPLES) * nvp_energy::DEFAULT_DT_S;
+        assert!(decode_result_bytes(&profile_body(v, "rf-wifi", max_s, 1)).is_ok());
+        let past_max = f64::from(crate::job::MAX_TRACE_SAMPLES + 1) * nvp_energy::DEFAULT_DT_S;
         let cases = [
-            ("NaN sample", profile_body(1e-4, &[1e-6, f64::NAN], 2)),
-            ("negative sample", profile_body(1e-4, &[-1e-6, 0.0], 2)),
-            ("infinite sample", profile_body(1e-4, &[f64::INFINITY, 0.0], 2)),
-            ("zero period", profile_body(0.0, &[1e-6, 0.0], 2)),
-            ("negative period", profile_body(-1e-4, &[1e-6, 0.0], 2)),
-            ("NaN period", profile_body(f64::NAN, &[1e-6, 0.0], 2)),
-            ("infinite period", profile_body(f64::INFINITY, &[1e-6, 0.0], 2)),
-            ("count past the bytes left", profile_body(1e-4, &[1e-6, 0.0], 1000)),
+            ("unknown kind", profile_body(v, "tidal", 0.5, 1)),
+            ("empty kind", profile_body(v, "", 0.5, 1)),
+            ("kind in another case", profile_body(v, "Wrist-Watch", 0.5, 1)),
+            ("NaN duration", profile_body(v, "wrist-watch", f64::NAN, 1)),
+            ("zero duration", profile_body(v, "wrist-watch", 0.0, 1)),
+            ("negative duration", profile_body(v, "wrist-watch", -0.5, 1)),
+            ("infinite duration", profile_body(v, "wrist-watch", f64::INFINITY, 1)),
+            ("one sample past the cap", profile_body(v, "wrist-watch", past_max, 1)),
+            ("a duration of 10⁹ s", profile_body(v, "wrist-watch", 1e9, 1)),
+            ("an older generator", profile_body(v - 1, "wrist-watch", 0.5, 1)),
+            ("a newer generator", profile_body(v + 1, "wrist-watch", 0.5, 1)),
+            ("count past the bytes left", profile_body(v, "wrist-watch", 0.5, 1000)),
         ];
         for (what, body) in cases {
             let err = decode_result_bytes(&body).unwrap_err();

@@ -27,9 +27,10 @@ fn artifacts(result: &CampaignResult) -> Vec<String> {
 }
 
 /// Six server-style jobs, each over a profile no other job reads. After
-/// every job the memo holds no sample, and rerunning a job regenerates
-/// exactly the traces F2 summarizes itself (F3 and F12 are served by the
-/// sim-cache and read none), with byte-identical artifacts.
+/// every job the memo holds no sample, and rerunning a job generates no
+/// trace: F3 and F12 are served by the sim-cache, and F2 streams one
+/// summary per profile (the last job released the first's), with
+/// byte-identical artifacts.
 #[test]
 fn finished_jobs_release_their_trace_samples() {
     let _guard = global_memo_lock();
@@ -48,15 +49,17 @@ fn finished_jobs_release_their_trace_samples() {
         assert_eq!(trace_memo_stats().resident_bytes, 0, "a finished job holds no samples");
     }
     for (req, first) in requests.iter().zip(&first) {
-        let before = trace_memo_stats().generated;
+        let before = trace_memo_stats();
         let again = run_request(req).unwrap();
-        assert_eq!(trace_memo_stats().resident_bytes, 0, "a finished job holds no samples");
-        assert_eq!(artifacts(&again), artifacts(first), "regenerated traces change no byte");
+        let after = trace_memo_stats();
+        assert_eq!(after.resident_bytes, 0, "a finished job holds no samples");
+        assert_eq!(artifacts(&again), artifacts(first), "restreamed summaries change no byte");
         assert_eq!(again.cache.misses, 0, "the rerun is served by the sim-cache");
+        assert_eq!(after.generated - before.generated, 0, "the rerun reads no sample array");
         assert_eq!(
-            trace_memo_stats().generated - before,
+            after.summarized - before.summarized,
             req.config.profile_seeds.len() as u64,
-            "the rerun regenerates F2's traces, which the last job released"
+            "the rerun restreams F2's summaries, which the last job released"
         );
     }
 }
@@ -78,4 +81,38 @@ fn a_campaign_generates_each_trace_once() {
     assert!(result.cache.misses > 0, "a cold campaign simulates, so it reads every trace");
     assert_eq!(trace_memo_stats().generated - before, QUICK_CAMPAIGN_TRACES);
     assert_eq!(trace_memo_stats().resident_bytes, 0, "a finished job holds no samples");
+}
+
+/// A warm default campaign, over a store a cold one filled, simulates
+/// nothing, so it generates no trace at all: F1, F2 and F9 read one
+/// summary per profile, streamed from the generator, and the result
+/// carries the profiles as specs.
+#[test]
+fn a_warm_campaign_generates_no_trace_and_streams_one_summary_per_profile() {
+    let _guard = global_memo_lock();
+    let dir = std::env::temp_dir().join(format!("nvp_trace_lifetime_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    reset_sim_cache();
+    set_cache_dir(Some(&dir)).unwrap();
+    let request = CampaignRequest::all(ExpConfig::default());
+    let profiles = request.config.profile_seeds.len() as u64;
+    let cold = run_request(&request).unwrap();
+    assert!(cold.cache.misses > 0, "the cold campaign fills the store");
+
+    // A fresh index over the filled store, as a new process would load.
+    reset_sim_cache();
+    assert!(set_cache_dir(Some(&dir)).unwrap() > 0, "the store reloads");
+    let before = trace_memo_stats();
+    let warm = run_request(&request).unwrap();
+    let after = trace_memo_stats();
+    assert_eq!(warm.cache.misses, 0, "the warm campaign simulates nothing");
+    assert_eq!(after.generated - before.generated, 0, "a warm campaign generates no trace");
+    assert_eq!(after.summarized - before.summarized, profiles, "one summary per profile");
+    assert_eq!(after.resident_bytes, 0, "a finished job holds no samples");
+    assert_eq!(warm.profiles, cold.profiles);
+    assert_eq!(artifacts(&warm), artifacts(&cold), "the warm campaign renders the same bytes");
+
+    set_cache_dir(None).unwrap();
+    reset_sim_cache();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -65,14 +65,16 @@
 //! ```
 //!
 //! It is written tmp-fsync-rename so readers never observe a half
-//! file. The digest is computed once, when the result is stored: a
-//! replay reads it back and sends the stored result bytes as they are
-//! ([`Journal::lookup_encoded`]), so it hashes nothing and decodes
-//! nothing, and the record's CRC is its one integrity check. A lookup
-//! serves only an entry that is exactly one intact record; anything
-//! else (a CRC mismatch, a missing or extra record, an `nvprslt1` entry
-//! from before the digest, a raw entry from before the framing) is
-//! quarantined (moved aside) and reported as a miss, which simply
+//! file. The digest is computed when the result is stored, and a replay
+//! checks it: [`Journal::lookup_encoded`] hashes the stored result
+//! bytes again and serves them, undecoded, only if they match the
+//! stored digest. A result carries its profiles as trace specs, so an
+//! entry is a few KB and that hash costs tens of microseconds. A lookup
+//! serves only an entry that is exactly one intact record whose result
+//! matches its digest; anything else (a CRC mismatch, a missing or
+//! extra record, a result altered under a resealed CRC, an `nvprslt1`
+//! entry from before the digest, a raw entry from before the framing)
+//! is quarantined (moved aside) and reported as a miss, which simply
 //! re-runs the job against the warm simulation cache.
 
 use std::collections::BTreeMap;
@@ -300,8 +302,8 @@ impl Journal {
     }
 
     /// [`lookup_result`](Self::lookup_result), with the content digest
-    /// [`put_result`](Self::put_result) stored beside the result. The
-    /// digest is read back, never recomputed.
+    /// [`put_result`](Self::put_result) stored beside the result, which
+    /// the result's bytes matched.
     #[must_use]
     pub fn lookup_stored(&self, key: &Digest) -> Option<(Digest, CampaignResult)> {
         let (digest, bytes) = self.lookup_encoded(key)?;
@@ -315,11 +317,13 @@ impl Journal {
     }
 
     /// The stored content digest and [`encode_result_bytes`] encoding
-    /// of a completed result, checked by the entry's CRC alone: what a
-    /// replay sends, with no hash and no decode. An entry that is not
-    /// exactly one intact record is quarantined and reported as a miss.
-    /// Keys embed the wire protocol, so an intact entry holds an
-    /// encoding of the current protocol.
+    /// of a completed result: what a replay sends, with no decode. The
+    /// entry's CRC checks the record and a fresh SHA-256 of the result
+    /// bytes checks them against the stored digest. An entry that is
+    /// not exactly one intact record, or whose result does not match
+    /// its digest, is quarantined and reported as a miss. Keys embed
+    /// the wire protocol, so an intact entry holds an encoding of the
+    /// current protocol.
     #[must_use]
     pub fn lookup_encoded(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
         let path = self.result_path(key);
@@ -328,13 +332,14 @@ impl Journal {
         match entry.payloads[..] {
             [payload] if entry.damaged == 0 && payload.len() >= DIGEST_BYTES => {
                 let (digest, bytes) = payload.split_at(DIGEST_BYTES);
-                Some((digest.try_into().expect("digest-sized prefix"), bytes.to_vec()))
+                if content_digest(bytes) == digest {
+                    return Some((digest.try_into().expect("digest-sized prefix"), bytes.to_vec()));
+                }
             }
-            _ => {
-                self.quarantine_entry(&path);
-                None
-            }
+            _ => {}
         }
+        self.quarantine_entry(&path);
+        None
     }
 
     /// Moves a damaged result-store entry aside and counts it.
@@ -625,7 +630,8 @@ mod tests {
         let result = nvp_experiments::run_request(&req).unwrap();
         journal.put_result(&key, &result).unwrap();
         // Change one digit of the longest numeric cell: the entry still
-        // decodes, so only the record's CRC can tell it was altered.
+        // decodes, so only the record's CRC and digest can tell it was
+        // altered.
         let cell = result.tables[0]
             .rows()
             .iter()
@@ -682,6 +688,43 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// An entry whose result was altered and whose record CRC was then
+    /// resealed passes the CRC; only the stored digest can tell, and a
+    /// lookup checks it.
+    #[test]
+    fn an_altered_result_under_a_resealed_crc_is_a_quarantined_miss() {
+        let dir = unique_dir("nvpd_journal_resealed");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let req = request(14);
+        let key = request_key(&req);
+        let result = nvp_experiments::run_request(&req).unwrap();
+        let digest = journal.put_result(&key, &result).unwrap();
+        let path = dir.join("results").join(format!("{}.res", hex(&key)));
+        let intact = fs::read(&path).unwrap();
+        // magic (8), record header (8), digest (32), then the result.
+        let result_at = RESULT_MAGIC.len() + 8 + DIGEST_BYTES;
+        for at in [result_at, result_at + (intact.len() - result_at) / 2, intact.len() - 1] {
+            let mut altered = intact.clone();
+            altered[at] ^= 0x01;
+            let payload = &altered[RESULT_MAGIC.len() + 8..];
+            let crc = nvp_sim::crc32_bytes(payload);
+            altered[RESULT_MAGIC.len() + 4..RESULT_MAGIC.len() + 8]
+                .copy_from_slice(&crc.to_le_bytes());
+            let scan = record::scan(&altered, RESULT_MAGIC, MAX_ENTRY_BYTES);
+            assert_eq!((scan.payloads.len(), scan.damaged), (1, 0), "the CRC is resealed");
+            fs::write(&path, &altered).unwrap();
+            assert_eq!(journal.lookup_encoded(&key), None, "byte {at}: an altered result served");
+            let quarantined = path.with_extension("res.quarantine");
+            assert!(!path.exists() && quarantined.exists(), "byte {at} was not quarantined");
+            fs::remove_file(&quarantined).unwrap();
+        }
+        assert_eq!(journal.quarantined_total(), 3);
+        fs::write(&path, &intact).unwrap();
+        let (stored, _) = journal.lookup_encoded(&key).expect("the intact entry replays");
+        assert_eq!(stored, digest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn a_replay_frame_is_the_frame_of_the_decoded_result() {
         use nvp_experiments::wire::{frame_bytes, result_frame_bytes, Message};
@@ -723,8 +766,8 @@ mod tests {
     /// [`MAGIC`]; a request-encoding change bumps the wire `PROTOCOL`,
     /// whose stale records recovery skips and quarantines.
     const PINNED_ADMITTED: &str = concat!(
-        "6e76706a726e6c318f000000618a885f01070000000000000040a3845bab3c0b003e8200e26c5b6e",
-        "8ffaa3700286a0bb35a020e92641bbe3e062000000060000006e7670642f36010100000002000000",
+        "6e76706a726e6c318f000000ba4d0d79010700000000000000713a05269fef6ca79ac9a635a8bd8e",
+        "20d95e122fdb6302737bdc086e325b984962000000060000006e7670642f37010100000002000000",
         "74310000000000000040020000000100000000000000020000000000000007000000000000001000",
         "000000000000100000000000000003000000000000000100000000000000010100000000000000",
     );

@@ -57,7 +57,7 @@ use std::time::Duration;
 use nvp_experiments::wire::{
     frame_bytes, read_frame, request_key, result_frame_bytes, write_frame, Message,
 };
-use nvp_experiments::{run_request, CampaignRequest};
+use nvp_experiments::{run_request, CampaignRequest, CampaignResult};
 
 use faultplan::ServiceFaultPlan;
 use journal::{Digest, Journal, PendingJob};
@@ -482,13 +482,31 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
         panic::catch_unwind(AssertUnwindSafe(|| run_request(&request))).unwrap_or_else(|payload| {
             Err(io::Error::other(format!("panicked: {}", message(&*payload))))
         });
+    finish(id, &key, outcome, stream, journal, faults, counters);
+}
+
+/// Stores, journals and answers a job that ran: a result goes to the
+/// result store and its `Completed` record carries the stored digest;
+/// a failure, or a result the store refuses, is journalled as finished
+/// with the all-zero digest. The client gets the `Result` frame, or a
+/// non-retryable `Reject` when the job failed or its frame is over the
+/// bound.
+fn finish(
+    id: u64,
+    key: &Digest,
+    outcome: io::Result<CampaignResult>,
+    stream: Option<TcpStream>,
+    journal: Option<&Journal>,
+    faults: &ServiceFaultPlan,
+    counters: &Counters,
+) {
     match outcome {
         Ok(result) => {
             if let Some(j) = journal {
                 // A result the store refuses (one over the frame bound)
                 // is still a finished job: journal it with the all-zero
                 // digest, "nothing stored", so no restart reruns it.
-                let digest = j.put_result(&key, &result).unwrap_or_else(|e| {
+                let digest = j.put_result(key, &result).unwrap_or_else(|e| {
                     eprintln!("nvpd: warning: result store put failed for job {id}: {e}");
                     [0; 32]
                 });
@@ -558,6 +576,60 @@ mod tests {
             q.close();
             assert_eq!(waiter.join().expect("worker thread"), None);
         });
+    }
+
+    /// No job's result outgrows a frame since a result carries its
+    /// profiles as specs, so a synthetic one-cell table stands in: a
+    /// result over the frame bound draws one non-retryable `Reject`,
+    /// the store refuses it, and the job is journalled as finished, so
+    /// a restart does not run it again.
+    #[test]
+    fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
+        use nvp_experiments::wire::{read_frame, MAX_FRAME_BYTES};
+        use nvp_experiments::{ExpConfig, Table};
+        use std::net::TcpListener;
+
+        let dir = std::env::temp_dir().join(format!("nvpd_oversize_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+        let key = request_key(&request);
+        journal.admitted(0, &key, &request).unwrap();
+        let mut table = Table::new("T1", "one oversized cell", &["cell"]);
+        table.push_row(vec!["9".repeat(MAX_FRAME_BYTES as usize)]);
+        let result = CampaignResult {
+            tables: vec![table],
+            profiles: Vec::new(),
+            cache: Default::default(),
+            sched: Default::default(),
+            exec: Default::default(),
+        };
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let counters = Counters::default();
+        let faults = ServiceFaultPlan::none();
+        finish(0, &key, Ok(result), Some(server_side), Some(&journal), &faults, &counters);
+
+        match read_frame(&mut client).unwrap() {
+            Message::Reject { reason, retryable: false } => {
+                assert!(
+                    reason.contains("job 0 failed") && reason.contains("frame bound"),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a non-retryable Reject, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        io::Read::read_to_end(&mut client, &mut rest).unwrap();
+        assert!(rest.is_empty(), "one frame, then the connection closes");
+        assert_eq!(counters.completed.load(Ordering::Relaxed), 0);
+        assert_eq!(journal.lookup_encoded(&key), None, "the store refused the result");
+        drop(journal);
+        let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        assert!(recovery.pending.is_empty(), "the oversized job is not replayed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -146,8 +146,8 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     eprintln!(
         "nvpd: done — {} accepted, {} completed, {} rejected, {} recovered from journal, \
          {} replayed from result store, {} file(s) quarantined, {} trace(s) generated, \
-         {} trace byte(s) resident, {} outcome(s) resident, {} outcome(s) on disk only, \
-         {} record(s) reloaded",
+         {} trace(s) summarized, {} trace byte(s) resident, {} outcome(s) resident, \
+         {} outcome(s) on disk only, {} record(s) reloaded",
         stats.accepted,
         stats.completed,
         stats.rejected,
@@ -155,6 +155,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         stats.replayed,
         stats.quarantined,
         traces.generated,
+        traces.summarized,
         traces.resident_bytes,
         outcomes.resident,
         outcomes.on_disk,

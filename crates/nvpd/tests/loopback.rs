@@ -16,10 +16,12 @@ use std::thread;
 use nvp_experiments::client::{ClientConfig, ClientError};
 use nvp_experiments::record::{put_frame, put_str};
 use nvp_experiments::wire::{
-    encode_request_bytes, frame_bytes, read_frame, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
+    encode_request_bytes, encode_result_bytes, frame_bytes, read_frame, request_key, write_frame,
+    Message, MAX_FRAME_BYTES, PROTOCOL,
 };
 use nvp_experiments::{
-    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, ExpConfig,
+    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, CampaignResult,
+    ExpConfig, Table,
 };
 use nvpd::{Server, ServerConfig, ServerStats};
 
@@ -370,7 +372,7 @@ fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
     let mut request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
     request.seed = Some(17);
     let cfg = ServerConfig {
-        max_jobs: Some(4),
+        max_jobs: Some(5),
         state_dir: Some(state_dir.clone()),
         ..ServerConfig::default()
     };
@@ -379,8 +381,10 @@ fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
     let first = client::submit(&addr, &request).expect("cold submission");
     assert!(!first.replayed);
 
-    // A flipped bit, then a truncation: each entry is quarantined and
-    // the job re-runs, storing a fresh entry the next damage hits.
+    // A flipped bit, a truncation, then a flipped result byte under a
+    // resealed record CRC, which only the stored digest catches: each
+    // entry is quarantined and the job re-runs, storing a fresh entry
+    // the next damage hits.
     let entry = state_dir.join("results").join(format!(
         "{}.res",
         nvp_experiments::wire::request_key(&request)
@@ -388,13 +392,24 @@ fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
             .map(|b| format!("{b:02x}"))
             .collect::<String>()
     ));
-    for what in ["bit flip", "truncation"] {
+    for what in ["bit flip", "truncation", "resealed flip"] {
         let mut bytes = fs::read(&entry).expect("stored entry");
-        if what == "bit flip" {
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x10;
-        } else {
-            bytes.pop();
+        match what {
+            "bit flip" => {
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0x10;
+            }
+            "truncation" => {
+                bytes.pop();
+            }
+            _ => {
+                // Magic (8), record length and CRC (4 + 4), the stored
+                // digest (32), then the result encoding.
+                let last = bytes.len() - 1;
+                bytes[last] ^= 0x01;
+                let crc = nvp_sim::crc32_bytes(&bytes[16..]);
+                bytes[12..16].copy_from_slice(&crc.to_le_bytes());
+            }
         }
         fs::write(&entry, &bytes).expect("damage the entry");
         let rerun = client::submit(&addr, &request).expect("submission over a damaged entry");
@@ -419,8 +434,8 @@ fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
     assert_eq!(raw, frame_bytes(&msg).expect("reframe"), "the replay sent other bytes");
 
     let stats = handle.join().expect("server thread").expect("server run");
-    assert_eq!((stats.accepted, stats.completed, stats.replayed), (4, 4, 1));
-    assert_eq!(stats.quarantined, 2, "both damaged entries were quarantined");
+    assert_eq!((stats.accepted, stats.completed, stats.replayed), (5, 5, 1));
+    assert_eq!(stats.quarantined, 3, "every damaged entry was quarantined");
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
@@ -534,24 +549,48 @@ fn a_panicking_job_is_journalled_as_finished() {
     let _ = fs::remove_dir_all(&state_dir);
 }
 
+/// A result over the frame bound draws one non-retryable `Reject`, and
+/// its job is journalled as finished. Since a result carries its
+/// profiles as specs, no job's result outgrows a frame, so the vehicle
+/// is a stored result the store admits but a frame cannot carry: one
+/// synthetic table whose encoding is exactly `MAX_FRAME_BYTES`, which
+/// leaves no room for the `Result` frame's job id and flags. (`nvpd`'s
+/// unit test of the same name covers a fresh result the store refuses.)
 #[test]
 fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
     let _guard = cache_lock();
     reset_sim_cache();
     let _ = set_cache_dir(None);
     let state_dir = scratch("oversize");
+    let request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    let with_cell = |cell: String| {
+        let mut table = Table::new("T1", "one oversized cell", &["cell"]);
+        table.push_row(vec![cell]);
+        CampaignResult {
+            tables: vec![table],
+            profiles: Vec::new(),
+            cache: Default::default(),
+            sched: Default::default(),
+            exec: Default::default(),
+        }
+    };
+    let frame_bytes = MAX_FRAME_BYTES as usize;
+    let fill = frame_bytes - encode_result_bytes(&with_cell(String::new())).len();
+    let result = with_cell("9".repeat(fill));
+    assert_eq!(encode_result_bytes(&result).len(), frame_bytes);
+    {
+        let (journal, _) =
+            nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
+                .expect("open journal");
+        journal.put_result(&request_key(&request), &result).expect("the store admits it");
+    }
     let (addr, handle) = start_server(ServerConfig {
         max_jobs: Some(1),
         state_dir: Some(state_dir.clone()),
         ..ServerConfig::default()
     });
 
-    // Two 120 s F1 profiles encode to about 19.2 MB, past the 16 MiB
-    // frame bound, though each alone fits it. With one job budgeted, a
-    // client retry would find the server gone.
-    let mut config = ExpConfig::quick();
-    config.trace_duration_s = 120.0;
-    let request = CampaignRequest::only(config, &["f1"]);
+    // With one job budgeted, a client retry would find the server gone.
     let cfg = ClientConfig { retries: 2, ..ClientConfig::default() };
     match client::submit_with(&addr.to_string(), &request, &cfg) {
         Err(ClientError::Rejected { reason }) => {
@@ -561,7 +600,7 @@ fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
         Ok(_) => panic!("a result over the frame bound cannot be sent"),
     }
     let stats = handle.join().expect("server thread").expect("server run");
-    assert_eq!((stats.accepted, stats.completed), (1, 0));
+    assert_eq!((stats.accepted, stats.completed, stats.replayed), (1, 0, 1));
 
     let (_, recovery) =
         nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
@@ -573,7 +612,7 @@ fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
 }
 
 /// A config no job can run — a trace duration that is NaN, negative,
-/// infinite or longer than one frame holds — draws one non-retryable
+/// infinite or longer than `MAX_TRACE_SAMPLES` samples — draws one non-retryable
 /// Reject at admission, before anything is journalled, and the server
 /// goes on to serve the next job.
 #[test]
