@@ -13,15 +13,21 @@ use std::process::ExitCode;
 
 use nvp_experiments::cli::{self, Command};
 use nvp_experiments::{
-    client, feasibility, run_request, set_cache_dir, set_thread_override, CampaignRequest,
-    CampaignResult,
+    client, feasibility, key_bytes_hashed, run_request, set_cache_dir, set_thread_override,
+    sim_cache_memo_stats, trace_memo_stats, CampaignRequest, CampaignResult,
 };
 
 /// Writes a finished campaign's artifacts and reports it, identically
 /// for both transports: tables on stdout; then on stderr the remote
-/// job line (when there is one), the sim-cache and execution-tier
-/// summaries, and the file count.
-fn render(result: &CampaignResult, job_line: Option<&str>, out_dir: &Path) -> ExitCode {
+/// job line (when there is one), the sim-cache summary, this process's
+/// input-memo line (in-process runs only: a remote job's inputs are the
+/// server's), the execution-tier summary, and the file count.
+fn render(
+    result: &CampaignResult,
+    job_line: Option<&str>,
+    memo_line: Option<&str>,
+    out_dir: &Path,
+) -> ExitCode {
     let files = match result.write(out_dir) {
         Ok(files) => files,
         Err(e) => {
@@ -44,12 +50,32 @@ fn render(result: &CampaignResult, job_line: Option<&str>, out_dir: &Path) -> Ex
         result.cache.persisted,
         result.cache.quarantined
     );
+    if let Some(line) = memo_line {
+        eprintln!("{line}");
+    }
     eprintln!(
         "exec tiers: {} lane group(s) covering {} simulation(s)",
         result.exec.lane_groups, result.exec.lane_group_items
     );
     eprintln!("wrote {} files to {}", files.len(), out_dir.display());
     ExitCode::SUCCESS
+}
+
+/// What this process's input memos did: trace summaries read from the
+/// store or streamed from the generator, task costs read from the store
+/// or measured, and the bytes cache-key derivation hashed.
+fn memo_line() -> String {
+    let traces = trace_memo_stats();
+    let memo = sim_cache_memo_stats();
+    format!(
+        "input memo: {} trace summary(ies) loaded, {} streamed; {} task cost(s) loaded, \
+         {} measured; {} key byte(s) hashed",
+        traces.summaries_loaded,
+        traces.summarized,
+        memo.task_costs_loaded,
+        memo.task_costs_measured,
+        key_bytes_hashed()
+    )
 }
 
 fn main() -> ExitCode {
@@ -116,7 +142,7 @@ fn main() -> ExitCode {
                     outcome.queued,
                     if outcome.replayed { "; replayed from journal" } else { "" }
                 );
-                render(&outcome.result, Some(&job_line), &out_dir)
+                render(&outcome.result, Some(&job_line), None, &out_dir)
             }
             Err(e @ client::ClientError::Unreachable { .. }) => {
                 // A dead address is a usage error, like a bad flag: the
@@ -159,7 +185,7 @@ fn main() -> ExitCode {
         out_dir.display()
     );
     match run_request(&request) {
-        Ok(result) => render(&result, None, &out_dir),
+        Ok(result) => render(&result, None, Some(&memo_line()), &out_dir),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -15,7 +15,10 @@
 //! while a job runs and are released when no job is left in flight
 //! (see [`JobScope`]), so a resident server holds just the traces of
 //! its running jobs. The same release demotes the sim-cache's stored
-//! outcomes to the location of their records.
+//! outcomes to the location of their records. With a persistent store
+//! attached, a summary and a task cost are read from it before they are
+//! streamed or measured, and stored after, so a warm rerun computes
+//! neither.
 //!
 //! Each simulated platform is one [`Setup`] value. Experiments list
 //! their setups once; `rows()` runs them and `setups()` hands the same
@@ -38,6 +41,7 @@ use nvp_energy::harvester::{self, SourceKind};
 use nvp_energy::{PowerTrace, TraceSummary, OPERATING_THRESHOLD_W};
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
+use crate::persist::Input;
 use crate::record::{put_str, put_u64};
 use crate::simcache::{self, memo, Digest, KeyFields, KeyHasher, Memo};
 use crate::ExpConfig;
@@ -76,6 +80,11 @@ pub(crate) fn kernel(cfg: &ExpConfig, kind: KernelKind) -> Arc<KernelInstance> {
 /// its profiles as specs under this version too, and the wire decoder
 /// refuses a foreign one.
 pub(crate) const TRACE_GEN_VERSION: u64 = 1;
+
+/// Version of [`TraceSummary`]'s meaning, in its store key: a change to
+/// what a summary holds or how it is folded must bump it, or a
+/// persistent cache would serve summaries of the old kind.
+const SUMMARY_FORMAT: u64 = 1;
 
 /// Everything a generated trace is a pure function of: the source kind,
 /// the seed and the duration (as its bit pattern). It keys both the
@@ -194,13 +203,15 @@ struct TraceEntry {
     held: Mutex<Held>,
 }
 
-/// What a [`TraceEntry`] holds, and how often it built each part.
+/// What a [`TraceEntry`] holds, and how often it built or loaded each
+/// part.
 #[derive(Default)]
 struct Held {
     samples: Option<Arc<PowerTrace>>,
     summary: Option<Arc<TraceSummary>>,
     generations: u64,
     summaries: u64,
+    summaries_loaded: u64,
 }
 
 impl TraceEntry {
@@ -221,16 +232,34 @@ impl TraceEntry {
         }))
     }
 
-    /// The summary, streamed from the generator if the entry holds
-    /// none: no sample array is allocated. The lock is held across the
-    /// stream, so concurrent readers of one spec share one.
+    /// The summary. An entry that holds none reads it from the attached
+    /// store, or streams it from the generator (no sample array is
+    /// allocated) and stores it. The lock is held across the stream, so
+    /// concurrent readers of one spec share one.
     fn summary(&self) -> Arc<TraceSummary> {
         let mut held = self.held();
-        let Held { summary, summaries, .. } = &mut *held;
+        let Held { summary, summaries, summaries_loaded, .. } = &mut *held;
         Arc::clone(summary.get_or_insert_with(|| {
+            let key = self.summary_key();
+            if let Some(Input::Summary(stored)) = simcache::stored_input(&key) {
+                *summaries_loaded += 1;
+                return stored;
+            }
             *summaries += 1;
-            Arc::new(self.spec.summarize())
+            let streamed = Arc::new(self.spec.summarize());
+            simcache::store_input(&key, Input::Summary(Arc::clone(&streamed)));
+            streamed
         }))
+    }
+
+    /// The summary's store key: the spec digest (which names the
+    /// generator version), the threshold and the summary format.
+    fn summary_key(&self) -> Digest {
+        let mut key = KeyHasher::new("nvp-simcache/2:summary");
+        key.u64(SUMMARY_FORMAT);
+        key.digest(&self.digest);
+        key.u64(OPERATING_THRESHOLD_W.to_bits());
+        key.finish()
     }
 }
 
@@ -364,10 +393,14 @@ pub struct TraceMemoStats {
     /// generated again only after the memo released it. Only
     /// simulations that miss the sim-cache read samples.
     pub generated: u64,
-    /// Trace summaries built over the life of the process, streamed from
-    /// the generator or folded over held samples: at most one per spec
-    /// per job, like [`generated`](Self::generated).
+    /// Trace summaries streamed from the generator over the life of the
+    /// process: at most one per spec per job, like
+    /// [`generated`](Self::generated), and none for a summary the
+    /// attached store holds.
     pub summarized: u64,
+    /// Trace summaries read from the attached store's input log over the
+    /// life of the process, at most one per spec per job.
+    pub summaries_loaded: u64,
     /// Sample bytes the memo holds right now; zero between jobs.
     pub resident_bytes: u64,
 }
@@ -380,6 +413,7 @@ pub fn trace_memo_stats() -> TraceMemoStats {
         let held = entry.held();
         stats.generated += held.generations;
         stats.summarized += held.summaries;
+        stats.summaries_loaded += held.summaries_loaded;
         if let Some(samples) = &held.samples {
             stats.resident_bytes += std::mem::size_of_val(samples.samples()) as u64;
         }
@@ -420,18 +454,39 @@ pub(crate) fn system_config_for_tech(
     cfg
 }
 
+/// Instruction budget of a task-cost measurement.
+const TASK_MAX_INSTS: u64 = 500_000_000;
+
+/// Task costs this process has looked up, by frame and kernel.
+static TASK_COSTS: Memo<(FrameKey, KernelKind), TaskCost> = OnceLock::new();
+
 /// Unconstrained task cost of the standard kernel for `kind`.
 ///
-/// Keyed on the frame identity and kernel kind — the same key space as
-/// [`kernel`] — because the cost is a pure function of the generated
-/// program and its data.
+/// Memoized on the frame identity and kernel kind — the same key space
+/// as [`kernel`] — because the cost is a pure function of the generated
+/// program and its data. A first lookup reads it from the attached
+/// store, keyed (`nvp-simcache/2:task`) by the program image, the
+/// `SystemConfig` and the instruction budget, and only on a miss
+/// measures it and stores it.
 pub(crate) fn task_cost(cfg: &ExpConfig, kind: KernelKind) -> TaskCost {
-    static CACHE: Memo<(FrameKey, KernelKind), TaskCost> = OnceLock::new();
-    *memo(&CACHE, (frame_key(cfg), kind), || {
+    *memo(&TASK_COSTS, (frame_key(cfg), kind), || {
         let inst = kernel(cfg, kind);
-        measure_task(inst.program(), &system_config_for(&inst), 500_000_000)
-            .expect("kernel terminates under continuous power")
+        let sys = system_config_for(&inst);
+        let mut key = KeyHasher::with_program("nvp-simcache/2:task", inst.program());
+        key.field(&sys);
+        key.u64(TASK_MAX_INSTS);
+        simcache::cached_task_cost(&key.finish(), || {
+            measure_task(inst.program(), &sys, TASK_MAX_INSTS)
+                .expect("kernel terminates under continuous power")
+        })
     })
+}
+
+/// Forgets every memoized task cost ([`simcache::reset_sim_cache`]).
+pub(crate) fn forget_task_costs() {
+    if let Some(map) = TASK_COSTS.get() {
+        map.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    }
 }
 
 /// One simulated platform: the value an experiment both runs (through
@@ -487,12 +542,11 @@ impl Setup {
     /// (F12's fault plan) add them before finishing.
     pub(crate) fn key_hasher(
         &self,
-        tag: &str,
+        tag: &'static str,
         inst: &KernelInstance,
         trace: &SimTrace,
     ) -> KeyHasher {
-        let mut key = KeyHasher::new(tag);
-        key.program(inst.program());
+        let mut key = KeyHasher::with_program(tag, inst.program());
         match self {
             Setup::Nvp { sys, backup, policy } => {
                 key.field(sys);

@@ -61,15 +61,41 @@
 //! vanishing. The counter flows through
 //! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
 //! and the `nvpd` wire stats.
+//!
+//! ## Input records
+//!
+//! Beside the shards, one more log, `inputs.rec` (magic `b"nvpinpt1"`,
+//! outside the shards' `*.log` glob), holds the pure values a campaign
+//! derives from its inputs before any simulation: trace summaries and
+//! unconstrained task costs. A record is
+//!
+//! ```text
+//! kind: u8 ++ key (32 bytes) ++ value
+//! kind 1, a TraceSummary: average, peak, energy, duration,
+//!     threshold (f64 bits), emergencies (u64), longest, mean and
+//!     above-threshold fraction (f64 bits), dt (f64 bits),
+//!     n: u32, n outage lengths in samples (LEB128 varints)
+//! kind 2, a TaskCost: instructions, cycles (u64), energy (f64 bits)
+//! ```
+//!
+//! Every outage duration is a whole number of samples times `dt`, so
+//! the varint lengths decode to the same bits; a summary with a duration
+//! that does not round-trip, or a record over [`MAX_INPUT_RECORD_BYTES`],
+//! is not written, and the value is recomputed whenever it is read. The
+//! log is read whole on the first lookup after it is attached, not at
+//! attach, and scanned, checked and quarantined like a shard.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use nvp_core::RunReport;
+use nvp_core::{RunReport, TaskCost};
 use nvp_energy::units::Joules;
+use nvp_energy::{OutageStats, TraceSummary, DEFAULT_DT_S};
 
-use crate::record::{self, put_f64, put_f64s, put_u64, Reader};
+use crate::record::{self, put_f64, put_f64s, put_u32, put_u64, put_varint, Reader};
 use crate::simcache::{Digest, SimOutcome};
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
@@ -86,6 +112,20 @@ const FIXED_PAYLOAD_BYTES: usize = 32 + 24 * 8 + 4;
 /// the quick one, and 72–80 and 27–35 at fault seeds 1–8; the bound
 /// leaves room for 483.
 const MAX_RECORD_BYTES: u32 = 4096;
+
+/// Input-log magic: `nvpinpt` + schema version digit.
+const INPUT_MAGIC: &[u8; 8] = b"nvpinpt1";
+
+/// The input log's file name.
+const INPUT_LOG: &str = "inputs.rec";
+
+/// Bound on an input record. A default-config summary takes about
+/// 1.2 KB; the bound leaves room for a trace about 50 times as eventful.
+const MAX_INPUT_RECORD_BYTES: u32 = 1 << 16;
+
+/// Input record kinds.
+const KIND_SUMMARY: u8 = 1;
+const KIND_TASK_COST: u8 = 2;
 
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
@@ -194,6 +234,191 @@ impl PersistentStore {
     fn shard(&self, key: &Digest) -> PathBuf {
         self.dir.join(format!("{:x}.log", key[0] >> 4))
     }
+}
+
+/// A value an input record holds.
+#[derive(Debug, Clone)]
+pub(crate) enum Input {
+    /// A trace's summary.
+    Summary(Arc<TraceSummary>),
+    /// A program's unconstrained task cost.
+    TaskCost(TaskCost),
+}
+
+/// A cache directory's input log: read whole on the first lookup,
+/// appended to afterwards.
+#[derive(Debug)]
+pub(crate) struct InputLog {
+    path: PathBuf,
+    /// Every record of the log, once the first lookup has read it.
+    index: Option<BTreeMap<Digest, Input>>,
+}
+
+impl InputLog {
+    /// The input log of `dir`. Touches nothing on disk.
+    pub(crate) fn new(dir: &Path) -> InputLog {
+        InputLog { path: dir.join(INPUT_LOG), index: None }
+    }
+
+    fn index(&mut self) -> &mut BTreeMap<Digest, Input> {
+        self.index.get_or_insert_with(|| load_inputs(&self.path))
+    }
+
+    /// Drops what the log has read, so the next lookup reads it again.
+    pub(crate) fn forget(&mut self) {
+        self.index = None;
+    }
+
+    /// The value recorded under `key`, reading the log if no lookup has
+    /// yet.
+    pub(crate) fn get(&mut self, key: &Digest) -> Option<&Input> {
+        self.index().get(key)
+    }
+
+    /// Appends `input` under `key` in one `O_APPEND` write, as a shard
+    /// record is appended. A value that does not round-trip, or a record
+    /// over its bound, is refused, not written.
+    pub(crate) fn append(&mut self, key: &Digest, input: Input) -> io::Result<()> {
+        let payload =
+            encode_input(key, &input).ok_or_else(|| record::bad("input does not round-trip"))?;
+        // Read first: appending behind a damaged tail would lose the
+        // record at the next read, and the read heals the log.
+        self.index();
+        let fresh = fs::metadata(&self.path).map_or(true, |m| m.len() == 0);
+        let mut bytes = if fresh { INPUT_MAGIC.to_vec() } else { Vec::new() };
+        record::put_frame(&mut bytes, &payload, MAX_INPUT_RECORD_BYTES)?;
+        fs::OpenOptions::new().create(true).append(true).open(&self.path)?.write_all(&bytes)?;
+        self.index().insert(*key, input);
+        Ok(())
+    }
+}
+
+/// Reads an input log into an index. A missing or empty log is empty;
+/// a damaged one is quarantined with the records it still holds.
+fn load_inputs(path: &Path) -> BTreeMap<Digest, Input> {
+    let bytes = fs::read(path).unwrap_or_default();
+    if bytes.is_empty() {
+        return BTreeMap::new();
+    }
+    let (index, salvaged, lost) = scan_inputs(&bytes);
+    if lost > 0 {
+        let healed = record::log_image(INPUT_MAGIC, salvaged, MAX_INPUT_RECORD_BYTES)
+            .and_then(|image| record::quarantine(path, Some(&image)));
+        match healed {
+            Ok(target) => eprintln!(
+                "warning: sim cache input log {} damaged ({lost} record(s) lost); \
+                 quarantined as {}",
+                path.display(),
+                target.display()
+            ),
+            Err(e) => eprintln!(
+                "warning: sim cache input log {} damaged but could not be quarantined ({e})",
+                path.display()
+            ),
+        }
+    }
+    index
+}
+
+/// Decodes an input-log image: the index, the payloads it holds, and
+/// the damage seen.
+fn scan_inputs(bytes: &[u8]) -> (BTreeMap<Digest, Input>, Vec<&[u8]>, u64) {
+    let mut index = BTreeMap::new();
+    let log = record::scan(bytes, INPUT_MAGIC, MAX_INPUT_RECORD_BYTES);
+    let mut lost = log.damaged;
+    let mut served = Vec::with_capacity(log.payloads.len());
+    for payload in log.payloads {
+        match decode_input(payload) {
+            Ok((key, input)) => {
+                index.insert(key, input);
+                served.push(payload);
+            }
+            Err(_) => lost += 1, // valid CRC but foreign shape
+        }
+    }
+    (index, served, lost)
+}
+
+/// Serializes `kind ++ key ++ value`, or `None` when the value would not
+/// decode to the same bits.
+fn encode_input(key: &Digest, input: &Input) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(128);
+    match input {
+        Input::Summary(s) => {
+            out.push(KIND_SUMMARY);
+            out.extend_from_slice(key);
+            let o = &s.outages;
+            for v in [s.average_w, s.peak_w, s.total_energy_j, s.duration_s, o.threshold_w] {
+                put_f64(&mut out, v);
+            }
+            put_u64(&mut out, o.emergency_count);
+            for v in [o.longest_outage_s, o.mean_outage_s, o.above_threshold_fraction, DEFAULT_DT_S]
+            {
+                put_f64(&mut out, v);
+            }
+            put_u32(&mut out, u32::try_from(o.outage_durations_s.len()).ok()?);
+            for &d in &o.outage_durations_s {
+                let n = (d / DEFAULT_DT_S).round();
+                // Below 2^53 every count converts exactly.
+                if !(0.0..9.0e15).contains(&n)
+                    || (n as u64 as f64 * DEFAULT_DT_S).to_bits() != d.to_bits()
+                {
+                    return None;
+                }
+                put_varint(&mut out, n as u64);
+            }
+        }
+        Input::TaskCost(c) => {
+            out.push(KIND_TASK_COST);
+            out.extend_from_slice(key);
+            put_u64(&mut out, c.instructions);
+            put_u64(&mut out, c.cycles);
+            put_f64(&mut out, c.energy_j);
+        }
+    }
+    Some(out)
+}
+
+/// Inverse of [`encode_input`]; an error unless the payload is exactly
+/// one record of a known kind.
+fn decode_input(payload: &[u8]) -> io::Result<(Digest, Input)> {
+    let mut r = Reader::new(payload);
+    let kind = r.u8()?;
+    let key = r.digest()?;
+    let input = match kind {
+        KIND_SUMMARY => {
+            let [average_w, peak_w, total_energy_j, duration_s, threshold_w] =
+                [r.f64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?];
+            let emergency_count = r.u64()?;
+            let [longest_outage_s, mean_outage_s, above_threshold_fraction, dt_s] =
+                [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
+            let n = r.count(1)?;
+            let outage_durations_s =
+                (0..n).map(|_| Ok(r.varint()? as f64 * dt_s)).collect::<io::Result<_>>()?;
+            Input::Summary(Arc::new(TraceSummary {
+                average_w,
+                peak_w,
+                total_energy_j,
+                duration_s,
+                outages: OutageStats {
+                    threshold_w,
+                    emergency_count,
+                    outage_durations_s,
+                    longest_outage_s,
+                    mean_outage_s,
+                    above_threshold_fraction,
+                },
+            }))
+        }
+        KIND_TASK_COST => Input::TaskCost(TaskCost {
+            instructions: r.u64()?,
+            cycles: r.u64()?,
+            energy_j: r.f64()?,
+        }),
+        _ => return Err(record::bad("unknown input record kind")),
+    };
+    r.done()?;
+    Ok((key, input))
 }
 
 /// Loads one shard image into `outcome`, each record with its frame's
@@ -599,6 +824,164 @@ pub(crate) mod tests {
         assert!(dir.join("not-a-cache.log.quarantine").exists());
         assert!(dir.join("3.log").exists(), "healthy shard untouched");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A wearable trace's summary at the operating threshold, as F1, F2
+    /// and F9 read it.
+    fn summary(seed: u64) -> TraceSummary {
+        nvp_energy::harvester::SourceKind::WristWatch.summarize(
+            seed,
+            1.0,
+            nvp_energy::OPERATING_THRESHOLD_W,
+        )
+    }
+
+    fn task_cost(salt: u64) -> TaskCost {
+        TaskCost { instructions: u64::MAX - salt, cycles: 1 << 40, energy_j: 5e-324 }
+    }
+
+    /// Every field of a summary as bit patterns, outage list included.
+    fn summary_bits(s: &TraceSummary) -> Vec<u64> {
+        let o = &s.outages;
+        let scalars = [s.average_w, s.peak_w, s.total_energy_j, s.duration_s, o.threshold_w];
+        let rest = [o.longest_outage_s, o.mean_outage_s, o.above_threshold_fraction];
+        scalars
+            .iter()
+            .chain(&rest)
+            .chain(&o.outage_durations_s)
+            .map(|v| v.to_bits())
+            .chain([o.emergency_count])
+            .collect()
+    }
+
+    fn input_bits(input: &Input) -> Vec<u64> {
+        match input {
+            Input::Summary(s) => summary_bits(s),
+            Input::TaskCost(c) => vec![c.instructions, c.cycles, c.energy_j.to_bits()],
+        }
+    }
+
+    /// A small input log: one summary record and one task-cost record.
+    pub(crate) fn input_log() -> Vec<u8> {
+        let records = [
+            (key_of(0x90), Input::Summary(Arc::new(summary(2)))),
+            (key_of(0x91), Input::TaskCost(task_cost(1))),
+        ];
+        let payloads = records.iter().map(|(key, input)| encode_input(key, input).unwrap());
+        record::log_image(INPUT_MAGIC, payloads, MAX_INPUT_RECORD_BYTES).unwrap()
+    }
+
+    /// Loads an input-log image through the real loader: every served
+    /// record re-encoded, and the damage counted.
+    pub(crate) fn load_input_log(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
+        let (index, _, lost) = scan_inputs(bytes);
+        let served = index.iter().map(|(key, input)| encode_input(key, input).unwrap());
+        (served.collect(), lost)
+    }
+
+    #[test]
+    fn input_records_round_trip_bit_exactly() {
+        let dir = unique_dir("nvp_persist_inputs");
+        let mut log = InputLog::new(&dir);
+        assert!(log.get(&key_of(0x90)).is_none(), "a missing log holds nothing");
+        fs::create_dir_all(&dir).unwrap();
+        let s = summary(5);
+        assert!(s.outages.outage_durations_s.len() > 3, "a summary with outages");
+        let inputs = [
+            (key_of(0x90), Input::Summary(Arc::new(s))),
+            (key_of(0x91), Input::TaskCost(task_cost(3))),
+        ];
+        for (key, input) in &inputs {
+            log.append(key, input.clone()).unwrap();
+        }
+        let mut reread = InputLog::new(&dir);
+        for (key, input) in &inputs {
+            let served = reread.get(key).expect("stored");
+            assert_eq!(input_bits(served), input_bits(input), "bit-exact on disk");
+        }
+        let bytes = fs::read(dir.join(INPUT_LOG)).unwrap();
+        let (_, salvaged, lost) = scan_inputs(&bytes);
+        assert_eq!((salvaged.len(), lost), (2, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inputs_that_would_not_decode_the_same_are_not_written() {
+        let dir = unique_dir("nvp_persist_inputs_refused");
+        fs::create_dir_all(&dir).unwrap();
+        let mut log = InputLog::new(&dir);
+        // A duration that is no whole number of samples.
+        let mut off_grid = summary(5);
+        off_grid.outages.outage_durations_s[0] += 1e-9;
+        assert!(log.append(&key_of(0x92), Input::Summary(Arc::new(off_grid))).is_err());
+        // A record past its bound: one varint byte per outage.
+        let mut eventful = summary(5);
+        eventful.outages.outage_durations_s = vec![DEFAULT_DT_S; MAX_INPUT_RECORD_BYTES as usize];
+        assert!(log.append(&key_of(0x93), Input::Summary(Arc::new(eventful))).is_err());
+        assert!(!dir.join(INPUT_LOG).exists(), "nothing was written");
+        assert!(InputLog::new(&dir).get(&key_of(0x92)).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_damaged_input_log_is_quarantined_and_serves_only_intact_records() {
+        let dir = unique_dir("nvp_persist_inputs_damaged");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(INPUT_LOG);
+        let mut image = input_log();
+        image[INPUT_MAGIC.len() + 8 + 40] ^= 0x01; // into the summary's fields
+        fs::write(&path, &image).unwrap();
+        let mut log = InputLog::new(&dir);
+        assert!(log.get(&key_of(0x90)).is_none(), "the damaged summary is not served");
+        assert_eq!(
+            log.get(&key_of(0x91)).map(input_bits),
+            Some(input_bits(&Input::TaskCost(task_cost(1))))
+        );
+        assert!(dir.join("inputs.rec.quarantine").exists(), "the damaged log is kept aside");
+        // Healed: the salvage holds the intact record, and an append
+        // lands behind it.
+        log.append(&key_of(0x90), Input::Summary(Arc::new(summary(2)))).unwrap();
+        let bytes = fs::read(&path).unwrap();
+        let (_, salvaged, lost) = scan_inputs(&bytes);
+        assert_eq!((salvaged.len(), lost), (2, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pinned bytes of a two-record input log: a change here changes the
+    /// on-disk format, which must bump the digit in [`INPUT_MAGIC`].
+    const PINNED_INPUT_LOG: &str = concat!(
+        "6e7670696e70743178000000f01dbf3401a0a1000000000000000000000000000000000000000000",
+        "0000000000000000002d431cebe2361a3ffca9f1d24d62603f2d431cebe2360a3f000000000000e0",
+        "3ffa9cbb5d2f4d013f02000000000000007b14ae47e17a943f45696ff085c9843f000000000000d0",
+        "3f2d431cebe2361a3f0200000003c80139000000678de59a02a1a200000000000000000000000000",
+        "0000000000000000000000000000000000ffffffffffffffff000000000001000001000000000000",
+        "00",
+    );
+
+    #[test]
+    fn input_record_format_is_pinned() {
+        let outages = OutageStats {
+            threshold_w: 33e-6,
+            emergency_count: 2,
+            outage_durations_s: vec![3.0 * DEFAULT_DT_S, 200.0 * DEFAULT_DT_S],
+            longest_outage_s: 200.0 * DEFAULT_DT_S,
+            mean_outage_s: 101.5 * DEFAULT_DT_S,
+            above_threshold_fraction: 0.25,
+        };
+        let s = TraceSummary {
+            average_w: 1e-4,
+            peak_w: 2e-3,
+            total_energy_j: 5e-5,
+            duration_s: 0.5,
+            outages,
+        };
+        let payloads = [
+            encode_input(&key_of(0xa0), &Input::Summary(Arc::new(s))).unwrap(),
+            encode_input(&key_of(0xa1), &Input::TaskCost(task_cost(0))).unwrap(),
+        ];
+        let image = record::log_image(INPUT_MAGIC, &payloads, MAX_INPUT_RECORD_BYTES).unwrap();
+        let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, PINNED_INPUT_LOG);
     }
 
     #[test]

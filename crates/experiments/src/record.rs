@@ -267,6 +267,16 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
+/// Appends an unsigned LEB128 varint: seven bits a byte, low group
+/// first, the high bit set on every byte but the last.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
 /// Appends a list of `f64`s behind its `u32` count.
 ///
 /// # Panics
@@ -362,6 +372,23 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn f64(&mut self) -> io::Result<f64> {
         self.u64().map(f64::from_bits)
+    }
+
+    /// A [`put_varint`] `u64`; more than ten bytes, or a value past
+    /// `u64::MAX`, is an error.
+    pub fn varint(&mut self) -> io::Result<u64> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            if shift == 63 && byte > 1 {
+                return Err(bad("varint overflows u64"));
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(bad("varint overflows u64"))
     }
 
     /// A `u64` that must fit a `usize`.
@@ -498,6 +525,35 @@ mod tests {
             (log.payloads.iter().map(|p| p.to_vec()).collect(), log.damaged)
         };
         assert_log_damage_never_served(&unhex(JOURNAL), 4, b"nvpjrnl0", load);
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_input_log_serves_no_damaged_record() {
+        let log = crate::persist::tests::input_log();
+        assert_log_damage_never_served(&log, 2, b"nvpinpt0", crate::persist::tests::load_input_log);
+    }
+
+    #[test]
+    fn varints_round_trip_and_reject_overflow() {
+        let values =
+            [0, 1, 127, 128, 300, 16_383, 16_384, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+        let mut out = Vec::new();
+        for &v in &values {
+            put_varint(&mut out, v);
+        }
+        assert_eq!(out[..4], [0, 1, 127, 0x80]);
+        let mut r = Reader::new(&out);
+        for &v in &values {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        r.done().unwrap();
+        for bad_bytes in [
+            &[0x80][..],
+            &[0xff; 10][..],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02][..],
+        ] {
+            assert!(Reader::new(bad_bytes).varint().is_err(), "{bad_bytes:?}");
+        }
     }
 
     /// Reads messages off `bytes` until the first error.

@@ -10,7 +10,9 @@
 //!
 //! Key derivation (see `DESIGN.md` § Performance): a [`KeyHasher`]
 //! writes every input through the [`crate::record`] field codec and
-//! hashes the bytes once.
+//! hashes the bytes once; the tag and program image that open a key are
+//! hashed once per program and tag, and later keys continue from the
+//! memoized state ([`KeyHasher::with_program`]).
 //!
 //! * a schema + run-kind tag (`nvp-simcache/2:nvp`, `:wait`, `:f12`),
 //!   so NVP, wait-compute and fault-trial runs of the same inputs can
@@ -33,6 +35,11 @@
 //! Values are [`SimOutcome`]s: the `RunReport`, plus the recovery
 //! latencies of an F12 trial (empty for every other run kind), so a
 //! trial's table contribution is served without its event stream.
+//!
+//! The attached store also keeps the inputs a campaign derives before
+//! it simulates, under keys of their own tags (`:summary`, `:task`):
+//! trace summaries and task costs ([`stored_input`], [`store_input`],
+//! [`cached_task_cost`]; the record format is in [`crate::persist`]).
 //!
 //! ## One fill rule
 //!
@@ -80,15 +87,16 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use nvp_core::{
-    BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, WaitComputeConfig,
+    BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, TaskCost,
+    WaitComputeConfig,
 };
 use nvp_energy::Rectifier;
 use nvp_sim::{CycleModel, EnergyModel};
 
-use crate::persist::PersistentStore;
+use crate::persist::{Input, InputLog, PersistentStore};
 use crate::record::{put_f64, put_f64s, put_str, put_u32, put_u64};
 
 /// A 256-bit content digest (cache key).
@@ -107,6 +115,7 @@ pub(crate) struct SimOutcome {
 /// Minimal incremental FIPS 180-4 SHA-256 (the workspace is offline and
 /// takes no hashing dependency); validated against the standard test
 /// vectors in this module's tests.
+#[derive(Clone)]
 pub(crate) struct Sha256 {
     h: [u32; 8],
     buf: [u8; 64],
@@ -197,17 +206,19 @@ impl Sha256 {
     }
 
     pub(crate) fn finalize(mut self) -> Digest {
+        // One padding step: the 0x80 marker and zeros after the buffered
+        // bytes, then the bit length in the last eight bytes of the final
+        // block, which is a block of its own when the marker leaves no
+        // room for it.
         let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let mut block = self.buf;
+        block[self.buf_len] = 0x80;
+        block[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.h, &block);
+            block = [0; 64];
         }
-        // The length block must not count toward the message length,
-        // but `update` already captured `total` before padding began.
-        let tail = bit_len.to_be_bytes();
-        let take = 64 - self.buf_len;
-        self.buf[self.buf_len..].copy_from_slice(&tail[..take.min(8)]);
-        let block = self.buf;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         compress(&mut self.h, &block);
         let mut out = [0u8; 32];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.h) {
@@ -220,50 +231,92 @@ impl Sha256 {
 /// Builds a cache key: a tag, then fields through the [`crate::record`]
 /// codec (integers little-endian, floats as bit patterns, strings and
 /// lists behind their length), hashed once by [`finish`](Self::finish).
-pub(crate) struct KeyHasher(Vec<u8>);
+///
+/// A key over a program starts from the hash state after its tag and
+/// program image ([`with_program`](Self::with_program)), memoized per
+/// prefix, so the few programs a campaign runs are each hashed once
+/// per tag however many keys name them. The key bytes are the same
+/// either way: only how often they are hashed changes.
+pub(crate) struct KeyHasher {
+    /// The state after the memoized prefix; fresh without one.
+    state: Sha256,
+    /// Fields after the prefix.
+    rest: Vec<u8>,
+}
+
+/// Hash states after a tag and a program image: the image's bytes, and
+/// one state per tag that has opened a key over it. Each image is kept
+/// once, however many tags name it.
+type Prefixes = BTreeMap<Vec<u8>, Vec<(&'static str, Sha256)>>;
+
+static PREFIXES: Mutex<Prefixes> = Mutex::new(BTreeMap::new());
+/// Bytes key derivation has fed to SHA-256.
+static KEY_BYTES: AtomicU64 = AtomicU64::new(0);
 
 impl KeyHasher {
     /// Starts a key with a schema + run-kind tag (e.g.
-    /// `"nvp-simcache/2:nvp"`).
+    /// `"nvp-simcache/2:trace"`).
     pub(crate) fn new(tag: &str) -> KeyHasher {
-        let mut out = Vec::with_capacity(4096);
-        put_str(&mut out, tag);
-        KeyHasher(out)
+        let mut rest = Vec::with_capacity(128);
+        put_str(&mut rest, tag);
+        KeyHasher { state: Sha256::new(), rest }
+    }
+
+    /// Starts a key with a tag and a program image (entry, code words,
+    /// initialized data segments), continuing from the memoized state
+    /// after those bytes.
+    pub(crate) fn with_program(tag: &'static str, program: &nvp_isa::Program) -> KeyHasher {
+        let segs = program.data_segments();
+        let data_bytes: usize = segs.iter().map(|seg| 12 + 2 * seg.words.len()).sum();
+        let mut image = Vec::with_capacity(20 + 4 * program.code().len() + data_bytes);
+        put_u32(&mut image, program.entry());
+        put_count(&mut image, program.code().len());
+        program.code().iter().for_each(|&word| put_u32(&mut image, word));
+        put_count(&mut image, segs.len());
+        for seg in segs {
+            put_u32(&mut image, u32::from(seg.addr));
+            put_count(&mut image, seg.words.len());
+            seg.words.iter().for_each(|&w| image.extend_from_slice(&w.to_le_bytes()));
+        }
+        // A panicking hash leaves no entry, so a poisoned map holds
+        // nothing torn.
+        let mut prefixes = PREFIXES.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = prefixes.get(&image).and_then(|states| states.iter().find(|(t, _)| *t == tag));
+        let state = match known {
+            Some((_, state)) => state.clone(),
+            None => {
+                let mut head = Vec::with_capacity(4 + tag.len());
+                put_str(&mut head, tag);
+                let mut state = Sha256::new();
+                state.update(&head);
+                state.update(&image);
+                KEY_BYTES.fetch_add((head.len() + image.len()) as u64, Ordering::Relaxed);
+                prefixes.entry(image).or_default().push((tag, state.clone()));
+                state
+            }
+        };
+        KeyHasher { state, rest: Vec::with_capacity(512) }
     }
 
     /// A value through its canonical encoding.
     pub(crate) fn field(&mut self, value: &impl KeyFields) {
-        value.put_key(&mut self.0);
+        value.put_key(&mut self.rest);
     }
 
     /// A `u64`.
     pub(crate) fn u64(&mut self, v: u64) {
-        put_u64(&mut self.0, v);
-    }
-
-    /// A program image: entry, code words, initialized data segments.
-    pub(crate) fn program(&mut self, program: &nvp_isa::Program) {
-        let out = &mut self.0;
-        put_u32(out, program.entry());
-        put_count(out, program.code().len());
-        program.code().iter().for_each(|&word| put_u32(out, word));
-        put_count(out, program.data_segments().len());
-        for seg in program.data_segments() {
-            put_u32(out, u32::from(seg.addr));
-            put_count(out, seg.words.len());
-            seg.words.iter().for_each(|&w| out.extend_from_slice(&w.to_le_bytes()));
-        }
+        put_u64(&mut self.rest, v);
     }
 
     /// A precomputed digest (e.g. a trace spec's).
     pub(crate) fn digest(&mut self, d: &Digest) {
-        self.0.extend_from_slice(d);
+        self.rest.extend_from_slice(d);
     }
 
-    pub(crate) fn finish(self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(&self.0);
-        h.finalize()
+    pub(crate) fn finish(mut self) -> Digest {
+        KEY_BYTES.fetch_add(self.rest.len() as u64, Ordering::Relaxed);
+        self.state.update(&self.rest);
+        self.state.finalize()
     }
 }
 
@@ -597,6 +650,11 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static RELOADED: AtomicU64 = AtomicU64::new(0);
+/// The attached store's input log; `None` is memory-only. Taken after
+/// [`PERSIST`] when attaching, and otherwise alone.
+static INPUTS: Mutex<Option<InputLog>> = Mutex::new(None);
+static TASK_COSTS_LOADED: AtomicU64 = AtomicU64::new(0);
+static TASK_COSTS_MEASURED: AtomicU64 = AtomicU64::new(0);
 
 fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
     CACHE.lock().expect("sim cache lock")
@@ -608,7 +666,11 @@ fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
 /// holding no map lock, so nothing that holds [`PERSIST`] may wait on
 /// a slot.
 fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
-    PERSIST.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    PERSIST.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn inputs() -> MutexGuard<'static, Option<InputLog>> {
+    INPUTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A filled slot.
@@ -670,10 +732,13 @@ fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<
 
 /// Points the simulation cache at a persistent directory (`Some`) or
 /// makes it memory-only (`None`, the state before any call). Opening a
-/// directory loads every valid record into the in-memory index
+/// directory loads every valid outcome record into the in-memory index
 /// immediately and returns how many were merged; subsequent first-time
-/// simulations are appended to it. On `Err` the cache falls back to
-/// memory-only — a broken cache directory costs time, never a run.
+/// simulations are appended to it. The directory's input log (trace
+/// summaries and task costs) is read by the
+/// first lookup of an input, not here, and is not counted. On `Err` the
+/// cache falls back to memory-only — a broken cache directory costs
+/// time, never a run.
 ///
 /// The `repro` binary calls this with `$NVP_CACHE_DIR` or
 /// `<out_dir>/.simcache` (not at all under `--no-cache`), `nvpd serve`
@@ -683,14 +748,49 @@ fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<
 /// [`reset_sim_cache`] reloads the log from disk, and pointing at a
 /// *different* directory first drops every entry the old store
 /// contributed, so records never leak between cache directories (see
-/// `tests/persist_cache.rs`).
+/// `tests/persist_cache.rs`). Every call forgets the input records read
+/// and the task costs memoized so far, as [`reset_sim_cache`] does.
 pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
     let mut state = persist_lock();
     *state = None;
+    *inputs() = None;
+    crate::common::forget_task_costs();
     match dir {
         None => Ok(0),
-        Some(d) => activate(&mut state, d),
+        Some(d) => {
+            let merged = activate(&mut state, d)?;
+            *inputs() = Some(InputLog::new(d));
+            Ok(merged)
+        }
     }
+}
+
+/// The input recorded under `key` in the attached store's input log,
+/// which the first lookup after attaching reads; `None` when the cache
+/// is memory-only or the log holds no intact record under `key`.
+pub(crate) fn stored_input(key: &Digest) -> Option<Input> {
+    inputs().as_mut()?.get(key).cloned()
+}
+
+/// Best-effort append of a computed input to the attached store's
+/// input log: a value the log refuses is recomputed when next needed.
+pub(crate) fn store_input(key: &Digest, input: Input) {
+    if let Some(log) = inputs().as_mut() {
+        let _ = log.append(key, input);
+    }
+}
+
+/// A program's unconstrained task cost, keyed by `key`: read from the
+/// attached store, or measured by `measure` and stored.
+pub(crate) fn cached_task_cost(key: &Digest, measure: impl FnOnce() -> TaskCost) -> TaskCost {
+    if let Some(Input::TaskCost(cost)) = stored_input(key) {
+        TASK_COSTS_LOADED.fetch_add(1, Ordering::Relaxed);
+        return cost;
+    }
+    TASK_COSTS_MEASURED.fetch_add(1, Ordering::Relaxed);
+    let cost = measure();
+    store_input(key, Input::TaskCost(cost));
+    cost
 }
 
 /// Best-effort append of a freshly computed outcome to the attached
@@ -789,8 +889,9 @@ pub fn sim_cache_stats() -> SimCacheStats {
     }
 }
 
-/// What the sim-cache map holds, and how often it re-read a record
-/// (process-wide, via [`sim_cache_memo_stats`]).
+/// What the sim-cache map holds, how often it re-read a record, and
+/// where its task costs came from (process-wide, via
+/// [`sim_cache_memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheMemoStats {
     /// Outcomes held decoded right now.
@@ -801,13 +902,23 @@ pub struct SimCacheMemoStats {
     /// Demoted outcomes re-read from their record since the process
     /// started or the cache was last reset.
     pub reloaded: u64,
+    /// Task costs read from the attached store's input log since the
+    /// process started or the cache was last reset.
+    pub task_costs_loaded: u64,
+    /// Task costs measured (by simulating the program under continuous
+    /// power) since the process started or the cache was last reset.
+    pub task_costs_measured: u64,
 }
 
 /// Process-wide sim-cache memo counters.
 #[must_use]
 pub fn sim_cache_memo_stats() -> SimCacheMemoStats {
-    let mut stats =
-        SimCacheMemoStats { reloaded: RELOADED.load(Ordering::Relaxed), ..Default::default() };
+    let mut stats = SimCacheMemoStats {
+        reloaded: RELOADED.load(Ordering::Relaxed),
+        task_costs_loaded: TASK_COSTS_LOADED.load(Ordering::Relaxed),
+        task_costs_measured: TASK_COSTS_MEASURED.load(Ordering::Relaxed),
+        ..Default::default()
+    };
     for entry in cache().values() {
         match entry {
             Entry::Live(slot) => stats.resident += u64::from(slot.get().is_some()),
@@ -817,13 +928,39 @@ pub fn sim_cache_memo_stats() -> SimCacheMemoStats {
     stats
 }
 
+/// Bytes cache-key derivation has hashed over the life of the process:
+/// each key's fields after its tag and program, plus each tag and
+/// program image once per program and tag. Kept apart from
+/// [`SimCacheMemoStats`], which describes what the map holds: every
+/// lookup hashes key bytes.
+#[must_use]
+pub fn key_bytes_hashed() -> u64 {
+    KEY_BYTES.load(Ordering::Relaxed)
+}
+
 /// Clears the in-memory simulation cache and its counters (benchmarks
-/// use this to measure cold- vs warm-cache runs). The persistence
-/// configuration — and any on-disk records — are untouched; re-point
-/// [`set_cache_dir`] at the directory to reload them.
+/// use this to measure cold- vs warm-cache runs), and forgets the task
+/// costs and the input records read so far, as a new process would
+/// start. The persistence configuration — and any on-disk records — are
+/// untouched: the next lookup of an input re-reads the attached input
+/// log, and re-pointing [`set_cache_dir`] at the directory reloads its
+/// outcomes.
 pub fn reset_sim_cache() {
     cache().clear();
-    for counter in [&HITS, &DISK_HITS, &MISSES, &PERSISTED, &QUARANTINED, &RELOADED] {
+    if let Some(log) = inputs().as_mut() {
+        log.forget();
+    }
+    crate::common::forget_task_costs();
+    for counter in [
+        &HITS,
+        &DISK_HITS,
+        &MISSES,
+        &PERSISTED,
+        &QUARANTINED,
+        &RELOADED,
+        &TASK_COSTS_LOADED,
+        &TASK_COSTS_MEASURED,
+    ] {
         counter.store(0, Ordering::Relaxed);
     }
 }

@@ -54,6 +54,15 @@ pub const PROTOCOL: &str = "nvpd/7";
 /// hostile prefix cannot make the reader allocate unbounded memory.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
+/// Bytes a `Result` frame's payload spends before the result itself:
+/// the message tag, the job id and the replay flag.
+const RESULT_HEADER_BYTES: u32 = 1 + 8 + 1;
+
+/// The longest result encoding ([`encode_result_bytes`]) one `Result`
+/// frame can carry; a store must refuse a longer one, which it could
+/// never send.
+pub const MAX_RESULT_BYTES: u32 = MAX_FRAME_BYTES - RESULT_HEADER_BYTES;
+
 /// Everything that travels between a campaign client and the server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {

@@ -7,8 +7,8 @@
 use std::path::PathBuf;
 
 use nvp_experiments::{
-    reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_stats, CampaignRequest,
-    CampaignResult, ExpConfig, Table,
+    reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_memo_stats, sim_cache_stats,
+    trace_memo_stats, CampaignRequest, CampaignResult, ExpConfig, Table,
 };
 
 /// Serializes the tests in this binary: the cache directory, index,
@@ -222,4 +222,82 @@ fn warm_rerun_of_fault_trials_and_wait_sweep_simulates_nothing() {
     reset_sim_cache();
     set_cache_dir(None).unwrap();
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Trace summaries and task costs streamed or measured by this process,
+/// and read from a store's input log.
+fn input_work() -> (u64, u64) {
+    let (traces, memo) = (trace_memo_stats(), sim_cache_memo_stats());
+    (traces.summarized + memo.task_costs_measured, traces.summaries_loaded + memo.task_costs_loaded)
+}
+
+/// The input log of a store, as bytes.
+fn input_log(dir: &std::path::Path) -> Vec<u8> {
+    std::fs::read(dir.join("inputs.rec")).unwrap()
+}
+
+/// Trace summaries and task costs live in their directory's input log:
+/// a rerun over the same directory reads every one, a switch to another
+/// directory reads none of the old one's and writes its own, and a
+/// damaged record is quarantined and recomputed, never served.
+#[test]
+fn input_records_follow_their_directory_and_damage_is_recomputed() {
+    let _guard = global_cache_lock();
+    let (dir_a, dir_b) = (unique_dir("nvp_persist_inputs_a"), unique_dir("nvp_persist_inputs_b"));
+    // F2 reads each profile's summary; F8 and the wait baselines of F3
+    // read task costs.
+    let request = CampaignRequest::only(ExpConfig::quick(), &["f2", "f3", "f8"]);
+
+    reset_sim_cache();
+    set_cache_dir(Some(&dir_a)).unwrap();
+    let before = input_work();
+    let cold = run_request(&request).unwrap();
+    let (computed, loaded) = input_work();
+    let inputs = computed - before.0;
+    assert!(inputs > request.config.profile_seeds.len() as u64, "summaries and task costs");
+    assert_eq!(loaded, before.1, "a fresh store holds no input");
+    let a_log = input_log(&dir_a);
+
+    reset_sim_cache();
+    set_cache_dir(Some(&dir_a)).unwrap();
+    let before = input_work();
+    let warm = run_request(&request).unwrap();
+    assert_eq!(input_work(), (before.0, before.1 + inputs), "every input is read back");
+    assert_eq!(input_log(&dir_a), a_log, "and none is written again");
+
+    // Load A's inputs, then switch to B: none of them is served there.
+    reset_sim_cache();
+    set_cache_dir(Some(&dir_a)).unwrap();
+    run_request(&CampaignRequest::only(ExpConfig::quick(), &["f8"])).unwrap();
+    set_cache_dir(Some(&dir_b)).unwrap();
+    let before = input_work();
+    let under_b = run_request(&request).unwrap();
+    assert_eq!(input_work(), (before.0 + inputs, before.1), "B recomputes every input");
+    assert_eq!(input_log(&dir_a), a_log, "the run under B writes nothing to A");
+    assert_eq!(input_log(&dir_b).len(), a_log.len(), "B holds its own records");
+
+    // Flip a byte of B's first record and cut its last one short: the
+    // log is quarantined, and exactly those two inputs are recomputed.
+    let mut damaged = input_log(&dir_b);
+    damaged[8 + 8 + 40] ^= 0x01;
+    damaged.truncate(damaged.len() - 3);
+    std::fs::write(dir_b.join("inputs.rec"), &damaged).unwrap();
+    reset_sim_cache();
+    set_cache_dir(Some(&dir_b)).unwrap();
+    let before = input_work();
+    let healed = run_request(&request).unwrap();
+    assert_eq!(input_work(), (before.0 + 2, before.1 + inputs - 2), "two recomputed");
+    assert!(dir_b.join("inputs.rec.quarantine").exists(), "the damaged log is kept aside");
+    assert_eq!(input_log(&dir_b).len(), a_log.len(), "and healed with its recomputed records");
+
+    let csvs = |r: &CampaignResult| r.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
+    for other in [&warm, &under_b, &healed] {
+        assert_eq!(csvs(other), csvs(&cold), "stored inputs change no byte");
+    }
+
+    reset_sim_cache();
+    set_cache_dir(None).unwrap();
+    for d in [&dir_a, &dir_b] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

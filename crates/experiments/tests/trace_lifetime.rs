@@ -85,8 +85,9 @@ fn a_campaign_generates_each_trace_once() {
 
 /// A warm default campaign, over a store a cold one filled, simulates
 /// nothing, so it generates no trace at all: F1, F2 and F9 read one
-/// summary per profile, streamed from the generator, and the result
-/// carries the profiles as specs.
+/// summary per profile, which the cold campaign streamed and stored, so
+/// the warm one streams none, and the result carries the profiles as
+/// specs.
 #[test]
 fn a_warm_campaign_generates_no_trace_and_streams_one_summary_per_profile() {
     let _guard = global_memo_lock();
@@ -107,7 +108,8 @@ fn a_warm_campaign_generates_no_trace_and_streams_one_summary_per_profile() {
     let after = trace_memo_stats();
     assert_eq!(warm.cache.misses, 0, "the warm campaign simulates nothing");
     assert_eq!(after.generated - before.generated, 0, "a warm campaign generates no trace");
-    assert_eq!(after.summarized - before.summarized, profiles, "one summary per profile");
+    assert_eq!(after.summarized - before.summarized, 0, "every summary is read from the store");
+    assert_eq!(after.summaries_loaded - before.summaries_loaded, profiles, "one per profile");
     assert_eq!(after.resident_bytes, 0, "a finished job holds no samples");
     assert_eq!(warm.profiles, cold.profiles);
     assert_eq!(artifacts(&warm), artifacts(&cold), "the warm campaign renders the same bytes");

@@ -87,7 +87,7 @@ use std::sync::Mutex;
 use nvp_experiments::record::{self, put_bytes, put_u64, Reader};
 use nvp_experiments::wire::{
     content_digest, decode_request_bytes, decode_result_bytes, encode_request_bytes,
-    encode_result_bytes, MAX_FRAME_BYTES,
+    encode_result_bytes, MAX_FRAME_BYTES, MAX_RESULT_BYTES,
 };
 use nvp_experiments::{CampaignRequest, CampaignResult};
 
@@ -100,8 +100,11 @@ const MAGIC: &[u8; 8] = b"nvpjrnl1";
 /// Version 2 put the result's content digest in front of its encoding.
 const RESULT_MAGIC: &[u8; 8] = b"nvprslt2";
 
-/// Bound on a result-store entry's one record: the digest plus a result
-/// encoding that fits one frame.
+/// Bound on a result-store entry's one record when read: the digest plus
+/// a frame's worth of result. `put_result` writes only results a frame
+/// can carry ([`MAX_RESULT_BYTES`]); the read bound is looser, so an
+/// entry an older build stored past that is still read, and its replay
+/// is refused once instead of the job running again.
 const MAX_ENTRY_BYTES: u32 = MAX_FRAME_BYTES + DIGEST_BYTES as u32;
 
 /// Length of a [`Digest`].
@@ -275,10 +278,13 @@ impl Journal {
     /// # Errors
     ///
     /// Store I/O errors pass through, and a result whose encoding is
-    /// over [`MAX_FRAME_BYTES`] is refused as
-    /// [`io::ErrorKind::InvalidData`].
+    /// over [`MAX_RESULT_BYTES`], which no `Result` frame could carry,
+    /// is refused as [`io::ErrorKind::InvalidData`].
     pub fn put_result(&self, key: &Digest, result: &CampaignResult) -> io::Result<Digest> {
         let bytes = encode_result_bytes(result);
+        if bytes.len() > MAX_RESULT_BYTES as usize {
+            return Err(record::bad("result exceeds its frame bound"));
+        }
         let digest = content_digest(&bytes);
         let path = self.result_path(key);
         if !path.exists() {
@@ -618,6 +624,53 @@ mod tests {
         assert!(journal.lookup_result(&key).is_none());
         assert_eq!(journal.quarantined_total(), 1);
         assert!(path.with_extension("res.quarantine").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The store admits exactly the results a `Result` frame can carry:
+    /// the largest replays byte for byte, and one byte more is refused.
+    #[test]
+    fn the_largest_result_a_frame_carries_is_the_largest_stored() {
+        use nvp_experiments::wire::{read_frame, result_frame_bytes, Message};
+        use nvp_experiments::Table;
+        let dir = unique_dir("nvpd_journal_result_bound");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let with_cell = |cell: String| {
+            let mut table = Table::new("T1", "one long cell", &["cell"]);
+            table.push_row(vec![cell]);
+            CampaignResult {
+                tables: vec![table],
+                profiles: Vec::new(),
+                cache: Default::default(),
+                sched: Default::default(),
+                exec: Default::default(),
+            }
+        };
+        let fill = MAX_RESULT_BYTES as usize - encode_result_bytes(&with_cell(String::new())).len();
+        let largest = with_cell("9".repeat(fill));
+        let bytes = encode_result_bytes(&largest);
+        assert_eq!(bytes.len(), MAX_RESULT_BYTES as usize);
+        let key = request_key(&request(12));
+        let digest = journal.put_result(&key, &largest).unwrap();
+        let (stored_digest, stored) = journal.lookup_encoded(&key).expect("stored");
+        assert_eq!((stored_digest, stored == bytes), (digest, true), "stored byte for byte");
+        let frame = result_frame_bytes(7, true, &stored).expect("one frame carries it");
+        let mut longer = stored.clone();
+        longer.push(b'9');
+        assert!(result_frame_bytes(7, true, &longer).is_err(), "and no byte more");
+        let Message::Result { job, replayed, result } = read_frame(&mut frame.as_slice()).unwrap()
+        else {
+            panic!("expected a Result frame");
+        };
+        assert_eq!((job, replayed), (7, true));
+        assert!(result == largest, "the replay decodes to the stored result");
+
+        let over = with_cell("9".repeat(fill + 1));
+        let over_key = request_key(&request(13));
+        let refused = journal.put_result(&over_key, &over).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidData);
+        assert!(journal.lookup_encoded(&over_key).is_none(), "nothing was stored");
+        assert!(!dir.join("results").join(format!("{}.res", hex(&over_key))).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use nvp_experiments::{
-    cli, set_cache_dir, set_thread_override, sim_cache_memo_stats, trace_memo_stats,
+    cli, key_bytes_hashed, set_cache_dir, set_thread_override, sim_cache_memo_stats,
+    trace_memo_stats,
 };
 use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
@@ -146,8 +147,9 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     eprintln!(
         "nvpd: done — {} accepted, {} completed, {} rejected, {} recovered from journal, \
          {} replayed from result store, {} file(s) quarantined, {} trace(s) generated, \
-         {} trace(s) summarized, {} trace byte(s) resident, {} outcome(s) resident, \
-         {} outcome(s) on disk only, {} record(s) reloaded",
+         {} trace(s) summarized, {} summary(ies) loaded, {} trace byte(s) resident, \
+         {} task cost(s) loaded, {} task cost(s) measured, {} key byte(s) hashed, \
+         {} outcome(s) resident, {} outcome(s) on disk only, {} record(s) reloaded",
         stats.accepted,
         stats.completed,
         stats.rejected,
@@ -156,7 +158,11 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         stats.quarantined,
         traces.generated,
         traces.summarized,
+        traces.summaries_loaded,
         traces.resident_bytes,
+        outcomes.task_costs_loaded,
+        outcomes.task_costs_measured,
+        key_bytes_hashed(),
         outcomes.resident,
         outcomes.on_disk,
         outcomes.reloaded

@@ -14,10 +14,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::thread;
 
 use nvp_experiments::client::{ClientConfig, ClientError};
-use nvp_experiments::record::{put_frame, put_str};
+use nvp_experiments::record::{log_image, put_frame, put_str};
 use nvp_experiments::wire::{
-    encode_request_bytes, encode_result_bytes, frame_bytes, read_frame, request_key, write_frame,
-    Message, MAX_FRAME_BYTES, PROTOCOL,
+    content_digest, encode_request_bytes, encode_result_bytes, frame_bytes, read_frame,
+    request_key, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
 };
 use nvp_experiments::{
     client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, CampaignResult,
@@ -551,11 +551,12 @@ fn a_panicking_job_is_journalled_as_finished() {
 
 /// A result over the frame bound draws one non-retryable `Reject`, and
 /// its job is journalled as finished. Since a result carries its
-/// profiles as specs, no job's result outgrows a frame, so the vehicle
-/// is a stored result the store admits but a frame cannot carry: one
-/// synthetic table whose encoding is exactly `MAX_FRAME_BYTES`, which
-/// leaves no room for the `Result` frame's job id and flags. (`nvpd`'s
-/// unit test of the same name covers a fresh result the store refuses.)
+/// profiles as specs, no job's result outgrows a frame, and the store
+/// refuses any result a frame cannot carry, so the vehicle is an entry
+/// an older server stored: one synthetic table whose encoding is exactly
+/// `MAX_FRAME_BYTES`, which leaves no room for the `Result` frame's job
+/// id and flags, written as that server wrote it. (`nvpd`'s unit test
+/// of the same name covers a fresh result the store refuses.)
 #[test]
 fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
     let _guard = cache_lock();
@@ -582,8 +583,19 @@ fn a_result_over_the_frame_bound_is_rejected_once_and_journalled_as_finished() {
         let (journal, _) =
             nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
                 .expect("open journal");
-        journal.put_result(&request_key(&request), &result).expect("the store admits it");
+        assert!(
+            journal.put_result(&request_key(&request), &result).is_err(),
+            "the store refuses a result no frame can carry"
+        );
     }
+    // The older server's entry: the result-store magic, then one frame
+    // holding the result's digest and its encoding.
+    let bytes = encode_result_bytes(&result);
+    let mut entry = content_digest(&bytes).to_vec();
+    entry.extend_from_slice(&bytes);
+    let image = log_image(b"nvprslt2", [&entry], MAX_FRAME_BYTES + 32).expect("frame the entry");
+    let name: String = request_key(&request).iter().map(|b| format!("{b:02x}")).collect();
+    fs::write(state_dir.join("results").join(format!("{name}.res")), image).expect("store it");
     let (addr, handle) = start_server(ServerConfig {
         max_jobs: Some(1),
         state_dir: Some(state_dir.clone()),
