@@ -247,7 +247,7 @@ impl TraceEntry {
             }
             *summaries += 1;
             let streamed = Arc::new(self.spec.summarize());
-            simcache::store_input(&key, Input::Summary(Arc::clone(&streamed)));
+            simcache::store_input(&key, &Input::Summary(Arc::clone(&streamed)));
             streamed
         }))
     }
@@ -398,7 +398,7 @@ pub struct TraceMemoStats {
     /// [`generated`](Self::generated), and none for a summary the
     /// attached store holds.
     pub summarized: u64,
-    /// Trace summaries read from the attached store's input log over the
+    /// Trace summaries read from the attached store's shards over the
     /// life of the process, at most one per spec per job.
     pub summaries_loaded: u64,
     /// Sample bytes the memo holds right now; zero between jobs.

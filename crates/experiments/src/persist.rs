@@ -14,22 +14,36 @@
 //!
 //! Each shard file `<x>.log` (`x` = first key nibble, hex) is a log in
 //! the shared frame format of [`crate::record`]: the 8-byte magic
-//! `b"nvpsimc3"` — the digit is the schema version, bumped whenever the
+//! `b"nvpsimc4"` — the digit is the schema version, bumped whenever the
 //! record layout or the key derivation changes so stale caches are
 //! skipped wholesale rather than misdecoded or kept as dead records
-//! (`3` moved keys to canonical field encodings and spec-keyed traces)
-//! — then CRC-framed records of at most
+//! (`3` moved keys to canonical field encodings and spec-keyed traces,
+//! `4` gave every record a kind) — then CRC-framed records of at most
 //! [`MAX_RECORD_BYTES`] whose payload is
 //!
 //! ```text
-//! key (32 bytes) ++ RunReport (24 × 8-byte fields, le)
+//! kind: u8 ++ key (32 bytes) ++ value
+//! kind 0, a SimOutcome: RunReport (24 × 8-byte fields, le)
 //!     ++ n: u32 le ++ n recovery latencies (8-byte f64 bits, le)
+//! kind 1, a TraceSummary: average, peak, energy, duration,
+//!     threshold (f64 bits), emergencies (u64), longest, mean and
+//!     above-threshold fraction (f64 bits), dt (f64 bits),
+//!     n: u32, n outage lengths in samples (LEB128 varints)
+//! kind 2, a TaskCost: instructions, cycles (u64), energy (f64 bits)
 //! ```
 //!
 //! The latency list is empty for every run kind except an F12
-//! fault-campaign trial. Floats are stored as IEEE-754 bit patterns, so
-//! a reloaded [`SimOutcome`] is bit-identical to the one computed, and
-//! artifacts built from cache hits stay byte-identical to cold runs.
+//! fault-campaign trial; summaries and task costs are the *inputs* a
+//! campaign derives before it simulates. Floats are stored as IEEE-754
+//! bit patterns and outage durations as whole sample counts, so a
+//! reloaded value is bit-identical to the one computed and artifacts
+//! built from cache hits stay byte-identical to cold runs; a value that
+//! would not round-trip, or a record over the bound, is not written.
+//!
+//! [`PersistentStore::open`] decodes every outcome and indexes every
+//! input payload by key; [`PersistentStore::input`] decodes one when it
+//! is looked up. A CRC-valid input that does not decode is a miss: it
+//! is recomputed and appended, and the later record wins at next open.
 //!
 //! A record's location is the byte offset of its frame in its key's
 //! shard: the scan at open and [`PersistentStore::append`] both report
@@ -42,12 +56,13 @@
 //! Loading is strictly best-effort — a damaged cache can cost time,
 //! never correctness. The shared scan drops a torn tail record, skips a
 //! CRC-bad one, and abandons the rest of a shard whose framing is no
-//! longer trustworthy; a CRC-valid record of the wrong shape is skipped
-//! too. Records are appended with a single `O_APPEND` write each, so two
-//! processes filling the same cache interleave whole records; a header
-//! both wrote to a fresh shard is tolerated, and duplicate keys are
-//! benign — both writers computed bit-identical reports. Appends are
-//! not fsynced: a record lost to a crash only costs its recomputation.
+//! longer trustworthy; a CRC-valid record of an unknown kind or the
+//! wrong shape is skipped too. Records are appended with a single
+//! `O_APPEND` write each, so two processes filling the same cache
+//! interleave whole records; a header both wrote to a fresh shard is
+//! tolerated, and duplicate keys are benign — both writers computed
+//! bit-identical values. Appends are not fsynced: a record lost to a
+//! crash only costs its recomputation.
 //!
 //! ## Quarantine
 //!
@@ -61,29 +76,6 @@
 //! vanishing. The counter flows through
 //! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
 //! and the `nvpd` wire stats.
-//!
-//! ## Input records
-//!
-//! Beside the shards, one more log, `inputs.rec` (magic `b"nvpinpt1"`,
-//! outside the shards' `*.log` glob), holds the pure values a campaign
-//! derives from its inputs before any simulation: trace summaries and
-//! unconstrained task costs. A record is
-//!
-//! ```text
-//! kind: u8 ++ key (32 bytes) ++ value
-//! kind 1, a TraceSummary: average, peak, energy, duration,
-//!     threshold (f64 bits), emergencies (u64), longest, mean and
-//!     above-threshold fraction (f64 bits), dt (f64 bits),
-//!     n: u32, n outage lengths in samples (LEB128 varints)
-//! kind 2, a TaskCost: instructions, cycles (u64), energy (f64 bits)
-//! ```
-//!
-//! Every outage duration is a whole number of samples times `dt`, so
-//! the varint lengths decode to the same bits; a summary with a duration
-//! that does not round-trip, or a record over [`MAX_INPUT_RECORD_BYTES`],
-//! is not written, and the value is recomputed whenever it is read. The
-//! log is read whole on the first lookup after it is attached, not at
-//! attach, and scanned, checked and quarantined like a shard.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -99,33 +91,24 @@ use crate::record::{self, put_f64, put_f64s, put_u32, put_u64, put_varint, Reade
 use crate::simcache::{Digest, SimOutcome};
 
 /// Shard-file magic: `nvpsimc` + schema version digit.
-const MAGIC: &[u8; 8] = b"nvpsimc3";
+const MAGIC: &[u8; 8] = b"nvpsimc4";
 
-/// Payload length of a record with no latencies: key, 24 eight-byte
-/// report fields (2 + 13 + 9), latency count.
-const FIXED_PAYLOAD_BYTES: usize = 32 + 24 * 8 + 4;
+/// Record kinds: the first byte of every payload.
+const KIND_OUTCOME: u8 = 0;
+const KIND_SUMMARY: u8 = 1;
+const KIND_TASK_COST: u8 = 2;
+
+/// Payload length of an outcome record with no latencies: kind, key, 24
+/// eight-byte report fields (2 + 13 + 9), latency count.
+const FIXED_PAYLOAD_BYTES: usize = 1 + 32 + 24 * 8 + 4;
 
 /// Upper bound a length prefix may claim before the loader stops
 /// trusting the shard's framing entirely; the writer refuses (does not
-/// persist) a longer record. The largest F12 trial logs 77 recovery
-/// latencies in the default campaign (an 844-byte payload) and 28 in
-/// the quick one, and 72–80 and 27–35 at fault seeds 1–8; the bound
-/// leaves room for 483.
-const MAX_RECORD_BYTES: u32 = 4096;
-
-/// Input-log magic: `nvpinpt` + schema version digit.
-const INPUT_MAGIC: &[u8; 8] = b"nvpinpt1";
-
-/// The input log's file name.
-const INPUT_LOG: &str = "inputs.rec";
-
-/// Bound on an input record. A default-config summary takes about
-/// 1.2 KB; the bound leaves room for a trace about 50 times as eventful.
-const MAX_INPUT_RECORD_BYTES: u32 = 1 << 16;
-
-/// Input record kinds.
-const KIND_SUMMARY: u8 = 1;
-const KIND_TASK_COST: u8 = 2;
+/// persist) a longer record. It leaves room for an F12 trial of about
+/// 8,100 recovery latencies (the largest default-campaign trial logs
+/// 77, the largest over a 200 s trace 1,911) and for a trace summary
+/// about 50 times as eventful as a default one (about 1.2 KB).
+const MAX_RECORD_BYTES: u32 = 1 << 16;
 
 /// What [`PersistentStore::open`] recovered from disk.
 #[derive(Debug, Default)]
@@ -142,10 +125,21 @@ pub(crate) struct LoadOutcome {
     pub quarantined: u64,
 }
 
+/// A value an input record holds.
+#[derive(Debug, Clone)]
+pub(crate) enum Input {
+    /// A trace's summary.
+    Summary(Arc<TraceSummary>),
+    /// A program's unconstrained task cost.
+    TaskCost(TaskCost),
+}
+
 /// An open cache directory: load-once at open, append-only afterwards.
 #[derive(Debug)]
 pub(crate) struct PersistentStore {
     dir: PathBuf,
+    /// Every input record's payload by key, decoded on lookup.
+    inputs: BTreeMap<Digest, Vec<u8>>,
 }
 
 impl PersistentStore {
@@ -153,6 +147,7 @@ impl PersistentStore {
     /// shard for valid records.
     pub(crate) fn open(dir: &Path) -> io::Result<(PersistentStore, LoadOutcome)> {
         fs::create_dir_all(dir)?;
+        let mut store = PersistentStore { dir: dir.to_path_buf(), inputs: BTreeMap::new() };
         let mut outcome = LoadOutcome::default();
         // Deterministic scan order: sorted shard names.
         let mut shards: Vec<PathBuf> = fs::read_dir(dir)?
@@ -165,17 +160,19 @@ impl PersistentStore {
             // An unreadable shard scans as a foreign one.
             let bytes = fs::read(&shard).unwrap_or_default();
             let mut local = LoadOutcome::default();
-            let salvaged = scan_shard(&bytes, &mut local);
+            let salvaged = scan_shard(&bytes, &mut local, &mut store.inputs);
             if local.skipped > 0 {
                 let healed =
-                    record::log_image(MAGIC, salvaged, MAX_RECORD_BYTES).and_then(|image| {
+                    record::log_image(MAGIC, &salvaged, MAX_RECORD_BYTES).and_then(|image| {
                         let target = record::quarantine(&shard, Some(&image))?;
                         Ok((target, record::scan(&image, MAGIC, MAX_RECORD_BYTES).offsets))
                     });
                 match healed {
                     Ok((target, offsets)) => {
                         // The salvage moved: its records now lie back to back.
-                        for ((_, at, _), healed_at) in local.records.iter_mut().zip(offsets) {
+                        let outcomes =
+                            salvaged.iter().zip(offsets).filter(|(p, _)| p[0] == KIND_OUTCOME);
+                        for ((_, at, _), (_, healed_at)) in local.records.iter_mut().zip(outcomes) {
                             *at = healed_at;
                         }
                         outcome.quarantined += 1;
@@ -196,26 +193,13 @@ impl PersistentStore {
             outcome.skipped += local.skipped;
             outcome.records.append(&mut local.records);
         }
-        Ok((PersistentStore { dir: dir.to_path_buf() }, outcome))
+        Ok((store, outcome))
     }
 
-    /// Appends one record to the key's shard. The header (for a fresh
-    /// shard) and the record go out in a single `O_APPEND` write, so
-    /// concurrent appenders interleave whole records; two racing on a
-    /// fresh shard may both write the header, which the scan tolerates.
-    /// A record longer than the loader accepts is refused, not written.
-    /// Returns the byte offset of the record's frame in the shard: an
-    /// `O_APPEND` write leaves the file position just past its own
-    /// bytes, wherever other appenders' records landed.
+    /// Appends an outcome record to the key's shard and returns the byte
+    /// offset of its frame ([`append_payload`](Self::append_payload)).
     pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<u64> {
-        let shard = self.shard(key);
-        let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
-        let mut record = if fresh { MAGIC.to_vec() } else { Vec::new() };
-        let magic = record.len();
-        record::put_frame(&mut record, &encode_payload(key, outcome), MAX_RECORD_BYTES)?;
-        let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
-        file.write_all(&record)?;
-        Ok(file.stream_position()? - (record.len() - magic) as u64)
+        self.append_payload(key, &encode_payload(key, outcome))
     }
 
     /// Re-reads `key`'s record at `offset` in its shard, or `None`
@@ -230,113 +214,80 @@ impl PersistentStore {
         (found == *key).then_some(outcome)
     }
 
+    /// The input recorded under `key`, decoded; `None` when no record
+    /// holds one, or the last record of `key` does not decode.
+    pub(crate) fn input(&self, key: &Digest) -> Option<Input> {
+        decode_input(self.inputs.get(key)?).ok().map(|(_, input)| input)
+    }
+
+    /// Appends `input` under `key` as [`append`](Self::append) appends
+    /// an outcome, and indexes it. A value that does not round-trip is
+    /// refused, not written.
+    pub(crate) fn append_input(&mut self, key: &Digest, input: &Input) -> io::Result<()> {
+        let payload =
+            encode_input(key, input).ok_or_else(|| record::bad("input does not round-trip"))?;
+        self.append_payload(key, &payload)?;
+        self.inputs.insert(*key, payload);
+        Ok(())
+    }
+
+    /// Appends one record to the key's shard. The header (for a fresh
+    /// shard) and the record go out in a single `O_APPEND` write, so
+    /// concurrent appenders interleave whole records; two racing on a
+    /// fresh shard may both write the header, which the scan tolerates.
+    /// A record longer than the loader accepts is refused, not written.
+    /// Returns the byte offset of the record's frame in the shard: an
+    /// `O_APPEND` write leaves the file position just past its own
+    /// bytes, wherever other appenders' records landed.
+    fn append_payload(&self, key: &Digest, payload: &[u8]) -> io::Result<u64> {
+        let shard = self.shard(key);
+        let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
+        let mut record = if fresh { MAGIC.to_vec() } else { Vec::new() };
+        let magic = record.len();
+        record::put_frame(&mut record, payload, MAX_RECORD_BYTES)?;
+        let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
+        file.write_all(&record)?;
+        Ok(file.stream_position()? - (record.len() - magic) as u64)
+    }
+
     /// The shard file of `key`: its first hex digit.
     fn shard(&self, key: &Digest) -> PathBuf {
         self.dir.join(format!("{:x}.log", key[0] >> 4))
     }
 }
 
-/// A value an input record holds.
-#[derive(Debug, Clone)]
-pub(crate) enum Input {
-    /// A trace's summary.
-    Summary(Arc<TraceSummary>),
-    /// A program's unconstrained task cost.
-    TaskCost(TaskCost),
-}
-
-/// A cache directory's input log: read whole on the first lookup,
-/// appended to afterwards.
-#[derive(Debug)]
-pub(crate) struct InputLog {
-    path: PathBuf,
-    /// Every record of the log, once the first lookup has read it.
-    index: Option<BTreeMap<Digest, Input>>,
-}
-
-impl InputLog {
-    /// The input log of `dir`. Touches nothing on disk.
-    pub(crate) fn new(dir: &Path) -> InputLog {
-        InputLog { path: dir.join(INPUT_LOG), index: None }
-    }
-
-    fn index(&mut self) -> &mut BTreeMap<Digest, Input> {
-        self.index.get_or_insert_with(|| load_inputs(&self.path))
-    }
-
-    /// Drops what the log has read, so the next lookup reads it again.
-    pub(crate) fn forget(&mut self) {
-        self.index = None;
-    }
-
-    /// The value recorded under `key`, reading the log if no lookup has
-    /// yet.
-    pub(crate) fn get(&mut self, key: &Digest) -> Option<&Input> {
-        self.index().get(key)
-    }
-
-    /// Appends `input` under `key` in one `O_APPEND` write, as a shard
-    /// record is appended. A value that does not round-trip, or a record
-    /// over its bound, is refused, not written.
-    pub(crate) fn append(&mut self, key: &Digest, input: Input) -> io::Result<()> {
-        let payload =
-            encode_input(key, &input).ok_or_else(|| record::bad("input does not round-trip"))?;
-        // Read first: appending behind a damaged tail would lose the
-        // record at the next read, and the read heals the log.
-        self.index();
-        let fresh = fs::metadata(&self.path).map_or(true, |m| m.len() == 0);
-        let mut bytes = if fresh { INPUT_MAGIC.to_vec() } else { Vec::new() };
-        record::put_frame(&mut bytes, &payload, MAX_INPUT_RECORD_BYTES)?;
-        fs::OpenOptions::new().create(true).append(true).open(&self.path)?.write_all(&bytes)?;
-        self.index().insert(*key, input);
-        Ok(())
-    }
-}
-
-/// Reads an input log into an index. A missing or empty log is empty;
-/// a damaged one is quarantined with the records it still holds.
-fn load_inputs(path: &Path) -> BTreeMap<Digest, Input> {
-    let bytes = fs::read(path).unwrap_or_default();
-    if bytes.is_empty() {
-        return BTreeMap::new();
-    }
-    let (index, salvaged, lost) = scan_inputs(&bytes);
-    if lost > 0 {
-        let healed = record::log_image(INPUT_MAGIC, salvaged, MAX_INPUT_RECORD_BYTES)
-            .and_then(|image| record::quarantine(path, Some(&image)));
-        match healed {
-            Ok(target) => eprintln!(
-                "warning: sim cache input log {} damaged ({lost} record(s) lost); \
-                 quarantined as {}",
-                path.display(),
-                target.display()
-            ),
-            Err(e) => eprintln!(
-                "warning: sim cache input log {} damaged but could not be quarantined ({e})",
-                path.display()
-            ),
-        }
-    }
-    index
-}
-
-/// Decodes an input-log image: the index, the payloads it holds, and
-/// the damage seen.
-fn scan_inputs(bytes: &[u8]) -> (BTreeMap<Digest, Input>, Vec<&[u8]>, u64) {
-    let mut index = BTreeMap::new();
-    let log = record::scan(bytes, INPUT_MAGIC, MAX_INPUT_RECORD_BYTES);
-    let mut lost = log.damaged;
+/// Loads one shard image: each outcome into `outcome`, with its frame's
+/// offset in `bytes`, and each input payload into `inputs` under its
+/// key, a later record replacing an earlier one. Returns the payloads
+/// it served, for a quarantine to salvage.
+fn scan_shard<'a>(
+    bytes: &'a [u8],
+    outcome: &mut LoadOutcome,
+    inputs: &mut BTreeMap<Digest, Vec<u8>>,
+) -> Vec<&'a [u8]> {
+    let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
+    outcome.skipped += log.damaged;
     let mut served = Vec::with_capacity(log.payloads.len());
-    for payload in log.payloads {
-        match decode_input(payload) {
-            Ok((key, input)) => {
-                index.insert(key, input);
-                served.push(payload);
-            }
-            Err(_) => lost += 1, // valid CRC but foreign shape
+    for (payload, offset) in log.payloads.into_iter().zip(log.offsets) {
+        // A frame is never empty.
+        let kept = match payload[0] {
+            KIND_OUTCOME => decode_payload(payload)
+                .map(|(key, decoded)| outcome.records.push((key, offset, decoded)))
+                .is_ok(),
+            KIND_SUMMARY | KIND_TASK_COST => payload
+                .get(1..33)
+                .and_then(|key| Digest::try_from(key).ok())
+                .map(|key| inputs.insert(key, payload.to_vec()))
+                .is_some(),
+            _ => false,
+        };
+        if kept {
+            served.push(payload);
+        } else {
+            outcome.skipped += 1; // valid CRC but foreign shape
         }
     }
-    (index, served, lost)
+    served
 }
 
 /// Serializes `kind ++ key ++ value`, or `None` when the value would not
@@ -380,7 +331,7 @@ fn encode_input(key: &Digest, input: &Input) -> Option<Vec<u8>> {
 }
 
 /// Inverse of [`encode_input`]; an error unless the payload is exactly
-/// one record of a known kind.
+/// one input record of a known kind.
 fn decode_input(payload: &[u8]) -> io::Result<(Digest, Input)> {
     let mut r = Reader::new(payload);
     let kind = r.u8()?;
@@ -421,30 +372,12 @@ fn decode_input(payload: &[u8]) -> io::Result<(Digest, Input)> {
     Ok((key, input))
 }
 
-/// Loads one shard image into `outcome`, each record with its frame's
-/// offset in `bytes`, and returns the payloads it served, for a
-/// quarantine to salvage.
-fn scan_shard<'a>(bytes: &'a [u8], outcome: &mut LoadOutcome) -> Vec<&'a [u8]> {
-    let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
-    outcome.skipped += log.damaged;
-    let mut served = Vec::with_capacity(log.payloads.len());
-    for (payload, offset) in log.payloads.into_iter().zip(log.offsets) {
-        match decode_payload(payload) {
-            Ok((key, decoded)) => {
-                outcome.records.push((key, offset, decoded));
-                served.push(payload);
-            }
-            Err(_) => outcome.skipped += 1, // valid CRC but foreign shape
-        }
-    }
-    served
-}
-
-/// Serializes `key ++ report ++ latencies`.
+/// Serializes an outcome record: `kind ++ key ++ report ++ latencies`.
 fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
     let (r, latencies) = (&outcome.report, &outcome.latencies_ms);
     let e = &r.energy;
     let mut out = Vec::with_capacity(FIXED_PAYLOAD_BYTES + 8 * latencies.len());
+    out.push(KIND_OUTCOME);
     out.extend_from_slice(key);
     put_f64(&mut out, r.duration_s);
     put_f64(&mut out, r.on_time_s);
@@ -482,10 +415,13 @@ fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_payload`]; an error unless the payload is
-/// exactly as long as its latency count says (schema `nvpsimc3`).
+/// Inverse of [`encode_payload`]; an error unless the payload is an
+/// outcome record exactly as long as its latency count says.
 fn decode_payload(payload: &[u8]) -> io::Result<(Digest, SimOutcome)> {
     let mut r = Reader::new(payload);
+    if r.u8()? != KIND_OUTCOME {
+        return Err(record::bad("not an outcome record"));
+    }
     let key = r.digest()?;
     let mut report = RunReport {
         duration_s: r.f64()?,
@@ -603,8 +539,14 @@ pub(crate) mod tests {
         let dir = unique_dir("nvp_persist_trials");
         let (store, _) = PersistentStore::open(&dir).unwrap();
         let longest = (MAX_RECORD_BYTES as usize - FIXED_PAYLOAD_BYTES) / 8;
-        let cases =
-            [(key_of(0x50), trial(0)), (key_of(0x51), trial(37)), (key_of(0x52), trial(longest))];
+        // 2,000 latencies: a long-trace F12 trial (one over a 200 s trace
+        // logs 1,911).
+        let cases = [
+            (key_of(0x50), trial(0)),
+            (key_of(0x51), trial(37)),
+            (key_of(0x52), trial(2000)),
+            (key_of(0x53), trial(longest)),
+        ];
         for (key, outcome) in &cases {
             let encoded = encode_payload(key, outcome);
             let (k2, o2) = decode_payload(&encoded).unwrap();
@@ -613,7 +555,7 @@ pub(crate) mod tests {
             store.append(key, outcome).unwrap();
         }
         // One latency past the bound is refused and leaves no trace.
-        assert!(store.append(&key_of(0x53), &trial(longest + 1)).is_err());
+        assert!(store.append(&key_of(0x54), &trial(longest + 1)).is_err());
         let (_, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!((loaded.skipped, loaded.quarantined), (0, 0));
         assert_eq!(loaded.records.len(), cases.len());
@@ -623,32 +565,48 @@ pub(crate) mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A small shard: one plain record and one trial record.
+    /// A small shard: one plain record, one trial record, one summary
+    /// record and one task-cost record.
     pub(crate) fn mixed_shard() -> Vec<u8> {
-        let records = [(key_of(0x60), plain(1)), (key_of(0x61), trial(5))];
-        let payloads = records.iter().map(|(key, outcome)| encode_payload(key, outcome));
+        let outcomes = [(key_of(0x60), plain(1)), (key_of(0x61), trial(5))];
+        let inputs = [
+            (key_of(0x62), Input::Summary(Arc::new(summary(2)))),
+            (key_of(0x63), Input::TaskCost(task_cost(1))),
+        ];
+        let payloads = outcomes
+            .iter()
+            .map(|(key, outcome)| encode_payload(key, outcome))
+            .chain(inputs.iter().map(|(key, input)| encode_input(key, input).unwrap()));
         record::log_image(MAGIC, payloads, MAX_RECORD_BYTES).unwrap()
     }
 
-    /// Loads a shard image through the real loader: every served record
-    /// re-encoded, and the damage counted.
+    /// Loads a shard image through the real loader: every record it
+    /// serves (an input when looked up) re-encoded, in file order, and
+    /// the damage counted.
     pub(crate) fn load_shard(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
-        let mut outcome = LoadOutcome::default();
-        scan_shard(bytes, &mut outcome);
-        let served = outcome.records.iter().map(|(key, _, served)| encode_payload(key, served));
-        (served.collect(), outcome.skipped)
+        let (mut outcome, mut inputs) = (LoadOutcome::default(), BTreeMap::new());
+        let served = scan_shard(bytes, &mut outcome, &mut inputs);
+        let store = PersistentStore { dir: PathBuf::new(), inputs };
+        let reencoded = served.into_iter().filter_map(|p| match decode_payload(p) {
+            Ok((key, served)) => Some(encode_payload(&key, &served)),
+            Err(_) => {
+                let key = Digest::try_from(&p[1..33]).unwrap();
+                store.input(&key).map(|input| encode_input(&key, &input).unwrap())
+            }
+        });
+        (reencoded.collect(), outcome.skipped)
     }
 
     /// Pinned bytes of a one-record shard: a change here changes the
     /// on-disk format, which must bump the schema digit in [`MAGIC`].
     const PINNED_SHARD: &str = concat!(
-        "6e767073696d6333f40000005fae8054606162636465666768696a6b6c6d6e6f7071727374757677",
-        "78797a7b7c7d7e7f0000000000000440000000000000f43fe903000000000000b104000000000000",
-        "070000000000000000000000000000002a0000000000000029000000000000000000000000000000",
-        "03000000000000000000000000000000000000000000000000000000000000000000000000000000",
-        "09000000000000008dedb5a0f7c6c03e000000000000000054e41071732ab93e0000000000000000",
-        "00000000000000000000000000000000000000000000000000000000000000000000000000000080",
-        "02000000000000000000e03f000000000000f07f",
+        "6e767073696d6334f5000000caa04a7900606162636465666768696a6b6c6d6e6f70717273747576",
+        "7778797a7b7c7d7e7f0000000000000440000000000000f43fe903000000000000b1040000000000",
+        "00070000000000000000000000000000002a00000000000000290000000000000000000000000000",
+        "00030000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "0009000000000000008dedb5a0f7c6c03e000000000000000054e41071732ab93e00000000000000",
+        "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+        "8002000000000000000000e03f000000000000f07f",
     );
 
     #[test]
@@ -861,30 +819,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// A small input log: one summary record and one task-cost record.
-    pub(crate) fn input_log() -> Vec<u8> {
-        let records = [
-            (key_of(0x90), Input::Summary(Arc::new(summary(2)))),
-            (key_of(0x91), Input::TaskCost(task_cost(1))),
-        ];
-        let payloads = records.iter().map(|(key, input)| encode_input(key, input).unwrap());
-        record::log_image(INPUT_MAGIC, payloads, MAX_INPUT_RECORD_BYTES).unwrap()
-    }
-
-    /// Loads an input-log image through the real loader: every served
-    /// record re-encoded, and the damage counted.
-    pub(crate) fn load_input_log(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
-        let (index, _, lost) = scan_inputs(bytes);
-        let served = index.iter().map(|(key, input)| encode_input(key, input).unwrap());
-        (served.collect(), lost)
-    }
-
     #[test]
     fn input_records_round_trip_bit_exactly() {
         let dir = unique_dir("nvp_persist_inputs");
-        let mut log = InputLog::new(&dir);
-        assert!(log.get(&key_of(0x90)).is_none(), "a missing log holds nothing");
-        fs::create_dir_all(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
+        assert!(store.input(&key_of(0x90)).is_none(), "an empty store holds nothing");
         let s = summary(5);
         assert!(s.outages.outage_durations_s.len() > 3, "a summary with outages");
         let inputs = [
@@ -892,65 +831,84 @@ pub(crate) mod tests {
             (key_of(0x91), Input::TaskCost(task_cost(3))),
         ];
         for (key, input) in &inputs {
-            log.append(key, input.clone()).unwrap();
+            store.append_input(key, input).unwrap();
         }
-        let mut reread = InputLog::new(&dir);
+        let (reread, loaded) = PersistentStore::open(&dir).unwrap();
         for (key, input) in &inputs {
-            let served = reread.get(key).expect("stored");
-            assert_eq!(input_bits(served), input_bits(input), "bit-exact on disk");
+            let served = reread.input(key).expect("stored");
+            assert_eq!(input_bits(&served), input_bits(input), "bit-exact on disk");
         }
-        let bytes = fs::read(dir.join(INPUT_LOG)).unwrap();
-        let (_, salvaged, lost) = scan_inputs(&bytes);
-        assert_eq!((salvaged.len(), lost), (2, 0));
+        assert_eq!((loaded.records.len(), loaded.skipped, loaded.quarantined), (0, 0, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn inputs_that_would_not_decode_the_same_are_not_written() {
         let dir = unique_dir("nvp_persist_inputs_refused");
-        fs::create_dir_all(&dir).unwrap();
-        let mut log = InputLog::new(&dir);
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         // A duration that is no whole number of samples.
         let mut off_grid = summary(5);
         off_grid.outages.outage_durations_s[0] += 1e-9;
-        assert!(log.append(&key_of(0x92), Input::Summary(Arc::new(off_grid))).is_err());
+        assert!(store.append_input(&key_of(0x92), &Input::Summary(Arc::new(off_grid))).is_err());
         // A record past its bound: one varint byte per outage.
         let mut eventful = summary(5);
-        eventful.outages.outage_durations_s = vec![DEFAULT_DT_S; MAX_INPUT_RECORD_BYTES as usize];
-        assert!(log.append(&key_of(0x93), Input::Summary(Arc::new(eventful))).is_err());
-        assert!(!dir.join(INPUT_LOG).exists(), "nothing was written");
-        assert!(InputLog::new(&dir).get(&key_of(0x92)).is_none());
+        eventful.outages.outage_durations_s = vec![DEFAULT_DT_S; MAX_RECORD_BYTES as usize];
+        assert!(store.append_input(&key_of(0x93), &Input::Summary(Arc::new(eventful))).is_err());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing was written");
+        assert!(PersistentStore::open(&dir).unwrap().0.input(&key_of(0x92)).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_damaged_input_log_is_quarantined_and_serves_only_intact_records() {
+    fn a_damaged_input_record_is_quarantined_and_only_intact_records_are_served() {
         let dir = unique_dir("nvp_persist_inputs_damaged");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(INPUT_LOG);
-        let mut image = input_log();
-        image[INPUT_MAGIC.len() + 8 + 40] ^= 0x01; // into the summary's fields
+        let path = dir.join("6.log");
+        let mut image = mixed_shard();
+        let summary_at = record::scan(&image, MAGIC, MAX_RECORD_BYTES).offsets[2] as usize;
+        image[summary_at + 8 + 40] ^= 0x01; // into the summary's fields
         fs::write(&path, &image).unwrap();
-        let mut log = InputLog::new(&dir);
-        assert!(log.get(&key_of(0x90)).is_none(), "the damaged summary is not served");
+        let (mut store, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((loaded.records.len(), loaded.quarantined), (2, 1));
+        assert!(store.input(&key_of(0x62)).is_none(), "the damaged summary is not served");
         assert_eq!(
-            log.get(&key_of(0x91)).map(input_bits),
+            store.input(&key_of(0x63)).as_ref().map(input_bits),
             Some(input_bits(&Input::TaskCost(task_cost(1))))
         );
-        assert!(dir.join("inputs.rec.quarantine").exists(), "the damaged log is kept aside");
-        // Healed: the salvage holds the intact record, and an append
-        // lands behind it.
-        log.append(&key_of(0x90), Input::Summary(Arc::new(summary(2)))).unwrap();
-        let bytes = fs::read(&path).unwrap();
-        let (_, salvaged, lost) = scan_inputs(&bytes);
-        assert_eq!((salvaged.len(), lost), (2, 0));
+        assert!(dir.join("6.log.quarantine").exists(), "the damaged shard is kept aside");
+        // Healed: the salvage holds the intact records, and an append
+        // lands behind them.
+        store.append_input(&key_of(0x62), &Input::Summary(Arc::new(summary(2)))).unwrap();
+        let (reopened, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((healed.records.len(), healed.skipped, healed.quarantined), (2, 0, 0));
+        assert!(reopened.input(&key_of(0x62)).is_some() && reopened.input(&key_of(0x63)).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Pinned bytes of a two-record input log: a change here changes the
-    /// on-disk format, which must bump the digit in [`INPUT_MAGIC`].
-    const PINNED_INPUT_LOG: &str = concat!(
-        "6e7670696e70743178000000f01dbf3401a0a1000000000000000000000000000000000000000000",
+    #[test]
+    fn an_undecodable_input_record_is_recomputed_and_the_later_record_wins() {
+        let dir = unique_dir("nvp_persist_inputs_undecodable");
+        fs::create_dir_all(&dir).unwrap();
+        // A CRC-valid task-cost record one byte short.
+        let mut short = encode_input(&key_of(0x94), &Input::TaskCost(task_cost(4))).unwrap();
+        short.pop();
+        let image = record::log_image(MAGIC, [short], MAX_RECORD_BYTES).unwrap();
+        fs::write(dir.join("9.log"), image).unwrap();
+        let (mut store, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((loaded.skipped, loaded.quarantined), (0, 0), "its frame is intact");
+        assert!(store.input(&key_of(0x94)).is_none(), "but it is a miss");
+        let cost = Input::TaskCost(task_cost(4));
+        store.append_input(&key_of(0x94), &cost).unwrap();
+        assert_eq!(store.input(&key_of(0x94)).as_ref().map(input_bits), Some(input_bits(&cost)));
+        let (reopened, _) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.input(&key_of(0x94)).as_ref().map(input_bits), Some(input_bits(&cost)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pinned bytes of a two-record input shard: a change here changes
+    /// the on-disk format, which must bump the schema digit in [`MAGIC`].
+    const PINNED_INPUT_SHARD: &str = concat!(
+        "6e767073696d633478000000f01dbf3401a0a1000000000000000000000000000000000000000000",
         "0000000000000000002d431cebe2361a3ffca9f1d24d62603f2d431cebe2360a3f000000000000e0",
         "3ffa9cbb5d2f4d013f02000000000000007b14ae47e17a943f45696ff085c9843f000000000000d0",
         "3f2d431cebe2361a3f0200000003c80139000000678de59a02a1a200000000000000000000000000",
@@ -979,9 +937,9 @@ pub(crate) mod tests {
             encode_input(&key_of(0xa0), &Input::Summary(Arc::new(s))).unwrap(),
             encode_input(&key_of(0xa1), &Input::TaskCost(task_cost(0))).unwrap(),
         ];
-        let image = record::log_image(INPUT_MAGIC, &payloads, MAX_INPUT_RECORD_BYTES).unwrap();
+        let image = record::log_image(MAGIC, &payloads, MAX_RECORD_BYTES).unwrap();
         let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, PINNED_INPUT_LOG);
+        assert_eq!(hex, PINNED_INPUT_SHARD);
     }
 
     #[test]

@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn every_truncation_and_bit_flip_of_a_shard_serves_no_damaged_record() {
         let shard = crate::persist::tests::mixed_shard();
-        assert_log_damage_never_served(&shard, 2, b"nvpsimc2", crate::persist::tests::load_shard);
+        assert_log_damage_never_served(&shard, 4, b"nvpsimc3", crate::persist::tests::load_shard);
     }
 
     #[test]
@@ -525,12 +525,6 @@ mod tests {
             (log.payloads.iter().map(|p| p.to_vec()).collect(), log.damaged)
         };
         assert_log_damage_never_served(&unhex(JOURNAL), 4, b"nvpjrnl0", load);
-    }
-
-    #[test]
-    fn every_truncation_and_bit_flip_of_an_input_log_serves_no_damaged_record() {
-        let log = crate::persist::tests::input_log();
-        assert_log_damage_never_served(&log, 2, b"nvpinpt0", crate::persist::tests::load_input_log);
     }
 
     #[test]

@@ -96,7 +96,7 @@ use nvp_core::{
 use nvp_energy::Rectifier;
 use nvp_sim::{CycleModel, EnergyModel};
 
-use crate::persist::{Input, InputLog, PersistentStore};
+use crate::persist::{Input, PersistentStore};
 use crate::record::{put_f64, put_f64s, put_str, put_u32, put_u64};
 
 /// A 256-bit content digest (cache key).
@@ -650,9 +650,6 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static PERSISTED: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static RELOADED: AtomicU64 = AtomicU64::new(0);
-/// The attached store's input log; `None` is memory-only. Taken after
-/// [`PERSIST`] when attaching, and otherwise alone.
-static INPUTS: Mutex<Option<InputLog>> = Mutex::new(None);
 static TASK_COSTS_LOADED: AtomicU64 = AtomicU64::new(0);
 static TASK_COSTS_MEASURED: AtomicU64 = AtomicU64::new(0);
 
@@ -662,15 +659,11 @@ fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
 /// (never the reverse), shared by attaching, loading, appending,
-/// reloading and demoting. A slot fills (appending or reloading)
-/// holding no map lock, so nothing that holds [`PERSIST`] may wait on
-/// a slot.
+/// reloading and demoting; an input lookup or append takes [`PERSIST`]
+/// alone. A slot fills (appending or reloading) holding no map lock, so
+/// nothing that holds [`PERSIST`] may wait on a slot.
 fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
     PERSIST.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn inputs() -> MutexGuard<'static, Option<InputLog>> {
-    INPUTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A filled slot.
@@ -734,11 +727,10 @@ fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<
 /// makes it memory-only (`None`, the state before any call). Opening a
 /// directory loads every valid outcome record into the in-memory index
 /// immediately and returns how many were merged; subsequent first-time
-/// simulations are appended to it. The directory's input log (trace
-/// summaries and task costs) is read by the
-/// first lookup of an input, not here, and is not counted. On `Err` the
-/// cache falls back to memory-only — a broken cache directory costs
-/// time, never a run.
+/// simulations are appended to it. Its input records (trace summaries
+/// and task costs) are indexed by key, decoded when looked up, and not
+/// counted. On `Err` the cache falls back to memory-only — a
+/// broken cache directory costs time, never a run.
 ///
 /// The `repro` binary calls this with `$NVP_CACHE_DIR` or
 /// `<out_dir>/.simcache` (not at all under `--no-cache`), `nvpd serve`
@@ -748,35 +740,27 @@ fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<
 /// [`reset_sim_cache`] reloads the log from disk, and pointing at a
 /// *different* directory first drops every entry the old store
 /// contributed, so records never leak between cache directories (see
-/// `tests/persist_cache.rs`). Every call forgets the input records read
-/// and the task costs memoized so far, as [`reset_sim_cache`] does.
+/// `tests/persist_cache.rs`). Every call forgets the task costs
+/// memoized so far, as [`reset_sim_cache`] does; the input records go
+/// with the store that indexed them.
 pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
     let mut state = persist_lock();
     *state = None;
-    *inputs() = None;
     crate::common::forget_task_costs();
-    match dir {
-        None => Ok(0),
-        Some(d) => {
-            let merged = activate(&mut state, d)?;
-            *inputs() = Some(InputLog::new(d));
-            Ok(merged)
-        }
-    }
+    dir.map_or(Ok(0), |d| activate(&mut state, d))
 }
 
-/// The input recorded under `key` in the attached store's input log,
-/// which the first lookup after attaching reads; `None` when the cache
-/// is memory-only or the log holds no intact record under `key`.
+/// The input recorded under `key` in the attached store; `None` when
+/// the cache is memory-only or no intact record under `key` decodes.
 pub(crate) fn stored_input(key: &Digest) -> Option<Input> {
-    inputs().as_mut()?.get(key).cloned()
+    persist_lock().as_ref()?.input(key)
 }
 
-/// Best-effort append of a computed input to the attached store's
-/// input log: a value the log refuses is recomputed when next needed.
-pub(crate) fn store_input(key: &Digest, input: Input) {
-    if let Some(log) = inputs().as_mut() {
-        let _ = log.append(key, input);
+/// Best-effort append of a computed input to the attached store: a
+/// value the store refuses is recomputed when next needed.
+pub(crate) fn store_input(key: &Digest, input: &Input) {
+    if let Some(store) = persist_lock().as_mut() {
+        let _ = store.append_input(key, input);
     }
 }
 
@@ -789,7 +773,7 @@ pub(crate) fn cached_task_cost(key: &Digest, measure: impl FnOnce() -> TaskCost)
     }
     TASK_COSTS_MEASURED.fetch_add(1, Ordering::Relaxed);
     let cost = measure();
-    store_input(key, Input::TaskCost(cost));
+    store_input(key, &Input::TaskCost(cost));
     cost
 }
 
@@ -902,7 +886,7 @@ pub struct SimCacheMemoStats {
     /// Demoted outcomes re-read from their record since the process
     /// started or the cache was last reset.
     pub reloaded: u64,
-    /// Task costs read from the attached store's input log since the
+    /// Task costs read from the attached store's records since the
     /// process started or the cache was last reset.
     pub task_costs_loaded: u64,
     /// Task costs measured (by simulating the program under continuous
@@ -940,16 +924,12 @@ pub fn key_bytes_hashed() -> u64 {
 
 /// Clears the in-memory simulation cache and its counters (benchmarks
 /// use this to measure cold- vs warm-cache runs), and forgets the task
-/// costs and the input records read so far, as a new process would
-/// start. The persistence configuration — and any on-disk records — are
-/// untouched: the next lookup of an input re-reads the attached input
-/// log, and re-pointing [`set_cache_dir`] at the directory reloads its
-/// outcomes.
+/// costs memoized so far, as a new process would start. The attached
+/// store — its input index and any on-disk records — is untouched: an
+/// input is still read from it, and re-pointing [`set_cache_dir`] at
+/// the directory reloads its outcomes.
 pub fn reset_sim_cache() {
     cache().clear();
-    if let Some(log) = inputs().as_mut() {
-        log.forget();
-    }
     crate::common::forget_task_costs();
     for counter in [
         &HITS,

@@ -4,11 +4,11 @@
 //! full cold-write → reload → warm-serve cycle, exactly what two
 //! consecutive `repro` invocations sharing `<out_dir>/.simcache` do.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use nvp_experiments::{
-    reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_memo_stats, sim_cache_stats,
-    trace_memo_stats, CampaignRequest, CampaignResult, ExpConfig, Table,
+    record, reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_memo_stats,
+    sim_cache_stats, trace_memo_stats, CampaignRequest, CampaignResult, ExpConfig, Table,
 };
 
 /// Serializes the tests in this binary: the cache directory, index,
@@ -225,21 +225,50 @@ fn warm_rerun_of_fault_trials_and_wait_sweep_simulates_nothing() {
 }
 
 /// Trace summaries and task costs streamed or measured by this process,
-/// and read from a store's input log.
+/// and read from a store.
 fn input_work() -> (u64, u64) {
     let (traces, memo) = (trace_memo_stats(), sim_cache_memo_stats());
     (traces.summarized + memo.task_costs_measured, traces.summaries_loaded + memo.task_costs_loaded)
 }
 
-/// The input log of a store, as bytes.
-fn input_log(dir: &std::path::Path) -> Vec<u8> {
-    std::fs::read(dir.join("inputs.rec")).unwrap()
+/// Shard magic and record bound of the store's format.
+const SHARD_MAGIC: &[u8; 8] = b"nvpsimc4";
+const MAX_RECORD_BYTES: u32 = 1 << 16;
+
+/// A store's shard files, sorted.
+fn shards(dir: &Path) -> Vec<PathBuf> {
+    let mut shards: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "log"))
+        .collect();
+    shards.sort();
+    shards
 }
 
-/// Trace summaries and task costs live in their directory's input log:
-/// a rerun over the same directory reads every one, a switch to another
-/// directory reads none of the old one's and writes its own, and a
-/// damaged record is quarantined and recomputed, never served.
+/// The input records of a store: every intact shard payload that is
+/// not an outcome's (kind byte 0), shard by shard in file order.
+fn input_records(dir: &Path) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for shard in shards(dir) {
+        let bytes = std::fs::read(&shard).unwrap();
+        let log = record::scan(&bytes, SHARD_MAGIC, MAX_RECORD_BYTES);
+        assert_eq!(log.damaged, 0, "{} is intact", shard.display());
+        out.extend(log.payloads.iter().filter(|p| p[0] != 0).map(|p| p.to_vec()));
+    }
+    out
+}
+
+fn sorted(mut records: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    records.sort();
+    records
+}
+
+/// Trace summaries and task costs are records of their directory's
+/// shards: a rerun over the same directory reads every one, a switch to
+/// another directory reads none of the old one's and writes its own,
+/// and a damaged record is quarantined with its shard and recomputed,
+/// never served.
 #[test]
 fn input_records_follow_their_directory_and_damage_is_recomputed() {
     let _guard = global_cache_lock();
@@ -256,14 +285,15 @@ fn input_records_follow_their_directory_and_damage_is_recomputed() {
     let inputs = computed - before.0;
     assert!(inputs > request.config.profile_seeds.len() as u64, "summaries and task costs");
     assert_eq!(loaded, before.1, "a fresh store holds no input");
-    let a_log = input_log(&dir_a);
+    let a_log = input_records(&dir_a);
+    assert_eq!(a_log.len() as u64, inputs, "one record per input");
 
     reset_sim_cache();
     set_cache_dir(Some(&dir_a)).unwrap();
     let before = input_work();
     let warm = run_request(&request).unwrap();
     assert_eq!(input_work(), (before.0, before.1 + inputs), "every input is read back");
-    assert_eq!(input_log(&dir_a), a_log, "and none is written again");
+    assert_eq!(input_records(&dir_a), a_log, "and none is written again");
 
     // Load A's inputs, then switch to B: none of them is served there.
     reset_sim_cache();
@@ -273,22 +303,59 @@ fn input_records_follow_their_directory_and_damage_is_recomputed() {
     let before = input_work();
     let under_b = run_request(&request).unwrap();
     assert_eq!(input_work(), (before.0 + inputs, before.1), "B recomputes every input");
-    assert_eq!(input_log(&dir_a), a_log, "the run under B writes nothing to A");
-    assert_eq!(input_log(&dir_b).len(), a_log.len(), "B holds its own records");
+    assert_eq!(input_records(&dir_a), a_log, "the run under B writes nothing to A");
+    assert_eq!(sorted(input_records(&dir_b)), sorted(a_log.clone()), "B holds its own records");
 
-    // Flip a byte of B's first record and cut its last one short: the
-    // log is quarantined, and exactly those two inputs are recomputed.
-    let mut damaged = input_log(&dir_b);
-    damaged[8 + 8 + 40] ^= 0x01;
-    damaged.truncate(damaged.len() - 3);
-    std::fs::write(dir_b.join("inputs.rec"), &damaged).unwrap();
+    // Damage two of B's input records: move the first shard's inputs
+    // behind its outcomes and cut its last one short, and flip a byte
+    // of another. Their shards are quarantined, and exactly those two
+    // inputs are recomputed.
+    let cut_shard = shards(&dir_b)
+        .into_iter()
+        .find(|shard| {
+            let bytes = std::fs::read(shard).unwrap();
+            record::scan(&bytes, SHARD_MAGIC, MAX_RECORD_BYTES).payloads.iter().any(|p| p[0] != 0)
+        })
+        .expect("a shard holds an input");
+    let bytes = std::fs::read(&cut_shard).unwrap();
+    let payloads = record::scan(&bytes, SHARD_MAGIC, MAX_RECORD_BYTES).payloads;
+    let (outcomes, kept): (Vec<&[u8]>, Vec<&[u8]>) = payloads.iter().partition(|p| p[0] == 0);
+    let mut image =
+        record::log_image(SHARD_MAGIC, outcomes.iter().chain(&kept), MAX_RECORD_BYTES).unwrap();
+    image.truncate(image.len() - 3);
+    std::fs::write(&cut_shard, &image).unwrap();
+    let cut = kept[kept.len() - 1];
+    let (flip_shard, flip_at) = shards(&dir_b)
+        .into_iter()
+        .find_map(|shard| {
+            let bytes = std::fs::read(&shard).unwrap();
+            let log = record::scan(&bytes, SHARD_MAGIC, MAX_RECORD_BYTES);
+            let at = log.payloads.iter().zip(&log.offsets).find(|(p, _)| p[0] != 0 && **p != cut);
+            at.map(|(_, &at)| (shard.clone(), at as usize))
+        })
+        .expect("a second input record");
+    let mut flipped = std::fs::read(&flip_shard).unwrap();
+    flipped[flip_at + 8 + 40] ^= 0x01;
+    std::fs::write(&flip_shard, &flipped).unwrap();
+    let damaged_shards = if flip_shard == cut_shard { 1 } else { 2 };
+
     reset_sim_cache();
     set_cache_dir(Some(&dir_b)).unwrap();
+    assert_eq!(sim_cache_stats().quarantined, damaged_shards, "every damaged shard is counted");
     let before = input_work();
     let healed = run_request(&request).unwrap();
     assert_eq!(input_work(), (before.0 + 2, before.1 + inputs - 2), "two recomputed");
-    assert!(dir_b.join("inputs.rec.quarantine").exists(), "the damaged log is kept aside");
-    assert_eq!(input_log(&dir_b).len(), a_log.len(), "and healed with its recomputed records");
+    assert_eq!(healed.cache.misses, 0, "no outcome was damaged");
+    for shard in [&cut_shard, &flip_shard] {
+        let mut kept_aside = shard.as_os_str().to_owned();
+        kept_aside.push(".quarantine");
+        assert!(Path::new(&kept_aside).exists(), "the damaged shard is kept aside");
+    }
+    assert_eq!(
+        sorted(input_records(&dir_b)),
+        sorted(a_log),
+        "and healed with its recomputed records"
+    );
 
     let csvs = |r: &CampaignResult| r.tables.iter().map(Table::to_csv).collect::<Vec<_>>();
     for other in [&warm, &under_b, &healed] {
