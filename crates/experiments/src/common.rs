@@ -14,8 +14,8 @@
 //! figures, streamed from the generator without a sample array) live
 //! while a job runs and are released when no job is left in flight
 //! (see [`JobScope`]), so a resident server holds just the traces of
-//! its running jobs. The same release demotes the sim-cache's stored
-//! outcomes to the location of their records. With a persistent store
+//! its running jobs. The same release drops the sim-cache's outcomes
+//! that the attached store holds. With a persistent store
 //! attached, a summary and a task cost are read from it before they are
 //! streamed or measured, and stored after, so a warm rerun computes
 //! neither.
@@ -41,7 +41,6 @@ use nvp_energy::harvester::{self, SourceKind};
 use nvp_energy::{PowerTrace, TraceSummary, OPERATING_THRESHOLD_W};
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
-use crate::persist::Input;
 use crate::record::{put_str, put_u64};
 use crate::simcache::{self, memo, Digest, KeyFields, KeyHasher, Memo};
 use crate::ExpConfig;
@@ -241,13 +240,13 @@ impl TraceEntry {
         let Held { summary, summaries, summaries_loaded, .. } = &mut *held;
         Arc::clone(summary.get_or_insert_with(|| {
             let key = self.summary_key();
-            if let Some(Input::Summary(stored)) = simcache::stored_input(&key) {
+            if let Some(stored) = simcache::stored(&key) {
                 *summaries_loaded += 1;
-                return stored;
+                return Arc::new(stored);
             }
             *summaries += 1;
             let streamed = Arc::new(self.spec.summarize());
-            simcache::store_input(&key, &Input::Summary(Arc::clone(&streamed)));
+            simcache::store(&key, &*streamed);
             streamed
         }))
     }
@@ -346,10 +345,10 @@ static JOBS: Mutex<usize> = Mutex::new(0);
 /// * the memo empties every trace's samples and summary; specs and
 ///   digests stay, and a later job that reads a spec regenerates it,
 ///   byte for byte the same samples;
-/// * the sim-cache demotes every outcome the attached store holds to
-///   the byte offset of its record ([`simcache::demote_stored`]), and a
-///   later job that looks one up re-reads that record. Without a store
-///   nothing is demoted.
+/// * the sim-cache drops every decoded outcome the attached store
+///   indexes ([`simcache::release_stored`]), and a later job that looks
+///   one up reads its record from the store. Without a store nothing is
+///   dropped.
 ///
 /// A resident server therefore holds only the traces and outcomes of
 /// the jobs it is running. `nvpd`'s default single worker runs one job
@@ -376,7 +375,7 @@ impl Drop for JobScope {
                 held.samples = None;
                 held.summary = None;
             });
-            simcache::demote_stored();
+            simcache::release_stored();
         }
     }
 }

@@ -6,9 +6,9 @@
 //! under a cache directory a binary attaches (`NVP_CACHE_DIR`, or `<out_dir>/.simcache`
 //! for the `repro` binary), **sharded by the first hex digit** of the
 //! SHA-256 content key, so concurrent writers rarely touch the same
-//! file and a reload opens at most 16 small files. (A reload pays
-//! 5–10 µs per file it opens, more than it pays per record, so fewer,
-//! larger shards reload faster.)
+//! file and an open reads at most 16 small files. (An open pays
+//! 5–10 µs per file it reads, more than it pays per record, so fewer,
+//! larger shards open faster.)
 //!
 //! ## Record format
 //!
@@ -40,29 +40,34 @@
 //! built from cache hits stay byte-identical to cold runs; a value that
 //! would not round-trip, or a record over the bound, is not written.
 //!
-//! [`PersistentStore::open`] decodes every outcome and indexes every
-//! input payload by key; [`PersistentStore::input`] decodes one when it
-//! is looked up. A CRC-valid input that does not decode is a miss: it
-//! is recomputed and appended, and the later record wins at next open.
+//! ## One index, one lookup
 //!
-//! A record's location is the byte offset of its frame in its key's
-//! shard: the scan at open and [`PersistentStore::append`] both report
-//! it, and [`PersistentStore::read`] re-reads one record from it, so
-//! the in-memory index can let go of a decoded outcome and keep only
-//! where its record lies.
+//! [`PersistentStore::open`] decodes no record. It indexes every intact
+//! record of every kind by its key: where its frame lies in the key's
+//! shard, how long the frame is, and its kind. A later record of a key
+//! replaces an earlier one, and [`PersistentStore::append`] indexes what
+//! it writes. [`PersistentStore::get`] is the one read path: it re-reads
+//! the key's frame with one seek and one read on the shard's held read
+//! handle (the scan's own handle of an intact shard, so a shard is
+//! opened once per attach; a healed shard's is opened at its first
+//! read), checks its CRC, kind and key, and decodes it. A record that
+//! fails any check, or a CRC-valid one that does not decode, is a miss:
+//! it is recomputed and appended, and the later record wins. A damaged,
+//! truncated or rewritten shard is therefore never served, only
+//! recomputed.
 //!
 //! ## Failure tolerance
 //!
 //! Loading is strictly best-effort — a damaged cache can cost time,
 //! never correctness. The shared scan drops a torn tail record, skips a
 //! CRC-bad one, and abandons the rest of a shard whose framing is no
-//! longer trustworthy; a CRC-valid record of an unknown kind or the
-//! wrong shape is skipped too. Records are appended with a single
-//! `O_APPEND` write each, so two processes filling the same cache
-//! interleave whole records; a header both wrote to a fresh shard is
-//! tolerated, and duplicate keys are benign — both writers computed
-//! bit-identical values. Appends are not fsynced: a record lost to a
-//! crash only costs its recomputation.
+//! longer trustworthy; a CRC-valid record of an unknown kind, too short
+//! to hold a key, or in another key's shard is skipped too. Records are
+//! appended with a single `O_APPEND` write each, so two processes
+//! filling the same cache interleave whole records; a header both wrote
+//! to a fresh shard is tolerated, and duplicate keys are benign — both
+//! writers computed bit-identical values. Appends are not fsynced: a
+//! record lost to a crash only costs its recomputation.
 //!
 //! ## Quarantine
 //!
@@ -70,18 +75,18 @@
 //! mismatch, a foreign or stale-schema file — is **quarantined**: copied
 //! to `<name>.quarantine` (suffixed `.2`, `.3`, … if earlier quarantines
 //! exist) and rewritten in place with the records salvaged from it, so
-//! the next open is clean while the copy preserves the evidence. It is
-//! counted in [`LoadOutcome::quarantined`], so operators can tell a
-//! *cold* cache from a *corrupted* one instead of records silently
+//! the next open is clean while the copy preserves the evidence; the
+//! index then names where the salvaged records lie in the healed shard.
+//! It is counted in [`LoadOutcome::quarantined`], so operators can tell
+//! a *cold* cache from a *corrupted* one instead of records silently
 //! vanishing. The counter flows through
 //! [`crate::SimCacheStats::quarantined`] into the `repro` cache summary
 //! and the `nvpd` wire stats.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use nvp_core::{RunReport, TaskCost};
 use nvp_energy::units::Joules;
@@ -98,6 +103,9 @@ const KIND_OUTCOME: u8 = 0;
 const KIND_SUMMARY: u8 = 1;
 const KIND_TASK_COST: u8 = 2;
 
+/// Length of a frame header: the length prefix and the CRC.
+const HEADER_BYTES: usize = 8;
+
 /// Payload length of an outcome record with no latencies: kind, key, 24
 /// eight-byte report fields (2 + 13 + 9), latency count.
 const FIXED_PAYLOAD_BYTES: usize = 1 + 32 + 24 * 8 + 4;
@@ -110,12 +118,9 @@ const FIXED_PAYLOAD_BYTES: usize = 1 + 32 + 24 * 8 + 4;
 /// about 50 times as eventful as a default one (about 1.2 KB).
 const MAX_RECORD_BYTES: u32 = 1 << 16;
 
-/// What [`PersistentStore::open`] recovered from disk.
+/// The damage [`PersistentStore::open`] found.
 #[derive(Debug, Default)]
 pub(crate) struct LoadOutcome {
-    /// Every valid `(key, offset, outcome)` record, shard-major in file
-    /// order; `offset` locates the record's frame in its shard.
-    pub records: Vec<(Digest, u64, SimOutcome)>,
     /// Records (or whole unreadable/foreign files) dropped during the
     /// scan — corruption tolerated, never served.
     pub skipped: u64,
@@ -125,29 +130,50 @@ pub(crate) struct LoadOutcome {
     pub quarantined: u64,
 }
 
-/// A value an input record holds.
-#[derive(Debug, Clone)]
-pub(crate) enum Input {
-    /// A trace's summary.
-    Summary(Arc<TraceSummary>),
-    /// A program's unconstrained task cost.
-    TaskCost(TaskCost),
+/// A value the store keeps, as a record of its own kind.
+pub(crate) trait Stored: Sized {
+    /// The record kind: the payload's first byte.
+    const KIND: u8;
+    /// Appends the value's fields; `None` when they would not decode to
+    /// the same bits.
+    fn put(&self, out: &mut Vec<u8>) -> Option<()>;
+    /// Reads the fields [`put`](Self::put) wrote.
+    fn get(r: &mut Reader<'_>) -> io::Result<Self>;
 }
 
-/// An open cache directory: load-once at open, append-only afterwards.
+/// Where a key's record lies in its shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Location {
+    /// The byte offset of its frame.
+    offset: u64,
+    /// The length of its frame, header included.
+    len: u32,
+    /// Its record kind.
+    kind: u8,
+}
+
+/// An open cache directory: indexed at open, read by location, appended
+/// to afterwards.
 #[derive(Debug)]
 pub(crate) struct PersistentStore {
     dir: PathBuf,
-    /// Every input record's payload by key, decoded on lookup.
-    inputs: BTreeMap<Digest, Vec<u8>>,
+    /// Every intact record's location, by key.
+    index: BTreeMap<Digest, Location>,
+    /// Each shard's read handle, by first key nibble: the scan's handle
+    /// of an intact shard, or opened at the shard's first read.
+    readers: [Option<fs::File>; 16],
 }
 
 impl PersistentStore {
-    /// Opens (creating if missing) a cache directory and scans every
-    /// shard for valid records.
+    /// Opens (creating if missing) a cache directory and indexes every
+    /// intact record of every shard; it decodes none of them.
     pub(crate) fn open(dir: &Path) -> io::Result<(PersistentStore, LoadOutcome)> {
         fs::create_dir_all(dir)?;
-        let mut store = PersistentStore { dir: dir.to_path_buf(), inputs: BTreeMap::new() };
+        let mut store = PersistentStore {
+            dir: dir.to_path_buf(),
+            index: BTreeMap::new(),
+            readers: Default::default(),
+        };
         let mut outcome = LoadOutcome::default();
         // Deterministic scan order: sorted shard names.
         let mut shards: Vec<PathBuf> = fs::read_dir(dir)?
@@ -158,29 +184,28 @@ impl PersistentStore {
         shards.sort();
         for shard in shards {
             // An unreadable shard scans as a foreign one.
-            let bytes = fs::read(&shard).unwrap_or_default();
-            let mut local = LoadOutcome::default();
-            let salvaged = scan_shard(&bytes, &mut local, &mut store.inputs);
-            if local.skipped > 0 {
-                let healed =
-                    record::log_image(MAGIC, &salvaged, MAX_RECORD_BYTES).and_then(|image| {
-                        let target = record::quarantine(&shard, Some(&image))?;
-                        Ok((target, record::scan(&image, MAGIC, MAX_RECORD_BYTES).offsets))
-                    });
+            let mut bytes = Vec::new();
+            let file =
+                fs::File::open(&shard).and_then(|mut f| f.read_to_end(&mut bytes).map(|_| f));
+            let name = shard.file_name().unwrap_or_default();
+            let nibble = (0..16).find(|&n| name == shard_name(n).as_str());
+            let (mut records, skipped) = index_shard(&bytes, nibble);
+            if let (Some(n), Ok(file), 0) = (nibble, file, skipped) {
+                // An intact shard keeps its handle for reading.
+                store.readers[usize::from(n)] = Some(file);
+            } else if skipped > 0 {
+                let salvage = records.iter().map(|(_, at)| payload_at(&bytes, at));
+                let healed = record::log_image(MAGIC, salvage, MAX_RECORD_BYTES)
+                    .and_then(|image| Ok((record::quarantine(&shard, Some(&image))?, image)));
                 match healed {
-                    Ok((target, offsets)) => {
+                    Ok((target, image)) => {
                         // The salvage moved: its records now lie back to back.
-                        let outcomes =
-                            salvaged.iter().zip(offsets).filter(|(p, _)| p[0] == KIND_OUTCOME);
-                        for ((_, at, _), (_, healed_at)) in local.records.iter_mut().zip(outcomes) {
-                            *at = healed_at;
-                        }
+                        records = index_shard(&image, nibble).0;
                         outcome.quarantined += 1;
                         eprintln!(
-                            "warning: sim cache shard {} damaged ({} record(s) lost); \
+                            "warning: sim cache shard {} damaged ({skipped} record(s) lost); \
                              quarantined as {}",
                             shard.display(),
-                            local.skipped,
                             target.display()
                         );
                     }
@@ -190,274 +215,277 @@ impl PersistentStore {
                     ),
                 }
             }
-            outcome.skipped += local.skipped;
-            outcome.records.append(&mut local.records);
+            outcome.skipped += skipped;
+            store.index.extend(records);
         }
         Ok((store, outcome))
     }
 
-    /// Appends an outcome record to the key's shard and returns the byte
-    /// offset of its frame ([`append_payload`](Self::append_payload)).
-    pub(crate) fn append(&self, key: &Digest, outcome: &SimOutcome) -> io::Result<u64> {
-        self.append_payload(key, &encode_payload(key, outcome))
+    /// The value recorded under `key`: its frame re-read with one seek
+    /// and one read on its shard's read handle, then checked and decoded
+    /// ([`from_frame`]). `None` when the store indexes no record of
+    /// `T`'s kind under `key`, or its record fails a check or does not
+    /// decode.
+    pub(crate) fn get<T: Stored>(&mut self, key: &Digest) -> Option<T> {
+        let at = *self.index.get(key).filter(|at| at.kind == T::KIND)?;
+        let nibble = key[0] >> 4;
+        let reader = &mut self.readers[usize::from(nibble)];
+        if reader.is_none() {
+            *reader = Some(fs::File::open(self.dir.join(shard_name(nibble))).ok()?);
+        }
+        let file = reader.as_mut()?;
+        let mut frame = vec![0; at.len as usize];
+        let read = file.seek(SeekFrom::Start(at.offset)).and_then(|_| file.read_exact(&mut frame));
+        let value = read.ok().and_then(|()| from_frame(&frame, key));
+        if value.is_none() {
+            // Another process may have healed the shard under a new file
+            // since the handle was opened: the next read reopens it.
+            *reader = None;
+        }
+        value
     }
 
-    /// Re-reads `key`'s record at `offset` in its shard, or `None`
-    /// unless one intact frame there holds an outcome under `key`: the
-    /// CRC and the key check mean a damaged, truncated or rewritten
-    /// shard is never served, only recomputed.
-    pub(crate) fn read(&self, key: &Digest, offset: u64) -> Option<SimOutcome> {
-        let mut file = fs::File::open(self.shard(key)).ok()?;
-        file.seek(SeekFrom::Start(offset)).ok()?;
-        let payload = record::read_frame(&mut file, MAX_RECORD_BYTES).ok()?;
-        let (found, outcome) = decode_payload(&payload).ok()?;
-        (found == *key).then_some(outcome)
-    }
-
-    /// The input recorded under `key`, decoded; `None` when no record
-    /// holds one, or the last record of `key` does not decode.
-    pub(crate) fn input(&self, key: &Digest) -> Option<Input> {
-        decode_input(self.inputs.get(key)?).ok().map(|(_, input)| input)
-    }
-
-    /// Appends `input` under `key` as [`append`](Self::append) appends
-    /// an outcome, and indexes it. A value that does not round-trip is
-    /// refused, not written.
-    pub(crate) fn append_input(&mut self, key: &Digest, input: &Input) -> io::Result<()> {
-        let payload =
-            encode_input(key, input).ok_or_else(|| record::bad("input does not round-trip"))?;
-        self.append_payload(key, &payload)?;
-        self.inputs.insert(*key, payload);
-        Ok(())
-    }
-
-    /// Appends one record to the key's shard. The header (for a fresh
+    /// Appends `value` under `key` to the key's shard, indexes it, and
+    /// returns the byte offset of its frame. The header (for a fresh
     /// shard) and the record go out in a single `O_APPEND` write, so
     /// concurrent appenders interleave whole records; two racing on a
     /// fresh shard may both write the header, which the scan tolerates.
-    /// A record longer than the loader accepts is refused, not written.
-    /// Returns the byte offset of the record's frame in the shard: an
-    /// `O_APPEND` write leaves the file position just past its own
-    /// bytes, wherever other appenders' records landed.
-    fn append_payload(&self, key: &Digest, payload: &[u8]) -> io::Result<u64> {
-        let shard = self.shard(key);
+    /// A value that would not round-trip, or a record longer than the
+    /// loader accepts, is refused, not written. An `O_APPEND` write
+    /// leaves the file position just past its own bytes, wherever other
+    /// appenders' records landed, which locates the frame.
+    pub(crate) fn append<T: Stored>(&mut self, key: &Digest, value: &T) -> io::Result<u64> {
+        let payload = encode(key, value).ok_or_else(|| record::bad("value does not round-trip"))?;
+        let shard = self.dir.join(shard_name(key[0] >> 4));
         let fresh = fs::metadata(&shard).map_or(true, |m| m.len() == 0);
-        let mut record = if fresh { MAGIC.to_vec() } else { Vec::new() };
-        let magic = record.len();
-        record::put_frame(&mut record, payload, MAX_RECORD_BYTES)?;
+        let mut bytes = if fresh { MAGIC.to_vec() } else { Vec::new() };
+        let magic = bytes.len();
+        record::put_frame(&mut bytes, &payload, MAX_RECORD_BYTES)?;
         let mut file = fs::OpenOptions::new().create(true).append(true).open(&shard)?;
-        file.write_all(&record)?;
-        Ok(file.stream_position()? - (record.len() - magic) as u64)
+        file.write_all(&bytes)?;
+        let len = bytes.len() - magic;
+        let offset = file.stream_position()? - len as u64;
+        self.index.insert(*key, Location { offset, len: len as u32, kind: T::KIND });
+        Ok(offset)
     }
 
-    /// The shard file of `key`: its first hex digit.
-    fn shard(&self, key: &Digest) -> PathBuf {
-        self.dir.join(format!("{:x}.log", key[0] >> 4))
+    /// Whether the store indexes a record under `key`.
+    pub(crate) fn indexes(&self, key: &Digest) -> bool {
+        self.index.contains_key(key)
+    }
+
+    /// The number of distinct outcome keys the store indexes.
+    pub(crate) fn outcomes(&self) -> u64 {
+        self.index.values().filter(|at| at.kind == KIND_OUTCOME).count() as u64
     }
 }
 
-/// Loads one shard image: each outcome into `outcome`, with its frame's
-/// offset in `bytes`, and each input payload into `inputs` under its
-/// key, a later record replacing an earlier one. Returns the payloads
-/// it served, for a quarantine to salvage.
-fn scan_shard<'a>(
-    bytes: &'a [u8],
-    outcome: &mut LoadOutcome,
-    inputs: &mut BTreeMap<Digest, Vec<u8>>,
-) -> Vec<&'a [u8]> {
-    let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
-    outcome.skipped += log.damaged;
-    let mut served = Vec::with_capacity(log.payloads.len());
+/// The file name of the shard of keys whose first nibble is `nibble`.
+fn shard_name(nibble: u8) -> String {
+    format!("{nibble:x}.log")
+}
+
+/// Indexes one shard image, whose file is the shard of `nibble` (`None`
+/// for a file that is no shard's): every intact record's key and
+/// location in file order, and the number of records skipped.
+fn index_shard(image: &[u8], nibble: Option<u8>) -> (Vec<(Digest, Location)>, u64) {
+    let log = record::scan(image, MAGIC, MAX_RECORD_BYTES);
+    let mut skipped = log.damaged;
+    let mut records = Vec::with_capacity(log.payloads.len());
     for (payload, offset) in log.payloads.into_iter().zip(log.offsets) {
         // A frame is never empty.
-        let kept = match payload[0] {
-            KIND_OUTCOME => decode_payload(payload)
-                .map(|(key, decoded)| outcome.records.push((key, offset, decoded)))
-                .is_ok(),
-            KIND_SUMMARY | KIND_TASK_COST => payload
-                .get(1..33)
-                .and_then(|key| Digest::try_from(key).ok())
-                .map(|key| inputs.insert(key, payload.to_vec()))
-                .is_some(),
-            _ => false,
-        };
-        if kept {
-            served.push(payload);
-        } else {
-            outcome.skipped += 1; // valid CRC but foreign shape
+        let kind = payload[0];
+        match payload.get(1..33).and_then(|key| Digest::try_from(key).ok()) {
+            Some(key) if kind <= KIND_TASK_COST && Some(key[0] >> 4) == nibble => {
+                let len = (HEADER_BYTES + payload.len()) as u32;
+                records.push((key, Location { offset, len, kind }));
+            }
+            _ => skipped += 1, // valid CRC but foreign shape or shard
         }
     }
-    served
+    (records, skipped)
+}
+
+/// The payload of the record at `at` in a shard image.
+fn payload_at<'a>(image: &'a [u8], at: &Location) -> &'a [u8] {
+    &image[at.offset as usize + HEADER_BYTES..][..at.len as usize - HEADER_BYTES]
 }
 
 /// Serializes `kind ++ key ++ value`, or `None` when the value would not
 /// decode to the same bits.
-fn encode_input(key: &Digest, input: &Input) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(128);
-    match input {
-        Input::Summary(s) => {
-            out.push(KIND_SUMMARY);
-            out.extend_from_slice(key);
-            let o = &s.outages;
-            for v in [s.average_w, s.peak_w, s.total_energy_j, s.duration_s, o.threshold_w] {
-                put_f64(&mut out, v);
-            }
-            put_u64(&mut out, o.emergency_count);
-            for v in [o.longest_outage_s, o.mean_outage_s, o.above_threshold_fraction, DEFAULT_DT_S]
-            {
-                put_f64(&mut out, v);
-            }
-            put_u32(&mut out, u32::try_from(o.outage_durations_s.len()).ok()?);
-            for &d in &o.outage_durations_s {
-                let n = (d / DEFAULT_DT_S).round();
-                // Below 2^53 every count converts exactly.
-                if !(0.0..9.0e15).contains(&n)
-                    || (n as u64 as f64 * DEFAULT_DT_S).to_bits() != d.to_bits()
-                {
-                    return None;
-                }
-                put_varint(&mut out, n as u64);
-            }
-        }
-        Input::TaskCost(c) => {
-            out.push(KIND_TASK_COST);
-            out.extend_from_slice(key);
-            put_u64(&mut out, c.instructions);
-            put_u64(&mut out, c.cycles);
-            put_f64(&mut out, c.energy_j);
-        }
-    }
+fn encode<T: Stored>(key: &Digest, value: &T) -> Option<Vec<u8>> {
+    let mut out = Vec::with_capacity(FIXED_PAYLOAD_BYTES);
+    out.push(T::KIND);
+    out.extend_from_slice(key);
+    value.put(&mut out)?;
     Some(out)
 }
 
-/// Inverse of [`encode_input`]; an error unless the payload is exactly
-/// one input record of a known kind.
-fn decode_input(payload: &[u8]) -> io::Result<(Digest, Input)> {
+/// Inverse of [`encode`]; an error unless the payload is exactly one
+/// record of `T`'s kind under `key`.
+fn decode<T: Stored>(payload: &[u8], key: &Digest) -> io::Result<T> {
     let mut r = Reader::new(payload);
-    let kind = r.u8()?;
-    let key = r.digest()?;
-    let input = match kind {
-        KIND_SUMMARY => {
-            let [average_w, peak_w, total_energy_j, duration_s, threshold_w] =
-                [r.f64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?];
-            let emergency_count = r.u64()?;
-            let [longest_outage_s, mean_outage_s, above_threshold_fraction, dt_s] =
-                [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
-            let n = r.count(1)?;
-            let outage_durations_s =
-                (0..n).map(|_| Ok(r.varint()? as f64 * dt_s)).collect::<io::Result<_>>()?;
-            Input::Summary(Arc::new(TraceSummary {
-                average_w,
-                peak_w,
-                total_energy_j,
-                duration_s,
-                outages: OutageStats {
-                    threshold_w,
-                    emergency_count,
-                    outage_durations_s,
-                    longest_outage_s,
-                    mean_outage_s,
-                    above_threshold_fraction,
-                },
-            }))
+    if r.u8()? != T::KIND || r.digest()? != *key {
+        return Err(record::bad("not this key's record"));
+    }
+    let value = T::get(&mut r)?;
+    r.done()?;
+    Ok(value)
+}
+
+/// The value one whole frame holds: `None` unless the frame's length
+/// and CRC check and its payload decodes under `key`.
+fn from_frame<T: Stored>(frame: &[u8], key: &Digest) -> Option<T> {
+    let mut rest = frame;
+    let payload = record::read_frame(&mut rest, MAX_RECORD_BYTES).ok()?;
+    rest.is_empty().then(|| decode(&payload, key).ok())?
+}
+
+impl Stored for SimOutcome {
+    const KIND: u8 = KIND_OUTCOME;
+
+    fn put(&self, out: &mut Vec<u8>) -> Option<()> {
+        let r = &self.report;
+        let e = &r.energy;
+        put_f64(out, r.duration_s);
+        put_f64(out, r.on_time_s);
+        for v in [
+            r.committed,
+            r.executed,
+            r.lost,
+            r.uncommitted_at_end,
+            r.backups,
+            r.restores,
+            r.rollbacks,
+            r.tasks_completed,
+            r.backups_torn,
+            r.backup_retries,
+            r.restores_corrupt,
+            r.safe_mode_entries,
+            r.committed_lost,
+        ] {
+            put_u64(out, v);
         }
-        KIND_TASK_COST => Input::TaskCost(TaskCost {
-            instructions: r.u64()?,
-            cycles: r.u64()?,
-            energy_j: r.f64()?,
-        }),
-        _ => return Err(record::bad("unknown input record kind")),
-    };
-    r.done()?;
-    Ok((key, input))
+        for j in [
+            e.harvested,
+            e.converted,
+            e.compute,
+            e.backup,
+            e.restore,
+            e.sleep,
+            e.regulator,
+            e.stored_at_end,
+            e.storage_wasted,
+        ] {
+            put_f64(out, j.get());
+        }
+        put_f64s(out, &self.latencies_ms);
+        Some(())
+    }
+
+    fn get(r: &mut Reader<'_>) -> io::Result<SimOutcome> {
+        let mut report = RunReport {
+            duration_s: r.f64()?,
+            on_time_s: r.f64()?,
+            committed: r.u64()?,
+            executed: r.u64()?,
+            lost: r.u64()?,
+            uncommitted_at_end: r.u64()?,
+            backups: r.u64()?,
+            restores: r.u64()?,
+            rollbacks: r.u64()?,
+            tasks_completed: r.u64()?,
+            backups_torn: r.u64()?,
+            backup_retries: r.u64()?,
+            restores_corrupt: r.u64()?,
+            safe_mode_entries: r.u64()?,
+            committed_lost: r.u64()?,
+            ..RunReport::default()
+        };
+        let e = &mut report.energy;
+        for j in [
+            &mut e.harvested,
+            &mut e.converted,
+            &mut e.compute,
+            &mut e.backup,
+            &mut e.restore,
+            &mut e.sleep,
+            &mut e.regulator,
+            &mut e.stored_at_end,
+            &mut e.storage_wasted,
+        ] {
+            *j = Joules::new(r.f64()?);
+        }
+        Ok(SimOutcome { report, latencies_ms: r.f64s()? })
+    }
 }
 
-/// Serializes an outcome record: `kind ++ key ++ report ++ latencies`.
-fn encode_payload(key: &Digest, outcome: &SimOutcome) -> Vec<u8> {
-    let (r, latencies) = (&outcome.report, &outcome.latencies_ms);
-    let e = &r.energy;
-    let mut out = Vec::with_capacity(FIXED_PAYLOAD_BYTES + 8 * latencies.len());
-    out.push(KIND_OUTCOME);
-    out.extend_from_slice(key);
-    put_f64(&mut out, r.duration_s);
-    put_f64(&mut out, r.on_time_s);
-    for v in [
-        r.committed,
-        r.executed,
-        r.lost,
-        r.uncommitted_at_end,
-        r.backups,
-        r.restores,
-        r.rollbacks,
-        r.tasks_completed,
-        r.backups_torn,
-        r.backup_retries,
-        r.restores_corrupt,
-        r.safe_mode_entries,
-        r.committed_lost,
-    ] {
-        put_u64(&mut out, v);
+impl Stored for TraceSummary {
+    const KIND: u8 = KIND_SUMMARY;
+
+    fn put(&self, out: &mut Vec<u8>) -> Option<()> {
+        let o = &self.outages;
+        for v in [self.average_w, self.peak_w, self.total_energy_j, self.duration_s, o.threshold_w]
+        {
+            put_f64(out, v);
+        }
+        put_u64(out, o.emergency_count);
+        for v in [o.longest_outage_s, o.mean_outage_s, o.above_threshold_fraction, DEFAULT_DT_S] {
+            put_f64(out, v);
+        }
+        put_u32(out, u32::try_from(o.outage_durations_s.len()).ok()?);
+        for &d in &o.outage_durations_s {
+            let n = (d / DEFAULT_DT_S).round();
+            // Below 2^53 every count converts exactly.
+            if !(0.0..9.0e15).contains(&n)
+                || (n as u64 as f64 * DEFAULT_DT_S).to_bits() != d.to_bits()
+            {
+                return None;
+            }
+            put_varint(out, n as u64);
+        }
+        Some(())
     }
-    for j in [
-        e.harvested,
-        e.converted,
-        e.compute,
-        e.backup,
-        e.restore,
-        e.sleep,
-        e.regulator,
-        e.stored_at_end,
-        e.storage_wasted,
-    ] {
-        put_f64(&mut out, j.get());
+
+    fn get(r: &mut Reader<'_>) -> io::Result<TraceSummary> {
+        let [average_w, peak_w, total_energy_j, duration_s, threshold_w] =
+            [r.f64()?, r.f64()?, r.f64()?, r.f64()?, r.f64()?];
+        let emergency_count = r.u64()?;
+        let [longest_outage_s, mean_outage_s, above_threshold_fraction, dt_s] =
+            [r.f64()?, r.f64()?, r.f64()?, r.f64()?];
+        let n = r.count(1)?;
+        let outage_durations_s =
+            (0..n).map(|_| Ok(r.varint()? as f64 * dt_s)).collect::<io::Result<_>>()?;
+        Ok(TraceSummary {
+            average_w,
+            peak_w,
+            total_energy_j,
+            duration_s,
+            outages: OutageStats {
+                threshold_w,
+                emergency_count,
+                outage_durations_s,
+                longest_outage_s,
+                mean_outage_s,
+                above_threshold_fraction,
+            },
+        })
     }
-    put_f64s(&mut out, latencies);
-    out
 }
 
-/// Inverse of [`encode_payload`]; an error unless the payload is an
-/// outcome record exactly as long as its latency count says.
-fn decode_payload(payload: &[u8]) -> io::Result<(Digest, SimOutcome)> {
-    let mut r = Reader::new(payload);
-    if r.u8()? != KIND_OUTCOME {
-        return Err(record::bad("not an outcome record"));
+impl Stored for TaskCost {
+    const KIND: u8 = KIND_TASK_COST;
+
+    fn put(&self, out: &mut Vec<u8>) -> Option<()> {
+        put_u64(out, self.instructions);
+        put_u64(out, self.cycles);
+        put_f64(out, self.energy_j);
+        Some(())
     }
-    let key = r.digest()?;
-    let mut report = RunReport {
-        duration_s: r.f64()?,
-        on_time_s: r.f64()?,
-        committed: r.u64()?,
-        executed: r.u64()?,
-        lost: r.u64()?,
-        uncommitted_at_end: r.u64()?,
-        backups: r.u64()?,
-        restores: r.u64()?,
-        rollbacks: r.u64()?,
-        tasks_completed: r.u64()?,
-        backups_torn: r.u64()?,
-        backup_retries: r.u64()?,
-        restores_corrupt: r.u64()?,
-        safe_mode_entries: r.u64()?,
-        committed_lost: r.u64()?,
-        ..RunReport::default()
-    };
-    let e = &mut report.energy;
-    for j in [
-        &mut e.harvested,
-        &mut e.converted,
-        &mut e.compute,
-        &mut e.backup,
-        &mut e.restore,
-        &mut e.sleep,
-        &mut e.regulator,
-        &mut e.stored_at_end,
-        &mut e.storage_wasted,
-    ] {
-        *j = Joules::new(r.f64()?);
+
+    fn get(r: &mut Reader<'_>) -> io::Result<TaskCost> {
+        Ok(TaskCost { instructions: r.u64()?, cycles: r.u64()?, energy_j: r.f64()? })
     }
-    let latencies_ms = r.f64s()?;
-    r.done()?;
-    Ok((key, SimOutcome { report, latencies_ms }))
 }
 
 #[cfg(test)]
@@ -498,17 +526,29 @@ pub(crate) mod tests {
         k
     }
 
+    /// The `n`th of distinct keys that share `key_of(b)`'s shard.
+    fn nth_key(b: u8, n: u64) -> Digest {
+        let mut k = key_of(b);
+        k[2..10].copy_from_slice(&n.to_le_bytes());
+        k
+    }
+
+    /// The committed count of the outcome `store` serves under `key`.
+    fn committed(store: &mut PersistentStore, key: &Digest) -> Option<u64> {
+        store.get::<SimOutcome>(key).map(|o| o.report.committed)
+    }
+
     #[test]
     fn payload_round_trips_bit_exactly() {
         let outcome = plain(9);
         let key = key_of(0xAB);
-        let (k2, o2) = decode_payload(&encode_payload(&key, &outcome)).unwrap();
-        assert_eq!(k2, key);
+        let o2: SimOutcome = decode(&encode(&key, &outcome).unwrap(), &key).unwrap();
         assert_eq!(o2, outcome);
         assert_eq!(
             o2.report.energy.compute.get().to_bits(),
             outcome.report.energy.compute.get().to_bits()
         );
+        assert!(decode::<SimOutcome>(&encode(&key, &outcome).unwrap(), &key_of(0xAC)).is_err());
     }
 
     /// A trial outcome: `n` recovery latencies cycling through extreme
@@ -537,7 +577,7 @@ pub(crate) mod tests {
     #[test]
     fn trial_records_round_trip_bit_exactly() {
         let dir = unique_dir("nvp_persist_trials");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         let longest = (MAX_RECORD_BYTES as usize - FIXED_PAYLOAD_BYTES) / 8;
         // 2,000 latencies: a long-trace F12 trial (one over a 200 s trace
         // logs 1,911).
@@ -548,53 +588,49 @@ pub(crate) mod tests {
             (key_of(0x53), trial(longest)),
         ];
         for (key, outcome) in &cases {
-            let encoded = encode_payload(key, outcome);
-            let (k2, o2) = decode_payload(&encoded).unwrap();
-            assert_eq!(k2, *key);
-            assert_eq!(encode_payload(&k2, &o2), encoded, "bit-exact in memory");
+            let encoded = encode(key, outcome).unwrap();
+            let o2: SimOutcome = decode(&encoded, key).unwrap();
+            assert_eq!(encode(key, &o2).unwrap(), encoded, "bit-exact in memory");
             store.append(key, outcome).unwrap();
         }
         // One latency past the bound is refused and leaves no trace.
         assert!(store.append(&key_of(0x54), &trial(longest + 1)).is_err());
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
+        let (mut reopened, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!((loaded.skipped, loaded.quarantined), (0, 0));
-        assert_eq!(loaded.records.len(), cases.len());
-        for ((key, outcome), (k2, _, o2)) in cases.iter().zip(&loaded.records) {
-            assert_eq!(encode_payload(k2, o2), encode_payload(key, outcome), "bit-exact on disk");
+        assert_eq!(reopened.outcomes(), cases.len() as u64);
+        for (key, outcome) in &cases {
+            let served = reopened.get::<SimOutcome>(key).expect("stored");
+            assert_eq!(encode(key, &served), encode(key, outcome), "bit-exact on disk");
         }
         let _ = fs::remove_dir_all(&dir);
     }
 
     /// A small shard: one plain record, one trial record, one summary
-    /// record and one task-cost record.
+    /// record and one task-cost record, all of shard 6.
     pub(crate) fn mixed_shard() -> Vec<u8> {
-        let outcomes = [(key_of(0x60), plain(1)), (key_of(0x61), trial(5))];
-        let inputs = [
-            (key_of(0x62), Input::Summary(Arc::new(summary(2)))),
-            (key_of(0x63), Input::TaskCost(task_cost(1))),
+        let payloads = [
+            encode(&key_of(0x60), &plain(1)),
+            encode(&key_of(0x61), &trial(5)),
+            encode(&key_of(0x62), &summary(2)),
+            encode(&key_of(0x63), &task_cost(1)),
         ];
-        let payloads = outcomes
-            .iter()
-            .map(|(key, outcome)| encode_payload(key, outcome))
-            .chain(inputs.iter().map(|(key, input)| encode_input(key, input).unwrap()));
-        record::log_image(MAGIC, payloads, MAX_RECORD_BYTES).unwrap()
+        record::log_image(MAGIC, payloads.map(Option::unwrap), MAX_RECORD_BYTES).unwrap()
     }
 
-    /// Loads a shard image through the real loader: every record it
-    /// serves (an input when looked up) re-encoded, in file order, and
-    /// the damage counted.
+    /// Loads an image of shard 6 through the real loader: every record
+    /// its index locates, read back from its frame as a lookup reads it
+    /// and re-encoded, in file order, and the damage counted.
     pub(crate) fn load_shard(bytes: &[u8]) -> (Vec<Vec<u8>>, u64) {
-        let (mut outcome, mut inputs) = (LoadOutcome::default(), BTreeMap::new());
-        let served = scan_shard(bytes, &mut outcome, &mut inputs);
-        let store = PersistentStore { dir: PathBuf::new(), inputs };
-        let reencoded = served.into_iter().filter_map(|p| match decode_payload(p) {
-            Ok((key, served)) => Some(encode_payload(&key, &served)),
-            Err(_) => {
-                let key = Digest::try_from(&p[1..33]).unwrap();
-                store.input(&key).map(|input| encode_input(&key, &input).unwrap())
+        let (records, skipped) = index_shard(bytes, Some(6));
+        let served = records.iter().filter_map(|(key, at)| {
+            let frame = &bytes[at.offset as usize..][..at.len as usize];
+            match at.kind {
+                KIND_OUTCOME => encode(key, &from_frame::<SimOutcome>(frame, key)?),
+                KIND_SUMMARY => encode(key, &from_frame::<TraceSummary>(frame, key)?),
+                _ => encode(key, &from_frame::<TaskCost>(frame, key)?),
             }
         });
-        (reencoded.collect(), outcome.skipped)
+        (served.collect(), skipped)
     }
 
     /// Pinned bytes of a one-record shard: a change here changes the
@@ -612,7 +648,7 @@ pub(crate) mod tests {
     #[test]
     fn shard_record_format_is_pinned() {
         let dir = unique_dir("nvp_persist_pin");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         let mut report = RunReport {
             duration_s: 2.5,
             on_time_s: 1.25,
@@ -640,63 +676,66 @@ pub(crate) mod tests {
     #[test]
     fn append_then_reopen_recovers_all_records() {
         let dir = unique_dir("nvp_persist_roundtrip");
-        let (store, loaded) = PersistentStore::open(&dir).unwrap();
-        assert!(loaded.records.is_empty());
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(store.outcomes(), 0);
         for i in 0..20u8 {
             // Spread over a few shards (keys differing in the first
             // hex digit).
-            store.append(&key_of((i % 4) << 4), &plain(u64::from(i))).unwrap();
+            store.append(&nth_key((i % 4) << 4, u64::from(i)), &plain(u64::from(i))).unwrap();
         }
-        let (_, reloaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(reloaded.records.len(), 20);
-        assert_eq!(reloaded.skipped, 0);
-        assert!(reloaded
-            .records
-            .iter()
-            .any(|(k, _, o)| k[0] == 0x20 && o.report.committed == 1002));
+        let (mut reopened, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 20);
+        assert_eq!(loaded.skipped, 0);
+        assert_eq!(committed(&mut reopened, &nth_key(0x20, 2)), Some(1002));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn appended_and_scanned_offsets_reread_their_records() {
         let dir = unique_dir("nvp_persist_offsets");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         let keys = [key_of(0x70), key_of(0x71), key_of(0x72), key_of(0x80)];
         let appended: Vec<u64> = keys
             .iter()
             .zip(0..)
             .map(|(key, salt)| store.append(key, &trial(salt)).unwrap())
             .collect();
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
-        let scanned: Vec<u64> = loaded.records.iter().map(|&(_, offset, _)| offset).collect();
+        let (mut reopened, _) = PersistentStore::open(&dir).unwrap();
+        let scanned: Vec<u64> = keys.iter().map(|key| reopened.index[key].offset).collect();
         assert_eq!(scanned, appended, "append and scan agree on every offset");
-        for ((key, offset, outcome), salt) in loaded.records.iter().zip(0..) {
-            assert_eq!(store.read(key, *offset).as_ref(), Some(&trial(salt)));
-            assert_eq!(*outcome, trial(salt));
-            assert!(store.read(key, offset + 1).is_none(), "a misplaced offset serves nothing");
+        assert_eq!(reopened.index, store.index, "and on every location");
+        for (key, salt) in keys.iter().zip(0..) {
+            assert_eq!(reopened.get::<SimOutcome>(key), Some(trial(salt)));
+            let at = reopened.index[key];
+            reopened.index.insert(*key, Location { offset: at.offset + 1, ..at });
+            assert!(reopened.get::<SimOutcome>(key).is_none(), "a misplaced offset serves nothing");
+            reopened.index.insert(*key, at);
         }
-        let (first, second) = (&loaded.records[0], &loaded.records[1]);
-        assert!(store.read(&first.0, second.1).is_none(), "another key's record is not served");
+        let second = reopened.index[&keys[1]];
+        reopened.index.insert(keys[0], second);
+        assert!(
+            reopened.get::<SimOutcome>(&keys[0]).is_none(),
+            "another key's record is not served"
+        );
 
         // Damage the middle record of shard 7: the healed shard moves
-        // the third record, and open reports where it now lies.
+        // the third record, and open indexes where it now lies.
         let shard = dir.join("7.log");
         let mut bytes = fs::read(&shard).unwrap();
         bytes[appended[1] as usize + 8 + 40] ^= 0xFF;
         fs::write(&shard, &bytes).unwrap();
-        assert!(store.read(&keys[1], appended[1]).is_none(), "a CRC-bad record is not served");
-        let (_, healed) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(healed.quarantined, 1);
-        let moved = healed.records.iter().find(|(key, ..)| *key == keys[2]).unwrap();
-        assert!(moved.1 < appended[2], "the healed shard closed the gap");
-        assert_eq!(store.read(&keys[2], moved.1), Some(trial(2)));
+        assert!(store.get::<SimOutcome>(&keys[1]).is_none(), "a CRC-bad record is not served");
+        let (mut healed, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(loaded.quarantined, 1);
+        assert!(healed.index[&keys[2]].offset < appended[2], "the healed shard closed the gap");
+        assert_eq!(healed.get::<SimOutcome>(&keys[2]), Some(trial(2)));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_tail_record_is_dropped_not_fatal() {
         let dir = unique_dir("nvp_persist_trunc");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x11);
         store.append(&key, &plain(1)).unwrap();
         store.append(&key, &plain(2)).unwrap();
@@ -704,15 +743,15 @@ pub(crate) mod tests {
         let bytes = fs::read(&shard).unwrap();
         // Chop the second record in half, as a crash mid-append would.
         fs::write(&shard, &bytes[..bytes.len() - FIXED_PAYLOAD_BYTES / 2]).unwrap();
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(loaded.records.len(), 1, "intact prefix record must survive");
-        assert_eq!(loaded.records[0].2.report.committed, sample_report(1).committed);
+        let (mut reopened, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 1, "intact prefix record must survive");
+        assert_eq!(committed(&mut reopened, &key), Some(sample_report(1).committed));
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
         assert!(dir.join("1.log.quarantine").exists(), "damaged shard renamed aside");
         // Healing: salvage was re-appended, so the next open is clean.
-        let (_, healed) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(healed.records.len(), 1);
+        let (reopened, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 1);
         assert_eq!(healed.skipped, 0);
         assert_eq!(healed.quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
@@ -721,27 +760,27 @@ pub(crate) mod tests {
     #[test]
     fn flipped_crc_byte_skips_only_that_record() {
         let dir = unique_dir("nvp_persist_crc");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
-        let key = key_of(0x22);
-        store.append(&key, &plain(1)).unwrap();
-        store.append(&key, &plain(2)).unwrap();
-        store.append(&key, &plain(3)).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
+        let keys = [key_of(0x22), key_of(0x23), key_of(0x24)];
+        for (key, salt) in keys.iter().zip(1..) {
+            store.append(key, &plain(salt)).unwrap();
+        }
         let shard = dir.join("2.log");
         let mut bytes = fs::read(&shard).unwrap();
         // Flip one payload byte inside the *middle* record.
         let middle_payload = MAGIC.len() + (8 + FIXED_PAYLOAD_BYTES) + 8 + 40;
         bytes[middle_payload] ^= 0xFF;
         fs::write(&shard, &bytes).unwrap();
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(loaded.records.len(), 2, "records around the corrupt one must survive");
+        let (mut reopened, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 2, "records around the corrupt one must survive");
         assert_eq!(loaded.skipped, 1);
         assert_eq!(loaded.quarantined, 1);
-        let committed: Vec<u64> =
-            loaded.records.iter().map(|(_, _, o)| o.report.committed).collect();
-        assert_eq!(committed, vec![sample_report(1).committed, sample_report(3).committed]);
+        let served: Vec<Option<u64>> = keys.iter().map(|k| committed(&mut reopened, k)).collect();
+        let expect = [Some(sample_report(1).committed), None, Some(sample_report(3).committed)];
+        assert_eq!(served, expect);
         // Both survivors were healed into a fresh shard.
-        let (_, healed) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(healed.records.len(), 2);
+        let (reopened, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 2);
         assert_eq!(healed.quarantined, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -749,7 +788,7 @@ pub(crate) mod tests {
     #[test]
     fn repeated_quarantines_get_numbered_suffixes() {
         let dir = unique_dir("nvp_persist_requarantine");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         let key = key_of(0x44);
         for round in 1..=3u64 {
             store.append(&key, &plain(round)).unwrap();
@@ -770,17 +809,30 @@ pub(crate) mod tests {
     #[test]
     fn foreign_and_stale_schema_files_are_skipped_wholesale() {
         let dir = unique_dir("nvp_persist_foreign");
-        let (store, _) = PersistentStore::open(&dir).unwrap();
+        let (mut store, _) = PersistentStore::open(&dir).unwrap();
         store.append(&key_of(0x33), &plain(1)).unwrap();
         fs::write(dir.join("zz.log"), b"nvpsimc0old-schema-bytes").unwrap();
         fs::write(dir.join("not-a-cache.log"), b"short").unwrap();
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(loaded.records.len(), 1);
+        let (reopened, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!(reopened.outcomes(), 1);
         assert_eq!(loaded.skipped, 2);
         assert_eq!(loaded.quarantined, 2);
         assert!(dir.join("zz.log.quarantine").exists());
         assert!(dir.join("not-a-cache.log.quarantine").exists());
         assert!(dir.join("3.log").exists(), "healthy shard untouched");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_outside_its_keys_shard_is_skipped() {
+        let dir = unique_dir("nvp_persist_misplaced");
+        fs::create_dir_all(&dir).unwrap();
+        let payload = encode(&key_of(0x35), &plain(1)).unwrap();
+        let image = record::log_image(MAGIC, [payload], MAX_RECORD_BYTES).unwrap();
+        fs::write(dir.join("4.log"), image).unwrap();
+        let (mut store, loaded) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((loaded.skipped, loaded.quarantined), (1, 1));
+        assert!(store.get::<SimOutcome>(&key_of(0x35)).is_none(), "it is not served");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -812,33 +864,26 @@ pub(crate) mod tests {
             .collect()
     }
 
-    fn input_bits(input: &Input) -> Vec<u64> {
-        match input {
-            Input::Summary(s) => summary_bits(s),
-            Input::TaskCost(c) => vec![c.instructions, c.cycles, c.energy_j.to_bits()],
-        }
+    fn cost_bits(c: &TaskCost) -> [u64; 3] {
+        [c.instructions, c.cycles, c.energy_j.to_bits()]
     }
 
     #[test]
     fn input_records_round_trip_bit_exactly() {
         let dir = unique_dir("nvp_persist_inputs");
         let (mut store, _) = PersistentStore::open(&dir).unwrap();
-        assert!(store.input(&key_of(0x90)).is_none(), "an empty store holds nothing");
+        assert!(store.get::<TraceSummary>(&key_of(0x90)).is_none(), "an empty store holds nothing");
         let s = summary(5);
         assert!(s.outages.outage_durations_s.len() > 3, "a summary with outages");
-        let inputs = [
-            (key_of(0x90), Input::Summary(Arc::new(s))),
-            (key_of(0x91), Input::TaskCost(task_cost(3))),
-        ];
-        for (key, input) in &inputs {
-            store.append_input(key, input).unwrap();
-        }
-        let (reread, loaded) = PersistentStore::open(&dir).unwrap();
-        for (key, input) in &inputs {
-            let served = reread.input(key).expect("stored");
-            assert_eq!(input_bits(&served), input_bits(input), "bit-exact on disk");
-        }
-        assert_eq!((loaded.records.len(), loaded.skipped, loaded.quarantined), (0, 0, 0));
+        store.append(&key_of(0x90), &s).unwrap();
+        store.append(&key_of(0x91), &task_cost(3)).unwrap();
+        let (mut reread, loaded) = PersistentStore::open(&dir).unwrap();
+        let served = reread.get::<TraceSummary>(&key_of(0x90)).expect("stored");
+        assert_eq!(summary_bits(&served), summary_bits(&s), "bit-exact on disk");
+        let served = reread.get::<TaskCost>(&key_of(0x91)).expect("stored");
+        assert_eq!(cost_bits(&served), cost_bits(&task_cost(3)), "bit-exact on disk");
+        assert!(reread.get::<TaskCost>(&key_of(0x90)).is_none(), "a record serves its own kind");
+        assert_eq!((reread.outcomes(), loaded.skipped, loaded.quarantined), (0, 0, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -849,13 +894,17 @@ pub(crate) mod tests {
         // A duration that is no whole number of samples.
         let mut off_grid = summary(5);
         off_grid.outages.outage_durations_s[0] += 1e-9;
-        assert!(store.append_input(&key_of(0x92), &Input::Summary(Arc::new(off_grid))).is_err());
+        assert!(store.append(&key_of(0x92), &off_grid).is_err());
         // A record past its bound: one varint byte per outage.
         let mut eventful = summary(5);
         eventful.outages.outage_durations_s = vec![DEFAULT_DT_S; MAX_RECORD_BYTES as usize];
-        assert!(store.append_input(&key_of(0x93), &Input::Summary(Arc::new(eventful))).is_err());
+        assert!(store.append(&key_of(0x93), &eventful).is_err());
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "nothing was written");
-        assert!(PersistentStore::open(&dir).unwrap().0.input(&key_of(0x92)).is_none());
+        assert!(PersistentStore::open(&dir)
+            .unwrap()
+            .0
+            .get::<TraceSummary>(&key_of(0x92))
+            .is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -869,39 +918,51 @@ pub(crate) mod tests {
         image[summary_at + 8 + 40] ^= 0x01; // into the summary's fields
         fs::write(&path, &image).unwrap();
         let (mut store, loaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!((loaded.records.len(), loaded.quarantined), (2, 1));
-        assert!(store.input(&key_of(0x62)).is_none(), "the damaged summary is not served");
+        assert_eq!((store.outcomes(), loaded.quarantined), (2, 1));
+        assert!(
+            store.get::<TraceSummary>(&key_of(0x62)).is_none(),
+            "the damaged summary is not served"
+        );
         assert_eq!(
-            store.input(&key_of(0x63)).as_ref().map(input_bits),
-            Some(input_bits(&Input::TaskCost(task_cost(1))))
+            store.get::<TaskCost>(&key_of(0x63)).as_ref().map(cost_bits),
+            Some(cost_bits(&task_cost(1)))
         );
         assert!(dir.join("6.log.quarantine").exists(), "the damaged shard is kept aside");
         // Healed: the salvage holds the intact records, and an append
         // lands behind them.
-        store.append_input(&key_of(0x62), &Input::Summary(Arc::new(summary(2)))).unwrap();
-        let (reopened, healed) = PersistentStore::open(&dir).unwrap();
-        assert_eq!((healed.records.len(), healed.skipped, healed.quarantined), (2, 0, 0));
-        assert!(reopened.input(&key_of(0x62)).is_some() && reopened.input(&key_of(0x63)).is_some());
+        store.append(&key_of(0x62), &summary(2)).unwrap();
+        let (mut reopened, healed) = PersistentStore::open(&dir).unwrap();
+        assert_eq!((reopened.outcomes(), healed.skipped, healed.quarantined), (2, 0, 0));
+        assert!(reopened.get::<TraceSummary>(&key_of(0x62)).is_some());
+        assert!(reopened.get::<TaskCost>(&key_of(0x63)).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn an_undecodable_input_record_is_recomputed_and_the_later_record_wins() {
-        let dir = unique_dir("nvp_persist_inputs_undecodable");
+    fn an_undecodable_record_is_recomputed_and_the_later_record_wins() {
+        let dir = unique_dir("nvp_persist_undecodable");
         fs::create_dir_all(&dir).unwrap();
-        // A CRC-valid task-cost record one byte short.
-        let mut short = encode_input(&key_of(0x94), &Input::TaskCost(task_cost(4))).unwrap();
-        short.pop();
-        let image = record::log_image(MAGIC, [short], MAX_RECORD_BYTES).unwrap();
+        // A CRC-valid task-cost record and a CRC-valid outcome record,
+        // each one byte short.
+        let (cost_key, outcome_key) = (key_of(0x94), key_of(0x95));
+        let mut short =
+            [encode(&cost_key, &task_cost(4)), encode(&outcome_key, &trial(3))].map(Option::unwrap);
+        for payload in &mut short {
+            payload.pop();
+        }
+        let image = record::log_image(MAGIC, short, MAX_RECORD_BYTES).unwrap();
         fs::write(dir.join("9.log"), image).unwrap();
         let (mut store, loaded) = PersistentStore::open(&dir).unwrap();
-        assert_eq!((loaded.skipped, loaded.quarantined), (0, 0), "its frame is intact");
-        assert!(store.input(&key_of(0x94)).is_none(), "but it is a miss");
-        let cost = Input::TaskCost(task_cost(4));
-        store.append_input(&key_of(0x94), &cost).unwrap();
-        assert_eq!(store.input(&key_of(0x94)).as_ref().map(input_bits), Some(input_bits(&cost)));
-        let (reopened, _) = PersistentStore::open(&dir).unwrap();
-        assert_eq!(reopened.input(&key_of(0x94)).as_ref().map(input_bits), Some(input_bits(&cost)));
+        assert_eq!((loaded.skipped, loaded.quarantined), (0, 0), "their frames are intact");
+        assert!(store.get::<TaskCost>(&cost_key).is_none(), "but the cost is a miss");
+        assert!(store.get::<SimOutcome>(&outcome_key).is_none(), "and so is the outcome");
+        store.append(&cost_key, &task_cost(4)).unwrap();
+        store.append(&outcome_key, &trial(3)).unwrap();
+        for store in [&mut store, &mut PersistentStore::open(&dir).unwrap().0] {
+            let cost = store.get::<TaskCost>(&cost_key);
+            assert_eq!(cost.as_ref().map(cost_bits), Some(cost_bits(&task_cost(4))));
+            assert_eq!(store.get::<SimOutcome>(&outcome_key), Some(trial(3)));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -933,10 +994,8 @@ pub(crate) mod tests {
             duration_s: 0.5,
             outages,
         };
-        let payloads = [
-            encode_input(&key_of(0xa0), &Input::Summary(Arc::new(s))).unwrap(),
-            encode_input(&key_of(0xa1), &Input::TaskCost(task_cost(0))).unwrap(),
-        ];
+        let payloads =
+            [encode(&key_of(0xa0), &s).unwrap(), encode(&key_of(0xa1), &task_cost(0)).unwrap()];
         let image = record::log_image(MAGIC, &payloads, MAX_RECORD_BYTES).unwrap();
         let hex: String = image.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, PINNED_INPUT_SHARD);
@@ -949,29 +1008,29 @@ pub(crate) mod tests {
         // in-process equivalent of two `repro` processes sharing
         // `NVP_CACHE_DIR` — appending into the same shards from two
         // threads.
-        let (a, _) = PersistentStore::open(&dir).unwrap();
-        let (b, _) = PersistentStore::open(&dir).unwrap();
+        let (mut a, _) = PersistentStore::open(&dir).unwrap();
+        let (mut b, _) = PersistentStore::open(&dir).unwrap();
+        let key = |i: u64| nth_key((i % 3) as u8, i);
         std::thread::scope(|s| {
             s.spawn(|| {
                 for i in 0..50u64 {
-                    a.append(&key_of((i % 3) as u8), &plain(i)).unwrap();
+                    a.append(&key(i), &plain(i)).unwrap();
                 }
             });
             s.spawn(|| {
                 for i in 50..100u64 {
-                    b.append(&key_of((i % 3) as u8), &plain(i)).unwrap();
+                    b.append(&key(i), &plain(i)).unwrap();
                 }
             });
         });
-        let (_, loaded) = PersistentStore::open(&dir).unwrap();
+        let (mut reopened, loaded) = PersistentStore::open(&dir).unwrap();
         assert_eq!(loaded.skipped, 0, "interleaved whole-record appends never corrupt");
         assert_eq!(loaded.quarantined, 0);
-        assert_eq!(loaded.records.len(), 100);
-        let mut committed: Vec<u64> =
-            loaded.records.iter().map(|(_, _, o)| o.report.committed).collect();
-        committed.sort_unstable();
-        let expect: Vec<u64> = (0..100).map(|i| 1000 + i).collect();
-        assert_eq!(committed, expect);
+        assert_eq!(reopened.outcomes(), 100);
+        let served: Vec<Option<u64>> =
+            (0..100).map(|i| committed(&mut reopened, &key(i))).collect();
+        let expect: Vec<Option<u64>> = (0..100).map(|i| Some(1000 + i)).collect();
+        assert_eq!(served, expect);
         let _ = fs::remove_dir_all(&dir);
     }
 }

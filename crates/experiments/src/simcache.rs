@@ -38,7 +38,7 @@
 //!
 //! The attached store also keeps the inputs a campaign derives before
 //! it simulates, under keys of their own tags (`:summary`, `:task`):
-//! trace summaries and task costs ([`stored_input`], [`store_input`],
+//! trace summaries and task costs ([`stored`], [`store`],
 //! [`cached_task_cost`]; the record format is in [`crate::persist`]).
 //!
 //! ## One fill rule
@@ -63,26 +63,27 @@
 //! binaries call it (each reads `NVP_CACHE_DIR` itself), and without
 //! that call the cache stays memory-only. Library users, tests and
 //! benchmarks therefore never touch the filesystem, and no
-//! environment variable changes what they do, unless they opt in. Every
-//! first-time insert is appended to the log; reports loaded from disk
-//! are bit-identical to recomputed ones (the key is a SHA-256 of every
-//! simulation input and the value encoding round-trips float bit
-//! patterns), so golden digests cannot tell a warm-disk run from a
-//! cold one.
+//! environment variable changes what they do, unless they opt in.
+//! Attaching indexes the store's records and decodes none. A lookup
+//! the map misses asks the store, which reads and checks that one
+//! record, and counts a disk hit; every first-time simulation is
+//! appended to the log. Outcomes read from disk are bit-identical to
+//! recomputed ones (the key is a SHA-256 of every simulation input and
+//! the value encoding round-trips float bit patterns), so golden
+//! digests cannot tell a warm-disk run from a cold one.
 //!
 //! ## Lifetime
 //!
-//! With a store attached, the map keeps decoded outcomes only while a
-//! job runs. When the last job in flight ends
-//! ([`crate::common::JobScope`]), every outcome the store holds is
-//! demoted to the byte offset of its record ([`demote_stored`]): a
-//! demoted entry is its key and a 16-byte [`Entry`], about 75 bytes
-//! with the map's node overhead, against about 480 decoded. A later
-//! lookup re-reads that one record, checks its CRC and its key, and
-//! counts a disk hit; a record that fails either check is recomputed,
-//! never served. A memory-only cache demotes nothing.
-//! [`sim_cache_memo_stats`] counts resident and demoted entries and the
-//! records reloaded.
+//! The map holds only live slots: outcomes being filled, and decoded
+//! outcomes. With a store attached, it keeps a decoded outcome only
+//! while a job runs. When the last job in flight ends
+//! ([`crate::common::JobScope`]), every filled slot whose key the store
+//! indexes is dropped ([`release_stored`]), and a later lookup reads
+//! that key's record again. A record that fails its CRC, kind or key
+//! check, or does not decode, is recomputed, never served. A
+//! memory-only cache drops nothing. [`sim_cache_memo_stats`] counts
+//! resident outcomes, the outcome keys the store indexes and the
+//! records read.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -96,7 +97,7 @@ use nvp_core::{
 use nvp_energy::Rectifier;
 use nvp_sim::{CycleModel, EnergyModel};
 
-use crate::persist::{Input, PersistentStore};
+use crate::persist::{PersistentStore, Stored};
 use crate::record::{put_f64, put_f64s, put_str, put_u32, put_u64};
 
 /// A 256-bit content digest (cache key).
@@ -612,8 +613,7 @@ where
 enum Origin {
     /// Computed by this process.
     Computed,
-    /// Read from the persistent store: loaded when it was attached, or
-    /// reloaded after a demotion.
+    /// Read from the attached store.
     Disk,
 }
 
@@ -621,28 +621,14 @@ enum Origin {
 struct Resident {
     outcome: SimOutcome,
     origin: Origin,
-    /// The byte offset of the outcome's record in its key's shard of the
-    /// attached store; `None` when no store took it.
-    offset: Option<u64>,
 }
 
 /// A key's one slot: empty while its outcome is being filled.
 type Slot = OnceLock<Resident>;
 
-/// What the sim-cache map holds for a key. The decoded outcome sits
-/// behind the `Live` pointer, so a demoted entry is its key and these
-/// 16 bytes.
-enum Entry {
-    /// The key's slot, being filled or holding its outcome.
-    Live(Arc<Slot>),
-    /// Demoted: only the attached store holds the outcome, in the
-    /// record at this byte offset of the key's shard.
-    Stored(u64),
-}
-
-static CACHE: Mutex<BTreeMap<Digest, Entry>> = Mutex::new(BTreeMap::new());
-/// The attached store, appended to on every miss; `None` is
-/// memory-only.
+static CACHE: Mutex<BTreeMap<Digest, Arc<Slot>>> = Mutex::new(BTreeMap::new());
+/// The attached store, read on every map miss and appended to on every
+/// simulation; `None` is memory-only.
 static PERSIST: Mutex<Option<PersistentStore>> = Mutex::new(None);
 static HITS: AtomicU64 = AtomicU64::new(0);
 static DISK_HITS: AtomicU64 = AtomicU64::new(0);
@@ -653,178 +639,100 @@ static RELOADED: AtomicU64 = AtomicU64::new(0);
 static TASK_COSTS_LOADED: AtomicU64 = AtomicU64::new(0);
 static TASK_COSTS_MEASURED: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
+fn cache() -> MutexGuard<'static, BTreeMap<Digest, Arc<Slot>>> {
     CACHE.lock().expect("sim cache lock")
 }
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
-/// (never the reverse), shared by attaching, loading, appending,
-/// reloading and demoting; an input lookup or append takes [`PERSIST`]
-/// alone. A slot fills (appending or reloading) holding no map lock, so
-/// nothing that holds [`PERSIST`] may wait on a slot.
+/// (never the reverse), shared by attaching, releasing and counting; a
+/// store read or append takes [`PERSIST`] alone. A slot fills (reading
+/// or appending) holding no map lock, so nothing that holds [`PERSIST`]
+/// may wait on a slot.
 fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
     PERSIST.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A filled slot.
-fn filled(outcome: SimOutcome, origin: Origin, offset: Option<u64>) -> Entry {
-    Entry::Live(Arc::new(OnceLock::from(Resident { outcome, origin, offset })))
-}
-
-/// Opens `dir` and merges its records into the in-memory index (never
-/// overwriting an outcome this process already computed). Returns the
-/// number of records now serving from memory that came from disk.
-///
-/// Entries the *previously* attached store supplied are dropped first:
-/// re-pointing the cache at a new directory must not keep serving (or
-/// counting) another directory's records. A demoted entry stays, not
-/// counted, only if the new directory holds a record for its key, and
-/// then names that record. Only
-/// `tests/persist_cache.rs` and the benchmark's probes attach a second
-/// directory in one process. Outcomes this process computed itself
-/// stay, which is safe because keys are content addresses: a hit is
-/// bit-identical wherever it came from. Such an outcome keeps the
-/// offset it was appended at; should it be demoted and that offset not
-/// hold its key's record in the new directory, the reload fails its key
-/// check and the outcome is recomputed. An empty slot may be
-/// mid-simulation, so a disk record replaces it with a filled slot
-/// instead of waiting on it (see [`persist_lock`]); the simulation
-/// finishes into the slot its own waiters hold.
-fn activate(state: &mut Option<PersistentStore>, dir: &Path) -> std::io::Result<u64> {
-    let (store, loaded) = PersistentStore::open(dir)?;
-    QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
-    let mut map = cache();
-    let mut located = None;
-    map.retain(|key, entry| match entry {
-        Entry::Live(slot) => slot.get().is_none_or(|r| r.origin == Origin::Computed),
-        Entry::Stored(offset) => {
-            let located = located.get_or_insert_with(|| {
-                let mut first = BTreeMap::new();
-                for (key, offset, _) in &loaded.records {
-                    first.entry(*key).or_insert(*offset);
-                }
-                first
-            });
-            located.get(key).map(|&at| *offset = at).is_some()
-        }
-    });
-    let mut merged = 0u64;
-    for (key, offset, outcome) in loaded.records {
-        let empty = map
-            .get(&key)
-            .is_none_or(|entry| matches!(entry, Entry::Live(slot) if slot.get().is_none()));
-        if empty {
-            map.insert(key, filled(outcome, Origin::Disk, Some(offset)));
-            merged += 1;
-        }
-    }
-    drop(map);
-    *state = Some(store);
-    Ok(merged)
-}
-
 /// Points the simulation cache at a persistent directory (`Some`) or
 /// makes it memory-only (`None`, the state before any call). Opening a
-/// directory loads every valid outcome record into the in-memory index
-/// immediately and returns how many were merged; subsequent first-time
-/// simulations are appended to it. Its input records (trace summaries
-/// and task costs) are indexed by key, decoded when looked up, and not
-/// counted. On `Err` the cache falls back to memory-only — a
-/// broken cache directory costs time, never a run.
+/// directory indexes every record it holds (outcomes, trace summaries
+/// and task costs) and decodes none: a lookup the map misses reads its
+/// one record. Returns the number of distinct outcome keys the store
+/// indexes; subsequent first-time simulations are appended to it. On
+/// `Err` the cache falls back to memory-only — a broken cache directory
+/// costs time, never a run.
 ///
 /// The `repro` binary calls this with `$NVP_CACHE_DIR` or
 /// `<out_dir>/.simcache` (not at all under `--no-cache`), `nvpd serve`
 /// with its state directory's store or `$NVP_CACHE_DIR`; benchmarks
 /// call it to measure cold/warm/reload behavior. Calling it again
-/// re-attaches: pointing at the same directory after
-/// [`reset_sim_cache`] reloads the log from disk, and pointing at a
-/// *different* directory first drops every entry the old store
-/// contributed, so records never leak between cache directories (see
-/// `tests/persist_cache.rs`). Every call forgets the task costs
-/// memoized so far, as [`reset_sim_cache`] does; the input records go
-/// with the store that indexed them.
+/// re-attaches: it drops the previous store and every outcome the map
+/// read from it, so records never leak between cache directories (see
+/// `tests/persist_cache.rs`). Outcomes this process computed stay,
+/// which is safe because keys are content addresses: a hit is
+/// bit-identical wherever it came from. Every call forgets the task
+/// costs memoized so far, as [`reset_sim_cache`] does.
 pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
     let mut state = persist_lock();
     *state = None;
     crate::common::forget_task_costs();
-    dir.map_or(Ok(0), |d| activate(&mut state, d))
+    cache().retain(|_, slot| slot.get().is_none_or(|r| r.origin == Origin::Computed));
+    let Some(dir) = dir else { return Ok(0) };
+    let (store, loaded) = PersistentStore::open(dir)?;
+    QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
+    let outcomes = store.outcomes();
+    *state = Some(store);
+    Ok(outcomes)
 }
 
-/// The input recorded under `key` in the attached store; `None` when
+/// The value recorded under `key` in the attached store; `None` when
 /// the cache is memory-only or no intact record under `key` decodes.
-pub(crate) fn stored_input(key: &Digest) -> Option<Input> {
-    persist_lock().as_ref()?.input(key)
+pub(crate) fn stored<T: Stored>(key: &Digest) -> Option<T> {
+    persist_lock().as_mut()?.get(key)
 }
 
-/// Best-effort append of a computed input to the attached store: a
-/// value the store refuses is recomputed when next needed.
-pub(crate) fn store_input(key: &Digest, input: &Input) {
-    if let Some(store) = persist_lock().as_mut() {
-        let _ = store.append_input(key, input);
-    }
+/// Best-effort append of a computed value to the attached store: a
+/// value the store refuses is recomputed when next needed. Returns
+/// whether the store took it.
+pub(crate) fn store<T: Stored>(key: &Digest, value: &T) -> bool {
+    persist_lock().as_mut().is_some_and(|store| store.append(key, value).is_ok())
 }
 
 /// A program's unconstrained task cost, keyed by `key`: read from the
 /// attached store, or measured by `measure` and stored.
 pub(crate) fn cached_task_cost(key: &Digest, measure: impl FnOnce() -> TaskCost) -> TaskCost {
-    if let Some(Input::TaskCost(cost)) = stored_input(key) {
+    if let Some(cost) = stored(key) {
         TASK_COSTS_LOADED.fetch_add(1, Ordering::Relaxed);
         return cost;
     }
     TASK_COSTS_MEASURED.fetch_add(1, Ordering::Relaxed);
     let cost = measure();
-    store_input(key, &Input::TaskCost(cost));
+    store(key, &cost);
     cost
-}
-
-/// Best-effort append of a freshly computed outcome to the attached
-/// store; returns where the record landed.
-fn persist_append(key: &Digest, outcome: &SimOutcome) -> Option<u64> {
-    let state = persist_lock();
-    let offset = state.as_ref()?.append(key, outcome).ok()?;
-    PERSISTED.fetch_add(1, Ordering::Relaxed);
-    Some(offset)
-}
-
-/// Re-reads a demoted outcome from the attached store: `None` when no
-/// store is attached or its record fails the store's checks.
-fn reload(key: &Digest, offset: u64) -> Option<SimOutcome> {
-    let outcome = persist_lock().as_ref()?.read(key, offset)?;
-    RELOADED.fetch_add(1, Ordering::Relaxed);
-    Some(outcome)
 }
 
 /// Returns the cached outcome for `key`, or computes it with `run`,
 /// appends it to the persistent store and caches it, all through the
 /// key's one slot. Distinct keys simulate in parallel; a caller that
 /// arrives while its key is being filled waits for that one fill and
-/// counts a hit. A demoted key refills from its record and counts a
-/// disk hit; should the record fail its checks, `run` recomputes it. A
-/// miss is counted exactly when `run` ran here. A panicking `run`
-/// leaves the key empty for the next caller.
+/// counts a hit. A key the map does not hold fills from its record in
+/// the attached store and counts a disk hit; should the store hold no
+/// record that passes its checks, `run` recomputes it. A miss is
+/// counted exactly when `run` ran here. A panicking `run` leaves the key
+/// empty for the next caller.
 pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
-    let (slot, stored) = {
-        let mut map = cache();
-        let entry = map.entry(key).or_insert_with(|| Entry::Live(Arc::default()));
-        match entry {
-            Entry::Live(slot) => (Arc::clone(slot), None),
-            Entry::Stored(offset) => {
-                let stored = Some(*offset);
-                let slot = Arc::<Slot>::default();
-                *entry = Entry::Live(Arc::clone(&slot));
-                (slot, stored)
-            }
-        }
-    };
+    let slot = Arc::clone(cache().entry(key).or_default());
     let mut ran = false;
     let resident = slot.get_or_init(|| {
-        if let Some(outcome) = stored.and_then(|offset| reload(&key, offset)) {
-            return Resident { outcome, origin: Origin::Disk, offset: stored };
+        if let Some(outcome) = stored(&key) {
+            RELOADED.fetch_add(1, Ordering::Relaxed);
+            return Resident { outcome, origin: Origin::Disk };
         }
         ran = true;
         let outcome = run();
-        let offset = persist_append(&key, &outcome);
-        Resident { outcome, origin: Origin::Computed, offset }
+        if store(&key, &outcome) {
+            PERSISTED.fetch_add(1, Ordering::Relaxed);
+        }
+        Resident { outcome, origin: Origin::Computed }
     });
     if ran {
         MISSES.fetch_add(1, Ordering::Relaxed);
@@ -842,22 +750,15 @@ pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunRep
     cached_outcome(key, || SimOutcome { report: run(), latencies_ms: Vec::new() }).report
 }
 
-/// Demotes every resident outcome the attached store holds to the
-/// offset of its record (see the module's *Lifetime* section). Memory-only caches, and outcomes the store
-/// refused, stay resident. [`crate::common::JobScope`] calls this when
-/// the last job in flight ends; a caller still holding a slot keeps
-/// its outcome.
-pub(crate) fn demote_stored() {
+/// Drops every filled slot whose key the attached store indexes (see
+/// the module's *Lifetime* section). Memory-only caches, and outcomes
+/// the store refused, stay resident. [`crate::common::JobScope`] calls
+/// this when the last job in flight ends; a caller still holding a slot
+/// keeps its outcome.
+pub(crate) fn release_stored() {
     let state = persist_lock();
-    if state.is_none() {
-        return;
-    }
-    for entry in cache().values_mut() {
-        if let Entry::Live(slot) = entry {
-            if let Some(offset) = slot.get().and_then(|r| r.offset) {
-                *entry = Entry::Stored(offset);
-            }
-        }
+    if let Some(store) = state.as_ref() {
+        cache().retain(|key, slot| slot.get().is_none() || !store.indexes(key));
     }
 }
 
@@ -873,18 +774,19 @@ pub fn sim_cache_stats() -> SimCacheStats {
     }
 }
 
-/// What the sim-cache map holds, how often it re-read a record, and
-/// where its task costs came from (process-wide, via
+/// What the sim-cache map and its store hold, how often a lookup read a
+/// record, and where its task costs came from (process-wide, via
 /// [`sim_cache_memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheMemoStats {
     /// Outcomes held decoded right now.
     pub resident: u64,
-    /// Outcomes held only as the location of their record in the
-    /// attached store; zero without one.
+    /// Distinct outcome keys the attached store indexes; zero without
+    /// one. Between jobs none of them is resident.
     pub on_disk: u64,
-    /// Demoted outcomes re-read from their record since the process
-    /// started or the cache was last reset.
+    /// Outcomes read from the attached store's records since the
+    /// process started or the cache was last reset: one per key a job
+    /// looked up while the map did not hold it.
     pub reloaded: u64,
     /// Task costs read from the attached store's records since the
     /// process started or the cache was last reset.
@@ -897,19 +799,15 @@ pub struct SimCacheMemoStats {
 /// Process-wide sim-cache memo counters.
 #[must_use]
 pub fn sim_cache_memo_stats() -> SimCacheMemoStats {
-    let mut stats = SimCacheMemoStats {
+    let on_disk = persist_lock().as_ref().map_or(0, PersistentStore::outcomes);
+    let resident = cache().values().filter(|slot| slot.get().is_some()).count() as u64;
+    SimCacheMemoStats {
+        resident,
+        on_disk,
         reloaded: RELOADED.load(Ordering::Relaxed),
         task_costs_loaded: TASK_COSTS_LOADED.load(Ordering::Relaxed),
         task_costs_measured: TASK_COSTS_MEASURED.load(Ordering::Relaxed),
-        ..Default::default()
-    };
-    for entry in cache().values() {
-        match entry {
-            Entry::Live(slot) => stats.resident += u64::from(slot.get().is_some()),
-            Entry::Stored(_) => stats.on_disk += 1,
-        }
     }
-    stats
 }
 
 /// Bytes cache-key derivation has hashed over the life of the process:
@@ -925,9 +823,9 @@ pub fn key_bytes_hashed() -> u64 {
 /// Clears the in-memory simulation cache and its counters (benchmarks
 /// use this to measure cold- vs warm-cache runs), and forgets the task
 /// costs memoized so far, as a new process would start. The attached
-/// store — its input index and any on-disk records — is untouched: an
-/// input is still read from it, and re-pointing [`set_cache_dir`] at
-/// the directory reloads its outcomes.
+/// store — its index and its records — is untouched: a lookup still
+/// reads it, and re-pointing [`set_cache_dir`] at the directory
+/// indexes it afresh.
 pub fn reset_sim_cache() {
     cache().clear();
     crate::common::forget_task_costs();
@@ -1196,14 +1094,6 @@ mod tests {
                 &|p| twice(&mut p.retry_backoff),
             ],
         );
-    }
-
-    #[test]
-    fn a_demoted_entry_is_its_key_and_an_offset() {
-        // The decoded outcome sits behind `Live`'s pointer, never inline:
-        // a B-tree node slot of a demoted key is 48 bytes.
-        assert_eq!(std::mem::size_of::<Entry>(), 16);
-        assert_eq!(std::mem::size_of::<(Digest, Entry)>(), 48);
     }
 
     #[test]

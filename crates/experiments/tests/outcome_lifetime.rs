@@ -1,7 +1,8 @@
 //! How long decoded simulation outcomes live. With a persistent store
-//! attached, the sim-cache demotes every stored outcome to the location
-//! of its record when the last job in flight ends, and a later lookup
-//! re-reads that one record; without a store nothing is demoted. The
+//! attached, the sim-cache drops every outcome the store indexes when
+//! the last job in flight ends (it is demoted to its record), and a
+//! later lookup re-reads that one record; without a store nothing is
+//! demoted. The
 //! sim-cache and its counters are process-global, which is why these
 //! checks live in their own test binary rather than among the crate's
 //! parallel unit tests.
@@ -95,9 +96,9 @@ fn finished_jobs_keep_only_the_location_of_stored_outcomes() {
 }
 
 /// Attaching keeps its rules for demoted outcomes: re-attaching the
-/// same directory merges nothing and keeps every location, and
-/// switching to another directory drops them all, so nothing recorded
-/// under the old one is served.
+/// same directory indexes every record again and decodes none, and
+/// switching to another directory indexes none of the old one's, so
+/// nothing recorded under the old one is served.
 #[test]
 fn demoted_outcomes_follow_the_attach_rules() {
     let _guard = global_cache_lock();
@@ -107,7 +108,7 @@ fn demoted_outcomes_follow_the_attach_rules() {
     let demoted = sim_cache_memo_stats();
     assert_eq!(demoted.on_disk, first.cache.misses);
 
-    assert_eq!(set_cache_dir(Some(&dir_a)).unwrap(), 0, "memory already covers every record");
+    assert_eq!(set_cache_dir(Some(&dir_a)).unwrap(), first.cache.misses, "A indexes every record");
     assert_eq!(sim_cache_memo_stats(), demoted, "every location is kept");
 
     let dir_b = unique_dir("nvp_outcome_lifetime_attach_b");

@@ -119,10 +119,10 @@ fn reopening_and_reappending_does_not_corrupt() {
     let first = sim_cache_stats();
 
     // Re-open mid-life (second writer semantics) and run again: the
-    // warm in-memory index means no new appends, and the reload merged
-    // exactly the records the first pass persisted.
-    let merged = set_cache_dir(Some(&cache_dir)).unwrap();
-    assert_eq!(merged, 0, "in-memory entries already cover every disk record");
+    // store indexes exactly the records the first pass persisted, and
+    // the warm rerun appends nothing.
+    let indexed = set_cache_dir(Some(&cache_dir)).unwrap();
+    assert_eq!(indexed, first.persisted, "the store indexes every persisted record");
     run_all(&cfg, &out_b).unwrap();
     let second = sim_cache_stats();
     assert_eq!(second.persisted, first.persisted, "warm rerun appended records");

@@ -20,8 +20,8 @@ use nvp_experiments::wire::{
     request_key, write_frame, Message, MAX_FRAME_BYTES, PROTOCOL,
 };
 use nvp_experiments::{
-    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, CampaignResult,
-    ExpConfig, Table,
+    client, reset_sim_cache, run_request, set_cache_dir, sim_cache_memo_stats, CampaignRequest,
+    CampaignResult, ExpConfig, Table,
 };
 use nvpd::{Server, ServerConfig, ServerStats};
 
@@ -358,6 +358,49 @@ fn identical_resubmission_replays_without_resimulation() {
     assert_eq!((stats.accepted, stats.completed, stats.replayed), (2, 2, 1));
 
     reset_sim_cache();
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// A stateful server restarted over its filled store, attached as
+/// `nvpd serve --state-dir` attaches it, that only replays a job decodes
+/// no outcome: the attach indexes the store, and the replay reads none
+/// of it.
+#[test]
+fn a_restarted_server_that_only_replays_holds_no_outcome() {
+    let _guard = cache_lock();
+    let state_dir = scratch("restart");
+    let store = state_dir.join("simcache");
+    let mut request = CampaignRequest::only(ExpConfig::quick(), &["f3"]);
+    request.seed = Some(13);
+    let config = || ServerConfig {
+        max_jobs: Some(1),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    };
+
+    reset_sim_cache();
+    set_cache_dir(Some(&store)).expect("attach the server's store");
+    let (addr, handle) = start_server(config());
+    let first = client::submit(&addr.to_string(), &request).expect("cold submission");
+    assert!(!first.replayed && first.result.cache.misses > 0, "the first server simulates");
+    handle.join().expect("server thread").expect("server run");
+
+    // The restart: a fresh index over the same store, as a new process
+    // attaches it.
+    reset_sim_cache();
+    let indexed = set_cache_dir(Some(&store)).expect("re-attach the server's store");
+    assert_eq!(indexed, first.result.cache.misses, "the store indexes every outcome");
+    let (addr, handle) = start_server(config());
+    let second = client::submit(&addr.to_string(), &request).expect("resubmission");
+    assert!(second.replayed, "the restarted server replays");
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!((stats.completed, stats.replayed), (1, 1));
+    let memo = sim_cache_memo_stats();
+    assert_eq!(memo.resident, 0, "a server that only replays holds no outcome");
+    assert_eq!((memo.on_disk, memo.reloaded), (indexed, 0), "and reads no record");
+
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
     let _ = fs::remove_dir_all(&state_dir);
 }
 

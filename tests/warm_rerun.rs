@@ -61,7 +61,7 @@ fn inputs_computed() -> u64 {
 
 /// What one rerun over the attached store did.
 struct Rerun {
-    /// Outcome records the attach merged.
+    /// Outcome keys the attach indexed.
     loaded: u64,
     /// Shards the attach quarantined.
     quarantined: u64,
@@ -112,12 +112,19 @@ fn a_warm_quick_campaign_only_looks_things_up() {
     );
 
     // A fresh index over the filled store, as a new process would load.
+    // The attach only indexes: no outcome is decoded until it is looked
+    // up, and the finished campaign holds none.
     reset_sim_cache();
     assert_eq!(set_cache_dir(Some(&store)).unwrap(), cold.cache.misses, "the store reloads");
+    let attached = sim_cache_memo_stats();
+    assert_eq!(attached.resident, 0, "the attach decodes no outcome");
+    assert_eq!(attached.on_disk, cold.cache.misses, "it indexes every stored outcome");
     let before = trace_memo_stats();
     let warm = run_request(&request).unwrap();
     let traces = trace_memo_stats();
     let inputs = sim_cache_memo_stats();
+    assert_eq!(inputs.reloaded - attached.reloaded, cold.cache.misses, "one read per key");
+    assert_eq!(inputs.resident, 0, "and the finished campaign holds none decoded");
 
     assert_eq!(warm.cache.misses, 0, "the warm campaign simulates nothing");
     assert!(warm.cache.disk_hits > 0, "it is served from disk");
