@@ -86,6 +86,6 @@ pub use nvp_energy::{EnergyFrontEnd, FrontEndConfig, TickIncome};
 pub use platform::{drive, drive_observed, NullObserver, Platform, SimEvent, SimObserver};
 pub use policy::{BackupPolicy, Thresholds};
 pub use system::{
-    measure_task, EnergyBreakdown, IntermittentSystem, RunReport, SystemConfig, TaskCost,
+    measure_task, EnergyBreakdown, IntermittentSystem, RunReport, StreamUse, SystemConfig, TaskCost,
 };
 pub use wait::{WaitComputeConfig, WaitComputeSystem};

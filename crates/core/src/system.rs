@@ -11,8 +11,8 @@ use nvp_isa::Program;
 use std::sync::Arc;
 
 use nvp_sim::{
-    torn_prefix_words, ArchState, Checkpoint, CycleModel, EnergyModel, Machine, MachineImage,
-    SimError, CHECKPOINT_WORDS, DEFAULT_DMEM_WORDS,
+    torn_prefix_words, BlockStats, BlockStream, Checkpoint, CycleModel, EnergyModel, Machine,
+    MachineImage, SimError, StreamCore, StreamPos, CHECKPOINT_WORDS, DEFAULT_DMEM_WORDS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -305,9 +305,79 @@ enum Phase {
 /// number so restore can prefer the newest image.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
-    ckpt: Checkpoint,
+    image: Image,
     committed_at: u64,
     seq: u64,
+}
+
+/// What a checkpoint holds.
+#[derive(Debug, Clone, Copy)]
+enum Image {
+    /// The registers and pc, sealed (or torn) with their CRC.
+    Sealed(Checkpoint),
+    /// The block-stream position the checkpoint was taken at, while the
+    /// run follows its stream.
+    At(StreamPos),
+}
+
+impl Image {
+    fn verify(&self) -> bool {
+        match self {
+            Image::Sealed(ckpt) => ckpt.verify(),
+            Image::At(_) => true,
+        }
+    }
+}
+
+/// What executes the program: the block engine on a real machine, or a
+/// [`StreamCore`] standing in for it while a fault-free run follows its
+/// program's recorded [`BlockStream`].
+#[derive(Debug, Clone)]
+enum Core {
+    Machine(Machine),
+    Stream(StreamCore),
+}
+
+impl Core {
+    fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+        match self {
+            Core::Machine(m) => m.run_blocks(max_insts),
+            Core::Stream(s) => Ok(s.run_blocks(max_insts)),
+        }
+    }
+
+    fn halted(&self) -> bool {
+        match self {
+            Core::Machine(m) => m.halted(),
+            Core::Stream(s) => s.halted(),
+        }
+    }
+
+    /// A checkpoint of the current state.
+    fn image(&self) -> Image {
+        match self {
+            Core::Machine(m) => Image::Sealed(Checkpoint::seal(&m.snapshot())),
+            Core::Stream(s) => Image::At(s.position()),
+        }
+    }
+
+    fn restore(&mut self, image: &Image) {
+        match (self, image) {
+            (Core::Machine(m), Image::Sealed(ckpt)) => m.restore(&ckpt.state()),
+            (Core::Stream(s), Image::At(pos)) => s.restore(pos),
+            _ => unreachable!("leaving the stream seals every stored position"),
+        }
+    }
+}
+
+/// How a system built with [`IntermittentSystem::replaying`] used its
+/// block stream.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamUse {
+    /// Instructions the stream served.
+    pub served: u64,
+    /// Whether the run left the stream for the block engine.
+    pub left: bool,
 }
 
 /// An intermittently powered platform with checkpointing.
@@ -348,7 +418,11 @@ pub struct IntermittentSystem {
     /// Shared immutable program image (decoded code + block plans);
     /// campaigns running many trials of one program share a single image.
     image: Arc<MachineImage>,
-    machine: Machine,
+    core: Core,
+    /// Built with [`replaying`](Self::replaying).
+    replaying: bool,
+    /// Instructions executed when the run left its stream.
+    left_at: Option<u64>,
     fe: EnergyFrontEnd,
     phase: Phase,
     /// Two-slot checkpoint store (A/B images, as in Freezer-class backup
@@ -357,8 +431,8 @@ pub struct IntermittentSystem {
     slots: [Option<Slot>; 2],
     write_idx: usize,
     next_seq: u64,
-    /// Snapshot taken at backup start, sealed when the write completes.
-    pending: Option<ArchState>,
+    /// Checkpoint taken at backup start, stored when the write completes.
+    pending: Option<Image>,
     fault: FaultPlan,
     rng: StdRng,
     backup_attempts: u32,
@@ -431,7 +505,53 @@ impl IntermittentSystem {
         policy: BackupPolicy,
         fault: FaultPlan,
     ) -> Self {
-        let machine = Machine::from_image(image);
+        let core = Core::Machine(Machine::from_image(image));
+        Self::on_core(image, core, config, backup, policy, fault)
+    }
+
+    /// A fault-free platform over a prebuilt image that serves execution
+    /// from `stream`, the image's program's [`BlockStream`], for as long
+    /// as the run follows it. Its reports are bit-identical to
+    /// [`with_faults_on_image`](Self::with_faults_on_image) with
+    /// [`FaultPlan::none`]:
+    ///
+    /// * a checkpoint stores the stream position, not a register image;
+    /// * a rollback with volatile data memory restarts the stream;
+    /// * the first rollback onto nonvolatile data leaves the stream for
+    ///   good, since re-executed instructions may read data the lost
+    ///   work changed: the real machine and every stored checkpoint's
+    ///   register image are rebuilt with the block engine, which runs
+    ///   the rest. So does a restart mid-task, [`set_input`](Self::set_input),
+    ///   and every fault path.
+    ///
+    /// A stream recorded from another program or data memory serves
+    /// nothing. [`stream_use`](Self::stream_use) reports what it served.
+    #[must_use]
+    pub fn replaying(
+        image: &Arc<MachineImage>,
+        stream: &Arc<BlockStream>,
+        config: SystemConfig,
+        backup: BackupModel,
+        policy: BackupPolicy,
+    ) -> Self {
+        let (core, left_at) = match StreamCore::new(image, stream) {
+            Some(core) => (Core::Stream(core), None),
+            None => (Core::Machine(Machine::from_image(image)), Some(0)),
+        };
+        let mut system = Self::on_core(image, core, config, backup, policy, FaultPlan::none());
+        system.replaying = true;
+        system.left_at = left_at;
+        system
+    }
+
+    fn on_core(
+        image: &Arc<MachineImage>,
+        core: Core,
+        config: SystemConfig,
+        backup: BackupModel,
+        policy: BackupPolicy,
+        fault: FaultPlan,
+    ) -> Self {
         let thresholds = config.thresholds(&backup, &policy);
         let fe = EnergyFrontEnd::new(config.front_end());
         let rng = StdRng::seed_from_u64(fault.seed);
@@ -441,7 +561,9 @@ impl IntermittentSystem {
             policy,
             thresholds,
             image: Arc::clone(image),
-            machine,
+            core,
+            replaying: false,
+            left_at: None,
             fe,
             phase: Phase::Off,
             slots: [None, None],
@@ -463,16 +585,79 @@ impl IntermittentSystem {
     }
 
     /// Read access to the machine (for output/quality inspection).
+    ///
+    /// # Panics
+    ///
+    /// If the system was built with [`replaying`](Self::replaying): its
+    /// run keeps no machine whose counters and output log are the run's.
     #[must_use]
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        match &self.core {
+            Core::Machine(m) if !self.replaying => m,
+            _ => panic!("a system replaying a block stream keeps no machine to inspect"),
+        }
     }
 
     /// Latches a sensor value on input `port` for subsequent `in`
     /// instructions — the one piece of machine state a test harness or
     /// sensor model may poke while the platform runs.
     pub fn set_input(&mut self, port: u8, value: u16) {
-        self.machine.set_input(port, value);
+        self.leave_stream().set_input(port, value);
+    }
+
+    /// How a system built with [`replaying`](Self::replaying) has used
+    /// its stream so far; `None` for any other system.
+    #[must_use]
+    pub fn stream_use(&self) -> Option<StreamUse> {
+        self.replaying.then(|| StreamUse {
+            served: self.left_at.unwrap_or(self.report.executed),
+            left: self.left_at.is_some(),
+        })
+    }
+
+    /// Leaves the block stream for good, if the run is on one: rebuilds
+    /// the real machine at the stream's position with the block engine,
+    /// and seals every stored or pending checkpoint's register image at
+    /// its position. Returns the machine.
+    fn leave_stream(&mut self) -> &mut Machine {
+        if let Core::Stream(stream) = &self.core {
+            let mut images: Vec<&mut Image> = self
+                .slots
+                .iter_mut()
+                .flatten()
+                .map(|slot| &mut slot.image)
+                .chain(self.pending.as_mut())
+                .collect();
+            let marks: Vec<StreamPos> = images
+                .iter()
+                .map(|image| match image {
+                    Image::At(pos) => *pos,
+                    Image::Sealed(_) => unreachable!("a run on its stream seals no image"),
+                })
+                .collect();
+            let (machine, states) = stream.rebuild(&marks);
+            for (image, state) in images.iter_mut().zip(&states) {
+                **image = Image::Sealed(Checkpoint::seal(state));
+            }
+            self.left_at = Some(self.report.executed);
+            self.core = Core::Machine(machine);
+        }
+        match &mut self.core {
+            Core::Machine(m) => m,
+            Core::Stream(_) => unreachable!("the stream was left above"),
+        }
+    }
+
+    /// Clears the registers and returns to the entry point, as
+    /// [`Machine::reset_volatile`]; a stream follows only at a task
+    /// boundary, so a restart mid-task leaves it.
+    fn reset_volatile(&mut self) {
+        if let Core::Stream(stream) = &mut self.core {
+            if stream.reset_volatile() {
+                return;
+            }
+        }
+        self.leave_stream().reset_volatile();
     }
 
     /// The accumulated report so far.
@@ -621,16 +806,16 @@ impl IntermittentSystem {
     /// event (backup trigger, halt, brown-out) changes phase. Returns the
     /// remaining (possibly slightly negative) budget.
     ///
-    /// Instructions run in batches: using the machine's worst-case
+    /// Instructions run in batches: using the image's worst-case
     /// per-step cost, a block size is chosen such that no energy floor,
     /// periodic-checkpoint deadline, or brown-out can be crossed inside
     /// the block, so the threshold checks only need to run per block.
-    /// When the remaining slack admits fewer than two instructions, the
-    /// loop falls back to the exact single-step path.
+    /// When the remaining slack admits no whole worst-case instruction,
+    /// the batch is one instruction, which may brown out.
     fn run_active(&mut self, mut budget: f64, obs: &mut dyn SimObserver) -> Result<f64, SimError> {
         let clock = self.current_clock_hz;
-        let max_step_s = f64::from(self.machine.max_step_cycles()) / clock;
-        let max_step_j = self.machine.max_step_energy_j();
+        let max_step_s = f64::from(self.image.max_step_cycles()) / clock;
+        let max_step_j = self.image.max_step_energy_j();
         while budget > 1e-12 {
             // Demand backup when energy reaches the reserve floor.
             if self.thresholds.backup_reserve > Joules::ZERO
@@ -646,7 +831,7 @@ impl IntermittentSystem {
                     return Ok(budget);
                 }
             }
-            if self.machine.halted() {
+            if self.core.halted() {
                 self.finish_task(obs)?;
                 if self.phase == Phase::Done {
                     return Ok(budget);
@@ -661,45 +846,26 @@ impl IntermittentSystem {
             if let Some(interval) = self.policy.interval_s() {
                 block = block.min(safe_count(interval - self.since_ckpt_s, max_step_s));
             }
-            if block >= 2 {
-                let stats = self.machine.run_blocks(block)?;
-                let t = stats.cycles as f64 / clock;
-                budget -= t;
-                self.report.on_time_s += t;
-                self.since_ckpt_s += t;
-                self.report.executed += stats.executed;
-                self.uncommitted += stats.executed;
-                self.report.energy.compute += Joules::new(stats.energy_j);
-                if !self.fe.storage_mut().draw_j(stats.energy_j) {
-                    // Unreachable under the block bound, but kept so the
-                    // brown-out path cannot be silently skipped.
-                    self.fe.storage_mut().deplete();
-                    obs.on_event(self.report.duration_s, SimEvent::BrownOut);
-                    self.rollback(obs)?;
-                    return Ok(budget);
-                }
-                if stats.checkpoint {
-                    self.begin_backup(true, obs);
-                    return Ok(budget);
-                }
-                continue;
-            }
-            let step = self.machine.step()?;
-            let t = f64::from(step.cycles) / clock;
+            let stats = self.core.run_blocks(block.max(1))?;
+            let t = stats.cycles as f64 / clock;
             budget -= t;
             self.report.on_time_s += t;
             self.since_ckpt_s += t;
-            self.report.executed += 1;
-            self.uncommitted += 1;
-            self.report.energy.compute += Joules::new(step.energy_j);
-            if !self.fe.storage_mut().draw_j(step.energy_j) {
-                // Brown-out mid-instruction: volatile state is gone.
+            self.report.executed += stats.executed;
+            self.uncommitted += stats.executed;
+            self.report.energy.compute += Joules::new(stats.energy_j);
+            if !self.fe.storage_mut().draw_j(stats.energy_j) {
+                // The one-instruction brown-out: a block within the
+                // bound is always paid for, but when the energy above
+                // the floor is under one worst-case instruction the
+                // bound admits none and the single instruction run
+                // anyway may not be. Volatile state is gone.
                 self.fe.storage_mut().deplete();
                 obs.on_event(self.report.duration_s, SimEvent::BrownOut);
                 self.rollback(obs)?;
                 return Ok(budget);
             }
-            if step.checkpoint {
+            if stats.checkpoint {
                 // Program-requested checkpoint (`ckpt` instruction).
                 self.begin_backup(true, obs);
                 return Ok(budget);
@@ -716,7 +882,7 @@ impl IntermittentSystem {
             self.report.energy.backup += self.backup.backup_energy;
             self.report.backups += 1;
             obs.on_event(self.report.duration_s, SimEvent::Backup);
-            self.pending = Some(self.machine.snapshot());
+            self.pending = Some(self.core.image());
             self.backup_attempts = 0;
             self.phase = Phase::BackingUp { left_s: self.backup.backup_time.get(), resume };
         } else {
@@ -744,7 +910,7 @@ impl IntermittentSystem {
         self.durable_anchor = self.report.committed;
         obs.on_event(self.report.duration_s, SimEvent::TaskCommit);
         if self.config.restart_on_halt {
-            self.machine.reset_volatile();
+            self.reset_volatile();
         } else {
             self.phase = Phase::Done;
         }
@@ -758,11 +924,16 @@ impl IntermittentSystem {
         self.uncommitted = 0;
         obs.on_event(self.report.duration_s, SimEvent::Rollback);
         if self.config.dmem_nonvolatile {
-            self.machine.reset_volatile();
+            // Re-execution from the last checkpoint runs against data
+            // the lost work may have changed: no stream follows it.
+            self.leave_stream().reset_volatile();
         } else {
             // Volatile SRAM: rebuild the machine, losing data memory too,
             // and invalidate the checkpoints (they reference lost data).
-            self.machine = Machine::from_image(&self.image);
+            match &mut self.core {
+                Core::Machine(m) => *m = Machine::from_image(&self.image),
+                Core::Stream(s) => s.reset(),
+            }
             self.slots = [None, None];
             self.write_idx = 0;
         }
@@ -776,11 +947,10 @@ impl IntermittentSystem {
     /// completes untorn; `committed_at` records the post-commit count
     /// so fallback restores can account re-execution precisely.
     fn seal_backup(&mut self) {
-        let state = self.pending.take().unwrap_or_else(|| self.machine.snapshot());
+        let image = self.pending.take().unwrap_or_else(|| self.core.image());
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.slots[self.write_idx] =
-            Some(Slot { ckpt: Checkpoint::seal(&state), committed_at: self.report.committed, seq });
+        self.slots[self.write_idx] = Some(Slot { image, committed_at: self.report.committed, seq });
         self.write_idx ^= 1;
     }
 
@@ -791,13 +961,20 @@ impl IntermittentSystem {
     fn torn_backup(&mut self, resume: bool, obs: &mut dyn SimObserver) {
         self.report.backups_torn += 1;
         obs.on_event(self.report.duration_s, SimEvent::BackupTorn);
-        let state = self.pending.unwrap_or_else(|| self.machine.snapshot());
+        let now = self.leave_stream().snapshot();
+        let state = match self.pending {
+            Some(Image::Sealed(ckpt)) => ckpt.state(),
+            _ => now,
+        };
         let written = torn_prefix_words(CHECKPOINT_WORDS, self.rng.random::<f64>());
-        let prev = self.slots[self.write_idx].map(|s| s.ckpt);
+        let prev = match self.slots[self.write_idx] {
+            Some(Slot { image: Image::Sealed(ckpt), .. }) => Some(ckpt),
+            _ => None,
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         self.slots[self.write_idx] = Some(Slot {
-            ckpt: Checkpoint::torn(&state, prev.as_ref(), written),
+            image: Image::Sealed(Checkpoint::torn(&state, prev.as_ref(), written)),
             committed_at: self.report.committed + self.uncommitted,
             seq,
         });
@@ -839,8 +1016,12 @@ impl IntermittentSystem {
             return;
         }
         let odds = retention.decay_odds(self.off_since_s);
+        self.leave_stream();
         for slot in self.slots.iter_mut().flatten() {
-            for w in slot.ckpt.words_mut() {
+            let Image::Sealed(ckpt) = &mut slot.image else {
+                unreachable!("leaving the stream seals every stored position")
+            };
+            for w in ckpt.words_mut() {
                 let (decayed, _flips) = odds.degrade(*w, &mut self.rng);
                 *w = decayed;
             }
@@ -870,8 +1051,8 @@ impl IntermittentSystem {
         let mut dropped_newer = false;
         for idx in order.into_iter().flatten() {
             let slot = self.slots[idx].expect("order only lists occupied slots");
-            if slot.ckpt.verify() {
-                self.machine.restore(&slot.ckpt.state());
+            if slot.image.verify() {
+                self.core.restore(&slot.image);
                 if dropped_newer {
                     // Commits recorded after this older image must be
                     // re-executed to reach the same point again.
@@ -894,7 +1075,7 @@ impl IntermittentSystem {
         } else {
             // First boot (or post-rollback on volatile memory): nothing
             // saved yet, start from the entry point.
-            self.machine.reset_volatile();
+            self.reset_volatile();
         }
     }
 
@@ -907,7 +1088,7 @@ impl IntermittentSystem {
         self.pending = None;
         self.report.committed_lost += self.report.committed.saturating_sub(self.durable_anchor);
         self.durable_anchor = self.report.committed;
-        self.machine.reset_volatile();
+        self.reset_volatile();
     }
 
     fn enter_safe_mode(&mut self, obs: &mut dyn SimObserver) {

@@ -13,8 +13,8 @@ use std::process::ExitCode;
 
 use nvp_experiments::cli::{self, Command};
 use nvp_experiments::{
-    client, feasibility, key_bytes_hashed, run_request, set_cache_dir, set_thread_override,
-    sim_cache_memo_stats, trace_memo_stats, CampaignRequest, CampaignResult,
+    client, cost_stream_stats, feasibility, key_bytes_hashed, run_request, set_cache_dir,
+    set_thread_override, sim_cache_memo_stats, trace_memo_stats, CampaignRequest, CampaignResult,
 };
 
 /// Writes a finished campaign's artifacts and reports it, identically
@@ -63,18 +63,27 @@ fn render(
 
 /// What this process's input memos did: trace summaries read from the
 /// store or streamed from the generator, task costs read from the store
-/// or measured, and the bytes cache-key derivation hashed.
+/// or measured, and the bytes cache-key derivation hashed. A second
+/// line tells what the block-stream tier did: streams recorded and
+/// their bytes, instructions served from them, and runs that left one.
 fn memo_line() -> String {
     let traces = trace_memo_stats();
     let memo = sim_cache_memo_stats();
+    let streams = cost_stream_stats();
     format!(
         "input memo: {} trace summary(ies) loaded, {} streamed; {} task cost(s) loaded, \
-         {} measured; {} key byte(s) hashed",
+         {} measured; {} key byte(s) hashed\n\
+         cost stream: {} stream(s) recorded, {} byte(s); {} instruction(s) served from \
+         streams, {} run(s) left a stream",
         traces.summaries_loaded,
         traces.summarized,
         memo.task_costs_loaded,
         memo.task_costs_measured,
-        key_bytes_hashed()
+        key_bytes_hashed(),
+        streams.recorded,
+        streams.bytes,
+        streams.served,
+        streams.left
     )
 }
 

@@ -1,15 +1,15 @@
 //! Shared helpers: standard platforms, kernels, and run plumbing.
 //!
-//! The standard inputs (synthetic frame, kernel instances, wearable
-//! traces, unconstrained task costs) are pure functions of their
-//! parameters and were historically rebuilt by every experiment. They
-//! are now memoized in process-wide caches so concurrent experiments
-//! share one instance; the caches are keyed on every parameter that
-//! influences the value, so results are unchanged. They fill through
-//! [`simcache::memo`], the same per-key slot as the simulation cache:
-//! distinct inputs build in parallel and each is built once. Frames,
-//! kernels and task costs stay for the life of the process. A trace
-//! keeps only its spec and digest: its samples (read only by
+//! The standard inputs (synthetic frame, kernel instances and their
+//! block streams, wearable traces, unconstrained task costs) are pure
+//! functions of their parameters and were historically rebuilt by every
+//! experiment. They are now memoized in process-wide caches so
+//! concurrent experiments share one instance; the caches are keyed on
+//! every parameter that influences the value, so results are unchanged.
+//! They fill through [`simcache::memo`], the same per-key slot as the
+//! simulation cache: distinct inputs build in parallel and each is built
+//! once. Frames, kernels, block streams and task costs stay for the life
+//! of the process. A trace keeps only its spec and digest: its samples (read only by
 //! simulations) and its summary (read by the profile and outage
 //! figures, streamed from the generator without a sample array) live
 //! while a job runs and are released when no job is left in flight
@@ -30,15 +30,19 @@
 use std::cmp::Ordering;
 use std::io;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use nvp_core::{
-    measure_task, BackupModel, BackupPolicy, BackupStyle, IntermittentSystem, RunReport,
-    SystemConfig, TaskCost, WaitComputeConfig, WaitComputeSystem,
+    measure_task, BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem,
+    NullObserver, RunReport, SimObserver, SystemConfig, TaskCost, WaitComputeConfig,
+    WaitComputeSystem,
 };
 use nvp_device::NvmTechnology;
 use nvp_energy::harvester::{self, SourceKind};
 use nvp_energy::{PowerTrace, TraceSummary, OPERATING_THRESHOLD_W};
+use nvp_isa::Program;
+use nvp_sim::{BlockStream, MachineImage};
 use nvp_workloads::{GrayImage, KernelInstance, KernelKind};
 
 use crate::record::{put_str, put_u64};
@@ -68,6 +72,82 @@ pub(crate) fn kernel(cfg: &ExpConfig, kind: KernelKind) -> Arc<KernelInstance> {
     memo(&CACHE, (frame_key(cfg), kind), || {
         kind.build(&frame(cfg)).expect("kernel builds on standard frame")
     })
+}
+
+/// Block streams this process has recorded, by program image and
+/// data-memory size (`None` for a program that has none). Like kernel
+/// instances they stay for the life of the process: the six default
+/// kernels' streams hold 13,184 bytes.
+static STREAMS: Memo<Digest, Option<Arc<BlockStream>>> = OnceLock::new();
+
+/// Block-stream counters (process-wide, via [`cost_stream_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CostStreamStats {
+    /// Streams recorded: at most one per program and data-memory size,
+    /// and only when a simulation misses the sim-cache.
+    pub recorded: u64,
+    /// Bytes the recorded streams hold.
+    pub bytes: u64,
+    /// Instructions fault-free NVP runs served from streams.
+    pub served: u64,
+    /// Runs that left their stream for the block engine.
+    pub left: u64,
+}
+
+/// The counters behind [`CostStreamStats`].
+static STREAMS_RECORDED: AtomicU64 = AtomicU64::new(0);
+static STREAM_BYTES: AtomicU64 = AtomicU64::new(0);
+static STREAM_SERVED: AtomicU64 = AtomicU64::new(0);
+static STREAMS_LEFT: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide block-stream counters.
+#[must_use]
+pub fn cost_stream_stats() -> CostStreamStats {
+    let load = |counter: &AtomicU64| counter.load(AtomicOrdering::Relaxed);
+    CostStreamStats {
+        recorded: load(&STREAMS_RECORDED),
+        bytes: load(&STREAM_BYTES),
+        served: load(&STREAM_SERVED),
+        left: load(&STREAMS_LEFT),
+    }
+}
+
+/// `program`'s block stream on `image` (which must be built from it),
+/// recorded on first use.
+fn block_stream(program: &Program, image: &Arc<MachineImage>) -> Option<Arc<BlockStream>> {
+    let mut key = KeyHasher::with_program("nvp-stream/1", program);
+    key.u64(image.dmem_words() as u64);
+    let stream = memo(&STREAMS, key.finish(), || {
+        let stream = BlockStream::record(image, TASK_MAX_INSTS)?;
+        STREAMS_RECORDED.fetch_add(1, AtomicOrdering::Relaxed);
+        STREAM_BYTES.fetch_add(stream.len_bytes() as u64, AtomicOrdering::Relaxed);
+        Some(Arc::new(stream))
+    });
+    stream.as_ref().clone()
+}
+
+/// Runs a fault-free NVP platform over `trace`, serving its execution
+/// from the program's block stream when it has one: the report is
+/// bit-identical either way.
+pub(crate) fn run_fault_free(
+    program: &Program,
+    image: &Arc<MachineImage>,
+    (sys, backup, policy): (SystemConfig, BackupModel, BackupPolicy),
+    trace: &PowerTrace,
+    obs: &mut dyn SimObserver,
+) -> RunReport {
+    let mut system = match block_stream(program, image) {
+        Some(stream) => IntermittentSystem::replaying(image, &stream, sys, backup, policy),
+        None => {
+            IntermittentSystem::with_faults_on_image(image, sys, backup, policy, FaultPlan::none())
+        }
+    };
+    let report = system.run_observed(trace, obs).expect("workload does not fault");
+    if let Some(used) = system.stream_use() {
+        STREAM_SERVED.fetch_add(used.served, AtomicOrdering::Relaxed);
+        STREAMS_LEFT.fetch_add(u64::from(used.left), AtomicOrdering::Relaxed);
+    }
+    report
 }
 
 /// Version of the trace generators behind [`SourceKind::generate`].
@@ -510,18 +590,22 @@ impl Setup {
     /// Runs this platform over a trace, deduplicated through the
     /// simulation cache.
     pub(crate) fn run(&self, inst: &KernelInstance, trace: &SimTrace) -> RunReport {
-        simcache::cached_run(self.key(inst, trace), || {
-            let report = match *self {
-                Setup::Nvp { sys, backup, policy } => {
-                    IntermittentSystem::new(inst.program(), sys, backup, policy)
-                        .expect("platform builds")
-                        .run(trace)
-                }
-                Setup::Wait(wcfg) => WaitComputeSystem::new(inst.program(), wcfg)
-                    .expect("platform builds")
-                    .run(trace),
-            };
-            report.expect("workload does not fault")
+        simcache::cached_run(self.key(inst, trace), || match *self {
+            Setup::Nvp { sys, backup, policy } => {
+                let image = MachineImage::build(
+                    inst.program(),
+                    sys.dmem_words,
+                    sys.cycle_model,
+                    sys.energy_model,
+                );
+                let image = Arc::new(image.expect("platform builds"));
+                let platform = (sys, backup, policy);
+                run_fault_free(inst.program(), &image, platform, trace, &mut NullObserver)
+            }
+            Setup::Wait(wcfg) => WaitComputeSystem::new(inst.program(), wcfg)
+                .expect("platform builds")
+                .run(trace)
+                .expect("workload does not fault"),
         })
     }
 

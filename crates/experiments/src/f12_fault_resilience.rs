@@ -32,11 +32,14 @@ use std::sync::{Arc, OnceLock};
 
 use nvp_core::{BackupStyle, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver};
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
+use nvp_isa::Program;
 use nvp_sim::MachineImage;
 use nvp_workloads::{KernelInstance, KernelKind};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, style_setup, system_config_for, watch_trace, Setup, SimTrace};
+use crate::common::{
+    kernel, run_fault_free, style_setup, system_config_for, watch_trace, Setup, SimTrace,
+};
 use crate::report::{fmt, fmt_ratio};
 use crate::sched;
 use crate::simcache::{self, Digest, SimOutcome};
@@ -167,7 +170,10 @@ fn trial_key(inst: &KernelInstance, trace: &SimTrace, setup: &Setup, plan: &Faul
 /// styles run the same program under the same cycle/energy models, so
 /// decode and block partitioning happen once per campaign, not per
 /// trial.
+/// The fault-free control runs from the kernel's block stream, as every
+/// other fault-free run does.
 fn run_trial(
+    program: &Program,
     image: &Arc<MachineImage>,
     trace: &nvp_energy::PowerTrace,
     setup: &Setup,
@@ -176,9 +182,13 @@ fn run_trial(
     let Setup::Nvp { sys, backup, policy } = *setup else {
         unreachable!("backup styles are NVP setups")
     };
-    let mut system = IntermittentSystem::with_faults_on_image(image, sys, backup, policy, plan);
     let mut log = EventLog::default();
-    let report = system.run_observed(trace, &mut log).expect("workload does not fault");
+    let report = if plan.enabled() {
+        let mut system = IntermittentSystem::with_faults_on_image(image, sys, backup, policy, plan);
+        system.run_observed(trace, &mut log).expect("workload does not fault")
+    } else {
+        run_fault_free(program, image, (sys, backup, policy), trace, &mut log)
+    };
     SimOutcome { report, latencies_ms: recovery_latencies_ms(&log.events) }
 }
 
@@ -219,7 +229,7 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         let (_, setup) = &styles[si];
         let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
         simcache::cached_outcome(trial_key(&inst, &trace, setup, &plan), || {
-            run_trial(image.get_or_init(build_image), &trace, setup, plan)
+            run_trial(inst.program(), image.get_or_init(build_image), &trace, setup, plan)
         })
     });
 

@@ -70,7 +70,7 @@ pub mod t1_chip_gallery;
 pub mod t2_energy_distribution;
 pub mod t3_backup_strategies;
 
-pub use common::{trace_memo_stats, TraceMemoStats, TraceSpec};
+pub use common::{cost_stream_stats, trace_memo_stats, CostStreamStats, TraceMemoStats, TraceSpec};
 pub use config::ExpConfig;
 pub use job::{run_request, CampaignRequest, CampaignResult};
 pub use par::set_thread_override;

@@ -18,9 +18,14 @@
 //! semantics. [`Machine::run_blocks`] runs the same program through
 //! basic-block plans lowered once per [`MachineImage`]; its results are
 //! bit-identical to the equivalent sequence of `step` calls, down to
-//! counters and energy bit patterns. These are the simulator's only two
-//! execution tiers, and the platform models in `nvp-core` run on
-//! `run_blocks`.
+//! counters and energy bit patterns. A [`BlockStream`] records the path
+//! one task takes through those plans, and a [`StreamCore`] replays it:
+//! it answers `run_blocks` with bit-identical [`BlockStats`] and no
+//! interpretation, for runs that never re-execute an instruction against
+//! data it already changed. These are the simulator's three execution
+//! tiers: `step` is the oracle, the block engine records streams and
+//! runs everything a stream cannot serve, and the platform models in
+//! `nvp-core` run on `run_blocks` or a stream.
 //!
 //! ## Example
 //!
@@ -48,10 +53,12 @@ mod block;
 mod checkpoint;
 mod energy;
 mod machine;
+mod stream;
 
 pub use checkpoint::{crc32_bytes, crc32_words, torn_prefix_words, Checkpoint, CHECKPOINT_WORDS};
 pub use energy::{CycleModel, EnergyModel, InstClass};
 pub use machine::{ArchState, BlockStats, Counters, Machine, MachineImage, SimError, Step};
+pub use stream::{BlockStream, StreamCore, StreamPos};
 
 /// Default installed data-memory size in 16-bit words (8 Ki-words = 16 KiB).
 pub const DEFAULT_DMEM_WORDS: usize = 8192;

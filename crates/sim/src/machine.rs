@@ -8,6 +8,7 @@ use nvp_isa::{DecodeError, Inst, Program, Reg};
 use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockTable, Cond, MicroKind, MicroOp, Term, NUM_SLOTS};
+use crate::stream::Recorder;
 use crate::{CycleModel, EnergyModel, InstClass, DEFAULT_DMEM_WORDS};
 
 /// The volatile architectural state an NVP must back up: the register file
@@ -153,12 +154,12 @@ impl std::error::Error for SimError {
 /// one image across every trial and every power-failure rebuild.
 #[derive(Debug)]
 pub struct MachineImage {
-    code: Vec<Decoded>,
-    blocks: BlockTable,
+    pub(crate) code: Vec<Decoded>,
+    pub(crate) blocks: BlockTable,
     max_step_cycles: u32,
     max_step_energy_j: f64,
-    entry: u32,
-    dmem_init: Vec<u16>,
+    pub(crate) entry: u32,
+    pub(crate) dmem_init: Vec<u16>,
 }
 
 impl MachineImage {
@@ -209,6 +210,26 @@ impl MachineImage {
             entry: program.entry(),
             dmem_init,
         })
+    }
+
+    /// Installed data memory, 16-bit words.
+    #[must_use]
+    pub fn dmem_words(&self) -> usize {
+        self.dmem_init.len()
+    }
+
+    /// Worst-case cycles any single instruction in the image can take
+    /// (taken-branch outcome included).
+    #[must_use]
+    pub fn max_step_cycles(&self) -> u32 {
+        self.max_step_cycles
+    }
+
+    /// Worst-case energy any single instruction in the image can draw,
+    /// joules.
+    #[must_use]
+    pub fn max_step_energy_j(&self) -> f64 {
+        self.max_step_energy_j
     }
 }
 
@@ -484,6 +505,16 @@ impl Machine {
     /// architectural state and counters reflect every instruction
     /// retired before the fault, exactly as in step mode.
     pub fn run_blocks(&mut self, max_insts: u64) -> Result<BlockStats, SimError> {
+        self.run_blocks_tapped(max_insts, None)
+    }
+
+    /// [`run_blocks`](Machine::run_blocks), reporting every executed
+    /// block terminator to `tap`, a stream recorder.
+    pub(crate) fn run_blocks_tapped(
+        &mut self,
+        max_insts: u64,
+        mut tap: Option<&mut Recorder>,
+    ) -> Result<BlockStats, SimError> {
         let mut stats = BlockStats::default();
         // Local register file (slot 16 absorbs r0 writes) and energy
         // accumulators, synced back on every exit.
@@ -512,6 +543,7 @@ impl Machine {
                     &mut c_energy,
                     &mut s_energy,
                     &mut stats,
+                    tap.as_deref_mut(),
                 )?;
                 if stats.checkpoint {
                     break;
@@ -551,6 +583,9 @@ impl Machine {
                     &mut c_energy,
                     &mut s_energy,
                 );
+                if let Some(tap) = tap.as_deref_mut() {
+                    tap.term(&plan.term, t.taken, t.next);
+                }
                 term_cycles += u64::from(t.cycles);
                 if t.halted {
                     self.halted = true;
@@ -600,6 +635,7 @@ impl Machine {
     /// instruction is accounted in program order exactly as
     /// [`step`](Machine::step) would; a fault leaves the machine synced
     /// at the faulting pc.
+    #[allow(clippy::too_many_arguments)]
     fn run_slice(
         &mut self,
         plan_idx: u32,
@@ -608,6 +644,7 @@ impl Machine {
         c_energy: &mut f64,
         s_energy: &mut f64,
         stats: &mut BlockStats,
+        tap: Option<&mut Recorder>,
     ) -> Result<(), SimError> {
         let plan = &self.image.blocks.plans[plan_idx as usize];
         let first = (self.pc - plan.start) as usize;
@@ -630,6 +667,9 @@ impl Machine {
             return Ok(());
         }
         let t = exec_term(&plan.term, lr, plan.start + plan.op_len, c_energy, s_energy);
+        if let Some(tap) = tap {
+            tap.term(&plan.term, t.taken, t.next);
+        }
         self.counters.instructions += term_insts;
         self.counters.cycles += u64::from(t.cycles);
         stats.executed += term_insts;
@@ -757,6 +797,8 @@ impl Machine {
 struct TermOutcome {
     next: u32,
     cycles: u32,
+    /// A conditional branch's direction (`false` for other terminators).
+    taken: bool,
     halted: bool,
     checkpoint: bool,
 }
@@ -902,7 +944,8 @@ fn exec_term(
     c_energy: &mut f64,
     s_energy: &mut f64,
 ) -> TermOutcome {
-    let mut out = TermOutcome { next: 0, cycles: 0, halted: false, checkpoint: false };
+    let mut out =
+        TermOutcome { next: 0, cycles: 0, taken: false, halted: false, checkpoint: false };
     match *term {
         Term::FallThrough { next } => out.next = next,
         Term::Branch {
@@ -931,6 +974,7 @@ fn exec_term(
             out.cycles = cycles;
             *c_energy += energy;
             *s_energy += energy;
+            out.taken = taken;
             out.next = if taken { taken_pc } else { fall_pc };
         }
         Term::Jal { link_slot, link_val, target, cycles, energy_j } => {
