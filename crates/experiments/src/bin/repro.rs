@@ -107,10 +107,18 @@ fn main() -> ExitCode {
         }
         Command::Check { quick } => {
             let cfg = Command::config(quick);
+            let mut planned = 0;
+            for exp in nvp_experiments::registry() {
+                let n = exp.plan(&cfg).simulations();
+                println!("plan: {} {n} simulation(s)", exp.id());
+                planned += n;
+            }
+            let unique = feasibility::unique_simulations(&cfg);
+            println!("plan: {planned} planned simulation(s), {unique} unique");
             let diags = feasibility::check_registry(&cfg);
             if diags.is_empty() {
                 println!(
-                    "feasibility: all {} registered experiments declare feasible configurations",
+                    "feasibility: all {} registered experiments plan feasible configurations",
                     nvp_experiments::registry().len()
                 );
                 return ExitCode::SUCCESS;

@@ -52,10 +52,11 @@ Options:
                      failure, with jittered exponential backoff
                      (default 2). Resubmission is safe — the server
                      deduplicates by idempotency key.
-  --check            validate the platform setups every registered
-                     experiment simulates for physical feasibility and
-                     exit (0 = all feasible, 1 = diagnostics printed);
-                     kernel safety is `nvpa kernels --deny warnings`
+  --check            print every registered experiment's planned
+                     simulations, validate their platform setups for
+                     physical feasibility and exit (0 = all feasible,
+                     1 = diagnostics printed); kernel safety is
+                     `nvpa kernels --deny warnings`
   --list             list registered experiments and exit
   --help             show this help and exit";
 

@@ -20,11 +20,11 @@
 //! streamed or measured, and stored after, so a warm rerun computes
 //! neither.
 //!
-//! Each simulated platform is one [`Setup`] value. Experiments list
-//! their setups once; `rows()` runs them and `setups()` hands the same
-//! values to the feasibility checker. [`Setup::run`] routes through
-//! the content-addressed [`crate::simcache`], so identical
-//! `(program, setup, trace)` runs issued by different experiments
+//! Each simulated platform is one [`Setup`] value. An experiment's plan
+//! lists it with its kernel and trace ([`crate::plan::Plan`]), and the
+//! feasibility checker judges the same values. A run is keyed in the
+//! content-addressed [`crate::simcache`], so identical
+//! `(program, setup, trace)` runs planned by different experiments
 //! simulate only once per process.
 
 use std::cmp::Ordering;
@@ -34,9 +34,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use nvp_core::{
-    measure_task, BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem,
-    NullObserver, RunReport, SimObserver, SystemConfig, TaskCost, WaitComputeConfig,
-    WaitComputeSystem,
+    measure_task, BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem, RunReport,
+    SimObserver, SystemConfig, TaskCost, WaitComputeConfig,
 };
 use nvp_device::NvmTechnology;
 use nvp_energy::harvester::{self, SourceKind};
@@ -568,9 +567,10 @@ pub(crate) fn forget_task_costs() {
     }
 }
 
-/// One simulated platform: the value an experiment both runs (through
-/// the simulation cache) and declares to `repro --check`, so the
-/// feasibility checker judges exactly what the simulator is built from.
+/// One simulated platform: the value an experiment both plans (run
+/// through the simulation cache) and declares to `repro --check`, so
+/// the feasibility checker judges exactly what the simulator is built
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Setup {
     /// An intermittent platform: hardware NVP or software checkpointing.
@@ -587,31 +587,9 @@ pub enum Setup {
 }
 
 impl Setup {
-    /// Runs this platform over a trace, deduplicated through the
-    /// simulation cache.
-    pub(crate) fn run(&self, inst: &KernelInstance, trace: &SimTrace) -> RunReport {
-        simcache::cached_run(self.key(inst, trace), || match *self {
-            Setup::Nvp { sys, backup, policy } => {
-                let image = MachineImage::build(
-                    inst.program(),
-                    sys.dmem_words,
-                    sys.cycle_model,
-                    sys.energy_model,
-                );
-                let image = Arc::new(image.expect("platform builds"));
-                let platform = (sys, backup, policy);
-                run_fault_free(inst.program(), &image, platform, trace, &mut NullObserver)
-            }
-            Setup::Wait(wcfg) => WaitComputeSystem::new(inst.program(), wcfg)
-                .expect("platform builds")
-                .run(trace)
-                .expect("workload does not fault"),
-        })
-    }
-
-    /// The simulation-cache key of [`run`](Self::run), under the
+    /// The simulation-cache key of a run of this platform, under the
     /// `:nvp` or `:wait` run-kind tag.
-    fn key(&self, inst: &KernelInstance, trace: &SimTrace) -> Digest {
+    pub(crate) fn key(&self, inst: &KernelInstance, trace: &SimTrace) -> Digest {
         let tag = match self {
             Setup::Nvp { .. } => "nvp-simcache/2:nvp",
             Setup::Wait(_) => "nvp-simcache/2:wait",
@@ -749,10 +727,13 @@ mod tests {
         let cfg = ExpConfig { trace_duration_s: 0.375, ..ExpConfig::quick() };
         let inst = kernel(&cfg, KernelKind::Sobel);
         let trace = watch_trace(&cfg, 901);
-        let setup = nvp_setup(&inst);
+        let mut plan = crate::plan::Plan::default();
+        plan.sim("", nvp_setup(&inst), &inst, &trace);
+        let (_, sim) = plan.sims().next().expect("one planned run");
         let stored = RunReport { tasks_completed: 7, ..RunReport::default() };
-        simcache::cached_run(setup.key(&inst, &trace), || stored);
-        assert_eq!(setup.run(&inst, &trace), stored);
+        let outcome = simcache::SimOutcome { report: stored, latencies_ms: Vec::new() };
+        simcache::cached_outcome(sim.key(), || outcome.clone());
+        assert_eq!(sim.outcome(), outcome);
         assert!(!trace.is_generated(), "a sim-cache hit reads no sample");
 
         // F1 and F2 read the trace's streamed summary, not its samples.

@@ -9,6 +9,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::{ExpConfig, Table};
 
 /// Swept demand-backup margins (× backup energy).
@@ -32,9 +33,8 @@ pub struct Row {
 }
 
 /// The standard NVP under every swept policy, labelled as the table
-/// prints it: margins first, intervals after. This is also F10's
-/// feasibility declaration.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+/// prints it: margins first, intervals after.
+fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let sys = system_config_for(&kernel(cfg, KernelKind::Sobel));
     let nvp = |policy| Setup::Nvp { sys, backup: standard_backup(), policy };
     MARGINS
@@ -51,34 +51,49 @@ pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
         .collect()
 }
 
-/// Sweeps demand margins and periodic intervals. Each policy point is
-/// an independent simulation, evaluated on the shared thread pool with
-/// margins first, intervals after.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F10's work: every swept policy on the first profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    crate::sched::par_map(&setups(cfg), |(label, setup)| {
-        let r = setup.run(&inst, &trace);
-        Row {
-            policy: label.clone(),
-            fp: r.forward_progress(),
-            lost: r.lost,
-            backups: r.backups,
-            rollbacks: r.rollbacks,
-        }
-    })
+    let mut plan = Plan::default();
+    for (label, setup) in setups(cfg) {
+        plan.sim(&label, setup, &inst, &trace);
+    }
+    plan
+}
+
+/// The rows, margins first, intervals after, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    setups(cfg)
+        .into_iter()
+        .map(|(policy, _)| {
+            let r = out.report();
+            let fp = r.forward_progress();
+            Row { policy, fp, lost: r.lost, backups: r.backups, rollbacks: r.rollbacks }
+        })
+        .collect()
+}
+
+/// Sweeps demand margins and periodic intervals.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
 }
 
 /// Renders the sweep.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F10",
         "Backup-policy sweep: demand margins vs periodic checkpointing",
         &["policy", "fp", "lost", "backups", "rollbacks"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.policy,
             r.fp.to_string(),

@@ -21,6 +21,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, source_trace, standard_backup, system_config_for, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -39,20 +40,15 @@ pub struct Row {
     pub combined_gain: f64,
 }
 
-fn measure(cfg: &ExpConfig, setup: &Setup, label: &str) -> Row {
-    let inst = kernel(cfg, KernelKind::Sobel);
+/// One policy's row from its outcomes: the wearable profiles in seed
+/// order, then the solar trace.
+fn measure(cfg: &ExpConfig, out: &mut Outcomes, label: String) -> Row {
     let n = cfg.profile_seeds.len() as f64;
-    // Per-seed runs are independent; summing the ordered results keeps
-    // the accumulation order (and thus the f64 value) identical to the
-    // sequential loop.
-    let fps = crate::sched::par_map(&cfg.profile_seeds, |&seed| {
-        setup.run(&inst, &watch_trace(cfg, seed)).forward_progress() as f64
-    });
-    let fp_wrist: f64 = fps.iter().sum();
-    let solar = source_trace(cfg, SourceKind::SolarIndoor, cfg.profile_seeds[0]);
-    let rs = setup.run(&inst, &solar);
+    let fp_wrist: f64 =
+        cfg.profile_seeds.iter().map(|_| out.report().forward_progress() as f64).sum();
+    let rs = out.report();
     Row {
-        policy: label.to_owned(),
+        policy: label,
         fp_wrist: fp_wrist / n,
         fp_solar: rs.forward_progress() as f64,
         solar_waste_fraction: rs.energy.storage_wasted.get() / rs.energy.converted.get().max(1e-18),
@@ -61,8 +57,8 @@ fn measure(cfg: &ExpConfig, setup: &Setup, label: &str) -> Row {
 }
 
 /// The standard NVP at every fixed clock multiplier, then under the
-/// income-adaptive policy. This is also F11's feasibility declaration.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
+/// income-adaptive policy.
+fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
     let base = system_config_for(&kernel(cfg, KernelKind::Sobel));
     let nvp = |sys| Setup::Nvp { sys, backup: standard_backup(), policy: BackupPolicy::demand() };
     [1u32, 2, 4, 8]
@@ -80,27 +76,53 @@ pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
         .collect()
 }
 
+/// F11's work: every clock policy over each wearable profile, then
+/// over the indoor-solar trace.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let solar = source_trace(cfg, SourceKind::SolarIndoor, cfg.profile_seeds[0]);
+    let mut plan = Plan::default();
+    for (label, setup) in setups(cfg) {
+        for &seed in &cfg.profile_seeds {
+            plan.sim(&label, setup, &inst, &watch_trace(cfg, seed));
+        }
+        plan.sim(&label, setup, &inst, &solar);
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    let mut rows: Vec<Row> =
+        setups(cfg).into_iter().map(|(label, _)| measure(cfg, out, label)).collect();
+    let base_combined = (rows[0].fp_wrist + rows[0].fp_solar).max(1.0);
+    for r in &mut rows {
+        r.combined_gain = (r.fp_wrist + r.fp_solar) / base_combined;
+    }
+    rows
+}
+
 /// Fixed 1/2/4/8 MHz cores versus the income-adaptive policy, on both
 /// the wearable and solar sources.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
-    let mut out = crate::sched::par_map(&setups(cfg), |(label, setup)| measure(cfg, setup, label));
-    let base_combined = (out[0].fp_wrist + out[0].fp_solar).max(1.0);
-    for r in &mut out {
-        r.combined_gain = (r.fp_wrist + r.fp_solar) / base_combined;
-    }
-    out
+    plan::build(cfg, plan(cfg), read)
 }
 
 /// Renders the comparison.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F11",
         "Clock scaling: fixed frequencies vs income-adaptive (sobel; wearable + solar)",
         &["policy", "fp_wrist", "fp_solar", "solar_waste_fraction", "combined_gain"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.policy,
             fmt(r.fp_wrist, 0),

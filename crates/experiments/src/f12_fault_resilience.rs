@@ -14,35 +14,27 @@
 //!
 //! Each trial is a pure function of `(program, config, backup model,
 //! policy, plan, trace)`, and the table needs only its `RunReport` and
-//! recovery latencies, so trials route through the simulation cache
-//! like every other run: keyed under their own run-kind tag with the
-//! `FaultPlan` in the key, valued as the report plus the latencies.
-//! Per-trial fault seeds make faulted trials unique within a campaign,
-//! so the cache pays on reruns: a warm rerun (or an `nvpd` job
-//! repeating a fault seed) simulates nothing, and the fault-free
-//! controls, whose plan carries no seed, dedupe across every campaign
-//! on the same kernel and trace. The trials' shared machine image is
-//! built only when a trial misses. Determinism is preserved the same
-//! way as everywhere else — the internal `par_map` returns results in
-//! input order, and a cached outcome is bit-identical to a computed
-//! one — so the table is bit-identical across reruns, cache states and
-//! thread counts (pinned by `tests/fault_resilience.rs`).
+//! recovery latencies, so F12 plans its trials like every other
+//! experiment plans its runs ([`crate::Plan`]): keyed under their own
+//! run-kind tag with the `FaultPlan` in the key, valued as the report
+//! plus the latencies. Per-trial fault seeds make faulted trials unique
+//! within a campaign, so the cache pays on reruns: a warm rerun (or an
+//! `nvpd` job repeating a fault seed) simulates nothing, and the
+//! fault-free controls, whose plan carries no seed, dedupe across every
+//! campaign on the same kernel and trace. Outcomes are read in plan
+//! order, and a cached outcome is bit-identical to a computed one, so
+//! the table is bit-identical across reruns, cache states and thread
+//! counts (pinned by `tests/fault_resilience.rs`).
 
-use std::sync::{Arc, OnceLock};
-
-use nvp_core::{BackupStyle, FaultPlan, IntermittentSystem, RunReport, SimEvent, SimObserver};
+use nvp_core::{BackupStyle, FaultPlan, RunReport};
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
-use nvp_isa::Program;
-use nvp_sim::MachineImage;
 use nvp_workloads::{KernelInstance, KernelKind};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{
-    kernel, run_fault_free, style_setup, system_config_for, watch_trace, Setup, SimTrace,
-};
+use crate::common::{kernel, style_setup, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::{fmt, fmt_ratio};
-use crate::sched;
-use crate::simcache::{self, Digest, SimOutcome};
+use crate::simcache::SimOutcome;
 use crate::{ExpConfig, Table};
 
 /// Injected fault rates (tear probability per backup; restore failures
@@ -95,20 +87,32 @@ pub struct Row {
     pub recovery_ms_max: f64,
 }
 
-/// The three backup styles of T3 on FeRAM, as named fault-campaign
-/// platforms.
-fn styles(inst: &KernelInstance) -> [(&'static str, Setup); 3] {
-    [
-        ("nvp-distributed", BackupStyle::Distributed),
-        ("nvp-centralized", BackupStyle::Centralized),
-        ("sw-checkpoint", BackupStyle::Software),
-    ]
-    .map(|(name, style)| (name, style_setup(inst, style, NvmTechnology::Feram)))
+/// The three backup styles of T3, as named fault-campaign platforms.
+const STYLES: [(&str, BackupStyle); 3] = [
+    ("nvp-distributed", BackupStyle::Distributed),
+    ("nvp-centralized", BackupStyle::Centralized),
+    ("sw-checkpoint", BackupStyle::Software),
+];
+
+/// The platform of each of [`STYLES`] on FeRAM.
+fn styles(inst: &KernelInstance) -> [Setup; 3] {
+    STYLES.map(|(_, style)| style_setup(inst, style, NvmTechnology::Feram))
+}
+
+/// Trials of one (style, rate) cell. The fault-free control runs one
+/// trial: the disabled plan is deterministic, so further trials would
+/// be identical.
+fn trials(cfg: &ExpConfig, rate: f64) -> usize {
+    if rate > 0.0 {
+        cfg.fault_trials
+    } else {
+        1
+    }
 }
 
 /// The fault plan for one (rate, trial) cell. Rate zero is the genuine
 /// disabled plan — no RNG draws, bit-identical to the legacy platform.
-fn plan_for(cfg: &ExpConfig, rate: f64, style_idx: usize, trial: usize) -> FaultPlan {
+fn faults_for(cfg: &ExpConfig, rate: f64, style_idx: usize, trial: usize) -> FaultPlan {
     if rate <= 0.0 {
         return FaultPlan::none();
     }
@@ -126,129 +130,39 @@ fn plan_for(cfg: &ExpConfig, rate: f64, style_idx: usize, trial: usize) -> Fault
     FaultPlan::with_rates(seed, rate, rate * 0.5).with_retention(retention)
 }
 
-/// Records the full event stream of one trial.
-#[derive(Default)]
-struct EventLog {
-    events: Vec<(f64, SimEvent)>,
-}
-
-impl SimObserver for EventLog {
-    fn on_event(&mut self, t_s: f64, event: SimEvent) {
-        self.events.push((t_s, event));
-    }
-}
-
-/// Recovery latencies: time from each corrupt restore to the next
-/// durable point (successful backup or task commit), in milliseconds.
-fn recovery_latencies_ms(events: &[(f64, SimEvent)]) -> Vec<f64> {
-    let mut out = Vec::new();
-    for (i, &(t0, e)) in events.iter().enumerate() {
-        if e != SimEvent::RestoreCorrupt {
-            continue;
-        }
-        let durable = events[i + 1..]
-            .iter()
-            .find(|&&(_, e2)| e2 == SimEvent::Backup || e2 == SimEvent::TaskCommit);
-        if let Some(&(t1, _)) = durable {
-            out.push((t1 - t0) * 1e3);
-        }
-    }
-    out
-}
-
-/// The simulation-cache key of one trial: every input of
-/// [`run_trial`] — the style's platform, encoded as [`Setup::run`]'s
-/// key encodes it, plus the fault plan — under the `f12` run-kind tag.
-fn trial_key(inst: &KernelInstance, trace: &SimTrace, setup: &Setup, plan: &FaultPlan) -> Digest {
-    let mut key = setup.key_hasher("nvp-simcache/2:f12", inst, trace);
-    key.field(plan);
-    key.finish()
-}
-
-/// Runs one seeded trial, returning the report and its recovery
-/// latencies. Every trial shares one prebuilt machine image: all three
-/// styles run the same program under the same cycle/energy models, so
-/// decode and block partitioning happen once per campaign, not per
-/// trial.
-/// The fault-free control runs from the kernel's block stream, as every
-/// other fault-free run does.
-fn run_trial(
-    program: &Program,
-    image: &Arc<MachineImage>,
-    trace: &nvp_energy::PowerTrace,
-    setup: &Setup,
-    plan: FaultPlan,
-) -> SimOutcome {
-    let Setup::Nvp { sys, backup, policy } = *setup else {
-        unreachable!("backup styles are NVP setups")
-    };
-    let mut log = EventLog::default();
-    let report = if plan.enabled() {
-        let mut system = IntermittentSystem::with_faults_on_image(image, sys, backup, policy, plan);
-        system.run_observed(trace, &mut log).expect("workload does not fault")
-    } else {
-        run_fault_free(program, image, (sys, backup, policy), trace, &mut log)
-    };
-    SimOutcome { report, latencies_ms: recovery_latencies_ms(&log.events) }
-}
-
-/// Runs the full campaign: every style × fault rate × trial.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F12's work: every style × fault rate × trial, style-major, on the
+/// first profile. Every trial runs the sobel kernel.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    let styles = styles(&inst);
-    // One shared image for the whole campaign, built by the first trial
-    // that misses the cache from the config every style starts from:
-    // the styles differ only in backup hardware and data-memory
-    // volatility, never in the image-relevant configuration (memory
-    // size, cycle/energy models).
-    let image = OnceLock::new();
-    let build_image = || {
-        let sys = system_config_for(&inst);
-        let built =
-            MachineImage::build(inst.program(), sys.dmem_words, sys.cycle_model, sys.energy_model);
-        Arc::new(built.expect("kernel image builds"))
-    };
-
-    // Flattened work grid; the fault-free control runs one trial (the
-    // disabled plan is deterministic, so further trials are identical).
-    let mut grid: Vec<(usize, usize, usize)> = Vec::new();
-    for (si, _) in styles.iter().enumerate() {
-        for (ri, &rate) in FAULT_RATES.iter().enumerate() {
-            let trials = if rate > 0.0 { cfg.fault_trials } else { 1 };
-            for trial in 0..trials {
-                grid.push((si, ri, trial));
+    let mut plan = Plan::default();
+    for (si, setup) in styles(&inst).into_iter().enumerate() {
+        let label = format!("{} under fault injection", STYLES[si].0);
+        for rate in FAULT_RATES {
+            for trial in 0..trials(cfg, rate) {
+                plan.trial(&label, setup, &inst, &trace, faults_for(cfg, rate, si, trial));
             }
         }
     }
-    // Monte-Carlo trials of the same kernel share the hot image and
-    // dispatch one scheduler task each (one-item lane groups), so slots
-    // freed mid-campaign are recruited at every trial boundary.
-    let results = sched::par_map_groups(&grid, |&(si, ri, trial)| {
-        let (_, setup) = &styles[si];
-        let plan = plan_for(cfg, FAULT_RATES[ri], si, trial);
-        simcache::cached_outcome(trial_key(&inst, &trace, setup, &plan), || {
-            run_trial(inst.program(), image.get_or_init(build_image), &trace, setup, plan)
-        })
-    });
+    plan
+}
 
-    let mut out = Vec::new();
-    for (si, (name, _)) in styles.iter().enumerate() {
+/// The rows, one per style × fault rate, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for (name, _) in STYLES {
+        let cells: Vec<Vec<SimOutcome>> = FAULT_RATES
+            .iter()
+            .map(|&rate| (0..trials(cfg, rate)).map(|_| out.outcome()).collect())
+            .collect();
         // The rate-0 control is the baseline the faulted cells are
         // normalized against.
-        let baseline: f64 = grid
+        let baseline: f64 = FAULT_RATES
             .iter()
-            .zip(&results)
-            .find(|((s, r, _), _)| *s == si && FAULT_RATES[*r] <= 0.0)
-            .map_or(0.0, |(_, outcome)| outcome.report.committed as f64);
-        for (ri, &rate) in FAULT_RATES.iter().enumerate() {
-            let cell: Vec<&SimOutcome> = grid
-                .iter()
-                .zip(&results)
-                .filter(|((s, r, _), _)| *s == si && *r == ri)
-                .map(|(_, outcome)| outcome)
-                .collect();
+            .zip(&cells)
+            .find(|(&rate, _)| rate <= 0.0)
+            .map_or(0.0, |(_, cell)| cell[0].report.committed as f64);
+        for (&rate, cell) in FAULT_RATES.iter().zip(&cells) {
             let n = cell.len();
             let mean = |f: &dyn Fn(&RunReport) -> u64| {
                 cell.iter().map(|o| f(&o.report) as f64).sum::<f64>() / n as f64
@@ -257,8 +171,8 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             let mean_surviving = mean(&|r| r.committed_surviving());
             let latencies: Vec<f64> =
                 cell.iter().flat_map(|o| o.latencies_ms.iter().copied()).collect();
-            out.push(Row {
-                style: (*name).to_owned(),
+            rows.push(Row {
+                style: name.to_owned(),
                 fault_rate: rate,
                 trials: n,
                 mean_committed,
@@ -278,12 +192,23 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
             });
         }
     }
-    out
+    rows
+}
+
+/// Runs the full campaign: every style × fault rate × trial.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
 }
 
 /// Renders the campaign table.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F12",
         "Fault-injection resilience: forward progress, work lost, recovery latency",
@@ -303,7 +228,7 @@ pub fn table(cfg: &ExpConfig) -> Table {
             "recovery_ms_max",
         ],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.style,
             fmt(r.fault_rate, 2),
@@ -323,14 +248,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
     t
 }
 
-/// Feasibility declaration: each backup style's platform.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    styles(&kernel(cfg, KernelKind::Sobel))
-        .into_iter()
-        .map(|(name, setup)| (format!("{name} under fault injection"), setup))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,8 +260,10 @@ mod tests {
         let cfg = ExpConfig::quick();
         let inst = kernel(&cfg, KernelKind::Sobel);
         let trace = watch_trace(&cfg, cfg.profile_seeds[0]);
-        let (_, setup) = &styles(&inst)[1];
-        let key = hex(trial_key(&inst, &trace, setup, &plan_for(&cfg, 0.05, 1, 2)));
+        let mut plan = Plan::default();
+        plan.trial("", styles(&inst)[1], &inst, &trace, faults_for(&cfg, 0.05, 1, 2));
+        let (_, sim) = plan.sims().next().expect("one planned trial");
+        let key = hex(sim.key());
         assert_eq!(key, "b4758fb2c542291bc5bd5ff524cbd1df0ef5b73e4b08286f8cbea1a7d61cda04");
     }
 

@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::common::{watch_trace, TraceSpec};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -28,13 +29,9 @@ pub struct Row {
 
 /// The raw trace for one profile (for CSV export / plotting), as its
 /// spec: a [`CampaignResult`](crate::CampaignResult) holds it as is,
-/// and its CSV is streamed from the generator only when written. A
-/// campaign runs this as a task of its own, which also streams the
-/// profile's summary into the trace memo, where F1, F2 and F9 read it.
+/// and its CSV is streamed from the generator only when written.
 pub(crate) fn profile(cfg: &ExpConfig, seed: u64) -> TraceSpec {
-    let trace = watch_trace(cfg, seed);
-    trace.summary();
-    trace.spec()
+    watch_trace(cfg, seed).spec()
 }
 
 /// A profile's spec under the benchmark client's older name, whose
@@ -61,13 +58,22 @@ impl Series {
     }
 }
 
-/// Summary rows for all configured profiles.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F1's work: every profile's summary, in seed order. F2 reads the
+/// same summaries.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let mut plan = Plan::default();
+    for &seed in &cfg.profile_seeds {
+        plan.summary(&watch_trace(cfg, seed));
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
-            let s = watch_trace(cfg, seed).summary();
+            let s = out.summary();
             Row {
                 profile: seed,
                 average_uw: s.average_w * 1e6,
@@ -79,15 +85,26 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .collect()
 }
 
+/// Summary rows for all configured profiles.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
+}
+
 /// Renders the summary table.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F1",
         "Wearable harvester power profiles (synthetic, seeded)",
         &["profile", "average_uw", "peak_uw", "energy_uj", "duration_s"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.profile.to_string(),
             fmt(r.average_uw, 1),

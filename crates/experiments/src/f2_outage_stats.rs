@@ -8,7 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use nvp_energy::TraceSummary;
+
 use crate::common::watch_trace;
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -27,13 +30,15 @@ pub struct Row {
     pub above_threshold: f64,
 }
 
-/// Outage statistics for each configured profile.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F2's work: the profile summaries F1 reads.
+pub(crate) use crate::f1_power_profiles::plan;
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
-            let summary = watch_trace(cfg, seed).summary();
+            let summary = out.summary();
             let s = &summary.outages;
             Row {
                 profile: seed,
@@ -46,10 +51,28 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .collect()
 }
 
+/// Outage statistics for each configured profile.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
+}
+
 /// Outage-duration histogram for one profile (`bins` equal-width bins).
 #[must_use]
 pub fn histogram_table(cfg: &ExpConfig, profile: u64, bins: usize) -> Table {
-    let hist = watch_trace(cfg, profile).summary().outages.histogram(bins);
+    plan::build(cfg, histogram_plan(cfg, profile), |_, out| histogram(&out.summary(), bins))
+}
+
+/// The histogram's work: one profile's summary.
+pub(crate) fn histogram_plan(cfg: &ExpConfig, profile: u64) -> Plan {
+    let mut plan = Plan::default();
+    plan.summary(&watch_trace(cfg, profile));
+    plan
+}
+
+/// The histogram table of `summary`'s outages in `bins` bins.
+pub(crate) fn histogram(summary: &TraceSummary, bins: usize) -> Table {
+    let hist = summary.outages.histogram(bins);
     let mut t = Table::new("F2h", "Outage-duration histogram", &["bin_start_ms", "count"]);
     for (edge, count) in hist.bin_edges_s.iter().zip(&hist.counts) {
         t.push_row(vec![fmt(edge * 1e3, 2), count.to_string()]);
@@ -60,12 +83,17 @@ pub fn histogram_table(cfg: &ExpConfig, profile: u64, bins: usize) -> Table {
 /// Renders the statistics table.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F2",
         "Power-emergency statistics at the 33 µW operating threshold",
         &["profile", "emergencies_per_10s", "mean_outage_ms", "longest_outage_ms", "on_fraction"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.profile.to_string(),
             fmt(r.emergencies_per_10s, 0),

@@ -9,6 +9,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, nvp_setup, swckpt_setup, wait_setup, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt_ratio;
 use crate::{ExpConfig, Table};
 
@@ -57,25 +58,40 @@ fn kernel_setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 3] {
     ]
 }
 
+/// F3's work: the three platforms for every kernel × profile
+/// combination, in row order.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let mut plan = Plan::default();
+    for kind in KERNELS {
+        let inst = kernel(cfg, kind);
+        let setups = kernel_setups(cfg, kind);
+        for &seed in &cfg.profile_seeds {
+            let trace = watch_trace(cfg, seed);
+            for (label, setup) in &setups {
+                plan.sim(label, *setup, &inst, &trace);
+            }
+        }
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for kind in KERNELS {
+        for &seed in &cfg.profile_seeds {
+            let [nvp_fp, wait_fp, swckpt_fp] = [(); 3].map(|()| out.report().forward_progress());
+            let kernel = kind.name().to_owned();
+            rows.push(Row { kernel, profile: seed, nvp_fp, wait_fp, swckpt_fp });
+        }
+    }
+    rows
+}
+
 /// Runs the three platforms for every kernel × profile combination.
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
-    let mut out = Vec::new();
-    for kind in KERNELS {
-        let inst = kernel(cfg, kind);
-        let [nvp, wait, swckpt] = kernel_setups(cfg, kind).map(|(_, setup)| setup);
-        for &seed in &cfg.profile_seeds {
-            let trace = watch_trace(cfg, seed);
-            out.push(Row {
-                kernel: kind.name().to_owned(),
-                profile: seed,
-                nvp_fp: nvp.run(&inst, &trace).forward_progress(),
-                wait_fp: wait.run(&inst, &trace).forward_progress(),
-                swckpt_fp: swckpt.run(&inst, &trace).forward_progress(),
-            });
-        }
-    }
-    out
+    plan::build(cfg, plan(cfg), read)
 }
 
 /// Geometric-mean NVP/wait ratio across the rows where wait-compute was
@@ -93,7 +109,12 @@ pub fn mean_nvp_over_wait(rows: &[Row]) -> Option<f64> {
 /// Renders the comparison.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
-    let rows = rows(cfg);
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
+    let rows = read(cfg, out);
     let mut t = Table::new(
         "F3",
         "Forward progress: hardware NVP vs wait-compute vs software checkpointing",
@@ -121,12 +142,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         "-".into(),
     ]);
     t
-}
-
-/// Feasibility declaration: the three platforms F3 simulates for every
-/// kernel.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    KERNELS.into_iter().flat_map(|kind| kernel_setups(cfg, kind)).collect()
 }
 
 #[cfg(test)]

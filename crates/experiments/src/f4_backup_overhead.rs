@@ -7,7 +7,8 @@
 use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{kernel, nvp_setup, watch_trace, Setup};
+use crate::common::{kernel, nvp_setup, watch_trace};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -26,21 +27,23 @@ pub struct Row {
     pub rollbacks: u64,
 }
 
-/// The one platform F4 measures: the standard NVP.
-fn setup(cfg: &ExpConfig) -> (&'static str, Setup) {
-    ("standard hardware nvp", nvp_setup(&kernel(cfg, KernelKind::Sobel)))
+/// F4's work: the standard NVP on the sobel workload over every
+/// profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let mut plan = Plan::default();
+    for &seed in &cfg.profile_seeds {
+        plan.sim("standard hardware nvp", nvp_setup(&inst), &inst, &watch_trace(cfg, seed));
+    }
+    plan
 }
 
-/// Measures backup overheads with the sobel workload.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let (_, nvp) = setup(cfg);
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
     cfg.profile_seeds
         .iter()
         .map(|&seed| {
-            let trace = watch_trace(cfg, seed);
-            let r = nvp.run(&inst, &trace);
+            let r = out.report();
             Row {
                 profile: seed,
                 backups_per_minute: r.backups_per_minute(),
@@ -52,15 +55,26 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .collect()
 }
 
+/// Measures backup overheads with the sobel workload.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
+}
+
 /// Renders the table.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F4",
         "Backup overheads (published: 1400-1700 backups/min, 20-33% of income energy)",
         &["profile", "backups_per_min", "restores_per_min", "backup_energy_share", "rollbacks"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.profile.to_string(),
             fmt(r.backups_per_minute, 0),
@@ -70,12 +84,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility declaration: F4 runs the standard NVP over every profile.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    let (label, nvp) = setup(cfg);
-    vec![(label.to_owned(), nvp)]
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, wait_config, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -52,38 +53,52 @@ fn point_setups(cfg: &ExpConfig, c: f64) -> [(String, Setup); 2] {
     ]
 }
 
-/// Sweeps storage size for both platforms on the first profile.
-/// Points are independent simulations of one shared kernel, so they
-/// dispatch as lane groups on the shared thread pool; result order
-/// follows [`CAPACITANCES_F`] regardless.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F5's work: both platforms at every swept capacitance, on the first
+/// profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
-    crate::sched::par_map_groups(&CAPACITANCES_F, |&c| {
-        let [nvp, wait] = point_setups(cfg, c).map(|(_, setup)| setup.run(&inst, &trace));
-        Row { cap_uf: c * 1e6, nvp_fp: nvp.forward_progress(), wait_fp: wait.forward_progress() }
-    })
+    let mut plan = Plan::default();
+    for (label, setup) in CAPACITANCES_F.into_iter().flat_map(|c| point_setups(cfg, c)) {
+        plan.sim(&label, setup, &inst, &trace);
+    }
+    plan
+}
+
+/// The rows, in [`CAPACITANCES_F`] order, from [`plan`]'s outcomes.
+fn read(out: &mut Outcomes) -> Vec<Row> {
+    CAPACITANCES_F
+        .iter()
+        .map(|&c| {
+            let [nvp, wait] = [(); 2].map(|()| out.report().forward_progress());
+            Row { cap_uf: c * 1e6, nvp_fp: nvp, wait_fp: wait }
+        })
+        .collect()
+}
+
+/// Sweeps storage size for both platforms on the first profile.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), |_, out| read(out))
 }
 
 /// Renders the sweep.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(_cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F5",
         "Forward progress vs storage capacitance (NVP buffer vs wait-compute ESD)",
         &["cap_uf", "nvp_fp", "wait_fp"],
     );
-    for r in rows(cfg) {
+    for r in read(out) {
         t.push_row(vec![fmt(r.cap_uf, 3), r.nvp_fp.to_string(), r.wait_fp.to_string()]);
     }
     t
-}
-
-/// Feasibility declaration: both platforms at every swept capacitance;
-/// a single backup must always fit the store.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    CAPACITANCES_F.into_iter().flat_map(|c| point_setups(cfg, c)).collect()
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, standard_backup, system_config_for, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -44,20 +45,30 @@ fn setup(cfg: &ExpConfig, restore: f64) -> (String, Setup) {
     (label, Setup::Nvp { sys, backup, policy: BackupPolicy::demand() })
 }
 
-/// Sweeps restore latency over the configured profiles.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F6's work: the NVP at every swept wake-up latency over every
+/// profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let mut means = Vec::new();
+    let mut plan = Plan::default();
     for restore in RESTORE_TIMES_S {
-        let (_, nvp) = setup(cfg, restore);
-        let total: u64 = cfg
-            .profile_seeds
-            .iter()
-            .map(|&seed| nvp.run(&inst, &watch_trace(cfg, seed)).forward_progress())
-            .sum();
-        means.push(total as f64 / cfg.profile_seeds.len() as f64);
+        let (label, nvp) = setup(cfg, restore);
+        for &seed in &cfg.profile_seeds {
+            plan.sim(&label, nvp, &inst, &watch_trace(cfg, seed));
+        }
     }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    let means: Vec<f64> = RESTORE_TIMES_S
+        .iter()
+        .map(|_| {
+            let total: u64 =
+                cfg.profile_seeds.iter().map(|_| out.report().forward_progress()).sum();
+            total as f64 / cfg.profile_seeds.len() as f64
+        })
+        .collect();
     let best = means.first().copied().unwrap_or(1.0).max(1.0);
     RESTORE_TIMES_S
         .iter()
@@ -66,23 +77,29 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         .collect()
 }
 
+/// Sweeps restore latency over the configured profiles.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
+}
+
 /// Renders the sweep.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F6",
         "Forward progress vs restore (wake-up) latency",
         &["restore_us", "mean_fp", "relative_to_fastest"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![fmt(r.restore_us, 1), fmt(r.mean_fp, 0), fmt_ratio(r.relative)]);
     }
     t
-}
-
-/// Feasibility declaration: the NVP at every swept wake-up latency.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    RESTORE_TIMES_S.into_iter().map(|restore| setup(cfg, restore)).collect()
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use nvp_energy::harvester::SourceKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, source_trace, system_config_for_tech, Setup, STATE_BITS};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 use nvp_workloads::{KernelInstance, KernelKind};
@@ -40,42 +41,64 @@ fn setup(inst: &KernelInstance, tech: NvmTechnology) -> (String, Setup) {
     (format!("nvp {tech} backup + data memory"), nvp)
 }
 
-/// Runs the full technology × source grid. Every cell is an
-/// independent simulation of the same kernel, so the flattened grid
-/// dispatches as lane groups on the shared thread pool; row order
-/// stays technology-major.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let grid: Vec<(NvmTechnology, SourceKind)> = NvmTechnology::ALL
+/// The technology × source grid, technology-major.
+fn grid() -> impl Iterator<Item = (NvmTechnology, SourceKind)> {
+    NvmTechnology::ALL
         .into_iter()
         .flat_map(|tech| SourceKind::ALL.into_iter().map(move |source| (tech, source)))
-        .collect();
-    crate::sched::par_map_groups(&grid, |&(tech, source)| {
-        let (_, nvp) = setup(&inst, tech);
-        let trace = source_trace(cfg, source, cfg.profile_seeds[0]);
-        let r = nvp.run(&inst, &trace);
-        let rate = r.backups as f64 / r.duration_s.max(1e-9);
-        let meter = EnduranceMeter::new(tech.params());
-        Row {
-            tech: tech.to_string(),
-            source: source.to_string(),
-            fp: r.forward_progress(),
-            backups_per_min: r.backups_per_minute(),
-            lifetime_years: meter.lifetime_years(rate),
-        }
-    })
+}
+
+/// F7's work: one simulation per grid cell, on the first profile seed
+/// of each source.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let mut plan = Plan::default();
+    for (tech, source) in grid() {
+        let (label, nvp) = setup(&inst, tech);
+        plan.sim(&label, nvp, &inst, &source_trace(cfg, source, cfg.profile_seeds[0]));
+    }
+    plan
+}
+
+/// The rows, technology-major, from [`plan`]'s outcomes.
+fn read(out: &mut Outcomes) -> Vec<Row> {
+    grid()
+        .map(|(tech, source)| {
+            let r = out.report();
+            let rate = r.backups as f64 / r.duration_s.max(1e-9);
+            let meter = EnduranceMeter::new(tech.params());
+            Row {
+                tech: tech.to_string(),
+                source: source.to_string(),
+                fp: r.forward_progress(),
+                backups_per_min: r.backups_per_minute(),
+                lifetime_years: meter.lifetime_years(rate),
+            }
+        })
+        .collect()
+}
+
+/// Runs the full technology × source grid; row order is
+/// technology-major.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), |_, out| read(out))
 }
 
 /// Renders the grid.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(_cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F7",
         "Forward progress and endurance by NVM technology and harvester class",
         &["tech", "source", "fp", "backups_per_min", "lifetime_years"],
     );
-    for r in rows(cfg) {
+    for r in read(out) {
         let life = if r.lifetime_years.is_finite() && r.lifetime_years < 1e6 {
             fmt(r.lifetime_years, 1)
         } else {
@@ -84,13 +107,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         t.push_row(vec![r.tech, r.source, r.fp.to_string(), fmt(r.backups_per_min, 0), life]);
     }
     t
-}
-
-/// Feasibility declaration: one platform per NVM technology; the
-/// harvester sources vary only the trace.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    let inst = kernel(cfg, KernelKind::Sobel);
-    NvmTechnology::ALL.into_iter().map(|tech| setup(&inst, tech)).collect()
 }
 
 #[cfg(test)]

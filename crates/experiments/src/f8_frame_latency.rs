@@ -14,6 +14,7 @@ use serde::{Deserialize, Serialize};
 use crate::common::{
     kernel, nvp_setup, seconds_per_frame, task_cost, wait_setup, watch_trace, Setup,
 };
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -60,24 +61,41 @@ fn kernel_setups(cfg: &ExpConfig, kind: KernelKind) -> [(String, Setup); 2] {
     ]
 }
 
-/// Measures frame latency for every kernel on the first profile.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// F8's work: both platforms for every kernel, on the first profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
+    let mut plan = Plan::default();
+    for kind in KERNELS {
+        let inst = kernel(cfg, kind);
+        for (label, setup) in kernel_setups(cfg, kind) {
+            plan.sim(&label, setup, &inst, &trace);
+        }
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes. The unconstrained time is the
+/// task cost the wait-compute setup was sized from, memoized when the
+/// plan was made.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
     KERNELS
         .iter()
         .map(|&kind| {
-            let inst = kernel(cfg, kind);
-            let cost = task_cost(cfg, kind);
-            let [nvp, wait] = kernel_setups(cfg, kind).map(|(_, setup)| setup.run(&inst, &trace));
+            let [nvp, wait] = [(); 2].map(|()| out.report());
             Row {
                 kernel: kind.name().to_owned(),
-                unconstrained_s: cost.time_s(1e6),
+                unconstrained_s: task_cost(cfg, kind).time_s(1e6),
                 nvp_s_per_frame: seconds_per_frame(&nvp),
                 wait_s_per_frame: seconds_per_frame(&wait),
             }
         })
         .collect()
+}
+
+/// Measures frame latency for every kernel on the first profile.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
 }
 
 fn opt(v: Option<f64>, decimals: usize) -> String {
@@ -87,12 +105,17 @@ fn opt(v: Option<f64>, decimals: usize) -> String {
 /// Renders the comparison.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F8",
         "Seconds per processed frame on harvested power (NVP vs wait-compute)",
         &["kernel", "unconstrained_s", "nvp_s_per_frame", "wait_s_per_frame", "nvp_speedup"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         let speedup = r.nvp_speedup().map_or_else(|| "-".to_owned(), fmt_ratio);
         t.push_row(vec![
             r.kernel.clone(),
@@ -103,12 +126,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility declaration: the NVP and wait-compute platforms F8 runs
-/// for every kernel in the latency ladder.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    KERNELS.into_iter().flat_map(|kind| kernel_setups(cfg, kind)).collect()
 }
 
 #[cfg(test)]

@@ -14,15 +14,18 @@
 //! approximate-backup literature attributes to its full stack — see
 //! `EXPERIMENTS.md`.
 
+use std::sync::OnceLock;
+
 use nvp_core::{BackupModel, BackupPolicy};
 use nvp_device::sttram::SttModel;
 use nvp_device::{NvmTechnology, RelaxPolicy, RetentionShaper};
 use nvp_workloads::{metrics, KernelKind};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, system_config_for, watch_trace, Setup, STATE_BITS};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::{fmt, fmt_ratio};
 use crate::{ExpConfig, Table};
 
@@ -58,14 +61,23 @@ pub struct Row {
     pub psnr_worst_db: f64,
 }
 
+/// The relaxed STT-MRAM backup model of `policy` and its array
+/// write-energy scale. Each scale searches the write-pulse space bit by
+/// bit, so the four are computed once per process.
 fn relaxed_backup(policy: RelaxPolicy) -> (BackupModel, f64) {
-    let base = BackupModel::distributed(NvmTechnology::SttMram, STATE_BITS);
-    let shaper = RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S);
-    let scale = shaper.write_energy_scale(&SttModel::default());
-    let mut model = base;
-    model.backup_energy =
-        base.backup_energy * (1.0 - RELAXABLE_FRACTION + RELAXABLE_FRACTION * scale);
-    (model, scale)
+    static RELAXED: OnceLock<[(BackupModel, f64); 4]> = OnceLock::new();
+    let all = RELAXED.get_or_init(|| {
+        RelaxPolicy::ALL.map(|policy| {
+            let base = BackupModel::distributed(NvmTechnology::SttMram, STATE_BITS);
+            let shaper = RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S);
+            let scale = shaper.write_energy_scale(&SttModel::default());
+            let mut model = base;
+            model.backup_energy =
+                base.backup_energy * (1.0 - RELAXABLE_FRACTION + RELAXABLE_FRACTION * scale);
+            (model, scale)
+        })
+    });
+    all[RelaxPolicy::ALL.iter().position(|&p| p == policy).expect("a listed policy")]
 }
 
 /// The NVP with the relaxed STT-MRAM backup of one retention policy.
@@ -74,33 +86,70 @@ fn setup(cfg: &ExpConfig, model: BackupModel) -> Setup {
     Setup::Nvp { sys, backup: model, policy: BackupPolicy::demand() }
 }
 
-fn degraded_psnr(cfg: &ExpConfig, policy: RelaxPolicy, outage_s: f64, seed: u64) -> f64 {
-    let inst = kernel(cfg, KernelKind::Sobel);
-    let shaper = RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S);
-    let odds = shaper.bit_retention().decay_odds(outage_s);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let degraded: Vec<u16> =
-        inst.reference().iter().map(|&w| odds.degrade(w, &mut rng).0).collect();
-    metrics::psnr(inst.reference(), &degraded, 255.0)
+/// A recorded generator stream, read from its start.
+struct Replay<'a>(std::slice::Iter<'a, u32>);
+
+impl RngCore for Replay<'_> {
+    fn next_u32(&mut self) -> u32 {
+        *self.0.next().expect("a field draws at most one f64 per bit")
+    }
 }
 
-/// Runs all four policies over the configured profiles.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// PSNR of the sobel output after an outage of `outage_s` under each
+/// of [`RelaxPolicy::ALL`], decayed with `StdRng::seed_from_u64(seed)`.
+/// Decaying a field draws one f64 for each bit with a nonzero flip odds,
+/// and an outage's odds are nonzero for every bit or for none, so a
+/// field draws the same words under every policy that draws at all:
+/// they are taken once per field and replayed for all four.
+fn degraded_psnr(cfg: &ExpConfig, outage_s: f64, seed: u64) -> [f64; 4] {
     let inst = kernel(cfg, KernelKind::Sobel);
-    let summary = watch_trace(cfg, cfg.profile_seeds[0]).summary();
+    let odds = RelaxPolicy::ALL.map(|policy| {
+        RetentionShaper::new(policy, FIELD_BITS, MIN_RETENTION_S, MAX_RETENTION_S)
+            .bit_retention()
+            .decay_odds(outage_s)
+    });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut degraded: [Vec<u16>; 4] = Default::default();
+    for &w in inst.reference() {
+        let draws: [u32; 2 * FIELD_BITS] = std::array::from_fn(|_| rng.next_u32());
+        for (odds, out) in odds.iter().zip(&mut degraded) {
+            let mut replay = Replay(draws.iter());
+            out.push(odds.degrade(w, &mut replay).0);
+            let left = replay.0.len();
+            assert!(left == 0 || left == draws.len(), "a field draws for every bit or none");
+        }
+    }
+    degraded.map(|d| metrics::psnr(inst.reference(), &d, 255.0))
+}
+
+/// F9's work: the first profile's summary (its outages), then the NVP
+/// under every retention policy over every profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
+    let inst = kernel(cfg, KernelKind::Sobel);
+    let mut plan = Plan::default();
+    plan.summary(&watch_trace(cfg, cfg.profile_seeds[0]));
+    for policy in RelaxPolicy::ALL {
+        let (model, _) = relaxed_backup(policy);
+        let label = format!("stt-mram {policy:?} relaxation");
+        for &seed in &cfg.profile_seeds {
+            plan.sim(&label, setup(cfg, model), &inst, &watch_trace(cfg, seed));
+        }
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
+    let summary = out.summary();
     let outages = &summary.outages;
+    let typical = degraded_psnr(cfg, outages.mean_outage_s, 11);
+    let worst = degraded_psnr(cfg, outages.longest_outage_s, 13);
 
     let mut baseline_fp = 0.0_f64;
-    let mut out = Vec::new();
-    for policy in RelaxPolicy::ALL {
+    let mut rows = Vec::new();
+    for (i, policy) in RelaxPolicy::ALL.into_iter().enumerate() {
         let (model, scale) = relaxed_backup(policy);
-        let nvp = setup(cfg, model);
-        let total: u64 = cfg
-            .profile_seeds
-            .iter()
-            .map(|&seed| nvp.run(&inst, &watch_trace(cfg, seed)).forward_progress())
-            .sum();
+        let total: u64 = cfg.profile_seeds.iter().map(|_| out.report().forward_progress()).sum();
         let mean_fp = total as f64 / cfg.profile_seeds.len() as f64;
         if policy == RelaxPolicy::Uniform {
             baseline_fp = mean_fp;
@@ -109,23 +158,34 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
         let retention = shaper.bit_retention();
         let at_risk: u64 =
             outages.outage_durations_s.iter().map(|&d| u64::from(retention.at_risk_bits(d))).sum();
-        out.push(Row {
+        rows.push(Row {
             policy: policy.to_string(),
             energy_scale: scale,
             backup_nj: model.backup_energy.get() * 1e9,
             mean_fp,
             fp_gain: mean_fp / baseline_fp.max(1.0),
             at_risk_bits: at_risk,
-            psnr_typical_db: degraded_psnr(cfg, policy, outages.mean_outage_s, 11),
-            psnr_worst_db: degraded_psnr(cfg, policy, outages.longest_outage_s, 13),
+            psnr_typical_db: typical[i],
+            psnr_worst_db: worst[i],
         });
     }
-    out
+    rows
+}
+
+/// Runs all four policies over the configured profiles.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
 }
 
 /// Renders the comparison.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "F9",
         "Retention-relaxed backup: energy saved, forward-progress gain, decay risk",
@@ -140,7 +200,7 @@ pub fn table(cfg: &ExpConfig) -> Table {
             "psnr_worst_db",
         ],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         let p = |v: f64| if v.is_finite() { fmt(v, 1) } else { "inf".to_owned() };
         t.push_row(vec![
             r.policy,
@@ -154,18 +214,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility declaration: the relaxed STT-MRAM backup model under
-/// every retention policy.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    RelaxPolicy::ALL
-        .into_iter()
-        .map(|policy| {
-            let (model, _) = relaxed_backup(policy);
-            (format!("stt-mram {policy:?} relaxation"), setup(cfg, model))
-        })
-        .collect()
 }
 
 #[cfg(test)]

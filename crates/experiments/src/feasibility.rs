@@ -1,10 +1,10 @@
 //! **Config feasibility validation** — the static checker behind
 //! `repro --check`.
 //!
-//! Every registered experiment declares the labelled platform
-//! [`Setup`]s it is about to simulate ([`Experiment::setups`]) — the
-//! very values its table builder runs, not a restatement of them. This
-//! module checks each declared setup against physical-feasibility rules
+//! Every registered experiment plans the labelled simulations its table
+//! needs ([`Experiment::plan`]); each planned [`Setup`] is the very
+//! value the campaign runs, not a restatement of it. This module
+//! checks each planned setup against physical-feasibility rules
 //! *before* any simulation runs, so an infeasible reconstruction is a
 //! diagnostic instead of a silent zero-progress run. The front end and
 //! thresholds it inspects come from the same `nvp-core` derivations
@@ -24,11 +24,13 @@
 //! What is never acceptable is a platform that could start but then
 //! loses state because a single backup cannot fit in the store.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use nvp_energy::Joules;
 
 pub use crate::common::Setup;
+use crate::plan::Plan;
 use crate::registry::{registry, Experiment};
 use crate::ExpConfig;
 
@@ -138,15 +140,14 @@ pub fn check_setup(setup: &Setup) -> Vec<(&'static str, String)> {
     out
 }
 
-/// Checks every setup one experiment declares for `cfg`.
-#[must_use]
-pub fn check_experiment(exp: &Experiment, cfg: &ExpConfig) -> Vec<Diagnostic> {
+/// Checks every setup `exp` plans.
+fn check_plan(exp: &Experiment, plan: &Plan) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (label, setup) in exp.setups(cfg) {
-        for (rule, message) in check_setup(&setup) {
+    for (label, setup) in plan.setups() {
+        for (rule, message) in check_setup(setup) {
             out.push(Diagnostic {
                 experiment: exp.id().to_owned(),
-                plan: label.clone(),
+                plan: label.to_owned(),
                 rule,
                 message,
             });
@@ -155,11 +156,19 @@ pub fn check_experiment(exp: &Experiment, cfg: &ExpConfig) -> Vec<Diagnostic> {
     out
 }
 
-/// Checks the full experiment registry; an empty result means every
-/// declared configuration is feasible.
+/// Plans the full experiment registry and checks it; an empty result
+/// means every planned configuration is feasible.
 #[must_use]
 pub fn check_registry(cfg: &ExpConfig) -> Vec<Diagnostic> {
-    registry().iter().flat_map(|e| check_experiment(e, cfg)).collect()
+    registry().iter().flat_map(|e| check_plan(e, &e.plan(cfg))).collect()
+}
+
+/// Distinct sim-cache keys among every simulation the registry plans:
+/// what a cold campaign simulates.
+#[must_use]
+pub fn unique_simulations(cfg: &ExpConfig) -> usize {
+    let plans: Vec<_> = registry().iter().map(|e| e.plan(cfg)).collect();
+    plans.iter().flat_map(|p| p.sims().map(|(_, sim)| sim.key())).collect::<BTreeSet<_>>().len()
 }
 
 #[cfg(test)]
@@ -247,29 +256,31 @@ mod tests {
         assert!(check_setup(&Setup::Wait(WaitComputeConfig::default())).is_empty());
     }
 
-    /// Every registered experiment declares only feasible setups, in
-    /// both the quick and the default configuration, and exactly the
-    /// experiments that simulate no platform declare none.
+    /// Every registered experiment plans only feasible setups, in both
+    /// the quick and the default configuration, and exactly the
+    /// experiments that simulate no platform plan no simulation.
     #[test]
     fn all_registry_entries_pass() {
         const NO_PLATFORM: [&str; 5] = ["t1", "f1", "f2", "f2h", "t2"];
         for cfg in [ExpConfig::quick(), ExpConfig::default()] {
             for exp in registry() {
-                let diags = check_experiment(exp, &cfg);
                 assert_eq!(
-                    exp.setups(&cfg).is_empty(),
+                    exp.plan(&cfg).simulations() == 0,
                     NO_PLATFORM.contains(&exp.id()),
-                    "{}: unexpected setup declaration",
+                    "{}: unexpected simulation plan",
                     exp.id()
                 );
-                assert!(
-                    diags.is_empty(),
-                    "{}: infeasible setups: {}",
-                    exp.id(),
-                    diags.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
-                );
             }
+            let diags = check_registry(&cfg);
+            assert!(
+                diags.is_empty(),
+                "infeasible setups: {}",
+                diags.iter().map(ToString::to_string).collect::<Vec<_>>().join("; ")
+            );
         }
+        let cfg = ExpConfig::default();
+        let planned: usize = registry().iter().map(|e| e.plan(&cfg).simulations()).sum();
+        assert_eq!((planned, unique_simulations(&cfg)), (218, 197), "default campaign");
     }
 
     /// Diagnostics render with experiment, plan, rule, and message.

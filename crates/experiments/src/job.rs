@@ -19,6 +19,7 @@ use std::path::{Path, PathBuf};
 use nvp_energy::DEFAULT_DT_S;
 
 use crate::common::{JobScope, TraceSpec};
+use crate::plan::{self, Plan};
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
 use crate::simcache::{sim_cache_stats, SimCacheStats};
@@ -206,49 +207,19 @@ impl CampaignResult {
     }
 }
 
-/// One schedulable unit of a flattened campaign: an experiment builder
-/// or a raw profile series, which names the profile's spec and streams
-/// its summary into the trace memo for F1, F2 and F9 to share. Keeping
-/// both in a single task list lets the scheduler overlap them freely.
-enum CampaignTask {
-    Build(&'static Experiment),
-    Profile(u64),
-}
-
-/// What a [`CampaignTask`] produced (same variant, same order).
-enum CampaignOutput {
-    Table(Table),
-    Profile(u64, TraceSpec),
-}
-
-/// Runs `experiments` and the profile series for `profile_seeds` as one
-/// flattened task list on the task scheduler, returning tables
-/// in experiment order and profile specs in seed order.
-pub(crate) fn run_campaign(
-    cfg: &ExpConfig,
-    experiments: &[&'static Experiment],
-    profile_seeds: &[u64],
-) -> (Vec<Table>, Vec<(u64, TraceSpec)>) {
-    let tasks: Vec<CampaignTask> = experiments
-        .iter()
-        .map(|&e| CampaignTask::Build(e))
-        .chain(profile_seeds.iter().map(|&seed| CampaignTask::Profile(seed)))
-        .collect();
-    let outputs = sched::par_map(&tasks, |task| match task {
-        CampaignTask::Build(e) => CampaignOutput::Table(e.build(cfg)),
-        CampaignTask::Profile(seed) => {
-            CampaignOutput::Profile(*seed, f1_power_profiles::profile(cfg, *seed))
-        }
-    });
-    let mut tables = Vec::with_capacity(experiments.len());
-    let mut profiles = Vec::with_capacity(profile_seeds.len());
-    for out in outputs {
-        match out {
-            CampaignOutput::Table(t) => tables.push(t),
-            CampaignOutput::Profile(seed, spec) => profiles.push((seed, spec)),
-        }
-    }
-    (tables, profiles)
+/// Runs `experiments` as one campaign in three steps: collects their
+/// plans, runs every planned entry in one flat scheduler map, and
+/// renders each table from its plan's outcomes (see [`plan::run`]).
+/// Tables come back in experiment order. Plans build kernels, look up
+/// task costs and, for F9, search each relaxation policy's write
+/// pulses, so they are a scheduler map of their own, claimed from the
+/// last experiment back: F9's plan, the longest, starts first and
+/// overlaps the kernel builds F8 and F3 start.
+pub(crate) fn run_campaign(cfg: &ExpConfig, experiments: &[&'static Experiment]) -> Vec<Table> {
+    let last_first: Vec<_> = experiments.iter().rev().collect();
+    let mut plans: Vec<Plan> = sched::par_map(&last_first, |e| e.plan(cfg));
+    plans.reverse();
+    plan::run(&plans, |i, out| experiments[i].render(cfg, out))
 }
 
 /// Executes a [`CampaignRequest`] in this process and returns the
@@ -276,9 +247,15 @@ pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
     let exec_before = exec_stats();
     let selected = req.resolve()?;
     let cfg = req.effective_config();
-    let seeds: &[u64] =
-        if selected.iter().any(|e| e.id() == "f1") { &cfg.profile_seeds } else { &[] };
-    let (tables, profiles) = run_campaign(&cfg, &selected, seeds);
+    let tables = run_campaign(&cfg, &selected);
+    let profiles = if selected.iter().any(|e| e.id() == "f1") {
+        cfg.profile_seeds
+            .iter()
+            .map(|&seed| (seed, f1_power_profiles::profile(&cfg, seed)))
+            .collect()
+    } else {
+        Vec::new()
+    };
     Ok(CampaignResult {
         tables,
         profiles,

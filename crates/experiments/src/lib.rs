@@ -45,6 +45,7 @@ pub mod feasibility;
 pub mod job;
 mod par;
 mod persist;
+mod plan;
 pub mod record;
 mod registry;
 mod report;
@@ -74,6 +75,7 @@ pub use common::{cost_stream_stats, trace_memo_stats, CostStreamStats, TraceMemo
 pub use config::ExpConfig;
 pub use job::{run_request, CampaignRequest, CampaignResult};
 pub use par::set_thread_override;
+pub use plan::Plan;
 pub use registry::{find, registry, Experiment};
 pub use report::Table;
 pub use runner::{run_all, run_all_sequential, RunArtifacts};

@@ -8,12 +8,10 @@
 //! `NVP_THREADS` onto the override (see [`crate::cli::nvp_threads`]).
 //! An override of `1` forces fully sequential, inline execution.
 //!
-//! Nesting-awareness: the budget is *global*, not per `par_map` call. A
-//! worker thread that calls back into the scheduler (an experiment's
-//! point sweep running inside the campaign-level map) contributes its
-//! own thread and draws any extra helpers from the same budget, instead
-//! of spawning a fresh scoped pool the way the old fork-join helper did
-//! — which is what oversubscribed 1-core hosts.
+//! The budget is *global*, not per `par_map` call: one call at a time
+//! runs wide on it, and a call made meanwhile (nested in one of its
+//! tasks, or in a concurrent job) runs inline on its caller's thread,
+//! so a 1-core host is never oversubscribed.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -31,9 +29,8 @@ pub fn set_thread_override(threads: Option<usize>) {
 }
 
 /// The process-wide worker budget: the override if set, else the
-/// hardware parallelism. This bounds the total number of threads doing
-/// scheduler work at any instant — the caller of the outermost
-/// `par_map` plus every recruited helper, across all nesting levels.
+/// hardware parallelism. It bounds the threads of the one `par_map`
+/// call running wide: its caller plus its helpers.
 #[must_use]
 pub(crate) fn thread_budget() -> usize {
     static HARDWARE: OnceLock<usize> = OnceLock::new();
@@ -45,11 +42,9 @@ pub(crate) fn thread_budget() -> usize {
     }
 }
 
-/// Number of worker slots for `work` items: the smaller of the item
-/// count and the process-wide budget ([`set_thread_override`]; `1`
-/// forces sequential execution). How many of those slots actually get
-/// a thread depends on how much of the budget is free at run time —
-/// see the `sched` module.
+/// Number of workers for `work` items: the smaller of the item count
+/// and the process-wide budget ([`set_thread_override`]; `1` forces
+/// sequential execution).
 #[must_use]
 pub(crate) fn thread_count(work: usize) -> usize {
     thread_budget().min(work).max(1)

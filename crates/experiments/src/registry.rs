@@ -6,7 +6,7 @@
 //! Adding experiment 16 means writing its module and appending one
 //! entry — no runner, binary, or example changes.
 
-use crate::common::Setup;
+use crate::plan::{self, Outcomes, Plan};
 use crate::{
     f10_policy_sweep, f11_clock_scaling, f12_fault_resilience, f1_power_profiles, f2_outage_stats,
     f3_forward_progress, f4_backup_overhead, f5_capacitor_sweep, f6_restore_sensitivity,
@@ -16,15 +16,17 @@ use crate::{
 
 /// A table/figure builder registered with the evaluation harness.
 ///
-/// Builders must be pure: [`build`](Self::build) is a deterministic
-/// function of the [`ExpConfig`], which is what lets the runner
-/// evaluate experiments concurrently yet write byte-identical
-/// artifacts.
+/// An experiment is a plan and a render: [`plan`](Self::plan) lists
+/// the labelled work its table needs, and its render builds the table
+/// from that work's outcomes in plan order, without calling the
+/// simulator. Both are deterministic functions of the [`ExpConfig`],
+/// which is what lets a campaign run every experiment's work in one
+/// flat list yet write byte-identical artifacts.
 pub struct Experiment {
     id: &'static str,
     title: &'static str,
-    build: fn(&ExpConfig) -> Table,
-    setups: fn(&ExpConfig) -> Vec<(String, Setup)>,
+    plan: fn(&ExpConfig) -> Plan,
+    render: fn(&ExpConfig, &mut Outcomes) -> Table,
 }
 
 impl Experiment {
@@ -41,131 +43,127 @@ impl Experiment {
         self.title
     }
 
-    /// Builds the experiment's table for a configuration.
+    /// Builds the experiment's table for a configuration: plans it,
+    /// runs the plan, and renders.
     #[must_use]
     pub fn build(&self, cfg: &ExpConfig) -> Table {
-        (self.build)(cfg)
+        plan::build(cfg, self.plan(cfg), self.render)
     }
 
-    /// The labelled platform setups [`build`](Self::build) is about
-    /// to simulate, for static feasibility checking (`repro --check`).
-    /// Empty for experiments that simulate no platform.
+    /// The labelled work [`build`](Self::build) runs: what a campaign
+    /// simulates for this experiment, and what `repro --check` judges.
+    /// Empty for experiments that read no trace.
     #[must_use]
-    pub fn setups(&self, cfg: &ExpConfig) -> Vec<(String, Setup)> {
-        (self.setups)(cfg)
+    pub fn plan(&self, cfg: &ExpConfig) -> Plan {
+        (self.plan)(cfg)
+    }
+
+    /// The table, from the outcomes of this experiment's plan.
+    pub(crate) fn render(&self, cfg: &ExpConfig, outcomes: &mut Outcomes) -> Table {
+        (self.render)(cfg, outcomes)
     }
 }
 
 /// Bin count of the F2 outage-duration histogram artifact.
 const F2_HISTOGRAM_BINS: usize = 16;
 
-fn f2_histogram(cfg: &ExpConfig) -> Table {
-    f2_outage_stats::histogram_table(cfg, cfg.profile_seeds[0], F2_HISTOGRAM_BINS)
-}
-
-/// The declaration of an experiment that tabulates without simulating
-/// a platform.
-fn no_setups(_cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    Vec::new()
-}
-
 /// Every registered experiment, in artifact order.
 static REGISTRY: [Experiment; 16] = [
     Experiment {
         id: "t1",
         title: "NVP chip & technology gallery (published silicon vs framework models)",
-        build: t1_chip_gallery::table,
-        setups: no_setups,
+        plan: |_| Plan::default(),
+        render: |cfg, _| t1_chip_gallery::table(cfg),
     },
     Experiment {
         id: "f1",
         title: "Wearable harvester power profiles (synthetic, seeded)",
-        build: f1_power_profiles::table,
-        setups: no_setups,
+        plan: f1_power_profiles::plan,
+        render: f1_power_profiles::render,
     },
     Experiment {
         id: "f2",
         title: "Power-emergency statistics at the 33 µW operating threshold",
-        build: f2_outage_stats::table,
-        setups: no_setups,
+        plan: f2_outage_stats::plan,
+        render: f2_outage_stats::render,
     },
     Experiment {
         id: "f2h",
         title: "Outage-duration histogram",
-        build: f2_histogram,
-        setups: no_setups,
+        plan: |cfg| f2_outage_stats::histogram_plan(cfg, cfg.profile_seeds[0]),
+        render: |_, out| f2_outage_stats::histogram(&out.summary(), F2_HISTOGRAM_BINS),
     },
     Experiment {
         id: "f3",
         title: "Forward progress: hardware NVP vs wait-compute vs software checkpointing",
-        build: f3_forward_progress::table,
-        setups: f3_forward_progress::setups,
+        plan: f3_forward_progress::plan,
+        render: f3_forward_progress::render,
     },
     Experiment {
         id: "f4",
         title: "Backup overheads (published: 1400-1700 backups/min, 20-33% of income energy)",
-        build: f4_backup_overhead::table,
-        setups: f4_backup_overhead::setups,
+        plan: f4_backup_overhead::plan,
+        render: f4_backup_overhead::render,
     },
     Experiment {
         id: "f5",
         title: "Forward progress vs storage capacitance (NVP buffer vs wait-compute ESD)",
-        build: f5_capacitor_sweep::table,
-        setups: f5_capacitor_sweep::setups,
+        plan: f5_capacitor_sweep::plan,
+        render: f5_capacitor_sweep::render,
     },
     Experiment {
         id: "f6",
         title: "Forward progress vs restore (wake-up) latency",
-        build: f6_restore_sensitivity::table,
-        setups: f6_restore_sensitivity::setups,
+        plan: f6_restore_sensitivity::plan,
+        render: f6_restore_sensitivity::render,
     },
     Experiment {
         id: "f7",
         title: "Forward progress and endurance by NVM technology and harvester class",
-        build: f7_tech_sweep::table,
-        setups: f7_tech_sweep::setups,
+        plan: f7_tech_sweep::plan,
+        render: f7_tech_sweep::render,
     },
     Experiment {
         id: "t2",
         title: "System energy distribution by application class",
-        build: t2_energy_distribution::table,
-        setups: no_setups,
+        plan: |_| Plan::default(),
+        render: |cfg, _| t2_energy_distribution::table(cfg),
     },
     Experiment {
         id: "f8",
         title: "Seconds per processed frame on harvested power (NVP vs wait-compute)",
-        build: f8_frame_latency::table,
-        setups: f8_frame_latency::setups,
+        plan: f8_frame_latency::plan,
+        render: f8_frame_latency::render,
     },
     Experiment {
         id: "t3",
         title: "Backup strategies: distributed NVFF vs centralized copy vs software",
-        build: t3_backup_strategies::table,
-        setups: t3_backup_strategies::setups,
+        plan: t3_backup_strategies::plan,
+        render: t3_backup_strategies::render,
     },
     Experiment {
         id: "f9",
         title: "Retention-relaxed backup: energy saved, forward-progress gain, decay risk",
-        build: f9_retention_relaxation::table,
-        setups: f9_retention_relaxation::setups,
+        plan: f9_retention_relaxation::plan,
+        render: f9_retention_relaxation::render,
     },
     Experiment {
         id: "f10",
         title: "Backup-policy sweep: demand margins vs periodic checkpointing",
-        build: f10_policy_sweep::table,
-        setups: f10_policy_sweep::setups,
+        plan: f10_policy_sweep::plan,
+        render: f10_policy_sweep::render,
     },
     Experiment {
         id: "f11",
         title: "Clock scaling: fixed frequencies vs income-adaptive",
-        build: f11_clock_scaling::table,
-        setups: f11_clock_scaling::setups,
+        plan: f11_clock_scaling::plan,
+        render: f11_clock_scaling::render,
     },
     Experiment {
         id: "f12",
         title: "Fault-injection resilience: torn backups, retention decay, restore failures",
-        build: f12_fault_resilience::table,
-        setups: f12_fault_resilience::setups,
+        plan: f12_fault_resilience::plan,
+        render: f12_fault_resilience::render,
     },
 ];
 

@@ -1,15 +1,15 @@
 //! Regenerates tables/figures from the registry and writes artifacts.
 //!
-//! Since the `nvpd` refactor this module is a thin filesystem adapter
-//! over the [`crate::job`] layer: every entry point builds a
-//! [`CampaignRequest`], executes it with [`job::run_request`] (one
-//! flattened task list on the task scheduler — see
-//! [`crate::sched`]), and renders the returned [`CampaignResult`] with
+//! This module is a thin filesystem adapter over the [`crate::job`]
+//! layer: every entry point builds a [`CampaignRequest`], executes it
+//! with [`job::run_request`] (plan every selected experiment, run all
+//! planned work in one flat scheduler map, render; see
+//! [`crate::plan`]), and renders the returned [`CampaignResult`] with
 //! its `write` method. The same request/result pair travels over the
 //! wire to the campaign server, so in-process and remote runs share one
 //! execution path and one artifact renderer — which is what pins them
 //! byte-identical under the golden digests. [`run_all_sequential`]
-//! produces the same bytes one builder at a time (enforced by
+//! produces the same bytes one experiment at a time (enforced by
 //! `tests/determinism.rs`). A subset by id (`repro --only f5,t1`) is a
 //! [`CampaignRequest::only`] passed to [`job::run_request`].
 
@@ -46,9 +46,9 @@ fn into_artifacts(result: CampaignResult, out_dir: &Path) -> io::Result<RunArtif
 
 /// Regenerates the full evaluation and writes one CSV per table, one
 /// CSV per raw power-profile series, and a combined `RESULTS.md`, into
-/// `out_dir` (created if missing). Builders and profile series run as
-/// one flattened task list on the task scheduler; set
-/// `NVP_THREADS=1` to force a fully sequential run.
+/// `out_dir` (created if missing). Every experiment's planned work runs
+/// as one flat task list on the task scheduler; set `NVP_THREADS=1` to
+/// force a fully sequential run.
 ///
 /// # Errors
 ///
@@ -58,10 +58,10 @@ pub fn run_all(cfg: &ExpConfig, out_dir: &Path) -> io::Result<RunArtifacts> {
     into_artifacts(result, out_dir)
 }
 
-/// [`run_all`] with every builder evaluated in registry order on the
-/// calling thread — the reference implementation the parallel runner
-/// must byte-match. (Point sweeps inside individual experiments still
-/// use the shared pool unless `NVP_THREADS=1`.)
+/// [`run_all`] with every experiment planned, run and rendered on its
+/// own, in registry order — the reference implementation the campaign
+/// runner must byte-match. (Each experiment's own work still spreads
+/// over the scheduler unless `NVP_THREADS=1`.)
 ///
 /// # Errors
 ///

@@ -745,11 +745,6 @@ pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> S
     resident.outcome.clone()
 }
 
-/// [`cached_outcome`] for run kinds whose outcome is the report alone.
-pub(crate) fn cached_run(key: Digest, run: impl FnOnce() -> RunReport) -> RunReport {
-    cached_outcome(key, || SimOutcome { report: run(), latencies_ms: Vec::new() }).report
-}
-
 /// Drops every filled slot whose key the attached store indexes (see
 /// the module's *Lifetime* section). Memory-only caches, and outcomes
 /// the store refused, stay resident. [`crate::common::JobScope`] calls

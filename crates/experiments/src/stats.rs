@@ -1,9 +1,8 @@
 //! Process-wide execution-tier counters.
 //!
-//! The scheduler's lane-group dispatch happens deep inside cached,
-//! parallel experiment code; these monotone process-wide counters are
-//! how its activity surfaces in campaign summaries without touching
-//! any serialized result shape. Deltas are taken with
+//! A campaign's run step dispatches every planned simulation as one
+//! lane group (see [`crate::plan`]); these monotone process-wide
+//! counters are how that dispatch surfaces in campaign summaries. Deltas are taken with
 //! [`ExecStats::since`], mirroring the sim-cache and scheduler counter
 //! pattern.
 
@@ -18,9 +17,10 @@ pub struct ExecStats {
     pub chain_runs: u64,
     /// Always 0, for the same reason as [`chain_runs`](Self::chain_runs).
     pub side_exits: u64,
-    /// Lane groups dispatched as single scheduler tasks.
+    /// Lane groups dispatched: one per planned simulation a job ran or
+    /// looked up, whether its sim-cache key hit or missed.
     pub lane_groups: u64,
-    /// Work items carried by those lane groups.
+    /// Simulations carried by those lane groups: one each.
     pub lane_group_items: u64,
 }
 

@@ -11,6 +11,7 @@ use nvp_workloads::KernelKind;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{kernel, style_setup, watch_trace, Setup};
+use crate::plan::{self, Outcomes, Plan};
 use crate::report::fmt;
 use crate::{ExpConfig, Table};
 
@@ -44,11 +45,19 @@ fn grid(cfg: &ExpConfig) -> Vec<(NvmTechnology, BackupStyle, Setup)> {
     out
 }
 
-/// Runs the style × technology grid.
-#[must_use]
-pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+/// T3's work: every grid cell on the first profile.
+pub(crate) fn plan(cfg: &ExpConfig) -> Plan {
     let inst = kernel(cfg, KernelKind::Sobel);
     let trace = watch_trace(cfg, cfg.profile_seeds[0]);
+    let mut plan = Plan::default();
+    for (tech, style, setup) in grid(cfg) {
+        plan.sim(&format!("{tech} {style:?}"), setup, &inst, &trace);
+    }
+    plan
+}
+
+/// The rows, from [`plan`]'s outcomes.
+fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
     grid(cfg)
         .into_iter()
         .map(|(tech, style, setup)| {
@@ -59,21 +68,32 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
                 backup_us: backup.backup_time.get() * 1e6,
                 backup_nj: backup.backup_energy.get() * 1e9,
                 restore_us: backup.restore_time.get() * 1e6,
-                fp: setup.run(&inst, &trace).forward_progress(),
+                fp: out.report().forward_progress(),
             }
         })
         .collect()
 }
 
+/// Runs the style × technology grid.
+#[must_use]
+pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
+    plan::build(cfg, plan(cfg), read)
+}
+
 /// Renders the grid.
 #[must_use]
 pub fn table(cfg: &ExpConfig) -> Table {
+    plan::build(cfg, plan(cfg), render)
+}
+
+/// The table, from [`plan`]'s outcomes.
+pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(
         "T3",
         "Backup strategies: distributed NVFF vs centralized copy vs software checkpointing",
         &["tech", "style", "backup_us", "backup_nj", "restore_us", "fp"],
     );
-    for r in rows(cfg) {
+    for r in read(cfg, out) {
         t.push_row(vec![
             r.tech,
             r.style,
@@ -84,12 +104,6 @@ pub fn table(cfg: &ExpConfig) -> Table {
         ]);
     }
     t
-}
-
-/// Feasibility declaration: every style × technology cell of the
-/// comparison.
-pub(crate) fn setups(cfg: &ExpConfig) -> Vec<(String, Setup)> {
-    grid(cfg).into_iter().map(|(tech, style, setup)| (format!("{tech} {style:?}"), setup)).collect()
 }
 
 #[cfg(test)]

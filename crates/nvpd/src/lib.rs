@@ -75,14 +75,12 @@ pub const DEFAULT_SUBMIT_TIMEOUT: Duration = Duration::from_secs(30);
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads executing jobs. The default is 1, which keeps the
-    /// per-job cache/scheduler counter deltas exact; each job's
+    /// per-job cache/scheduler counter deltas exact; each job's planned
     /// simulations still spread over the scheduler's worker budget
-    /// (`NVP_THREADS` for the `nvpd` binary). A quick `f3`+`f12` simulate job at a budget of 2
-    /// keeps 1.9 threads busy on average (measured in-process on a
-    /// 2-core x86-64 VM: process CPU time over wall time across 60
-    /// jobs), with two helpers per job: F12's trial sweep borrows the
-    /// job caller's slot once F3 is done. More workers overlap whole
-    /// jobs at the cost of approximate per-job counters.
+    /// (`NVP_THREADS` for the `nvpd` binary) in one flat run. More
+    /// workers overlap whole jobs (a job that starts while another runs
+    /// wide runs its simulations on its own thread) at the cost of
+    /// approximate per-job counters.
     pub workers: usize,
     /// Accept this many jobs, then drain the queue and return — the
     /// clean-shutdown path used by tests, benches, and CI smoke runs.
