@@ -12,7 +12,9 @@
 //! * [`Platform`] / [`drive`] — the shared engine: one trace loop banks
 //!   income through the `nvp-energy` [`EnergyFrontEnd`] and ticks any
 //!   platform, with a [`SimObserver`] event seam (power-on, backup,
-//!   restore, rollback, brown-out, task commit),
+//!   restore, rollback, brown-out, task commit); stretches a platform
+//!   only charges and sleeps through take its [`Platform::idle`] fast
+//!   path, bit-identical to the generic ticks,
 //! * [`IntermittentSystem`] — the system-level NVP platform: a 0.1 ms
 //!   energy loop driving the instruction-level `nvp-sim` machine through
 //!   off/restore/active/backup phases,

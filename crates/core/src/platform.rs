@@ -6,14 +6,19 @@
 //! by the same [`drive`] loop. A platform only implements
 //! [`Platform::tick`]: how it spends the tick (and the energy already
 //! banked into its storage) on phases, instructions, and checkpoints.
+//! A platform that spends most samples only banking income and sleeping
+//! also implements [`Platform::idle`], the loop's fast path through
+//! such stretches ([`EnergyFrontEnd::idle`]).
 //!
 //! The engine also carries a [`SimObserver`] event seam: discrete
 //! platform events (power-on, backup, restore, rollback, brown-out,
 //! task commit) are reported to an observer, with the no-op
 //! [`NullObserver`] used when nobody is listening.
 
-use nvp_energy::units::{Seconds, Watts};
-use nvp_energy::{EnergyFrontEnd, PowerTrace, TickIncome};
+use std::num::FpCategory;
+
+use nvp_energy::units::{Joules, Seconds, Watts};
+use nvp_energy::{EnergyFrontEnd, IdleSums, PowerTrace, TickIncome};
 use nvp_sim::SimError;
 
 use crate::RunReport;
@@ -75,7 +80,8 @@ impl SimObserver for NullObserver {}
 /// the tick logic both write). The loop banks each tick's harvested
 /// income through the front end *before* calling [`tick`](Self::tick),
 /// so platform logic never touches the income path — that physics lives
-/// in exactly one place.
+/// in the front end, whose [`EnergyFrontEnd::idle`] loop repeats it
+/// operation for operation for [`idle`](Self::idle) stretches.
 pub trait Platform {
     /// Read access to the power-provisioning front end.
     fn front_end(&self) -> &EnergyFrontEnd;
@@ -102,6 +108,17 @@ pub trait Platform {
     /// Mutable report access (the drive loop's shared bookkeeping).
     fn report_mut(&mut self) -> &mut RunReport;
 
+    /// Consumes the samples of `trace` from index `from` on that the
+    /// platform would spend only banking income and sleeping, and
+    /// returns how many it consumed. Each must leave the platform, its
+    /// front end and its report bit-identical to a generic tick, which
+    /// the loop runs for the first sample not consumed. Such a sample
+    /// reports no event. The default consumes nothing.
+    fn idle(&mut self, trace: &PowerTrace, from: usize) -> usize {
+        let _ = (trace, from);
+        0
+    }
+
     /// Instructions executed since the last durable commit.
     fn uncommitted(&self) -> u64;
 }
@@ -122,8 +139,10 @@ pub fn drive<P: Platform + ?Sized>(
 /// [`drive`] with a [`SimObserver`] receiving platform events.
 ///
 /// This is *the* trace loop: one tick of income through the front end,
-/// then one platform tick, for every sample. Can be called repeatedly
-/// with successive trace windows; the report accumulates.
+/// then one platform tick, for every sample — except the stretches the
+/// platform's [`Platform::idle`] fast path consumes first, which end the
+/// same as those generic ticks would. Can be called repeatedly with
+/// successive trace windows; the report accumulates.
 ///
 /// # Errors
 ///
@@ -134,13 +153,17 @@ pub fn drive_observed<P: Platform + ?Sized>(
     obs: &mut dyn SimObserver,
 ) -> Result<RunReport, SimError> {
     let dt = trace.dt_s();
-    for i in 0..trace.len() {
-        let income = platform.front_end_mut().tick(Watts::new(trace.power_at(i)), Seconds::new(dt));
+    let mut i = 0;
+    loop {
+        i += platform.idle(trace, i);
+        let Some(&power) = trace.samples().get(i) else { break };
+        let income = platform.front_end_mut().tick(Watts::new(power), Seconds::new(dt));
         let energy = &mut platform.report_mut().energy;
         energy.harvested += income.harvested;
         energy.converted += income.converted;
         platform.tick(income, dt, obs)?;
         platform.report_mut().duration_s += dt;
+        i += 1;
     }
     let uncommitted = platform.uncommitted();
     let stored = platform.front_end().storage().energy();
@@ -150,6 +173,42 @@ pub fn drive_observed<P: Platform + ?Sized>(
     report.energy.stored_at_end = stored;
     report.energy.storage_wasted = wasted;
     Ok(*report)
+}
+
+/// Runs [`EnergyFrontEnd::idle`] for a platform whose phase machine, on
+/// a tick of `trace`'s `dt` with `debt_s` carried over, would only sleep
+/// at `sleep_power_w` until its store holds `wake`. The phase machines
+/// spend a budget of `dt - debt_s` while it exceeds 1e-12 s, so only a
+/// zero debt and such a `dt` give each sample exactly one `dt` of sleep.
+/// Returns the samples consumed.
+pub(crate) fn idle_stretch(
+    trace: &PowerTrace,
+    from: usize,
+    fe: &mut EnergyFrontEnd,
+    report: &mut RunReport,
+    debt_s: f64,
+    sleep_power_w: f64,
+    wake: Joules,
+) -> usize {
+    let dt = trace.dt_s();
+    let whole_dt = debt_s.classify() == FpCategory::Zero && dt > 1e-12;
+    if !whole_dt {
+        return 0;
+    }
+    let Some(powers) = trace.samples().get(from..) else { return 0 };
+    let sleep_draw = Watts::new(sleep_power_w) * Seconds::new(dt);
+    let mut sums = IdleSums {
+        harvested: report.energy.harvested,
+        converted: report.energy.converted,
+        sleep: report.energy.sleep,
+        duration_s: report.duration_s,
+    };
+    let consumed = fe.idle(powers, Seconds::new(dt), sleep_draw, wake, &mut sums);
+    report.energy.harvested = sums.harvested;
+    report.energy.converted = sums.converted;
+    report.energy.sleep = sums.sleep;
+    report.duration_s = sums.duration_s;
+    consumed
 }
 
 #[cfg(test)]

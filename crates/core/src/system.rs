@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver};
+use crate::platform::{drive, drive_observed, idle_stretch, Platform, SimEvent, SimObserver};
 use crate::{BackupModel, BackupPolicy, ClockPolicy, FaultPlan, Thresholds};
 
 /// Static platform configuration shared by the intermittent platforms.
@@ -1139,6 +1139,34 @@ impl Platform for IntermittentSystem {
 
     fn uncommitted(&self) -> u64 {
         self.uncommitted
+    }
+
+    /// Off below the start threshold, or done: the tick only banks and
+    /// sleeps. Skipping `select_hz` is exact, since only `run_active`
+    /// reads the clock and the waking sample's generic tick selects it.
+    fn idle(&mut self, trace: &PowerTrace, from: usize) -> usize {
+        let wake = match self.phase {
+            Phase::Off => self.thresholds.start,
+            Phase::Done => Joules::new(f64::INFINITY),
+            _ => return 0,
+        };
+        let consumed = idle_stretch(
+            trace,
+            from,
+            &mut self.fe,
+            &mut self.report,
+            self.time_debt_s,
+            self.config.sleep_power_w,
+            wake,
+        );
+        if self.phase == Phase::Off {
+            // Retention decay reads the off time: one `dt` a sample, in
+            // the generic tick's order.
+            for _ in 0..consumed {
+                self.off_since_s += trace.dt_s();
+            }
+        }
+        consumed
     }
 }
 

@@ -15,7 +15,7 @@ use nvp_sim::{CycleModel, EnergyModel, Machine, MachineImage, SimError, DEFAULT_
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::platform::{drive, drive_observed, Platform, SimEvent, SimObserver};
+use crate::platform::{drive, drive_observed, idle_stretch, Platform, SimEvent, SimObserver};
 use crate::{RunReport, TaskCost};
 
 /// Configuration for the wait-then-compute platform.
@@ -299,6 +299,22 @@ impl Platform for WaitComputeSystem {
 
     fn uncommitted(&self) -> u64 {
         self.task_progress
+    }
+
+    /// Charging below the start energy: the tick only banks and sleeps.
+    fn idle(&mut self, trace: &PowerTrace, from: usize) -> usize {
+        if self.phase != WaitPhase::Charging {
+            return 0;
+        }
+        idle_stretch(
+            trace,
+            from,
+            &mut self.fe,
+            &mut self.report,
+            self.time_debt_s,
+            self.config.sleep_power_w,
+            Joules::new(self.config.start_energy_j),
+        )
     }
 }
 

@@ -12,7 +12,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::sttram::SttModel;
+use crate::sttram::{PulseGrid, SttModel};
 
 /// How retention is shaped from the most- to least-significant bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -216,12 +216,14 @@ impl RetentionShaper {
     /// least (among the relaxing policies).
     #[must_use]
     pub fn write_energy_scale(&self, model: &SttModel) -> f64 {
-        let uniform = model.optimal_write(self.max_retention_s).energy_j * self.bits as f64;
+        let grid = PulseGrid::new();
+        let uniform =
+            model.optimal_write_on(&grid, self.max_retention_s).energy_j * self.bits as f64;
         let shaped: f64 = self
             .bit_retention()
             .per_bit_s()
             .iter()
-            .map(|&tau| model.optimal_write(tau).energy_j)
+            .map(|&tau| model.optimal_write_on(&grid, tau).energy_j)
             .sum();
         shaped / uniform
     }

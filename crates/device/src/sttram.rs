@@ -65,6 +65,39 @@ pub struct WritePoint {
     pub energy_j: f64,
 }
 
+/// A write pulse width with its retention-invariant `ln(width/τ₀)`.
+#[derive(Debug, Clone, Copy)]
+struct Pulse {
+    width_s: f64,
+    ln_over_tau0: f64,
+}
+
+impl Pulse {
+    fn new(width_s: f64) -> Self {
+        Pulse { width_s, ln_over_tau0: (width_s / TAU0_S).ln() }
+    }
+}
+
+/// The 401 log-spaced pulse widths [`SttModel::optimal_write`] searches,
+/// 0.5 ns first, then `lo·(hi/lo)^(k/400)` for `k` in 1..=400 up to
+/// 20 ns. It depends on no retention, so a search over many retentions
+/// builds it once.
+pub(crate) struct PulseGrid {
+    pulses: Vec<Pulse>,
+}
+
+impl PulseGrid {
+    pub(crate) fn new() -> Self {
+        let steps = 400;
+        let (lo, hi) = (0.5e-9_f64, 20e-9_f64);
+        let pulses = std::iter::once(lo)
+            .chain((1..=steps).map(|k| lo * (hi / lo).powf(f64::from(k) / f64::from(steps))))
+            .map(Pulse::new)
+            .collect();
+        PulseGrid { pulses }
+    }
+}
+
 /// Parametric STT-RAM switching model.
 ///
 /// Field defaults are calibrated so a 1-day-retention cell writes at
@@ -100,42 +133,51 @@ impl SttModel {
     /// (pulse approaching the retention time itself) stay physical.
     #[must_use]
     pub fn write_current_a(&self, retention_s: f64, pulse_s: f64) -> f64 {
-        let delta = thermal_stability(retention_s);
+        self.current_at(thermal_stability(retention_s), Pulse::new(pulse_s))
+    }
+
+    /// [`write_current_a`](Self::write_current_a) for stability `delta`.
+    fn current_at(&self, delta: f64, pulse: Pulse) -> f64 {
         let ic0 = self.critical_current_a(delta);
-        let thermal = ic0 * (1.0 - (pulse_s / TAU0_S).ln() / delta).max(0.05);
-        let precessional = self.c_prec_a_s / pulse_s;
+        let thermal = ic0 * (1.0 - pulse.ln_over_tau0 / delta).max(0.05);
+        let precessional = self.c_prec_a_s / pulse.width_s;
         thermal + precessional
     }
 
     /// Write energy per bit for the given retention and pulse width.
     #[must_use]
     pub fn write_energy_j(&self, retention_s: f64, pulse_s: f64) -> f64 {
-        let i = self.write_current_a(retention_s, pulse_s);
-        i * i * self.r_cell_ohm * pulse_s
+        self.energy_at(thermal_stability(retention_s), Pulse::new(pulse_s))
+    }
+
+    /// [`write_energy_j`](Self::write_energy_j) for stability `delta`.
+    fn energy_at(&self, delta: f64, pulse: Pulse) -> f64 {
+        let i = self.current_at(delta, pulse);
+        i * i * self.r_cell_ohm * pulse.width_s
     }
 
     /// Finds the energy-optimal write point over pulse widths in
     /// 0.5–20 ns (the range published write-circuit designs can program).
     #[must_use]
     pub fn optimal_write(&self, retention_s: f64) -> WritePoint {
-        let mut best = WritePoint {
+        self.optimal_write_on(&PulseGrid::new(), retention_s)
+    }
+
+    /// [`optimal_write`](Self::optimal_write) over a prebuilt grid, for
+    /// callers that search many retentions.
+    pub(crate) fn optimal_write_on(&self, grid: &PulseGrid, retention_s: f64) -> WritePoint {
+        let delta = thermal_stability(retention_s);
+        let point = |pulse: Pulse| WritePoint {
             retention_s,
-            pulse_s: 0.5e-9,
-            current_a: self.write_current_a(retention_s, 0.5e-9),
-            energy_j: self.write_energy_j(retention_s, 0.5e-9),
+            pulse_s: pulse.width_s,
+            current_a: self.current_at(delta, pulse),
+            energy_j: self.energy_at(delta, pulse),
         };
-        let steps = 400;
-        let (lo, hi) = (0.5e-9_f64, 20e-9_f64);
-        for k in 1..=steps {
-            let pulse = lo * (hi / lo).powf(f64::from(k) / f64::from(steps));
-            let energy = self.write_energy_j(retention_s, pulse);
-            if energy < best.energy_j {
-                best = WritePoint {
-                    retention_s,
-                    pulse_s: pulse,
-                    current_a: self.write_current_a(retention_s, pulse),
-                    energy_j: energy,
-                };
+        let (&first, rest) = grid.pulses.split_first().expect("the grid is never empty");
+        let mut best = point(first);
+        for &pulse in rest {
+            if self.energy_at(delta, pulse) < best.energy_j {
+                best = point(pulse);
             }
         }
         best
@@ -225,6 +267,29 @@ mod tests {
         let m = SttModel::default();
         let saving = m.retention_energy_saving(DAY, 0.01);
         assert!((0.6..0.9).contains(&saving), "expected ≈0.77 saving, got {saving}");
+    }
+
+    /// The grid search hoists Δ and `ln(pulse/τ₀)` out of its loop;
+    /// every bit must match the search that recomputed them per step.
+    #[test]
+    fn optimal_write_matches_the_per_step_search_bit_for_bit() {
+        let m = SttModel::default();
+        for retention_s in [1e-4, 0.01, 0.37, 1.0, 60.0, DAY, 10.0 * 365.0 * DAY] {
+            let mut best = (0.5e-9, m.write_energy_j(retention_s, 0.5e-9));
+            let (lo, hi) = (0.5e-9_f64, 20e-9_f64);
+            for k in 1..=400 {
+                let pulse = lo * (hi / lo).powf(f64::from(k) / 400.0);
+                let energy = m.write_energy_j(retention_s, pulse);
+                if energy < best.1 {
+                    best = (pulse, energy);
+                }
+            }
+            let w = m.optimal_write(retention_s);
+            assert_eq!(w.pulse_s.to_bits(), best.0.to_bits(), "{retention_s}");
+            assert_eq!(w.energy_j.to_bits(), best.1.to_bits(), "{retention_s}");
+            let current = m.write_current_a(retention_s, best.0);
+            assert_eq!(w.current_a.to_bits(), current.to_bits(), "{retention_s}");
+        }
     }
 
     #[test]

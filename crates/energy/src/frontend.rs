@@ -243,14 +243,20 @@ impl Capacitor {
 
     /// Applies self-discharge over a duration.
     pub fn leak(&mut self, dt: Seconds) {
+        let lost = self.energy * self.lost_fraction(dt);
+        self.energy -= lost;
+        self.wasted += lost;
+    }
+
+    /// The fraction of stored energy one [`leak`](Self::leak) over `dt`
+    /// loses, `1 - exp(-dt/τ)`, memoized per distinct `dt`.
+    fn lost_fraction(&mut self, dt: Seconds) -> f64 {
         let dt_bits = dt.get().to_bits();
         if dt_bits != self.leak_memo.dt_bits {
             let kept = (-(dt / self.leak_tau)).exp();
             self.leak_memo = LeakMemo { dt_bits, lost_frac: 1.0 - kept };
         }
-        let lost = self.energy * self.leak_memo.lost_frac;
-        self.energy -= lost;
-        self.wasted += lost;
+        self.leak_memo.lost_frac
     }
 
     /// Empties the capacitor (deep discharge during a long outage).
@@ -335,6 +341,21 @@ pub struct TickIncome {
     pub converted: Joules,
 }
 
+/// Running sums an [`EnergyFrontEnd::idle`] stretch adds its samples
+/// to: what a platform's report accumulates per generic tick while it
+/// only banks income and sleeps.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct IdleSums {
+    /// Raw harvested energy offered by the trace.
+    pub harvested: Joules,
+    /// Energy delivered past the rectifier into storage.
+    pub converted: Joules,
+    /// Standby energy drawn from storage.
+    pub sleep: Joules,
+    /// Simulated time, seconds.
+    pub duration_s: f64,
+}
+
 /// The per-tick income path shared by every simulated platform:
 /// rectifier output → trickle/clip effects → capacitor charge → leakage.
 ///
@@ -379,6 +400,15 @@ impl EnergyFrontEnd {
     /// curve, the trickle and clip options, charges the capacitor, and
     /// applies leakage. Returns the tick's energy income.
     pub fn tick(&mut self, input: Watts, dt: Seconds) -> TickIncome {
+        let converted = self.banked_power(input) * dt;
+        self.cap.charge(converted);
+        self.cap.leak(dt);
+        TickIncome { harvested: input * dt, converted }
+    }
+
+    /// The rectifier output for `input` after the trickle and clip
+    /// options: the power a tick banks.
+    fn banked_power(&self, input: Watts) -> Watts {
         let mut out = self.config.rectifier.output(input);
         if out < self.config.min_charge_power {
             // Below the storage device's minimum charging current the
@@ -386,11 +416,84 @@ impl EnergyFrontEnd {
             out = out * self.config.trickle_efficiency;
         }
         // Spikes above the charger's input limit are clipped.
-        out = out.min(self.config.max_charge_power);
-        let converted = out * dt;
-        self.cap.charge(converted);
-        self.cap.leak(dt);
-        TickIncome { harvested: input * dt, converted }
+        out.min(self.config.max_charge_power)
+    }
+
+    /// Banks and sleeps through a stretch of `powers` sampled every
+    /// `dt`: for each sample, exactly what [`tick`](Self::tick) then
+    /// [`Capacitor::draw_up_to`]`(sleep_draw)` do, in the same `f64`
+    /// order, adding each sample's harvested and converted income, its
+    /// sleep draw and `dt` to `sums` in that order.
+    ///
+    /// It stops *before* the first sample after which the store would
+    /// hold `wake` or more, would spill (charge past capacity), or could
+    /// not pay `sleep_draw` in full, and returns how many samples it
+    /// consumed; the caller runs that sample through its generic tick.
+    /// Neither clamp of the generic path binds on a consumed sample, so
+    /// the stored energy stays in a register along a chain of four
+    /// dependent operations (charge, leak, their difference, sleep). A
+    /// NaN in any exit test stops the stretch.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use nvp_energy::units::{Farads, Joules, Seconds, Volts, Watts};
+    /// use nvp_energy::{EnergyFrontEnd, FrontEndConfig, IdleSums, Rectifier};
+    ///
+    /// let cfg = FrontEndConfig::direct(
+    ///     Rectifier::default(), Farads::new(2.2e-6), Volts::new(3.3), Seconds::new(3600.0));
+    /// let (dt, sleep) = (Seconds::new(1e-4), Watts::new(50e-9) * Seconds::new(1e-4));
+    /// let mut fe = EnergyFrontEnd::new(cfg);
+    /// let mut sums = IdleSums::default();
+    /// // 20 µW banks about 1.2 nJ a sample: a 1 µJ wake stops the
+    /// // stretch after some 850 samples.
+    /// let consumed = fe.idle(&[20e-6; 2000], dt, sleep, Joules::new(1e-6), &mut sums);
+    /// assert!(consumed > 800 && consumed < 900, "{consumed}");
+    /// assert!(fe.storage().energy() < Joules::new(1e-6));
+    /// assert!(sums.sleep > Joules::ZERO && sums.converted < sums.harvested);
+    /// ```
+    pub fn idle(
+        &mut self,
+        powers: &[f64],
+        dt: Seconds,
+        sleep_draw: Joules,
+        wake: Joules,
+        sums: &mut IdleSums,
+    ) -> usize {
+        let capacity = self.cap.max_energy();
+        let lost_frac = self.cap.lost_fraction(dt);
+        let IdleSums { mut harvested, mut converted, mut sleep, mut duration_s } = *sums;
+        let mut energy = self.cap.energy;
+        let mut wasted = self.cap.wasted;
+        let mut consumed = 0;
+        for &p in powers {
+            let input = Watts::new(p);
+            let banked = self.banked_power(input) * dt;
+            let charged = energy + banked;
+            let lost = charged * lost_frac;
+            let left = charged - lost;
+            // The charge stores all of `banked` (`Capacitor::charge`'s
+            // clamp does not bind), the platform stays asleep, and the
+            // draw is paid in full (`draw_up_to`'s clamp does not bind).
+            let idle = banked <= capacity - energy && left < wake && sleep_draw <= left;
+            if !idle {
+                break;
+            }
+            // The charge spills `banked - banked`, +0.0, which leaves
+            // `wasted` unchanged: it starts at +0.0 and gains only
+            // terms that are +0.0 or positive, so it is never -0.0.
+            energy = left - sleep_draw;
+            wasted += lost;
+            harvested += input * dt;
+            converted += banked;
+            sleep += sleep_draw;
+            duration_s += dt.get();
+            consumed += 1;
+        }
+        self.cap.energy = energy;
+        self.cap.wasted = wasted;
+        *sums = IdleSums { harvested, converted, sleep, duration_s };
+        consumed
     }
 
     /// The configuration in effect.
@@ -415,6 +518,8 @@ impl EnergyFrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn rectifier_curve_shape() {
@@ -532,6 +637,140 @@ mod tests {
         let b = direct.tick(Watts::new(30e-6), Seconds::new(1e-4));
         assert!((a.converted - b.converted * 0.15).get().abs() < 1e-18);
         assert_eq!(a.harvested, b.harvested);
+    }
+
+    /// Why an idle stretch must stop before a sample: what that
+    /// sample's generic path does that the idle loop does not.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Exit {
+        Wake,
+        Spill,
+        SleepClamp,
+    }
+
+    /// One sample down the generic path — `tick`, then
+    /// `draw_up_to(sleep_draw)`, with the sums added in tick order —
+    /// and the exits it takes.
+    fn generic_sample(
+        fe: &mut EnergyFrontEnd,
+        p: f64,
+        (dt, sleep_draw, wake): (Seconds, Joules, Joules),
+        sums: &mut IdleSums,
+    ) -> Vec<Exit> {
+        let room = fe.storage().max_energy() - fe.storage().energy();
+        let income = fe.tick(Watts::new(p), dt);
+        sums.harvested += income.harvested;
+        sums.converted += income.converted;
+        let mut exits = Vec::new();
+        if fe.storage().energy() >= wake {
+            exits.push(Exit::Wake);
+        }
+        if income.converted > room {
+            exits.push(Exit::Spill);
+        }
+        if fe.storage().energy() < sleep_draw {
+            exits.push(Exit::SleepClamp);
+        }
+        sums.sleep += fe.storage_mut().draw_up_to(sleep_draw);
+        sums.duration_s += dt.get();
+        exits
+    }
+
+    fn assert_same(idle: (&EnergyFrontEnd, &IdleSums), generic: (&EnergyFrontEnd, &IdleSums)) {
+        let bits = |(fe, sums): (&EnergyFrontEnd, &IdleSums)| {
+            [
+                fe.storage().energy().get().to_bits(),
+                fe.storage().wasted().get().to_bits(),
+                sums.harvested.get().to_bits(),
+                sums.converted.get().to_bits(),
+                sums.sleep.get().to_bits(),
+                sums.duration_s.to_bits(),
+            ]
+        };
+        assert_eq!(bits(idle), bits(generic));
+    }
+
+    /// Bursty seeded input: stretches of silence, weak income and
+    /// spikes, each sample jittered.
+    fn bursty_powers(rng: &mut StdRng, len: usize) -> Vec<f64> {
+        let mut powers = Vec::with_capacity(len);
+        while powers.len() < len {
+            let class = rng.random::<f64>();
+            let level = if class < 0.3 {
+                0.0
+            } else if class < 0.8 {
+                10f64.powf(rng.random_range_f64(-7.0, -4.0))
+            } else {
+                10f64.powf(rng.random_range_f64(-4.0, -2.5))
+            };
+            let stretch = 1 + (rng.random::<f64>() * 400.0) as usize;
+            for _ in 0..stretch.min(len - powers.len()) {
+                powers.push(level * rng.random_range_f64(0.5, 1.5));
+            }
+        }
+        powers
+    }
+
+    #[test]
+    fn idle_matches_tick_then_sleep_bit_for_bit() {
+        let r = Rectifier::default();
+        let direct = |c: f64, tau: f64| {
+            FrontEndConfig::direct(r, Farads::new(c), Volts::new(3.3), Seconds::new(tau))
+        };
+        let mut charger = direct(100e-6, 200.0);
+        charger.min_charge_power = Watts::new(50e-6);
+        charger.trickle_efficiency = 0.15;
+        charger.max_charge_power = Watts::new(150e-6);
+        let dt = Seconds::new(1e-4);
+        // (front end, sleep draw, wake): an NVP buffer off below its
+        // start threshold, a tiny buffer that is done (never wakes, so
+        // it fills and spills), and a charger-fed supercapacitor.
+        let cases = [
+            (direct(2.2e-6, 3600.0), Watts::new(50e-9) * dt, Joules::new(1.5e-6)),
+            (direct(10e-9, 0.05), Watts::new(2e-6) * dt, Joules::new(f64::INFINITY)),
+            (charger, Watts::new(300e-9) * dt, Joules::new(20e-6)),
+        ];
+        let mut rng = StdRng::seed_from_u64(0x1d1e);
+        let mut seen = std::collections::BTreeSet::new();
+        let mut idled = 0;
+        for (config, sleep_draw, wake) in cases {
+            let params = (dt, sleep_draw, wake);
+            for _ in 0..4 {
+                let powers = bursty_powers(&mut rng, 20_000);
+                let (mut fast, mut slow) =
+                    (EnergyFrontEnd::new(config), EnergyFrontEnd::new(config));
+                let (mut fast_sums, mut slow_sums) = (IdleSums::default(), IdleSums::default());
+                let mut i = 0;
+                loop {
+                    let n = fast.idle(&powers[i..], dt, sleep_draw, wake, &mut fast_sums);
+                    for &p in &powers[i..i + n] {
+                        let exits = generic_sample(&mut slow, p, params, &mut slow_sums);
+                        assert!(exits.is_empty(), "idle consumed a sample exiting on {exits:?}");
+                    }
+                    assert_same((&fast, &fast_sums), (&slow, &slow_sums));
+                    idled += n;
+                    i += n;
+                    let Some(&p) = powers.get(i) else { break };
+                    // The stopping sample takes the generic path on both.
+                    let exits = generic_sample(&mut fast, p, params, &mut fast_sums);
+                    assert!(!exits.is_empty(), "idle stopped at sample {i} without an exit");
+                    generic_sample(&mut slow, p, params, &mut slow_sums);
+                    if exits.contains(&Exit::Wake) {
+                        // A woken platform spends most of its store.
+                        for fe in [&mut fast, &mut slow] {
+                            fe.storage_mut().draw_up_to(wake * 0.9);
+                        }
+                    }
+                    seen.extend(exits);
+                    i += 1;
+                }
+            }
+        }
+        assert_eq!(
+            seen.into_iter().collect::<Vec<_>>(),
+            [Exit::Wake, Exit::Spill, Exit::SleepClamp]
+        );
+        assert!(idled > 120_000, "only {idled} of 240000 samples idled");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   trade-off is the heart of the NVP-vs-wait-compute comparison,
 //! * [`EnergyFrontEnd`] — the complete per-tick income path (rectifier →
 //!   trickle/clip options → capacitor charge + leak) shared by every
-//!   simulated platform, configured by a [`FrontEndConfig`],
+//!   simulated platform, configured by a [`FrontEndConfig`], and its
+//!   idle loop ([`EnergyFrontEnd::idle`]) that banks and sleeps through
+//!   a stretch of samples with the stored energy in a register,
 //! * [`units`] — dimensional newtypes ([`Joules`], [`Watts`], [`Volts`],
 //!   [`Farads`], [`Seconds`]) that make unit slips in the accounting
 //!   engine compile errors while staying bit-exact with raw `f64`.
@@ -45,7 +47,7 @@ mod stats;
 mod trace;
 pub mod units;
 
-pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, Rectifier, TickIncome};
+pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, IdleSums, Rectifier, TickIncome};
 pub use stats::{Histogram, OutageStats, TraceSummary};
 pub use trace::{PowerTrace, TraceError};
 pub use units::{Farads, Joules, Seconds, Volts, Watts};

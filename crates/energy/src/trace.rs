@@ -226,6 +226,10 @@ impl<W: io::Write> CsvWriter<W> {
 
 /// A harvested-power trace: input power in watts, sampled every `dt_s`.
 ///
+/// Every constructor keeps the samples finite and non-negative and the
+/// period finite and positive; the platforms' idle fast path relies on
+/// it.
+///
 /// # Example
 ///
 /// ```
@@ -247,10 +251,11 @@ impl PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `dt_s` is not positive or any sample is negative/NaN.
+    /// Panics if `dt_s` is not finite and positive, or any sample is
+    /// negative or not finite.
     #[must_use]
     pub fn from_samples(dt_s: f64, samples: Vec<f64>) -> Self {
-        assert!(dt_s > 0.0, "sample period must be positive");
+        assert!(dt_s > 0.0 && dt_s.is_finite(), "sample period must be finite and positive");
         assert!(
             samples.iter().all(|p| p.is_finite() && *p >= 0.0),
             "power samples must be finite and non-negative"
@@ -380,7 +385,8 @@ impl PowerTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError`] on malformed rows or negative power.
+    /// Returns [`TraceError`] on malformed rows, negative or non-finite
+    /// power, or a sample period that is not finite and positive.
     pub fn from_csv(text: &str) -> Result<Self, TraceError> {
         let mut times = Vec::new();
         let mut powers = Vec::new();
@@ -412,6 +418,9 @@ impl PowerTrace {
             return Err(TraceError::new(1, "row", "no samples"));
         }
         let dt = if times.len() >= 2 { (times[1] - times[0]).abs() } else { 1e-4 };
+        if !dt.is_finite() {
+            return Err(TraceError::new(2, "time_s", format!("non-finite sample period {dt}")));
+        }
         if dt <= 0.0 {
             return Err(TraceError::new(2, "time_s", "non-increasing timestamps"));
         }
@@ -430,10 +439,14 @@ impl PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `factor` is negative.
+    /// Panics if `factor` is negative or not finite (an infinite factor
+    /// would turn a 0 W sample into NaN).
     #[must_use]
     pub fn scaled(&self, factor: f64) -> PowerTrace {
-        assert!(factor >= 0.0, "scale factor must be non-negative");
+        assert!(
+            factor >= 0.0 && factor.is_finite(),
+            "scale factor must be finite and non-negative"
+        );
         PowerTrace { dt_s: self.dt_s, samples: self.samples.iter().map(|p| p * factor).collect() }
     }
 }
@@ -681,5 +694,31 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn negative_sample_panics() {
         let _ = PowerTrace::from_samples(1e-4, vec![-1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scale factor must be finite")]
+    fn infinite_scale_panics() {
+        // 0 W × ∞ would be a NaN sample.
+        let _ = PowerTrace::from_samples(1e-4, vec![0.0, 1e-6]).scaled(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "sample period must be finite")]
+    fn infinite_period_panics() {
+        let _ = PowerTrace::from_samples(f64::INFINITY, vec![1e-6]);
+    }
+
+    #[test]
+    fn csv_rejects_a_non_finite_period() {
+        for text in [
+            "time_s,power_w\ninf,1e-6\ninf,1e-6",      // ∞ − ∞ is NaN
+            "time_s,power_w\n0.0,1e-6\ninf,1e-6",      // an infinite period
+            "time_s,power_w\n-1e308,1e-6\n1e308,1e-6", // overflows to ∞
+        ] {
+            let e = PowerTrace::from_csv(text).unwrap_err();
+            assert_eq!((e.line(), e.field()), (2, "time_s"), "{text}");
+            assert!(e.to_string().contains("non-finite sample period"), "{e}");
+        }
     }
 }
