@@ -319,12 +319,6 @@ impl PowerTrace {
         &self.samples
     }
 
-    /// Power at sample index `i`, or 0 beyond the end.
-    #[must_use]
-    pub fn power_at(&self, i: usize) -> f64 {
-        self.samples.get(i).copied().unwrap_or(0.0)
-    }
-
     /// Mean power over the whole trace, watts.
     #[must_use]
     pub fn average_w(&self) -> f64 {

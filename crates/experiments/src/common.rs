@@ -3,22 +3,21 @@
 //! The standard inputs (synthetic frame, kernel instances and their
 //! block streams, wearable traces, unconstrained task costs) are pure
 //! functions of their parameters and were historically rebuilt by every
-//! experiment. They are now memoized in process-wide caches so
-//! concurrent experiments share one instance; the caches are keyed on
-//! every parameter that influences the value, so results are unchanged.
-//! They fill through [`simcache::memo`], the same per-key slot as the
-//! simulation cache: distinct inputs build in parallel and each is built
-//! once. Frames, kernels, block streams and task costs stay for the life
-//! of the process. A trace keeps only its spec and digest: its samples (read only by
-//! simulations) and its summary (read by the profile and outage
-//! figures, streamed from the generator without a sample array) live
-//! while a job runs and are released when no job is left in flight
-//! (see [`JobScope`]), so a resident server holds just the traces of
-//! its running jobs. The same release drops the sim-cache's outcomes
-//! that the attached store holds. With a persistent store
-//! attached, a summary and a task cost are read from it before they are
-//! streamed or measured, and stored after, so a warm rerun computes
-//! neither.
+//! experiment. They are now shared, keyed on every parameter that
+//! influences the value, so concurrent experiments read one instance
+//! and results are unchanged. Frames, kernels, block streams and task
+//! costs fill through [`simcache::memo`], the same per-key slot as the
+//! simulation cache (distinct inputs build in parallel and each is
+//! built once), and stay for the life of the process. A trace is the
+//! one input a job owns: every handle on a spec shares one entry, which
+//! holds the samples (read only by simulations) and the summary (read
+//! by the profile and outage figures, streamed from the generator
+//! without a sample array), and both are freed with the spec's last
+//! handle. A job's plans hold its handles until its run step returns,
+//! so a resident server holds just the traces of its running jobs. With
+//! a persistent store attached, a summary and a task cost are read from
+//! it before they are streamed or measured, and stored after, so a warm
+//! rerun computes neither.
 //!
 //! Each simulated platform is one [`Setup`] value. An experiment's plan
 //! lists it with its kernel and trace ([`crate::plan::Plan`]), and the
@@ -28,10 +27,11 @@
 //! simulate only once per process.
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use nvp_core::{
     measure_task, BackupModel, BackupPolicy, BackupStyle, FaultPlan, IntermittentSystem, RunReport,
@@ -272,62 +272,48 @@ impl KeyFields for TraceSpec {
     }
 }
 
-/// One memoized trace: its spec and the spec's digest, kept for the
-/// life of the process, and the samples and summary, held only while a
-/// job runs.
+/// One trace that live handles name: its spec and the spec's digest,
+/// and the samples and summary, each filled on first read, so
+/// concurrent readers of one spec share one generation and one
+/// summary. The entry, and with it both, is freed when its last
+/// [`SimTrace`] drops.
 struct TraceEntry {
     spec: TraceSpec,
     digest: Digest,
-    held: Mutex<Held>,
+    samples: OnceLock<Arc<PowerTrace>>,
+    summary: OnceLock<Arc<TraceSummary>>,
 }
 
-/// What a [`TraceEntry`] holds, and how often it built or loaded each
-/// part.
-#[derive(Default)]
-struct Held {
-    samples: Option<Arc<PowerTrace>>,
-    summary: Option<Arc<TraceSummary>>,
-    generations: u64,
-    summaries: u64,
-    summaries_loaded: u64,
-}
+/// The counters behind [`TraceMemoStats`].
+static GENERATED: AtomicU64 = AtomicU64::new(0);
+static SUMMARIZED: AtomicU64 = AtomicU64::new(0);
+static SUMMARIES_LOADED: AtomicU64 = AtomicU64::new(0);
 
 impl TraceEntry {
-    fn held(&self) -> MutexGuard<'_, Held> {
-        // A panicking generator leaves its slot empty, so a poisoned
-        // lock holds nothing torn.
-        self.held.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The samples, generated if the entry holds none. The lock is held
-    /// across generation, so concurrent readers of one spec share one.
-    fn read(&self) -> Arc<PowerTrace> {
-        let mut held = self.held();
-        let Held { samples, generations, .. } = &mut *held;
-        Arc::clone(samples.get_or_insert_with(|| {
-            *generations += 1;
+    /// The samples, generated on first read.
+    fn samples(&self) -> &Arc<PowerTrace> {
+        self.samples.get_or_init(|| {
+            GENERATED.fetch_add(1, AtomicOrdering::Relaxed);
             Arc::new(self.spec.generate())
-        }))
+        })
     }
 
-    /// The summary. An entry that holds none reads it from the attached
-    /// store, or streams it from the generator (no sample array is
-    /// allocated) and stores it. The lock is held across the stream, so
-    /// concurrent readers of one spec share one.
+    /// The summary, on first read taken from the attached store, or
+    /// streamed from the generator (no sample array is allocated) and
+    /// stored.
     fn summary(&self) -> Arc<TraceSummary> {
-        let mut held = self.held();
-        let Held { summary, summaries, summaries_loaded, .. } = &mut *held;
-        Arc::clone(summary.get_or_insert_with(|| {
+        let summary = self.summary.get_or_init(|| {
             let key = self.summary_key();
             if let Some(stored) = simcache::stored(&key) {
-                *summaries_loaded += 1;
+                SUMMARIES_LOADED.fetch_add(1, AtomicOrdering::Relaxed);
                 return Arc::new(stored);
             }
-            *summaries += 1;
+            SUMMARIZED.fetch_add(1, AtomicOrdering::Relaxed);
             let streamed = Arc::new(self.spec.summarize());
             simcache::store(&key, &*streamed);
             streamed
-        }))
+        });
+        Arc::clone(summary)
     }
 
     /// The summary's store key: the spec digest (which names the
@@ -345,13 +331,13 @@ impl TraceEntry {
 /// keyed without touching a sample. The samples are generated the first
 /// time a simulation reads them: a run whose sim-cache key hits never
 /// builds its trace, and the profile and outage figures read the
-/// trace's [`summary`](Self::summary) instead. Within a job each spec
-/// is generated and summarized at most once; see [`JobScope`] for when
-/// the memo lets go of both. A handle keeps the samples it has read.
+/// trace's [`summary`](Self::summary) instead. Every handle on a spec
+/// shares one entry, so while any handle lives the spec is generated
+/// and summarized at most once; a job's plans hold a handle on every
+/// trace the job reads until its run step returns.
 #[derive(Clone)]
 pub(crate) struct SimTrace {
     entry: Arc<TraceEntry>,
-    samples: OnceLock<Arc<PowerTrace>>,
 }
 
 impl SimTrace {
@@ -365,19 +351,19 @@ impl SimTrace {
     }
 
     /// The trace's statistics at [`OPERATING_THRESHOLD_W`], shared by
-    /// every reader in the job. Reads no sample array.
+    /// every handle on the spec. Reads no sample array.
     pub(crate) fn summary(&self) -> Arc<TraceSummary> {
         self.entry.summary()
     }
 
     fn samples(&self) -> &Arc<PowerTrace> {
-        self.samples.get_or_init(|| self.entry.read())
+        self.entry.samples()
     }
 
-    /// Whether anything has ever generated this trace's samples.
+    /// Whether the samples the handles on this spec share are generated.
     #[cfg(test)]
     fn is_generated(&self) -> bool {
-        self.entry.held().generations > 0
+        self.entry.samples.get().is_some()
     }
 }
 
@@ -389,114 +375,71 @@ impl Deref for SimTrace {
     }
 }
 
-/// Every trace spec this process has named, with its samples if held.
-static TRACES: Memo<TraceSpec, TraceEntry> = OnceLock::new();
+/// The trace specs live handles name. An entry whose last handle
+/// dropped is pruned when the next spec is added.
+static TRACES: Mutex<BTreeMap<TraceSpec, Weak<TraceEntry>>> = Mutex::new(BTreeMap::new());
 
-/// A memoized harvester trace for any source kind. F7's technology ×
-/// harvester grid and F11's solar variant hit this instead of
-/// regenerating the trace per grid cell.
+fn traces() -> MutexGuard<'static, BTreeMap<TraceSpec, Weak<TraceEntry>>> {
+    TRACES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A harvester trace for any source kind: a handle on the entry of its
+/// spec, shared with every other live handle on the spec. F7's
+/// technology × harvester grid and F11's solar variant share one
+/// generation instead of regenerating the trace per grid cell.
 pub(crate) fn source_trace(cfg: &ExpConfig, kind: SourceKind, seed: u64) -> SimTrace {
     let spec = TraceSpec::new(kind, seed, cfg.trace_duration_s);
-    let entry =
-        memo(&TRACES, spec, || TraceEntry { spec, digest: spec.digest(), held: Mutex::default() });
-    SimTrace { entry, samples: OnceLock::new() }
-}
-
-/// Calls `f` on every trace entry the memo holds.
-fn each_trace(mut f: impl FnMut(&TraceEntry)) {
-    let Some(map) = TRACES.get() else { return };
-    let map = map.lock().unwrap_or_else(PoisonError::into_inner);
-    for entry in map.values().filter_map(|slot| slot.get()) {
-        f(entry);
+    let mut map = traces();
+    if let Some(entry) = map.get(&spec).and_then(Weak::upgrade) {
+        return SimTrace { entry };
     }
-}
-
-/// Jobs in flight: the number of live [`JobScope`]s.
-static JOBS: Mutex<usize> = Mutex::new(0);
-
-/// One campaign job's hold on the trace memo and the sim-cache. While
-/// any scope lives, generated samples and summaries stay in the memo,
-/// so every task of a job (F1's rows and profiles, F2, F9, the
-/// simulations) shares one generation and one summary per spec, and
-/// decoded outcomes stay in the sim-cache. When the last scope drops,
-/// both let go:
-///
-/// * the memo empties every trace's samples and summary; specs and
-///   digests stay, and a later job that reads a spec regenerates it,
-///   byte for byte the same samples;
-/// * the sim-cache drops every decoded outcome the attached store
-///   indexes ([`simcache::release_stored`]), and a later job that looks
-///   one up reads its record from the store. Without a store nothing is
-///   dropped.
-///
-/// A resident server therefore holds only the traces and outcomes of
-/// the jobs it is running. `nvpd`'s default single worker runs one job
-/// at a time, so every job's end releases; with more workers both are
-/// released at idle instants, not per job. The scope releases on
-/// unwind too, so a panicking job lets go as well.
-pub(crate) struct JobScope(());
-
-impl JobScope {
-    pub(crate) fn enter() -> JobScope {
-        *jobs() += 1;
-        JobScope(())
-    }
-}
-
-impl Drop for JobScope {
-    fn drop(&mut self) {
-        let mut jobs = jobs();
-        *jobs -= 1;
-        // Released under the counter lock, so no job starts mid-sweep.
-        if *jobs == 0 {
-            each_trace(|entry| {
-                let mut held = entry.held();
-                held.samples = None;
-                held.summary = None;
-            });
-            simcache::release_stored();
-        }
-    }
-}
-
-fn jobs() -> MutexGuard<'static, usize> {
-    JOBS.lock().unwrap_or_else(PoisonError::into_inner)
+    map.retain(|_, entry| entry.strong_count() > 0);
+    let entry = Arc::new(TraceEntry {
+        spec,
+        digest: spec.digest(),
+        samples: OnceLock::new(),
+        summary: OnceLock::new(),
+    });
+    map.insert(spec, Arc::downgrade(&entry));
+    SimTrace { entry }
 }
 
 /// Trace-memo counters (process-wide, via [`trace_memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceMemoStats {
-    /// Trace sample generations over the life of the process. Jobs in
-    /// flight generate each spec they read at most once; a spec is
-    /// generated again only after the memo released it. Only
+    /// Trace sample generations over the life of the process. While any
+    /// handle on a spec lives, the spec is generated at most once; it is
+    /// generated again only after its last handle dropped. Only
     /// simulations that miss the sim-cache read samples.
     pub generated: u64,
     /// Trace summaries streamed from the generator over the life of the
-    /// process: at most one per spec per job, like
+    /// process: at most one per spec while any handle on it lives, like
     /// [`generated`](Self::generated), and none for a summary the
     /// attached store holds.
     pub summarized: u64,
     /// Trace summaries read from the attached store's shards over the
-    /// life of the process, at most one per spec per job.
+    /// life of the process, at most one per spec while any handle on it
+    /// lives.
     pub summaries_loaded: u64,
-    /// Sample bytes the memo holds right now; zero between jobs.
+    /// Sample bytes live handles hold right now; zero between jobs.
     pub resident_bytes: u64,
 }
 
 /// Process-wide trace-memo counters.
 #[must_use]
 pub fn trace_memo_stats() -> TraceMemoStats {
-    let mut stats = TraceMemoStats::default();
-    each_trace(|entry| {
-        let held = entry.held();
-        stats.generated += held.generations;
-        stats.summarized += held.summaries;
-        stats.summaries_loaded += held.summaries_loaded;
-        if let Some(samples) = &held.samples {
-            stats.resident_bytes += std::mem::size_of_val(samples.samples()) as u64;
-        }
-    });
-    stats
+    let load = |counter: &AtomicU64| counter.load(AtomicOrdering::Relaxed);
+    let resident_bytes = traces()
+        .values()
+        .filter_map(Weak::upgrade)
+        .filter_map(|entry| entry.samples.get().map(|s| std::mem::size_of_val(s.samples()) as u64))
+        .sum();
+    TraceMemoStats {
+        generated: load(&GENERATED),
+        summarized: load(&SUMMARIZED),
+        summaries_loaded: load(&SUMMARIES_LOADED),
+        resident_bytes,
+    }
 }
 
 /// The standard wearable trace for a profile seed.
@@ -732,8 +675,9 @@ mod tests {
         let (_, sim) = plan.sims().next().expect("one planned run");
         let stored = RunReport { tasks_completed: 7, ..RunReport::default() };
         let outcome = simcache::SimOutcome { report: stored, latencies_ms: Vec::new() };
-        simcache::cached_outcome(sim.key(), || outcome.clone());
-        assert_eq!(sim.outcome(), outcome);
+        let stored = simcache::cached_outcome(sim.key(), || outcome.clone());
+        assert_eq!(*sim.lookup().outcome(), outcome);
+        drop(stored);
         assert!(!trace.is_generated(), "a sim-cache hit reads no sample");
 
         // F1 and F2 read the trace's streamed summary, not its samples.
@@ -741,8 +685,29 @@ mod tests {
         assert_eq!(crate::f1_power_profiles::rows(&only(901)).len(), 1);
         let f2_trace = watch_trace(&cfg, 902);
         assert_eq!(crate::f2_outage_stats::rows(&only(902)).len(), 1);
-        assert_eq!(crate::f2_outage_stats::histogram_table(&only(902), 902, 4).rows().len(), 4);
+        assert_eq!(crate::f2_outage_stats::histogram(&f2_trace.summary(), 4).rows().len(), 4);
         assert!(!trace.is_generated() && !f2_trace.is_generated(), "summaries read no array");
+    }
+
+    /// A trace's samples are freed with its last handle, while another
+    /// trace's handle keeps its own, with no job around either.
+    #[test]
+    fn a_traces_samples_die_with_its_last_handle() {
+        // A duration no other test uses, so only this test holds these
+        // traces.
+        let cfg = ExpConfig { trace_duration_s: 0.3125, ..ExpConfig::quick() };
+        let first = watch_trace(&cfg, 903);
+        let again = watch_trace(&cfg, 903);
+        let other = watch_trace(&cfg, 904);
+        let samples = Arc::downgrade(first.samples());
+        let kept = Arc::downgrade(other.samples());
+        assert!(Arc::ptr_eq(first.samples(), again.samples()), "handles share one generation");
+        drop(first);
+        assert!(samples.upgrade().is_some(), "a live handle keeps the samples");
+        drop(again);
+        assert!(samples.upgrade().is_none(), "the last handle frees them");
+        assert!(kept.upgrade().is_some(), "another trace's handle keeps its own");
+        assert_eq!(other.len(), other.spec().sample_count());
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub struct Row {
 /// spec: a [`CampaignResult`](crate::CampaignResult) holds it as is,
 /// and its CSV is streamed from the generator only when written.
 pub(crate) fn profile(cfg: &ExpConfig, seed: u64) -> TraceSpec {
-    watch_trace(cfg, seed).spec()
+    TraceSpec::new(nvp_energy::harvester::SourceKind::WristWatch, seed, cfg.trace_duration_s)
 }
 
 /// A profile's spec under the benchmark client's older name, whose

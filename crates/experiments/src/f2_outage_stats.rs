@@ -57,12 +57,6 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     plan::build(cfg, plan(cfg), read)
 }
 
-/// Outage-duration histogram for one profile (`bins` equal-width bins).
-#[must_use]
-pub fn histogram_table(cfg: &ExpConfig, profile: u64, bins: usize) -> Table {
-    plan::build(cfg, histogram_plan(cfg, profile), |_, out| histogram(&out.summary(), bins))
-}
-
 /// The histogram's work: one profile's summary.
 pub(crate) fn histogram_plan(cfg: &ExpConfig, profile: u64) -> Plan {
     let mut plan = Plan::default();
@@ -127,7 +121,7 @@ mod tests {
     #[test]
     fn histogram_counts_everything() {
         let cfg = ExpConfig::quick();
-        let t = histogram_table(&cfg, 1, 10);
+        let t = histogram(&watch_trace(&cfg, 1).summary(), 10);
         assert_eq!(t.rows().len(), 10);
         let total: u64 = t.rows().iter().map(|r| r[1].parse::<u64>().unwrap()).sum();
         assert!(total > 0);

@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 
 use nvp_energy::DEFAULT_DT_S;
 
-use crate::common::{JobScope, TraceSpec};
+use crate::common::TraceSpec;
 use crate::plan::{self, Plan};
 use crate::registry::{find, registry, Experiment};
 use crate::sched::{self, sched_stats, SchedStats};
@@ -232,16 +232,15 @@ pub(crate) fn run_campaign(cfg: &ExpConfig, experiments: &[&'static Experiment])
 /// The job runs under whatever simulation store the process has
 /// attached: `repro` picks its local store (or none, with
 /// `--no-cache`), and the server's resident store serves every job.
-/// While it runs it holds the trace memo: each trace it reads is
-/// generated and summarized at most once, and both are released when
-/// no job is left in flight ([`crate::trace_memo_stats`] counts them).
+/// Its plans hold every trace it reads and its run step every outcome
+/// it looks up until that step returns, then let go of them whatever
+/// other jobs run ([`crate::trace_memo_stats`] counts the traces).
 ///
 /// # Errors
 ///
 /// Returns [`io::ErrorKind::InvalidInput`] for a request
 /// [`CampaignRequest::resolve`] refuses.
 pub fn run_request(req: &CampaignRequest) -> io::Result<CampaignResult> {
-    let _job = JobScope::enter();
     let cache_before = sim_cache_stats();
     let sched_before = sched_stats();
     let exec_before = exec_stats();

@@ -269,11 +269,6 @@ impl PersistentStore {
         Ok(offset)
     }
 
-    /// Whether the store indexes a record under `key`.
-    pub(crate) fn indexes(&self, key: &Digest) -> bool {
-        self.index.contains_key(key)
-    }
-
     /// The number of distinct outcome keys the store indexes.
     pub(crate) fn outcomes(&self) -> u64 {
         self.index.values().filter(|at| at.kind == KIND_OUTCOME).count() as u64

@@ -27,7 +27,7 @@ use nvp_workloads::KernelInstance;
 
 use crate::common::{run_fault_free, Setup, SimTrace};
 use crate::sched;
-use crate::simcache::{self, Digest, SimOutcome};
+use crate::simcache::{self, Digest, Lease, SimOutcome};
 use crate::stats::record_lane_group;
 use crate::ExpConfig;
 
@@ -58,8 +58,8 @@ impl Sim {
         }
     }
 
-    /// The outcome, through the simulation cache.
-    pub(crate) fn outcome(&self) -> SimOutcome {
+    /// A lease on the outcome, through the simulation cache.
+    pub(crate) fn lookup(&self) -> Lease {
         simcache::cached_outcome(self.key(), || self.simulate())
     }
 
@@ -155,13 +155,15 @@ impl Work {
         sim.trace.spec().sample_count() as u64 * income * if faulted { 5 } else { 4 }
     }
 
-    fn run(&self) -> Outcome {
+    /// The outcome, and a simulation's lease on it.
+    fn run(&self) -> (Outcome, Option<Lease>) {
         match self {
             Work::Sim(sim) => {
                 record_lane_group(1);
-                Outcome::Sim(sim.outcome())
+                let lease = sim.lookup();
+                (Outcome::Sim(lease.outcome().clone()), Some(lease))
             }
-            Work::Summary(trace) => Outcome::Summary(trace.summary()),
+            Work::Summary(trace) => (Outcome::Summary(trace.summary()), None),
         }
     }
 }
@@ -283,7 +285,9 @@ impl Outcomes {
 /// worker that finished it, so one experiment's render overlaps the
 /// rest of the campaign. Trace summaries run first (four renders read
 /// them), then simulations longest first by [`Work::estimate`] (plan
-/// order among equals). Each simulation counts one lane group.
+/// order among equals). Each simulation counts one lane group. The run
+/// holds each simulation's [`Lease`] until every entry is done, so a
+/// key several plans list is looked up once and then hit in memory.
 pub(crate) fn run<T: Send>(
     plans: &[Plan],
     render: impl Fn(usize, &mut Outcomes) -> T + Sync,
@@ -310,11 +314,13 @@ pub(crate) fn run<T: Send>(
     };
     let ran = sched::par_map(&order, |&i| {
         let (p, work) = entries[i];
-        *lock(&outcomes[i]) = Some(work.run());
-        (pending[p].fetch_sub(1, Ordering::AcqRel) == 1).then(|| render_plan(p))
+        let (outcome, lease) = work.run();
+        *lock(&outcomes[i]) = Some(outcome);
+        (lease, (pending[p].fetch_sub(1, Ordering::AcqRel) == 1).then(|| render_plan(p)))
     });
     let empty = (0..plans.len()).filter(|&p| plans[p].len() == 0).map(render_plan);
-    let mut rendered: Vec<(usize, T)> = ran.into_iter().flatten().chain(empty).collect();
+    let ran = ran.into_iter().filter_map(|(_, rendered)| rendered);
+    let mut rendered: Vec<(usize, T)> = ran.chain(empty).collect();
     rendered.sort_by_key(|&(p, _)| p);
     rendered.into_iter().map(|(_, table)| table).collect()
 }

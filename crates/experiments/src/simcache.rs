@@ -74,21 +74,23 @@
 //!
 //! ## Lifetime
 //!
-//! The map holds only live slots: outcomes being filled, and decoded
-//! outcomes. With a store attached, it keeps a decoded outcome only
-//! while a job runs. When the last job in flight ends
-//! ([`crate::common::JobScope`]), every filled slot whose key the store
-//! indexes is dropped ([`release_stored`]), and a later lookup reads
-//! that key's record again. A record that fails its CRC, kind or key
-//! check, or does not decode, is recomputed, never served. A
-//! memory-only cache drops nothing. [`sim_cache_memo_stats`] counts
+//! A lookup returns a [`Lease`] on its key's slot, and a job holds every
+//! lease it took until its run step returns, so a key a job plans twice
+//! is read or simulated once and then hit in memory. The map holds a
+//! slot strongly only when no record can give its outcome back: the
+//! cache is memory-only, or the store refused the outcome. Every other
+//! slot, being filled or holding an outcome the attached store indexes,
+//! lives only while a lease on it does, and the last lease to drop
+//! removes its key from the map; a later lookup reads that key's record
+//! again. A record that fails its CRC, kind or key check, or does not
+//! decode, is recomputed, never served. [`sim_cache_memo_stats`] counts
 //! resident outcomes, the outcome keys the store indexes and the
 //! records read.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use nvp_core::{
     BackupModel, BackupPolicy, ClockPolicy, FaultPlan, RunReport, SystemConfig, TaskCost,
@@ -607,26 +609,37 @@ where
     Arc::clone(slot.get_or_init(|| Arc::new(make())))
 }
 
-/// Where a resident outcome came from, so disk-served hits are
-/// countable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// Computed by this process.
-    Computed,
-    /// Read from the attached store.
-    Disk,
-}
-
 /// A decoded outcome the map holds.
 struct Resident {
     outcome: SimOutcome,
-    origin: Origin,
+    /// Read from the attached store, so hits on it count as disk hits.
+    from_disk: bool,
 }
 
 /// A key's one slot: empty while its outcome is being filled.
 type Slot = OnceLock<Resident>;
 
-static CACHE: Mutex<BTreeMap<Digest, Arc<Slot>>> = Mutex::new(BTreeMap::new());
+/// How the map holds a key's slot.
+enum Entry {
+    /// For the life of the process: no record can give the outcome
+    /// back (the cache is memory-only, or the store refused it).
+    Kept(Arc<Slot>),
+    /// While a [`Lease`] on it lives: the slot is being filled, or the
+    /// attached store indexes its outcome.
+    Leased(Weak<Slot>),
+}
+
+impl Entry {
+    /// The slot, if it is still held.
+    fn slot(&self) -> Option<Arc<Slot>> {
+        match self {
+            Entry::Kept(slot) => Some(Arc::clone(slot)),
+            Entry::Leased(slot) => slot.upgrade(),
+        }
+    }
+}
+
+static CACHE: Mutex<BTreeMap<Digest, Entry>> = Mutex::new(BTreeMap::new());
 /// The attached store, read on every map miss and appended to on every
 /// simulation; `None` is memory-only.
 static PERSIST: Mutex<Option<PersistentStore>> = Mutex::new(None);
@@ -639,15 +652,16 @@ static RELOADED: AtomicU64 = AtomicU64::new(0);
 static TASK_COSTS_LOADED: AtomicU64 = AtomicU64::new(0);
 static TASK_COSTS_MEASURED: AtomicU64 = AtomicU64::new(0);
 
-fn cache() -> MutexGuard<'static, BTreeMap<Digest, Arc<Slot>>> {
+fn cache() -> MutexGuard<'static, BTreeMap<Digest, Entry>> {
     CACHE.lock().expect("sim cache lock")
 }
 
 /// Lock order: [`PERSIST`] strictly before the [`CACHE`] map lock
-/// (never the reverse), shared by attaching, releasing and counting; a
-/// store read or append takes [`PERSIST`] alone. A slot fills (reading
-/// or appending) holding no map lock, so nothing that holds [`PERSIST`]
-/// may wait on a slot.
+/// (never the reverse), shared by attaching and counting; a store read
+/// or append takes [`PERSIST`] alone, and a lookup or a dropped
+/// [`Lease`] the map lock alone. A slot fills (reading or appending)
+/// holding no map lock, so nothing that holds [`PERSIST`] may wait on a
+/// slot.
 fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
     PERSIST.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -665,17 +679,17 @@ fn persist_lock() -> MutexGuard<'static, Option<PersistentStore>> {
 /// `<out_dir>/.simcache` (not at all under `--no-cache`), `nvpd serve`
 /// with its state directory's store or `$NVP_CACHE_DIR`; benchmarks
 /// call it to measure cold/warm/reload behavior. Calling it again
-/// re-attaches: it drops the previous store and every outcome the map
-/// read from it, so records never leak between cache directories (see
-/// `tests/persist_cache.rs`). Outcomes this process computed stay,
-/// which is safe because keys are content addresses: a hit is
+/// re-attaches: it drops the previous store and every slot the map
+/// holds only for a lease, so records never leak between cache
+/// directories (see `tests/persist_cache.rs`). Outcomes no store holds
+/// stay, which is safe because keys are content addresses: a hit is
 /// bit-identical wherever it came from. Every call forgets the task
 /// costs memoized so far, as [`reset_sim_cache`] does.
 pub fn set_cache_dir(dir: Option<&Path>) -> std::io::Result<u64> {
     let mut state = persist_lock();
     *state = None;
     crate::common::forget_task_costs();
-    cache().retain(|_, slot| slot.get().is_none_or(|r| r.origin == Origin::Computed));
+    cache().retain(|_, entry| matches!(entry, Entry::Kept(_)));
     let Some(dir) = dir else { return Ok(0) };
     let (store, loaded) = PersistentStore::open(dir)?;
     QUARANTINED.fetch_add(loaded.quarantined, Ordering::Relaxed);
@@ -710,51 +724,91 @@ pub(crate) fn cached_task_cost(key: &Digest, measure: impl FnOnce() -> TaskCost)
     cost
 }
 
-/// Returns the cached outcome for `key`, or computes it with `run`,
-/// appends it to the persistent store and caches it, all through the
-/// key's one slot. Distinct keys simulate in parallel; a caller that
-/// arrives while its key is being filled waits for that one fill and
-/// counts a hit. A key the map does not hold fills from its record in
-/// the attached store and counts a disk hit; should the store hold no
-/// record that passes its checks, `run` recomputes it. A miss is
-/// counted exactly when `run` ran here. A panicking `run` leaves the key
-/// empty for the next caller.
-pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> SimOutcome {
-    let slot = Arc::clone(cache().entry(key).or_default());
-    let mut ran = false;
-    let resident = slot.get_or_init(|| {
+/// A hold on one key's filled slot, returned by [`cached_outcome`]:
+/// while any lease on a key lives, every lookup of the key hits the
+/// map. Dropping the last lease on a slot the map holds only for leases
+/// removes its key.
+pub(crate) struct Lease {
+    key: Digest,
+    /// Always `Some` until dropped, when it is let go under the map
+    /// lock.
+    slot: Option<Arc<Slot>>,
+}
+
+impl Lease {
+    fn slot(&self) -> &Arc<Slot> {
+        self.slot.as_ref().expect("a lease holds its slot until dropped")
+    }
+
+    /// The key's outcome.
+    pub(crate) fn outcome(&self) -> &SimOutcome {
+        &self.slot().get().expect("a lease's slot is filled").outcome
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        // A drop must not panic. Every map update is one insert or
+        // removal, so a poisoned map holds nothing torn.
+        let mut map = CACHE.lock().unwrap_or_else(PoisonError::into_inner);
+        // Leases are taken and dropped under the map lock, so the last
+        // one on a slot sees its entry unheld.
+        drop(self.slot.take());
+        if matches!(map.get(&self.key), Some(Entry::Leased(slot)) if slot.strong_count() == 0) {
+            map.remove(&self.key);
+        }
+    }
+}
+
+/// Returns a lease on the outcome for `key`, read from the map, from
+/// the key's record in the attached store, or computed with `run`,
+/// appended to the store and cached, all through the key's one slot.
+/// Distinct keys simulate in parallel; a caller that arrives while its
+/// key is being filled waits for that one fill and counts a hit. A key
+/// the map does not hold fills from its record and counts a disk hit;
+/// should the store hold no record that passes its checks, `run`
+/// recomputes it. A miss is counted exactly when `run` ran here. A
+/// panicking `run` leaves the key empty for the next caller.
+pub(crate) fn cached_outcome(key: Digest, run: impl FnOnce() -> SimOutcome) -> Lease {
+    let slot = {
+        let mut map = cache();
+        match map.get(&key).and_then(Entry::slot) {
+            Some(slot) => slot,
+            None => {
+                let slot = Arc::default();
+                map.insert(key, Entry::Leased(Arc::downgrade(&slot)));
+                slot
+            }
+        }
+    };
+    let lease = Lease { key, slot: Some(slot) };
+    let (mut ran, mut kept) = (false, false);
+    let resident = lease.slot().get_or_init(|| {
         if let Some(outcome) = stored(&key) {
             RELOADED.fetch_add(1, Ordering::Relaxed);
-            return Resident { outcome, origin: Origin::Disk };
+            return Resident { outcome, from_disk: true };
         }
         ran = true;
         let outcome = run();
         if store(&key, &outcome) {
             PERSISTED.fetch_add(1, Ordering::Relaxed);
+        } else {
+            kept = true;
         }
-        Resident { outcome, origin: Origin::Computed }
+        Resident { outcome, from_disk: false }
     });
     if ran {
         MISSES.fetch_add(1, Ordering::Relaxed);
     } else {
         HITS.fetch_add(1, Ordering::Relaxed);
-        if resident.origin == Origin::Disk {
+        if resident.from_disk {
             DISK_HITS.fetch_add(1, Ordering::Relaxed);
         }
     }
-    resident.outcome.clone()
-}
-
-/// Drops every filled slot whose key the attached store indexes (see
-/// the module's *Lifetime* section). Memory-only caches, and outcomes
-/// the store refused, stay resident. [`crate::common::JobScope`] calls
-/// this when the last job in flight ends; a caller still holding a slot
-/// keeps its outcome.
-pub(crate) fn release_stored() {
-    let state = persist_lock();
-    if let Some(store) = state.as_ref() {
-        cache().retain(|key, slot| slot.get().is_none() || !store.indexes(key));
+    if kept {
+        cache().insert(key, Entry::Kept(Arc::clone(lease.slot())));
     }
+    lease
 }
 
 /// Process-wide simulation-cache counters.
@@ -795,7 +849,8 @@ pub struct SimCacheMemoStats {
 #[must_use]
 pub fn sim_cache_memo_stats() -> SimCacheMemoStats {
     let on_disk = persist_lock().as_ref().map_or(0, PersistentStore::outcomes);
-    let resident = cache().values().filter(|slot| slot.get().is_some()).count() as u64;
+    let resident =
+        cache().values().filter_map(Entry::slot).filter(|slot| slot.get().is_some()).count() as u64;
     SimCacheMemoStats {
         resident,
         on_disk,
@@ -1198,6 +1253,8 @@ mod tests {
                             }
                             outcome(runs.fetch_add(1, Ordering::SeqCst) as u64)
                         })
+                        .outcome()
+                        .clone()
                     })
                 })
                 .collect();
@@ -1217,8 +1274,8 @@ mod tests {
             runs.fetch_add(1, Ordering::SeqCst);
             outcome(7)
         };
-        assert_eq!(cached_outcome(key, run), outcome(7), "the next caller simulates");
-        assert_eq!(cached_outcome(key, run), outcome(7), "and later callers hit");
+        assert_eq!(*cached_outcome(key, run).outcome(), outcome(7), "the next caller simulates");
+        assert_eq!(*cached_outcome(key, run).outcome(), outcome(7), "and later callers hit");
         assert_eq!(runs.load(Ordering::SeqCst), 1, "exactly once");
     }
 }

@@ -80,7 +80,10 @@ pub struct ServerConfig {
     /// (`NVP_THREADS` for the `nvpd` binary) in one flat run. More
     /// workers overlap whole jobs (a job that starts while another runs
     /// wide runs its simulations on its own thread) at the cost of
-    /// approximate per-job counters.
+    /// approximate per-job counters. Memory is per job at any worker
+    /// count: a job holds the trace samples and decoded stored outcomes
+    /// it reads until it ends, and no longer, whatever the other
+    /// workers run.
     pub workers: usize,
     /// Accept this many jobs, then drain the queue and return — the
     /// clean-shutdown path used by tests, benches, and CI smoke runs.

@@ -708,3 +708,61 @@ fn unrunnable_trace_durations_are_rejected_at_admission() {
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
 }
+
+/// Two workers overlap jobs over distinct profile seeds (and F12's
+/// shared first profile). Each job's tables equal its solo in-process
+/// run's, and once the server drains no trace sample and no decoded
+/// stored outcome is left: a job lets go of what it read when it ends,
+/// whatever other jobs are running.
+#[test]
+fn two_workers_run_overlapping_jobs_as_each_runs_alone() {
+    let _guard = cache_lock();
+    let requests: Vec<CampaignRequest> = (0..4)
+        .map(|i| {
+            let mut config = ExpConfig::quick();
+            config.profile_seeds[1] = 6_100 + i;
+            CampaignRequest::only(config, &["f2", "f3", "f12"])
+        })
+        .collect();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let solo: Vec<CampaignResult> =
+        requests.iter().map(|req| run_request(req).expect("solo run")).collect();
+
+    let state_dir = scratch("two_workers");
+    reset_sim_cache();
+    set_cache_dir(Some(&state_dir.join("simcache"))).expect("attach the server's store");
+    let cfg = ServerConfig {
+        workers: 2,
+        max_jobs: Some(requests.len() as u64),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    };
+    let (addr, handle) = start_server(cfg);
+    let addr = addr.to_string();
+    let remote: Vec<_> = thread::scope(|scope| {
+        let clients: Vec<_> =
+            requests.iter().map(|req| scope.spawn(|| client::submit(&addr, req))).collect();
+        clients.into_iter().map(|c| c.join().expect("client").expect("submission")).collect()
+    });
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!((stats.accepted, stats.completed, stats.rejected), (4, 4, 0));
+
+    for ((req, alone), over) in requests.iter().zip(&solo).zip(&remote) {
+        let seeds = &req.config.profile_seeds;
+        assert!(!over.replayed, "profiles {seeds:?}: a fresh request runs");
+        assert_eq!(
+            over.result.tables, alone.tables,
+            "profiles {seeds:?}: the overlapped job differs"
+        );
+    }
+    let traces = nvp_experiments::trace_memo_stats();
+    assert_eq!(traces.resident_bytes, 0, "a drained server holds no trace samples");
+    let outcomes = sim_cache_memo_stats();
+    assert_eq!(outcomes.resident, 0, "a drained server holds no stored outcome decoded");
+    assert!(outcomes.on_disk > 0, "the jobs stored their outcomes");
+
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let _ = fs::remove_dir_all(&state_dir);
+}
