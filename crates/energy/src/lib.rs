@@ -49,7 +49,7 @@ pub mod units;
 
 pub use frontend::{Capacitor, EnergyFrontEnd, FrontEndConfig, IdleSums, Rectifier, TickIncome};
 pub use stats::{Histogram, OutageStats, TraceSummary};
-pub use trace::{PowerTrace, TraceError};
+pub use trace::PowerTrace;
 pub use units::{Farads, Joules, Seconds, Volts, Watts};
 
 /// The sampling period used throughout the published NVP frameworks (0.1 ms).

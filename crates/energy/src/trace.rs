@@ -1,46 +1,8 @@
 //! Sampled harvested-power traces.
 
-use std::fmt;
 use std::io;
 
 use serde::{Deserialize, Serialize};
-
-/// Error returned when parsing a CSV trace fails: the 1-based line and
-/// the offending CSV field, so a bad row in a long measured trace can be
-/// found and fixed without bisecting the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceError {
-    line: usize,
-    field: &'static str,
-    msg: String,
-}
-
-impl TraceError {
-    fn new(line: usize, field: &'static str, msg: impl Into<String>) -> Self {
-        TraceError { line, field, msg: msg.into() }
-    }
-
-    /// 1-based line of the offending record.
-    #[must_use]
-    pub fn line(&self) -> usize {
-        self.line
-    }
-
-    /// The CSV field the error is about: `"time_s"`, `"power_w"`, or
-    /// `"row"` for whole-record problems (e.g. an empty file).
-    #[must_use]
-    pub fn field(&self) -> &'static str {
-        self.field
-    }
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace line {}, field `{}`: {}", self.line, self.field, self.msg)
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// `10^p` for every precision [`push_fixed`] writes exactly.
 const POW10: [u64; 10] =
@@ -372,55 +334,6 @@ impl PowerTrace {
         csv.finish()
     }
 
-    /// Parses the CSV produced by [`to_csv`](Self::to_csv).
-    ///
-    /// The sample period is inferred from the first two timestamps; a
-    /// single-sample trace uses `dt_s = 1e-4`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError`] on malformed rows, negative or non-finite
-    /// power, or a sample period that is not finite and positive.
-    pub fn from_csv(text: &str) -> Result<Self, TraceError> {
-        let mut times = Vec::new();
-        let mut powers = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || (i == 0 && line.starts_with("time")) {
-                continue;
-            }
-            let mut cols = line.split(',');
-            let t: f64 = cols
-                .next()
-                .ok_or_else(|| TraceError::new(i + 1, "time_s", "missing time column"))?
-                .trim()
-                .parse()
-                .map_err(|e| TraceError::new(i + 1, "time_s", format!("bad time: {e}")))?;
-            let p: f64 = cols
-                .next()
-                .ok_or_else(|| TraceError::new(i + 1, "power_w", "missing power column"))?
-                .trim()
-                .parse()
-                .map_err(|e| TraceError::new(i + 1, "power_w", format!("bad power: {e}")))?;
-            if !p.is_finite() || p < 0.0 {
-                return Err(TraceError::new(i + 1, "power_w", format!("invalid power {p}")));
-            }
-            times.push(t);
-            powers.push(p);
-        }
-        if powers.is_empty() {
-            return Err(TraceError::new(1, "row", "no samples"));
-        }
-        let dt = if times.len() >= 2 { (times[1] - times[0]).abs() } else { 1e-4 };
-        if !dt.is_finite() {
-            return Err(TraceError::new(2, "time_s", format!("non-finite sample period {dt}")));
-        }
-        if dt <= 0.0 {
-            return Err(TraceError::new(2, "time_s", "non-increasing timestamps"));
-        }
-        Ok(PowerTrace { dt_s: dt, samples: powers })
-    }
-
     /// Returns a sub-trace covering `[start_s, start_s + duration_s)`.
     #[must_use]
     pub fn slice(&self, start_s: f64, duration_s: f64) -> PowerTrace {
@@ -456,17 +369,6 @@ mod tests {
         assert!((t.average_w() - 50e-6).abs() < 1e-12);
         assert!((t.peak_w() - 100e-6).abs() < 1e-15);
         assert!((t.total_energy_j() - 100e-6 * 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let t = PowerTrace::from_samples(1e-4, vec![1e-6, 2e-6, 0.0, 1.5e-3]);
-        let parsed = PowerTrace::from_csv(&t.to_csv()).unwrap();
-        assert_eq!(parsed.len(), t.len());
-        assert!((parsed.dt_s() - t.dt_s()).abs() < 1e-12);
-        for (a, b) in parsed.samples().iter().zip(t.samples()) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     fn fixed(x: f64, prec: usize) -> String {
@@ -624,44 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_rejects_garbage() {
-        assert!(PowerTrace::from_csv("").is_err());
-        assert!(PowerTrace::from_csv("time_s,power_w\n0.0,abc").is_err());
-        assert!(PowerTrace::from_csv("0.0,-1.0").is_err());
-    }
-
-    #[test]
-    fn csv_errors_pinpoint_line_and_field() {
-        // Bad power value on (1-based) line 3, in the power column.
-        let e = PowerTrace::from_csv("time_s,power_w\n0.0,1e-6\n0.0001,abc").unwrap_err();
-        assert_eq!(e.line(), 3);
-        assert_eq!(e.field(), "power_w");
-        assert!(e.to_string().contains("line 3"), "{e}");
-        assert!(e.to_string().contains("power_w"), "{e}");
-
-        // Unparsable timestamp on line 2, time column.
-        let e = PowerTrace::from_csv("time_s,power_w\nxyz,1e-6").unwrap_err();
-        assert_eq!((e.line(), e.field()), (2, "time_s"));
-
-        // A row missing the power column entirely.
-        let e = PowerTrace::from_csv("time_s,power_w\n0.0").unwrap_err();
-        assert_eq!((e.line(), e.field()), (2, "power_w"));
-
-        // Negative power is rejected with the value in the message.
-        let e = PowerTrace::from_csv("time_s,power_w\n0.0,-1.0").unwrap_err();
-        assert_eq!((e.line(), e.field()), (2, "power_w"));
-        assert!(e.to_string().contains("-1"), "{e}");
-
-        // An empty file is a whole-record problem.
-        let e = PowerTrace::from_csv("time_s,power_w\n").unwrap_err();
-        assert_eq!((e.line(), e.field()), (1, "row"));
-
-        // Duplicate timestamps make dt non-positive.
-        let e = PowerTrace::from_csv("time_s,power_w\n0.0,1e-6\n0.0,1e-6").unwrap_err();
-        assert_eq!((e.line(), e.field()), (2, "time_s"));
-    }
-
-    #[test]
     fn slice_extracts_window() {
         let t = PowerTrace::from_segments(1e-3, &[(1.0, 0.01), (2.0, 0.01)]);
         let s = t.slice(0.008, 0.004);
@@ -701,18 +565,5 @@ mod tests {
     #[should_panic(expected = "sample period must be finite")]
     fn infinite_period_panics() {
         let _ = PowerTrace::from_samples(f64::INFINITY, vec![1e-6]);
-    }
-
-    #[test]
-    fn csv_rejects_a_non_finite_period() {
-        for text in [
-            "time_s,power_w\ninf,1e-6\ninf,1e-6",      // ∞ − ∞ is NaN
-            "time_s,power_w\n0.0,1e-6\ninf,1e-6",      // an infinite period
-            "time_s,power_w\n-1e308,1e-6\n1e308,1e-6", // overflows to ∞
-        ] {
-            let e = PowerTrace::from_csv(text).unwrap_err();
-            assert_eq!((e.line(), e.field()), (2, "time_s"), "{text}");
-            assert!(e.to_string().contains("non-finite sample period"), "{e}");
-        }
     }
 }

@@ -102,20 +102,6 @@ fn outage_accounting() {
     }
 }
 
-/// CSV round trip preserves every sample to the printed precision.
-#[test]
-fn csv_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0xe9e_004);
-    for _ in 0..60 {
-        let trace = any_trace(&mut rng);
-        let parsed = PowerTrace::from_csv(&trace.to_csv()).unwrap();
-        assert_eq!(parsed.len(), trace.len());
-        for (a, b) in parsed.samples().iter().zip(trace.samples()) {
-            assert!((a - b).abs() < 1e-9);
-        }
-    }
-}
-
 /// Scaling a trace scales its energy linearly.
 #[test]
 fn scaling_is_linear_in_energy() {

@@ -2,8 +2,9 @@
 //!
 //! Summary statistics for the synthetic "watch in daily life" traces
 //! (published envelope: 10–40 µW averages, spikes to ~2000 µW). The raw
-//! sample series are exported as CSV by the runner for plotting,
-//! streamed from the generator when written.
+//! sample series are exported as CSV by
+//! [`CampaignResult::write`](crate::CampaignResult::write) for
+//! plotting, streamed from the generator when written.
 
 use serde::{Deserialize, Serialize};
 
@@ -89,12 +90,6 @@ fn read(cfg: &ExpConfig, out: &mut Outcomes) -> Vec<Row> {
 #[must_use]
 pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     plan::build(cfg, plan(cfg), read)
-}
-
-/// Renders the summary table.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
 }
 
 /// The table, from [`plan`]'s outcomes.

@@ -74,12 +74,6 @@ pub(crate) fn histogram(summary: &TraceSummary, bins: usize) -> Table {
     t
 }
 
-/// Renders the statistics table.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
-}
-
 /// The table, from [`plan`]'s outcomes.
 pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(

@@ -106,12 +106,6 @@ pub fn mean_nvp_over_wait(rows: &[Row]) -> Option<f64> {
     Some((log_sum / finite.len() as f64).exp())
 }
 
-/// Renders the comparison.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
-}
-
 /// The table, from [`plan`]'s outcomes.
 pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let rows = read(cfg, out);

@@ -85,12 +85,6 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     plan::build(cfg, plan(cfg), |_, out| read(out))
 }
 
-/// Renders the grid.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
-}
-
 /// The table, from [`plan`]'s outcomes.
 pub(crate) fn render(_cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(

@@ -102,12 +102,6 @@ fn opt(v: Option<f64>, decimals: usize) -> String {
     v.map_or_else(|| "none".to_owned(), |x| fmt(x, decimals))
 }
 
-/// Renders the comparison.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
-}
-
 /// The table, from [`plan`]'s outcomes.
 pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(

@@ -178,12 +178,6 @@ pub fn rows(cfg: &ExpConfig) -> Vec<Row> {
     plan::build(cfg, plan(cfg), read)
 }
 
-/// Renders the comparison.
-#[must_use]
-pub fn table(cfg: &ExpConfig) -> Table {
-    plan::build(cfg, plan(cfg), render)
-}
-
 /// The table, from [`plan`]'s outcomes.
 pub(crate) fn render(cfg: &ExpConfig, out: &mut Outcomes) -> Table {
     let mut t = Table::new(

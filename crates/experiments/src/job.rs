@@ -5,12 +5,11 @@
 //! *what came out* — tables, profile trace specs, and
 //! per-job cache/scheduler counters. Neither touches the filesystem:
 //! results are values first and files second
-//! ([`CampaignResult::write`] renders the exact artifact set the
-//! classic runner wrote). That split is what lets the same request run
-//! in-process (`repro`, [`crate::run_all`]) or travel over a socket to
-//! the `nvpd` campaign server (see [`crate::wire`]) and come back
-//! byte-identical: the golden digests pin both transports because both
-//! are this one path.
+//! ([`CampaignResult::write`] renders the artifact set). That split is
+//! what lets the same request run in-process (`repro`, the examples) or
+//! travel over a socket to the `nvpd` campaign server (see
+//! [`crate::wire`]) and come back byte-identical: the golden digests
+//! pin both transports because both are this one path.
 
 use std::fs::{self, File};
 use std::io;
@@ -35,7 +34,7 @@ use crate::{f1_power_profiles, ExpConfig, Table};
 /// over it.
 pub const MAX_TRACE_SAMPLES: u32 = 1 << 21;
 
-/// A self-contained campaign job: everything the runner needs, nothing
+/// A self-contained campaign job: everything a run needs, nothing
 /// about where artifacts will land.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRequest {
@@ -173,11 +172,11 @@ impl CampaignResult {
         combined
     }
 
-    /// Writes the artifact set the classic runner wrote — one CSV per
-    /// table, one CSV per profile series, and `RESULTS.md` — into
-    /// `out_dir` (created if missing), returning the paths in write
-    /// order. In-process and over-the-wire results render through this
-    /// one function, which is what keeps both transports byte-identical.
+    /// Writes the artifact set — one CSV per table, one CSV per profile
+    /// series, and `RESULTS.md` — into `out_dir` (created if missing),
+    /// returning the paths in write order. In-process and over-the-wire
+    /// results render through this one function, which is what keeps
+    /// both transports byte-identical.
     /// Each profile streams from its generator into its own file, one
     /// scheduler task per profile, so neither a profile's samples nor
     /// its text is ever held whole.

@@ -3,8 +3,10 @@
 //! One module per table/figure of the reconstructed DATE'17 NVP
 //! evaluation (see `DESIGN.md` for the experiment index and the
 //! paper-mismatch note). Every experiment is a deterministic function of
-//! an [`ExpConfig`]; [`run_all`] regenerates everything and writes
-//! CSV/Markdown artifacts.
+//! an [`ExpConfig`]. [`run_request`] runs a [`CampaignRequest`] (every
+//! experiment, or a subset by id) and returns a [`CampaignResult`],
+//! whose [`write`](CampaignResult::write) renders the CSV/Markdown
+//! artifacts; [`Experiment::build`] builds one table on its own.
 //!
 //! | ID | Module | What it reproduces |
 //! |----|--------|--------------------|
@@ -49,7 +51,6 @@ mod plan;
 pub mod record;
 mod registry;
 mod report;
-mod runner;
 mod sched;
 mod simcache;
 mod stats;
@@ -78,7 +79,6 @@ pub use par::set_thread_override;
 pub use plan::Plan;
 pub use registry::{find, registry, Experiment};
 pub use report::Table;
-pub use runner::{run_all, run_all_sequential, RunArtifacts};
 pub use sched::{sched_stats, SchedStats};
 pub use simcache::{
     key_bytes_hashed, reset_sim_cache, set_cache_dir, sim_cache_memo_stats, sim_cache_stats,

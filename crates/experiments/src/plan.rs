@@ -330,8 +330,7 @@ fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Runs one experiment's plan on its own and renders it: the path of
-/// each module's `rows` and `table`, and of
-/// [`crate::Experiment::build`].
+/// each module's `rows` and of [`crate::Experiment::build`].
 pub(crate) fn build<T: Send>(
     cfg: &ExpConfig,
     plan: Plan,

@@ -1,10 +1,10 @@
 //! The declarative experiment registry.
 //!
 //! Every table/figure of the reconstructed evaluation registers here
-//! once, as an [`Experiment`]; the runner, the `repro` binary
-//! (`--list` / `--only`), and the examples all consult this one list.
-//! Adding experiment 16 means writing its module and appending one
-//! entry — no runner, binary, or example changes.
+//! once, as an [`Experiment`]; the job layer ([`crate::job`]), the
+//! `repro` binary (`--list` / `--only`), and the examples all consult
+//! this one list. Adding experiment 16 means writing its module and
+//! appending one entry — no job-layer, binary, or example changes.
 
 use crate::plan::{self, Outcomes, Plan};
 use crate::{
@@ -209,7 +209,7 @@ mod tests {
     fn registry_ids_match_table_ids() {
         let cfg = ExpConfig::quick();
         // The two cheapest builders cover both naming styles (T*/F*);
-        // the runner test checks the full set on a complete run.
+        // `tests/determinism.rs` checks the full set on a complete run.
         assert_eq!(find("t1").unwrap().build(&cfg).id().to_lowercase(), "t1");
         assert_eq!(find("f2h").unwrap().build(&cfg).id().to_lowercase(), "f2h");
     }

@@ -1,4 +1,4 @@
-//! Task scheduler for the evaluation runner.
+//! Task scheduler for evaluation campaigns.
 //!
 //! [`par_map`] maps a function over a slice on scoped worker threads
 //! and returns results in input order. A campaign calls it once, over

@@ -548,8 +548,8 @@ pub(crate) fn trace_digest(trace: &nvp_energy::PowerTrace) -> Digest {
     h.finalize()
 }
 
-/// Cache hit/miss counters for one runner invocation (or the whole
-/// process, via [`sim_cache_stats`]).
+/// Cache hit/miss counters for one campaign job (or the whole process,
+/// via [`sim_cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimCacheStats {
     /// Simulations answered from the cache (in-memory index). A caller

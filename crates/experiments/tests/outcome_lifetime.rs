@@ -1,11 +1,11 @@
 //! How long decoded simulation outcomes live. With a persistent store
-//! attached, the sim-cache drops every outcome the store indexes when
-//! the last job in flight ends (it is demoted to its record), and a
-//! later lookup re-reads that one record; without a store nothing is
-//! demoted. The
-//! sim-cache and its counters are process-global, which is why these
-//! checks live in their own test binary rather than among the crate's
-//! parallel unit tests.
+//! attached, an outcome the store indexes is held only through the
+//! slots of the jobs that looked it up, so it is dropped (demoted to
+//! its record) when the last such job ends, and a later lookup re-reads
+//! that one record; without a store nothing is demoted. The sim-cache
+//! and its counters are process-global, which is why these checks live
+//! in their own test binary rather than among the crate's parallel unit
+//! tests.
 
 use std::path::{Path, PathBuf};
 
@@ -142,6 +142,8 @@ fn a_memory_only_cache_demotes_nothing() {
 
     let again = run_request(&req).unwrap();
     assert_eq!(again.cache.misses, 0);
+    let lookups = first.cache.hits + first.cache.misses;
+    assert_eq!(again.cache.hits, lookups, "a repeat run hits the memory cache");
     assert_eq!(again.cache.disk_hits, 0, "nothing is served from disk");
     assert_eq!(sim_cache_memo_stats(), between, "a rerun changes nothing the map holds");
     assert_eq!(artifacts(&again), artifacts(&first));

@@ -7,8 +7,8 @@
 use std::path::{Path, PathBuf};
 
 use nvp_experiments::{
-    record, reset_sim_cache, run_all, run_request, set_cache_dir, sim_cache_memo_stats,
-    sim_cache_stats, trace_memo_stats, CampaignRequest, CampaignResult, ExpConfig, Table,
+    record, reset_sim_cache, run_request, set_cache_dir, sim_cache_memo_stats, sim_cache_stats,
+    trace_memo_stats, CampaignRequest, CampaignResult, ExpConfig, Table,
 };
 
 /// Serializes the tests in this binary: the cache directory, index,
@@ -23,6 +23,11 @@ fn unique_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
+/// Runs the whole campaign and writes its artifacts into `dir`.
+fn run_campaign(cfg: &ExpConfig, dir: &Path) {
+    run_request(&CampaignRequest::all(cfg.clone())).unwrap().write(dir).unwrap();
 }
 
 fn artifact_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
@@ -55,7 +60,7 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let loaded = set_cache_dir(Some(&cache_dir)).unwrap();
     assert_eq!(loaded, 0, "fresh cache directory has no records");
     let cold_out = unique_dir("nvp_persist_cold_out");
-    run_all(&cfg, &cold_out).unwrap();
+    run_campaign(&cfg, &cold_out);
     let cold = sim_cache_stats();
     assert!(cold.misses > 0, "cold run must compute simulations");
     assert_eq!(cold.disk_hits, 0, "nothing on disk to hit yet");
@@ -69,7 +74,7 @@ fn persistent_cache_round_trips_a_full_campaign() {
     let reloaded = set_cache_dir(Some(&cache_dir)).unwrap();
     assert_eq!(reloaded, cold.persisted, "reload must recover every persisted record");
     let warm_out = unique_dir("nvp_persist_warm_out");
-    run_all(&cfg, &warm_out).unwrap();
+    run_campaign(&cfg, &warm_out);
     let warm = sim_cache_stats();
     assert_eq!(warm.misses, 0, "warm-disk run must not resimulate anything");
     assert!(warm.disk_hits > 0, "warm-disk run must serve hits from loaded records");
@@ -86,7 +91,7 @@ fn persistent_cache_round_trips_a_full_campaign() {
     reset_sim_cache();
     set_cache_dir(None).unwrap();
     let off_out = unique_dir("nvp_persist_off_out");
-    run_all(&cfg, &off_out).unwrap();
+    run_campaign(&cfg, &off_out);
     let off = sim_cache_stats();
     assert!(off.misses > 0, "memory-only rerun recomputes");
     assert_eq!(off.persisted, 0, "--no-cache mode must not write records");
@@ -115,7 +120,7 @@ fn reopening_and_reappending_does_not_corrupt() {
 
     reset_sim_cache();
     set_cache_dir(Some(&cache_dir)).unwrap();
-    run_all(&cfg, &out_a).unwrap();
+    run_campaign(&cfg, &out_a);
     let first = sim_cache_stats();
 
     // Re-open mid-life (second writer semantics) and run again: the
@@ -123,7 +128,7 @@ fn reopening_and_reappending_does_not_corrupt() {
     // the warm rerun appends nothing.
     let indexed = set_cache_dir(Some(&cache_dir)).unwrap();
     assert_eq!(indexed, first.persisted, "the store indexes every persisted record");
-    run_all(&cfg, &out_b).unwrap();
+    run_campaign(&cfg, &out_b);
     let second = sim_cache_stats();
     assert_eq!(second.persisted, first.persisted, "warm rerun appended records");
     assert_eq!(artifact_bytes(&out_a), artifact_bytes(&out_b));
@@ -151,7 +156,7 @@ fn switching_cache_directories_does_not_leak_records() {
     // Seed directory A with a cold run.
     reset_sim_cache();
     set_cache_dir(Some(&dir_a)).unwrap();
-    run_all(&cfg, &out_a).unwrap();
+    run_campaign(&cfg, &out_a);
     let a = sim_cache_stats();
     assert!(a.persisted > 0, "cold run must persist records into A");
     let a_bytes = |dir: &std::path::Path| -> u64 {
@@ -166,7 +171,7 @@ fn switching_cache_directories_does_not_leak_records() {
     let loaded = set_cache_dir(Some(&dir_a)).unwrap();
     assert_eq!(loaded, a.persisted, "reload recovers A's records");
     set_cache_dir(Some(&dir_b)).unwrap();
-    run_all(&cfg, &out_b).unwrap();
+    run_campaign(&cfg, &out_b);
     let b = sim_cache_stats();
     assert_eq!(b.disk_hits, 0, "A's loaded records must not be served under B");
     assert!(b.misses > 0, "the run under B recomputes everything");

@@ -75,12 +75,6 @@ impl Interval {
         (lo <= hi).then_some(Interval { lo, hi })
     }
 
-    /// Number of words covered.
-    #[must_use]
-    pub fn words(self) -> u64 {
-        u64::from(self.hi - self.lo) + 1
-    }
-
     /// Wrapping addition of a constant: both bounds shift together, so
     /// the result stays an interval unless the wrap splits it.
     #[must_use]
@@ -587,11 +581,5 @@ mod tests {
         let split = Interval { lo: 1, hi: 0xFFFF }.add_const(1);
         // hi wraps, lo does not: must give up.
         assert_eq!(split, TOP);
-    }
-
-    #[test]
-    fn interval_words_counts_inclusive() {
-        assert_eq!(Interval { lo: 4, hi: 7 }.words(), 4);
-        assert_eq!(TOP.words(), 65536);
     }
 }

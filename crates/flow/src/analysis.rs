@@ -1,4 +1,4 @@
-//! Intermittency-hazard rules and the backup-footprint table.
+//! Intermittency-hazard rules.
 //!
 //! A *backup region* is the code between two backup boundaries: the
 //! program entry, every `ckpt` instruction, and `halt` (task commit).
@@ -18,18 +18,18 @@
 //! are paired, so a reported hazard is real (no false positives), while
 //! pointer-arithmetic accesses with non-constant addresses are covered
 //! by the over-approximating read/write interval sets rather than this
-//! rule. The differential harness in `trace.rs` checks the containment
-//! direction the footprint table relies on.
+//! rule. The differential harness (`tests/differential.rs`, over
+//! [`trace`](crate::trace)) checks that those sets contain every
+//! dynamic access.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use nvp_core::SystemConfig;
 use nvp_isa::{Inst, Program};
-use nvp_sim::{ArchState, CycleModel, EnergyModel, InstClass};
+use nvp_sim::{CycleModel, EnergyModel, InstClass};
 
 use crate::absint::{self, AbsInt, AccessKind, Interval};
 use crate::cfg::{Cfg, CfgError};
-use crate::dataflow;
 use crate::waiver::Waivers;
 
 /// Hard cap on interval-set representation size; beyond it the closest
@@ -114,68 +114,16 @@ pub struct AnalysisConfig {
     pub energy_model: EnergyModel,
     /// Maximum storable energy, joules (`½CV²` of the capacitor).
     pub max_stored_j: f64,
-    /// Installed data memory, words (clamps dirty-word counts).
-    pub dmem_words: usize,
-    /// State bits of one full checkpoint, the footprint baseline.
-    pub backup_state_bits: u64,
 }
 
 impl Default for AnalysisConfig {
-    /// The default platform (`SystemConfig::default()`) with an
-    /// architectural-state-only checkpoint baseline.
+    /// The default platform (`SystemConfig::default()`).
     fn default() -> AnalysisConfig {
         let sys = SystemConfig::default();
         AnalysisConfig {
             cycle_model: sys.cycle_model,
             energy_model: sys.energy_model,
             max_stored_j: 0.5 * sys.capacitance_f * sys.cap_voltage_v * sys.cap_voltage_v,
-            dmem_words: sys.dmem_words,
-            backup_state_bits: u64::from(ArchState::BITS),
-        }
-    }
-}
-
-/// What triggers the backup a footprint row describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// A program-requested `ckpt` instruction.
-    Ckpt,
-    /// The worst demand backup the runtime could take anywhere.
-    WorstCase,
-}
-
-/// One row of the per-backup-point footprint table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackupSite {
-    /// Trigger kind.
-    pub kind: SiteKind,
-    /// The `ckpt` pc, or (for [`SiteKind::WorstCase`]) the pc at which
-    /// the worst footprint occurs.
-    pub pc: u32,
-    /// Mask of registers statically live at resume.
-    pub live_regs: u16,
-    /// Words written since the previous backup boundary (an incremental
-    /// controller must flush these), clamped to installed memory.
-    pub dirty_words: u64,
-    /// `live · 16 + 32 (pc) + dirty · 16` — the Freezer-style
-    /// incremental backup size.
-    pub footprint_bits: u64,
-}
-
-impl BackupSite {
-    /// Number of live registers in the row.
-    #[must_use]
-    pub fn live_count(&self) -> u32 {
-        u32::from(self.live_regs.count_ones() as u16)
-    }
-
-    /// The footprint as a percentage of a full checkpoint.
-    #[must_use]
-    pub fn percent_of_full(&self, state_bits: u64) -> f64 {
-        if state_bits == 0 {
-            0.0
-        } else {
-            self.footprint_bits as f64 * 100.0 / state_bits as f64
         }
     }
 }
@@ -191,18 +139,10 @@ pub struct Analysis {
     pub read_set: Vec<Interval>,
     /// Every word address the program may write (normalized intervals).
     pub write_set: Vec<Interval>,
-    /// Per-pc live-in register masks (index = pc).
-    pub live_in: Vec<u16>,
-    /// Per-pc may-written-since-last-boundary interval sets.
-    pub dirty_before: Vec<Vec<Interval>>,
-    /// Footprint rows: one per reachable `ckpt`, then the worst case.
-    pub sites: Vec<BackupSite>,
     /// Total basic blocks.
     pub block_count: usize,
     /// Blocks reachable from entry.
     pub reachable_count: usize,
-    /// The configuration the analysis ran under.
-    pub config: AnalysisConfig,
 }
 
 impl Analysis {
@@ -210,24 +150,6 @@ impl Analysis {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// The worst-case demand-backup row (always present).
-    #[must_use]
-    pub fn worst_case(&self) -> &BackupSite {
-        self.sites.last().expect("worst-case row always emitted")
-    }
-
-    /// `true` if `addr` is inside the static may-read set.
-    #[must_use]
-    pub fn may_read(&self, addr: u16) -> bool {
-        set_contains(&self.read_set, addr)
-    }
-
-    /// `true` if `addr` is inside the static may-write set.
-    #[must_use]
-    pub fn may_write(&self, addr: u16) -> bool {
-        set_contains(&self.write_set, addr)
     }
 
     /// Renders the classic text report.
@@ -250,35 +172,6 @@ impl Analysis {
         }
         for d in &self.waived {
             writeln!(out, "  waived: {d}").expect("write to String");
-        }
-        writeln!(
-            out,
-            "  backup footprint (vs {} bit full checkpoint):",
-            self.config.backup_state_bits
-        )
-        .expect("write to String");
-        writeln!(
-            out,
-            "    {:<12} {:>6} {:>10} {:>12} {:>10} {:>10}",
-            "site", "pc", "live-regs", "dirty-words", "bits", "% of full"
-        )
-        .expect("write to String");
-        for s in &self.sites {
-            let kind = match s.kind {
-                SiteKind::Ckpt => "ckpt",
-                SiteKind::WorstCase => "worst-case",
-            };
-            writeln!(
-                out,
-                "    {:<12} {:>6} {:>10} {:>12} {:>10} {:>9.1}%",
-                kind,
-                s.pc,
-                s.live_count(),
-                s.dirty_words,
-                s.footprint_bits,
-                s.percent_of_full(self.config.backup_state_bits)
-            )
-            .expect("write to String");
         }
         out
     }
@@ -326,22 +219,10 @@ fn set_insert(set: &mut Vec<Interval>, iv: Interval) {
     *set = normalize(taken);
 }
 
-fn set_union(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
-    let mut v = a.to_vec();
-    v.extend_from_slice(b);
-    normalize(v)
-}
-
 /// `true` if `addr` lies inside any interval of the normalized set.
 #[must_use]
 pub fn set_contains(set: &[Interval], addr: u16) -> bool {
     set.iter().any(|iv| iv.contains(addr))
-}
-
-/// Total words covered by a normalized set.
-#[must_use]
-pub fn set_words(set: &[Interval]) -> u64 {
-    set.iter().map(|iv| iv.words()).sum()
 }
 
 // ---- the analyzer --------------------------------------------------------
@@ -360,7 +241,6 @@ pub fn analyze(
     let cfg = Cfg::build(program)?;
     let thresholds = absint::thresholds(program, cfg.insts());
     let abs = absint::analyze(&cfg, &thresholds);
-    let live_in = dataflow::liveness(&cfg);
     let reachable = cfg.reachable();
     let reachable_count = reachable.iter().filter(|&&r| r).count();
 
@@ -376,45 +256,10 @@ pub fn analyze(
         }
     }
 
-    let dirty_before = dirty_pass(&cfg, &abs, &reachable);
     war_pass(&cfg, &abs, &reachable, &mut findings);
     dead_store_pass(&cfg, &abs, &reachable, &mut findings);
     unreachable_pass(&cfg, &reachable, &mut findings);
     no_progress_pass(&cfg, config, &mut findings);
-
-    // Footprint rows: every reachable ckpt, then the worst-case demand
-    // backup over all reachable pcs.
-    let mut sites: Vec<BackupSite> = Vec::new();
-    let clamp = config.dmem_words as u64;
-    let row = |pc_resume: usize, dirty: &[Interval], kind: SiteKind, pc: u32| -> BackupSite {
-        let live = live_in.get(pc_resume).copied().unwrap_or(0);
-        let dirty_words = set_words(dirty).min(clamp);
-        let bits = u64::from(live.count_ones()) * 16 + 32 + dirty_words * 16;
-        BackupSite { kind, pc, live_regs: live, dirty_words, footprint_bits: bits }
-    };
-    for (pc, inst) in cfg.insts().iter().enumerate() {
-        let in_reachable = cfg.block_of(pc as u32).is_some_and(|b| reachable[b]);
-        if matches!(inst, Inst::Ckpt) && in_reachable {
-            sites.push(row(pc + 1, &dirty_before[pc], SiteKind::Ckpt, pc as u32));
-        }
-    }
-    let mut worst = row(
-        program.entry() as usize,
-        &dirty_before[program.entry() as usize],
-        SiteKind::WorstCase,
-        program.entry(),
-    );
-    for (pc, dirty) in dirty_before.iter().enumerate() {
-        let in_reachable = cfg.block_of(pc as u32).is_some_and(|b| reachable[b]);
-        if !in_reachable {
-            continue;
-        }
-        let candidate = row(pc, dirty, SiteKind::WorstCase, pc as u32);
-        if candidate.footprint_bits > worst.footprint_bits {
-            worst = candidate;
-        }
-    }
-    sites.push(worst);
 
     // Split findings into reported vs waived.
     findings.sort_by_key(|d| (d.rule, d.span.lo, d.span.hi));
@@ -427,66 +272,14 @@ pub fn analyze(
         waived,
         read_set,
         write_set,
-        live_in,
-        dirty_before,
-        sites,
         block_count: cfg.blocks().len(),
         reachable_count,
-        config: config.clone(),
     })
 }
 
 /// Is the edge out of `b` a backup boundary (`ckpt` terminator)?
 fn clears_region(cfg: &Cfg, b: usize) -> bool {
     matches!(cfg.insts()[cfg.blocks()[b].end as usize], Inst::Ckpt)
-}
-
-/// Forward may-analysis: words written since the last backup boundary,
-/// per pc. `ckpt` edges clear the set; entry starts clean.
-fn dirty_pass(cfg: &Cfg, abs: &AbsInt, reachable: &[bool]) -> Vec<Vec<Interval>> {
-    let n = cfg.blocks().len();
-    let mut in_set: Vec<Option<Vec<Interval>>> = vec![None; n];
-    in_set[cfg.entry_block()] = Some(Vec::new());
-    let mut work = vec![cfg.entry_block()];
-    while let Some(b) = work.pop() {
-        let Some(mut set) = in_set[b].clone() else { continue };
-        let block = cfg.blocks()[b];
-        for pc in block.start..=block.end {
-            if let Some(acc) = abs.access_at(pc) {
-                if acc.kind == AccessKind::Write {
-                    set_insert(&mut set, acc.addr);
-                }
-            }
-        }
-        let out = if clears_region(cfg, b) { Vec::new() } else { set };
-        for e in cfg.succs(b) {
-            let next = match &in_set[e.to] {
-                None => out.clone(),
-                Some(old) => set_union(old, &out),
-            };
-            if in_set[e.to].as_ref() != Some(&next) {
-                in_set[e.to] = Some(next);
-                work.push(e.to);
-            }
-        }
-    }
-
-    let mut per_pc: Vec<Vec<Interval>> = vec![Vec::new(); cfg.insts().len()];
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !reachable[b] {
-            continue;
-        }
-        let mut set = in_set[b].clone().unwrap_or_default();
-        for pc in block.start..=block.end {
-            per_pc[pc as usize] = set.clone();
-            if let Some(acc) = abs.access_at(pc) {
-                if acc.kind == AccessKind::Write {
-                    set_insert(&mut set, acc.addr);
-                }
-            }
-        }
-    }
-    per_pc
 }
 
 /// WAR idempotency rule: a constant-address word read while still

@@ -1,8 +1,8 @@
 //! `nvpa` — the NV16 intermittency-safety analyzer CLI.
 //!
 //! ```text
-//! nvpa kernels [--deny warnings|RULE]...        analyze all registry kernels
-//! nvpa <file.nv16> [--deny ...] [--dmem WORDS]  analyze one assembly file
+//! nvpa kernels [--deny warnings|RULE]...     analyze all registry kernels
+//! nvpa <file.nv16> [--deny warnings|RULE]... analyze one assembly file
 //! ```
 //!
 //! Exit codes: `0` clean (or nothing denied), `1` at least one denied
@@ -26,14 +26,13 @@ enum Deny {
 struct Args {
     target: String,
     deny: Vec<Deny>,
-    dmem: Option<usize>,
 }
 
 fn usage() -> String {
     let rules: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
     format!(
         "usage: nvpa kernels [--deny warnings|RULE]...\n\
-        \x20      nvpa <file.nv16> [--deny warnings|RULE]... [--dmem WORDS]\n\
+        \x20      nvpa <file.nv16> [--deny warnings|RULE]...\n\
         rules: {}",
         rules.join(", ")
     )
@@ -43,7 +42,6 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     argv.next(); // program name
     let mut target: Option<String> = None;
     let mut deny = Vec::new();
-    let mut dmem = None;
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--deny" => {
@@ -56,16 +54,13 @@ fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
                     deny.push(Deny::One(rule));
                 }
             }
-            "--dmem" => {
-                let words = argv.next().ok_or("--dmem needs an argument")?;
-                dmem = Some(words.parse::<usize>().map_err(|e| format!("--dmem: {e}"))?);
-            }
             "--help" | "-h" => return Err(String::new()),
+            other if other.starts_with('-') => return Err(format!("unknown option {other:?}")),
             other if target.is_none() => target = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
-    Ok(Args { target: target.ok_or("missing target")?, deny, dmem })
+    Ok(Args { target: target.ok_or("missing target")?, deny })
 }
 
 fn denied(deny: &[Deny], rule: Rule) -> bool {
@@ -88,15 +83,12 @@ fn report(
 
 fn run() -> Result<bool, String> {
     let args = parse_args(std::env::args())?;
+    let config = AnalysisConfig::default();
     let mut any_denied = false;
     if args.target == "kernels" {
         let image = GrayImage::synthetic(1, 16, 16);
         for kind in KernelKind::ALL {
             let instance = kind.build(&image).map_err(|e| format!("{}: {e}", kind.name()))?;
-            let config = AnalysisConfig {
-                dmem_words: args.dmem.unwrap_or_else(|| instance.min_dmem_words()),
-                ..AnalysisConfig::default()
-            };
             any_denied |=
                 report(kind.name(), instance.program(), &config, &Waivers::none(), &args.deny)?;
         }
@@ -105,10 +97,6 @@ fn run() -> Result<bool, String> {
             std::fs::read_to_string(&args.target).map_err(|e| format!("{}: {e}", args.target))?;
         let program = assemble(&src).map_err(|e| format!("{}: {e}", args.target))?;
         let waivers = Waivers::from_asm_source(&src);
-        let mut config = AnalysisConfig::default();
-        if let Some(d) = args.dmem {
-            config.dmem_words = d;
-        }
         any_denied |= report(&args.target, &program, &config, &waivers, &args.deny)?;
     }
     Ok(any_denied)

@@ -13,23 +13,18 @@
 //!   dominators and natural-loop detection;
 //! - [`absint`] runs an interval abstract interpretation over register
 //!   values so memory accesses get constant or bounded addresses;
-//! - [`dataflow`] provides register liveness;
 //! - [`analysis`] combines them into the four diagnostic rules
 //!   (`war-hazard`, `dead-store`, `unreachable-block`,
-//!   `no-progress-loop`) and the per-backup-point footprint table that
-//!   an incremental backup controller consumes;
+//!   `no-progress-loop`) and the program's may-read and may-write sets;
 //! - [`waiver`] parses `nvp-flow: allow(...)` markers out of assembly
 //!   comments so residual findings can be acknowledged per site;
 //! - [`trace`] replays a program on the real [`nvp_sim::Machine`] while
-//!   collecting dynamic read/write/backup events, the ground truth the
+//!   collecting its dynamic reads and writes, the ground truth the
 //!   differential soundness tests compare static sets against.
 //!
 //! The over-approximation contract: for every terminating execution,
-//! the dynamic read set is contained in [`Analysis::read_set`], the
-//! dynamic write set in [`Analysis::write_set`], the registers a resumed
-//! execution actually consumes in the static live-in mask at the resume
-//! pc, and the words dirtied since the previous backup in the static
-//! dirty set at the backup point.
+//! the dynamic read set is contained in [`Analysis::read_set`] and the
+//! dynamic write set in [`Analysis::write_set`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,15 +32,11 @@
 pub mod absint;
 pub mod analysis;
 pub mod cfg;
-pub mod dataflow;
 pub mod trace;
 pub mod waiver;
 
 pub use absint::{AbsInt, AccessKind, Interval, MemAccess};
-pub use analysis::{
-    analyze, set_contains, set_words, Analysis, AnalysisConfig, BackupSite, Diagnostic, Rule,
-    SiteKind, Span,
-};
+pub use analysis::{analyze, set_contains, Analysis, AnalysisConfig, Diagnostic, Rule, Span};
 pub use cfg::{Cfg, CfgError, EdgeKind};
-pub use trace::{record, BackupEvent, DynTrace};
+pub use trace::{record, DynTrace};
 pub use waiver::Waivers;

@@ -2,43 +2,13 @@
 //! tests.
 //!
 //! [`record`] steps a real [`Machine`] instruction by instruction,
-//! logging every data-memory read/write address and simulating backup
-//! points: program `ckpt` instructions always open one, and a caller
-//! supplied schedule injects *demand* backups at arbitrary pcs (the
-//! simulator's energy-triggered backups can fire anywhere, so the
-//! differential harness exercises pseudo-random schedules).
-//!
-//! Each backup event captures what the platform would actually need:
-//! the registers the resumed execution reads before overwriting them
-//! (dynamic live set) and the words written since the previous backup
-//! (dynamic dirty set). The soundness tests assert these are contained
-//! in the static live-in masks and dirty interval sets at the same pcs.
+//! logging every data-memory read and write address. The soundness
+//! tests assert these are contained in the static read and write sets.
 
 use std::collections::BTreeSet;
 
 use nvp_isa::{Inst, Program};
 use nvp_sim::{CycleModel, EnergyModel, Machine, SimError};
-
-use crate::dataflow::{def_mask, uses_mask};
-
-/// All non-`r0` register bits.
-const ALL_REGS: u16 = 0xFFFE;
-
-/// One observed backup point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackupEvent {
-    /// Pc the backup is attributed to: the `ckpt` instruction itself,
-    /// or the pc a demand backup fired in front of. Static dirty sets
-    /// are indexed by this pc.
-    pub backup_pc: u32,
-    /// Pc execution resumes at after restore (`ckpt` resumes past the
-    /// instruction). Static live-in masks are indexed by this pc.
-    pub resume_pc: u32,
-    /// Registers actually read before being overwritten after resume.
-    pub live_seen: u16,
-    /// Word addresses written since the previous backup event.
-    pub dirty: BTreeSet<u16>,
-}
 
 /// The full dynamic trace of one run.
 #[derive(Debug, Clone, Default)]
@@ -47,38 +17,21 @@ pub struct DynTrace {
     pub reads: BTreeSet<u16>,
     /// Every data word address the program wrote.
     pub writes: BTreeSet<u16>,
-    /// Backup events in program order.
-    pub backups: Vec<BackupEvent>,
     /// Instructions executed.
     pub executed: u64,
     /// Whether the program reached `halt` within the budget.
     pub halted: bool,
 }
 
-/// A live-register observation window following one backup event.
-struct Window {
-    event: usize,
-    seen: u16,
-    written: u16,
-}
-
-/// Runs `program` to halt (or `max_insts`), recording memory traffic
-/// and backup events. `backup_at(executed, pc)` is consulted before
-/// every instruction; returning `true` injects a demand backup at that
-/// point, exactly like an energy-triggered backup in the intermittent
-/// runtime.
+/// Runs `program` to halt (or `max_insts`), recording its memory
+/// traffic.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] from loading or stepping the machine
 /// (undecodable image, data access beyond installed memory, pc out of
 /// range).
-pub fn record(
-    program: &Program,
-    dmem_words: usize,
-    max_insts: u64,
-    mut backup_at: impl FnMut(u64, u32) -> bool,
-) -> Result<DynTrace, SimError> {
+pub fn record(program: &Program, dmem_words: usize, max_insts: u64) -> Result<DynTrace, SimError> {
     let mut m =
         Machine::with_config(program, dmem_words, CycleModel::default(), EnergyModel::default())?;
     let insts: Vec<Inst> = {
@@ -92,69 +45,26 @@ pub fn record(
     };
 
     let mut trace = DynTrace::default();
-    let mut windows: Vec<Window> = Vec::new();
-    let mut cur_dirty: BTreeSet<u16> = BTreeSet::new();
-
     while !m.halted() && trace.executed < max_insts {
         let pc = m.pc();
         let inst = *insts.get(pc as usize).ok_or(SimError::PcOutOfRange { pc })?;
-
-        // Demand backup fires *before* the instruction executes: the
-        // restored execution resumes at this very pc.
-        if backup_at(trace.executed, pc) {
-            trace.backups.push(BackupEvent {
-                backup_pc: pc,
-                resume_pc: pc,
-                live_seen: 0,
-                dirty: std::mem::take(&mut cur_dirty),
-            });
-            windows.push(Window { event: trace.backups.len() - 1, seen: 0, written: 0 });
-        }
 
         // Memory addresses, computed from the *current* register file
         // exactly as the machine will.
         match inst {
             Inst::Lw { rs1, offset, .. } => {
-                let addr = m.reg(rs1).wrapping_add(offset as u16);
-                trace.reads.insert(addr);
+                trace.reads.insert(m.reg(rs1).wrapping_add(offset as u16));
             }
             Inst::Sw { rs1, offset, .. } => {
-                let addr = m.reg(rs1).wrapping_add(offset as u16);
-                trace.writes.insert(addr);
-                cur_dirty.insert(addr);
+                trace.writes.insert(m.reg(rs1).wrapping_add(offset as u16));
             }
             _ => {}
         }
 
-        // Advance every open live-observation window.
-        let uses = uses_mask(inst);
-        let defs = def_mask(inst);
-        for w in &mut windows {
-            w.seen |= uses & !w.written;
-            w.written |= defs;
-            trace.backups[w.event].live_seen = w.seen;
-        }
-        windows.retain(|w| (w.seen | w.written) != ALL_REGS);
-
-        let step = m.step()?;
+        m.step()?;
         trace.executed += 1;
-
-        if step.checkpoint {
-            // `ckpt` commits a backup after executing; resume is pc+1,
-            // which is where the machine now stands.
-            trace.backups.push(BackupEvent {
-                backup_pc: pc,
-                resume_pc: m.pc(),
-                live_seen: 0,
-                dirty: std::mem::take(&mut cur_dirty),
-            });
-            windows.push(Window { event: trace.backups.len() - 1, seen: 0, written: 0 });
-        }
-        if step.halted {
-            trace.halted = true;
-        }
     }
-    trace.halted = trace.halted || m.halted();
+    trace.halted = m.halted();
     Ok(trace)
 }
 
@@ -167,37 +77,9 @@ mod tests {
     fn trace_records_reads_writes_and_halt() {
         let src = "li r1, 32\nlw r2, 0(r1)\nsw r2, 4(r1)\nhalt";
         let p = assemble(src).expect("assembles");
-        let t = record(&p, 128, 100, |_, _| false).expect("runs");
+        let t = record(&p, 128, 100).expect("runs");
         assert!(t.halted);
         assert!(t.reads.contains(&32));
         assert!(t.writes.contains(&36));
-        assert_eq!(t.backups.len(), 0);
-    }
-
-    #[test]
-    fn ckpt_event_resumes_past_the_instruction_and_resets_dirty() {
-        let src = "li r1, 32\nsw r1, 0(r1)\nckpt\nsw r1, 1(r1)\nhalt";
-        let p = assemble(src).expect("assembles");
-        let t = record(&p, 128, 100, |_, _| false).expect("runs");
-        assert_eq!(t.backups.len(), 1);
-        let ev = &t.backups[0];
-        assert_eq!(ev.backup_pc, 2);
-        assert_eq!(ev.resume_pc, 3);
-        assert!(ev.dirty.contains(&32), "pre-ckpt store is in the dirty set");
-        assert!(!ev.dirty.contains(&33), "post-ckpt store is not");
-    }
-
-    #[test]
-    fn demand_backup_sees_live_registers_read_after_resume() {
-        // Backup right before the store: the resumed execution reads r1
-        // (base) and r2 (value), so both must appear in live_seen.
-        let src = "li r1, 32\nli r2, 7\nsw r2, 0(r1)\nhalt";
-        let p = assemble(src).expect("assembles");
-        let t = record(&p, 128, 100, |_, pc| pc == 2).expect("runs");
-        assert_eq!(t.backups.len(), 1);
-        let ev = &t.backups[0];
-        assert_eq!(ev.resume_pc, 2);
-        assert_ne!(ev.live_seen & (1 << 1), 0, "r1 observed");
-        assert_ne!(ev.live_seen & (1 << 2), 0, "r2 observed");
     }
 }

@@ -1,8 +1,9 @@
 //! The result store across `nvpd` processes. A stored result whose
 //! entry is damaged is quarantined and its job re-run, never replayed;
-//! an intact one is replayed. Each test drives the real binary over a
-//! state directory and asserts on the client's typed outcome and on the
-//! files the store leaves.
+//! an intact one is replayed; a server with no state directory answers
+//! as an in-process run does. Each test drives the real binary and
+//! asserts on the client's typed outcome and on the files the store
+//! leaves.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -33,17 +34,26 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Starts `nvpd serve --state-dir STATE --max-jobs N` for the N
-/// `requests`, submits them one after another once the port file names
-/// its address, and waits for the server to exit.
-fn serve(state: &Path, port_file: &Path, requests: &[&CampaignRequest]) -> Vec<RemoteOutcome> {
+/// Starts `nvpd serve --max-jobs N` for the N `requests` (with
+/// `--state-dir STATE` when `state` is given), submits them one after
+/// another once the port file names its address, and waits for the
+/// server to exit.
+fn serve(
+    state: Option<&Path>,
+    port_file: &Path,
+    requests: &[&CampaignRequest],
+) -> Vec<RemoteOutcome> {
     let _ = fs::remove_file(port_file);
-    let child = Command::new(env!("CARGO_BIN_EXE_nvpd"))
-        .args(["serve", "127.0.0.1:0", "--state-dir"])
-        .arg(state)
+    let mut command = Command::new(env!("CARGO_BIN_EXE_nvpd"));
+    command.args(["serve", "127.0.0.1:0"]);
+    if let Some(state) = state {
+        command.arg("--state-dir").arg(state);
+    }
+    let child = command
         .args(["--max-jobs", &requests.len().to_string(), "--port-file"])
         .arg(port_file)
         .env_remove("NVPD_FAULT_SPEC")
+        .env_remove("NVP_CACHE_DIR")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
@@ -100,7 +110,7 @@ fn a_damaged_result_store_entry_is_quarantined_not_served() {
     let port_file = root.join("addr");
     let request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
 
-    let first = serve(&state, &port_file, &[&request]).remove(0);
+    let first = serve(Some(&state), &port_file, &[&request]).remove(0);
     assert!(!first.replayed, "a fresh state directory replays nothing");
     let entries = result_entries(&state);
     assert_eq!(entries.len(), 1, "the job stores one result");
@@ -109,7 +119,7 @@ fn a_damaged_result_store_entry_is_quarantined_not_served() {
     *bytes.last_mut().expect("a non-empty entry") ^= 1;
     fs::write(entry, &bytes).expect("damage the entry");
 
-    let second = serve(&state, &port_file, &[&request]).remove(0);
+    let second = serve(Some(&state), &port_file, &[&request]).remove(0);
     assert!(!second.replayed, "the damaged entry was served");
     let mut quarantined = entry.clone().into_os_string();
     quarantined.push(".quarantine");
@@ -135,12 +145,27 @@ fn a_default_config_f1_result_replays_from_the_store() {
     let local = artifacts(&run_request(&request).expect("in-process run"), &root.join("local"));
     assert_eq!(local.len(), 2 + ExpConfig::default().profile_seeds.len(), "f1, profiles, RESULTS");
 
-    let runs = serve(&root.join("state"), &root.join("addr"), &[&request, &request]);
+    let runs = serve(Some(&root.join("state")), &root.join("addr"), &[&request, &request]);
     let replayed: Vec<bool> = runs.iter().map(|run| run.replayed).collect();
     assert_eq!(replayed, [false, true], "the first answer runs, the second replays");
     for (run, name) in runs.iter().zip(["first", "second"]) {
         assert_eq!(artifacts(&run.result, &root.join(name)), local, "the {name} answer differs");
     }
+
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A server with no state directory answers a quick `f2,f12` job with
+/// exactly the artifact bytes an in-process, memory-only run writes.
+#[test]
+fn a_stateless_server_renders_the_in_process_artifacts() {
+    let root = scratch("result_store_stateless");
+    let request = CampaignRequest::only(ExpConfig::quick(), &["f2", "f12"]);
+    let local = artifacts(&run_request(&request).expect("in-process run"), &root.join("local"));
+
+    let remote = serve(None, &root.join("addr"), &[&request]).remove(0);
+    assert!(!remote.replayed, "a stateless server has nothing to replay");
+    assert_eq!(artifacts(&remote.result, &root.join("remote")), local);
 
     let _ = fs::remove_dir_all(&root);
 }

@@ -5,16 +5,17 @@
 
 use std::path::Path;
 
-use nvp::experiments::{registry, run_all, ExpConfig};
+use nvp::experiments::{registry, run_request, CampaignRequest, ExpConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = if quick { ExpConfig::quick() } else { ExpConfig::default() };
     eprintln!("regenerating {} registered experiments ...", registry().len());
-    let artifacts = run_all(&cfg, Path::new("results"))?;
-    for table in &artifacts.tables {
+    let result = run_request(&CampaignRequest::all(cfg))?;
+    let files = result.write(Path::new("results"))?;
+    for table in &result.tables {
         println!("{}", table.to_markdown());
     }
-    eprintln!("wrote {} artifact files to results/", artifacts.files.len());
+    eprintln!("wrote {} artifact files to results/", files.len());
     Ok(())
 }

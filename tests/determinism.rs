@@ -3,7 +3,10 @@
 
 use std::path::Path;
 
-use nvp::experiments::{f1_power_profiles, t1_chip_gallery, ExpConfig};
+use nvp::experiments::{
+    f1_power_profiles, find, registry, run_request, t1_chip_gallery, CampaignRequest,
+    CampaignResult, ExpConfig,
+};
 use nvp::prelude::*;
 
 #[test]
@@ -43,31 +46,8 @@ fn full_platform_runs_are_reproducible() {
 fn experiment_tables_are_reproducible() {
     let cfg = ExpConfig::quick();
     assert_eq!(t1_chip_gallery::table(&cfg), t1_chip_gallery::table(&cfg));
-    assert_eq!(f1_power_profiles::table(&cfg), f1_power_profiles::table(&cfg));
-}
-
-#[test]
-fn trace_csv_round_trip_preserves_simulation() {
-    let trace = harvester::wrist_watch(6, 1.0);
-    let round_tripped = PowerTrace::from_csv(&trace.to_csv()).unwrap();
-    let program = assemble("x: addi r1, r1, 1\n j x").unwrap();
-    let backup = BackupModel::distributed(NvmTechnology::Feram, 2048);
-    let run = |t: &PowerTrace| {
-        let mut sys = IntermittentSystem::new(
-            &program,
-            SystemConfig::default(),
-            backup,
-            BackupPolicy::demand(),
-        )
-        .unwrap();
-        sys.run(t).unwrap()
-    };
-    let a = run(&trace);
-    let b = run(&round_tripped);
-    // CSV stores 9 decimals of power; committed-instruction counts agree
-    // to well under a tenth of a percent.
-    let diff = (a.committed as f64 - b.committed as f64).abs();
-    assert!(diff <= a.committed as f64 * 1e-3 + 1.0, "{} vs {}", a.committed, b.committed);
+    let f1 = find("f1").unwrap();
+    assert_eq!(f1.build(&cfg), f1.build(&cfg));
 }
 
 /// A temp dir unique to this process and call, so concurrent test
@@ -77,6 +57,14 @@ fn unique_dir(tag: &str) -> std::path::PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
+/// Runs the whole campaign in this process and writes its artifacts
+/// into `dir`.
+fn run_campaign(cfg: &ExpConfig, dir: &Path) -> (CampaignResult, Vec<std::path::PathBuf>) {
+    let result = run_request(&CampaignRequest::all(cfg.clone())).unwrap();
+    let files = result.write(dir).unwrap();
+    (result, files)
 }
 
 /// Reads every artifact in `dir` as `(file name, bytes)`, sorted by name.
@@ -99,17 +87,23 @@ fn run_all_twice_is_identical() {
     let cfg = ExpConfig::quick();
     let dir1 = unique_dir("nvp_det_rerun");
     let dir2 = unique_dir("nvp_det_rerun");
-    let a = nvp::experiments::run_all(&cfg, &dir1).unwrap();
-    let b = nvp::experiments::run_all(&cfg, &dir2).unwrap();
-    for (ta, tb) in a.tables.iter().zip(&b.tables) {
+    let (a, _) = run_campaign(&cfg, &dir1);
+    let (b, _) = run_campaign(&cfg, &dir2);
+    assert_eq!(a.tables.len(), registry().len());
+    for ((ta, tb), exp) in a.tables.iter().zip(&b.tables).zip(registry()) {
         assert_eq!(ta, tb, "table {} differs between runs", ta.id());
+        // Artifact file stems come from table ids, `--only` handles
+        // from registry ids: they must agree.
+        assert_eq!(ta.id().to_lowercase(), exp.id(), "table/registry id mismatch");
     }
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-/// The parallel runner must be byte-identical to the sequential
-/// reference: every CSV and `RESULTS.md`, for more than one seed set.
+/// The campaign, which plans every experiment and runs all their work
+/// in one flat scheduler map, must be byte-identical to building each
+/// experiment on its own in registry order: every CSV and `RESULTS.md`,
+/// for more than one seed set.
 #[test]
 fn parallel_run_all_matches_sequential_bytes() {
     let mut shifted = ExpConfig::quick();
@@ -118,9 +112,17 @@ fn parallel_run_all_matches_sequential_bytes() {
     for (tag, cfg) in [("quick", ExpConfig::quick()), ("shifted", shifted)] {
         let par_dir = unique_dir("nvp_det_par");
         let seq_dir = unique_dir("nvp_det_seq");
-        let par = nvp::experiments::run_all(&cfg, &par_dir).unwrap();
-        let seq = nvp::experiments::run_all_sequential(&cfg, &seq_dir).unwrap();
-        assert_eq!(par.files.len(), seq.files.len(), "{tag}: file counts differ");
+        let (_, par_files) = run_campaign(&cfg, &par_dir);
+        let profiles = cfg.profile_seeds.iter();
+        let sequential = CampaignResult {
+            tables: registry().iter().map(|e| e.build(&cfg)).collect(),
+            profiles: profiles.map(|&s| (s, f1_power_profiles::series(&cfg, s).to_csv())).collect(),
+            cache: Default::default(),
+            sched: Default::default(),
+            exec: Default::default(),
+        };
+        let seq_files = sequential.write(&seq_dir).unwrap();
+        assert_eq!(par_files.len(), seq_files.len(), "{tag}: file counts differ");
 
         let par_bytes = artifact_bytes(&par_dir);
         let seq_bytes = artifact_bytes(&seq_dir);

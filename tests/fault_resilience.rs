@@ -3,7 +3,7 @@
 //! disabled fault plan is a strict no-op on the platform — the same
 //! guarantees the golden-digest suite pins for the artifact files.
 
-use nvp::experiments::{f12_fault_resilience, set_thread_override, ExpConfig};
+use nvp::experiments::{find, set_thread_override, ExpConfig};
 use nvp::prelude::*;
 
 /// One faulted platform run: a full plan (tears, restore failures,
@@ -38,16 +38,17 @@ fn faulted_trials_are_bit_identical_across_same_seed_reruns() {
 #[test]
 fn f12_table_is_bit_identical_across_thread_counts() {
     let cfg = ExpConfig::quick();
+    let f12 = find("f12").unwrap();
     set_thread_override(Some(1));
-    let sequential = f12_fault_resilience::table(&cfg);
+    let sequential = f12.build(&cfg);
     set_thread_override(Some(3));
-    let threaded = f12_fault_resilience::table(&cfg);
+    let threaded = f12.build(&cfg);
     set_thread_override(None);
-    let default_pool = f12_fault_resilience::table(&cfg);
+    let default_pool = f12.build(&cfg);
     assert_eq!(sequential.to_csv(), threaded.to_csv(), "1 vs 3 workers");
     assert_eq!(sequential.to_csv(), default_pool.to_csv(), "1 worker vs hardware default");
     // And a same-seed rerun reproduces the table byte-for-byte.
-    assert_eq!(sequential.to_csv(), f12_fault_resilience::table(&cfg).to_csv());
+    assert_eq!(sequential.to_csv(), f12.build(&cfg).to_csv());
 }
 
 #[test]

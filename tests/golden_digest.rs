@@ -1,6 +1,6 @@
 //! Golden digests: the evaluation artifacts are pinned byte-for-byte.
 //!
-//! `run_all(ExpConfig::quick())` — at the default seeds and at a
+//! The whole campaign at `ExpConfig::quick()` — at the default seeds and at a
 //! shifted seed set — must produce exactly the SHA-256 digests recorded
 //! below. Any change to the simulation, the experiments, or the CSV
 //! formatting shows up here as a digest mismatch; a PR that *means* to
@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use nvp::energy::harvester::SourceKind;
-use nvp::experiments::{run_all, ExpConfig};
+use nvp::experiments::{run_request, CampaignRequest, ExpConfig};
 
 /// Hex SHA-256 through the workspace's one implementation.
 mod sha256 {
@@ -97,7 +97,7 @@ fn unique_dir(tag: &str) -> PathBuf {
 
 fn assert_digests(tag: &str, cfg: &ExpConfig, golden: &[(&str, &str)]) {
     let dir = unique_dir("nvp_golden");
-    run_all(cfg, &dir).unwrap();
+    run_request(&CampaignRequest::all(cfg.clone())).unwrap().write(&dir).unwrap();
     let mut actual: Vec<(String, String)> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| {

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 
 use nvp::experiments::{
-    run_all, run_request, set_thread_override, CampaignRequest, ExpConfig, SimCacheStats,
+    run_request, set_thread_override, CampaignRequest, ExpConfig, SimCacheStats,
 };
 
 /// A temp dir unique to this process and call, so concurrent test
@@ -19,6 +19,14 @@ fn unique_dir(tag: &str) -> PathBuf {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("{tag}_{}_{n}", std::process::id()))
+}
+
+/// Runs the whole campaign, writes its artifacts into `dir`, and returns
+/// the run's sim-cache counts.
+fn run_campaign(cfg: &ExpConfig, dir: &Path) -> SimCacheStats {
+    let result = run_request(&CampaignRequest::all(cfg.clone())).unwrap();
+    result.write(dir).unwrap();
+    result.cache
 }
 
 /// Reads every artifact in `dir` as `(file name, bytes)`, sorted by name.
@@ -60,13 +68,13 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
     nvp::experiments::reset_sim_cache();
     set_thread_override(Some(1));
     let ref_dir = unique_dir("nvp_sched_det_ref");
-    let cold_counts = run_all(&cfg, &ref_dir).unwrap().cache;
+    let cold_counts = run_campaign(&cfg, &ref_dir);
     assert!(cold_counts.misses > 0, "a cold run simulates");
     let reference = artifact_bytes(&ref_dir);
 
     // Warm rerun at the same width: the cache must not leak into bytes.
     let warm_dir = unique_dir("nvp_sched_det_warm1");
-    run_all(&cfg, &warm_dir).unwrap();
+    run_campaign(&cfg, &warm_dir);
     assert_same_artifacts("threads=1 warm", &reference, &warm_dir);
     let _ = std::fs::remove_dir_all(&warm_dir);
 
@@ -79,7 +87,7 @@ fn artifacts_are_byte_identical_across_thread_counts_and_cache_states() {
                 nvp::experiments::reset_sim_cache();
             }
             let dir = unique_dir("nvp_sched_det_run");
-            let counts = run_all(&cfg, &dir).unwrap().cache;
+            let counts = run_campaign(&cfg, &dir);
             let tag = format!("threads={threads} {temperature}");
             assert_same_artifacts(&tag, &reference, &dir);
             if temperature == "cold" {
