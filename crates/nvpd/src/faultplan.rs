@@ -1,293 +1,21 @@
-//! Seeded service-layer fault injection.
+//! A name kept for nvpbench.
 //!
-//! The simulated processor earns trust by surviving the faults
-//! `nvp_core::FaultPlan` injects into its backups; this module holds
-//! the service layer to the same standard. A [`ServiceFaultPlan`]
-//! describes *where* the campaign server should misbehave:
-//!
-//! * **tear a journal append** — write only the first N bytes of the
-//!   Nth write-ahead record, then abort the process, leaving exactly
-//!   the torn-tail shape a power failure produces;
-//! * **abort at a journal transition** — crash immediately *after* a
-//!   chosen append completes, so the journal is intact but the work
-//!   around it is not;
-//! * **drop a connection mid-frame** — deliver only a prefix of the
-//!   first `Result` frame, then sever the socket (one-shot, so the
-//!   client's retry succeeds);
-//! * **delay worker completion** — sleep before each job, widening the
-//!   window an external test can `kill -9` into.
-//!
-//! Plans are carried as compact spec strings
-//! (`crash-append=3,tear=16`) through `--fault-spec` or the
-//! `NVPD_FAULT_SPEC` environment variable, so the crash-recovery suite
-//! can steer a real child process deterministically. [`fn@derive`] maps a
-//! bare seed onto a rotation of crash points — the same
-//! seeded-plan discipline as the simulator's `FaultPlan`.
-//!
-//! Everything here is deterministic: no wall clock, no RNG state
-//! beyond the seed. Injected aborts exit with [`CRASH_EXIT_CODE`] so
-//! tests can tell an injected crash from a genuine failure.
+//! `nvpd` injects no faults. The crash tests build every state a crash
+//! can leave (each torn prefix of the journal, each side of an atomic
+//! replace) themselves and restart a server on it; see
+//! `tests/crash_recovery.rs`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Exit code of an injected process abort, distinct from genuine
-/// failures so the crash-recovery suite can assert the crash it asked
-/// for is the crash it got.
-pub const CRASH_EXIT_CODE: i32 = 113;
-
-/// Mutable per-process injection state, shared by every clone of a
-/// plan (the journal and the workers see one append counter).
-#[derive(Debug, Default)]
-struct FaultState {
-    /// Journal record appends observed so far.
-    appends: AtomicU64,
-    /// Whether the one-shot result-frame drop has fired.
-    result_dropped: AtomicBool,
-}
-
-/// What a journal append should do, as decided by the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AppendAction {
-    /// Write the whole record and carry on.
-    Full,
-    /// Write only this many bytes of the record, then abort the
-    /// process (a torn append; `0` crashes before any byte lands).
-    TearAndCrash(usize),
-    /// Write the whole record, then abort the process (the journal is
-    /// consistent; everything after the transition is lost).
-    CrashAfter,
-}
-
-/// A seeded description of service-layer faults to inject.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceFaultPlan {
-    /// 1-based index of the journal append to attack, or `None` to
-    /// leave the journal alone.
-    crash_append: Option<u64>,
-    /// With `crash_append`: how many bytes of that record to write
-    /// before aborting. `None` writes the whole record first (crash
-    /// *at* the transition rather than *inside* it).
-    tear_bytes: Option<usize>,
-    /// Deliver only this many bytes of the first `Result` frame, then
-    /// sever the connection (one-shot).
-    drop_result_after: Option<usize>,
-    /// Sleep this long before running each job.
-    delay_job_ms: Option<u64>,
-    /// Shared mutable state (append counter, one-shot flags).
-    state: Arc<FaultState>,
-}
+/// A fault plan with nothing in it. It stays only because nvpbench
+/// names `ServiceFaultPlan::none()` when it opens a [`Journal`].
+///
+/// [`Journal`]: crate::journal::Journal
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceFaultPlan;
 
 impl ServiceFaultPlan {
-    /// The no-fault plan: every hook is a no-op.
+    /// The one value. It stays only because nvpbench names it.
     #[must_use]
     pub fn none() -> ServiceFaultPlan {
-        ServiceFaultPlan::default()
-    }
-
-    /// Whether any fault is armed.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.crash_append.is_some()
-            || self.drop_result_after.is_some()
-            || self.delay_job_ms.is_some()
-    }
-
-    /// Parses a `key=value` comma list: `crash-append=N`, `tear=B`,
-    /// `drop-result=B`, `delay-ms=N`. The empty string is
-    /// [`ServiceFaultPlan::none`].
-    ///
-    /// # Errors
-    ///
-    /// A message naming the offending clause: unknown keys, missing or
-    /// non-numeric values, or `tear=` without `crash-append=`.
-    pub fn parse(spec: &str) -> Result<ServiceFaultPlan, String> {
-        let mut plan = ServiceFaultPlan::none();
-        for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let (key, value) = clause
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause `{clause}` is not key=value"))?;
-            let num = |v: &str| -> Result<u64, String> {
-                v.trim()
-                    .parse::<u64>()
-                    .map_err(|_| format!("fault clause `{clause}`: `{v}` is not a number"))
-            };
-            match key.trim() {
-                "crash-append" => plan.crash_append = Some(num(value)?.max(1)),
-                "tear" => plan.tear_bytes = Some(num(value)? as usize),
-                "drop-result" => plan.drop_result_after = Some(num(value)? as usize),
-                "delay-ms" => plan.delay_job_ms = Some(num(value)?),
-                other => return Err(format!("unknown fault key `{other}`")),
-            }
-        }
-        if plan.tear_bytes.is_some() && plan.crash_append.is_none() {
-            return Err("fault spec: `tear=` requires `crash-append=`".to_string());
-        }
-        Ok(plan)
-    }
-
-    /// Renders the plan back into the spec grammar [`Self::parse`] accepts
-    /// (the transport between the test harness and a child server).
-    #[must_use]
-    pub fn format(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(n) = self.crash_append {
-            parts.push(format!("crash-append={n}"));
-        }
-        if let Some(b) = self.tear_bytes {
-            parts.push(format!("tear={b}"));
-        }
-        if let Some(b) = self.drop_result_after {
-            parts.push(format!("drop-result={b}"));
-        }
-        if let Some(ms) = self.delay_job_ms {
-            parts.push(format!("delay-ms={ms}"));
-        }
-        parts.join(",")
-    }
-
-    /// What the `n`th-from-now journal append should do. Advances the
-    /// shared append counter.
-    pub fn journal_append_action(&self, record_len: usize) -> AppendAction {
-        let n = self.state.appends.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.crash_append == Some(n) {
-            return match self.tear_bytes {
-                Some(bytes) => AppendAction::TearAndCrash(bytes.min(record_len)),
-                None => AppendAction::CrashAfter,
-            };
-        }
-        AppendAction::Full
-    }
-
-    /// One-shot: how many bytes of this `Result` frame to deliver
-    /// before severing the connection, or `None` to deliver it whole.
-    pub fn result_frame_cut(&self, frame_len: usize) -> Option<usize> {
-        let cut = self.drop_result_after?;
-        if self.state.result_dropped.swap(true, Ordering::Relaxed) {
-            return None; // already fired; let the retry through
-        }
-        Some(cut.min(frame_len.saturating_sub(1)))
-    }
-
-    /// Stalls the worker before a job, widening the kill window for
-    /// external crash tests.
-    pub fn delay_job(&self) {
-        if let Some(ms) = self.delay_job_ms {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-    }
-}
-
-/// Splitmix64-style mixer (the same shape the retrying client uses for
-/// backoff jitter) — turns a seed into well-spread bits.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Derives a crash plan from a bare seed, rotating over the interesting
-/// crash points: torn appends at varied byte offsets, clean aborts at
-/// each of the three journal transitions of a one-job campaign
-/// (`Admitted` → `Started` → `Completed`), and mid-frame result drops.
-/// Deterministic: the same seed always yields the same plan.
-#[must_use]
-pub fn derive(seed: u64) -> ServiceFaultPlan {
-    let r = mix64(seed);
-    let mut plan = ServiceFaultPlan::none();
-    // A one-job campaign appends three journal records; target each.
-    let append = 1 + (r >> 8) % 3;
-    match r % 4 {
-        // Torn append: crash partway into the record bytes.
-        0 => {
-            plan.crash_append = Some(append);
-            plan.tear_bytes = Some(1 + ((r >> 16) % 24) as usize);
-        }
-        // Crash before any byte of the record lands.
-        1 => {
-            plan.crash_append = Some(append);
-            plan.tear_bytes = Some(0);
-        }
-        // Crash cleanly after the transition is durable.
-        2 => plan.crash_append = Some(append),
-        // Sever the connection mid-Result-frame (the server survives;
-        // the client's retry must be deduplicated).
-        _ => plan.drop_result_after = Some(8 + ((r >> 16) % 64) as usize),
-    }
-    plan
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_and_format_round_trip() {
-        for spec in
-            ["", "crash-append=3", "crash-append=2,tear=16", "drop-result=12", "delay-ms=40"]
-        {
-            let plan = ServiceFaultPlan::parse(spec).unwrap();
-            assert_eq!(plan.format(), spec, "spec {spec:?}");
-            // format() output re-parses to the same plan.
-            let again = ServiceFaultPlan::parse(&plan.format()).unwrap();
-            assert_eq!(again.format(), plan.format());
-        }
-        assert!(!ServiceFaultPlan::none().enabled());
-        assert!(ServiceFaultPlan::parse("crash-append=1").unwrap().enabled());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        assert!(ServiceFaultPlan::parse("tear=4").is_err(), "tear needs crash-append");
-        assert!(ServiceFaultPlan::parse("bogus=1").is_err());
-        assert!(ServiceFaultPlan::parse("crash-append").is_err());
-        assert!(ServiceFaultPlan::parse("crash-append=lots").is_err());
-    }
-
-    #[test]
-    fn append_actions_fire_exactly_once_at_the_chosen_index() {
-        let plan = ServiceFaultPlan::parse("crash-append=3,tear=10").unwrap();
-        assert_eq!(plan.journal_append_action(100), AppendAction::Full);
-        assert_eq!(plan.journal_append_action(100), AppendAction::Full);
-        assert_eq!(plan.journal_append_action(100), AppendAction::TearAndCrash(10));
-        assert_eq!(plan.journal_append_action(100), AppendAction::Full);
-        // The tear never exceeds the record.
-        let plan = ServiceFaultPlan::parse("crash-append=1,tear=500").unwrap();
-        assert_eq!(plan.journal_append_action(7), AppendAction::TearAndCrash(7));
-        // Without tear=, the crash lands after the full write.
-        let plan = ServiceFaultPlan::parse("crash-append=1").unwrap();
-        assert_eq!(plan.journal_append_action(7), AppendAction::CrashAfter);
-    }
-
-    #[test]
-    fn clones_share_one_append_counter() {
-        let plan = ServiceFaultPlan::parse("crash-append=2").unwrap();
-        let clone = plan.clone();
-        assert_eq!(plan.journal_append_action(4), AppendAction::Full);
-        assert_eq!(clone.journal_append_action(4), AppendAction::CrashAfter);
-    }
-
-    #[test]
-    fn result_frame_cut_is_one_shot_and_never_whole() {
-        let plan = ServiceFaultPlan::parse("drop-result=64").unwrap();
-        assert_eq!(plan.result_frame_cut(32), Some(31), "cut below the frame length");
-        assert_eq!(plan.result_frame_cut(32), None, "second frame passes untouched");
-        assert_eq!(ServiceFaultPlan::none().result_frame_cut(32), None);
-    }
-
-    #[test]
-    fn derived_plans_are_deterministic_and_varied() {
-        for seed in 0..64u64 {
-            assert_eq!(derive(seed).format(), derive(seed).format(), "seed {seed}");
-        }
-        let distinct: std::collections::BTreeSet<String> =
-            (0..20u64).map(|s| derive(s).format()).collect();
-        assert!(distinct.len() > 5, "rotation covers varied crash points: {distinct:?}");
-        // Every derived plan actually arms something.
-        for seed in 0..64u64 {
-            assert!(derive(seed).enabled(), "seed {seed} derived a no-op plan");
-        }
+        ServiceFaultPlan
     }
 }

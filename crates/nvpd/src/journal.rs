@@ -44,7 +44,7 @@
 //! the pending `Admitted` records. Compaction also runs at runtime
 //! whenever the live set empties.
 //!
-//! Any damage — a torn tail record (the shape an injected or real crash
+//! Any damage — a torn tail record (the shape a crash mid-append
 //! leaves), a corrupt or undecodable record, an admission journalled by
 //! another protocol revision, a foreign file — is counted in
 //! [`Recovery::skipped`] and **quarantines** the journal: the file is
@@ -91,7 +91,7 @@ use nvp_experiments::wire::{
 };
 use nvp_experiments::{CampaignRequest, CampaignResult};
 
-use crate::faultplan::{AppendAction, ServiceFaultPlan, CRASH_EXIT_CODE};
+use crate::faultplan::ServiceFaultPlan;
 
 /// Journal-file magic: `nvpjrnl` + schema version digit.
 const MAGIC: &[u8; 8] = b"nvpjrnl1";
@@ -170,7 +170,6 @@ struct Inner {
 pub struct Journal {
     path: PathBuf,
     results_dir: PathBuf,
-    faults: ServiceFaultPlan,
     inner: Mutex<Inner>,
     quarantined: AtomicU64,
 }
@@ -178,13 +177,14 @@ pub struct Journal {
 impl Journal {
     /// Opens (creating if missing) the journal under `state_dir`,
     /// replays it, compacts it down to the pending set, and returns
-    /// the recovery outcome.
+    /// the recovery outcome. The second parameter is ignored; it stays
+    /// only because nvpbench passes [`ServiceFaultPlan::none`].
     ///
     /// # Errors
     ///
     /// Directory/file creation failures pass through; *content* damage
     /// never errors — it is quarantined and counted instead.
-    pub fn open(state_dir: &Path, faults: ServiceFaultPlan) -> io::Result<(Journal, Recovery)> {
+    pub fn open(state_dir: &Path, _: ServiceFaultPlan) -> io::Result<(Journal, Recovery)> {
         let results_dir = state_dir.join("results");
         fs::create_dir_all(&results_dir)?;
         let path = state_dir.join("journal.log");
@@ -215,7 +215,6 @@ impl Journal {
         let journal = Journal {
             path,
             results_dir,
-            faults,
             inner: Mutex::new(Inner { file, live: recovery.pending.len() as u64 }),
             quarantined: AtomicU64::new(recovery.quarantined),
         };
@@ -370,27 +369,11 @@ impl Journal {
         self.results_dir.join(format!("{}.res", hex(key)))
     }
 
-    /// Frames `payload` and appends it through the fault plan: a planned
-    /// tear writes a prefix and aborts the process, leaving exactly the
-    /// torn-tail shape recovery must tolerate.
+    /// Frames `payload` and appends it.
     fn append_record(&self, inner: &mut Inner, payload: &[u8]) -> io::Result<()> {
         let mut record = Vec::new();
         record::put_frame(&mut record, payload, MAX_RECORD_BYTES)?;
-        match self.faults.journal_append_action(record.len()) {
-            AppendAction::Full => inner.file.write_all(&record),
-            AppendAction::TearAndCrash(bytes) => {
-                let _ = inner.file.write_all(&record[..bytes]);
-                let _ = inner.file.sync_all();
-                eprintln!("nvpd: injected crash (torn append, {bytes} of {} bytes)", record.len());
-                std::process::exit(CRASH_EXIT_CODE);
-            }
-            AppendAction::CrashAfter => {
-                inner.file.write_all(&record)?;
-                let _ = inner.file.sync_all();
-                eprintln!("nvpd: injected crash (after append)");
-                std::process::exit(CRASH_EXIT_CODE);
-            }
-        }
+        inner.file.write_all(&record)
     }
 }
 
@@ -528,29 +511,141 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What the result store holds for job 0 in a crash state.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Entry {
+        Absent,
+        /// A torn `<key>.res.tmp`: the crash came inside `put_result`.
+        TornTmp,
+        Present,
+    }
+
+    /// A crash leaves the journal as a prefix of what was written, so
+    /// every byte length is a state a restart may meet. The journal is
+    /// driven through admit 0, admit 1, started 0, put_result 0,
+    /// completed 0, started 1 and admit 2 (a job stays live throughout,
+    /// so no compaction interrupts the sequence), then reopened from each
+    /// prefix. Job 0's result entry is there exactly when `put_result 0`
+    /// preceded the cut; at the cut where it ran, the entry may also be
+    /// missing, or a torn temporary file. Both sides of the compaction
+    /// that a last completion starts are states too.
     #[test]
-    fn torn_tail_is_dropped_and_journal_quarantined() {
-        let dir = unique_dir("nvpd_journal_torn");
-        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
-        let (ra, rb) = (request(4), request(5));
-        journal.admitted(0, &request_key(&ra), &ra).unwrap();
-        journal.admitted(1, &request_key(&rb), &rb).unwrap();
-        drop(journal);
-        let path = dir.join("journal.log");
+    fn every_torn_journal_prefix_recovers_its_whole_records() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let work = unique_dir("nvpd_journal_prefixes");
+        let (journal, _) = Journal::open(&work, ServiceFaultPlan::none()).unwrap();
+        let path = work.join("journal.log");
+        let len = || fs::metadata(&path).unwrap().len() as usize;
+        let requests: Vec<CampaignRequest> = (20..23).map(request).collect();
+        let keys: Vec<Digest> = requests.iter().map(request_key).collect();
+        let mut table = nvp_experiments::Table::new("T1", "one cell", &["cell"]);
+        table.push_row(vec!["1".to_string()]);
+        let result = CampaignResult {
+            tables: vec![table],
+            profiles: Vec::new(),
+            cache: Default::default(),
+            sched: Default::default(),
+            exec: Default::default(),
+        };
+
+        let magic = len();
+        journal.admitted(0, &keys[0], &requests[0]).unwrap();
+        let admitted0 = len();
+        journal.admitted(1, &keys[1], &requests[1]).unwrap();
+        let admitted1 = len();
+        journal.started(0).unwrap();
+        let started0 = len();
+        let digest = journal.put_result(&keys[0], &result).unwrap();
+        journal.completed(0, &digest).unwrap();
+        let completed0 = len();
+        journal.started(1).unwrap();
+        let started1 = len();
+        journal.admitted(2, &keys[2], &requests[2]).unwrap();
         let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..bytes.len() - 10]).unwrap(); // tear the tail
-        let (journal, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
-        assert_eq!(recovery.pending.len(), 1, "intact prefix survives");
-        assert_eq!(recovery.pending[0].id, 0);
-        assert_eq!(recovery.skipped, 1);
-        assert_eq!(recovery.quarantined, 1, "damage quarantines the journal");
-        assert!(path.with_extension("log.quarantine").exists());
+        let ends = [magic, admitted0, admitted1, started0, completed0, started1, bytes.len()];
+        let admissions = [(0, admitted0), (1, admitted1), (2, bytes.len())];
+        let entry_name = format!("{}.res", hex(&keys[0]));
+        let entry = fs::read(work.join("results").join(&entry_name)).unwrap();
+
+        let mut states = 0;
+        for cut in 0..=bytes.len() {
+            let entries: &[Entry] = match cut.cmp(&started0) {
+                Less => &[Entry::Absent],
+                Equal => &[Entry::Absent, Entry::TornTmp, Entry::Present],
+                Greater => &[Entry::Present],
+            };
+            let whole = |&(id, end): &(u64, usize)| (cut >= end).then_some(id);
+            let admitted: Vec<u64> = admissions.iter().filter_map(whole).collect();
+            let pending: Vec<u64> =
+                admitted.iter().copied().filter(|&id| id != 0 || cut < completed0).collect();
+            let next_job = admitted.last().map_or(0, |id| id + 1);
+            let torn = !ends.contains(&cut);
+            for &held in entries {
+                let what = format!("cut at {cut} of {} bytes, entry {held:?}", bytes.len());
+                let dir = unique_dir("nvpd_journal_prefix");
+                let results = dir.join("results");
+                fs::create_dir_all(&results).unwrap();
+                fs::write(dir.join("journal.log"), &bytes[..cut]).unwrap();
+                match held {
+                    Entry::Absent => {}
+                    Entry::TornTmp => {
+                        let tmp = results.join(format!("{entry_name}.tmp"));
+                        fs::write(tmp, &entry[..entry.len() / 2]).unwrap();
+                    }
+                    Entry::Present => fs::write(results.join(&entry_name), &entry).unwrap(),
+                }
+
+                let (journal, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+                let ids: Vec<u64> = recovery.pending.iter().map(|job| job.id).collect();
+                assert_eq!(ids, pending, "{what}: pending jobs");
+                for job in &recovery.pending {
+                    let i = job.id as usize;
+                    assert_eq!((job.key, &job.request), (keys[i], &requests[i]), "{what}");
+                }
+                assert_eq!(recovery.next_job, next_job, "{what}: next job id");
+                assert_eq!(recovery.skipped, u64::from(torn), "{what}: records skipped");
+                assert_eq!(recovery.quarantined, u64::from(torn), "{what}: files quarantined");
+                let copy = fs::read(dir.join("journal.log.quarantine")).ok();
+                assert_eq!(copy.as_deref(), torn.then_some(&bytes[..cut]), "{what}: evidence");
+                let stored = journal.lookup_encoded(&keys[0]).map(|(d, _)| d);
+                assert_eq!(stored, (held == Entry::Present).then_some(digest), "{what}: entry");
+                drop(journal);
+                let (_, again) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+                assert_eq!(again.skipped, 0, "{what}: the first reopen left damage");
+                assert_eq!(again.pending, recovery.pending, "{what}: a second reopen differs");
+                let _ = fs::remove_dir_all(&dir);
+                states += 1;
+            }
+        }
+        assert_eq!(states, bytes.len() + 3, "every prefix, three entry states at one");
+
+        // The compaction after the last completion appends `Completed 2`
+        // and then replaces the file with its header: a crash leaves the
+        // whole old file, perhaps beside a torn `journal.log.tmp`, or the
+        // header alone.
+        journal.completed(1, &[0; 32]).unwrap();
+        let mut completed2 = vec![TAG_COMPLETED];
+        put_u64(&mut completed2, 2);
+        completed2.extend_from_slice(&[0; 32]);
+        journal.append_record(&mut journal.lock(), &completed2).unwrap();
+        let old = fs::read(&path).unwrap();
         drop(journal);
-        // The rewrite healed the file: reopening is clean.
-        let (_, healed) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
-        assert_eq!(healed.skipped, 0);
-        assert_eq!(healed.pending.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
+        for (image, next_job) in [(&old[..], 3), (&MAGIC[..], 0)] {
+            let what = format!("compaction side of {} bytes", image.len());
+            let dir = unique_dir("nvpd_journal_compaction");
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join("journal.log"), image).unwrap();
+            let tmp = dir.join("journal.log.tmp");
+            fs::write(&tmp, &MAGIC[..4]).unwrap();
+            let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+            assert!(recovery.pending.is_empty(), "{what}: every job completed");
+            assert_eq!((recovery.next_job, recovery.skipped), (next_job, 0), "{what}");
+            assert!(!dir.join("journal.log.quarantine").exists(), "{what}: quarantined");
+            assert!(!tmp.exists(), "{what}: the torn temporary file outlived the reopen");
+            assert_eq!(fs::read(dir.join("journal.log")).unwrap(), MAGIC, "{what}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_dir_all(&work);
     }
 
     #[test]

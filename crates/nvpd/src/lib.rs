@@ -35,9 +35,10 @@
 //! admitted-but-not-completed jobs, and answers resubmissions of
 //! already-finished requests from a content-addressed result store
 //! (the `Result` frame carries `replayed: true` and costs zero new
-//! simulations). The [`faultplan`] module injects exactly these
-//! crashes on demand; `tests/crash_recovery.rs` proves the round trip
-//! byte-identical against uninterrupted runs.
+//! simulations). `tests/crash_recovery.rs` builds each state a crash
+//! can leave — every torn prefix of the journal, each crash class
+//! restarted end to end, and one real `kill -9` — and proves recovery
+//! byte-identical against an uninterrupted run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +48,7 @@ pub mod journal;
 
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +60,6 @@ use nvp_experiments::wire::{
 };
 use nvp_experiments::{run_request, CampaignRequest, CampaignResult};
 
-use faultplan::ServiceFaultPlan;
 use journal::{Digest, Journal, PendingJob};
 
 /// Bounded admission-queue capacity: a submit that finds the queue
@@ -98,8 +98,6 @@ pub struct ServerConfig {
     /// How long the acceptor waits for each read of a client's
     /// `Submit` frame before dropping the connection.
     pub submit_timeout: Duration,
-    /// Injected service faults (tests only; defaults to none).
-    pub faults: ServiceFaultPlan,
 }
 
 impl Default for ServerConfig {
@@ -109,7 +107,6 @@ impl Default for ServerConfig {
             max_jobs: None,
             state_dir: None,
             submit_timeout: DEFAULT_SUBMIT_TIMEOUT,
-            faults: ServiceFaultPlan::none(),
         }
     }
 }
@@ -261,7 +258,7 @@ impl Server {
 
         let journal = match &cfg.state_dir {
             Some(dir) => {
-                let (journal, recovery) = Journal::open(dir, cfg.faults.clone())?;
+                let (journal, recovery) = Journal::open(dir, faultplan::ServiceFaultPlan::none())?;
                 stats.recovered = recovery.pending.len() as u64;
                 if !recovery.pending.is_empty() {
                     eprintln!(
@@ -286,7 +283,7 @@ impl Server {
             for _ in 0..workers {
                 scope.spawn(|| {
                     while let Some(job) = queue.pop() {
-                        run_job(job, journal, &cfg.faults, &counters);
+                        run_job(job, journal, &counters);
                     }
                 });
             }
@@ -400,45 +397,24 @@ fn reject(mut stream: TcpStream, reason: &str, retryable: bool) -> Admission {
     Admission::Rejected
 }
 
-/// Writes a framed message through the fault plan: an armed one-shot
-/// cut delivers only a prefix and severs the socket mid-frame.
-fn send_frame(stream: &mut TcpStream, frame: &[u8], faults: &ServiceFaultPlan) -> io::Result<()> {
-    if let Some(cut) = faults.result_frame_cut(frame.len()) {
-        let _ = stream.write_all(&frame[..cut]);
-        let _ = stream.flush();
-        let _ = stream.shutdown(Shutdown::Both);
-        eprintln!("nvpd: injected mid-frame drop ({cut} of {} bytes delivered)", frame.len());
-        return Err(io::Error::other("injected mid-frame connection drop"));
-    }
-    stream.write_all(frame)
-}
-
 /// Sends a finished job's `Result` frame. A frame the bound refused
 /// draws a non-retryable `Reject` instead: a retry would only rerun
 /// the job. A client that has gone away gets nothing; the work still
 /// warmed the cache and the result store, so its retry is a replay.
-fn deliver(
-    mut stream: TcpStream,
-    id: u64,
-    frame: io::Result<Vec<u8>>,
-    faults: &ServiceFaultPlan,
-    counters: &Counters,
-) {
-    match frame.and_then(|frame| send_frame(&mut stream, &frame, faults)) {
+fn deliver(mut stream: TcpStream, id: u64, frame: io::Result<Vec<u8>>, counters: &Counters) {
+    match frame.and_then(|frame| stream.write_all(&frame)) {
         Ok(()) => {
             counters.completed.fetch_add(1, Ordering::Relaxed);
         }
-        Err(e) if e.kind() == io::ErrorKind::InvalidData => fail(stream, id, &e, faults),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => fail(stream, id, &e),
         Err(_) => {}
     }
 }
 
 /// Sends the non-retryable `Reject` of a job that failed (best effort).
-fn fail(mut stream: TcpStream, id: u64, e: &io::Error, faults: &ServiceFaultPlan) {
+fn fail(mut stream: TcpStream, id: u64, e: &io::Error) {
     let msg = Message::Reject { reason: format!("job {id} failed: {e}"), retryable: false };
-    if let Ok(frame) = frame_bytes(&msg) {
-        let _ = send_frame(&mut stream, &frame, faults);
-    }
+    let _ = write_frame(&mut stream, &msg);
 }
 
 /// Runs one admitted job and streams its `Result` (or failure
@@ -458,8 +434,7 @@ fn fail(mut stream: TcpStream, id: u64, e: &io::Error, faults: &ServiceFaultPlan
 /// a restart does not replay it; the worker then takes the next job.
 /// Unwinding is safe here: memo slots, sim-cache keys and the job's
 /// trace scope all release on unwind.
-fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, counters: &Counters) {
-    faults.delay_job();
+fn run_job(job: Job, journal: Option<&Journal>, counters: &Counters) {
     let Job { id, key, request, stream } = job;
 
     // Idempotent resubmission: answer from the durable result store.
@@ -470,7 +445,7 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
             }
             counters.replayed.fetch_add(1, Ordering::Relaxed);
             if let Some(stream) = stream {
-                deliver(stream, id, result_frame_bytes(id, true, &result_bytes), faults, counters);
+                deliver(stream, id, result_frame_bytes(id, true, &result_bytes), counters);
             }
             return;
         }
@@ -483,7 +458,7 @@ fn run_job(job: Job, journal: Option<&Journal>, faults: &ServiceFaultPlan, count
         panic::catch_unwind(AssertUnwindSafe(|| run_request(&request))).unwrap_or_else(|payload| {
             Err(io::Error::other(format!("panicked: {}", message(&*payload))))
         });
-    finish(id, &key, outcome, stream, journal, faults, counters);
+    finish(id, &key, outcome, stream, journal, counters);
 }
 
 /// Stores, journals and answers a job that ran: a result goes to the
@@ -498,7 +473,6 @@ fn finish(
     outcome: io::Result<CampaignResult>,
     stream: Option<TcpStream>,
     journal: Option<&Journal>,
-    faults: &ServiceFaultPlan,
     counters: &Counters,
 ) {
     match outcome {
@@ -517,7 +491,7 @@ fn finish(
             }
             if let Some(stream) = stream {
                 let msg = Message::Result { job: id, replayed: false, result };
-                deliver(stream, id, frame_bytes(&msg), faults, counters);
+                deliver(stream, id, frame_bytes(&msg), counters);
             }
         }
         Err(e) => {
@@ -527,7 +501,7 @@ fn finish(
                 }
             }
             if let Some(stream) = stream {
-                fail(stream, id, &e, faults);
+                fail(stream, id, &e);
             }
         }
     }
@@ -592,7 +566,7 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("nvpd_oversize_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let (journal, _) = Journal::open(&dir, faultplan::ServiceFaultPlan::none()).unwrap();
         let request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
         let key = request_key(&request);
         journal.admitted(0, &key, &request).unwrap();
@@ -610,8 +584,7 @@ mod tests {
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server_side, _) = listener.accept().unwrap();
         let counters = Counters::default();
-        let faults = ServiceFaultPlan::none();
-        finish(0, &key, Ok(result), Some(server_side), Some(&journal), &faults, &counters);
+        finish(0, &key, Ok(result), Some(server_side), Some(&journal), &counters);
 
         match read_frame(&mut client).unwrap() {
             Message::Reject { reason, retryable: false } => {
@@ -628,7 +601,7 @@ mod tests {
         assert_eq!(counters.completed.load(Ordering::Relaxed), 0);
         assert_eq!(journal.lookup_encoded(&key), None, "the store refused the result");
         drop(journal);
-        let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let (_, recovery) = Journal::open(&dir, faultplan::ServiceFaultPlan::none()).unwrap();
         assert!(recovery.pending.is_empty(), "the oversized job is not replayed");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -10,7 +10,6 @@ use nvp_experiments::{
     cli, key_bytes_hashed, set_cache_dir, set_thread_override, sim_cache_memo_stats,
     trace_memo_stats,
 };
-use nvpd::faultplan::ServiceFaultPlan;
 use nvpd::{Server, ServerConfig};
 
 /// Command-line reference, printed by `--help` and on usage errors.
@@ -41,9 +40,7 @@ environment:
     NVP_CACHE_DIR      without --state-dir: persistent simulation store
                        (default: in-memory only)
     NVP_THREADS        worker budget shared by every running job: N
-                       means exactly N (default: hardware parallelism)
-    NVPD_FAULT_SPEC    inject seeded service faults (testing only).
-                       Grammar: crash-append=N,tear=B,drop-result=B,delay-ms=N";
+                       means exactly N (default: hardware parallelism)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -112,10 +109,7 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
 }
 
 fn serve(args: &[String]) -> Result<ExitCode, String> {
-    let mut opts = parse_serve(args)?;
-    if let Ok(spec) = std::env::var("NVPD_FAULT_SPEC") {
-        opts.config.faults = ServiceFaultPlan::parse(&spec)?;
-    }
+    let opts = parse_serve(args)?;
     set_thread_override(cli::nvp_threads());
     // A stateful server keeps its simulation store next to the journal,
     // so one --state-dir makes the whole server durable. A stateless

@@ -1,34 +1,33 @@
-//! Crash-recovery proof: real `nvpd` child processes are killed at
-//! seeded crash points — torn journal appends, clean aborts at each
-//! journal transition, mid-frame connection drops, and external
-//! `SIGKILL` mid-job — then restarted on the same `--state-dir`. Every
-//! scenario must end with artifacts byte-identical to an uninterrupted
-//! in-process run, and the write-ahead promise must hold: once a client
-//! has seen `Accepted`, the eventual answer comes from the durable
-//! result store (`replayed: true`) with zero extra unique simulations.
-//!
-//! The fault points come from [`nvpd::faultplan::derive`], the same
-//! seeded-plan discipline the simulator's own `FaultPlan` uses; specs
-//! travel to the child in the `NVPD_FAULT_SPEC` environment variable.
+//! Crash recovery, end to end. A crash leaves the state directory as a
+//! prefix of the writes the server made, so the tests build those
+//! states themselves (`journal.rs`'s unit tests reopen every torn
+//! journal prefix): one in-process restart per crash class, and one
+//! real `kill -9` of the `nvpd` binary. Every recovery must render
+//! artifacts byte-identical to an uninterrupted in-process run, and the
+//! write-ahead promise must hold: once a job's `Admitted` record is
+//! whole (the `Accepted` frame follows its fsync), a resubmission is
+//! answered from the result store (`replayed`).
 
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::thread;
-use std::time::Duration;
 
-use nvp_experiments::wire::{read_frame, write_frame, Message};
+use nvp_experiments::wire::{read_frame, request_key, write_frame, Message};
 use nvp_experiments::{
-    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, ExpConfig,
+    client, reset_sim_cache, run_request, set_cache_dir, CampaignRequest, CampaignResult, ExpConfig,
 };
-use nvpd::faultplan::{self, CRASH_EXIT_CODE};
+use nvpd::faultplan::ServiceFaultPlan;
+use nvpd::journal::Journal;
+use nvpd::{Server, ServerConfig};
 
-/// The in-process golden runs touch the process-global simulation
-/// cache; serialize them so parallel tests don't interleave counters.
+/// The in-process runs touch the process-global simulation cache;
+/// serialize them so parallel tests don't interleave counters.
 fn cache_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -51,296 +50,232 @@ fn request() -> CampaignRequest {
     req
 }
 
-/// Reads every regular file in `dir` into a name → bytes map.
-fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
+/// The uninterrupted run, in-process and memory-only.
+fn golden(req: &CampaignRequest) -> CampaignResult {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let result = run_request(req).expect("golden run");
+    reset_sim_cache();
+    assert!(result.cache.misses > 0, "the campaign must run real simulations");
+    result
+}
+
+/// The artifact files a result renders, name → bytes.
+fn artifacts(result: &CampaignResult, tag: &str) -> BTreeMap<String, Vec<u8>> {
+    let dir = scratch(tag);
+    result.write(&dir).expect("write artifacts");
     let mut out = BTreeMap::new();
-    for entry in fs::read_dir(dir).expect("read_dir") {
+    for entry in fs::read_dir(&dir).expect("read_dir") {
         let entry = entry.expect("dir entry");
-        if entry.file_type().expect("file type").is_file() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            out.insert(name, fs::read(entry.path()).expect("read file"));
-        }
+        let name = entry.file_name().to_string_lossy().into_owned();
+        out.insert(name, fs::read(entry.path()).expect("read artifact"));
     }
+    let _ = fs::remove_dir_all(&dir);
     out
 }
 
-/// A child `nvpd serve` process plus the address it bound.
-struct Server {
-    child: Child,
-    addr: String,
+/// Where the result store keeps a request's entry.
+fn entry_path(state_dir: &Path, req: &CampaignRequest) -> PathBuf {
+    let hex: String = request_key(req).iter().map(|b| format!("{b:02x}")).collect();
+    state_dir.join("results").join(format!("{hex}.res"))
 }
 
-impl Server {
-    /// Spawns `nvpd serve` on an ephemeral port with the given state
-    /// dir, fault spec, and job budget, and waits for its port file.
-    fn spawn(state_dir: &Path, fault_spec: Option<&str>, max_jobs: u64) -> Server {
-        let port_file = state_dir.join("port.txt");
-        let _ = fs::remove_file(&port_file);
-        fs::create_dir_all(state_dir).expect("state dir");
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_nvpd"));
-        cmd.arg("serve")
-            .arg("127.0.0.1:0")
-            .arg("--state-dir")
+/// The journal's length on disk.
+fn journal_len(state_dir: &Path) -> u64 {
+    fs::metadata(state_dir.join("journal.log")).expect("journal metadata").len()
+}
+
+/// A crash class, named by how far job 0 got before the crash.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Class {
+    /// The `Admitted` record was torn: nothing was promised.
+    TornAdmitted,
+    /// `Admitted` is whole; the job never started.
+    Admitted,
+    /// `Started` is whole; the job was running.
+    Started,
+    /// The result is stored; `Completed` never landed.
+    Stored,
+    /// `Completed` landed; the compaction that follows it did not.
+    Completed,
+}
+
+/// Leaves `state_dir` as the crash of `class` left it, through the
+/// journal's own API and truncation. `result` is what the crashed
+/// server would have stored.
+fn craft(state_dir: &Path, class: Class, req: &CampaignRequest, result: &CampaignResult) {
+    let key = request_key(req);
+    let (journal, _) = Journal::open(state_dir, ServiceFaultPlan::none()).expect("open journal");
+    let header = journal_len(state_dir);
+    journal.admitted(0, &key, req).expect("admit");
+    if class == Class::TornAdmitted {
+        let torn = (header + journal_len(state_dir)) / 2;
+        let file = fs::OpenOptions::new().write(true).open(state_dir.join("journal.log"));
+        file.and_then(|f| f.set_len(torn)).expect("tear the Admitted record");
+        return;
+    }
+    if class == Class::Admitted {
+        return;
+    }
+    journal.started(0).expect("start");
+    if class == Class::Started {
+        return;
+    }
+    let digest = journal.put_result(&key, result).expect("store the result");
+    if class == Class::Stored {
+        return;
+    }
+    // `Completed 0` would empty the live set and compact at once, so a
+    // second job keeps one live while it is appended; cutting that
+    // job's `Admitted` record out leaves the journal as it stood just
+    // before the compaction.
+    let started = journal_len(state_dir) as usize;
+    let other = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    journal.admitted(1, &request_key(&other), &other).expect("admit a second job");
+    let second = journal_len(state_dir) as usize;
+    journal.completed(0, &digest).expect("complete");
+    drop(journal);
+    let path = state_dir.join("journal.log");
+    let mut bytes = fs::read(&path).expect("read journal");
+    bytes.drain(started..second);
+    fs::write(&path, bytes).expect("write the pre-compaction journal");
+}
+
+/// Each crash class, restarted in-process on the state it leaves: the
+/// resubmission's artifacts equal the uninterrupted run's, it is a
+/// replay whenever `Admitted` was whole, and the store holds the answer
+/// by the time the client has it.
+#[test]
+fn every_crash_class_recovers_byte_identical() {
+    let req = request();
+    let golden_result = golden(&req);
+    let golden = artifacts(&golden_result, "golden");
+    let _guard = cache_lock();
+    for class in
+        [Class::TornAdmitted, Class::Admitted, Class::Started, Class::Stored, Class::Completed]
+    {
+        let state_dir = scratch(&format!("{class:?}"));
+        craft(&state_dir, class, &req, &golden_result);
+
+        // A restarted process starts with an empty memory cache.
+        reset_sim_cache();
+        let _ = set_cache_dir(None);
+        let server = Server::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().expect("bound address").to_string();
+        let cfg = ServerConfig {
+            max_jobs: Some(1),
+            state_dir: Some(state_dir.clone()),
+            ..ServerConfig::default()
+        };
+        let run = thread::spawn(move || server.run(&cfg));
+        let outcome = client::submit(&addr, &req)
+            .unwrap_or_else(|e| panic!("[{class:?}] resubmission failed: {e}"));
+        assert!(entry_path(&state_dir, &req).exists(), "[{class:?}] answered, not stored");
+        let stats = run.join().expect("server thread").expect("server run");
+
+        assert_eq!(
+            outcome.replayed,
+            class != Class::TornAdmitted,
+            "[{class:?}] a whole Admitted record must be answered from the result store"
+        );
+        let recovered = matches!(class, Class::Admitted | Class::Started | Class::Stored);
+        assert_eq!(stats.recovered, u64::from(recovered), "[{class:?}] jobs recovered");
+        assert_eq!(stats.quarantined, u64::from(class == Class::TornAdmitted), "[{class:?}]");
+        assert_eq!(artifacts(&outcome.result, "class"), golden, "[{class:?}] artifacts differ");
+        let (_, after) =
+            Journal::open(&state_dir, ServiceFaultPlan::none()).expect("reopen journal");
+        assert!(after.pending.is_empty(), "[{class:?}] a job was left unfinished");
+        let _ = fs::remove_dir_all(&state_dir);
+    }
+    reset_sim_cache();
+}
+
+/// A child `nvpd serve --max-jobs 1` process on an ephemeral port.
+struct Nvpd {
+    child: Child,
+    addr: String,
+    /// Everything the child writes to stderr after its listening line.
+    log: Option<thread::JoinHandle<String>>,
+}
+
+impl Nvpd {
+    /// Spawns the server on `state_dir` and reads its address from the
+    /// listening line it prints once the socket is bound.
+    fn spawn(state_dir: &Path) -> Nvpd {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_nvpd"))
+            .args(["serve", "127.0.0.1:0", "--max-jobs", "1", "--state-dir"])
             .arg(state_dir)
-            .arg("--port-file")
-            .arg(&port_file)
-            .arg("--max-jobs")
-            .arg(max_jobs.to_string())
             .env_remove("NVP_CACHE_DIR")
-            .env_remove("NVPD_FAULT_SPEC")
             .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        if let Some(spec) = fault_spec {
-            cmd.env("NVPD_FAULT_SPEC", spec);
-        }
-        let child = cmd.spawn().expect("spawn nvpd");
-        // Bounded wait for the port file — the child writes it only
-        // once the listener is live.
-        let mut addr = None;
-        for _ in 0..400 {
-            if let Ok(text) = fs::read_to_string(&port_file) {
-                if text.contains(':') {
-                    addr = Some(text.trim().to_string());
-                    break;
-                }
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn nvpd");
+        let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+        let mut line = String::new();
+        let addr = loop {
+            line.clear();
+            let read = stderr.read_line(&mut line).expect("read nvpd stderr");
+            assert!(read > 0, "nvpd exited before listening");
+            if let Some(addr) = line.trim().strip_prefix("nvpd: listening on ") {
+                break addr.to_string();
             }
-            thread::sleep(Duration::from_millis(25));
-        }
-        let addr = addr.expect("child never wrote its port file");
-        Server { child, addr }
+        };
+        let log = thread::spawn(move || {
+            let mut rest = String::new();
+            let _ = stderr.read_to_string(&mut rest);
+            rest
+        });
+        Nvpd { child, addr, log: Some(log) }
     }
 
-    /// Polls the child briefly: `Some(code)` if it exited, `None` if it
-    /// is still running after the window.
-    fn exit_code_within(&mut self, window: Duration) -> Option<i32> {
-        let deadline = window.as_millis() / 25;
-        for _ in 0..=deadline {
-            if let Some(status) = self.child.try_wait().expect("try_wait") {
-                return status.code();
-            }
-            thread::sleep(Duration::from_millis(25));
-        }
-        None
+    /// Waits for the child to exit and returns whether it succeeded and
+    /// what it logged.
+    fn wait(mut self) -> (bool, String) {
+        let status = self.child.wait().expect("wait for nvpd");
+        let log = self.log.take().expect("log reader").join().expect("log thread");
+        (status.success(), log)
     }
+}
 
-    fn kill(&mut self) {
+impl Drop for Nvpd {
+    fn drop(&mut self) {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-/// Drives the submit protocol by hand so the test knows exactly how far
-/// the handshake got before the injected fault tore it down.
-struct Attempt {
-    accepted: bool,
-    completed: bool,
-}
-
-fn raw_attempt(addr: &str, req: &CampaignRequest) -> Attempt {
-    let mut out = Attempt { accepted: false, completed: false };
-    let Ok(mut stream) = TcpStream::connect(addr) else { return out };
-    // Generous bound: the job itself runs real simulations before the
-    // fault point may fire.
-    stream.set_read_timeout(Some(Duration::from_secs(120))).expect("read timeout");
-    if write_frame(&mut stream, &Message::Submit(req.clone())).is_err() {
-        return out;
-    }
-    match read_frame(&mut stream) {
-        Ok(Message::Accepted { .. }) => out.accepted = true,
-        _ => return out,
-    }
-    if let Ok(Message::Result { .. }) = read_frame(&mut stream) {
-        out.completed = true;
-    }
-    out
-}
-
-/// One full crash-and-recover round trip for a fault spec. Returns the
-/// final outcome plus what the first (faulted) attempt observed.
-fn round_trip(tag: &str, spec: &str, golden: &BTreeMap<String, Vec<u8>>, golden_misses: u64) {
-    let state_dir = scratch(tag);
+/// One real `kill -9`, sent as soon as the client holds `Accepted`: the
+/// kill may land mid-job or after the job, and either way the restarted
+/// server answers the resubmission from the result store with the
+/// uninterrupted run's artifacts.
+#[test]
+fn a_sigkilled_server_answers_every_accepted_job() {
     let req = request();
+    let golden = artifacts(&golden(&req), "kill_golden");
+    let state_dir = scratch("sigkill");
+    fs::create_dir_all(&state_dir).expect("state dir");
 
-    // Server A runs with the fault armed. Budget 2 jobs: the faulted
-    // attempt plus (if A survives, e.g. a mid-frame drop) the retry.
-    let mut a = Server::spawn(&state_dir, Some(spec), 2);
-    let attempt = raw_attempt(&a.addr, &req);
-    assert!(!attempt.completed, "[{tag}] fault plan `{spec}` failed to disturb the first attempt");
+    let mut first = Nvpd::spawn(&state_dir);
+    let mut stream = TcpStream::connect(&first.addr).expect("connect");
+    write_frame(&mut stream, &Message::Submit(req.clone())).expect("submit");
+    match read_frame(&mut stream).expect("the server answers the submission") {
+        Message::Accepted { job: 0, .. } => {}
+        other => panic!("expected Accepted for job 0, got {other:?}"),
+    }
+    first.child.kill().expect("SIGKILL nvpd");
+    let (_, first_log) = first.wait();
+    drop(stream);
 
-    // A crash-append fault kills A with the sentinel exit code; a
-    // connection-drop fault leaves it serving.
-    let outcome = match a.exit_code_within(Duration::from_secs(5)) {
-        Some(code) => {
-            assert_eq!(
-                code, CRASH_EXIT_CODE,
-                "[{tag}] expected an injected crash, got exit {code}"
-            );
-            // Restart on the same state dir, fault disarmed: the journal
-            // replays, then the client resubmits.
-            let b = Server::spawn(&state_dir, None, 1);
-            let out = client::submit(&b.addr, &req)
-                .unwrap_or_else(|e| panic!("[{tag}] resubmission after restart failed: {e}"));
-            out
-        }
-        None => client::submit(&a.addr, &req)
-            .unwrap_or_else(|e| panic!("[{tag}] retry against the surviving server failed: {e}")),
-    };
-
-    // Byte-identical artifacts against the uninterrupted golden run.
-    let out_dir = scratch(&format!("{tag}_out"));
-    outcome.result.write(&out_dir).expect("write artifacts");
-    let got = dir_bytes(&out_dir);
-    assert_eq!(
-        golden.keys().collect::<Vec<_>>(),
-        got.keys().collect::<Vec<_>>(),
-        "[{tag}] artifact set differs from the uninterrupted run"
+    let second = Nvpd::spawn(&state_dir);
+    let outcome = client::submit(&second.addr, &req).expect("resubmission after SIGKILL");
+    let (exited, second_log) = second.wait();
+    assert!(exited, "the restarted server failed:\n{second_log}");
+    assert!(
+        outcome.replayed,
+        "an accepted job was not answered from the result store\n\
+         killed server:\n{first_log}\nrestarted server:\n{second_log}"
     );
-    for (name, bytes) in golden {
-        assert_eq!(bytes, &got[name], "[{tag}] {name} differs from the uninterrupted run");
-    }
-
-    // The write-ahead promise: once `Accepted` was seen, the admission
-    // was durable, so the answer must come from the result store — no
-    // re-simulation. Only a fault that struck *before* the promise
-    // (e.g. a torn `Admitted` append) may leave a fresh run, and a
-    // fresh run costs exactly the golden number of simulations — never
-    // more.
-    if attempt.accepted {
-        assert!(
-            outcome.replayed || outcome.result.cache.misses == 0,
-            "[{tag}] accepted job re-simulated after recovery: {:?}",
-            outcome.result.cache
-        );
-    } else {
-        assert!(
-            outcome.replayed
-                || outcome.result.cache.misses == 0
-                || outcome.result.cache.misses == golden_misses,
-            "[{tag}] unexpected simulation count {:?} (golden ran {golden_misses})",
-            outcome.result.cache
-        );
-    }
-
+    assert_eq!(artifacts(&outcome.result, "kill_out"), golden, "recovered artifacts differ");
     let _ = fs::remove_dir_all(&state_dir);
-    let _ = fs::remove_dir_all(&out_dir);
-}
-
-#[test]
-fn seeded_crash_points_all_recover_byte_identical() {
-    // The golden, uninterrupted run — in-process, the strongest
-    // baseline (remote + journal + crash must match local exactly).
-    let req = request();
-    let golden_result = {
-        let _guard = cache_lock();
-        reset_sim_cache();
-        let _ = set_cache_dir(None);
-        let result = run_request(&req).expect("golden run");
-        reset_sim_cache();
-        result
-    };
-    let golden_dir = scratch("golden");
-    golden_result.write(&golden_dir).expect("write golden artifacts");
-    let golden = dir_bytes(&golden_dir);
-    let golden_misses = golden_result.cache.misses;
-    assert!(golden_misses > 0, "the campaign must run real simulations to prove dedup");
-
-    // Two handcrafted specs pin the boundary cases regardless of what
-    // the seed rotation lands on ...
-    round_trip("tear_admitted", "crash-append=1,tear=0", &golden, golden_misses);
-    round_trip("after_completed", "crash-append=3", &golden, golden_misses);
-    // ... one crashes at the `Started` transition, as the CI smoke does ...
-    round_trip("env_spec", "crash-append=2", &golden, golden_misses);
-    // ... and the seeded rotation covers ≥20 derived crash points:
-    // torn appends at varied offsets, aborts at each journal
-    // transition, and mid-frame result drops.
-    let mut specs = std::collections::BTreeSet::new();
-    for seed in 0..20u64 {
-        let spec = faultplan::derive(seed).format();
-        specs.insert(spec.clone());
-        round_trip(&format!("seed{seed}"), &spec, &golden, golden_misses);
-    }
-    assert!(specs.len() >= 10, "seed rotation collapsed: {specs:?}");
-
-    let _ = fs::remove_dir_all(&golden_dir);
-}
-
-#[test]
-fn external_sigkill_mid_job_recovers_byte_identical() {
-    let req = request();
-    let golden_result = {
-        let _guard = cache_lock();
-        reset_sim_cache();
-        let _ = set_cache_dir(None);
-        let result = run_request(&req).expect("golden run");
-        reset_sim_cache();
-        result
-    };
-    let golden_dir = scratch("kill_golden");
-    golden_result.write(&golden_dir).expect("write golden artifacts");
-    let golden = dir_bytes(&golden_dir);
-
-    for round in 0..2 {
-        let tag = format!("sigkill{round}");
-        let state_dir = scratch(&tag);
-        // The delay widens the admitted-but-running window the kill
-        // lands in; the attempt runs on its own thread so the test can
-        // pull the trigger while the client is still waiting.
-        let mut a = Server::spawn(&state_dir, Some("delay-ms=1500"), 1);
-        let addr = a.addr.clone();
-        let req_clone = req.clone();
-        let attempt = thread::spawn(move || raw_attempt(&addr, &req_clone));
-        // Give admission time to journal the job and send `Accepted`,
-        // then kill -9 the server inside the delayed job window.
-        thread::sleep(Duration::from_millis(600));
-        a.kill();
-        let attempt = attempt.join().expect("attempt thread");
-        assert!(attempt.accepted, "[{tag}] the job was admitted before the kill");
-        assert!(!attempt.completed, "[{tag}] the kill landed before completion");
-
-        // Restart on the same state dir: the journal must replay the
-        // admitted job, and the resubmission must be a replay.
-        let b = Server::spawn(&state_dir, None, 1);
-        let outcome = client::submit(&b.addr, &req)
-            .unwrap_or_else(|e| panic!("[{tag}] resubmission after SIGKILL failed: {e}"));
-        assert!(
-            outcome.replayed || outcome.result.cache.misses == 0,
-            "[{tag}] SIGKILLed job re-simulated after recovery: {:?}",
-            outcome.result.cache
-        );
-        let out_dir = scratch(&format!("{tag}_out"));
-        outcome.result.write(&out_dir).expect("write artifacts");
-        let got = dir_bytes(&out_dir);
-        for (name, bytes) in &golden {
-            assert_eq!(bytes, &got[name], "[{tag}] {name} differs from the uninterrupted run");
-        }
-        let _ = fs::remove_dir_all(&state_dir);
-        let _ = fs::remove_dir_all(&out_dir);
-    }
-    let _ = fs::remove_dir_all(&golden_dir);
-}
-
-/// The satellite fix pinned end-to-end: a server that accepts the TCP
-/// connection but never answers (or is simply absent) must not hang the
-/// client — it times out, reports "server unreachable", and gives up
-/// after its bounded retries.
-#[test]
-fn absent_server_fails_fast_with_unreachable() {
-    let err = client::submit_with(
-        "127.0.0.1:9", // discard port: nothing listens there
-        &request(),
-        &client::ClientConfig {
-            timeout: Duration::from_millis(300),
-            retries: 1,
-            ..client::ClientConfig::default()
-        },
-    )
-    .expect_err("no server must mean no hang");
-    assert!(matches!(err, client::ClientError::Unreachable { .. }), "{err}");
-    assert!(err.to_string().contains("server unreachable at"), "{err}");
 }

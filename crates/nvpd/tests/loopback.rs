@@ -281,50 +281,6 @@ fn slow_loris_submit_times_out_without_wedging_admission() {
 }
 
 #[test]
-fn journal_replays_pending_jobs_after_a_crash() {
-    let _guard = cache_lock();
-    reset_sim_cache();
-    let _ = set_cache_dir(None);
-    let state_dir = scratch("state");
-
-    // Simulate the moment after a crash: a journal holding one job that
-    // was admitted (durably promised) but never completed.
-    let mut request = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
-    request.seed = Some(3);
-    let key = nvp_experiments::wire::request_key(&request);
-    {
-        let (journal, recovery) =
-            nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
-                .expect("open journal");
-        assert_eq!(recovery.pending.len(), 0);
-        journal.admitted(0, &key, &request).expect("journal the admission");
-        // Process "crashes" here: the journal is simply dropped.
-    }
-
-    // The restarted server replays the journal, runs the orphaned job
-    // (warming the result store), and answers our resubmission of the
-    // same request from that store: zero new simulations, flagged as a
-    // journal replay on the wire.
-    let cfg = ServerConfig {
-        max_jobs: Some(1),
-        state_dir: Some(state_dir.clone()),
-        ..ServerConfig::default()
-    };
-    let (addr, handle) = start_server(cfg);
-    let outcome = client::submit(&addr.to_string(), &request).expect("resubmission");
-    assert!(outcome.replayed, "resubmission is served from the durable result store");
-
-    let stats = handle.join().expect("server thread").expect("server run");
-    assert_eq!(stats.recovered, 1, "the admitted-but-unfinished job was re-enqueued");
-    assert_eq!(stats.replayed, 1, "the resubmission hit the idempotency key");
-    assert_eq!((stats.accepted, stats.completed), (1, 1));
-    assert_eq!(stats.quarantined, 0);
-
-    reset_sim_cache();
-    let _ = fs::remove_dir_all(&state_dir);
-}
-
-#[test]
 fn identical_resubmission_replays_without_resimulation() {
     let _guard = cache_lock();
     reset_sim_cache();
@@ -482,6 +438,85 @@ fn damaged_store_entries_rerun_and_an_intact_one_replays_its_stored_bytes() {
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
+}
+
+/// Reads one whole frame, header and payload, off a stream.
+fn read_raw_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+    use io::Read;
+    let mut frame = vec![0; 8];
+    stream.read_exact(&mut frame)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("four length bytes"));
+    frame.resize(8 + len as usize, 0);
+    stream.read_exact(&mut frame[8..])?;
+    Ok(frame)
+}
+
+/// Relays one client connection to `server`: the client's bytes pass
+/// whole, and of the server's, the `Accepted` frame and then the
+/// `Result` frame, only its first half when `cut`, after which both
+/// sides are closed.
+fn relay(client: TcpStream, server: SocketAddr, cut: bool) {
+    use io::Write;
+    let mut upstream = TcpStream::connect(server).expect("connect to the server");
+    let (mut from_client, mut to_server) = (
+        client.try_clone().expect("clone the client socket"),
+        upstream.try_clone().expect("clone the server socket"),
+    );
+    let forward = thread::spawn(move || io::copy(&mut from_client, &mut to_server));
+    let mut to_client = client;
+    let accepted = read_raw_frame(&mut upstream).expect("Accepted frame");
+    to_client.write_all(&accepted).expect("relay Accepted");
+    let result = read_raw_frame(&mut upstream).expect("Result frame");
+    let sent = if cut { &result[..result.len() / 2] } else { &result[..] };
+    to_client.write_all(sent).expect("relay the Result frame");
+    let _ = to_client.shutdown(std::net::Shutdown::Both);
+    let _ = upstream.shutdown(std::net::Shutdown::Both);
+    let _ = forward.join().expect("client-to-server relay");
+}
+
+/// A connection cut inside the `Result` frame costs the client one
+/// retry: a proxy passes the first connection's `Result` frame only up
+/// to half its bytes, the client retries through it, and the retry is
+/// answered from the result store with the in-process artifacts.
+#[test]
+fn a_result_frame_cut_mid_frame_is_retried_and_replayed() {
+    let _guard = cache_lock();
+    reset_sim_cache();
+    let _ = set_cache_dir(None);
+    let state_dir = scratch("proxy");
+    let mut request = CampaignRequest::only(ExpConfig::quick(), &["f3"]);
+    request.seed = Some(19);
+    let local_dir = scratch("proxy_local");
+    run_request(&request).expect("in-process run").write(&local_dir).expect("write local");
+    reset_sim_cache();
+
+    let (server, handle) = start_server(ServerConfig {
+        max_jobs: Some(2),
+        state_dir: Some(state_dir.clone()),
+        ..ServerConfig::default()
+    });
+    let proxy = std::net::TcpListener::bind("127.0.0.1:0").expect("bind the proxy");
+    let proxy_addr = proxy.local_addr().expect("proxy address").to_string();
+    let relays = thread::spawn(move || {
+        for cut in [true, false] {
+            let (client, _) = proxy.accept().expect("proxy accept");
+            relay(client, server, cut);
+        }
+    });
+    let outcome = client::submit(&proxy_addr, &request).expect("the retry is answered");
+    relays.join().expect("proxy thread");
+    let stats = handle.join().expect("server thread").expect("server run");
+
+    assert!(outcome.replayed, "the retry is answered from the result store");
+    assert_eq!((stats.accepted, stats.completed, stats.replayed), (2, 2, 1));
+    let remote_dir = scratch("proxy_remote");
+    outcome.result.write(&remote_dir).expect("write remote");
+    assert_eq!(dir_bytes(&remote_dir), dir_bytes(&local_dir), "the retried artifacts differ");
+
+    reset_sim_cache();
+    for dir in [&state_dir, &local_dir, &remote_dir] {
+        let _ = fs::remove_dir_all(dir);
+    }
 }
 
 #[test]

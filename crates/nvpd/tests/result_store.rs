@@ -52,7 +52,6 @@ fn serve(
     let child = command
         .args(["--max-jobs", &requests.len().to_string(), "--port-file"])
         .arg(port_file)
-        .env_remove("NVPD_FAULT_SPEC")
         .env_remove("NVP_CACHE_DIR")
         .stdout(Stdio::null())
         .stderr(Stdio::null())

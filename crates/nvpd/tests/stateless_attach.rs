@@ -52,7 +52,6 @@ fn serve_once(
         .args(["serve", "127.0.0.1:0", "--max-jobs", "1", "--port-file"])
         .arg(&port_file)
         .env("NVP_CACHE_DIR", cache)
-        .env_remove("NVPD_FAULT_SPEC")
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
