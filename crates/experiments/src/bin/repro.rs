@@ -63,7 +63,9 @@ fn render(
 
 /// What this process's input memos did: trace summaries read from the
 /// store or streamed from the generator, task costs read from the store
-/// or measured, and the bytes cache-key derivation hashed. A second
+/// or measured, the bytes cache-key derivation hashed, and the trace
+/// sample arrays generated and the most sample bytes held at once
+/// (which depends on the worker count). A second
 /// line tells what the block-stream tier did: streams recorded and
 /// their bytes, instructions served from them, and runs that left one.
 fn memo_line() -> String {
@@ -72,7 +74,7 @@ fn memo_line() -> String {
     let streams = cost_stream_stats();
     format!(
         "input memo: {} trace summary(ies) loaded, {} streamed; {} task cost(s) loaded, \
-         {} measured; {} key byte(s) hashed\n\
+         {} measured; {} key byte(s) hashed; {} trace(s) generated, peak {} byte(s) resident\n\
          cost stream: {} stream(s) recorded, {} byte(s); {} instruction(s) served from \
          streams, {} run(s) left a stream",
         traces.summaries_loaded,
@@ -80,6 +82,8 @@ fn memo_line() -> String {
         memo.task_costs_loaded,
         memo.task_costs_measured,
         key_bytes_hashed(),
+        traces.generated,
+        traces.peak_resident_bytes,
         streams.recorded,
         streams.bytes,
         streams.served,

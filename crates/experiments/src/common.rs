@@ -13,8 +13,11 @@
 //! holds the samples (read only by simulations) and the summary (read
 //! by the profile and outage figures, streamed from the generator
 //! without a sample array), and both are freed with the spec's last
-//! handle. A job's plans hold its handles until its run step returns,
-//! so a resident server holds just the traces of its running jobs. With
+//! handle. A job's planned entries hold its handles, and each drops its
+//! own as soon as it has run, so a trace's samples live only while a
+//! simulation on it is still to run: a job holds about one trace per
+//! worker, and a resident server only the traces its running jobs have
+//! still to read. With
 //! a persistent store attached, a summary and a task cost are read from
 //! it before they are streamed or measured, and stored after, so a warm
 //! rerun computes neither.
@@ -288,13 +291,25 @@ struct TraceEntry {
 static GENERATED: AtomicU64 = AtomicU64::new(0);
 static SUMMARIZED: AtomicU64 = AtomicU64::new(0);
 static SUMMARIES_LOADED: AtomicU64 = AtomicU64::new(0);
+static RESIDENT_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_RESIDENT_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The bytes of a trace's sample array.
+fn sample_bytes(trace: &PowerTrace) -> u64 {
+    std::mem::size_of_val(trace.samples()) as u64
+}
 
 impl TraceEntry {
-    /// The samples, generated on first read.
+    /// The samples, generated on first read. Their bytes count as
+    /// resident until the entry drops.
     fn samples(&self) -> &Arc<PowerTrace> {
         self.samples.get_or_init(|| {
             GENERATED.fetch_add(1, AtomicOrdering::Relaxed);
-            Arc::new(self.spec.generate())
+            let samples = Arc::new(self.spec.generate());
+            let bytes = sample_bytes(&samples);
+            let resident = RESIDENT_BYTES.fetch_add(bytes, AtomicOrdering::Relaxed) + bytes;
+            PEAK_RESIDENT_BYTES.fetch_max(resident, AtomicOrdering::Relaxed);
+            samples
         })
     }
 
@@ -327,14 +342,24 @@ impl TraceEntry {
     }
 }
 
+impl Drop for TraceEntry {
+    fn drop(&mut self) {
+        if let Some(samples) = self.samples.get() {
+            RESIDENT_BYTES.fetch_sub(sample_bytes(samples), AtomicOrdering::Relaxed);
+        }
+    }
+}
+
 /// A shared power trace keyed by its spec digest, so runs over it are
 /// keyed without touching a sample. The samples are generated the first
 /// time a simulation reads them: a run whose sim-cache key hits never
 /// builds its trace, and the profile and outage figures read the
 /// trace's [`summary`](Self::summary) instead. Every handle on a spec
 /// shares one entry, so while any handle lives the spec is generated
-/// and summarized at most once; a job's plans hold a handle on every
-/// trace the job reads until its run step returns.
+/// and summarized at most once. A job's planned entries hold the
+/// handles on the traces it reads, and each entry drops its handle as
+/// soon as it has run, so a trace's samples are freed with its last
+/// pending simulation (see [`crate::plan::run`]).
 #[derive(Clone)]
 pub(crate) struct SimTrace {
     entry: Arc<TraceEntry>,
@@ -423,22 +448,22 @@ pub struct TraceMemoStats {
     pub summaries_loaded: u64,
     /// Sample bytes live handles hold right now; zero between jobs.
     pub resident_bytes: u64,
+    /// The most sample bytes live handles held at once over the life of
+    /// the process: a job holds about one trace per worker, so this
+    /// depends on the worker count.
+    pub peak_resident_bytes: u64,
 }
 
 /// Process-wide trace-memo counters.
 #[must_use]
 pub fn trace_memo_stats() -> TraceMemoStats {
     let load = |counter: &AtomicU64| counter.load(AtomicOrdering::Relaxed);
-    let resident_bytes = traces()
-        .values()
-        .filter_map(Weak::upgrade)
-        .filter_map(|entry| entry.samples.get().map(|s| std::mem::size_of_val(s.samples()) as u64))
-        .sum();
     TraceMemoStats {
         generated: load(&GENERATED),
         summarized: load(&SUMMARIZED),
         summaries_loaded: load(&SUMMARIES_LOADED),
-        resident_bytes,
+        resident_bytes: load(&RESIDENT_BYTES),
+        peak_resident_bytes: load(&PEAK_RESIDENT_BYTES),
     }
 }
 

@@ -26,9 +26,12 @@ use crate::stats::{exec_stats, ExecStats};
 use crate::{f1_power_profiles, ExpConfig, Table};
 
 /// The most samples a trace may hold, 2²¹: about 209 s at
-/// [`DEFAULT_DT_S`], a 16 MiB sample array. It caps the work one job
-/// does and the memory its simulations hold per trace (a result
-/// carries its profiles as specs, so no frame bounds it any more).
+/// [`DEFAULT_DT_S`], a 16 MiB sample array. It caps the work one
+/// simulation does and the memory a job holds per worker: a job holds
+/// a trace's samples only while a simulation on it is still to run,
+/// about one trace per scheduler worker, however many traces it names
+/// (a result carries its profiles as specs, so no frame bounds it any
+/// more).
 /// [`CampaignRequest::resolve`] refuses a longer `trace_duration_s`
 /// before anything is generated, and the wire decoder a profile spec
 /// over it.
@@ -218,7 +221,7 @@ pub(crate) fn run_campaign(cfg: &ExpConfig, experiments: &[&'static Experiment])
     let last_first: Vec<_> = experiments.iter().rev().collect();
     let mut plans: Vec<Plan> = sched::par_map(&last_first, |e| e.plan(cfg));
     plans.reverse();
-    plan::run(&plans, |i, out| experiments[i].render(cfg, out))
+    plan::run(plans, |i, out| experiments[i].render(cfg, out))
 }
 
 /// Executes a [`CampaignRequest`] in this process and returns the
@@ -231,9 +234,12 @@ pub(crate) fn run_campaign(cfg: &ExpConfig, experiments: &[&'static Experiment])
 /// The job runs under whatever simulation store the process has
 /// attached: `repro` picks its local store (or none, with
 /// `--no-cache`), and the server's resident store serves every job.
-/// Its plans hold every trace it reads and its run step every outcome
-/// it looks up until that step returns, then let go of them whatever
-/// other jobs run ([`crate::trace_memo_stats`] counts the traces).
+/// Each planned entry holds the trace it reads until it has run, so the
+/// job holds a trace's samples only while a simulation on it is still
+/// to run (about one trace per worker); its run step holds every
+/// outcome it looks up until that step returns. Both are let go of
+/// whatever other jobs run ([`crate::trace_memo_stats`] counts the
+/// traces and their peak).
 ///
 /// # Errors
 ///

@@ -13,6 +13,7 @@
 //! the simulation cache dedupes entries that several experiments plan.
 
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -25,7 +26,7 @@ use nvp_energy::TraceSummary;
 use nvp_sim::MachineImage;
 use nvp_workloads::KernelInstance;
 
-use crate::common::{run_fault_free, Setup, SimTrace};
+use crate::common::{run_fault_free, Setup, SimTrace, TraceSpec};
 use crate::sched;
 use crate::simcache::{self, Digest, Lease, SimOutcome};
 use crate::stats::record_lane_group;
@@ -56,6 +57,24 @@ impl Sim {
                 key.finish()
             }
         }
+    }
+
+    /// A deterministic estimate of a simulation's run time: its trace's
+    /// sample count, times what a sample costs. A platform executes
+    /// while its income allows, so a simulation's cost follows its
+    /// source's income: indoor solar delivers hundreds of µW, RF bursts
+    /// more than the wearable sources' tens. A faulted trial costs a
+    /// little more than a fault-free run (it runs the block engine and
+    /// logs its events). On the default campaign a solar run takes
+    /// about six times a wrist-watch run, an RF run about twice.
+    fn estimate(&self) -> u64 {
+        let faulted = self.faults.as_ref().is_some_and(FaultPlan::enabled);
+        let income = match self.trace.spec().kind() {
+            SourceKind::SolarIndoor => 6,
+            SourceKind::RfWifi => 2,
+            SourceKind::WristWatch | SourceKind::ThermalBody => 1,
+        };
+        self.trace.spec().sample_count() as u64 * income * if faulted { 5 } else { 4 }
     }
 
     /// A lease on the outcome, through the simulation cache.
@@ -135,28 +154,9 @@ enum Work {
 }
 
 impl Work {
-    /// A deterministic estimate of a simulation's run time: its trace's
-    /// sample count, times what a sample costs. A platform executes
-    /// while its income allows, so a simulation's cost follows its
-    /// source's income: indoor solar delivers hundreds of µW, RF bursts
-    /// more than the wearable sources' tens. A faulted trial costs a
-    /// little more than a fault-free run (it runs the block engine and
-    /// logs its events). On the default campaign a solar run takes
-    /// about six times a wrist-watch run, an RF run about twice. A
-    /// summary ranks above every simulation.
-    fn estimate(&self) -> u64 {
-        let Work::Sim(sim) = self else { return u64::MAX };
-        let faulted = sim.faults.as_ref().is_some_and(FaultPlan::enabled);
-        let income = match sim.trace.spec().kind() {
-            SourceKind::SolarIndoor => 6,
-            SourceKind::RfWifi => 2,
-            SourceKind::WristWatch | SourceKind::ThermalBody => 1,
-        };
-        sim.trace.spec().sample_count() as u64 * income * if faulted { 5 } else { 4 }
-    }
-
-    /// The outcome, and a simulation's lease on it.
-    fn run(&self) -> (Outcome, Option<Lease>) {
+    /// The outcome, and a simulation's lease on it. The entry, and with
+    /// it its handle on the trace, drops when this returns.
+    fn run(self) -> (Outcome, Option<Lease>) {
         match self {
             Work::Sim(sim) => {
                 record_lane_group(1);
@@ -166,6 +166,32 @@ impl Work {
             Work::Summary(trace) => (Outcome::Summary(trace.summary()), None),
         }
     }
+}
+
+/// The order a run claims `works` in. Trace summaries come first, in
+/// plan order (four renders read them). Simulations follow grouped by
+/// trace spec, the group with the longest [`Sim::estimate`] first and
+/// each group longest first, plan order among equals. A trace's
+/// simulations are then claimed back to back, so its samples are freed
+/// soon after they are generated, while the longest runs still start
+/// early.
+fn claim_order(works: &[Work]) -> Vec<usize> {
+    let mut groups: BTreeMap<TraceSpec, (u64, usize)> = BTreeMap::new();
+    for (i, work) in works.iter().enumerate() {
+        if let Work::Sim(sim) = work {
+            let group = groups.entry(sim.trace.spec()).or_insert((0, i));
+            group.0 = group.0.max(sim.estimate());
+        }
+    }
+    let mut order: Vec<usize> = (0..works.len()).collect();
+    order.sort_by_cached_key(|&i| match &works[i] {
+        Work::Summary(_) => None,
+        Work::Sim(sim) => {
+            let (longest, first) = groups[&sim.trace.spec()];
+            Some((Reverse(longest), first, Reverse(sim.estimate())))
+        }
+    });
+    order
 }
 
 /// What one entry produced.
@@ -283,28 +309,32 @@ impl Outcomes {
 /// each plan from its outcomes with `render`, returning the renders in
 /// plan order. A plan renders as soon as its last entry is done, on the
 /// worker that finished it, so one experiment's render overlaps the
-/// rest of the campaign. Trace summaries run first (four renders read
-/// them), then simulations longest first by [`Work::estimate`] (plan
-/// order among equals). Each simulation counts one lane group. The run
-/// holds each simulation's [`Lease`] until every entry is done, so a
-/// key several plans list is looked up once and then hit in memory.
+/// rest of the campaign. Entries are claimed in [`claim_order`], and
+/// each counts one lane group if it is a simulation. The run owns the
+/// plans: a task drops its entry as soon as the entry has run, so a
+/// trace's samples live only while a simulation on it is still to run,
+/// and a job holds about one trace per worker however many it names.
+/// The run holds each simulation's [`Lease`] until every entry is done,
+/// so a key several plans list is looked up once and then hit in
+/// memory.
 pub(crate) fn run<T: Send>(
-    plans: &[Plan],
+    plans: Vec<Plan>,
     render: impl Fn(usize, &mut Outcomes) -> T + Sync,
 ) -> Vec<T> {
-    let entries: Vec<(usize, &Work)> = plans
-        .iter()
+    let lens: Vec<usize> = plans.iter().map(Plan::len).collect();
+    let (owner, works): (Vec<usize>, Vec<Work>) = plans
+        .into_iter()
         .enumerate()
-        .flat_map(|(p, plan)| plan.entries.iter().map(move |(_, work)| (p, work)))
-        .collect();
-    let mut order: Vec<usize> = (0..entries.len()).collect();
-    order.sort_by_cached_key(|&i| Reverse(entries[i].1.estimate()));
-    let outcomes: Vec<Mutex<Option<Outcome>>> = entries.iter().map(|_| Mutex::default()).collect();
-    let pending: Vec<AtomicUsize> = plans.iter().map(|p| AtomicUsize::new(p.len())).collect();
+        .flat_map(|(p, plan)| plan.entries.into_iter().map(move |(_, work)| (p, work)))
+        .unzip();
+    let order = claim_order(&works);
+    let works: Vec<Mutex<Option<Work>>> = works.into_iter().map(|w| Mutex::new(Some(w))).collect();
+    let outcomes: Vec<Mutex<Option<Outcome>>> = works.iter().map(|_| Mutex::default()).collect();
+    let pending: Vec<AtomicUsize> = lens.iter().map(|&len| AtomicUsize::new(len)).collect();
     let render_plan = |p: usize| {
-        let first: usize = plans[..p].iter().map(Plan::len).sum();
+        let first: usize = lens[..p].iter().sum();
         let mut out = Outcomes(
-            outcomes[first..first + plans[p].len()]
+            outcomes[first..first + lens[p]]
                 .iter()
                 .map(|slot| lock(slot).take().expect("every entry ran"))
                 .collect::<Vec<_>>()
@@ -313,12 +343,13 @@ pub(crate) fn run<T: Send>(
         (p, render(p, &mut out))
     };
     let ran = sched::par_map(&order, |&i| {
-        let (p, work) = entries[i];
+        let work = lock(&works[i]).take().expect("every entry is claimed once");
         let (outcome, lease) = work.run();
         *lock(&outcomes[i]) = Some(outcome);
+        let p = owner[i];
         (lease, (pending[p].fetch_sub(1, Ordering::AcqRel) == 1).then(|| render_plan(p)))
     });
-    let empty = (0..plans.len()).filter(|&p| plans[p].len() == 0).map(render_plan);
+    let empty = (0..lens.len()).filter(|&p| lens[p] == 0).map(render_plan);
     let ran = ran.into_iter().filter_map(|(_, rendered)| rendered);
     let mut rendered: Vec<(usize, T)> = ran.chain(empty).collect();
     rendered.sort_by_key(|&(p, _)| p);
@@ -336,5 +367,5 @@ pub(crate) fn build<T: Send>(
     plan: Plan,
     render: impl Fn(&ExpConfig, &mut Outcomes) -> T + Sync,
 ) -> T {
-    run(&[plan], |_, out| render(cfg, out)).pop().expect("one plan, one render")
+    run(vec![plan], |_, out| render(cfg, out)).pop().expect("one plan, one render")
 }

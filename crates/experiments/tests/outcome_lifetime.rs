@@ -1,8 +1,10 @@
 //! How long decoded simulation outcomes live. With a persistent store
 //! attached, an outcome the store indexes is held only through the
-//! slots of the jobs that looked it up, so it is dropped (demoted to
-//! its record) when the last such job ends, and a later lookup re-reads
-//! that one record; without a store nothing is demoted. The sim-cache
+//! leases of the jobs that looked it up, which a job's run step holds
+//! until it returns, so the outcome is dropped (demoted to its record)
+//! when the last such job ends, and a later lookup re-reads that one
+//! record; without a store nothing is demoted. (Trace samples are let
+//! go of sooner, entry by entry; see `trace_lifetime.rs`.) The sim-cache
 //! and its counters are process-global, which is why these checks live
 //! in their own test binary rather than among the crate's parallel unit
 //! tests.

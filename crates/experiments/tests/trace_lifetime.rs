@@ -1,8 +1,11 @@
 //! How long memoized trace samples live. A job generates each trace it
-//! reads once, and the samples are freed when that job ends: its plan
-//! holds the only strong handles to them, and the memo keeps weak ones.
-//! So a resident server holds only the traces of the jobs it is
-//! running. The trace memo and its counters are process-global,
+//! reads once, and the samples are freed with the job's last entry on
+//! that trace: its pending entries hold the only strong handles to
+//! them, each drops its own once it has run, and the memo keeps weak
+//! ones. So a finished job holds no trace, and a resident server only
+//! the traces its running jobs have still to read (`trace_peak.rs`
+//! bounds how many at once). The trace memo and its counters are
+//! process-global,
 //! which is why these checks live in their own test binary rather than
 //! among the crate's parallel unit tests.
 
@@ -30,8 +33,8 @@ fn artifacts(result: &CampaignResult) -> Vec<String> {
 /// Six server-style jobs, each over a profile no other job reads. After
 /// every job the memo holds no sample, and rerunning a job generates no
 /// trace: F3 and F12 are served by the sim-cache, and F2 streams one
-/// summary per profile (the first run released its own at its end),
-/// with byte-identical artifacts.
+/// summary per profile (the first run released its own with its last
+/// entry on the profile), with byte-identical artifacts.
 #[test]
 fn finished_jobs_release_their_trace_samples() {
     let _guard = global_memo_lock();
@@ -60,7 +63,7 @@ fn finished_jobs_release_their_trace_samples() {
         assert_eq!(
             after.summarized - before.summarized,
             req.config.profile_seeds.len() as u64,
-            "the rerun restreams F2's summaries, which the first run released at its end"
+            "the rerun restreams F2's summaries, which the first run released"
         );
     }
 }

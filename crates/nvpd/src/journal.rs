@@ -21,6 +21,7 @@
 //!   tag 1 Admitted:  key 32B ++ req_len u32 ++ request wire bytes
 //!   tag 2 Started:   (empty)
 //!   tag 3 Completed: result digest 32B
+//!   tag 4 Next job:  (empty; the u64 is the next id to assign)
 //! ```
 //!
 //! `key` is the request's content-addressed idempotency key
@@ -41,8 +42,11 @@
 //! (whether or not it `Started` — jobs are idempotent through the
 //! simulation cache, so restarting a half-run job is merely warm). The
 //! journal is then **compacted**: atomically rewritten to hold exactly
-//! the pending `Admitted` records. Compaction also runs at runtime
-//! whenever the live set empties.
+//! the pending `Admitted` records, behind one `Next job` record that
+//! keeps the id count once the records that set it are gone. Compaction
+//! also runs at runtime whenever the live set empties. Recovery assigns
+//! the larger of the `Next job` id and one past the highest journalled
+//! id, so a restarted server never hands out an id twice.
 //!
 //! Any damage — a torn tail record (the shape a crash mid-append
 //! leaves), a corrupt or undecodable record, an admission journalled by
@@ -114,6 +118,7 @@ const DIGEST_BYTES: usize = 32;
 const TAG_ADMITTED: u8 = 1;
 const TAG_STARTED: u8 = 2;
 const TAG_COMPLETED: u8 = 3;
+const TAG_NEXT_JOB: u8 = 4;
 
 /// Upper bound a record length prefix may claim before the scan stops
 /// trusting the framing (a request is a few hundred bytes at most).
@@ -139,7 +144,8 @@ pub struct PendingJob {
 pub struct Recovery {
     /// Jobs to re-enqueue, in admission order.
     pub pending: Vec<PendingJob>,
-    /// The next job id to assign (one past the highest journalled id).
+    /// The next job id to assign: one past the highest journalled id,
+    /// or the compacted journal's `Next job` id if that is larger.
     pub next_job: u64,
     /// Records dropped during the scan (torn tail, corrupt interior).
     pub skipped: u64,
@@ -156,13 +162,16 @@ struct ScanEntry<'a> {
     completed: bool,
 }
 
-/// Appendable journal state guarded by one lock: the append handle and
-/// the live-entry count that triggers compaction.
+/// Appendable journal state guarded by one lock: the append handle,
+/// the live-entry count that triggers compaction, and the id count a
+/// compaction keeps.
 #[derive(Debug)]
 struct Inner {
     file: fs::File,
     /// Admitted-but-not-completed entries in the current journal file.
     live: u64,
+    /// One past the highest id recovered or admitted.
+    next_job: u64,
 }
 
 /// An open write-ahead journal plus its content-addressed result store.
@@ -200,7 +209,7 @@ impl Journal {
         // old file stays whole until the atomic rename, so a crash here
         // never loses an admitted job.
         let pending = recovery.pending.iter().map(|j| admitted_payload(j.id, &j.key, &j.request));
-        let image = record::log_image(MAGIC, pending, MAX_RECORD_BYTES)?;
+        let image = compacted_image(recovery.next_job, pending)?;
         if recovery.skipped > 0 && record::quarantine(&path, Some(&image)).is_ok() {
             recovery.quarantined += 1;
             eprintln!(
@@ -215,7 +224,11 @@ impl Journal {
         let journal = Journal {
             path,
             results_dir,
-            inner: Mutex::new(Inner { file, live: recovery.pending.len() as u64 }),
+            inner: Mutex::new(Inner {
+                file,
+                live: recovery.pending.len() as u64,
+                next_job: recovery.next_job,
+            }),
             quarantined: AtomicU64::new(recovery.quarantined),
         };
         Ok((journal, recovery))
@@ -233,6 +246,7 @@ impl Journal {
         let payload = admitted_payload(job, key, request);
         let mut inner = self.lock();
         inner.live += 1;
+        inner.next_job = inner.next_job.max(job + 1);
         self.append_record(&mut inner, &payload)?;
         inner.file.sync_data()
     }
@@ -263,8 +277,9 @@ impl Journal {
         inner.live = inner.live.saturating_sub(1);
         if inner.live == 0 {
             // Everything journalled is done: shrink the log to its
-            // header so restarts replay nothing.
-            record::replace(&self.path, MAGIC)?;
+            // header and the id count, so restarts replay nothing and
+            // assign no id twice.
+            record::replace(&self.path, &compacted_image(inner.next_job, [])?)?;
             inner.file = fs::OpenOptions::new().append(true).open(&self.path)?;
         }
         Ok(())
@@ -386,18 +401,34 @@ fn admitted_payload(job: u64, key: &Digest, request: &CampaignRequest) -> Vec<u8
     payload
 }
 
+/// A compacted journal: the header, a `Next job` record unless no id
+/// was ever assigned, and the `pending` admission payloads.
+fn compacted_image(
+    next_job: u64,
+    pending: impl IntoIterator<Item = Vec<u8>>,
+) -> io::Result<Vec<u8>> {
+    let next = (next_job > 0).then(|| {
+        let mut payload = vec![TAG_NEXT_JOB];
+        put_u64(&mut payload, next_job);
+        payload
+    });
+    record::log_image(MAGIC, next.into_iter().chain(pending), MAX_RECORD_BYTES)
+}
+
 /// Folds journal bytes into a [`Recovery`], counting every damaged or
 /// undecodable record in `skipped`.
 fn scan(bytes: &[u8], recovery: &mut Recovery) {
     let log = record::scan(bytes, MAGIC, MAX_RECORD_BYTES);
     recovery.skipped += log.damaged;
     let mut entries = BTreeMap::new();
+    let mut next_job = 0;
     for payload in log.payloads {
-        if decode_record(payload, &mut entries).is_err() {
+        if decode_record(payload, &mut entries, &mut next_job).is_err() {
             recovery.skipped += 1;
         }
     }
-    recovery.next_job = entries.keys().next_back().map_or(0, |max| max + 1);
+    let past_journalled = entries.keys().next_back().map_or(0, |max| max + 1);
+    recovery.next_job = next_job.max(past_journalled);
     for (id, entry) in entries.into_iter().filter(|(_, entry)| !entry.completed) {
         match decode_request_bytes(entry.request_bytes) {
             Ok(request) => recovery.pending.push(PendingJob { id, key: entry.key, request }),
@@ -409,11 +440,12 @@ fn scan(bytes: &[u8], recovery: &mut Recovery) {
     }
 }
 
-/// Applies one CRC-valid record payload to the fold state; an error
-/// marks a malformed payload.
+/// Applies one CRC-valid record payload to the fold state and the
+/// `Next job` id; an error marks a malformed payload.
 fn decode_record<'a>(
     payload: &'a [u8],
     entries: &mut BTreeMap<u64, ScanEntry<'a>>,
+    next_job: &mut u64,
 ) -> io::Result<()> {
     let mut r = Reader::new(payload);
     let (tag, job) = (r.u8()?, r.u64()?);
@@ -431,6 +463,10 @@ fn decode_record<'a>(
             if let Some(entry) = entries.get_mut(&job) {
                 entry.completed = true;
             }
+        }
+        TAG_NEXT_JOB => {
+            r.done()?;
+            *next_job = (*next_job).max(job);
         }
         _ => return Err(record::bad("unknown journal record tag")),
     }
@@ -503,11 +539,14 @@ mod tests {
         journal.started(0).unwrap();
         journal.completed(0, &[0u8; 32]).unwrap();
         // The live set emptied, so compaction shrank the log to its
-        // header.
-        assert_eq!(fs::read(dir.join("journal.log")).unwrap(), MAGIC);
+        // header and the next id.
+        let compacted = compacted_image(1, []).unwrap();
+        assert_eq!(fs::read(dir.join("journal.log")).unwrap(), compacted);
+        assert_eq!(compacted.len(), MAGIC.len() + 8 + 9, "one Next job record");
         drop(journal);
         let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
         assert!(recovery.pending.is_empty());
+        assert_eq!(recovery.next_job, 1, "ids keep counting past the compaction");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -528,7 +567,8 @@ mod tests {
     /// prefix. Job 0's result entry is there exactly when `put_result 0`
     /// preceded the cut; at the cut where it ran, the entry may also be
     /// missing, or a torn temporary file. Both sides of the compaction
-    /// that a last completion starts are states too.
+    /// that a last completion starts are states too, and both assign
+    /// the next id.
     #[test]
     fn every_torn_journal_prefix_recovers_its_whole_records() {
         use std::cmp::Ordering::{Equal, Greater, Less};
@@ -620,9 +660,9 @@ mod tests {
         assert_eq!(states, bytes.len() + 3, "every prefix, three entry states at one");
 
         // The compaction after the last completion appends `Completed 2`
-        // and then replaces the file with its header: a crash leaves the
-        // whole old file, perhaps beside a torn `journal.log.tmp`, or the
-        // header alone.
+        // and then replaces the file with its header and the next id: a
+        // crash leaves the whole old file, perhaps beside a torn
+        // `journal.log.tmp`, or the compacted one.
         journal.completed(1, &[0; 32]).unwrap();
         let mut completed2 = vec![TAG_COMPLETED];
         put_u64(&mut completed2, 2);
@@ -630,7 +670,8 @@ mod tests {
         journal.append_record(&mut journal.lock(), &completed2).unwrap();
         let old = fs::read(&path).unwrap();
         drop(journal);
-        for (image, next_job) in [(&old[..], 3), (&MAGIC[..], 0)] {
+        let compacted = compacted_image(3, []).unwrap();
+        for image in [&old, &compacted] {
             let what = format!("compaction side of {} bytes", image.len());
             let dir = unique_dir("nvpd_journal_compaction");
             fs::create_dir_all(&dir).unwrap();
@@ -639,10 +680,10 @@ mod tests {
             fs::write(&tmp, &MAGIC[..4]).unwrap();
             let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
             assert!(recovery.pending.is_empty(), "{what}: every job completed");
-            assert_eq!((recovery.next_job, recovery.skipped), (next_job, 0), "{what}");
+            assert_eq!((recovery.next_job, recovery.skipped), (3, 0), "{what}");
             assert!(!dir.join("journal.log.quarantine").exists(), "{what}: quarantined");
             assert!(!tmp.exists(), "{what}: the torn temporary file outlived the reopen");
-            assert_eq!(fs::read(dir.join("journal.log")).unwrap(), MAGIC, "{what}");
+            assert_eq!(fs::read(dir.join("journal.log")).unwrap(), compacted, "{what}");
             let _ = fs::remove_dir_all(&dir);
         }
         let _ = fs::remove_dir_all(&work);
@@ -906,6 +947,27 @@ mod tests {
         assert_eq!(recovery.pending[0].id, 1);
         let after = fs::metadata(dir.join("journal.log")).unwrap().len();
         assert!(after < before, "startup compaction shrank the journal ({before} -> {after})");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The startup compaction drops a finished job's records, so it
+    /// keeps the id count too: a job finished past a pending one still
+    /// holds its id after two restarts.
+    #[test]
+    fn startup_compaction_keeps_the_id_count() {
+        let dir = unique_dir("nvpd_journal_startup_ids");
+        let (journal, _) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+        let (ra, rb) = (request(11), request(12));
+        journal.admitted(0, &request_key(&ra), &ra).unwrap();
+        journal.admitted(1, &request_key(&rb), &rb).unwrap();
+        journal.completed(1, &[1u8; 32]).unwrap();
+        drop(journal);
+        for restart in 1..=2 {
+            let (_, recovery) = Journal::open(&dir, ServiceFaultPlan::none()).unwrap();
+            let ids: Vec<u64> = recovery.pending.iter().map(|job| job.id).collect();
+            assert_eq!(ids, [0], "restart {restart}: pending jobs");
+            assert_eq!(recovery.next_job, 2, "restart {restart}: next job id");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

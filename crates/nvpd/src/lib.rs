@@ -81,9 +81,10 @@ pub struct ServerConfig {
     /// workers overlap whole jobs (a job that starts while another runs
     /// wide runs its simulations on its own thread) at the cost of
     /// approximate per-job counters. Memory is per job at any worker
-    /// count: a job holds the trace samples and decoded stored outcomes
-    /// it reads until it ends, and no longer, whatever the other
-    /// workers run.
+    /// count, whatever the other workers run: a job holds a trace's
+    /// samples only while a simulation on it is still to run (about one
+    /// trace per scheduler worker), and the decoded stored outcomes it
+    /// reads until it ends.
     pub workers: usize,
     /// Accept this many jobs, then drain the queue and return — the
     /// clean-shutdown path used by tests, benches, and CI smoke runs.

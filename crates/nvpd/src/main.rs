@@ -141,7 +141,8 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     eprintln!(
         "nvpd: done — {} accepted, {} completed, {} rejected, {} recovered from journal, \
          {} replayed from result store, {} file(s) quarantined, {} trace(s) generated, \
-         {} trace(s) summarized, {} summary(ies) loaded, {} trace byte(s) resident, \
+         {} trace(s) summarized, {} summary(ies) loaded, {} trace byte(s) resident \
+         (peak {}), \
          {} task cost(s) loaded, {} task cost(s) measured, {} key byte(s) hashed, \
          {} outcome(s) resident, {} outcome(s) on disk only, {} record(s) reloaded",
         stats.accepted,
@@ -154,6 +155,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         traces.summarized,
         traces.summaries_loaded,
         traces.resident_bytes,
+        traces.peak_resident_bytes,
         outcomes.task_costs_loaded,
         outcomes.task_costs_measured,
         key_bytes_hashed(),

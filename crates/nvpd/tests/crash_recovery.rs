@@ -191,6 +191,34 @@ fn every_crash_class_recovers_byte_identical() {
     reset_sim_cache();
 }
 
+/// A server whose jobs all finished compacts its journal to the header
+/// and the next id, so a server restarted on that state keeps counting:
+/// after jobs 0, 1 and 2, the next job is 3.
+#[test]
+fn a_restart_after_compaction_continues_the_job_ids() {
+    let _guard = cache_lock();
+    let state_dir = scratch("ids");
+    let req = CampaignRequest::only(ExpConfig::quick(), &["t1"]);
+    let serve = |jobs: u64| -> Vec<u64> {
+        let server = Server::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = server.local_addr().expect("bound address").to_string();
+        let cfg = ServerConfig {
+            max_jobs: Some(jobs),
+            state_dir: Some(state_dir.clone()),
+            ..ServerConfig::default()
+        };
+        let run = thread::spawn(move || server.run(&cfg));
+        let ids = (0..jobs).map(|_| client::submit(&addr, &req).expect("submit").job).collect();
+        run.join().expect("server thread").expect("server run");
+        ids
+    };
+    assert_eq!(serve(3), [0, 1, 2]);
+    let (_, recovery) = Journal::open(&state_dir, ServiceFaultPlan::none()).expect("reopen");
+    assert!(recovery.pending.is_empty(), "every job finished, so the journal compacted");
+    assert_eq!(serve(1), [3], "the restarted server assigns no id twice");
+    let _ = fs::remove_dir_all(&state_dir);
+}
+
 /// A child `nvpd serve --max-jobs 1` process on an ephemeral port.
 struct Nvpd {
     child: Child,

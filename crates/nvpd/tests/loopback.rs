@@ -615,13 +615,15 @@ fn a_panicking_job_is_journalled_as_finished() {
     assert_eq!((stats.accepted, stats.completed, stats.recovered), (2, 1, 0));
 
     // Both jobs finished, so the live set emptied and the journal
-    // compacted to its 8-byte header; a restart replays nothing.
+    // compacted to its 8-byte header and one 17-byte `Next job` record;
+    // a restart replays nothing and keeps counting ids.
     let log = fs::read(state_dir.join("journal.log")).expect("read journal");
-    assert_eq!(log, b"nvpjrnl1", "journal holds only its header");
+    assert_eq!((&log[..8], log.len()), (&b"nvpjrnl1"[..], 8 + 17), "header and next id only");
     let (_, recovery) =
         nvpd::journal::Journal::open(&state_dir, nvpd::faultplan::ServiceFaultPlan::none())
             .expect("reopen journal");
     assert!(recovery.pending.is_empty(), "the failed job is not replayed");
+    assert_eq!(recovery.next_job, 2, "ids 0 and 1 are not handed out again");
 
     reset_sim_cache();
     let _ = fs::remove_dir_all(&state_dir);
